@@ -25,10 +25,11 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 
 use crate::compiled::CompiledFlow;
-use crate::durable::{self, wire};
+use crate::durable;
 use crate::engine::{EventId, Scheduler};
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultPlan, RetryPolicy};
+use crate::frame;
 use crate::graph::{CheckpointPolicy, StageId};
 use crate::metrics::StageMetrics;
 use crate::resource::{ResourceId, ResourceSet, StorageLedger};
@@ -351,13 +352,13 @@ struct RunningTask {
 
 fn put_pending(out: &mut Vec<u8>, t: &PendingTask) {
     durable::put_vol(out, t.input);
-    wire::put_u32(out, t.taint);
-    wire::put_u64(out, t.lineage);
+    frame::put_u32(out, t.taint);
+    frame::put_u64(out, t.lineage);
     durable::put_dur(out, t.banked);
     durable::put_dur(out, t.replay);
 }
 
-fn get_pending(r: &mut wire::Reader) -> CoreResult<PendingTask> {
+fn get_pending(r: &mut frame::Reader) -> CoreResult<PendingTask> {
     Ok(PendingTask {
         input: durable::get_vol(r)?,
         taint: r.u32()?,
@@ -368,13 +369,13 @@ fn get_pending(r: &mut wire::Reader) -> CoreResult<PendingTask> {
 }
 
 fn put_running(out: &mut Vec<u8>, t: &RunningTask) {
-    wire::put_u64(out, t.id);
+    frame::put_u64(out, t.id);
     durable::put_event_id(out, t.event);
     durable::put_vol(out, t.input);
-    wire::put_u32(out, t.taint);
-    wire::put_u64(out, t.lineage);
+    frame::put_u32(out, t.taint);
+    frame::put_u64(out, t.lineage);
     durable::put_vol(out, t.held);
-    wire::put_u32(out, t.units);
+    frame::put_u32(out, t.units);
     durable::put_time(out, t.started_at);
     durable::put_time(out, t.ends_at);
     durable::put_dur(out, t.banked);
@@ -382,7 +383,7 @@ fn put_running(out: &mut Vec<u8>, t: &RunningTask) {
     durable::put_dur(out, t.overhead);
 }
 
-fn get_running(r: &mut wire::Reader) -> CoreResult<RunningTask> {
+fn get_running(r: &mut frame::Reader) -> CoreResult<RunningTask> {
     Ok(RunningTask {
         id: r.u64()?,
         event: durable::get_event_id(r)?,
@@ -409,21 +410,21 @@ fn put_task_state(
     running: &[RunningTask],
     next_task: u64,
 ) {
-    wire::put_u64(out, queue.len() as u64);
+    frame::put_u64(out, queue.len() as u64);
     for t in queue {
         put_pending(out, t);
     }
     durable::put_vol(out, queued_volume);
-    wire::put_u64(out, running.len() as u64);
+    frame::put_u64(out, running.len() as u64);
     for t in running {
         put_running(out, t);
     }
-    wire::put_u64(out, next_task);
+    frame::put_u64(out, next_task);
 }
 
 #[allow(clippy::type_complexity)]
 fn get_task_state(
-    r: &mut wire::Reader,
+    r: &mut frame::Reader,
 ) -> CoreResult<(VecDeque<PendingTask>, DataVolume, Vec<RunningTask>, u64)> {
     let n = r.len()?;
     let mut queue = VecDeque::with_capacity(n);
@@ -443,15 +444,15 @@ fn get_task_state(
 /// Queued `(volume, taint, lineage)` triples (transfer queues, batcher
 /// buffers).
 fn put_triples(out: &mut Vec<u8>, triples: impl ExactSizeIterator<Item = (DataVolume, u32, u64)>) {
-    wire::put_u64(out, triples.len() as u64);
+    frame::put_u64(out, triples.len() as u64);
     for (v, t, l) in triples {
         durable::put_vol(out, v);
-        wire::put_u32(out, t);
-        wire::put_u64(out, l);
+        frame::put_u32(out, t);
+        frame::put_u64(out, l);
     }
 }
 
-fn get_triples(r: &mut wire::Reader) -> CoreResult<Vec<(DataVolume, u32, u64)>> {
+fn get_triples(r: &mut frame::Reader) -> CoreResult<Vec<(DataVolume, u32, u64)>> {
     let n = r.len()?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
@@ -815,7 +816,7 @@ impl StageBehavior for ProcessBehavior {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = wire::Reader::new(bytes);
+        let mut r = frame::Reader::new(bytes);
         let (queue, queued_volume, running, next_task) = get_task_state(&mut r)?;
         r.done()?;
         self.queue = queue;
@@ -1040,7 +1041,7 @@ impl StageBehavior for TransferBehavior {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = wire::Reader::new(bytes);
+        let mut r = frame::Reader::new(bytes);
         let queue = get_triples(&mut r)?;
         let queued_volume = durable::get_vol(&mut r)?;
         r.done()?;
@@ -1264,7 +1265,7 @@ impl StageBehavior for FilterBehavior {
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = wire::Reader::new(bytes);
+        let mut r = frame::Reader::new(bytes);
         let (queue, queued_volume, running, next_task) = get_task_state(&mut r)?;
         r.done()?;
         self.queue = queue;
@@ -1367,15 +1368,15 @@ impl StageBehavior for BatcherBehavior {
         durable::put_vol(out, self.buffered_volume);
         match self.flush {
             Some(ev) => {
-                wire::put_u8(out, 1);
+                frame::put_u8(out, 1);
                 durable::put_event_id(out, ev);
             }
-            None => wire::put_u8(out, 0),
+            None => frame::put_u8(out, 0),
         }
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = wire::Reader::new(bytes);
+        let mut r = frame::Reader::new(bytes);
         let buffer = get_triples(&mut r)?;
         let buffered_volume = durable::get_vol(&mut r)?;
         let flush = match r.u8()? {
@@ -1574,11 +1575,11 @@ impl StageBehavior for DedupBehavior {
 
     fn save_state(&self, out: &mut Vec<u8>) {
         put_task_state(out, &self.queue, self.queued_volume, &self.running, self.next_task);
-        wire::put_u64(out, self.seen);
+        frame::put_u64(out, self.seen);
     }
 
     fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = wire::Reader::new(bytes);
+        let mut r = frame::Reader::new(bytes);
         let (queue, queued_volume, running, next_task) = get_task_state(&mut r)?;
         let seen = r.u64()?;
         r.done()?;

@@ -25,9 +25,8 @@
 //! Compiling is behavior-free: a [`CompiledFlow`] run by
 //! [`FlowSim::from_compiled`](crate::sim::FlowSim::from_compiled) produces a
 //! byte-identical [`SimReport`](crate::metrics::SimReport) to the same graph
-//! handed to [`FlowSim::new`](crate::sim::FlowSim::new) (which now lowers
-//! through this module itself — the equivalence is enforced by the
-//! `compiled_equivalence` property suite across the workload zoo).
+//! handed to [`FlowSim::new`](crate::sim::FlowSim::new), which lowers
+//! through this module itself.
 
 use crate::durable::SnapshotPolicy;
 use crate::error::CoreResult;

@@ -4,34 +4,32 @@
 //! preempted) needs to survive being killed at an arbitrary event. This
 //! module provides the storage layer for that:
 //!
-//! * a **versioned, deterministic wire format** (the `wire` submodule) for
-//!   the full mid-run engine state — event heap, slab payloads and
-//!   generations, per-stage behavior state, resource occupancy, RNG
-//!   streams, metrics;
-//! * an **append-only run journal**: a magic-prefixed sequence of sealed
-//!   frames, each `[kind u8][len u64 LE][payload][FNV-1a u64 LE]`, holding
-//!   one run-header frame followed by periodic snapshot frames;
-//! * **recovery** (the crate-internal `recover` routine): walk the journal,
-//!   stop at the first frame
-//!   whose seal does not verify (torn tail, bit flip, truncation), truncate
-//!   the file back to the last sealed frame, and hand back the newest valid
-//!   snapshot. Damaged state is *never* silently replayed — it is either
-//!   dropped with a recorded reason or surfaced as a typed
+//! * a **versioned, deterministic snapshot layout** (the `put_*`/`get_*`
+//!   codecs here, over [`crate::frame`]'s field codec) for the full mid-run
+//!   engine state — event heap, slab payloads and generations, per-stage
+//!   behavior state, resource occupancy, RNG streams, metrics;
+//! * an **append-only run journal**: the magic `SFJRNL1\n`, then sealed
+//!   [`crate::frame`] frames — one run-header frame followed by periodic
+//!   snapshot frames;
+//! * **recovery** (the crate-internal `recover` routine): [`frame::scan`]
+//!   the journal to its last good frame, truncate a torn tail away, and
+//!   hand back the newest valid snapshot. Damaged state is *never* silently
+//!   replayed — it is either dropped with a typed [`Damage`] or surfaced as
 //!   [`CoreError::CorruptJournal`] / [`CoreError::ResumeMismatch`].
 //!
 //! The same framing serves both persistence shapes: a live journal appended
 //! to as the run progresses (`FlowSim::with_journal`), and a one-shot sealed
-//! snapshot file written atomically via a fsynced temp sibling plus rename
-//! (`FlowSim::snapshot_to`), exactly the idiom the metastore uses for its
-//! catalog snapshots.
+//! snapshot file written through [`frame::write_atomic`]
+//! (`FlowSim::snapshot_to`).
 
-use std::fs::{File, OpenOptions};
-use std::io::{Read as _, Write as _};
+use std::fs::File;
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::behavior::{Completion, FlowEvent};
 use crate::engine::EventId;
 use crate::error::{CoreError, CoreResult};
+use crate::frame::{self, put_bytes, put_u32, put_u64, put_u8, Damage, Reader};
 use crate::graph::StageId;
 use crate::resource::ResourceId;
 use crate::units::{DataVolume, SimDuration, SimTime};
@@ -58,115 +56,6 @@ pub(crate) const FRAME_SNAPSHOT: u8 = 2;
 /// changes so old journals fail with [`CoreError::ResumeMismatch`], never a
 /// garbled decode.
 pub const SNAPSHOT_FORMAT: u32 = 1;
-
-// The frame seal hashes through the one shared FNV-1a definition in
-// [`crate::fnv`]; the streaming append path leans on its byte-stream-fold
-// property to checksum a frame without materializing it.
-pub(crate) use crate::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
-
-/// Little-endian primitive codec shared by every snapshot producer and
-/// consumer. Writers push onto a `Vec<u8>`; the [`Reader`] checks bounds on
-/// every read and reports overruns as [`CoreError::CorruptJournal`] — a
-/// snapshot payload that decodes past its end is damaged by definition.
-pub(crate) mod wire {
-    use super::*;
-
-    pub(crate) fn put_u8(out: &mut Vec<u8>, v: u8) {
-        out.push(v);
-    }
-
-    pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-
-    pub(crate) fn put_f64(out: &mut Vec<u8>, v: f64) {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
-
-    pub(crate) fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
-        put_u64(out, v.len() as u64);
-        out.extend_from_slice(v);
-    }
-
-    pub(crate) struct Reader<'a> {
-        buf: &'a [u8],
-        pos: usize,
-    }
-
-    impl<'a> Reader<'a> {
-        pub(crate) fn new(buf: &'a [u8]) -> Self {
-            Reader { buf, pos: 0 }
-        }
-
-        fn take(&mut self, n: usize) -> CoreResult<&'a [u8]> {
-            if self.buf.len() - self.pos < n {
-                return Err(CoreError::CorruptJournal {
-                    detail: format!(
-                        "snapshot payload truncated: wanted {n} bytes at offset {}",
-                        self.pos
-                    ),
-                });
-            }
-            let s = &self.buf[self.pos..self.pos + n];
-            self.pos += n;
-            Ok(s)
-        }
-
-        pub(crate) fn u8(&mut self) -> CoreResult<u8> {
-            Ok(self.take(1)?[0])
-        }
-
-        pub(crate) fn u32(&mut self) -> CoreResult<u32> {
-            Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-        }
-
-        pub(crate) fn u64(&mut self) -> CoreResult<u64> {
-            Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-        }
-
-        pub(crate) fn f64(&mut self) -> CoreResult<f64> {
-            Ok(f64::from_bits(self.u64()?))
-        }
-
-        pub(crate) fn bytes(&mut self) -> CoreResult<&'a [u8]> {
-            let len = self.u64()? as usize;
-            self.take(len)
-        }
-
-        /// A length prefix about to drive a loop or allocation. Bounded by
-        /// the bytes actually remaining so a flipped length bit cannot ask
-        /// for a multi-gigabyte `Vec` before the overrun is noticed.
-        pub(crate) fn len(&mut self) -> CoreResult<usize> {
-            let n = self.u64()? as usize;
-            if n > self.buf.len() - self.pos {
-                return Err(CoreError::CorruptJournal {
-                    detail: format!("snapshot length {n} exceeds remaining payload"),
-                });
-            }
-            Ok(n)
-        }
-
-        /// Assert the payload was consumed exactly — trailing garbage means
-        /// the producer and consumer disagree about the format.
-        pub(crate) fn done(&self) -> CoreResult<()> {
-            if self.pos != self.buf.len() {
-                return Err(CoreError::CorruptJournal {
-                    detail: format!(
-                        "snapshot payload has {} trailing bytes",
-                        self.buf.len() - self.pos
-                    ),
-                });
-            }
-            Ok(())
-        }
-    }
-}
-
-use wire::{put_bytes, put_u32, put_u64, put_u8, Reader};
 
 /// The identity frame at the head of every journal: enough to refuse a
 /// resume against the wrong spec, seed, or an incompatible format — before
@@ -221,59 +110,35 @@ impl RunHeader {
     }
 }
 
-/// Render one sealed frame: `[kind][len][payload][fnv1a(kind+len+payload)]`.
-/// The checksum covers the kind and length bytes too, so a flipped length
-/// cannot masquerade as a shorter-but-valid frame.
-fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + 8 + payload.len() + 8);
-    put_u8(&mut out, kind);
-    put_u64(&mut out, payload.len() as u64);
-    out.extend_from_slice(payload);
-    let sum = fnv1a(&out);
-    put_u64(&mut out, sum);
-    out
-}
-
 fn io_err(action: &str, path: &Path, e: std::io::Error) -> CoreError {
     CoreError::CorruptJournal { detail: format!("{action} {}: {e}", path.display()) }
 }
 
-/// The temp sibling a sealed write goes through before the atomic rename.
-fn temp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().unwrap_or_default().to_os_string();
-    name.push(".tmp");
-    path.with_file_name(name)
+/// The magic and the sealed header frame every journal file starts with.
+fn journal_head(header: &RunHeader) -> Vec<u8> {
+    let mut bytes = JOURNAL_MAGIC.to_vec();
+    frame::seal_into(&mut bytes, FRAME_HEADER, &header.encode());
+    bytes
 }
 
-/// Write a complete sealed journal (header + one snapshot frame) through a
-/// fsynced temp sibling and an atomic rename: a crash mid-write leaves
-/// either the previous file or none, never a torn one.
+/// Write a complete sealed journal (header + one snapshot frame) through
+/// [`frame::write_atomic`]: a crash mid-write leaves either the previous
+/// file or none, never a torn one.
 pub(crate) fn write_sealed_journal(
     path: &Path,
     header: &RunHeader,
     snapshot: &[u8],
 ) -> CoreResult<()> {
-    let mut bytes = Vec::with_capacity(snapshot.len() + 128);
-    bytes.extend_from_slice(&JOURNAL_MAGIC);
-    bytes.extend_from_slice(&frame(FRAME_HEADER, &header.encode()));
-    bytes.extend_from_slice(&frame(FRAME_SNAPSHOT, snapshot));
-    let tmp = temp_sibling(path);
-    let write = || -> std::io::Result<()> {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&bytes)?;
-        f.sync_all()?;
-        std::fs::rename(&tmp, path)
-    };
-    write().map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        io_err("writing snapshot", path, e)
-    })
+    let mut bytes = journal_head(header);
+    bytes.reserve_exact(frame::OVERHEAD + snapshot.len());
+    frame::seal_into(&mut bytes, FRAME_SNAPSHOT, snapshot);
+    frame::write_atomic(path, &bytes).map_err(|e| io_err("writing snapshot", path, e))
 }
 
 /// A live run journal: header written at creation, snapshot frames appended
-/// as the run's [`SnapshotPolicy`] fires. Appends are flushed per frame but
-/// not fsynced — a crash can tear the final frame, and recovery truncates
-/// the tear away rather than trusting it.
+/// as the run's [`SnapshotPolicy`] fires. Appends are not fsynced — a crash
+/// can tear the final frame, and recovery truncates the tear away rather
+/// than trusting it.
 pub struct RunJournal {
     file: File,
     path: PathBuf,
@@ -289,29 +154,17 @@ impl RunJournal {
     /// Create (truncating any previous file) and write the header frame.
     pub(crate) fn create(path: &Path, header: &RunHeader) -> CoreResult<Self> {
         let mut file = File::create(path).map_err(|e| io_err("creating journal", path, e))?;
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&JOURNAL_MAGIC);
-        bytes.extend_from_slice(&frame(FRAME_HEADER, &header.encode()));
-        file.write_all(&bytes)
+        file.write_all(&journal_head(header))
             .and_then(|_| file.sync_all())
             .map_err(|e| io_err("writing journal header", path, e))?;
         Ok(RunJournal { file, path: path.to_path_buf() })
     }
 
-    /// Append one sealed snapshot frame. The frame is never materialized:
-    /// the seal streams over the 9-byte head and the payload (identical to
-    /// hashing their concatenation), and three buffered writes put the
-    /// frame on disk without copying the payload.
+    /// Append one sealed snapshot frame, streamed by [`frame::write_frame`]
+    /// as three unbuffered writes straight to the file: the frame is never
+    /// materialized and the payload never copied.
     pub(crate) fn append_snapshot(&mut self, payload: &[u8]) -> CoreResult<()> {
-        let mut head = [0u8; 9];
-        head[0] = FRAME_SNAPSHOT;
-        head[1..9].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-        let sum = fnv1a_update(fnv1a_update(FNV_OFFSET, &head), payload);
-        self.file
-            .write_all(&head)
-            .and_then(|_| self.file.write_all(payload))
-            .and_then(|_| self.file.write_all(&sum.to_le_bytes()))
-            .and_then(|_| self.file.flush())
+        frame::write_frame(&mut self.file, FRAME_SNAPSHOT, payload)
             .map_err(|e| io_err("appending to journal", &self.path, e))
     }
 }
@@ -322,10 +175,10 @@ pub(crate) struct Recovered {
     pub(crate) header: RunHeader,
     /// Payload of the newest sealed snapshot frame, if any survived.
     pub(crate) snapshot: Option<Vec<u8>>,
-    /// Why the tail was truncated, when it was. `None` means every byte of
-    /// the file was part of a sealed frame. Diagnostic only — resume
-    /// proceeds either way — so only the tests read it today.
-    pub(crate) truncated: Option<String>,
+    /// The torn tail that was truncated away, when there was one. `None`
+    /// means every byte of the file was part of a sealed frame. Diagnostic
+    /// only — resume proceeds either way.
+    pub(crate) truncated: Option<Damage>,
 }
 
 /// Walk `path`'s frames, verify every seal, truncate the file back to the
@@ -333,87 +186,44 @@ pub(crate) struct Recovered {
 /// file whose magic or header frame is damaged cannot identify its run and
 /// is rejected outright with [`CoreError::CorruptJournal`].
 pub(crate) fn recover(path: &Path) -> CoreResult<Recovered> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| io_err("opening journal", path, e))?;
-    if bytes.len() < JOURNAL_MAGIC.len() || bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-        return Err(CoreError::CorruptJournal {
-            detail: format!("{}: bad or missing journal magic", path.display()),
-        });
-    }
-    let mut pos = JOURNAL_MAGIC.len();
+    let bytes = std::fs::read(path).map_err(|e| io_err("opening journal", path, e))?;
+    let scan = frame::scan(&bytes, &JOURNAL_MAGIC)?;
     let mut header: Option<RunHeader> = None;
-    let mut snapshot: Option<Vec<u8>> = None;
-    let mut truncated: Option<String> = None;
-    while pos < bytes.len() {
-        match read_frame(&bytes, pos) {
-            Ok((kind, payload, next)) => {
-                match (kind, header.is_some()) {
-                    (FRAME_HEADER, false) => header = Some(RunHeader::decode(payload)?),
-                    (FRAME_SNAPSHOT, true) => snapshot = Some(payload.to_vec()),
-                    (FRAME_HEADER, true) => {
-                        return Err(CoreError::CorruptJournal {
-                            detail: "second header frame in journal".to_string(),
-                        })
-                    }
-                    (FRAME_SNAPSHOT, false) => {
-                        return Err(CoreError::CorruptJournal {
-                            detail: "journal does not start with a header frame".to_string(),
-                        })
-                    }
-                    (other, _) => {
-                        return Err(CoreError::CorruptJournal {
-                            detail: format!("unknown frame kind {other}"),
-                        })
-                    }
-                }
-                pos = next;
+    let mut snapshot: Option<&[u8]> = None;
+    for &(kind, payload) in &scan.frames {
+        match (kind, header.is_some()) {
+            (FRAME_HEADER, false) => header = Some(RunHeader::decode(payload)?),
+            (FRAME_SNAPSHOT, true) => snapshot = Some(payload),
+            (FRAME_HEADER, true) => {
+                return Err(CoreError::CorruptJournal {
+                    detail: "second header frame in journal".to_string(),
+                })
             }
-            Err(why) => {
-                // Torn or corrupted tail: drop it. Nothing after the first
-                // bad frame can be trusted — framing itself is gone.
-                truncated = Some(format!("dropped unsealed tail at offset {pos}: {why}"));
-                OpenOptions::new()
-                    .write(true)
-                    .open(path)
-                    .and_then(|f| f.set_len(pos as u64))
-                    .map_err(|e| io_err("truncating torn journal", path, e))?;
-                break;
+            (FRAME_SNAPSHOT, false) => {
+                return Err(CoreError::CorruptJournal {
+                    detail: "journal does not start with a header frame".to_string(),
+                })
+            }
+            (other, _) => {
+                return Err(CoreError::CorruptJournal {
+                    detail: format!("unknown frame kind {other}"),
+                })
             }
         }
+    }
+    if let Some(damage) = &scan.damage {
+        damage.truncate(path).map_err(|e| io_err("truncating torn journal", path, e))?;
     }
     let Some(header) = header else {
         return Err(CoreError::CorruptJournal {
             detail: format!(
                 "{}: no sealed header frame{}",
                 path.display(),
-                truncated.map(|t| format!(" ({t})")).unwrap_or_default()
+                scan.damage.map(|d| format!(" ({d})")).unwrap_or_default()
             ),
         });
     };
-    Ok(Recovered { header, snapshot, truncated })
-}
-
-/// Parse one frame at `pos`. Returns `(kind, payload, next_offset)` or a
-/// reason string when the frame is torn or its seal does not verify.
-fn read_frame(bytes: &[u8], pos: usize) -> Result<(u8, &[u8], usize), String> {
-    let rest = &bytes[pos..];
-    if rest.len() < 1 + 8 {
-        return Err(format!("{} bytes is too short for a frame head", rest.len()));
-    }
-    let kind = rest[0];
-    let len = u64::from_le_bytes(rest[1..9].try_into().expect("8 bytes")) as usize;
-    let total = match 1usize.checked_add(8).and_then(|n| n.checked_add(len)) {
-        Some(n) if rest.len() >= n + 8 => n,
-        _ => return Err(format!("frame claims {len} payload bytes but the file ends first")),
-    };
-    let sealed = &rest[..total];
-    let stored = u64::from_le_bytes(rest[total..total + 8].try_into().expect("8 bytes"));
-    if fnv1a(sealed) != stored {
-        return Err("frame checksum mismatch".to_string());
-    }
-    Ok((kind, &rest[9..total], pos + total + 8))
+    Ok(Recovered { header, snapshot: snapshot.map(<[u8]>::to_vec), truncated: scan.damage })
 }
 
 // ---------------------------------------------------------------------------
@@ -655,46 +465,69 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// The format, byte for byte, computed at the commit before the port to
+    /// `core::frame`. If this fails the on-disk format changed: do not
+    /// update the literals; fix the code.
     #[test]
-    fn torn_tail_is_truncated_back_to_the_last_sealed_frame() {
-        let path = tmp("torn");
+    fn byte_pin_run_journal() {
+        let want = [
+            &b"SFJRNL1\n"[..],
+            // Header frame: kind 1, 33 payload bytes.
+            &[1, 33, 0, 0, 0, 0, 0, 0, 0],
+            &[1, 0, 0, 0],                         // format 1
+            &[4, 0, 0, 0, 0, 0, 0, 0],             // build: u64 length ...
+            b"test",                               // ... and bytes
+            &[0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0], // spec hash 0xDEADBEEF
+            &[1, 42, 0, 0, 0, 0, 0, 0, 0],         // fault seed Some(42)
+            &[227, 219, 116, 47, 255, 6, 200, 95], // FNV-1a over kind..payload
+            // Snapshot frame: kind 2, 4 payload bytes.
+            &[2, 4, 0, 0, 0, 0, 0, 0, 0],
+            b"snap",
+            &[65, 149, 158, 213, 129, 211, 173, 184],
+        ]
+        .concat();
+        let path = tmp("pin");
+        write_sealed_journal(&path, &header(), b"snap").unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), want, "one-shot sealed snapshot file");
         let mut j = RunJournal::create(&path, &header()).unwrap();
-        j.append_snapshot(b"good").unwrap();
+        j.append_snapshot(b"snap").unwrap();
         drop(j);
-        let sealed_len = std::fs::metadata(&path).unwrap().len();
-        // Simulate a crash mid-append: half a frame of garbage at the tail.
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&[FRAME_SNAPSHOT, 9, 9, 9]).unwrap();
-        drop(f);
-        let rec = recover(&path).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"good"[..]));
-        assert!(rec.truncated.is_some(), "tear must be reported");
-        assert_eq!(
-            std::fs::metadata(&path).unwrap().len(),
-            sealed_len,
-            "file is truncated back to the sealed prefix"
-        );
-        // A second recovery sees a clean journal.
-        assert!(recover(&path).unwrap().truncated.is_none());
+        assert_eq!(std::fs::read(&path).unwrap(), want, "live journal, streamed append");
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// A snapshot frame whose length field is forged — to `u64::MAX`, where
+    /// unchecked `9 + len + 8` overflows, and to `len + 1` — is a torn
+    /// tail: dropped, truncated and reported, never a panic. The same
+    /// forgery in the header frame leaves no run to identify: typed error.
     #[test]
-    fn bit_flips_drop_the_damaged_frame_not_the_journal() {
-        let path = tmp("flip");
-        let mut j = RunJournal::create(&path, &header()).unwrap();
-        j.append_snapshot(b"first").unwrap();
-        let before_second = std::fs::metadata(&path).unwrap().len();
-        j.append_snapshot(b"second").unwrap();
-        drop(j);
-        // Flip one bit inside the second snapshot frame's payload.
-        let mut bytes = std::fs::read(&path).unwrap();
-        let idx = before_second as usize + 9;
-        bytes[idx] ^= 0x10;
-        std::fs::write(&path, &bytes).unwrap();
-        let rec = recover(&path).unwrap();
-        assert_eq!(rec.snapshot.as_deref(), Some(&b"first"[..]), "falls back to the last seal");
-        assert!(rec.truncated.is_some());
+    fn forged_length_run_journal() {
+        let path = tmp("forged");
+        let forge = |frame_at: usize, len: u64| {
+            let mut j = RunJournal::create(&path, &header()).unwrap();
+            j.append_snapshot(b"first").unwrap();
+            j.append_snapshot(b"second").unwrap();
+            drop(j);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[frame_at + 1..frame_at + 9].copy_from_slice(&len.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+        };
+        let header_at = JOURNAL_MAGIC.len();
+        let second_at = header_at + header().encode().len() + b"first".len() + 2 * frame::OVERHEAD;
+        for len in [u64::MAX, b"second".len() as u64 + 1] {
+            forge(second_at, len);
+            let rec = recover(&path).unwrap();
+            assert_eq!(rec.snapshot.as_deref(), Some(&b"first"[..]), "length {len}");
+            assert_eq!(rec.truncated.map(|d| d.offset), Some(second_at), "length {len}");
+            assert_eq!(std::fs::metadata(&path).unwrap().len(), second_at as u64);
+        }
+        for len in [u64::MAX, header().encode().len() as u64 + 1] {
+            forge(header_at, len);
+            assert!(
+                matches!(recover(&path), Err(CoreError::CorruptJournal { .. })),
+                "length {len}"
+            );
+        }
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -720,7 +553,7 @@ mod tests {
         write_sealed_journal(&path, &header(), b"two").unwrap();
         let rec = recover(&path).unwrap();
         assert_eq!(rec.snapshot.as_deref(), Some(&b"two"[..]));
-        assert!(!temp_sibling(&path).exists(), "temp sibling cleaned up");
+        assert!(!frame::temp_sibling(&path).exists(), "temp sibling cleaned up");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -796,18 +629,5 @@ mod tests {
             assert_eq!(format!("{back:?}"), format!("{ev:?}"));
         }
         r.done().unwrap();
-    }
-
-    #[test]
-    fn reader_rejects_overruns_and_oversized_lengths() {
-        let mut out = Vec::new();
-        put_u32(&mut out, 7);
-        let mut r = Reader::new(&out);
-        assert_eq!(r.u32().unwrap(), 7);
-        assert!(r.u64().is_err(), "reading past the end is an error");
-        let mut out = Vec::new();
-        put_u64(&mut out, u64::MAX); // absurd length prefix
-        let mut r = Reader::new(&out);
-        assert!(matches!(r.len(), Err(CoreError::CorruptJournal { .. })));
     }
 }

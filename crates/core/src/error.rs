@@ -69,6 +69,12 @@ impl fmt::Display for CoreError {
 
 impl std::error::Error for CoreError {}
 
+impl From<crate::frame::Damage> for CoreError {
+    fn from(damage: crate::frame::Damage) -> Self {
+        CoreError::CorruptJournal { detail: damage.to_string() }
+    }
+}
+
 /// Convenience alias used across the core crate.
 pub type CoreResult<T> = Result<T, CoreError>;
 

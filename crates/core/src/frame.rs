@@ -1,0 +1,476 @@
+//! The one sealed-byte codec behind every durable artefact and wire message
+//! in the workspace (DESIGN.md §16).
+//!
+//! Four mechanisms, each defined here and nowhere else:
+//!
+//! * the **sealed frame** `[kind u8][len u64 LE][payload][FNV-1a u64 LE]`,
+//!   whose checksum covers kind, length and payload — sealed into a `Vec`
+//!   ([`seal`], [`seal_into`]) or streamed into a writer without copying
+//!   the payload ([`write_frame`]), verified one at a time ([`open`]) or as
+//!   a `magic‖frame*` file walked to its last good frame ([`scan`]);
+//! * the **sealed trailer** `payload‖[magic]‖len u64 LE‖FNV-1a u64 LE`
+//!   ([`seal_trailer`], [`open_trailer`]);
+//! * the little-endian **field codec**: `put_*` writers and one
+//!   bounds-checked [`Reader`];
+//! * the **atomic write**: temp sibling, fsync, rename ([`write_atomic`]).
+//!
+//! Every failure is a typed [`Damage`] (offset and [`Reason`]); no input —
+//! a forged length included — panics or allocates beyond its own size.
+//! Each crate keeps its own magic, frame kinds, payload layouts and error
+//! enum, and converts [`Damage`] into that enum once.
+
+use std::fmt;
+use std::fs::{File, OpenOptions};
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+
+use crate::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
+
+/// Bytes ahead of a frame's payload: kind and length.
+const HEAD: usize = 1 + 8;
+/// Bytes a sealed frame adds to its payload: head plus checksum.
+pub const OVERHEAD: usize = HEAD + 8;
+
+/// Why sealed bytes were refused.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reason {
+    /// The file or trailer does not carry the expected magic.
+    BadMagic,
+    /// The bytes end before the head, payload or checksum they promise —
+    /// a torn write, or a length field forged past the end.
+    Truncated,
+    /// The stated length disagrees with the bytes present.
+    LengthMismatch,
+    /// The stored FNV-1a does not match the bytes it covers.
+    Checksum,
+    /// A payload field runs past the end of the payload.
+    Overrun,
+    /// A payload decoded with bytes left over.
+    Trailing,
+    /// A string field is not UTF-8.
+    Utf8,
+}
+
+impl Reason {
+    /// Whether the seal verified and the damage is in the payload's own
+    /// layout (a [`Reader`] failure), as opposed to the seal around it.
+    pub fn in_payload(self) -> bool {
+        matches!(self, Reason::Overrun | Reason::Trailing | Reason::Utf8)
+    }
+}
+
+/// Typed damage report: where the first untrustworthy byte sits and why.
+/// For a [`scan`] the offset is the end of the last good frame — the
+/// length [`Damage::truncate`] cuts the file back to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Damage {
+    /// Byte offset into the buffer or file that was being read.
+    pub offset: usize,
+    /// What is wrong there.
+    pub reason: Reason,
+}
+
+impl Damage {
+    /// Cut the file at `path` back to the damage offset. Not synced:
+    /// a lost truncation is simply redone by the next recovery.
+    pub fn truncate(&self, path: &Path) -> io::Result<()> {
+        OpenOptions::new().write(true).open(path)?.set_len(self.offset as u64)
+    }
+}
+
+impl fmt::Display for Damage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let why = match self.reason {
+            Reason::BadMagic => "bad or missing magic",
+            Reason::Truncated => "bytes end before the sealed length",
+            Reason::LengthMismatch => "stated length does not match the bytes present",
+            Reason::Checksum => "checksum mismatch",
+            Reason::Overrun => "field runs past the end of the payload",
+            Reason::Trailing => "trailing bytes after the payload",
+            Reason::Utf8 => "string is not utf-8",
+        };
+        write!(f, "{why} at offset {}", self.offset)
+    }
+}
+
+impl std::error::Error for Damage {}
+
+// --- sealed frames --------------------------------------------------------
+
+/// Stream one sealed frame into `w`: the checksum folds over the head and
+/// the payload (identical to hashing their concatenation), so the frame is
+/// never materialized and the payload never copied.
+pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<()> {
+    let mut head = [0u8; HEAD];
+    head[0] = kind;
+    head[1..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    let sum = fnv1a_update(fnv1a_update(FNV_OFFSET, &head), payload);
+    w.write_all(&head)?;
+    w.write_all(payload)?;
+    w.write_all(&sum.to_le_bytes())
+}
+
+/// Append one sealed frame to `out`.
+pub fn seal_into(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
+    write_frame(out, kind, payload).expect("writing to a Vec cannot fail");
+}
+
+/// Seal `payload` into a self-verifying frame, in one allocation.
+pub fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(OVERHEAD + payload.len());
+    seal_into(&mut out, kind, payload);
+    out
+}
+
+/// Verify the frame starting at `pos`; returns its kind, payload and the
+/// offset just past its checksum.
+fn frame_at(bytes: &[u8], pos: usize) -> Result<(u8, &[u8], usize), Damage> {
+    let fail = |reason| Err(Damage { offset: pos, reason });
+    let rest = &bytes[pos..];
+    if rest.len() < HEAD {
+        return fail(Reason::Truncated);
+    }
+    let len = u64::from_le_bytes(rest[1..HEAD].try_into().expect("8 bytes"));
+    let sealed = match usize::try_from(len).ok().and_then(|n| n.checked_add(HEAD)) {
+        Some(n) if n.checked_add(8).is_some_and(|total| total <= rest.len()) => n,
+        _ => return fail(Reason::Truncated),
+    };
+    let stored = u64::from_le_bytes(rest[sealed..sealed + 8].try_into().expect("8 bytes"));
+    if fnv1a(&rest[..sealed]) != stored {
+        return fail(Reason::Checksum);
+    }
+    Ok((rest[0], &rest[HEAD..sealed], pos + sealed + 8))
+}
+
+/// Verify that `frame` is exactly one sealed frame; returns its kind and
+/// payload.
+pub fn open(frame: &[u8]) -> Result<(u8, &[u8]), Damage> {
+    let (kind, payload, end) = frame_at(frame, 0)?;
+    if end != frame.len() {
+        return Err(Damage { offset: end, reason: Reason::LengthMismatch });
+    }
+    Ok((kind, payload))
+}
+
+/// What [`scan`] found in a `magic‖frame*` file.
+#[derive(Debug)]
+pub struct Scan<'a> {
+    /// `(kind, payload)` of every sealed frame up to the first damage.
+    pub frames: Vec<(u8, &'a [u8])>,
+    /// The torn or corrupted tail, when there is one. Nothing after the
+    /// first bad frame can be trusted — framing itself is gone — so the
+    /// caller drops it with [`Damage::truncate`] before appending again.
+    pub damage: Option<Damage>,
+}
+
+/// Walk a `magic‖frame*` file to its last good frame. A missing magic
+/// means the file is not of this format at all and is the only error; a
+/// frame that does not verify ends the walk and is reported, not fatal.
+pub fn scan<'a>(bytes: &'a [u8], magic: &[u8]) -> Result<Scan<'a>, Damage> {
+    if !bytes.starts_with(magic) {
+        return Err(Damage { offset: 0, reason: Reason::BadMagic });
+    }
+    let mut scan = Scan { frames: Vec::new(), damage: None };
+    let mut pos = magic.len();
+    while pos < bytes.len() {
+        match frame_at(bytes, pos) {
+            Ok((kind, payload, next)) => {
+                scan.frames.push((kind, payload));
+                pos = next;
+            }
+            Err(damage) => {
+                scan.damage = Some(damage);
+                break;
+            }
+        }
+    }
+    Ok(scan)
+}
+
+// --- sealed trailer -------------------------------------------------------
+
+/// Close `buf` with the trailer `magic‖len‖FNV-1a`, both over the bytes
+/// already in it. `magic` may be empty.
+pub fn seal_trailer(buf: &mut Vec<u8>, magic: &[u8]) {
+    let (len, sum) = (buf.len() as u64, fnv1a(buf));
+    buf.extend_from_slice(magic);
+    put_u64(buf, len);
+    put_u64(buf, sum);
+}
+
+/// Verify the trailer [`seal_trailer`] wrote and return the payload.
+pub fn open_trailer<'a>(data: &'a [u8], magic: &[u8]) -> Result<&'a [u8], Damage> {
+    let Some(at) = data.len().checked_sub(magic.len() + 16) else {
+        return Err(Damage { offset: data.len(), reason: Reason::Truncated });
+    };
+    let fail = |reason| Err(Damage { offset: at, reason });
+    let (payload, trailer) = data.split_at(at);
+    let Some(fields) = trailer.strip_prefix(magic) else { return fail(Reason::BadMagic) };
+    let mut r = Reader::new(fields);
+    if r.u64()? != payload.len() as u64 {
+        return fail(Reason::LengthMismatch);
+    }
+    if r.u64()? != fnv1a(payload) {
+        return fail(Reason::Checksum);
+    }
+    Ok(payload)
+}
+
+// --- little-endian field codec -------------------------------------------
+
+/// Append `v`, little-endian.
+#[inline]
+pub fn put_u8(out: &mut Vec<u8>, v: u8) {
+    out.push(v);
+}
+
+/// Append `v`, little-endian.
+#[inline]
+pub fn put_u16(out: &mut Vec<u8>, v: u16) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `v`, little-endian.
+#[inline]
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append `v`, little-endian.
+#[inline]
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
+
+/// Append the IEEE-754 bits of `v`, little-endian.
+#[inline]
+pub fn put_f64(out: &mut Vec<u8>, v: f64) {
+    put_u64(out, v.to_bits());
+}
+
+/// `u64` length, then the bytes.
+#[inline]
+pub fn put_bytes(out: &mut Vec<u8>, v: &[u8]) {
+    put_u64(out, v.len() as u64);
+    out.extend_from_slice(v);
+}
+
+/// `u32` length, then the UTF-8 bytes.
+#[inline]
+pub fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_u32(out, s.len() as u32);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// A bounds-checked cursor over a payload. Every overrun is a typed
+/// [`Damage`], never a panic — a payload that decodes past its end is
+/// damaged by definition.
+pub struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    /// A reader at the start of `buf`.
+    pub fn new(buf: &'a [u8]) -> Self {
+        Reader { buf, pos: 0 }
+    }
+
+    fn fail<T>(&self, reason: Reason) -> Result<T, Damage> {
+        Err(Damage { offset: self.pos, reason })
+    }
+
+    /// The next `n` raw bytes.
+    #[inline]
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Damage> {
+        if self.buf.len() - self.pos < n {
+            return self.fail(Reason::Overrun);
+        }
+        let s = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(s)
+    }
+
+    /// The next little-endian `u8`.
+    #[inline]
+    pub fn u8(&mut self) -> Result<u8, Damage> {
+        Ok(self.take(1)?[0])
+    }
+
+    /// The next little-endian `u16`.
+    #[inline]
+    pub fn u16(&mut self) -> Result<u16, Damage> {
+        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
+    }
+
+    /// The next little-endian `u32`.
+    #[inline]
+    pub fn u32(&mut self) -> Result<u32, Damage> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
+    }
+
+    /// The next little-endian `u64`.
+    #[inline]
+    pub fn u64(&mut self) -> Result<u64, Damage> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
+    }
+
+    /// The counterpart of [`put_f64`].
+    #[inline]
+    pub fn f64(&mut self) -> Result<f64, Damage> {
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A count or length about to drive a loop or an allocation. Every
+    /// counted item occupies at least one byte, so the count is bounded by
+    /// the bytes actually remaining and a forged prefix cannot ask for a
+    /// multi-gigabyte `Vec` before the overrun is noticed.
+    #[inline]
+    fn bounded(&self, n: u64) -> Result<usize, Damage> {
+        match usize::try_from(n) {
+            Ok(n) if n <= self.buf.len() - self.pos => Ok(n),
+            _ => self.fail(Reason::Overrun),
+        }
+    }
+
+    /// A bounded `u64` count, read from the payload (not this reader's own
+    /// length; see [`Reader::len32`] for the `u32` form).
+    #[allow(clippy::len_without_is_empty)]
+    #[inline]
+    pub fn len(&mut self) -> Result<usize, Damage> {
+        let n = self.u64()?;
+        self.bounded(n)
+    }
+
+    /// A bounded `u32` count.
+    #[inline]
+    pub fn len32(&mut self) -> Result<usize, Damage> {
+        let n = self.u32()?;
+        self.bounded(n.into())
+    }
+
+    /// The counterpart of [`put_bytes`].
+    #[inline]
+    pub fn bytes(&mut self) -> Result<&'a [u8], Damage> {
+        let n = self.len()?;
+        self.take(n)
+    }
+
+    /// The counterpart of [`put_str`].
+    pub fn str(&mut self) -> Result<String, Damage> {
+        let n = self.len32()?;
+        let at = Damage { offset: self.pos, reason: Reason::Utf8 };
+        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| at)
+    }
+
+    /// Assert the payload was consumed exactly — trailing bytes mean the
+    /// producer and consumer disagree about the format.
+    pub fn done(&self) -> Result<(), Damage> {
+        if self.pos != self.buf.len() {
+            return self.fail(Reason::Trailing);
+        }
+        Ok(())
+    }
+}
+
+// --- atomic write ---------------------------------------------------------
+
+/// The `.tmp` sibling [`write_atomic`] goes through.
+pub fn temp_sibling(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
+}
+
+/// Write `bytes` to `path` through a fsynced temp sibling and an atomic
+/// rename: a crash at any byte leaves either the previous file or the
+/// complete new one, never a torn hybrid. A failed write removes its temp.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = temp_sibling(path);
+    let write = || {
+        let mut f = File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)
+    };
+    write().inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn streamed_and_materialized_seals_are_the_same_bytes() {
+        let mut streamed = Vec::new();
+        write_frame(&mut streamed, 7, b"payload").unwrap();
+        assert_eq!(streamed, seal(7, b"payload"));
+        assert_eq!(streamed.len(), OVERHEAD + 7);
+        assert_eq!(open(&streamed).unwrap(), (7, &b"payload"[..]));
+        // The checksum covers the kind and length bytes too.
+        assert_eq!(streamed[16..], fnv1a(&streamed[..16]).to_le_bytes());
+    }
+
+    #[test]
+    fn open_demands_exactly_one_frame() {
+        let mut two = seal(1, b"a");
+        assert_eq!(open(&two[..5]).unwrap_err().reason, Reason::Truncated);
+        two.extend_from_slice(&seal(1, b"b"));
+        assert_eq!(
+            open(&two).unwrap_err(),
+            Damage { offset: OVERHEAD + 1, reason: Reason::LengthMismatch }
+        );
+    }
+
+    #[test]
+    fn scan_stops_at_the_damage_and_truncation_leaves_a_clean_file() {
+        let path = std::env::temp_dir().join(format!("sciflow-frame-{}", std::process::id()));
+        let mut bytes = b"MAGIC".to_vec();
+        seal_into(&mut bytes, 1, b"first");
+        seal_into(&mut bytes, 2, b"second");
+        let sealed = bytes.len();
+        bytes.extend_from_slice(&[2, 9, 9, 9]);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let found = scan(&bytes, b"MAGIC").unwrap();
+        assert_eq!(found.frames, [(1, &b"first"[..]), (2, &b"second"[..])]);
+        let damage = found.damage.expect("the tear is reported");
+        assert_eq!(damage, Damage { offset: sealed, reason: Reason::Truncated });
+        damage.truncate(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes.len(), sealed);
+        assert!(scan(&bytes, b"MAGIC").unwrap().damage.is_none());
+        assert_eq!(scan(&bytes, b"OTHER").unwrap_err().reason, Reason::BadMagic);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn trailer_roundtrips_with_and_without_magic() {
+        for magic in [&b"SEAL"[..], &[]] {
+            let mut buf = b"payload".to_vec();
+            seal_trailer(&mut buf, magic);
+            assert_eq!(buf.len(), 7 + magic.len() + 16);
+            assert_eq!(open_trailer(&buf, magic).unwrap(), b"payload");
+            assert_eq!(open_trailer(&buf[..10], magic).unwrap_err().reason, Reason::Truncated);
+        }
+    }
+
+    #[test]
+    fn reader_rejects_overruns_and_oversized_lengths() {
+        let mut out = Vec::new();
+        put_u32(&mut out, 7);
+        let mut r = Reader::new(&out);
+        assert_eq!(r.u32().unwrap(), 7);
+        assert_eq!(r.u64().unwrap_err(), Damage { offset: 4, reason: Reason::Overrun });
+        // Absurd length prefixes are refused before anything is allocated.
+        let mut out = Vec::new();
+        put_u64(&mut out, u64::MAX);
+        assert_eq!(Reader::new(&out).len().unwrap_err().reason, Reason::Overrun);
+        assert_eq!(Reader::new(&out).len32().unwrap_err().reason, Reason::Overrun);
+        assert_eq!(Reader::new(&out).bytes().unwrap_err().reason, Reason::Overrun);
+        assert_eq!(Reader::new(&out).str().unwrap_err().reason, Reason::Overrun);
+        assert_eq!(Reader::new(&out).done().unwrap_err().reason, Reason::Trailing);
+    }
+}

@@ -77,6 +77,7 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod fnv;
+pub mod frame;
 pub mod genflow;
 pub mod graph;
 pub mod md5;

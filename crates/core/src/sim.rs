@@ -29,10 +29,11 @@ use crate::behavior::{
     TransferBehavior,
 };
 use crate::compiled::{compile, CompiledFlow, CompiledKind};
-use crate::durable::{self, wire, RunJournal, SnapshotPolicy};
+use crate::durable::{self, RunJournal, SnapshotPolicy};
 use crate::engine::{Engine, EventHandler, RunStats, Scheduler};
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
+use crate::frame;
 use crate::graph::{FlowGraph, StageId, VerifyPolicy};
 use crate::metrics::{EngineStats, SimReport, StageMetrics, TimeSeries, TsSample};
 #[cfg(test)]
@@ -616,8 +617,7 @@ impl FlowSim {
         if let Some(h) = &self.obs {
             h.counter_add("snapshot_frames_total", 1);
             h.observe("snapshot_bytes", buf.len() as u64);
-            // One journal frame is type byte + u64 length + payload + seal.
-            h.observe("journal_frame_bytes", buf.len() as u64 + 17);
+            h.observe("journal_frame_bytes", (buf.len() + frame::OVERHEAD) as u64);
             h.gauge_set("snapshot_last_at_us", now.as_micros());
         }
         self.snap_buf = buf;
@@ -742,7 +742,7 @@ impl FlowSim {
             None => s.push_str("faults none;"),
         }
         let _ = write!(s, "caps {} {}", self.max_events, self.max_reprocess_depth);
-        durable::fnv1a(s.as_bytes())
+        crate::fnv::fnv1a(s.as_bytes())
     }
 
     fn run_header(&self) -> durable::RunHeader {
@@ -770,43 +770,43 @@ impl FlowSim {
         // triples — pop order is a pure function of the triple set, so heap
         // layout need not survive.
         durable::put_time(out, sched.now());
-        wire::put_u64(out, sched.seq());
-        wire::put_u64(out, engine.events_handled());
-        wire::put_u64(out, engine.peak_pending() as u64);
+        frame::put_u64(out, sched.seq());
+        frame::put_u64(out, engine.events_handled());
+        frame::put_u64(out, engine.peak_pending() as u64);
         let heap = sched.heap_entries();
-        wire::put_u64(out, heap.len() as u64);
+        frame::put_u64(out, heap.len() as u64);
         for (at, seq, slot) in heap {
             durable::put_time(out, at);
-            wire::put_u64(out, seq);
-            wire::put_u32(out, slot);
+            frame::put_u64(out, seq);
+            frame::put_u32(out, slot);
         }
         // Slab: per-slot generation plus the payload event when occupied,
         // then the free list (order matters: reuse is LIFO).
         let slots = sched.slots();
-        wire::put_u64(out, slots.slot_count() as u64);
+        frame::put_u64(out, slots.slot_count() as u64);
         for (gen, ev) in slots.entries() {
-            wire::put_u32(out, gen);
+            frame::put_u32(out, gen);
             match ev {
                 Some(e) => {
-                    wire::put_u8(out, 1);
+                    frame::put_u8(out, 1);
                     durable::put_event(out, e);
                 }
-                None => wire::put_u8(out, 0),
+                None => frame::put_u8(out, 0),
             }
         }
         let free = slots.free_list();
-        wire::put_u64(out, free.len() as u64);
+        frame::put_u64(out, free.len() as u64);
         for &slot in free {
-            wire::put_u32(out, slot);
+            frame::put_u32(out, slot);
         }
-        wire::put_u64(out, sched.slab_high_water() as u64);
+        frame::put_u64(out, sched.slab_high_water() as u64);
         // Per-stage behavior state, as opaque length-prefixed blobs. Each
         // blob is written in place: a length placeholder, the state bytes,
-        // then the length patched in — the layout `wire::put_bytes` writes,
+        // then the length patched in — the layout `frame::put_bytes` writes,
         // without a temporary per-stage buffer.
         for b in &self.behaviors {
             let at = out.len();
-            wire::put_u64(out, 0);
+            frame::put_u64(out, 0);
             let start = out.len();
             b.as_ref().expect("behavior in place").save_state(out);
             let len = (out.len() - start) as u64;
@@ -818,22 +818,22 @@ impl FlowSim {
             put_metrics(out, m);
         }
         let (current, peak, retained, underflows) = self.ledger.export();
-        wire::put_u64(out, current);
-        wire::put_u64(out, peak);
-        wire::put_u64(out, retained);
-        wire::put_u64(out, underflows);
+        frame::put_u64(out, current);
+        frame::put_u64(out, peak);
+        frame::put_u64(out, retained);
+        frame::put_u64(out, underflows);
         // Resource dynamics: occupancy, outages, contention counters, and
         // each waiter queue front-to-back.
         let dyns = self.resources.export_dyn();
-        wire::put_u64(out, dyns.len() as u64);
+        frame::put_u64(out, dyns.len() as u64);
         for d in dyns {
-            wire::put_u32(out, d.free);
-            wire::put_u32(out, d.offline);
-            wire::put_u32(out, d.peak_in_use);
-            wire::put_f64(out, d.busy_unit_secs);
-            wire::put_u64(out, d.waiters.len() as u64);
+            frame::put_u32(out, d.free);
+            frame::put_u32(out, d.offline);
+            frame::put_u32(out, d.peak_in_use);
+            frame::put_f64(out, d.busy_unit_secs);
+            frame::put_u64(out, d.waiters.len() as u64);
             for w in d.waiters {
-                wire::put_u64(out, w.index() as u64);
+                frame::put_u64(out, w.index() as u64);
             }
         }
         // RNG streams. The fault plan itself is rebuilt by the resuming
@@ -841,82 +841,82 @@ impl FlowSim {
         // positions are state.
         match &self.faults {
             Some(f) => {
-                wire::put_u8(out, 1);
+                frame::put_u8(out, 1);
                 for word in f.rng.state() {
-                    wire::put_u64(out, word);
+                    frame::put_u64(out, word);
                 }
             }
-            None => wire::put_u8(out, 0),
+            None => frame::put_u8(out, 0),
         }
         for word in self.verify_rng.state() {
-            wire::put_u64(out, word);
+            frame::put_u64(out, word);
         }
         // Trace lineage allocator and emission counter.
-        wire::put_u64(out, self.trace.next_lineage());
-        wire::put_u64(out, self.trace.emitted());
+        frame::put_u64(out, self.trace.next_lineage());
+        frame::put_u64(out, self.trace.emitted());
         // Time-series sampler: next due tick plus every sample taken so far.
         match &self.sampler {
             Some(s) => {
-                wire::put_u8(out, 1);
+                frame::put_u8(out, 1);
                 durable::put_time(out, s.next);
-                wire::put_u64(out, s.samples.len() as u64);
+                frame::put_u64(out, s.samples.len() as u64);
                 for sample in &s.samples {
                     durable::put_time(out, sample.at);
-                    wire::put_u64(out, sample.queued.len() as u64);
+                    frame::put_u64(out, sample.queued.len() as u64);
                     for &v in &sample.queued {
                         durable::put_vol(out, v);
                     }
-                    wire::put_u64(out, sample.pool_in_use.len() as u64);
+                    frame::put_u64(out, sample.pool_in_use.len() as u64);
                     for &u in &sample.pool_in_use {
-                        wire::put_u32(out, u);
+                        frame::put_u32(out, u);
                     }
                     durable::put_vol(out, sample.sink_volume);
                 }
             }
-            None => wire::put_u8(out, 0),
+            None => frame::put_u8(out, 0),
         }
         // Flow-global end-of-input bookkeeping.
-        wire::put_u64(out, self.pending_emits);
+        frame::put_u64(out, self.pending_emits);
         match self.backlog_at_source_end {
             Some(v) => {
-                wire::put_u8(out, 1);
+                frame::put_u8(out, 1);
                 durable::put_vol(out, v);
             }
-            None => wire::put_u8(out, 0),
+            None => frame::put_u8(out, 0),
         }
         match self.source_end {
             Some(t) => {
-                wire::put_u8(out, 1);
+                frame::put_u8(out, 1);
                 durable::put_time(out, t);
             }
-            None => wire::put_u8(out, 0),
+            None => frame::put_u8(out, 0),
         }
         // SLO monitor state: the snapshot anchor, each rule's fire/resolve
         // automaton, and every completed alert window. Tagged so rule-free
         // flows pay one byte and keep no further layout.
         if self.slo_monitors.is_empty() {
-            wire::put_u8(out, 0);
+            frame::put_u8(out, 0);
         } else {
-            wire::put_u8(out, 1);
+            frame::put_u8(out, 1);
             durable::put_time(out, self.last_snap_at);
-            wire::put_u64(out, self.slo_monitors.len() as u64);
+            frame::put_u64(out, self.slo_monitors.len() as u64);
             for mon in &self.slo_monitors {
-                wire::put_u8(out, mon.state.active as u8);
+                frame::put_u8(out, mon.state.active as u8);
                 durable::put_time(out, mon.state.fired_at);
-                wire::put_u64(out, mon.state.peak);
+                frame::put_u64(out, mon.state.peak);
             }
-            wire::put_u64(out, self.alerts.len() as u64);
+            frame::put_u64(out, self.alerts.len() as u64);
             for a in &self.alerts {
-                wire::put_bytes(out, a.rule.as_bytes());
+                frame::put_bytes(out, a.rule.as_bytes());
                 durable::put_time(out, a.fired_at);
                 match a.resolved_at {
                     Some(t) => {
-                        wire::put_u8(out, 1);
+                        frame::put_u8(out, 1);
                         durable::put_time(out, t);
                     }
-                    None => wire::put_u8(out, 0),
+                    None => frame::put_u8(out, 0),
                 }
-                wire::put_u64(out, a.peak);
+                frame::put_u64(out, a.peak);
             }
         }
     }
@@ -925,7 +925,7 @@ impl FlowSim {
     /// freshly configured simulator and install the rebuilt engine.
     fn apply_snapshot(&mut self, bytes: &[u8]) -> CoreResult<()> {
         let corrupt = |detail: String| CoreError::CorruptJournal { detail };
-        let mut r = wire::Reader::new(bytes);
+        let mut r = frame::Reader::new(bytes);
         let now = durable::get_time(&mut r)?;
         let seq = r.u64()?;
         let handled = r.u64()?;
@@ -1468,15 +1468,15 @@ fn put_metrics(out: &mut Vec<u8>, m: &StageMetrics) {
             mask |= 1 << i;
         }
     }
-    wire::put_u32(out, mask);
+    frame::put_u32(out, mask);
     for &v in &vals {
         if v != 0 {
-            wire::put_u64(out, v);
+            frame::put_u64(out, v);
         }
     }
 }
 
-fn get_metrics(r: &mut wire::Reader) -> CoreResult<StageMetrics> {
+fn get_metrics(r: &mut frame::Reader) -> CoreResult<StageMetrics> {
     let mask = r.u32()?;
     if mask >> METRIC_FIELDS != 0 {
         return Err(CoreError::CorruptJournal {

@@ -1,0 +1,383 @@
+//! The byte-level contract of the sealed formats, checked from the top of
+//! the dependency stack where all four are reachable: the replica's own
+//! apply journal (`ESRJNL1`) and wire frames, the run journal (`SFJRNL1`,
+//! through `FlowSim`) and the metastore snapshot (`SFSEAL1`, through
+//! `persist`). One table-driven corruption sweep covers all four; the
+//! byte pins and forged-length cases for the replica's formats sit beside
+//! it (each other crate pins and forges its own format in its own tests).
+
+use std::path::{Path, PathBuf};
+
+use sciflow_core::graph::{FlowGraph, StageKind};
+use sciflow_core::sim::FlowSim;
+use sciflow_core::units::DataRate;
+use sciflow_core::{CoreError, DataVolume, SnapshotPolicy};
+use sciflow_metastore::persist;
+use sciflow_testkit::{assert_sealed_roundtrip, TailPolicy};
+
+use super::tests::rec;
+use super::*;
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("sciflow-bytes-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// A durable replica holding files 1 and 2, dropped so only its directory
+/// remains: the journal carries two `AJ_UNIT` frames, the second starting
+/// at the returned offset.
+fn two_unit_journal(dir: &Path) -> usize {
+    let mut rep = Replica::durable(4, StoreTier::Personal, dir).unwrap();
+    rep.register(&rec(1, 100, "recon", "v1")).unwrap();
+    let second_at = std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len() as usize;
+    rep.register(&rec(2, 101, "recon", "v1")).unwrap();
+    second_at
+}
+
+// --- byte pins -----------------------------------------------------------
+
+/// `encode_unit` of `rec(1, 100, "recon", "v1")` registered at personal
+/// replica 1: the record, then tier, origin, version vector and quarantine
+/// register.
+fn pinned_unit() -> Vec<u8> {
+    [
+        &[1, 0, 0, 0, 0, 0, 0, 0][..], // file id 1
+        &[100, 0, 0, 0, 100, 0, 0, 0], // runs 100..=100
+        &[5, 0, 0, 0],
+        b"recon",
+        &[2, 0, 0, 0],
+        b"v1",
+        &[7, 0, 0, 0],
+        b"Cornell",
+        &[169, 242, 49, 1], // registered 20050601
+        &[13, 0, 0, 0],
+        b"/data/recon/1",
+        &[32, 0, 0, 0],
+        b"8f04dbebd9206f4cb7fbcb4c9327e8b3", // md5("1-recon-v1")
+        &[0],                                // tier rank: personal
+        &[1, 0],                             // origin store 1
+        &[1, 0],                             // one version-vector component:
+        &[1, 0, 1, 0, 0, 0, 0, 0, 0, 0],     // store 1, count 1
+        &[0],                                // no quarantine register
+    ]
+    .concat()
+}
+
+/// The formats, byte for byte, computed at the commit before the port to
+/// `core::frame`. If this fails a wire or on-disk format changed: do not
+/// update the literals; fix the code.
+#[test]
+fn byte_pin_apply_journal_wire_frames_and_sealed_content() {
+    // A two-frame apply journal.
+    let path = scratch("pin").join(JOURNAL_FILE);
+    let mut j = journal::ApplyJournal::create(&path).unwrap();
+    let mut payload = Vec::new();
+    put_u64(&mut payload, 7);
+    let q = QState { epoch: 2, flagged: true, reason: "bad".into() };
+    wire::put_qstate(&mut payload, &Some(q));
+    j.append(wire::AJ_QUAR, &payload).unwrap();
+    let row = GradeRow {
+        grade: "physics".into(),
+        date: 20050601,
+        first: 100,
+        last: 200,
+        kind: "recon".into(),
+        version: "v1".into(),
+    };
+    j.append(wire::AJ_GRADES, &wire::encode_grade_rows(&[row])).unwrap();
+    let want = [
+        &b"ESRJNL1\n"[..],
+        // AJ_QUAR frame, 25 payload bytes.
+        &[0x12, 25, 0, 0, 0, 0, 0, 0, 0],
+        &[7, 0, 0, 0, 0, 0, 0, 0],    // file id 7
+        &[1, 2, 0, 0, 0, 0, 0, 0, 0], // Some(epoch 2 ...
+        &[1, 3, 0, 0, 0],             // ... flagged, reason:
+        b"bad",
+        &[183, 178, 173, 130, 228, 134, 107, 224], // FNV-1a over kind..payload
+        // AJ_GRADES frame, 42 payload bytes.
+        &[0x13, 42, 0, 0, 0, 0, 0, 0, 0],
+        &[1, 0, 0, 0], // one row
+        &[7, 0, 0, 0],
+        b"physics",
+        &[169, 242, 49, 1], // 20050601
+        &[100, 0, 0, 0, 200, 0, 0, 0],
+        &[5, 0, 0, 0],
+        b"recon",
+        &[2, 0, 0, 0],
+        b"v1",
+        &[201, 113, 232, 2, 234, 203, 240, 50],
+    ]
+    .concat();
+    assert_eq!(std::fs::read(&path).unwrap(), want, "apply journal");
+
+    // Wire frames: the empty in-sync answer, and one range with one unit.
+    let want = [&[0x04, 0, 0, 0, 0, 0, 0, 0, 0][..], &[115, 81, 36, 210, 195, 44, 91, 152]];
+    assert_eq!(frame::seal(wire::MSG_IN_SYNC, &[]), want.concat(), "MSG_IN_SYNC");
+
+    let mut rep = Replica::new(1, StoreTier::Personal);
+    rep.register(&rec(1, 100, "recon", "v1")).unwrap();
+    let want = [
+        &[0x02, 121, 0, 0, 0, 0, 0, 0, 0][..],
+        &[3, 0],       // range 3
+        &[1, 0, 0, 0], // one unit
+        &pinned_unit(),
+        &[70, 127, 250, 193, 145, 252, 250, 205],
+    ]
+    .concat();
+    let msg = encode_range_msg(3, &rep.units().unwrap());
+    assert_eq!(frame::seal(wire::MSG_RANGE, &msg), want, "MSG_RANGE");
+
+    // sealed_content of that one-unit replica: the unit, no grade rows, and
+    // the magic-less length-and-digest trailer.
+    let want =
+        [&pinned_unit()[..], &[115, 0, 0, 0, 0, 0, 0, 0], &[223, 173, 216, 58, 253, 198, 216, 234]]
+            .concat();
+    assert_eq!(rep.sealed_content().unwrap(), want, "sealed_content");
+}
+
+// --- forged lengths and the torn tail ------------------------------------
+
+/// A journal frame whose length field is forged — to `u64::MAX`, where the
+/// unchecked `pos + 9 + len + 8` overflowed, and to `len + 1` — is a torn
+/// tail: dropped, cut off the file and reported, never a panic.
+#[test]
+fn forged_length_apply_journal() {
+    let dir = scratch("forged-journal");
+    let second_at = two_unit_journal(&dir);
+    let path = dir.join(JOURNAL_FILE);
+    let clean = std::fs::read(&path).unwrap();
+    let len = (clean.len() - second_at - frame::OVERHEAD) as u64;
+    for forged in [u64::MAX, len + 1] {
+        let mut bytes = clean.clone();
+        bytes[second_at + 1..second_at + 9].copy_from_slice(&forged.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        let rep = Replica::recover(&dir).unwrap();
+        assert_eq!(rep.store().file_count(), 1, "length {forged}");
+        assert_eq!(rep.torn_tail().map(|d| d.offset), Some(second_at), "length {forged}");
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), second_at as u64);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same forgeries on a wire frame are a typed `CorruptMessage`.
+#[test]
+fn forged_length_wire_frame() {
+    let clean = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &[]));
+    let len = (clean.len() - frame::OVERHEAD) as u64;
+    for forged in [u64::MAX, len + 1] {
+        let mut bytes = clean.clone();
+        bytes[1..9].copy_from_slice(&forged.to_le_bytes());
+        let err = ReplicaError::from(frame::open(&bytes).unwrap_err());
+        assert!(matches!(err, ReplicaError::CorruptMessage { .. }), "length {forged}: {err:?}");
+    }
+}
+
+/// Recovery used to leave the torn tail in `journal.esr` and reopen it for
+/// append, so every frame journaled after that recovery sat behind the
+/// garbage and the *next* recovery silently dropped it.
+#[test]
+fn appends_after_a_torn_tail_recovery_survive_the_next_recovery() {
+    let dir = scratch("torn-append");
+    let path = dir.join(JOURNAL_FILE);
+    let mut rep = Replica::durable(4, StoreTier::Personal, &dir).unwrap();
+    rep.register(&rec(1, 100, "recon", "v1")).unwrap();
+    drop(rep);
+    let sealed = std::fs::read(&path).unwrap();
+    std::fs::write(&path, [&sealed[..], &[wire::AJ_UNIT, 9, 9, 9]].concat()).unwrap();
+
+    let mut rep = Replica::recover(&dir).unwrap();
+    let torn = rep.torn_tail().expect("the tear is reported");
+    assert_eq!((torn.offset, torn.reason), (sealed.len(), frame::Reason::Truncated));
+    assert_eq!(std::fs::read(&path).unwrap(), sealed, "the tear is cut off the file");
+    rep.register(&rec(2, 101, "recon", "v1")).unwrap();
+    drop(rep);
+
+    let rep = Replica::recover(&dir).unwrap();
+    assert_eq!(rep.torn_tail(), None);
+    assert!(rep.store().file(2).unwrap().is_some(), "file 2 was journaled after the recovery");
+    assert_eq!(rep.store().file_count(), 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+// --- the corruption sweep, every format ----------------------------------
+
+/// What a loader salvaged from the bytes it was handed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Loaded {
+    /// Fingerprint of the newest state recovered; less than the clean
+    /// artefact's when a journal fell back to an earlier seal.
+    newest: u64,
+    /// Whether a torn tail was reported.
+    tear_reported: bool,
+    /// Length of the file afterwards (of the input, for in-memory formats).
+    len_after: usize,
+}
+
+type Loader = Box<dyn FnMut(&[u8]) -> Result<Loaded, String>>;
+
+struct Format {
+    name: &'static str,
+    clean: Vec<u8>,
+    tail: TailPolicy,
+    load: Loader,
+}
+
+fn tiny_sim() -> FlowSim {
+    let mut g = FlowGraph::new();
+    let src = g.add_stage(
+        "acquire",
+        StageKind::Source {
+            block: DataVolume::gb(2),
+            interval: SimDuration::from_hours(1),
+            blocks: 4,
+            start: SimTime::ZERO,
+        },
+    );
+    let link = g.add_stage(
+        "link",
+        StageKind::Transfer {
+            rate: DataRate::mb_per_sec(50.0),
+            latency: SimDuration::from_secs(1),
+            channels: 1,
+        },
+    );
+    let sink = g.add_stage("archive", StageKind::Archive);
+    g.connect(src, link).unwrap();
+    g.connect(link, sink).unwrap();
+    FlowSim::new(g, vec![]).unwrap()
+}
+
+/// `SFJRNL1`: a journaled run killed after at least two snapshot frames.
+fn run_journal(dir: &Path) -> Format {
+    let mut probe = tiny_sim();
+    while probe.run_for(64).unwrap() {}
+    let total = probe.events_handled();
+    let path = dir.join("run.journal");
+    let killed = tiny_sim()
+        .with_snapshot_policy(SnapshotPolicy::EveryEvents(total / 3))
+        .with_journal(&path)
+        .unwrap()
+        .with_kill_after(total - 1)
+        .run();
+    assert!(matches!(killed, Err(CoreError::Killed { .. })), "{killed:?}");
+    let clean = std::fs::read(&path).unwrap();
+    let load = move |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        let hub = MetricsHub::new();
+        let sim = tiny_sim().with_metrics(hub.clone()).resume_from(&path);
+        let sim = sim.map_err(|e| e.to_string())?;
+        Ok(Loaded {
+            newest: sim.events_handled(),
+            tear_reported: hub.value("recovery_truncations_total").is_some(),
+            len_after: std::fs::metadata(&path).unwrap().len() as usize,
+        })
+    };
+    Format { name: "run journal", clean, tail: TailPolicy::Recover, load: Box::new(load) }
+}
+
+/// `ESRJNL1`: two unit frames over the initial empty store snapshot.
+fn apply_journal(dir: PathBuf) -> Format {
+    two_unit_journal(&dir);
+    let path = dir.join(JOURNAL_FILE);
+    let clean = std::fs::read(&path).unwrap();
+    let load = move |bytes: &[u8]| {
+        std::fs::write(&path, bytes).unwrap();
+        let rep = Replica::recover(&dir).map_err(|e| e.to_string())?;
+        Ok(Loaded {
+            newest: rep.store().file_count() as u64,
+            tear_reported: rep.torn_tail().is_some(),
+            len_after: std::fs::metadata(&path).unwrap().len() as usize,
+        })
+    };
+    Format { name: "apply journal", clean, tail: TailPolicy::Recover, load: Box::new(load) }
+}
+
+/// The receive path of `sync_once` for one range message.
+fn wire_frame(rep: &Replica) -> Format {
+    let clean = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &rep.units().unwrap()));
+    let load = |bytes: &[u8]| match frame::open(bytes).map_err(ReplicaError::from) {
+        Ok((wire::MSG_RANGE, payload)) => {
+            let (range, units) = decode_range_msg(payload).map_err(|e| e.to_string())?;
+            assert_eq!(range, 3);
+            Ok(Loaded { newest: units.len() as u64, tear_reported: false, len_after: bytes.len() })
+        }
+        Ok((kind, _)) => Err(format!("unexpected kind 0x{kind:02x}")),
+        Err(e) => {
+            assert!(matches!(e, ReplicaError::CorruptMessage { .. }), "{e:?}");
+            Err(e.to_string())
+        }
+    };
+    Format { name: "wire frame", clean, tail: TailPolicy::Reject, load: Box::new(load) }
+}
+
+/// `SFSEAL1`: the sealed metastore snapshot under an EventStore.
+fn sealed_snapshot(rep: &Replica) -> Format {
+    let clean = persist::sealed_bytes(rep.store().database());
+    let load = |bytes: &[u8]| match persist::from_sealed_bytes(bytes) {
+        Ok(db) => Ok(Loaded {
+            newest: db.table(FILES).unwrap().len() as u64,
+            tear_reported: false,
+            len_after: bytes.len(),
+        }),
+        Err(e) => {
+            assert!(matches!(e, MetaError::CorruptSnapshot { .. }), "{e:?}");
+            Err(e.to_string())
+        }
+    };
+    Format { name: "sealed snapshot", clean, tail: TailPolicy::Reject, load: Box::new(load) }
+}
+
+/// Every sealed format survives the same sweep: the clean artefact loads;
+/// every truncation and every single-bit flip is refused (a journal may
+/// only answer with an *earlier* seal, never the damaged frame); bytes past
+/// the seal are damage for a single artefact and a recoverable torn tail
+/// for a journal — dropped, reported, and cut off the file.
+#[test]
+fn every_sealed_format_survives_the_corruption_sweep() {
+    let dir = scratch("sweep");
+    let mut rep = Replica::new(1, StoreTier::Personal);
+    for id in 0..3 {
+        rep.register(&rec(id, 100 + id as u32, "recon", "v1")).unwrap();
+    }
+    let formats = [
+        run_journal(&dir),
+        apply_journal(dir.join("replica")),
+        wire_frame(&rep),
+        sealed_snapshot(&rep),
+    ];
+    for Format { name, clean, tail, mut load } in formats {
+        let want = load(&clean).unwrap_or_else(|e| panic!("{name}: clean artefact refused: {e}"));
+        assert_eq!(
+            (want.tear_reported, want.len_after),
+            (false, clean.len()),
+            "{name}: the clean artefact is all sealed frames"
+        );
+        assert_sealed_roundtrip(
+            &clean,
+            |bytes| match load(bytes) {
+                Ok(got) if got.newest != want.newest => {
+                    assert!(got.newest < want.newest, "{name}: {got:?}");
+                    Err(format!("fell back to an earlier seal: {got:?}"))
+                }
+                other => other,
+            },
+            tail,
+        );
+        if tail == TailPolicy::Recover {
+            // A crash mid-append: half a frame of garbage at the tail.
+            let torn = [&clean[..], &[clean[8], 9, 9, 9]].concat();
+            let got = load(&torn).unwrap_or_else(|e| panic!("{name}: torn tail is fatal: {e}"));
+            let recovered = Loaded { tear_reported: true, ..want };
+            assert_eq!(got, recovered, "{name}: tear dropped, reported and truncated");
+            // A flip in the last frame drops that frame, not the journal.
+            let mut flipped = clean.clone();
+            *flipped.last_mut().unwrap() ^= 0x10;
+            let got = load(&flipped).unwrap_or_else(|e| panic!("{name}: flip is fatal: {e}"));
+            assert!(got.newest < want.newest && got.tear_reported, "{name}: {got:?}");
+            assert!(got.len_after < clean.len(), "{name}: the damaged frame is cut off");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

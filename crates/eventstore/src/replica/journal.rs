@@ -7,16 +7,15 @@
 //! snapshot and replaying the journal: every replayed frame goes through the
 //! same deterministic resolution functions, and resolution is idempotent, so
 //! a frame that was half-applied (or applied and then journaled again by a
-//! confused peer) lands on the identical state. The file format mirrors
-//! [`sciflow_core::durable`]'s run journal: a magic line, then sealed
-//! frames; a torn tail is detected by its broken seal and truncated, never
-//! parsed.
+//! confused peer) lands on the identical state. The file is the magic
+//! `ESRJNL1\n`, then sealed [`sciflow_core::frame`] frames; a torn tail is
+//! detected by its broken seal and truncated, never parsed.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use sciflow_core::fnv::fnv1a;
+use sciflow_core::frame::{self, Damage};
 
 use super::{ReplicaError, ReplicaResult};
 
@@ -64,7 +63,7 @@ impl ApplyJournal {
     /// returning — the journal entry must survive a crash that interrupts
     /// the in-memory apply that follows it.
     pub(crate) fn append(&mut self, kind: u8, payload: &[u8]) -> ReplicaResult<()> {
-        let frame = super::wire::seal(kind, payload);
+        let frame = frame::seal(kind, payload);
         self.file.write_all(&frame).map_err(|e| io_err("append frame", e))?;
         self.file.sync_data().map_err(|e| io_err("sync frame", e))?;
         Ok(())
@@ -84,51 +83,22 @@ impl ApplyJournal {
         Ok(())
     }
 
-    /// Read every intact frame from the journal at `path`.
-    ///
-    /// Returns the `(kind, payload)` frames plus a flag reporting whether a
-    /// torn tail was discarded.
+    /// Read every intact frame from the journal at `path` and truncate the
+    /// file back to the last of them.
     ///
     /// The tail is allowed to be torn — a final frame with a short body or
-    /// a broken seal is the signature of a crash mid-append and is
-    /// discarded (reported via the returned `truncated` flag). A bad magic
-    /// line, by contrast, means the file is not a journal at all and is a
-    /// typed error.
-    pub(crate) fn replay(path: &Path) -> ReplicaResult<(Vec<JournalFrame>, bool)> {
-        let mut bytes = Vec::new();
-        File::open(path)
-            .and_then(|mut f| f.read_to_end(&mut bytes))
-            .map_err(|e| io_err("read journal", e))?;
-        if bytes.len() < JOURNAL_MAGIC.len() || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-            return Err(ReplicaError::CorruptJournal { detail: "missing ESRJNL1 magic".into() });
+    /// a broken seal is the signature of a crash mid-append. It is cut off
+    /// the file (so later appends land behind sealed frames, not behind
+    /// garbage) and reported as the returned [`Damage`]. A bad magic line,
+    /// by contrast, means the file is not a journal at all and is a typed
+    /// error.
+    pub(crate) fn replay(path: &Path) -> ReplicaResult<(Vec<JournalFrame>, Option<Damage>)> {
+        let bytes = std::fs::read(path).map_err(|e| io_err("read journal", e))?;
+        let scan = frame::scan(&bytes, JOURNAL_MAGIC)?;
+        if let Some(damage) = &scan.damage {
+            damage.truncate(path).map_err(|e| io_err("truncate torn journal", e))?;
         }
-        let mut frames = Vec::new();
-        let mut pos = JOURNAL_MAGIC.len();
-        let mut truncated = false;
-        while pos < bytes.len() {
-            // Header: kind + declared length.
-            if pos + 1 + 8 > bytes.len() {
-                truncated = true;
-                break;
-            }
-            let len =
-                u64::from_le_bytes(bytes[pos + 1..pos + 9].try_into().expect("8 bytes")) as usize;
-            let end = pos + 1 + 8 + len + 8;
-            if end > bytes.len() {
-                truncated = true;
-                break;
-            }
-            let body = &bytes[pos..pos + 1 + 8 + len];
-            let want = u64::from_le_bytes(bytes[end - 8..end].try_into().expect("8 bytes"));
-            if fnv1a(body) != want {
-                // A broken seal anywhere is treated as the start of a torn
-                // tail: nothing after it can be trusted to be aligned.
-                truncated = true;
-                break;
-            }
-            frames.push((bytes[pos], bytes[pos + 1 + 8..pos + 1 + 8 + len].to_vec()));
-            pos = end;
-        }
-        Ok((frames, truncated))
+        let frames = scan.frames.iter().map(|&(kind, payload)| (kind, payload.to_vec())).collect();
+        Ok((frames, scan.damage))
     }
 }

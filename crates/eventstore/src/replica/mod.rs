@@ -45,6 +45,8 @@ mod link;
 pub(crate) mod wire;
 
 #[cfg(test)]
+mod byte_formats;
+#[cfg(test)]
 mod tests;
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -52,6 +54,7 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
+use sciflow_core::frame::{self, put_str, put_u16, put_u32, put_u64, put_u8, Damage, Reader};
 use sciflow_core::md5::Digest;
 use sciflow_core::obs::{Alert, MetricsHub, SloKind, SloRule, SloState};
 use sciflow_core::units::{SimDuration, SimTime};
@@ -149,6 +152,16 @@ impl From<EsError> for ReplicaError {
 impl From<MetaError> for ReplicaError {
     fn from(e: MetaError) -> Self {
         ReplicaError::Store(EsError::Meta(e))
+    }
+}
+
+impl From<Damage> for ReplicaError {
+    fn from(damage: Damage) -> Self {
+        let detail = damage.to_string();
+        match damage.reason {
+            frame::Reason::BadMagic => ReplicaError::CorruptJournal { detail },
+            _ => ReplicaError::CorruptMessage { detail },
+        }
     }
 }
 
@@ -255,18 +268,18 @@ pub(crate) fn tier_rank(tier: StoreTier) -> u8 {
 }
 
 fn encode_record(buf: &mut Vec<u8>, r: &FileRecord) {
-    wire::put_u64(buf, r.id);
-    wire::put_u32(buf, r.runs.first);
-    wire::put_u32(buf, r.runs.last);
-    wire::put_str(buf, &r.kind);
-    wire::put_str(buf, &r.version);
-    wire::put_str(buf, &r.site);
-    wire::put_u32(buf, r.registered.as_key());
-    wire::put_str(buf, &r.location);
-    wire::put_str(buf, &r.prov_digest.to_hex());
+    put_u64(buf, r.id);
+    put_u32(buf, r.runs.first);
+    put_u32(buf, r.runs.last);
+    put_str(buf, &r.kind);
+    put_str(buf, &r.version);
+    put_str(buf, &r.site);
+    put_u32(buf, r.registered.as_key());
+    put_str(buf, &r.location);
+    put_str(buf, &r.prov_digest.to_hex());
 }
 
-fn decode_record(r: &mut wire::Reader<'_>) -> ReplicaResult<FileRecord> {
+fn decode_record(r: &mut Reader<'_>) -> ReplicaResult<FileRecord> {
     let id = r.u64()?;
     let first = r.u32()?;
     let last = r.u32()?;
@@ -307,13 +320,13 @@ fn decode_record(r: &mut wire::Reader<'_>) -> ReplicaResult<FileRecord> {
 fn encode_unit_core(u: &FileUnit) -> Vec<u8> {
     let mut buf = Vec::new();
     encode_record(&mut buf, &u.record);
-    wire::put_u8(&mut buf, u.tier_rank);
-    wire::put_u16(&mut buf, u.origin);
+    put_u8(&mut buf, u.tier_rank);
+    put_u16(&mut buf, u.origin);
     let comps: Vec<(StoreId, u64)> = u.vv.components().collect();
-    wire::put_u16(&mut buf, comps.len() as u16);
+    put_u16(&mut buf, comps.len() as u16);
     for (s, c) in comps {
-        wire::put_u16(&mut buf, s);
-        wire::put_u64(&mut buf, c);
+        put_u16(&mut buf, s);
+        put_u64(&mut buf, c);
     }
     buf
 }
@@ -324,7 +337,7 @@ pub(crate) fn encode_unit(u: &FileUnit) -> Vec<u8> {
     buf
 }
 
-pub(crate) fn decode_unit(r: &mut wire::Reader<'_>) -> ReplicaResult<FileUnit> {
+pub(crate) fn decode_unit(r: &mut Reader<'_>) -> ReplicaResult<FileUnit> {
     let record = decode_record(r)?;
     let tier = r.u8()?;
     let origin = r.u16()?;
@@ -396,6 +409,8 @@ pub struct Replica {
     id: StoreId,
     journal: Option<journal::ApplyJournal>,
     dir: Option<PathBuf>,
+    /// The torn journal tail [`Replica::recover`] cut away, if any.
+    torn_tail: Option<Damage>,
     /// Deterministic crash hook: after this many more journal appends, the
     /// replica "dies" — the append is on disk, the in-memory apply never
     /// runs, and the caller gets [`ReplicaError::KilledMidApply`]. Used by
@@ -409,7 +424,7 @@ impl Replica {
     pub fn new(id: StoreId, tier: StoreTier) -> Self {
         let mut store = EventStore::new(tier);
         put_meta(&mut store, ID_KEY, &id.to_string()).expect("fresh meta table accepts id");
-        Replica { store, id, journal: None, dir: None, kill_after_appends: None }
+        Replica { store, id, journal: None, dir: None, torn_tail: None, kill_after_appends: None }
     }
 
     /// A durable replica rooted at `dir`: the store snapshot lives at
@@ -432,7 +447,14 @@ impl Replica {
     /// to this replica, and existing quarantine flags become epoch-1
     /// registers. The bridge from `merge_into`-era stores.
     pub fn adopt(store: EventStore, id: StoreId) -> ReplicaResult<Self> {
-        let mut rep = Replica { store, id, journal: None, dir: None, kill_after_appends: None };
+        let mut rep = Replica {
+            store,
+            id,
+            journal: None,
+            dir: None,
+            torn_tail: None,
+            kill_after_appends: None,
+        };
         put_meta(&mut rep.store, ID_KEY, &id.to_string())?;
         let rank = tier_rank(rep.store.tier());
         let files = rep.store.files()?;
@@ -457,8 +479,10 @@ impl Replica {
     /// Recover a durable replica after a crash: load the last sealed
     /// snapshot, then replay every intact journal frame through the same
     /// deterministic apply functions. A torn tail (the crash signature) is
-    /// truncated by its broken seal; re-applying frames that had already
-    /// landed is a no-op because resolution is idempotent.
+    /// detected by its broken seal, cut off `journal.esr` before the file
+    /// is reopened for appending, and kept as [`Replica::torn_tail`];
+    /// re-applying frames that had already landed is a no-op because
+    /// resolution is idempotent.
     pub fn recover(dir: impl AsRef<Path>) -> ReplicaResult<Self> {
         let dir = dir.as_ref();
         let store = EventStore::load(&dir.join(STORE_FILE))?;
@@ -466,14 +490,15 @@ impl Replica {
             get_meta(&store, ID_KEY).and_then(|s| s.parse().ok()).ok_or_else(|| {
                 ReplicaError::CorruptJournal { detail: "snapshot has no replica id".into() }
             })?;
+        let (frames, torn_tail) = journal::ApplyJournal::replay(&dir.join(JOURNAL_FILE))?;
         let mut rep = Replica {
             store,
             id,
             journal: None,
             dir: Some(dir.to_path_buf()),
+            torn_tail,
             kill_after_appends: None,
         };
-        let (frames, _torn) = journal::ApplyJournal::replay(&dir.join(JOURNAL_FILE))?;
         for (kind, payload) in frames {
             rep.replay_frame(kind, &payload)?;
         }
@@ -488,6 +513,13 @@ impl Replica {
         self.store.save(&dir.join(STORE_FILE))?;
         self.journal.as_mut().ok_or(ReplicaError::NotDurable)?.reset()?;
         Ok(())
+    }
+
+    /// The damaged journal tail the [`Replica::recover`] that built this
+    /// replica truncated away — `None` when every journal byte was part of
+    /// a sealed frame, and for replicas that were never recovered.
+    pub fn torn_tail(&self) -> Option<Damage> {
+        self.torn_tail
     }
 
     pub fn id(&self) -> StoreId {
@@ -647,7 +679,7 @@ impl Replica {
 
     fn commit_quarantine(&mut self, id: u64, q: &QState) -> ReplicaResult<()> {
         let mut payload = Vec::new();
-        wire::put_u64(&mut payload, id);
+        put_u64(&mut payload, id);
         wire::put_qstate(&mut payload, &Some(q.clone()));
         self.journal_append(wire::AJ_QUAR, &payload)?;
         self.apply_qstate(id, q)?;
@@ -657,13 +689,13 @@ impl Replica {
     fn replay_frame(&mut self, kind: u8, payload: &[u8]) -> ReplicaResult<()> {
         match kind {
             wire::AJ_UNIT => {
-                let mut r = wire::Reader::new(payload);
+                let mut r = Reader::new(payload);
                 let unit = decode_unit(&mut r)?;
                 r.done()?;
                 self.apply_unit(&unit)?;
             }
             wire::AJ_QUAR => {
-                let mut r = wire::Reader::new(payload);
+                let mut r = Reader::new(payload);
                 let id = r.u64()?;
                 let q = wire::read_qstate(&mut r)?.ok_or_else(|| ReplicaError::CorruptJournal {
                     detail: "empty qstate".into(),
@@ -864,10 +896,7 @@ impl Replica {
         for row in rows {
             row.encode(&mut buf);
         }
-        let len = buf.len() as u64;
-        let digest = fnv1a(&buf);
-        buf.extend_from_slice(&len.to_le_bytes());
-        buf.extend_from_slice(&digest.to_le_bytes());
+        frame::seal_trailer(&mut buf, &[]);
         Ok(buf)
     }
 }
@@ -958,13 +987,10 @@ pub fn canonical_content(store: &EventStore) -> Result<Vec<u8>, EsError> {
         row.encode(&mut buf);
     }
     for id in store.quarantined_files() {
-        wire::put_u64(&mut buf, id);
-        wire::put_str(&mut buf, &store.quarantine_reason(id).unwrap_or_default());
+        put_u64(&mut buf, id);
+        put_str(&mut buf, &store.quarantine_reason(id).unwrap_or_default());
     }
-    let len = buf.len() as u64;
-    let digest = fnv1a(&buf);
-    buf.extend_from_slice(&len.to_le_bytes());
-    buf.extend_from_slice(&digest.to_le_bytes());
+    frame::seal_trailer(&mut buf, &[]);
     Ok(buf)
 }
 
@@ -1004,8 +1030,8 @@ impl SyncReport {
 
 fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
     let mut buf = Vec::new();
-    wire::put_u16(&mut buf, range as u16);
-    wire::put_u32(&mut buf, units.len() as u32);
+    put_u16(&mut buf, range as u16);
+    put_u32(&mut buf, units.len() as u32);
     for u in units {
         buf.extend_from_slice(&encode_unit(u));
     }
@@ -1013,7 +1039,7 @@ fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
 }
 
 fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<FileUnit>)> {
-    let mut r = wire::Reader::new(payload);
+    let mut r = Reader::new(payload);
     let range = r.u16()? as usize;
     if range >= NUM_RANGES {
         return Err(ReplicaError::CorruptMessage {
@@ -1058,10 +1084,10 @@ pub fn sync_once(
 
     // 1. Initiator's summary crosses the link.
     let summary = initiator.summary()?;
-    link.send(wire::seal(wire::MSG_SUMMARY, &summary.encode()))?;
+    link.send(frame::seal(wire::MSG_SUMMARY, &summary.encode()))?;
     let mut received_summary = None;
-    for frame in link.drain() {
-        match wire::open(&frame) {
+    for msg in link.drain() {
+        match frame::open(&msg) {
             Ok((wire::MSG_SUMMARY, payload)) => {
                 received_summary = Some(Summary::decode(payload)?);
             }
@@ -1080,7 +1106,7 @@ pub fn sync_once(
     report.ranges_differing = differing.len();
     let grades_differ = their_summary.grades != own_summary.grades;
     if differing.is_empty() && !grades_differ {
-        link.send(wire::seal(wire::MSG_IN_SYNC, &[]))?;
+        link.send(frame::seal(wire::MSG_IN_SYNC, &[]))?;
         link.drain();
         report.in_sync = true;
         let after = link.stats();
@@ -1091,19 +1117,19 @@ pub fn sync_once(
     for &r in &differing {
         let units = responder.units_in_range(r)?;
         report.units_sent += units.len();
-        link.send(wire::seal(wire::MSG_RANGE, &encode_range_msg(r, &units)))?;
+        link.send(frame::seal(wire::MSG_RANGE, &encode_range_msg(r, &units)))?;
     }
     if grades_differ {
         let rows = responder.grade_rows()?;
         report.grade_rows_sent += rows.len();
-        link.send(wire::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
+        link.send(frame::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
     }
 
     // 3. Initiator applies what arrived and replies range-for-range.
     let mut got_ranges: Vec<usize> = Vec::new();
     let mut got_grades = false;
-    for frame in link.drain() {
-        match wire::open(&frame) {
+    for msg in link.drain() {
+        match frame::open(&msg) {
             Ok((wire::MSG_RANGE, payload)) => {
                 let (range, units) = decode_range_msg(payload)?;
                 for unit in &units {
@@ -1127,17 +1153,17 @@ pub fn sync_once(
     for &r in &got_ranges {
         let units = initiator.units_in_range(r)?;
         report.units_sent += units.len();
-        link.send(wire::seal(wire::MSG_RANGE, &encode_range_msg(r, &units)))?;
+        link.send(frame::seal(wire::MSG_RANGE, &encode_range_msg(r, &units)))?;
     }
     if got_grades {
         let rows = initiator.grade_rows()?;
         report.grade_rows_sent += rows.len();
-        link.send(wire::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
+        link.send(frame::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
     }
 
     // 4. Responder applies the replies.
-    for frame in link.drain() {
-        match wire::open(&frame) {
+    for msg in link.drain() {
+        match frame::open(&msg) {
             Ok((wire::MSG_RANGE, payload)) => {
                 let (_, units) = decode_range_msg(payload)?;
                 for unit in &units {

@@ -1,17 +1,11 @@
-//! Wire and journal encoding for the replication layer.
-//!
-//! Every message and journal entry is a **sealed frame** with the same shape
-//! as the frames in [`sciflow_core::durable`]'s run journal:
-//!
-//! ```text
-//! [kind u8] [len u64 LE] [payload] [FNV-1a(kind..payload) u64 LE]
-//! ```
-//!
-//! A frame whose trailing digest does not cover its bytes is rejected as a
-//! unit — one flipped bit anywhere (fault injection, bit rot, a torn tail)
-//! invalidates the whole frame, never a silently different payload.
+//! Message and journal-entry kinds and payload layouts for the replication
+//! layer. Every message and journal entry travels as one sealed
+//! [`sciflow_core::frame`] frame: one flipped bit anywhere (fault injection,
+//! bit rot, a torn tail) invalidates the whole frame, never a silently
+//! different payload.
 
-use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
+use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
+use sciflow_core::frame::{put_str, put_u16, put_u32, put_u64, put_u8, Reader};
 
 use super::{QState, ReplicaError, ReplicaResult, NUM_RANGES};
 
@@ -26,117 +20,6 @@ pub(crate) const MSG_IN_SYNC: u8 = 0x04;
 pub(crate) const AJ_UNIT: u8 = 0x11;
 pub(crate) const AJ_QUAR: u8 = 0x12;
 pub(crate) const AJ_GRADES: u8 = 0x13;
-
-/// Seal `payload` into a self-verifying frame.
-pub(crate) fn seal(kind: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(1 + 8 + payload.len() + 8);
-    frame.push(kind);
-    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    frame.extend_from_slice(payload);
-    let digest = fnv1a(&frame);
-    frame.extend_from_slice(&digest.to_le_bytes());
-    frame
-}
-
-/// Open a sealed frame, verifying length and digest.
-pub(crate) fn open(frame: &[u8]) -> ReplicaResult<(u8, &[u8])> {
-    if frame.len() < 1 + 8 + 8 {
-        return Err(ReplicaError::CorruptMessage { detail: "frame shorter than header".into() });
-    }
-    let len = u64::from_le_bytes(frame[1..9].try_into().expect("8 bytes")) as usize;
-    if frame.len() != 1 + 8 + len + 8 {
-        return Err(ReplicaError::CorruptMessage {
-            detail: format!("frame length {} does not match header {len}", frame.len()),
-        });
-    }
-    let body = &frame[..1 + 8 + len];
-    let want = u64::from_le_bytes(frame[1 + 8 + len..].try_into().expect("8 bytes"));
-    if fnv1a(body) != want {
-        return Err(ReplicaError::CorruptMessage { detail: "frame digest mismatch".into() });
-    }
-    Ok((frame[0], &frame[1 + 8..1 + 8 + len]))
-}
-
-// --- primitive writers -------------------------------------------------
-
-pub(crate) fn put_u8(buf: &mut Vec<u8>, v: u8) {
-    buf.push(v);
-}
-
-pub(crate) fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-pub(crate) fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_u32(buf, s.len() as u32);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-// --- primitive reader --------------------------------------------------
-
-/// A bounds-checked cursor over a payload; every overrun is a typed
-/// [`ReplicaError::CorruptMessage`], never a panic.
-pub(crate) struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> ReplicaResult<&'a [u8]> {
-        if self.pos + n > self.buf.len() {
-            return Err(ReplicaError::CorruptMessage {
-                detail: format!("payload truncated at byte {}", self.pos),
-            });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    pub(crate) fn u8(&mut self) -> ReplicaResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    pub(crate) fn u16(&mut self) -> ReplicaResult<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes")))
-    }
-
-    pub(crate) fn u32(&mut self) -> ReplicaResult<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4 bytes")))
-    }
-
-    pub(crate) fn u64(&mut self) -> ReplicaResult<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes")))
-    }
-
-    pub(crate) fn str(&mut self) -> ReplicaResult<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ReplicaError::CorruptMessage { detail: "invalid utf-8".into() })
-    }
-
-    pub(crate) fn done(&self) -> ReplicaResult<()> {
-        if self.pos != self.buf.len() {
-            return Err(ReplicaError::CorruptMessage {
-                detail: format!("{} trailing bytes", self.buf.len() - self.pos),
-            });
-        }
-        Ok(())
-    }
-}
 
 // --- quarantine register ------------------------------------------------
 

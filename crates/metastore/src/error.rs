@@ -105,6 +105,19 @@ impl From<std::io::Error> for MetaError {
     }
 }
 
+impl From<sciflow_core::frame::Damage> for MetaError {
+    /// Damage to a seal is [`MetaError::CorruptSnapshot`]; a payload whose
+    /// own layout does not parse is [`MetaError::Corrupt`].
+    fn from(damage: sciflow_core::frame::Damage) -> Self {
+        let detail = damage.to_string();
+        if damage.reason.in_payload() {
+            MetaError::Corrupt { detail }
+        } else {
+            MetaError::CorruptSnapshot { detail }
+        }
+    }
+}
+
 pub type MetaResult<T> = Result<T, MetaError>;
 
 #[cfg(test)]

@@ -6,17 +6,17 @@
 //! trip through a file. The format here is deliberately simple: a magic
 //! header, then length-prefixed tables, schemas, and tagged values.
 //!
-//! On disk the snapshot is **crash-consistent**. [`save`] writes the
-//! payload plus a sealing trailer (magic, payload length, FNV-1a checksum)
-//! to a temporary sibling file, syncs it, and atomically renames it over
-//! the destination — a crash at any byte leaves either the previous
+//! On disk the snapshot is **crash-consistent**. [`save`] closes the
+//! payload with a [`sciflow_core::frame`] sealing trailer (magic, payload
+//! length, FNV-1a checksum) and writes it through
+//! [`frame::write_atomic`] — a crash at any byte leaves either the previous
 //! snapshot or the complete new one, never a torn hybrid. [`load`] verifies
 //! the seal before parsing a single byte of payload and rejects anything
 //! torn, truncated, or bit-flipped with [`MetaError::CorruptSnapshot`].
 
-use std::fs::File;
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
+
+use sciflow_core::frame::{self, put_f64, put_str, put_u32, put_u64, Reader};
 
 use crate::db::Database;
 use crate::error::{MetaError, MetaResult};
@@ -28,39 +28,17 @@ const MAGIC: &[u8; 8] = b"SFMETA1\n";
 
 /// Magic of the sealing trailer appended to snapshot *files*.
 const SEAL_MAGIC: &[u8; 8] = b"SFSEAL1\n";
-/// Trailer layout: seal magic, u64 payload length, u64 FNV-1a checksum.
-const SEAL_LEN: usize = 8 + 8 + 8;
-
-// 64-bit FNV-1a, the workspace-wide seal primitive (`sciflow_core::fnv`).
-// Good enough for its one job here: telling a complete snapshot from a
-// torn or bit-rotted one (any single bit flip changes the digest), and a
-// truncated payload fails the length check before the digest is even
-// consulted.
-use sciflow_core::fnv::fnv1a;
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
 
 fn put_value(out: &mut Vec<u8>, v: &Value) {
     match v {
         Value::Null => out.push(0),
         Value::Int(i) => {
             out.push(1);
-            out.extend_from_slice(&i.to_le_bytes());
+            put_u64(out, *i as u64);
         }
         Value::Real(r) => {
             out.push(2);
-            out.extend_from_slice(&r.to_le_bytes());
+            put_f64(out, *r);
         }
         Value::Text(s) => {
             out.push(3);
@@ -73,7 +51,7 @@ fn put_value(out: &mut Vec<u8>, v: &Value) {
         }
         Value::Date(d) => {
             out.push(5);
-            out.extend_from_slice(&d.to_le_bytes());
+            put_u32(out, *d);
         }
     }
 }
@@ -99,58 +77,19 @@ fn type_from_tag(tag: u8) -> MetaResult<ValueType> {
     })
 }
 
-struct Cursor<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> MetaResult<&'a [u8]> {
-        if self.pos + n > self.data.len() {
-            return Err(MetaError::Corrupt { detail: "unexpected end of snapshot".into() });
+fn get_value(r: &mut Reader<'_>) -> MetaResult<Value> {
+    Ok(match r.u8()? {
+        0 => Value::Null,
+        1 => Value::Int(r.u64()? as i64),
+        2 => Value::Real(r.f64()?),
+        3 => Value::Text(r.str()?),
+        4 => {
+            let len = r.len32()?;
+            Value::Blob(r.take(len)?.to_vec())
         }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> MetaResult<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> MetaResult<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> MetaResult<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes(b.try_into().expect("8 bytes")))
-    }
-
-    fn string(&mut self) -> MetaResult<String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| MetaError::Corrupt { detail: "invalid utf-8 string".into() })
-    }
-
-    fn value(&mut self) -> MetaResult<Value> {
-        Ok(match self.u8()? {
-            0 => Value::Null,
-            1 => Value::Int(i64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"))),
-            2 => Value::Real(f64::from_le_bytes(self.take(8)?.try_into().expect("8 bytes"))),
-            3 => Value::Text(self.string()?),
-            4 => {
-                let len = self.u32()? as usize;
-                Value::Blob(self.take(len)?.to_vec())
-            }
-            5 => Value::Date(self.u32()?),
-            other => {
-                return Err(MetaError::Corrupt { detail: format!("unknown value tag {other}") })
-            }
-        })
-    }
+        5 => Value::Date(r.u32()?),
+        other => return Err(MetaError::Corrupt { detail: format!("unknown value tag {other}") }),
+    })
 }
 
 /// Serialize the whole database to bytes.
@@ -194,22 +133,24 @@ pub fn to_bytes(db: &Database) -> Vec<u8> {
     out
 }
 
-/// Reconstruct a database from bytes produced by [`to_bytes`].
+/// Reconstruct a database from bytes produced by [`to_bytes`]. Every count
+/// is bounded by the bytes remaining before it drives a loop or an
+/// allocation, so a forged count is a typed error, not an abort.
 pub fn from_bytes(data: &[u8]) -> MetaResult<Database> {
-    let mut cur = Cursor { data, pos: 0 };
-    if cur.take(MAGIC.len())? != MAGIC {
+    let mut r = Reader::new(data);
+    if r.take(MAGIC.len())? != MAGIC {
         return Err(MetaError::Corrupt { detail: "bad magic".into() });
     }
     let mut db = Database::new();
-    let n_tables = cur.u32()?;
+    let n_tables = r.len32()?;
     for _ in 0..n_tables {
-        let name = cur.string()?;
-        let n_cols = cur.u32()? as usize;
+        let name = r.str()?;
+        let n_cols = r.len32()?;
         let mut cols = Vec::with_capacity(n_cols);
         for _ in 0..n_cols {
-            let cname = cur.string()?;
-            let ty = type_from_tag(cur.u8()?)?;
-            let nullable = cur.u8()? != 0;
+            let cname = r.str()?;
+            let ty = type_from_tag(r.u8()?)?;
+            let nullable = r.u8()? != 0;
             let mut def = ColumnDef::new(cname, ty);
             if nullable {
                 def = def.nullable();
@@ -217,18 +158,18 @@ pub fn from_bytes(data: &[u8]) -> MetaResult<Database> {
             cols.push(def);
         }
         let mut schema = Schema::new(cols)?;
-        if cur.u8()? == 1 {
-            let pk = cur.u32()? as usize;
+        if r.u8()? == 1 {
+            let pk = r.u32()? as usize;
             if pk >= schema.arity() {
                 return Err(MetaError::Corrupt { detail: "primary key out of range".into() });
             }
             let pk_name = schema.columns()[pk].name.clone();
             schema = schema.with_primary_key(&pk_name)?;
         }
-        let n_indexes = cur.u32()? as usize;
+        let n_indexes = r.len32()?;
         let mut index_cols = Vec::with_capacity(n_indexes);
         for _ in 0..n_indexes {
-            let c = cur.u32()? as usize;
+            let c = r.u32()? as usize;
             if c >= schema.arity() {
                 return Err(MetaError::Corrupt { detail: "index column out of range".into() });
             }
@@ -239,18 +180,16 @@ pub fn from_bytes(data: &[u8]) -> MetaResult<Database> {
         for col in &index_cols {
             table.create_index(col)?;
         }
-        let n_rows = cur.u64()?;
+        let n_rows = r.len()?;
         for _ in 0..n_rows {
             let mut row = Vec::with_capacity(arity);
             for _ in 0..arity {
-                row.push(cur.value()?);
+                row.push(get_value(&mut r)?);
             }
             table.insert(row)?;
         }
     }
-    if cur.pos != data.len() {
-        return Err(MetaError::Corrupt { detail: "trailing bytes after snapshot".into() });
-    }
+    r.done()?;
     Ok(db)
 }
 
@@ -258,11 +197,7 @@ pub fn from_bytes(data: &[u8]) -> MetaResult<Database> {
 /// [`save`] puts on disk.
 pub fn sealed_bytes(db: &Database) -> Vec<u8> {
     let mut out = to_bytes(db);
-    let payload_len = out.len() as u64;
-    let checksum = fnv1a(&out);
-    out.extend_from_slice(SEAL_MAGIC);
-    out.extend_from_slice(&payload_len.to_le_bytes());
-    out.extend_from_slice(&checksum.to_le_bytes());
+    frame::seal_trailer(&mut out, SEAL_MAGIC);
     out
 }
 
@@ -271,28 +206,7 @@ pub fn sealed_bytes(db: &Database) -> Vec<u8> {
 /// wrong seal magic, payload length that doesn't match the file, checksum
 /// mismatch — is [`MetaError::CorruptSnapshot`].
 pub fn from_sealed_bytes(data: &[u8]) -> MetaResult<Database> {
-    if data.len() < SEAL_LEN {
-        return Err(MetaError::CorruptSnapshot {
-            detail: format!("{} bytes is too short to hold a seal trailer", data.len()),
-        });
-    }
-    let (payload, trailer) = data.split_at(data.len() - SEAL_LEN);
-    if &trailer[..8] != SEAL_MAGIC {
-        return Err(MetaError::CorruptSnapshot { detail: "bad seal magic".into() });
-    }
-    let stated_len = u64::from_le_bytes(trailer[8..16].try_into().expect("8 bytes"));
-    if stated_len != payload.len() as u64 {
-        return Err(MetaError::CorruptSnapshot {
-            detail: format!("seal says {stated_len} payload bytes, file has {}", payload.len()),
-        });
-    }
-    let stated_sum = u64::from_le_bytes(trailer[16..24].try_into().expect("8 bytes"));
-    let actual_sum = fnv1a(payload);
-    if stated_sum != actual_sum {
-        return Err(MetaError::CorruptSnapshot {
-            detail: format!("checksum mismatch: seal {stated_sum:016x}, payload {actual_sum:016x}"),
-        });
-    }
+    let payload = frame::open_trailer(data, SEAL_MAGIC)?;
     // The seal proves the payload arrived intact; payload-level parse
     // errors past this point would be a serializer bug, but surface them
     // as the same typed error rather than trusting the file.
@@ -301,41 +215,18 @@ pub fn from_sealed_bytes(data: &[u8]) -> MetaResult<Database> {
     })
 }
 
-fn temp_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// Write a sealed snapshot to `path`, atomically.
-///
-/// The bytes go to a `.tmp` sibling first, are synced to disk, and the
-/// temp file is renamed over `path`. A crash before the rename leaves the
-/// previous snapshot untouched; a crash during the temp write leaves a
-/// torn `.tmp` that [`load`] never looks at.
+/// Write a sealed snapshot to `path`, atomically (see
+/// [`frame::write_atomic`]). A crash before the rename leaves the previous
+/// snapshot untouched; a crash during the temp write leaves a torn `.tmp`
+/// that [`load`] never looks at.
 pub fn save(db: &Database, path: &Path) -> MetaResult<()> {
-    let tmp = temp_sibling(path);
-    let result = (|| -> MetaResult<()> {
-        let mut f = File::create(&tmp)?;
-        f.write_all(&sealed_bytes(db))?;
-        f.sync_all()?;
-        drop(f);
-        std::fs::rename(&tmp, path)?;
-        Ok(())
-    })();
-    if result.is_err() {
-        std::fs::remove_file(&tmp).ok();
-    }
-    result
+    Ok(frame::write_atomic(path, &sealed_bytes(db))?)
 }
 
 /// Load a sealed snapshot from `path`, rejecting torn or damaged files
 /// with [`MetaError::CorruptSnapshot`].
 pub fn load(path: &Path) -> MetaResult<Database> {
-    let mut r = File::open(path)?;
-    let mut buf = Vec::new();
-    r.read_to_end(&mut buf)?;
-    from_sealed_bytes(&buf)
+    from_sealed_bytes(&std::fs::read(path)?)
 }
 
 #[cfg(test)]
@@ -427,26 +318,76 @@ mod tests {
     fn sealed_roundtrip_and_shape() {
         let db = sample_db();
         let sealed = sealed_bytes(&db);
-        assert_eq!(sealed.len(), to_bytes(&db).len() + SEAL_LEN);
+        assert_eq!(sealed.len(), to_bytes(&db).len() + SEAL_MAGIC.len() + 16);
         let loaded = from_sealed_bytes(&sealed).unwrap();
         assert_eq!(loaded.table("products").unwrap().len(), 50);
     }
 
-    /// A write torn at *any* byte offset must be rejected with the typed
-    /// snapshot error — never parsed, never a panic.
+    /// The format, byte for byte, computed at the commit before the port to
+    /// `core::frame`. If this fails the on-disk format changed: do not
+    /// update the literals; fix the code.
     #[test]
-    fn every_byte_level_corruption_is_rejected() {
-        // The full sweep — truncation at every offset, every single-bit
-        // flip (the FNV step is XOR-then-multiply-by-an-odd-prime, so
-        // payload flips always change the digest; trailer flips break the
-        // magic, the length, or the stated checksum), and trailing garbage
-        // after the seal — now lives in the shared test kit and also runs
-        // against the engine-snapshot and run-journal formats.
-        sciflow_testkit::assert_sealed_roundtrip(
-            &sealed_bytes(&sample_db()),
-            from_sealed_bytes,
-            sciflow_testkit::TailPolicy::Reject,
-        );
+    fn byte_pin_sealed_snapshot() {
+        let mut db = Database::new();
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", ValueType::Int),
+            ColumnDef::new("name", ValueType::Text).nullable(),
+        ])
+        .unwrap()
+        .with_primary_key("id")
+        .unwrap();
+        let t = db.create_table("t", schema).unwrap();
+        t.create_index("name").unwrap();
+        t.insert(vec![Value::Int(7), Value::Text("x".into())]).unwrap();
+        let want = [
+            &b"SFMETA1\n"[..],
+            &[1, 0, 0, 0], // one table
+            &[1, 0, 0, 0],
+            b"t",          // named "t"
+            &[2, 0, 0, 0], // two columns
+            &[2, 0, 0, 0],
+            b"id",
+            &[1, 0], // Int, not nullable
+            &[4, 0, 0, 0],
+            b"name",
+            &[3, 1],                      // Text, nullable
+            &[1, 0, 0, 0, 0],             // primary key: column 0
+            &[1, 0, 0, 0, 1, 0, 0, 0],    // one secondary index, on column 1
+            &[1, 0, 0, 0, 0, 0, 0, 0],    // one row
+            &[1, 7, 0, 0, 0, 0, 0, 0, 0], // Int 7
+            &[3, 1, 0, 0, 0],
+            b"x", // Text "x"
+            b"SFSEAL1\n",
+            &[75, 0, 0, 0, 0, 0, 0, 0],               // payload length
+            &[47, 249, 114, 112, 253, 251, 151, 220], // FNV-1a over the payload
+        ]
+        .concat();
+        assert_eq!(sealed_bytes(&db), want);
+        assert_eq!(from_sealed_bytes(&want).unwrap().table("t").unwrap().len(), 1);
+    }
+
+    /// A trailer whose length field is forged, to `u64::MAX` and to
+    /// `len + 1`, is a typed error.
+    #[test]
+    fn forged_length_seal_trailer() {
+        let sealed = sealed_bytes(&sample_db());
+        let len_at = sealed.len() - 16;
+        let payload_len = (len_at - SEAL_MAGIC.len()) as u64;
+        for forged in [u64::MAX, payload_len + 1] {
+            let mut bytes = sealed.clone();
+            bytes[len_at..len_at + 8].copy_from_slice(&forged.to_le_bytes());
+            let got = from_sealed_bytes(&bytes);
+            assert!(matches!(got, Err(MetaError::CorruptSnapshot { .. })), "{forged}: {got:?}");
+        }
+    }
+
+    /// A count read from the input must not size an allocation: this
+    /// snapshot (magic, one table named "t") claims `u32::MAX` columns and
+    /// used to abort the process inside `Vec::with_capacity`.
+    #[test]
+    fn forged_column_count_is_a_typed_error() {
+        let bytes = [&b"SFMETA1\n"[..], &[1, 0, 0, 0], &[1, 0, 0, 0], b"t", &[0xFF; 4]].concat();
+        assert!(matches!(from_bytes(&bytes), Err(MetaError::Corrupt { .. })));
     }
 
     /// The atomic-save contract: a crash that leaves a torn temp file (or
@@ -473,7 +414,7 @@ mod tests {
             ])
             .unwrap();
         let torn = &sealed_bytes(&v2)[..100];
-        std::fs::write(temp_sibling(&path), torn).unwrap();
+        std::fs::write(frame::temp_sibling(&path), torn).unwrap();
 
         let recovered = load(&path).unwrap();
         assert_eq!(recovered.table("products").unwrap().len(), 50, "v1 must survive");
@@ -489,7 +430,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snapshot.sfm");
         save(&sample_db(), &path).unwrap();
-        assert!(!temp_sibling(&path).exists(), "temp file must not linger after save");
+        assert!(!frame::temp_sibling(&path).exists(), "temp file must not linger after save");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,9 +1,10 @@
 //! Byte-level robustness sweeps for sealed on-disk formats.
 //!
-//! Every durable artifact in the workspace — metastore catalog snapshots,
-//! engine snapshot files, run journals — is a checksummed, length-prefixed
-//! ("sealed") byte format whose loader must refuse damaged input rather
-//! than decode garbage. The sweep here is the generalization of the
+//! Every durable artifact and wire message in the workspace — metastore
+//! catalog snapshots, engine snapshot files, run journals, replica apply
+//! journals and sync frames — is a checksummed, length-prefixed ("sealed")
+//! `sciflow_core::frame` format whose loader must refuse damaged input
+//! rather than decode garbage. The sweep here is the generalization of the
 //! metastore's original corruption tests: feed the loader every truncation,
 //! every single-bit flip, and a trailing-garbage extension of one valid
 //! artifact, and assert it never accepts damage it cannot detect.
@@ -67,32 +68,14 @@ pub fn assert_sealed_roundtrip<T, E: std::fmt::Debug>(
 mod tests {
     use super::*;
 
-    /// A toy sealed format: `[len u32][payload][xor-checksum u8]`.
-    fn seal(payload: &[u8]) -> Vec<u8> {
-        let mut out = (payload.len() as u32).to_le_bytes().to_vec();
-        out.extend_from_slice(payload);
-        out.push(payload.iter().fold(0xA5u8, |a, b| a.rotate_left(3) ^ b));
-        out
-    }
-
-    fn open_strict(bytes: &[u8]) -> Result<Vec<u8>, String> {
-        if bytes.len() < 5 {
-            return Err("too short".into());
-        }
-        let len = u32::from_le_bytes(bytes[..4].try_into().unwrap()) as usize;
-        if bytes.len() != 4 + len + 1 {
-            return Err("length mismatch".into());
-        }
-        let payload = &bytes[4..4 + len];
-        if bytes[4 + len] != payload.iter().fold(0xA5u8, |a, b| a.rotate_left(3) ^ b) {
-            return Err("checksum".into());
-        }
-        Ok(payload.to_vec())
-    }
+    use sciflow_core::frame;
 
     #[test]
     fn the_sweep_passes_a_sound_strict_format() {
-        assert_sealed_roundtrip(&seal(b"hello sealed world"), open_strict, TailPolicy::Reject);
+        let clean = frame::seal(1, b"hello sealed world");
+        let open =
+            |bytes: &[u8]| frame::open(bytes).map(|(kind, payload)| (kind, payload.to_vec()));
+        assert_sealed_roundtrip(&clean, open, TailPolicy::Reject);
     }
 
     #[test]
@@ -104,6 +87,6 @@ mod tests {
             }
             Ok(())
         };
-        assert_sealed_roundtrip(&seal(b"hello"), no_checksum, TailPolicy::Reject);
+        assert_sealed_roundtrip(&frame::seal(1, b"hello"), no_checksum, TailPolicy::Reject);
     }
 }
