@@ -15,15 +15,8 @@ use sciflow_core::{CoreError, DataVolume, SnapshotPolicy};
 use sciflow_metastore::persist;
 use sciflow_testkit::{assert_sealed_roundtrip, TailPolicy};
 
-use super::tests::rec;
+use super::tests::{rec, scratch};
 use super::*;
-
-fn scratch(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("sciflow-bytes-{}-{name}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
-}
 
 /// A durable replica holding files 1 and 2, dropped so only its directory
 /// remains: the journal carries two `AJ_UNIT` frames, the second starting
@@ -71,7 +64,8 @@ fn pinned_unit() -> Vec<u8> {
 #[test]
 fn byte_pin_apply_journal_wire_frames_and_sealed_content() {
     // A two-frame apply journal.
-    let path = scratch("pin").join(JOURNAL_FILE);
+    let dir = scratch("pin");
+    let path = dir.join(JOURNAL_FILE);
     let mut j = journal::ApplyJournal::create(&path).unwrap();
     let mut payload = Vec::new();
     put_u64(&mut payload, 7);
@@ -158,7 +152,6 @@ fn forged_length_apply_journal() {
         assert_eq!(rep.torn_tail().map(|d| d.offset), Some(second_at), "length {forged}");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), second_at as u64);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The same forgeries on a wire frame are a typed `CorruptMessage`.
@@ -172,6 +165,64 @@ fn forged_length_wire_frame() {
         let err = ReplicaError::from(frame::open(&bytes).unwrap_err());
         assert!(matches!(err, ReplicaError::CorruptMessage { .. }), "length {forged}: {err:?}");
     }
+}
+
+/// The three smallest file ids of digest range 3.
+const RANGE_3_IDS: [u64; 3] = [6, 70, 134];
+
+/// A range frame decodes to the range and units it was built from; the
+/// same frame, correctly sealed, with one unit that belongs to another
+/// range is a typed `CorruptMessage` — the receiver never applies (or
+/// replies with) a range the sender mis-filed.
+#[test]
+fn forged_unit_in_a_foreign_range() {
+    let mut rep = Replica::new(1, StoreTier::Personal);
+    for id in RANGE_3_IDS {
+        rep.register(&rec(id, 100, "recon", "v1")).unwrap();
+    }
+    let mut units = rep.units_in_range(3).unwrap();
+    assert_eq!(units.len(), 3);
+    let sealed = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &units));
+    let (kind, payload) = frame::open(&sealed).unwrap();
+    assert_eq!(kind, wire::MSG_RANGE);
+    assert_eq!(decode_range_msg(payload).unwrap(), (3, units.clone()));
+
+    units[1].record.id = 1; // range 36
+    let sealed = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &units));
+    let (_, payload) = frame::open(&sealed).expect("the seal is intact");
+    let err = decode_range_msg(payload).unwrap_err();
+    assert!(matches!(err, ReplicaError::CorruptMessage { .. }), "{err:?}");
+}
+
+/// The receive path reuses one resolution per file id and may take the
+/// frame's own bytes as the range's digest, so a correctly sealed frame
+/// that repeats or disorders ids, or spells a unit in bytes the encoder
+/// would not produce, is refused whole.
+#[test]
+fn forged_unit_order_and_encoding() {
+    let mut rep = Replica::new(1, StoreTier::Personal);
+    for id in RANGE_3_IDS {
+        rep.register(&rec(id, 100, "recon", "v1")).unwrap();
+    }
+    rep.quarantine(RANGE_3_IDS[2], "bad").unwrap();
+    let units = rep.units_in_range(3).unwrap();
+    let refused = |payload: &[u8], why: &str| {
+        let err = decode_range_msg(payload).unwrap_err();
+        assert!(matches!(err, ReplicaError::CorruptMessage { .. }), "{why}: {err:?}");
+    };
+
+    let swapped = [units[1].clone(), units[0].clone(), units[2].clone()];
+    refused(&encode_range_msg(3, &swapped), "descending ids");
+    let repeated = [units[0].clone(), units[0].clone()];
+    refused(&encode_range_msg(3, &repeated), "a repeated id");
+
+    // The last unit ends `.. flagged u8, reason len u32, "bad"`; any
+    // non-zero flag byte decodes to `true`, only 1 is canonical.
+    let mut payload = encode_range_msg(3, &units);
+    let flag = payload.len() - 8;
+    assert_eq!(payload[flag], 1);
+    payload[flag] = 2;
+    refused(&payload, "a non-canonical flag byte");
 }
 
 /// Recovery used to leave the torn tail in `journal.esr` and reopen it for
@@ -198,7 +249,6 @@ fn appends_after_a_torn_tail_recovery_survive_the_next_recovery() {
     assert_eq!(rep.torn_tail(), None);
     assert!(rep.store().file(2).unwrap().is_some(), "file 2 was journaled after the recovery");
     assert_eq!(rep.store().file_count(), 2);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 // --- the corruption sweep, every format ----------------------------------
@@ -296,7 +346,7 @@ fn apply_journal(dir: PathBuf) -> Format {
 
 /// The receive path of `sync_once` for one range message.
 fn wire_frame(rep: &Replica) -> Format {
-    let clean = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &rep.units().unwrap()));
+    let clean = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &rep.units_in_range(3).unwrap()));
     let load = |bytes: &[u8]| match frame::open(bytes).map_err(ReplicaError::from) {
         Ok((wire::MSG_RANGE, payload)) => {
             let (range, units) = decode_range_msg(payload).map_err(|e| e.to_string())?;
@@ -338,7 +388,7 @@ fn sealed_snapshot(rep: &Replica) -> Format {
 fn every_sealed_format_survives_the_corruption_sweep() {
     let dir = scratch("sweep");
     let mut rep = Replica::new(1, StoreTier::Personal);
-    for id in 0..3 {
+    for id in RANGE_3_IDS {
         rep.register(&rec(id, 100 + id as u32, "recon", "v1")).unwrap();
     }
     let formats = [
@@ -379,5 +429,4 @@ fn every_sealed_format_survives_the_corruption_sweep() {
             assert!(got.len_after < clean.len(), "{name}: the damaged frame is cut off");
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

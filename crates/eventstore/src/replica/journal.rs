@@ -63,8 +63,25 @@ impl ApplyJournal {
     /// returning — the journal entry must survive a crash that interrupts
     /// the in-memory apply that follows it.
     pub(crate) fn append(&mut self, kind: u8, payload: &[u8]) -> ReplicaResult<()> {
-        let frame = frame::seal(kind, payload);
-        self.file.write_all(&frame).map_err(|e| io_err("append frame", e))?;
+        self.append_batch(kind, [payload])
+    }
+
+    /// Append one sealed frame per payload with a single write and a single
+    /// sync: all of them are on stable storage before any is applied. The
+    /// bytes are those of as many [`ApplyJournal::append`] calls.
+    pub(crate) fn append_batch(
+        &mut self,
+        kind: u8,
+        payloads: impl IntoIterator<Item = impl AsRef<[u8]>>,
+    ) -> ReplicaResult<()> {
+        let mut frames = Vec::new();
+        for payload in payloads {
+            frame::seal_into(&mut frames, kind, payload.as_ref());
+        }
+        if frames.is_empty() {
+            return Ok(());
+        }
+        self.file.write_all(&frames).map_err(|e| io_err("append frame", e))?;
         self.file.sync_data().map_err(|e| io_err("sync frame", e))?;
         Ok(())
     }

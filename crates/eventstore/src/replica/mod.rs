@@ -29,10 +29,13 @@
 //!   [`Summary`] (64 FNV-1a range digests), so two in-sync stores
 //!   exchange O(1) bytes regardless of file count and a divergent pair
 //!   transfers only the differing ranges;
-//! * every apply — local or received — is journaled to a sealed-frame
-//!   apply journal *before* it touches the store, so a replica
-//!   killed mid-apply recovers by snapshot + replay into the identical
-//!   state, and re-applying any frame is a no-op by construction.
+//! * every apply that changes the store — local or received — is journaled
+//!   to a sealed-frame apply journal *before* it touches the store, so a
+//!   replica killed mid-apply recovers by snapshot + replay into the
+//!   identical state, and re-applying any frame is a no-op by construction;
+//! * each replica indexes its file ids by digest range and remembers the
+//!   digests it has computed, so a session's work, like its traffic, is
+//!   proportional to what differs.
 //!
 //! The executable form of the convergence argument lives in the
 //! `replica_convergence` integration suite: arbitrary generated operation
@@ -40,6 +43,7 @@
 //! mid-sync all end, after quiescence, with byte-identical
 //! [`Replica::sealed_content`] on every store.
 
+mod index;
 mod journal;
 mod link;
 pub(crate) mod wire;
@@ -49,11 +53,12 @@ mod byte_formats;
 #[cfg(test)]
 mod tests;
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
+use sciflow_core::fnv::fnv1a;
 use sciflow_core::frame::{self, put_str, put_u16, put_u32, put_u64, put_u8, Damage, Reader};
 use sciflow_core::md5::Digest;
 use sciflow_core::obs::{Alert, MetricsHub, SloKind, SloRule, SloState};
@@ -66,6 +71,7 @@ use crate::grade::RunRange;
 use crate::store::{EventStore, FileRecord, StoreTier};
 
 pub use link::{LinkStats, SyncLink};
+use wire::{decode_range_msg, encode_range_msg, RANGE_HEAD};
 pub use wire::{GradeRow, Summary};
 
 /// Identity of one replica in a sync fabric.
@@ -331,7 +337,9 @@ fn encode_unit_core(u: &FileUnit) -> Vec<u8> {
     buf
 }
 
-pub(crate) fn encode_unit(u: &FileUnit) -> Vec<u8> {
+/// The canonical bytes of a unit: what travels, what is journaled, and what
+/// the range digests and [`Replica::sealed_content`] are computed over.
+pub fn encode_unit(u: &FileUnit) -> Vec<u8> {
     let mut buf = encode_unit_core(u);
     wire::put_qstate(&mut buf, &u.quarantine);
     buf
@@ -364,7 +372,7 @@ pub(crate) fn decode_unit(r: &mut Reader<'_>) -> ReplicaResult<FileUnit> {
 /// same revision. Because this is a *total* order, taking `max` is
 /// associative, commutative and idempotent — the convergence proof in one
 /// line.
-pub fn cmp_units(a: &FileUnit, b: &FileUnit) -> std::cmp::Ordering {
+pub fn cmp_units(a: &FileUnit, b: &FileUnit) -> Ordering {
     a.tier_rank
         .cmp(&b.tier_rank)
         .then_with(|| a.vv.weight().cmp(&b.vv.weight()))
@@ -376,14 +384,11 @@ pub fn cmp_units(a: &FileUnit, b: &FileUnit) -> std::cmp::Ordering {
 /// flag beats a lifted one (safety first), and the lexicographically
 /// greater reason breaks exact ties.
 pub fn merge_qstate(a: Option<QState>, b: Option<QState>) -> Option<QState> {
-    match (a, b) {
-        (None, q) | (q, None) => q,
-        (Some(x), Some(y)) => Some(x.max(y)),
-    }
+    a.max(b)
 }
 
 /// Which digest range a file id belongs to.
-pub(crate) fn range_of(id: u64) -> usize {
+pub fn range_of(id: u64) -> usize {
     (fnv1a(&id.to_le_bytes()) % NUM_RANGES as u64) as usize
 }
 
@@ -407,6 +412,7 @@ pub enum ApplyEffect {
 pub struct Replica {
     store: EventStore,
     id: StoreId,
+    index: index::RangeIndex,
     journal: Option<journal::ApplyJournal>,
     dir: Option<PathBuf>,
     /// The torn journal tail [`Replica::recover`] cut away, if any.
@@ -424,7 +430,22 @@ impl Replica {
     pub fn new(id: StoreId, tier: StoreTier) -> Self {
         let mut store = EventStore::new(tier);
         put_meta(&mut store, ID_KEY, &id.to_string()).expect("fresh meta table accepts id");
-        Replica { store, id, journal: None, dir: None, torn_tail: None, kill_after_appends: None }
+        Replica::over(store, id).expect("a fresh store has its file table")
+    }
+
+    /// An in-memory replica over `store`, its range index built by one scan
+    /// of the file table.
+    fn over(store: EventStore, id: StoreId) -> ReplicaResult<Self> {
+        let index = index::RangeIndex::build(&store)?;
+        Ok(Replica {
+            store,
+            id,
+            index,
+            journal: None,
+            dir: None,
+            torn_tail: None,
+            kill_after_appends: None,
+        })
     }
 
     /// A durable replica rooted at `dir`: the store snapshot lives at
@@ -447,14 +468,7 @@ impl Replica {
     /// to this replica, and existing quarantine flags become epoch-1
     /// registers. The bridge from `merge_into`-era stores.
     pub fn adopt(store: EventStore, id: StoreId) -> ReplicaResult<Self> {
-        let mut rep = Replica {
-            store,
-            id,
-            journal: None,
-            dir: None,
-            torn_tail: None,
-            kill_after_appends: None,
-        };
+        let mut rep = Replica::over(store, id)?;
         put_meta(&mut rep.store, ID_KEY, &id.to_string())?;
         let rank = tier_rank(rep.store.tier());
         let files = rep.store.files()?;
@@ -491,14 +505,9 @@ impl Replica {
                 ReplicaError::CorruptJournal { detail: "snapshot has no replica id".into() }
             })?;
         let (frames, torn_tail) = journal::ApplyJournal::replay(&dir.join(JOURNAL_FILE))?;
-        let mut rep = Replica {
-            store,
-            id,
-            journal: None,
-            dir: Some(dir.to_path_buf()),
-            torn_tail,
-            kill_after_appends: None,
-        };
+        let mut rep = Replica::over(store, id)?;
+        rep.dir = Some(dir.to_path_buf());
+        rep.torn_tail = torn_tail;
         for (kind, payload) in frames {
             rep.replay_frame(kind, &payload)?;
         }
@@ -647,27 +656,33 @@ impl Replica {
         Ok(Some(FileUnit { record, tier_rank: tier, origin, vv, quarantine: self.qstate(id) }))
     }
 
-    /// All units, ascending by file id.
-    pub fn units(&self) -> ReplicaResult<Vec<FileUnit>> {
-        let mut files = self.store.files()?;
-        files.sort_by_key(|f| f.id);
-        files.into_iter().map(|f| Ok(self.unit(f.id)?.expect("listed file exists"))).collect()
-    }
-
     fn qstate(&self, id: u64) -> Option<QState> {
         get_meta(&self.store, &format!("{QUAR_PREFIX}{id}")).and_then(|t| parse_qmeta(&t))
+    }
+
+    /// Count `frames` journal appends against the kill hook: how many of
+    /// them reach the disk (all, unless the hook expires inside them) and
+    /// whether the replica dies right after the last of those.
+    fn appends_before_kill(&mut self, frames: usize) -> (usize, bool) {
+        match self.kill_after_appends {
+            Some(n) if n.max(1) <= frames as u64 => {
+                self.kill_after_appends = None;
+                (n.max(1) as usize, true)
+            }
+            Some(n) => {
+                self.kill_after_appends = Some(n - frames as u64);
+                (frames, false)
+            }
+            None => (frames, false),
+        }
     }
 
     fn journal_append(&mut self, kind: u8, payload: &[u8]) -> ReplicaResult<()> {
         if let Some(j) = &mut self.journal {
             j.append(kind, payload)?;
         }
-        if let Some(n) = &mut self.kill_after_appends {
-            *n = n.saturating_sub(1);
-            if *n == 0 {
-                self.kill_after_appends = None;
-                return Err(ReplicaError::KilledMidApply);
-            }
+        if self.appends_before_kill(1).1 {
+            return Err(ReplicaError::KilledMidApply);
         }
         Ok(())
     }
@@ -675,6 +690,64 @@ impl Replica {
     fn commit_unit(&mut self, unit: &FileUnit) -> ReplicaResult<ApplyEffect> {
         self.journal_append(wire::AJ_UNIT, &encode_unit(unit))?;
         self.apply_unit(unit)
+    }
+
+    /// Journal-then-apply one received range frame: `units` as
+    /// [`decode_range_msg`] checked them (all of `range`, ids ascending),
+    /// `digest` the FNV of their encodings. Units that would leave the store
+    /// unchanged are tallied as kept and go nowhere near the journal: `max`
+    /// is idempotent, so recovery replays exactly the history that changed
+    /// state. The rest are journaled — one frame per unit, one write and one
+    /// sync for the lot — before the first of them is applied. A kill hook
+    /// that expires at frame *k* leaves frames 1..=k on disk and units
+    /// 1..k-1 applied.
+    fn commit_received(
+        &mut self,
+        range: usize,
+        units: Vec<FileUnit>,
+        digest: u64,
+        report: &mut SyncReport,
+    ) -> ReplicaResult<()> {
+        let arrived = units.len();
+        // Nothing resident beats or outlasts what arrived: once applied,
+        // the units of the frame are the resident ones, byte for byte.
+        let mut mirrored = true;
+        let mut changing = Vec::with_capacity(arrived);
+        for unit in units {
+            let id = unit.record.id;
+            let resident = self.unit(id)?;
+            let revision = resident.as_ref().map(|r| cmp_units(&unit, r));
+            // `merge_qstate` is `max` under this same order.
+            let register = match resident {
+                Some(r) => unit.quarantine.cmp(&r.quarantine),
+                None => unit.quarantine.cmp(&self.qstate(id)),
+            };
+            mirrored &= revision != Some(Ordering::Less) && register != Ordering::Less;
+            if matches!(revision, Some(Ordering::Less | Ordering::Equal))
+                && register != Ordering::Greater
+            {
+                report.tally(ApplyEffect::Kept);
+            } else {
+                changing.push((unit, revision));
+            }
+        }
+        let (journaled, killed) = self.appends_before_kill(changing.len());
+        if let Some(j) = &mut self.journal {
+            let payloads = changing[..journaled].iter().map(|(unit, _)| encode_unit(unit));
+            j.append_batch(wire::AJ_UNIT, payloads)?;
+        }
+        // Ids within a frame are distinct, so applying one unit leaves the
+        // resolution of the others standing.
+        for (unit, revision) in &changing[..journaled - killed as usize] {
+            report.tally(self.apply_resolved(unit, *revision)?);
+        }
+        if killed {
+            return Err(ReplicaError::KilledMidApply);
+        }
+        if mirrored {
+            self.index.range_reads(range, arrived, digest);
+        }
+        Ok(())
     }
 
     fn commit_quarantine(&mut self, id: u64, q: &QState) -> ReplicaResult<()> {
@@ -717,24 +790,29 @@ impl Replica {
     }
 
     /// Resolve `incoming` against the resident unit for its file id and
-    /// keep the winner. Quarantine registers merge independently of which
-    /// revision won. Pure function of (resident state, incoming unit) —
+    /// keep the winner. Pure function of (resident state, incoming unit) —
     /// no clocks, no randomness.
     fn apply_unit(&mut self, incoming: &FileUnit) -> ReplicaResult<ApplyEffect> {
-        let effect = match self.unit(incoming.record.id)? {
-            None => {
-                self.write_unit(incoming, true)?;
-                ApplyEffect::Added
-            }
-            Some(resident) => {
-                if cmp_units(incoming, &resident) == std::cmp::Ordering::Greater {
-                    self.write_unit(incoming, false)?;
-                    ApplyEffect::Replaced
-                } else {
-                    ApplyEffect::Kept
-                }
-            }
+        let revision = self.unit(incoming.record.id)?.map(|r| cmp_units(incoming, &r));
+        self.apply_resolved(incoming, revision)
+    }
+
+    /// Keep the winner, given `incoming`'s place in the total order against
+    /// the resident revision (`None`: the file is new here). Quarantine
+    /// registers merge independently of which revision won.
+    fn apply_resolved(
+        &mut self,
+        incoming: &FileUnit,
+        revision: Option<Ordering>,
+    ) -> ReplicaResult<ApplyEffect> {
+        let effect = match revision {
+            None => ApplyEffect::Added,
+            Some(Ordering::Greater) => ApplyEffect::Replaced,
+            Some(_) => ApplyEffect::Kept,
         };
+        if effect != ApplyEffect::Kept {
+            self.write_unit(incoming, effect == ApplyEffect::Added)?;
+        }
         if let Some(q) = &incoming.quarantine {
             self.apply_qstate(incoming.record.id, q)?;
         }
@@ -746,8 +824,10 @@ impl Replica {
         let table = self.store.db_mut().table_mut(FILES)?;
         if fresh {
             table.insert(row).map_err(EsError::from)?;
+            self.index.insert(unit.record.id);
         } else {
             table.update_by_key(&Value::Int(unit.record.id as i64), row).map_err(EsError::from)?;
+            self.index.unit_changed(unit.record.id);
         }
         put_meta(
             &mut self.store,
@@ -768,6 +848,7 @@ impl Replica {
             return Ok(false);
         }
         put_qmeta(&mut self.store, id, &winner)?;
+        self.index.unit_changed(id);
         if self.store.file(id)?.is_some() {
             if winner.flagged {
                 self.store.quarantine_file(id, &winner.reason)?;
@@ -858,28 +939,12 @@ impl Replica {
             }
             self.store.db_mut().execute(&txn).map_err(EsError::from)?;
             self.store.bump_grade_rows(next_row + inserted - self.store.next_grade_row());
+            self.index.grades_changed();
         }
         Ok(changed_keys)
     }
 
     // --- digests and canonical bytes ------------------------------------
-
-    /// The anti-entropy opening summary: 64 per-range digests over the
-    /// canonical unit encodings plus one digest over the grade rows.
-    pub fn summary(&self) -> ReplicaResult<Summary> {
-        let mut ranges = [FNV_OFFSET; NUM_RANGES];
-        for unit in self.units()? {
-            let r = range_of(unit.record.id);
-            ranges[r] = fnv1a_update(ranges[r], &encode_unit(&unit));
-        }
-        let grades = wire::grade_digest(&self.grade_rows()?);
-        Ok(Summary { store: self.id, ranges, grades })
-    }
-
-    /// Units belonging to digest range `r`, ascending by id.
-    pub fn units_in_range(&self, r: usize) -> ReplicaResult<Vec<FileUnit>> {
-        Ok(self.units()?.into_iter().filter(|u| range_of(u.record.id) == r).collect())
-    }
 
     /// The replica's canonical content as sealed bytes: every unit in id
     /// order, every grade row in canonical order, closed by a
@@ -1028,31 +1093,57 @@ impl SyncReport {
     }
 }
 
-fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
-    let mut buf = Vec::new();
-    put_u16(&mut buf, range as u16);
-    put_u32(&mut buf, units.len() as u32);
-    for u in units {
-        buf.extend_from_slice(&encode_unit(u));
+/// Send `rep`'s units of each of `ranges`, and its grade rows if `grades`.
+fn send_ranges(
+    rep: &Replica,
+    ranges: &[usize],
+    grades: bool,
+    link: &mut SyncLink,
+    report: &mut SyncReport,
+) -> ReplicaResult<()> {
+    for &r in ranges {
+        let (units, payload) = rep.range_msg(r)?;
+        report.units_sent += units;
+        link.send(frame::seal(wire::MSG_RANGE, &payload))?;
     }
-    buf
+    if grades {
+        let rows = rep.grade_rows()?;
+        report.grade_rows_sent += rows.len();
+        link.send(frame::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
+    }
+    Ok(())
 }
 
-fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<FileUnit>)> {
-    let mut r = Reader::new(payload);
-    let range = r.u16()? as usize;
-    if range >= NUM_RANGES {
-        return Err(ReplicaError::CorruptMessage {
-            detail: format!("range {range} out of bounds"),
-        });
+/// Journal-then-apply every range and grade frame `link` delivers to `rep`.
+/// Returns the ranges that arrived intact, in arrival order, and whether
+/// grade rows did.
+fn receive(
+    rep: &mut Replica,
+    link: &mut SyncLink,
+    report: &mut SyncReport,
+) -> ReplicaResult<(Vec<usize>, bool)> {
+    let mut got_ranges: Vec<usize> = Vec::new();
+    let mut got_grades = false;
+    for msg in link.drain() {
+        match frame::open(&msg) {
+            Ok((wire::MSG_RANGE, payload)) => {
+                let (range, units) = decode_range_msg(payload)?;
+                rep.commit_received(range, units, fnv1a(&payload[RANGE_HEAD..]), report)?;
+                if !got_ranges.contains(&range) {
+                    got_ranges.push(range);
+                }
+            }
+            Ok((wire::MSG_GRADES, payload)) => {
+                let rows = wire::decode_grade_rows(payload)?;
+                rep.journal_append(wire::AJ_GRADES, &wire::encode_grade_rows(&rows))?;
+                rep.apply_grade_rows(&rows)?;
+                got_grades = true;
+            }
+            Ok(_) => {}
+            Err(_) => report.corrupt_frames += 1,
+        }
     }
-    let n = r.u32()? as usize;
-    let mut units = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        units.push(decode_unit(&mut r)?);
-    }
-    r.done()?;
-    Ok((range, units))
+    Ok((got_ranges, got_grades))
 }
 
 /// Run one anti-entropy session between `initiator` and `responder` over
@@ -1064,9 +1155,10 @@ fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<FileUnit>)> {
 /// 2. the responder diffs it against its own and answers with one frame per
 ///    differing range (its units in that range) plus its grade rows if the
 ///    grade digests differ — or a single in-sync frame;
-/// 3. the initiator journals and applies every frame that arrives intact,
-///    then replies with its own units for exactly the ranges it received;
-/// 4. the responder journals and applies the replies.
+/// 3. the initiator journals and applies what arrives intact — of a range
+///    frame, only the units that change its store — then replies with its
+///    own units for exactly the ranges it received;
+/// 4. the responder does the same with the replies.
 ///
 /// Lost or corrupted frames shrink the session instead of wedging it: a
 /// dropped summary is [`ReplicaError::SessionDropped`], a dropped or
@@ -1114,72 +1206,14 @@ pub fn sync_once(
         report.bytes_sent = after.bytes_sent - stats_before.bytes_sent;
         return Ok(report);
     }
-    for &r in &differing {
-        let units = responder.units_in_range(r)?;
-        report.units_sent += units.len();
-        link.send(frame::seal(wire::MSG_RANGE, &encode_range_msg(r, &units)))?;
-    }
-    if grades_differ {
-        let rows = responder.grade_rows()?;
-        report.grade_rows_sent += rows.len();
-        link.send(frame::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
-    }
+    send_ranges(responder, &differing, grades_differ, link, &mut report)?;
 
     // 3. Initiator applies what arrived and replies range-for-range.
-    let mut got_ranges: Vec<usize> = Vec::new();
-    let mut got_grades = false;
-    for msg in link.drain() {
-        match frame::open(&msg) {
-            Ok((wire::MSG_RANGE, payload)) => {
-                let (range, units) = decode_range_msg(payload)?;
-                for unit in &units {
-                    let effect = initiator.commit_unit(unit)?;
-                    report.tally(effect);
-                }
-                if !got_ranges.contains(&range) {
-                    got_ranges.push(range);
-                }
-            }
-            Ok((wire::MSG_GRADES, payload)) => {
-                let rows = wire::decode_grade_rows(payload)?;
-                initiator.journal_append(wire::AJ_GRADES, &wire::encode_grade_rows(&rows))?;
-                initiator.apply_grade_rows(&rows)?;
-                got_grades = true;
-            }
-            Ok(_) => {}
-            Err(_) => report.corrupt_frames += 1,
-        }
-    }
-    for &r in &got_ranges {
-        let units = initiator.units_in_range(r)?;
-        report.units_sent += units.len();
-        link.send(frame::seal(wire::MSG_RANGE, &encode_range_msg(r, &units)))?;
-    }
-    if got_grades {
-        let rows = initiator.grade_rows()?;
-        report.grade_rows_sent += rows.len();
-        link.send(frame::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
-    }
+    let (got_ranges, got_grades) = receive(initiator, link, &mut report)?;
+    send_ranges(initiator, &got_ranges, got_grades, link, &mut report)?;
 
     // 4. Responder applies the replies.
-    for msg in link.drain() {
-        match frame::open(&msg) {
-            Ok((wire::MSG_RANGE, payload)) => {
-                let (_, units) = decode_range_msg(payload)?;
-                for unit in &units {
-                    let effect = responder.commit_unit(unit)?;
-                    report.tally(effect);
-                }
-            }
-            Ok((wire::MSG_GRADES, payload)) => {
-                let rows = wire::decode_grade_rows(payload)?;
-                responder.journal_append(wire::AJ_GRADES, &wire::encode_grade_rows(&rows))?;
-                responder.apply_grade_rows(&rows)?;
-            }
-            Ok(_) => {}
-            Err(_) => report.corrupt_frames += 1,
-        }
-    }
+    receive(responder, link, &mut report)?;
 
     let after = link.stats();
     report.frames_sent = after.frames_sent - stats_before.frames_sent;
@@ -1390,6 +1424,15 @@ impl SyncFabric {
     /// Whether every replica's sealed content is byte-identical.
     pub fn converged(replicas: &[Replica]) -> ReplicaResult<bool> {
         let Some(first) = replicas.first() else { return Ok(true) };
+        // Unequal digests imply unequal bytes; equal digests prove nothing,
+        // so the byte comparison below stays the definition.
+        let digests = first.summary()?;
+        for r in &replicas[1..] {
+            let theirs = r.summary()?;
+            if (theirs.ranges, theirs.grades) != (digests.ranges, digests.grades) {
+                return Ok(false);
+            }
+        }
         let reference = first.sealed_content()?;
         for r in &replicas[1..] {
             if r.sealed_content()? != reference {

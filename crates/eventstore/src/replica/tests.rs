@@ -3,9 +3,8 @@
 //! integration tests; these pin the local algebra: the total order, the
 //! quarantine register, wire framing, the journal, and small sessions.
 
-use std::cmp::Ordering;
-
-use sciflow_core::fault::{FaultKind, FaultPlan, FaultProfile};
+use sciflow_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile};
+use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
 use sciflow_core::md5::md5;
 use sciflow_core::units::{SimDuration, SimTime};
 use sciflow_core::version::CalDate;
@@ -27,6 +26,37 @@ pub(super) fn rec(id: u64, run: u32, kind: &str, version: &str) -> FileRecord {
         registered: d("20050601"),
         location: format!("/data/{kind}/{id}"),
         prov_digest: md5(format!("{id}-{kind}-{version}").as_bytes()),
+    }
+}
+
+/// A fresh directory under the system temp dir, named for this process and
+/// `name` so concurrent test processes never share it; removed on drop,
+/// panic or not.
+pub(super) struct Scratch(PathBuf);
+
+pub(super) fn scratch(name: &str) -> Scratch {
+    let dir = std::env::temp_dir().join(format!("sciflow-replica-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    Scratch(dir)
+}
+
+impl std::ops::Deref for Scratch {
+    type Target = Path;
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for Scratch {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        std::fs::remove_dir_all(&self.0).ok();
     }
 }
 
@@ -344,8 +374,7 @@ fn partitioned_send_fails_typed_until_heal() {
 
 #[test]
 fn kill_between_journal_and_apply_recovers_identically() {
-    let dir = std::env::temp_dir().join("sciflow-replica-kill");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("kill");
 
     let mut a = Replica::new(1, StoreTier::Personal);
     for i in 0..30 {
@@ -383,13 +412,157 @@ fn kill_between_journal_and_apply_recovers_identically() {
     sync_once(&mut a, &mut b, &mut link).unwrap();
     assert_eq!(b.sealed_content().unwrap(), healthy);
     assert_eq!(a.sealed_content().unwrap(), b.sealed_content().unwrap());
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The first `n` file ids of digest range `r`.
+fn ids_in_range(r: usize, n: usize) -> Vec<u64> {
+    (0..).filter(|&id| range_of(id) == r).take(n).collect()
+}
+
+fn journal_len(dir: &Path) -> u64 {
+    std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len()
+}
+
+/// Only units that change the store reach the journal: the echo of a range
+/// the peer already holds, a duplicated range frame and a confirming
+/// session all append nothing.
+#[test]
+fn a_confirming_or_duplicated_exchange_appends_nothing() {
+    let (dir_a, dir_b) = (scratch("quiet-a"), scratch("quiet-b"));
+    let mut a = Replica::durable(1, StoreTier::Group, &dir_a).unwrap();
+    let mut b = Replica::durable(2, StoreTier::Group, &dir_b).unwrap();
+    let ids = ids_in_range(3, 8);
+    for &id in &ids[..6] {
+        a.register(&rec(id, 100, "recon", "v1")).unwrap();
+    }
+    sync_once(&mut a, &mut b, &mut SyncLink::clean()).unwrap();
+
+    // One new file on each side, both in range 3. The link
+    // duplicates the second frame of the session: b's range frame.
+    a.register(&rec(ids[6], 100, "recon", "v1")).unwrap();
+    b.register(&rec(ids[7], 100, "recon", "v1")).unwrap();
+    let (len_a, len_b) = (journal_len(&dir_a), journal_len(&dir_b));
+    let one_frame = |rep: &Replica, id: u64| {
+        (frame::OVERHEAD + encode_unit(&rep.unit(id).unwrap().unwrap()).len()) as u64
+    };
+    let (new_at_a, new_at_b) = (one_frame(&b, ids[7]), one_frame(&a, ids[6]));
+    let at = SimTime::ZERO + SimDuration::from_micros(100_000);
+    let plan = FaultPlan::from_events(7, vec![FaultEvent { at, kind: FaultKind::Duplicate }]);
+    let mut link = SyncLink::new(plan);
+    let report = sync_once(&mut a, &mut b, &mut link).unwrap();
+    assert_eq!(link.stats().frames_duplicated, 1);
+    assert_eq!((report.ranges_differing, report.units_added), (1, 2));
+    // b's 7 units arrived at a twice, a's 8 at b once; two of them were news.
+    assert_eq!(report.units_kept, 20);
+    assert_eq!(journal_len(&dir_a), len_a + new_at_a, "a journals the one unit it lacked");
+    assert_eq!(journal_len(&dir_b), len_b + new_at_b, "b journals the one unit it lacked");
+
+    let (len_a, len_b) = (journal_len(&dir_a), journal_len(&dir_b));
+    assert!(sync_once(&mut a, &mut b, &mut link).unwrap().in_sync);
+    assert_eq!((journal_len(&dir_a), journal_len(&dir_b)), (len_a, len_b));
+
+    // What was journaled is the whole history: recovery lands on the same bytes.
+    let want = a.sealed_content().unwrap();
+    drop((a, b));
+    assert_eq!(Replica::recover(&dir_a).unwrap().sealed_content().unwrap(), want);
+    assert_eq!(Replica::recover(&dir_b).unwrap().sealed_content().unwrap(), want);
+}
+
+/// The units of one range frame are journaled in one write, but the kill
+/// hook still counts frames: expiring at frame 3 of a six-unit batch leaves
+/// three frames on disk and two units applied.
+#[test]
+fn kill_inside_a_batched_frame_recovers_identically() {
+    let dir = scratch("kill-batch");
+    let build_a = || {
+        let mut a = Replica::new(1, StoreTier::Personal);
+        for id in ids_in_range(3, 6) {
+            a.register(&rec(id, 100, "recon", "v1")).unwrap();
+        }
+        a
+    };
+    let healthy = {
+        let (mut a, mut b) = (build_a(), Replica::new(2, StoreTier::Group));
+        sync_once(&mut a, &mut b, &mut SyncLink::clean()).unwrap();
+        b.sealed_content().unwrap()
+    };
+
+    let mut a = build_a();
+    let mut b = Replica::durable(2, StoreTier::Group, &dir).unwrap();
+    b.kill_after_appends = Some(3);
+    match sync_once(&mut a, &mut b, &mut SyncLink::clean()) {
+        Err(ReplicaError::KilledMidApply) => {}
+        other => panic!("expected KilledMidApply, got {other:?}"),
+    }
+    assert_eq!(b.store().file_count(), 2, "units 1..k-1 were applied");
+    assert_eq!(b.kill_after_appends, None, "the hook fires once");
+    drop(b);
+
+    let mut b = Replica::recover(&dir).unwrap();
+    assert_eq!(b.store().file_count(), 3, "frames 1..=k were on disk");
+    assert_eq!(b.torn_tail(), None);
+    sync_once(&mut a, &mut b, &mut SyncLink::clean()).unwrap();
+    assert_eq!(b.sealed_content().unwrap(), healthy);
+    assert_eq!(a.sealed_content().unwrap(), healthy);
+}
+
+/// The range digests as the summary computed them before the range index:
+/// every unit folded, in id order, into its range.
+fn naive_range_digests(rep: &Replica) -> [u64; NUM_RANGES] {
+    let mut ranges = [FNV_OFFSET; NUM_RANGES];
+    for unit in rep.units().unwrap() {
+        let r = range_of(unit.record.id);
+        ranges[r] = fnv1a_update(ranges[r], &encode_unit(&unit));
+    }
+    ranges
+}
+
+/// A received frame's own digest becomes the range's only when, once
+/// applied, the range reads exactly as the frame does. Each case below
+/// leaves something resident the frame does not carry; `sync_once` never
+/// produces them on its own (the initiator's reply always covers what the
+/// responder sent), so they are fed to the receive path directly.
+#[test]
+fn a_frame_lends_its_digest_only_to_a_range_it_mirrors() {
+    let ids = ids_in_range(3, 3);
+    let receive = |rep: &mut Replica, units: Vec<FileUnit>| {
+        let digest = fnv1a(&encode_range_msg(3, &units)[RANGE_HEAD..]);
+        rep.commit_received(3, units, digest, &mut SyncReport::default()).unwrap();
+        assert_eq!(rep.summary().unwrap().ranges, naive_range_digests(rep));
+    };
+    let peer = |ids: &[u64]| {
+        let mut peer = Replica::new(1, StoreTier::Personal);
+        for &id in ids {
+            peer.register(&rec(id, 100, "recon", "v1")).unwrap();
+        }
+        peer
+    };
+
+    // The frame mirrors the range: new files, then the same units again.
+    let mut rep = Replica::new(2, StoreTier::Personal);
+    receive(&mut rep, peer(&ids).units_in_range(3).unwrap());
+    receive(&mut rep, peer(&ids).units_in_range(3).unwrap());
+    // A resident file the frame does not mention.
+    receive(&mut rep, peer(&ids[..2]).units_in_range(3).unwrap());
+    // A resident revision that beats the incoming one.
+    rep.revise(&rec(ids[0], 100, "recon", "v2")).unwrap();
+    receive(&mut rep, peer(&ids).units_in_range(3).unwrap());
+    // A resident quarantine register the incoming unit does not carry.
+    let mut rep = Replica::new(2, StoreTier::Personal);
+    receive(&mut rep, peer(&ids).units_in_range(3).unwrap());
+    rep.quarantine(ids[1], "bad tape").unwrap();
+    receive(&mut rep, peer(&ids).units_in_range(3).unwrap());
+    // ... and one that the incoming register supersedes.
+    let mut flagged = peer(&ids);
+    flagged.quarantine(ids[1], "bad tape").unwrap();
+    flagged.release(ids[1]).unwrap();
+    receive(&mut rep, flagged.units_in_range(3).unwrap());
+    assert!(!rep.store().is_quarantined(ids[1]));
 }
 
 #[test]
 fn torn_journal_tail_is_truncated_on_recovery() {
-    let dir = std::env::temp_dir().join("sciflow-replica-torn");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("torn");
     let mut rep = Replica::durable(4, StoreTier::Personal, &dir).unwrap();
     rep.register(&rec(1, 100, "recon", "v1")).unwrap();
     rep.register(&rec(2, 101, "recon", "v1")).unwrap();
@@ -408,13 +581,11 @@ fn torn_journal_tail_is_truncated_on_recovery() {
     // A non-journal file is a typed error, not a truncation.
     std::fs::write(&journal, b"not a journal at all").unwrap();
     assert!(matches!(Replica::recover(&dir), Err(ReplicaError::CorruptJournal { .. })));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn checkpoint_truncates_journal_and_recovery_still_matches() {
-    let dir = std::env::temp_dir().join("sciflow-replica-checkpoint");
-    std::fs::remove_dir_all(&dir).ok();
+    let dir = scratch("checkpoint");
     let mut rep = Replica::durable(6, StoreTier::Group, &dir).unwrap();
     for i in 0..10 {
         rep.register(&rec(i, 100 + i as u32, "recon", "v1")).unwrap();
@@ -429,7 +600,6 @@ fn checkpoint_truncates_journal_and_recovery_still_matches() {
     let rep = Replica::recover(&dir).unwrap();
     assert_eq!(rep.sealed_content().unwrap(), want);
     assert_eq!(rep.store().file_count(), 11);
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

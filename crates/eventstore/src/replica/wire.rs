@@ -7,7 +7,9 @@
 use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
 use sciflow_core::frame::{put_str, put_u16, put_u32, put_u64, put_u8, Reader};
 
-use super::{QState, ReplicaError, ReplicaResult, NUM_RANGES};
+use super::{
+    decode_unit, encode_unit, range_of, FileUnit, QState, ReplicaError, ReplicaResult, NUM_RANGES,
+};
 
 // Anti-entropy message kinds.
 pub(crate) const MSG_SUMMARY: u8 = 0x01;
@@ -78,6 +80,53 @@ impl Summary {
         r.done()?;
         Ok(Summary { store, ranges, grades })
     }
+}
+
+// --- range messages -------------------------------------------------------
+
+/// Bytes of a range message ahead of its units: range `u16`, count `u32`.
+/// What follows is the canonical encoding of the range, whose FNV is the
+/// range's digest.
+pub(crate) const RANGE_HEAD: usize = 6;
+
+pub(crate) fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u16(&mut buf, range as u16);
+    put_u32(&mut buf, units.len() as u32);
+    for u in units {
+        buf.extend_from_slice(&encode_unit(u));
+    }
+    buf
+}
+
+/// Decode a range message and hold it to what an honest sender produces:
+/// every unit filed under its own range, ids strictly ascending, and bytes
+/// that are exactly the encoding of what they decode to.
+pub(crate) fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<FileUnit>)> {
+    let corrupt = |detail: String| Err(ReplicaError::CorruptMessage { detail });
+    let mut r = Reader::new(payload);
+    let range = r.u16()? as usize;
+    if range >= NUM_RANGES {
+        return corrupt(format!("range {range} out of bounds"));
+    }
+    let n = r.u32()? as usize;
+    let mut units: Vec<FileUnit> = Vec::with_capacity(n.min(4096));
+    for _ in 0..n {
+        let unit = decode_unit(&mut r)?;
+        let id = unit.record.id;
+        if range_of(id) != range {
+            return corrupt(format!("file {id} does not belong to range {range}"));
+        }
+        if units.last().is_some_and(|prev| prev.record.id >= id) {
+            return corrupt(format!("file {id} out of order in range {range}"));
+        }
+        units.push(unit);
+    }
+    r.done()?;
+    if encode_range_msg(range, &units) != payload {
+        return corrupt(format!("range {range} is not canonically encoded"));
+    }
+    Ok((range, units))
 }
 
 // --- grade rows ---------------------------------------------------------

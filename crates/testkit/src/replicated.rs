@@ -16,6 +16,7 @@
 
 use std::collections::BTreeSet;
 
+use rand::rngs::StdRng;
 use rand::Rng;
 use sciflow_core::fault::{FaultPlan, FaultProfile};
 use sciflow_core::md5::md5;
@@ -120,79 +121,104 @@ impl ReplicatedScenario {
         Ok((replicas, rounds))
     }
 
-    /// Replay one replica's generated operation history onto `replica`.
-    /// File ids are partitioned per replica (`(index+1) * 100_000 + n`), so
-    /// registrations never collide across stores and every conflict the
-    /// fleet sees is a genuine concurrent revision arriving via sync.
+    /// The generated operation history of replica `index`, to be replayed
+    /// one [`History::step`] at a time. File ids are partitioned per
+    /// replica (`(index+1) * 100_000 + n`), so registrations never collide
+    /// across stores and every conflict the fleet sees is a genuine
+    /// concurrent revision arriving via sync.
+    pub fn history(&self, index: usize) -> History {
+        History {
+            rng: seeded_rng(derive_seed(self.seed, &format!("replica-ops-{index}"))),
+            index,
+            own_ids: Vec::new(),
+            next_id: (index as u64 + 1) * 100_000,
+            snapshot_count: 0,
+        }
+    }
+
     fn generate_history(&self, index: usize, replica: &mut Replica) -> ReplicaResult<()> {
-        let mut rng = seeded_rng(derive_seed(self.seed, &format!("replica-ops-{index}")));
-        let mut own_ids: Vec<u64> = Vec::new();
-        let mut next_id = (index as u64 + 1) * 100_000;
-        let mut snapshot_count = 0u32;
-        for _ in 0..self.ops {
-            let roll: u32 = rng.gen_range(0..100);
-            match roll {
-                // Register a brand-new file (the common operation).
-                0..=54 => {
-                    let record = self.generated_record(&mut rng, next_id, index);
-                    replica.register(&record)?;
-                    own_ids.push(next_id);
-                    next_id += 1;
+        let mut history = self.history(index);
+        (0..self.ops).try_for_each(|_| history.step(replica))
+    }
+}
+
+/// One replica's seeded operation stream ([`ReplicatedScenario::history`]).
+#[derive(Debug)]
+pub struct History {
+    rng: StdRng,
+    index: usize,
+    own_ids: Vec<u64>,
+    next_id: u64,
+    snapshot_count: u32,
+}
+
+impl History {
+    /// Apply the next generated operation to `replica`.
+    pub fn step(&mut self, replica: &mut Replica) -> ReplicaResult<()> {
+        let History { rng, index, own_ids, next_id, snapshot_count } = self;
+        let index = *index;
+        let roll: u32 = rng.gen_range(0..100);
+        match roll {
+            // Register a brand-new file (the common operation).
+            0..=54 => {
+                let record = generated_record(rng, *next_id, index);
+                replica.register(&record)?;
+                own_ids.push(*next_id);
+                *next_id += 1;
+            }
+            // Revise an existing file's metadata.
+            55..=74 if !own_ids.is_empty() => {
+                let id = own_ids[rng.gen_range(0..own_ids.len())];
+                let record = generated_record(rng, id, index);
+                replica.revise(&record)?;
+            }
+            // Flag a file after a failed integrity check.
+            75..=84 if !own_ids.is_empty() => {
+                let id = own_ids[rng.gen_range(0..own_ids.len())];
+                replica.quarantine(id, &format!("verify failed at store {}", index + 1))?;
+            }
+            // Repair and release.
+            85..=89 if !own_ids.is_empty() => {
+                let quarantined = replica.store().quarantined_files();
+                if let Some(&id) = quarantined.first() {
+                    replica.release(id)?;
                 }
-                // Revise an existing file's metadata.
-                55..=74 if !own_ids.is_empty() => {
-                    let id = own_ids[rng.gen_range(0..own_ids.len())];
-                    let record = self.generated_record(&mut rng, id, index);
-                    replica.revise(&record)?;
-                }
-                // Flag a file after a failed integrity check.
-                75..=84 if !own_ids.is_empty() => {
-                    let id = own_ids[rng.gen_range(0..own_ids.len())];
-                    replica.quarantine(id, &format!("verify failed at store {}", index + 1))?;
-                }
-                // Repair and release.
-                85..=89 if !own_ids.is_empty() => {
-                    let quarantined = replica.store().quarantined_files();
-                    if let Some(&id) = quarantined.first() {
-                        replica.release(id)?;
-                    }
-                }
-                // Declare a grade snapshot (strictly advancing dates per
-                // replica, so local declarations always validate).
-                _ => {
-                    let grade = GRADES[rng.gen_range(0..GRADES.len())];
-                    let date = ordinal_date(index as u32 * 1_000 + snapshot_count);
-                    snapshot_count += 1;
-                    let first = rng.gen_range(1..5_000u32);
-                    let entry = GradeEntry {
-                        runs: RunRange::new(first, first + rng.gen_range(0..200u32)).unwrap(),
-                        kind: KINDS[rng.gen_range(0..KINDS.len())].into(),
-                        version: format!("v{}-{}", index + 1, snapshot_count),
-                    };
-                    // Concurrent same-grade declarations at different
-                    // replicas land on different dates by construction, so
-                    // every union the fleet performs is per-snapshot.
-                    replica.declare_snapshot(grade, date, vec![entry])?;
-                }
+            }
+            // Declare a grade snapshot (strictly advancing dates per
+            // replica, so local declarations always validate).
+            _ => {
+                let grade = GRADES[rng.gen_range(0..GRADES.len())];
+                let date = ordinal_date(index as u32 * 1_000 + *snapshot_count);
+                *snapshot_count += 1;
+                let first = rng.gen_range(1..5_000u32);
+                let entry = GradeEntry {
+                    runs: RunRange::new(first, first + rng.gen_range(0..200u32)).unwrap(),
+                    kind: KINDS[rng.gen_range(0..KINDS.len())].into(),
+                    version: format!("v{}-{}", index + 1, snapshot_count),
+                };
+                // Concurrent same-grade declarations at different
+                // replicas land on different dates by construction, so
+                // every union the fleet performs is per-snapshot.
+                replica.declare_snapshot(grade, date, vec![entry])?;
             }
         }
         Ok(())
     }
+}
 
-    fn generated_record(&self, rng: &mut impl Rng, id: u64, index: usize) -> FileRecord {
-        let kind = KINDS[rng.gen_range(0..KINDS.len())];
-        let version = format!("{kind}-r{}-{}", index + 1, rng.gen_range(0..1_000u32));
-        let first = rng.gen_range(1..50_000u32);
-        FileRecord {
-            id,
-            runs: RunRange::new(first, first + rng.gen_range(0..100u32)).unwrap(),
-            kind: kind.into(),
-            version: version.clone(),
-            site: format!("site-{}", index + 1),
-            registered: ordinal_date(rng.gen_range(0..5_000u32)),
-            location: format!("/store{}/{kind}/{id}", index + 1),
-            prov_digest: md5(format!("{id}:{version}").as_bytes()),
-        }
+fn generated_record(rng: &mut impl Rng, id: u64, index: usize) -> FileRecord {
+    let kind = KINDS[rng.gen_range(0..KINDS.len())];
+    let version = format!("{kind}-r{}-{}", index + 1, rng.gen_range(0..1_000u32));
+    let first = rng.gen_range(1..50_000u32);
+    FileRecord {
+        id,
+        runs: RunRange::new(first, first + rng.gen_range(0..100u32)).unwrap(),
+        kind: kind.into(),
+        version: version.clone(),
+        site: format!("site-{}", index + 1),
+        registered: ordinal_date(rng.gen_range(0..5_000u32)),
+        location: format!("/store{}/{kind}/{id}", index + 1),
+        prov_digest: md5(format!("{id}:{version}").as_bytes()),
     }
 }
 

@@ -10,7 +10,9 @@
 //!   present at every store;
 //! * a replica killed at a seed-derived point mid-apply recovers through
 //!   its journal and still converges — a typed error or identical bytes,
-//!   never silent divergence.
+//!   never silent divergence;
+//! * at every step on the way there, what a replica answers from its range
+//!   index is what the naive walk over the whole store computes.
 //!
 //! CI sweeps `FAULT_MATRIX_SEED` over these tests; locally they run at the
 //! default seed.
@@ -19,13 +21,16 @@ use std::env;
 use std::fs;
 
 use sciflow_core::fault::{FaultPlan, FaultProfile};
+use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
 use sciflow_core::md5::md5;
 use sciflow_core::units::SimDuration;
 use sciflow_core::version::CalDate;
-use sciflow_eventstore::replica::{Replica, ReplicaError, SyncFabric, SyncLink};
-use sciflow_eventstore::{sync_once, FileRecord, RunRange, StoreTier};
+use sciflow_eventstore::replica::{
+    encode_unit, range_of, Replica, ReplicaError, SyncFabric, SyncLink, NUM_RANGES,
+};
+use sciflow_eventstore::{sync_once, EventStore, FileRecord, FileUnit, RunRange, StoreTier};
 use sciflow_testkit::{
-    assert_convergence, derive_seed, matrix_seed, registered_ids, ReplicatedScenario,
+    assert_convergence, derive_seed, matrix_seed, registered_ids, History, ReplicatedScenario,
 };
 
 fn record(id: u64, run: u32, version: &str) -> FileRecord {
@@ -274,5 +279,118 @@ fn replication_lag_is_conserved_across_the_sweep() {
             hub.value("repl_rounds_to_quiescence").unwrap_or(0) >= 1,
             "seed {seed}: quiescence round must be recorded"
         );
+    }
+}
+
+/// The reference the range index replaced, computed the slow way from the
+/// file table: every unit folded, in id order, into its range's digest, and
+/// a range's units found by filtering all of them. The grade digest is
+/// checked against a replica adopted from a byte copy of the store, whose
+/// caches start empty.
+fn assert_index_matches_the_naive_fold(replica: &Replica, at: &str) {
+    let mut ids: Vec<u64> = replica.store().files().unwrap().iter().map(|f| f.id).collect();
+    ids.sort_unstable();
+    let units = replica.units().unwrap();
+    assert_eq!(units.iter().map(|u| u.record.id).collect::<Vec<_>>(), ids, "{at}: units()");
+    for u in &units {
+        assert_eq!(replica.unit(u.record.id).unwrap().as_ref(), Some(u), "{at}: units()");
+    }
+
+    let mut ranges = [FNV_OFFSET; NUM_RANGES];
+    for u in &units {
+        let r = range_of(u.record.id);
+        ranges[r] = fnv1a_update(ranges[r], &encode_unit(u));
+    }
+    let summary = replica.summary().unwrap();
+    assert_eq!(summary.ranges, ranges, "{at}: range digests");
+    for r in 0..NUM_RANGES {
+        let naive: Vec<FileUnit> =
+            units.iter().filter(|u| range_of(u.record.id) == r).cloned().collect();
+        assert_eq!(replica.units_in_range(r).unwrap(), naive, "{at}: units_in_range({r})");
+    }
+
+    let copy = EventStore::from_bytes(&replica.store().to_bytes()).unwrap();
+    let fresh = Replica::adopt(copy, replica.id()).unwrap();
+    assert_eq!(fresh.summary().unwrap(), summary, "{at}: summary of a fresh adoption");
+    assert_eq!(fresh.sealed_content().unwrap(), replica.sealed_content().unwrap(), "{at}");
+}
+
+/// The differential test behind the range index: three replicas (two of
+/// them durable) replay seeded histories one operation at a time, with
+/// sessions over chaos links, checkpoints, a crash-less recovery and an
+/// adoption interleaved, and after every step each replica touched must
+/// answer `summary`, `units` and `units_in_range` exactly as the naive
+/// fold does. A digest left cached across any mutation fails here.
+#[test]
+fn range_index_matches_the_naive_fold_after_every_step() {
+    let base = matrix_seed(42);
+    for label in ["index-a", "index-b"] {
+        let seed = derive_seed(base, label);
+        let scenario = ReplicatedScenario::new(seed).with_replicas(3);
+        let dirs = [0, 1].map(|i| {
+            let name = format!("sciflow-replica-index-{}-{seed}-{i}", std::process::id());
+            let dir = env::temp_dir().join(name);
+            fs::remove_dir_all(&dir).ok();
+            dir
+        });
+        let mut replicas = vec![
+            Replica::durable(1, StoreTier::Collaboration, &dirs[0]).unwrap(),
+            Replica::durable(2, StoreTier::Group, &dirs[1]).unwrap(),
+            Replica::new(3, StoreTier::Personal),
+        ];
+        let mut histories: Vec<History> = (0..3).map(|i| scenario.history(i)).collect();
+        let mut links =
+            [(0, 1), (1, 2), (2, 0)].map(|(a, b)| (a, b, SyncLink::new(scenario.link_plan(a, b))));
+        let mut sessions = 0;
+
+        for step in 0..48 {
+            for (i, history) in histories.iter_mut().enumerate() {
+                match history.step(&mut replicas[i]) {
+                    // A snapshot dated before one a session brought in is
+                    // refused; the replica must be left exactly as it was.
+                    Ok(()) | Err(ReplicaError::Store(_)) => {}
+                    Err(e) => panic!("seed {seed} step {step}: {e}"),
+                }
+                assert_index_matches_the_naive_fold(&replicas[i], &format!("{seed}/{step}/op{i}"));
+            }
+            if step % 3 == 2 {
+                let (a, b, link) = &mut links[(step / 3) % 3];
+                let [ra, rb] = replicas.get_disjoint_mut([*a, *b]).unwrap();
+                match sync_once(ra, rb, link) {
+                    Ok(_) => sessions += 1,
+                    Err(ReplicaError::Partitioned { .. }) => link.heal(),
+                    Err(ReplicaError::SessionDropped) => {}
+                    Err(e) => panic!("seed {seed} step {step}: {e}"),
+                }
+                for i in [*a, *b] {
+                    assert_index_matches_the_naive_fold(
+                        &replicas[i],
+                        &format!("{seed}/{step}/sync{i}"),
+                    );
+                }
+            }
+            if step % 16 == 7 {
+                replicas[0].checkpoint().unwrap();
+                assert_index_matches_the_naive_fold(&replicas[0], &format!("{seed}/{step}/ckpt"));
+            }
+            if step % 16 == 15 {
+                // Replica 1 never checkpoints: recovery replays its whole
+                // journal, which holds only the state-changing history.
+                let before = replicas.remove(1);
+                let (summary, content) =
+                    (before.summary().unwrap(), before.sealed_content().unwrap());
+                drop(before);
+                let recovered = Replica::recover(&dirs[1]).unwrap();
+                assert_eq!(recovered.summary().unwrap(), summary, "{seed}/{step}/recover");
+                assert_eq!(recovered.sealed_content().unwrap(), content, "{seed}/{step}/recover");
+                assert_index_matches_the_naive_fold(&recovered, &format!("{seed}/{step}/recover"));
+                replicas.insert(1, recovered);
+            }
+        }
+        assert!(sessions >= 8, "seed {seed}: only {sessions} sessions got through the chaos");
+        drop(replicas);
+        for dir in &dirs {
+            fs::remove_dir_all(dir).ok();
+        }
     }
 }
