@@ -25,7 +25,7 @@ use sciflow_weblab::flow::{weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
 pub const BENCH_RECORD: &str = "BENCH_10";
 
 /// Snapshot cadence of the `stress+snapshot` row: one sealed journal frame
-/// per this many events (~300 frames over the ~3M-event stress flow).
+/// per this many events (~200 frames over the 2 009 000-event stress flow).
 pub const SNAPSHOT_EVERY: u64 = 10_000;
 
 /// Records registered by the `es-ingest` row.

@@ -31,9 +31,9 @@ use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::frame;
 use crate::graph::{CheckpointPolicy, StageId};
-use crate::metrics::StageMetrics;
+use crate::metrics::{RunMetrics, StageMetrics};
 use crate::resource::{ResourceId, ResourceSet, StorageLedger};
-use crate::trace::{TraceCtx, TraceEvent};
+use crate::trace::{FaultKind, FaultScope, TraceCtx, TraceEvent};
 use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
 
 /// The one event type flowing through the engine. Everything the simulator
@@ -122,7 +122,7 @@ pub struct StageCtx<'a> {
     stage: StageId,
     flow: &'a CompiledFlow,
     sched: &'a mut Scheduler<FlowEvent>,
-    metrics: &'a mut [StageMetrics],
+    metrics: &'a mut RunMetrics,
     ledger: &'a mut StorageLedger,
     resources: &'a mut ResourceSet,
     faults: &'a mut Option<FaultCtx>,
@@ -136,7 +136,7 @@ impl<'a> StageCtx<'a> {
         stage: StageId,
         flow: &'a CompiledFlow,
         sched: &'a mut Scheduler<FlowEvent>,
-        metrics: &'a mut [StageMetrics],
+        metrics: &'a mut RunMetrics,
         ledger: &'a mut StorageLedger,
         resources: &'a mut ResourceSet,
         faults: &'a mut Option<FaultCtx>,
@@ -156,9 +156,11 @@ impl<'a> StageCtx<'a> {
         self.sched.now()
     }
 
-    /// Metrics of the current stage.
+    /// Metrics of the current stage. Escaped taint is not counted through
+    /// this: [`StageCtx::deliver_tainted`] does it, so the flow-wide total
+    /// the SLO path reads stays in step.
     pub fn metrics(&mut self) -> &mut StageMetrics {
-        &mut self.metrics[self.stage.index()]
+        &mut self.metrics[self.stage]
     }
 
     /// The flow-wide storage ledger.
@@ -224,7 +226,7 @@ impl<'a> StageCtx<'a> {
         let from = Some(self.stage);
         let downstream = self.flow.downstream(self.stage);
         if downstream.is_empty() {
-            self.metrics[self.stage.index()].corrupt_escaped += taint as u64;
+            self.metrics.note_escaped(self.stage, taint);
             return;
         }
         for (i, &t) in downstream.iter().enumerate() {
@@ -715,9 +717,8 @@ impl StageBehavior for ProcessBehavior {
         ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume: input, units });
         if stalls > 0 {
             ctx.emit(|| TraceEvent::FaultInjected {
-                stage: Some(stage),
-                resource: None,
-                kind: "stall",
+                scope: FaultScope::Stage(stage),
+                kind: FaultKind::Stall,
                 count: stalls as u64,
             });
         }
@@ -903,9 +904,8 @@ impl TransferBehavior {
         });
         if link_faults > 0 {
             ctx.emit(|| TraceEvent::FaultInjected {
-                stage: Some(stage),
-                resource: None,
-                kind: "link",
+                scope: FaultScope::Stage(stage),
+                kind: FaultKind::Link,
                 count: link_faults,
             });
         }
@@ -915,9 +915,8 @@ impl TransferBehavior {
                     ctx.metrics().corrupt_injected += outcome.silent_corrupts as u64;
                     let count = outcome.silent_corrupts as u64;
                     ctx.emit(|| TraceEvent::FaultInjected {
-                        stage: Some(stage),
-                        resource: None,
-                        kind: "silent-corrupt",
+                        scope: FaultScope::Stage(stage),
+                        kind: FaultKind::SilentCorrupt,
                         count,
                     });
                 }

@@ -27,9 +27,10 @@
 //!   [`CriticalPathReport::unattributed`] it tiles the makespan exactly.
 
 use crate::graph::StageId;
-use crate::trace::{TraceEvent, TraceSnapshot};
+use crate::trace::{Span, TraceEvent, TraceSnapshot};
 use crate::units::{SimDuration, SimTime};
 
+use std::cmp::Reverse;
 use std::fmt;
 
 /// One interval of the critical chain, attributed to the stage whose
@@ -130,7 +131,8 @@ impl fmt::Display for CriticalPathReport {
 /// is charged to its stage and the walk jumps there. Intervals where nothing
 /// ran anywhere become `stage: None` segments. The walk is deterministic
 /// (ties prefer the later-starting span, then the lower stage id) and the
-/// resulting segments tile `[0, makespan]` exactly.
+/// resulting segments tile `[0, makespan]` exactly. It costs one sort of the
+/// spans plus one pass over them.
 pub fn critical_path(snapshot: &TraceSnapshot, makespan: SimTime) -> CriticalPathReport {
     let spans = snapshot.spans();
     let n_stages = snapshot
@@ -139,42 +141,7 @@ pub fn critical_path(snapshot: &TraceSnapshot, makespan: SimTime) -> CriticalPat
         .len()
         .max(spans.iter().map(|s| s.stage.index() + 1).max().unwrap_or(0));
 
-    // Backward last-responsible-activity walk.
-    let mut segments: Vec<PathSegment> = Vec::new();
-    let mut t = makespan;
-    while t > SimTime::ZERO {
-        let mut best: Option<(SimTime, usize)> = None; // (clamped end, span idx)
-        for (i, s) in spans.iter().enumerate() {
-            if s.start >= t {
-                continue;
-            }
-            let key = s.end.min(t);
-            let better = match best {
-                None => true,
-                Some((bk, bi)) => {
-                    let b = &spans[bi];
-                    key > bk
-                        || (key == bk
-                            && (s.start > b.start
-                                || (s.start == b.start && s.stage.index() < b.stage.index())))
-                }
-            };
-            if better {
-                best = Some((key, i));
-            }
-        }
-        let Some((key, i)) = best else {
-            segments.push(PathSegment { stage: None, start: SimTime::ZERO, end: t });
-            break;
-        };
-        if key < t {
-            segments.push(PathSegment { stage: None, start: key, end: t });
-        }
-        let s = &spans[i];
-        segments.push(PathSegment { stage: Some(s.stage), start: s.start, end: key });
-        t = s.start;
-    }
-    segments.reverse();
+    let segments = last_responsible_chain(&spans, makespan);
 
     // Wall-clock interval sets per stage: activity (from spans) and
     // queued-input (from queue-depth changes), both clamped to the makespan.
@@ -244,6 +211,69 @@ pub fn critical_path(snapshot: &TraceSnapshot, makespan: SimTime) -> CriticalPat
     }
 
     CriticalPathReport { makespan, segments, stages, unattributed }
+}
+
+/// The backward last-responsible-activity walk, in time order.
+///
+/// At time `t` the candidates are the spans with `start < t`, each keyed by
+/// `min(end, t)`; the walk takes the largest key, ties going to the later
+/// start, then the lower stage id (the span index only makes the order
+/// total: spans still tied produce the same segment). Sorting the spans by
+/// `(start, stage descending, index descending)` turns both halves of that
+/// into positions: the candidates are a prefix, which only shrinks as `t`
+/// falls, and among equal keys the winner is the one sorted last.
+///
+/// * If some candidate is still running at `t` (the prefix's largest `end`
+///   reaches `t`), every such span has key `t`, so the winner is the last of
+///   them in the prefix: scan back from the prefix's end. The walk then jumps
+///   to the winner's start, which drops the winner and everything scanned
+///   (all sorted after it, so starting no earlier) out of the prefix — each
+///   span is scanned at most once over the whole walk.
+/// * Otherwise nothing ran at `t`, the key is `end`, and the winner is the
+///   prefix's arg-max of `end` with ties to the later position, read from a
+///   table built in one pass.
+fn last_responsible_chain(spans: &[Span], makespan: SimTime) -> Vec<PathSegment> {
+    let mut order: Vec<usize> = (0..spans.len()).collect();
+    order.sort_unstable_by_key(|&i| (spans[i].start, Reverse(spans[i].stage), Reverse(i)));
+    // latest_end[p]: the position in `order[..=p]` of the span ending last,
+    // the later position on ties.
+    let mut latest_end: Vec<usize> = Vec::with_capacity(order.len());
+    for (p, &i) in order.iter().enumerate() {
+        match latest_end.last() {
+            Some(&q) if spans[order[q]].end > spans[i].end => latest_end.push(q),
+            _ => latest_end.push(p),
+        }
+    }
+
+    let mut segments: Vec<PathSegment> = Vec::new();
+    let mut t = makespan;
+    // `order[..live]` are the spans starting before `t`.
+    let mut live = order.partition_point(|&i| spans[i].start < t);
+    while t > SimTime::ZERO {
+        if live == 0 {
+            segments.push(PathSegment { stage: None, start: SimTime::ZERO, end: t });
+            break;
+        }
+        let mut p = latest_end[live - 1];
+        let key = spans[order[p]].end.min(t);
+        if key == t {
+            p = live - 1;
+            while spans[order[p]].end < t {
+                p -= 1;
+            }
+        } else {
+            segments.push(PathSegment { stage: None, start: key, end: t });
+        }
+        let s = &spans[order[p]];
+        segments.push(PathSegment { stage: Some(s.stage), start: s.start, end: key });
+        t = s.start;
+        live = p;
+        while live > 0 && spans[order[live - 1]].start >= t {
+            live -= 1;
+        }
+    }
+    segments.reverse();
+    segments
 }
 
 /// Sort intervals and coalesce overlaps/adjacency.

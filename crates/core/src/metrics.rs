@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::graph::StageId;
 use crate::obs::Alert;
 use crate::units::{DataVolume, SimDuration, SimTime};
 
@@ -62,6 +63,69 @@ impl StageMetrics {
     pub(crate) fn note_queue(&mut self, blocks: usize, volume: DataVolume) {
         self.max_queue_blocks = self.max_queue_blocks.max(blocks);
         self.max_queue_volume = self.max_queue_volume.max(volume);
+    }
+}
+
+/// The per-stage counters of a live run plus the one flow-wide total that is
+/// read per event: taint escaped past every verifier, which the
+/// `escaped_taint` SLO compares against its ceiling on every event. The
+/// total is kept beside the counters so that read is O(1).
+/// [`RunMetrics::note_escaped`] is the only code that writes
+/// [`StageMetrics::corrupt_escaped`] during a run; a write that went around
+/// it would leave the total behind, which `FlowSim::report` checks.
+pub(crate) struct RunMetrics {
+    stages: Vec<StageMetrics>,
+    /// Σ `stages[i].corrupt_escaped`.
+    escaped: u64,
+}
+
+impl RunMetrics {
+    pub(crate) fn new(stages: usize) -> Self {
+        RunMetrics { stages: vec![StageMetrics::default(); stages], escaped: 0 }
+    }
+
+    /// Adopt counters decoded from a snapshot. The total is derived, not
+    /// persisted: it is a function of the counters, and writing it would
+    /// change the snapshot bytes for a value a restore can recompute.
+    pub(crate) fn restored(stages: Vec<StageMetrics>) -> Self {
+        let mut m = RunMetrics { stages, escaped: 0 };
+        m.escaped = m.escaped_sum();
+        m
+    }
+
+    /// `taint` units reached consumers unchecked at `stage`.
+    pub(crate) fn note_escaped(&mut self, stage: StageId, taint: u32) {
+        self.stages[stage.index()].corrupt_escaped += taint as u64;
+        self.escaped += taint as u64;
+    }
+
+    /// Taint escaped flow-wide so far.
+    pub(crate) fn escaped(&self) -> u64 {
+        self.escaped
+    }
+
+    /// The same total recomputed from the counters, O(stages): what a
+    /// restore derives and what the end-of-run consistency check compares.
+    pub(crate) fn escaped_sum(&self) -> u64 {
+        self.stages.iter().map(|m| m.corrupt_escaped).sum()
+    }
+
+    pub(crate) fn stages(&self) -> &[StageMetrics] {
+        &self.stages
+    }
+}
+
+impl std::ops::Index<StageId> for RunMetrics {
+    type Output = StageMetrics;
+
+    fn index(&self, stage: StageId) -> &StageMetrics {
+        &self.stages[stage.index()]
+    }
+}
+
+impl std::ops::IndexMut<StageId> for RunMetrics {
+    fn index_mut(&mut self, stage: StageId) -> &mut StageMetrics {
+        &mut self.stages[stage.index()]
     }
 }
 

@@ -35,13 +35,13 @@ use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
 use crate::frame;
 use crate::graph::{FlowGraph, StageId, VerifyPolicy};
-use crate::metrics::{EngineStats, SimReport, StageMetrics, TimeSeries, TsSample};
+use crate::metrics::{EngineStats, RunMetrics, SimReport, StageMetrics, TimeSeries, TsSample};
 #[cfg(test)]
 use crate::obs::SloRule;
 use crate::obs::{Alert, MetricsHub, SloKind, SloState};
 use crate::resource::{ResourceDyn, ResourceId, ResourceSet};
 use crate::slab::Slab;
-use crate::trace::{Observer, TraceCtx, TraceEvent, TraceMeta};
+use crate::trace::{self, FaultScope, Observer, TraceCtx, TraceEvent, TraceMeta};
 use crate::units::{DataVolume, SimDuration, SimTime};
 
 use std::fmt::Write as _;
@@ -114,7 +114,7 @@ pub struct FlowSim {
     flow: CompiledFlow,
     /// One behavior per stage; taken out while its hook runs.
     behaviors: Vec<Option<Box<dyn StageBehavior>>>,
-    metrics: Vec<StageMetrics>,
+    metrics: RunMetrics,
     resources: ResourceSet,
     ledger: StorageLedger,
     /// Number of source blocks still to be emitted.
@@ -164,9 +164,11 @@ pub struct FlowSim {
     /// Metrics hub, if one was attached ([`FlowSim::with_metrics`]).
     /// Recording is strictly write-only from the simulation's point of
     /// view: nothing in the run loop ever reads a metric back, so the
-    /// disabled path costs one `Option` check and the enabled path cannot
-    /// perturb the run.
+    /// enabled path cannot perturb the run, and nothing is recorded per
+    /// event, so neither path costs anything there.
     obs: Option<MetricsHub>,
+    /// Engine events already added to the hub's `sim_events_total`.
+    events_counted: u64,
     /// SLO rules resolved to id-indexed targets, with their automata.
     slo_monitors: Vec<SloMonitor>,
     /// Completed alert windows, in resolution order.
@@ -276,7 +278,7 @@ impl FlowSim {
             };
             behaviors.push(Some(behavior));
         }
-        let metrics = vec![StageMetrics::default(); flow.len()];
+        let metrics = RunMetrics::new(flow.len());
         let (sampler, sample_pools) = match flow.observe_config() {
             Some(cfg) => {
                 if cfg.tick.is_zero() {
@@ -353,6 +355,7 @@ impl FlowSim {
             snap_buf: Vec::new(),
             kill_after: None,
             obs: None,
+            events_counted: 0,
             slo_monitors,
             alerts: Vec::new(),
             last_snap_at: SimTime::ZERO,
@@ -438,9 +441,8 @@ impl FlowSim {
     /// renders the hub after the run. Recording is strictly one-way — the
     /// same seed and graph produce byte-identical [`SimReport`]s with or
     /// without a hub attached (pinned by `tests/obs_metrics.rs` against
-    /// every committed golden), and an unattached run pays one `Option`
-    /// check per event. Attach before [`FlowSim::resume_from`] so recovery
-    /// counters land in the hub.
+    /// every committed golden). Attach before [`FlowSim::resume_from`] so
+    /// recovery counters land in the hub.
     pub fn with_metrics(mut self, hub: MetricsHub) -> Self {
         self.obs = Some(hub);
         self
@@ -551,9 +553,20 @@ impl FlowSim {
     /// The engine steps out of its slot once, for the whole loop —
     /// `Engine::step` needs the simulator as the event handler, and
     /// shuffling the `Option` per event is measurable at stress scale.
+    ///
+    /// The hub's event counter is brought up to date here, on every way out
+    /// (quiescence, an exhausted budget, a kill, an error), so a caller can
+    /// never observe it behind `events_handled`.
     fn pump(&mut self, budget: Option<u64>) -> CoreResult<bool> {
         let mut engine = self.engine.take().expect("engine in place");
         let result = self.pump_engine(&mut engine, budget);
+        if let Some(h) = &self.obs {
+            let handled = engine.events_handled();
+            if handled > self.events_counted {
+                h.counter_add("sim_events_total", handled - self.events_counted);
+                self.events_counted = handled;
+            }
+        }
         self.engine = Some(engine);
         result
     }
@@ -814,7 +827,7 @@ impl FlowSim {
         }
         // Per-stage metrics, bitmap-compressed (most counters are zero for
         // most of a run, and snapshots are on the journaling hot path).
-        for m in &self.metrics {
+        for m in self.metrics.stages() {
             put_metrics(out, m);
         }
         let (current, peak, retained, underflows) = self.ledger.export();
@@ -962,9 +975,9 @@ impl FlowSim {
                 .load_state(blob)
                 .map_err(|e| corrupt(format!("stage `{}`: {e}", self.flow.name(id))))?;
         }
-        for id in self.flow.stage_ids() {
-            self.metrics[id.index()] = get_metrics(&mut r)?;
-        }
+        let metrics: CoreResult<Vec<StageMetrics>> =
+            (0..self.flow.len()).map(|_| get_metrics(&mut r)).collect();
+        self.metrics = RunMetrics::restored(metrics?);
         self.ledger = StorageLedger::from_parts(r.u64()?, r.u64()?, r.u64()?, r.u64()?);
         let n = r.len()?;
         if n != self.resources.names().len() {
@@ -1090,6 +1103,9 @@ impl FlowSim {
         }
         r.done()?;
         self.engine = Some(Engine::from_snapshot(sched, self.max_events, handled, peak_pending));
+        // The hub counts what this process handles, not what the journaled
+        // one did before it.
+        self.events_counted = handled;
         // Re-anchor the snapshot cadence at the restored position.
         match self.snapshot_policy {
             SnapshotPolicy::None => {}
@@ -1150,9 +1166,8 @@ impl FlowSim {
             return;
         }
         self.trace.emit(sched.now(), || TraceEvent::FaultInjected {
-            stage: None,
-            resource: Some(rid.0),
-            kind: "crash",
+            scope: FaultScope::Resource(rid.0),
+            kind: trace::FaultKind::Crash,
             count: take as u64,
         });
         let mut shortfall = self.resources.crash(rid, take);
@@ -1222,7 +1237,7 @@ impl FlowSim {
                 // delivered to `cur`: replay that delivery. The replacement
                 // keeps the quarantined block's lineage id — it is the same
                 // logical block, re-materialised.
-                self.metrics[cur.index()].reprocessed_blocks += 1;
+                self.metrics[cur].reprocessed_blocks += 1;
                 sched.schedule(
                     sched.now(),
                     FlowEvent::Arrive { stage: cur, volume: vol, taint: 0, from: Some(u), lineage },
@@ -1270,7 +1285,7 @@ impl FlowSim {
             .flow
             .stage_ids()
             .filter(|&id| self.flow.sink(id))
-            .map(|id| self.metrics[id.index()].volume_in)
+            .map(|id| self.metrics[id].volume_in)
             .sum();
         if let Some(s) = self.sampler.as_mut() {
             s.samples.push(TsSample { at, queued, pool_in_use, sink_volume });
@@ -1303,14 +1318,21 @@ impl FlowSim {
         }
         let mut stages = Vec::with_capacity(self.flow.len());
         for id in self.flow.stage_ids() {
-            let mut m = self.metrics[id.index()].clone();
+            let mut m = self.metrics[id].clone();
             m.name = self.flow.name(id).to_string();
             m.final_queue_volume =
                 self.behaviors[id.index()].as_ref().expect("behavior in place").queued_volume();
             stages.push(m);
         }
-        // End-of-run engine gauges; counters along the way were recorded
-        // per event. Nothing here feeds back into the report.
+        // One writer keeps the SLO's escape total in step with the
+        // per-stage counters the report prints; a second one would show here.
+        assert_eq!(
+            self.metrics.escaped(),
+            self.metrics.escaped_sum(),
+            "corrupt_escaped was written around RunMetrics::note_escaped"
+        );
+        // End-of-run engine gauges; the event counter was brought up to date
+        // as the pump returned. Nothing here feeds back into the report.
         if let Some(h) = &self.obs {
             h.gauge_set("engine_events_handled", stats.events_handled);
             h.gauge_set("engine_peak_pending", stats.peak_pending as u64);
@@ -1364,8 +1386,10 @@ impl FlowSim {
     }
 
     /// Evaluate every attached SLO rule at `now`. Runs once per event, and
-    /// only when rules are attached; evaluation reads simulation state but
-    /// never writes it, so rules cannot perturb the run they watch.
+    /// only when rules are attached; each rule reads one value the run
+    /// already maintains, so an event costs O(rules) whatever the flow's
+    /// size. Evaluation reads simulation state but never writes it, so rules
+    /// cannot perturb the run they watch.
     fn eval_slos(&mut self, now: SimTime) {
         for i in 0..self.slo_monitors.len() {
             let (value, ceiling) = match self.slo_monitors[i].target {
@@ -1374,9 +1398,7 @@ impl FlowSim {
                         self.behaviors[stage].as_ref().expect("behavior in place").queued_volume();
                     (queued.bytes(), ceiling)
                 }
-                SloTarget::Escapes { ceiling } => {
-                    (self.metrics.iter().map(|m| m.corrupt_escaped).sum(), ceiling)
-                }
+                SloTarget::Escapes { ceiling } => (self.metrics.escaped(), ceiling),
                 SloTarget::SnapGap { max_gap } => {
                     // An unjournaled run commits no snapshot frames; there
                     // is no write cadence to stall, so the rule is inert.
@@ -1497,13 +1519,9 @@ impl EventHandler for FlowSim {
 
     fn handle(&mut self, ev: FlowEvent, sched: &mut Scheduler<FlowEvent>) {
         self.sample_up_to(sched.now());
-        // Hot-path instrumentation: one `Option` check when no hub is
-        // attached, one counter bump when one is. SLO evaluation sees the
-        // state as of the previous event (nothing fired in between), which
-        // keeps it a pure function of the event sequence.
-        if let Some(h) = &self.obs {
-            h.counter_add("sim_events_total", 1);
-        }
+        // SLO evaluation sees the state as of the previous event (nothing
+        // fired in between), which keeps it a pure function of the event
+        // sequence.
         if !self.slo_monitors.is_empty() {
             self.eval_slos(sched.now());
         }
@@ -1512,7 +1530,7 @@ impl EventHandler for FlowSim {
                 // Arrival bookkeeping is common to every kind: the block now
                 // occupies storage and counts as stage input.
                 self.ledger.alloc(volume);
-                let m = &mut self.metrics[stage.index()];
+                let m = &mut self.metrics[stage];
                 m.blocks_in += 1;
                 m.volume_in += volume;
                 // Arrival integrity check, per the stage's verify policy.
@@ -1532,7 +1550,7 @@ impl EventHandler for FlowSim {
                     }
                 };
                 if let Some(cost) = cost {
-                    let m = &mut self.metrics[stage.index()];
+                    let m = &mut self.metrics[stage];
                     m.verify_overhead += cost;
                     m.busy += cost;
                     let tainted = taint > 0;
@@ -1547,7 +1565,7 @@ impl EventHandler for FlowSim {
                         // Caught: quarantine the block (its buffer is
                         // released, it never reaches the stage proper) and
                         // try to replay it from a durable ancestor.
-                        let m = &mut self.metrics[stage.index()];
+                        let m = &mut self.metrics[stage];
                         m.corrupt_detected += taint as u64;
                         m.quarantined += 1;
                         self.trace.emit(sched.now(), || TraceEvent::BlockQuarantined {
@@ -1570,7 +1588,7 @@ impl EventHandler for FlowSim {
                 // consumers; count it once here and hand the behavior a
                 // clean block so it cannot be double-counted downstream.
                 let taint = if taint > 0 && self.flow.sink(stage) {
-                    self.metrics[stage.index()].corrupt_escaped += taint as u64;
+                    self.metrics.note_escaped(stage, taint);
                     0
                 } else {
                     taint
@@ -1589,9 +1607,8 @@ impl EventHandler for FlowSim {
             }
             FlowEvent::RepairResource { resource, units } => {
                 self.trace.emit(sched.now(), || TraceEvent::FaultInjected {
-                    stage: None,
-                    resource: Some(resource.0),
-                    kind: "repair",
+                    scope: FaultScope::Resource(resource.0),
+                    kind: trace::FaultKind::Repair,
                     count: units as u64,
                 });
                 self.resources.repair(resource, units);
@@ -2367,6 +2384,46 @@ mod tests {
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].rule, "no-escapes");
         assert_eq!(alerts[0].resolved_at, None, "escapes cannot un-escape");
+    }
+
+    /// The per-event sum the SLO path used to take is the reference here:
+    /// after every single event, and on a simulator restored from a snapshot
+    /// taken after the escape, the maintained total equals it.
+    #[test]
+    fn escape_total_equals_the_per_stage_sum_after_every_event() {
+        let (g, plan) = corrupting_setup(VerifyPolicy::None);
+        let sim = || {
+            FlowSim::new(g.clone(), vec![])
+                .unwrap()
+                .with_faults(plan.clone(), RetryPolicy::default())
+        };
+        let path = tmp("escape-total");
+        let mut stepped = sim();
+        let mut restored_after_escape = false;
+        while stepped.run_for(1).unwrap() {
+            assert_eq!(stepped.metrics.escaped(), stepped.metrics.escaped_sum());
+            if stepped.metrics.escaped() > 0 && !restored_after_escape {
+                stepped.snapshot_to(&path).unwrap();
+                let resumed = sim().resume_from(&path).unwrap();
+                assert_eq!(resumed.metrics.escaped(), stepped.metrics.escaped());
+                restored_after_escape = true;
+            }
+        }
+        assert!(restored_after_escape, "setup must actually leak taint");
+        assert_eq!(stepped.metrics.escaped(), stepped.metrics.escaped_sum());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A write to the per-stage field that goes around `note_escaped` is
+    /// what the end-of-run check exists to catch.
+    #[test]
+    #[should_panic(expected = "written around RunMetrics::note_escaped")]
+    fn an_escape_counted_around_the_helper_fails_the_run() {
+        let mut sim =
+            FlowSim::new(simple_graph(100.0, 0.5), vec![CpuPool::new("pool", 4)]).unwrap();
+        sim.run_for(1).unwrap();
+        sim.metrics[StageId(0)].corrupt_escaped += 1;
+        let _ = sim.run();
     }
 
     #[test]

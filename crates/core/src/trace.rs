@@ -23,7 +23,7 @@
 //! [`Span`]s that [`crate::critical`] walks for bottleneck attribution.
 
 use std::cell::RefCell;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::rc::Rc;
 
 use crate::graph::StageId;
@@ -59,11 +59,54 @@ pub struct TraceMeta {
     pub resources: Vec<String>,
 }
 
+/// What an injected fault hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultScope {
+    Stage(StageId),
+    /// A resource, by resource id (an index into [`TraceMeta::resources`]).
+    Resource(usize),
+    /// Neither; the exports render it as `"stage":null` on track 0.
+    None,
+}
+
+/// The kind of an injected fault effect. The exports print
+/// [`FaultKind::label`], so the labels are part of the trace format.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FaultKind {
+    /// A task stretched by a stall.
+    Stall,
+    /// A transfer attempt hit by a link fault (drop, stall, corruption,
+    /// rate degradation).
+    Link,
+    /// A transfer delivered a silently corrupted block.
+    SilentCorrupt,
+    /// Resource units went offline.
+    Crash,
+    /// Resource units came back from repair.
+    Repair,
+}
+
+impl FaultKind {
+    pub fn label(self) -> &'static str {
+        match self {
+            FaultKind::Stall => "stall",
+            FaultKind::Link => "link",
+            FaultKind::SilentCorrupt => "silent-corrupt",
+            FaultKind::Crash => "crash",
+            FaultKind::Repair => "repair",
+        }
+    }
+}
+
 /// One typed observation. Every variant is stamped by the observer callback
 /// with the simulated time it happened at; stages are identified by
 /// [`StageId`], blocks by their *lineage id* — the id of the source emission
 /// the data descends from, preserved across transfers, chunking, processing
 /// and reprocessing, so a block's whole lifetime can be stitched together.
+///
+/// A [`TraceRecorder`] keeps one `(SimTime, TraceEvent)` per event, millions
+/// on a stress run, so the size is pinned below: no variant may carry more
+/// than four words.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A compute/filter task started: `units` resource units working on
@@ -92,15 +135,8 @@ pub enum TraceEvent {
     TransferAbandon { stage: StageId, lineage: u64, volume: DataVolume },
     /// The stage's input queue changed to `blocks` entries / `volume` bytes.
     QueueDepthChange { stage: StageId, blocks: usize, volume: DataVolume },
-    /// `count` injected fault effects hit (`kind` is a stable label: a
-    /// transfer-attempt fault, a task stall, a silent corruption, a resource
-    /// crash or repair). Resource-level faults carry `resource`, not `stage`.
-    FaultInjected {
-        stage: Option<StageId>,
-        resource: Option<usize>,
-        kind: &'static str,
-        count: u64,
-    },
+    /// `count` injected fault effects of `kind` hit `scope`.
+    FaultInjected { scope: FaultScope, kind: FaultKind, count: u64 },
     /// A task banked `count` checkpoints costing `cost` of extra runtime.
     CheckpointWritten { stage: StageId, task: u64, count: u32, cost: SimDuration },
     /// An arrival integrity check ran, spending `cost`; `tainted` says
@@ -118,6 +154,8 @@ pub enum TraceEvent {
     CrashKill { stage: StageId, task: u64, lineage: u64, lost: SimDuration },
 }
 
+const _: () = assert!(std::mem::size_of::<TraceEvent>() <= 40);
+
 impl TraceEvent {
     /// The stage the event is scoped to, if any (resource-level faults have
     /// none).
@@ -133,7 +171,8 @@ impl TraceEvent {
             | TraceEvent::VerifyCheck { stage, .. }
             | TraceEvent::BlockQuarantined { stage, .. }
             | TraceEvent::CrashKill { stage, .. } => Some(*stage),
-            TraceEvent::FaultInjected { stage, .. } => *stage,
+            TraceEvent::FaultInjected { scope: FaultScope::Stage(stage), .. } => Some(*stage),
+            TraceEvent::FaultInjected { .. } => None,
         }
     }
 }
@@ -344,90 +383,92 @@ impl TraceSnapshot {
     /// across replays of the same seeded flow.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
+        self.write_jsonl(&mut out).expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_jsonl(&self, out: &mut String) -> fmt::Result {
+        let names = EscapedNames::of(&self.meta);
         for (at, ev) in &self.events {
             let t = at.as_micros();
             match ev {
                 TraceEvent::TaskStart { stage, task, lineage, volume, units } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"task_start\",\"stage\":\"{}\",\"task\":{task},\"lineage\":{lineage},\"volume\":{},\"units\":{units}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
-                ),
+                )?,
                 TraceEvent::TaskEnd { stage, task, lineage, volume } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"task_end\",\"stage\":\"{}\",\"task\":{task},\"lineage\":{lineage},\"volume\":{}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
-                ),
+                )?,
                 TraceEvent::TransferAttempt { stage, lineage, volume, attempt, duration } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"transfer_attempt\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"attempt\":{attempt},\"duration\":{}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
                     duration.as_micros(),
-                ),
+                )?,
                 TraceEvent::TransferRetry { stage, lineage, volume, attempt, backoff } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"transfer_retry\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"attempt\":{attempt},\"backoff\":{}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
                     backoff.as_micros(),
-                ),
+                )?,
                 TraceEvent::TransferAbandon { stage, lineage, volume } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"transfer_abandon\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
-                ),
+                )?,
                 TraceEvent::QueueDepthChange { stage, blocks, volume } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"queue_depth\",\"stage\":\"{}\",\"blocks\":{blocks},\"volume\":{}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
-                ),
-                TraceEvent::FaultInjected { stage, resource, kind, count } => {
-                    let scope = match (stage, resource) {
-                        (Some(s), _) => format!("\"stage\":\"{}\"", esc(self.stage_name(*s))),
-                        (None, Some(r)) => format!(
-                            "\"resource\":\"{}\"",
-                            esc(self.meta.resources.get(*r).map(String::as_str).unwrap_or("?"))
-                        ),
-                        (None, None) => "\"stage\":null".to_string(),
-                    };
-                    writeln!(
-                        out,
-                        "{{\"t\":{t},\"ev\":\"fault\",{scope},\"kind\":\"{kind}\",\"count\":{count}}}",
-                    )
+                )?,
+                TraceEvent::FaultInjected { scope, kind, count } => {
+                    write!(out, "{{\"t\":{t},\"ev\":\"fault\",")?;
+                    match scope {
+                        FaultScope::Stage(s) => write!(out, "\"stage\":\"{}\"", names.stage(*s))?,
+                        FaultScope::Resource(r) => {
+                            write!(out, "\"resource\":\"{}\"", names.resource(*r))?
+                        }
+                        FaultScope::None => out.push_str("\"stage\":null"),
+                    }
+                    writeln!(out, ",\"kind\":\"{}\",\"count\":{count}}}", kind.label())?
                 }
                 TraceEvent::CheckpointWritten { stage, task, count, cost } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"checkpoint\",\"stage\":\"{}\",\"task\":{task},\"count\":{count},\"cost\":{}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     cost.as_micros(),
-                ),
+                )?,
                 TraceEvent::VerifyCheck { stage, lineage, volume, cost, tainted } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"verify\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"cost\":{},\"tainted\":{tainted}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
                     cost.as_micros(),
-                ),
+                )?,
                 TraceEvent::BlockQuarantined { stage, lineage, volume, taint } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"quarantine\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"taint\":{taint}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     volume.bytes(),
-                ),
+                )?,
                 TraceEvent::CrashKill { stage, task, lineage, lost } => writeln!(
                     out,
                     "{{\"t\":{t},\"ev\":\"crash_kill\",\"stage\":\"{}\",\"task\":{task},\"lineage\":{lineage},\"lost\":{}}}",
-                    esc(self.stage_name(*stage)),
+                    names.stage(*stage),
                     lost.as_micros(),
-                ),
+                )?,
             }
-            .expect("writing to a String cannot fail");
         }
-        out
+        Ok(())
     }
 
     /// Export the trace in Chrome `trace_event` JSON (the format Perfetto
@@ -436,28 +477,38 @@ impl TraceSnapshot {
     /// resource; queue depths become counter (`"C"`) tracks; faults,
     /// quarantines and crash kills become instant (`"i"`) markers.
     pub fn chrome_trace(&self) -> String {
-        let mut evs: Vec<String> = Vec::new();
+        let mut out = String::new();
+        self.write_chrome(&mut out).expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_chrome(&self, out: &mut String) -> fmt::Result {
+        let names = EscapedNames::of(&self.meta);
         let pid = 1;
-        evs.push(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"sciflow\"}}}}"
-        ));
-        for (i, name) in self.meta.stages.iter().enumerate() {
-            evs.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{i},\"args\":{{\"name\":\"stage: {}\"}}}}",
-                esc(name)
-            ));
+        // The process-name record is always first, so every later record
+        // opens with the separating comma.
+        write!(
+            out,
+            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"sciflow\"}}}}"
+        )?;
+        for (i, name) in names.stages.iter().enumerate() {
+            write!(
+                out,
+                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{i},\"args\":{{\"name\":\"stage: {name}\"}}}}",
+            )?;
         }
-        let rbase = self.meta.stages.len();
-        for (i, name) in self.meta.resources.iter().enumerate() {
-            evs.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"args\":{{\"name\":\"resource: {}\"}}}}",
+        let rbase = names.stages.len();
+        for (i, name) in names.resources.iter().enumerate() {
+            write!(
+                out,
+                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"args\":{{\"name\":\"resource: {name}\"}}}}",
                 rbase + i,
-                esc(name)
-            ));
+            )?;
         }
         for span in self.spans() {
-            evs.push(format!(
-                "{{\"name\":\"{} {}{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"lineage\":{}}}}}",
+            write!(
+                out,
+                ",{{\"name\":\"{} {}{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"lineage\":{}}}}}",
                 span.kind,
                 span.task,
                 if span.killed { " (killed)" } else { "" },
@@ -466,37 +517,67 @@ impl TraceSnapshot {
                 span.duration().as_micros(),
                 span.stage.index(),
                 span.lineage,
-            ));
+            )?;
         }
         for (at, ev) in &self.events {
             let ts = at.as_micros();
             match ev {
-                TraceEvent::QueueDepthChange { stage, blocks, .. } => evs.push(format!(
-                    "{{\"name\":\"queue: {}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"blocks\":{blocks}}}}}",
-                    esc(self.stage_name(*stage)),
-                )),
-                TraceEvent::FaultInjected { stage, resource, kind, count } => {
-                    let tid = match (stage, resource) {
-                        (Some(s), _) => s.index(),
-                        (None, Some(r)) => rbase + r,
-                        (None, None) => 0,
+                TraceEvent::QueueDepthChange { stage, blocks, .. } => write!(
+                    out,
+                    ",{{\"name\":\"queue: {}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"blocks\":{blocks}}}}}",
+                    names.stage(*stage),
+                )?,
+                TraceEvent::FaultInjected { scope, kind, count } => {
+                    let tid = match scope {
+                        FaultScope::Stage(s) => s.index(),
+                        FaultScope::Resource(r) => rbase + r,
+                        FaultScope::None => 0,
                     };
-                    evs.push(format!(
-                        "{{\"name\":\"fault: {kind} x{count}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}}}",
-                    ));
+                    write!(
+                        out,
+                        ",{{\"name\":\"fault: {} x{count}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}}}",
+                        kind.label(),
+                    )?
                 }
-                TraceEvent::BlockQuarantined { stage, lineage, .. } => evs.push(format!(
-                    "{{\"name\":\"quarantine lineage {lineage}\",\"cat\":\"integrity\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{}}}",
+                TraceEvent::BlockQuarantined { stage, lineage, .. } => write!(
+                    out,
+                    ",{{\"name\":\"quarantine lineage {lineage}\",\"cat\":\"integrity\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{}}}",
                     stage.index(),
-                )),
-                TraceEvent::CrashKill { stage, task, .. } => evs.push(format!(
-                    "{{\"name\":\"crash kill task {task}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{}}}",
+                )?,
+                TraceEvent::CrashKill { stage, task, .. } => write!(
+                    out,
+                    ",{{\"name\":\"crash kill task {task}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{}}}",
                     stage.index(),
-                )),
+                )?,
                 _ => {}
             }
         }
-        format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}", evs.join(","))
+        out.push_str("]}");
+        Ok(())
+    }
+}
+
+/// The name tables as they appear inside JSON string literals, escaped once
+/// per export. An id outside its table renders as `?`.
+struct EscapedNames {
+    stages: Vec<String>,
+    resources: Vec<String>,
+}
+
+impl EscapedNames {
+    fn of(meta: &TraceMeta) -> Self {
+        EscapedNames {
+            stages: meta.stages.iter().map(|n| esc(n)).collect(),
+            resources: meta.resources.iter().map(|n| esc(n)).collect(),
+        }
+    }
+
+    fn stage(&self, id: StageId) -> &str {
+        self.stages.get(id.index()).map_or("?", String::as_str)
+    }
+
+    fn resource(&self, id: usize) -> &str {
+        self.resources.get(id).map_or("?", String::as_str)
     }
 }
 
@@ -726,9 +807,8 @@ mod tests {
             (
                 SimTime::from_micros(12),
                 TraceEvent::FaultInjected {
-                    stage: None,
-                    resource: Some(0),
-                    kind: "crash",
+                    scope: FaultScope::Resource(0),
+                    kind: FaultKind::Crash,
                     count: 2,
                 },
             ),
@@ -743,6 +823,90 @@ mod tests {
         let opens = json.matches('{').count();
         let closes = json.matches('}').count();
         assert_eq!(opens, closes);
+    }
+
+    /// The fault lines of both exports, byte for byte as they were when
+    /// `FaultInjected` carried two `Option`s and a string: one line per
+    /// kind label and per scope arm.
+    #[test]
+    fn fault_lines_keep_their_bytes() {
+        let fault = |scope, kind, count| TraceEvent::FaultInjected { scope, kind, count };
+        let cases = [
+            (
+                fault(FaultScope::Stage(StageId(1)), FaultKind::Stall, 2),
+                "{\"t\":7,\"ev\":\"fault\",\"stage\":\"work\",\"kind\":\"stall\",\"count\":2}\n",
+                "{\"name\":\"fault: stall x2\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":1}",
+            ),
+            (
+                fault(FaultScope::Stage(StageId(0)), FaultKind::Link, 1),
+                "{\"t\":7,\"ev\":\"fault\",\"stage\":\"src\",\"kind\":\"link\",\"count\":1}\n",
+                "{\"name\":\"fault: link x1\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":0}",
+            ),
+            (
+                fault(FaultScope::Stage(StageId(9)), FaultKind::SilentCorrupt, 3),
+                "{\"t\":7,\"ev\":\"fault\",\"stage\":\"?\",\"kind\":\"silent-corrupt\",\"count\":3}\n",
+                "{\"name\":\"fault: silent-corrupt x3\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":9}",
+            ),
+            (
+                fault(FaultScope::Resource(0), FaultKind::Crash, 4),
+                "{\"t\":7,\"ev\":\"fault\",\"resource\":\"pool\",\"kind\":\"crash\",\"count\":4}\n",
+                "{\"name\":\"fault: crash x4\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":2}",
+            ),
+            (
+                fault(FaultScope::Resource(5), FaultKind::Repair, 4),
+                "{\"t\":7,\"ev\":\"fault\",\"resource\":\"?\",\"kind\":\"repair\",\"count\":4}\n",
+                "{\"name\":\"fault: repair x4\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":7}",
+            ),
+            (
+                fault(FaultScope::None, FaultKind::Crash, 1),
+                "{\"t\":7,\"ev\":\"fault\",\"stage\":null,\"kind\":\"crash\",\"count\":1}\n",
+                "{\"name\":\"fault: crash x1\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":7,\"pid\":1,\"tid\":0}",
+            ),
+        ];
+        for (ev, jsonl, chrome) in cases {
+            let stage = ev.stage();
+            let snapshot = snap(vec![(SimTime::from_micros(7), ev)]);
+            assert_eq!(snapshot.jsonl(), jsonl);
+            let exported = snapshot.chrome_trace();
+            assert!(exported.ends_with(&format!(",{chrome}]}}")), "{exported}");
+            assert_eq!(stage.is_some(), jsonl.contains("\"stage\":\""));
+        }
+    }
+
+    /// Names are escaped once per export; the bytes are those of escaping
+    /// them at every use.
+    #[test]
+    fn exports_escape_names_the_way_esc_does() {
+        let snapshot = TraceSnapshot {
+            meta: TraceMeta { stages: vec!["a\"b\\c".into()], resources: vec!["p\n1".into()] },
+            events: vec![
+                (
+                    SimTime::from_micros(1),
+                    TraceEvent::QueueDepthChange {
+                        stage: StageId(0),
+                        blocks: 1,
+                        volume: DataVolume::from_bytes(8),
+                    },
+                ),
+                (
+                    SimTime::from_micros(2),
+                    TraceEvent::FaultInjected {
+                        scope: FaultScope::Resource(0),
+                        kind: FaultKind::Repair,
+                        count: 1,
+                    },
+                ),
+            ],
+        };
+        assert_eq!(
+            snapshot.jsonl(),
+            "{\"t\":1,\"ev\":\"queue_depth\",\"stage\":\"a\\\"b\\\\c\",\"blocks\":1,\"volume\":8}\n\
+             {\"t\":2,\"ev\":\"fault\",\"resource\":\"p\\n1\",\"kind\":\"repair\",\"count\":1}\n"
+        );
+        let chrome = snapshot.chrome_trace();
+        assert!(chrome.contains("\"name\":\"stage: a\\\"b\\\\c\""), "{chrome}");
+        assert!(chrome.contains("\"name\":\"resource: p\\n1\""), "{chrome}");
+        assert!(chrome.contains("\"name\":\"queue: a\\\"b\\\\c\""), "{chrome}");
     }
 
     #[test]

@@ -18,14 +18,18 @@ use std::path::PathBuf;
 
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, cleo_flow_graph_slo, CleoFlowParams, WILSON_POOL};
+use sciflow_core::error::CoreError;
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
+use sciflow_core::genflow::{generate, Archetype, SEED_PAYLOAD_MASK};
+use sciflow_core::graph::{FlowGraph, StageKind, VerifyPolicy};
 use sciflow_core::metrics::SimReport;
-use sciflow_core::obs::MetricsHub;
+use sciflow_core::obs::{MetricsHub, SloRule};
 use sciflow_core::sim::{CpuPool, FlowSim};
-use sciflow_core::units::SimDuration;
+use sciflow_core::spec::{FlowSpec, SourceSpec, TransferSpec};
+use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 use sciflow_testkit::{
     assert_deterministic, assert_exposition_deterministic, assert_matches_golden,
-    assert_matches_golden_text, matrix_seed,
+    assert_matches_golden_text, derive_seed, matrix_seed,
 };
 use sciflow_weblab::flow::{weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
 
@@ -157,4 +161,167 @@ fn cleo_slo_alerts_match_golden() {
         text.push_str("(no alerts)\n");
     }
     assert_matches_golden_text(golden_path("cleo_slo_alerts.txt"), &text);
+}
+
+// --- the escape total and the batched event counter ---
+
+/// A flow with no verifier anywhere, under a timeline dense in silent
+/// corruption: taint really escapes, so an `escaped_taint` rule has
+/// something to fire on.
+struct Leaky {
+    name: String,
+    graph: FlowGraph,
+    pools: Vec<CpuPool>,
+    plan: FaultPlan,
+}
+
+impl Leaky {
+    fn zoo(archetype: Archetype, seed: u64) -> Leaky {
+        let flow = generate(archetype, seed);
+        let mut graph = flow.graph.clone();
+        for id in graph.stage_ids() {
+            graph.set_verify(id, VerifyPolicy::None);
+        }
+        let plan = FaultPlan::generate(seed, flow.horizon, &flow.corrupt_profile());
+        Leaky { name: format!("({}, {seed:#x})", archetype.name()), graph, pools: flow.pools, plan }
+    }
+
+    /// A source feeding a transfer nothing consumes: whatever the wire
+    /// corrupts leaves the flow through the terminal `deliver_tainted`.
+    fn open_ended_wire(seed: u64) -> Leaky {
+        let graph = FlowSpec::new()
+            .source("src", SourceSpec::new(DataVolume::gb(1), SimDuration::from_secs(20), 200))
+            .transfer("wire", TransferSpec::new(DataRate::mb_per_sec(100.0)), &["src"])
+            .build()
+            .expect("valid flow");
+        let profile = FaultProfile::flaky().with_silent_corruption(720.0);
+        let plan = FaultPlan::generate(seed, SimDuration::from_hours(2), &profile);
+        Leaky { name: format!("open-ended wire {seed:#x}"), graph, pools: vec![], plan }
+    }
+
+    fn sim(&self, ceiling: u64) -> FlowSim {
+        let mut graph = self.graph.clone();
+        graph.set_slos(vec![SloRule::escaped_taint("escapes", ceiling)]);
+        FlowSim::new(graph, self.pools.clone())
+            .expect("valid flow")
+            .with_faults(self.plan.clone(), RetryPolicy::default())
+    }
+}
+
+fn leaky_population() -> Vec<Leaky> {
+    let master = matrix_seed(42);
+    let mut flows = vec![Leaky::open_ended_wire(master)];
+    for archetype in Archetype::ALL {
+        for i in 0..4 {
+            let seed = derive_seed(master, &format!("zoo-slo-{}-{i}", archetype.name()))
+                & SEED_PAYLOAD_MASK;
+            flows.push(Leaky::zoo(archetype, seed));
+        }
+    }
+    flows
+}
+
+/// How one run's taint escaped: `(counted at a sink's unchecked arrival,
+/// injected by a terminal stage and counted as it left the flow)`.
+fn escape_paths(flow: &Leaky, report: &SimReport) -> (u64, u64) {
+    let (mut at_arrival, mut at_terminal_delivery) = (0, 0);
+    for id in flow.graph.stage_ids().filter(|&id| flow.graph.downstream(id).is_empty()) {
+        let m = report.stage(&flow.graph.stage(id).name).expect("every stage is reported");
+        // An archive injects nothing; a terminal transfer's own injections
+        // can only have left through its delivery.
+        let own = if matches!(flow.graph.stage(id).kind, StageKind::Archive) {
+            0
+        } else {
+            m.corrupt_injected
+        };
+        at_terminal_delivery += own;
+        at_arrival += m.corrupt_escaped - own;
+    }
+    (at_arrival, at_terminal_delivery)
+}
+
+fn tmp(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("sciflow-obs-{}-{name}.snapshot", std::process::id()))
+}
+
+/// The escape total the SLO reads is run state now, not a sum taken per
+/// event, so it has to come out the same however the run is driven: in one
+/// call, one event at a time, and through a snapshot and a fresh simulator
+/// at every third event (where the total is derived from the restored
+/// counters). Ceiling 0 fires on the first escape; ceiling k, half the
+/// flow's escapes, fires mid-run.
+#[test]
+fn escaped_taint_alerts_are_the_same_however_the_run_is_driven() {
+    let path = tmp("driven");
+    let (mut at_arrival, mut at_terminal_delivery, mut fired_mid_run) = (0, 0, 0);
+    for flow in leaky_population() {
+        let baseline = flow.sim(0).run().expect("flow completes");
+        let escaped = baseline.total_corrupt_escaped();
+        for ceiling in [0, escaped / 2] {
+            let whole = flow.sim(ceiling).run().expect("flow completes");
+            let alerts = whole.alerts.as_ref().expect("rule attached");
+            // Rules see the state as of the previous event, so an alert may
+            // trail the final count (and miss an escape at the last event);
+            // it can never pass it or come back down.
+            assert!(alerts.len() <= usize::from(escaped > ceiling), "{}: {alerts:?}", flow.name);
+            assert!(alerts
+                .iter()
+                .all(|a| a.resolved_at.is_none() && a.peak > ceiling && a.peak <= escaped));
+            fired_mid_run += u64::from(ceiling > 0 && !alerts.is_empty());
+
+            let mut stepped = flow.sim(ceiling);
+            while stepped.run_for(1).expect("flow advances") {}
+            let stepped = stepped.run().expect("flow completes");
+            assert_eq!(stepped.alerts, whole.alerts, "{} stepped, ceiling {ceiling}", flow.name);
+
+            let mut resumed = flow.sim(ceiling);
+            while resumed.run_for(3).expect("flow advances") {
+                resumed.snapshot_to(&path).expect("snapshot written");
+                resumed = flow.sim(ceiling).resume_from(&path).expect("snapshot resumes");
+            }
+            let resumed = resumed.run().expect("flow completes");
+            assert_eq!(resumed.alerts, whole.alerts, "{} resumed, ceiling {ceiling}", flow.name);
+            assert_eq!(resumed.to_json(), whole.to_json(), "{} resumed", flow.name);
+        }
+        let (a, t) = escape_paths(&flow, &baseline);
+        assert_eq!(a + t, escaped, "{}: every escape took one of the two paths", flow.name);
+        at_arrival += a;
+        at_terminal_delivery += t;
+    }
+    std::fs::remove_file(&path).expect("scratch snapshot removed");
+    assert!(at_arrival > 0, "no taint escaped through a sink arrival");
+    assert!(at_terminal_delivery > 0, "no taint escaped through a terminal delivery");
+    assert!(fired_mid_run > 0, "no ceiling-k rule fired");
+}
+
+/// `sim_events_total` is added as each pump returns, not per event, so
+/// check it wherever a caller can look: after every step of a stepped run,
+/// after a whole run, and after a kill (where no report is ever built).
+#[test]
+fn the_event_counter_is_current_wherever_a_caller_can_look() {
+    for flow in leaky_population() {
+        let hub = MetricsHub::new();
+        flow.sim(0).with_metrics(hub.clone()).run().expect("flow completes");
+        let total = hub.value("engine_events_handled").expect("gauge set by the report");
+        assert_eq!(hub.value("sim_events_total"), Some(total), "{} whole", flow.name);
+
+        let hub = MetricsHub::new();
+        let mut stepped = flow.sim(0).with_metrics(hub.clone());
+        while stepped.run_for(7).expect("flow advances") {
+            assert_eq!(hub.value("sim_events_total"), Some(stepped.events_handled()));
+        }
+        stepped.run().expect("flow completes");
+        assert_eq!(hub.value("sim_events_total"), Some(total), "{} stepped", flow.name);
+        assert_eq!(hub.value("engine_events_handled"), Some(total));
+
+        let hub = MetricsHub::new();
+        let killed = flow.sim(0).with_metrics(hub.clone()).with_kill_after(total / 2).run();
+        match killed {
+            Err(CoreError::Killed { events }) => {
+                assert_eq!(events, total / 2);
+                assert_eq!(hub.value("sim_events_total"), Some(events), "{} killed", flow.name);
+            }
+            other => panic!("{}: expected a kill, got {other:?}", flow.name),
+        }
+    }
 }

@@ -15,13 +15,21 @@
 
 use std::path::PathBuf;
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, CleoFlowParams, WILSON_POOL};
-use sciflow_core::critical_path;
+use sciflow_core::genflow::{stress_flow, Archetype, StressParams, SEED_PAYLOAD_MASK};
+use sciflow_core::graph::{FlowGraph, StageId, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
-use sciflow_core::trace::{NoopObserver, TraceRecorder};
+use sciflow_core::trace::{
+    NoopObserver, Span, TraceEvent, TraceMeta, TraceRecorder, TraceSnapshot,
+};
+use sciflow_core::units::{DataVolume, SimDuration, SimTime};
+use sciflow_core::{critical_path, PathSegment};
 use sciflow_testkit::{
-    assert_matches_golden, assert_trace_conservation, matrix_seed, TracedFlowScenario,
+    assert_matches_golden, assert_trace_conservation, derive_seed, matrix_seed, GeneratedScenario,
+    TracedFlowScenario,
 };
 use sciflow_weblab::flow::{weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
 
@@ -130,4 +138,243 @@ fn arecibo_critical_path_names_ship_disks_dominant() {
         report.finished_at.as_micros(),
         "critical chain must tile the makespan"
     );
+}
+
+// --- critical path: the one-pass walk against the walk it replaced ---
+
+/// The last-responsible-activity walk as it was first written, kept as the
+/// reference: at every point of the chain it rescans every span, so it is
+/// quadratic, and so plainly the definition that it is what `critical_path`
+/// is held to — same segments, same tie-breaks (the larger clamped end, then
+/// the later start, then the lower stage id; spans equal in all three yield
+/// the same segment whichever is taken).
+fn quadratic_chain(spans: &[Span], makespan: SimTime) -> Vec<PathSegment> {
+    let mut segments: Vec<PathSegment> = Vec::new();
+    let mut t = makespan;
+    while t > SimTime::ZERO {
+        let mut best: Option<(SimTime, usize)> = None; // (clamped end, span idx)
+        for (i, s) in spans.iter().enumerate() {
+            if s.start >= t {
+                continue;
+            }
+            let key = s.end.min(t);
+            let better = match best {
+                None => true,
+                Some((bk, bi)) => {
+                    let b = &spans[bi];
+                    key > bk
+                        || (key == bk
+                            && (s.start > b.start
+                                || (s.start == b.start && s.stage.index() < b.stage.index())))
+                }
+            };
+            if better {
+                best = Some((key, i));
+            }
+        }
+        let Some((key, i)) = best else {
+            segments.push(PathSegment { stage: None, start: SimTime::ZERO, end: t });
+            break;
+        };
+        if key < t {
+            segments.push(PathSegment { stage: None, start: key, end: t });
+        }
+        let s = &spans[i];
+        segments.push(PathSegment { stage: Some(s.stage), start: s.start, end: key });
+        t = s.start;
+    }
+    segments.reverse();
+    segments
+}
+
+/// `critical_path`'s chain equals the reference's at `makespan`; returns its
+/// length.
+fn assert_same_chain(snapshot: &TraceSnapshot, makespan: SimTime, what: &str) -> usize {
+    let chain = critical_path(snapshot, makespan).segments;
+    assert_eq!(chain, quadratic_chain(&snapshot.spans(), makespan), "{what} at {makespan}");
+    chain.len()
+}
+
+fn half(t: SimTime) -> SimTime {
+    SimTime::from_micros(t.as_micros() / 2)
+}
+
+/// Every zoo archetype, 32 graphs each off the matrix seed, traced clean and
+/// under the corrupt profile (retries, abandoned blocks, reprocessing), with
+/// the chain taken at the end of the run and from the middle of it.
+#[test]
+fn critical_path_equals_the_quadratic_walk_on_zoo_traces() {
+    let master = matrix_seed(42);
+    let mut segments = 0;
+    for archetype in Archetype::ALL {
+        for i in 0..32 {
+            let seed = derive_seed(master, &format!("zoo-critical-{}-{i}", archetype.name()))
+                & SEED_PAYLOAD_MASK;
+            let s = GeneratedScenario::new(archetype, seed);
+            let clean = TraceRecorder::new();
+            let clean_report =
+                s.sim_clean().with_observer(clean.clone()).run().expect("generated flow converges");
+            let (faulted_report, faulted) = s.run_traced();
+            for (mode, report, trace) in
+                [("clean", clean_report, clean.snapshot()), ("faulted", faulted_report, faulted)]
+            {
+                let what = format!("{mode} ({}, {seed:#x})", archetype.name());
+                segments += assert_same_chain(&trace, report.finished_at, &what);
+                segments += assert_same_chain(&trace, half(report.finished_at), &what);
+            }
+        }
+    }
+    assert!(segments > 10_000, "the sweep compared only {segments} segments");
+}
+
+fn stress_trace(chains: usize, depth: usize, blocks: u64) -> (SimTime, TraceSnapshot) {
+    let (graph, pools) = stress_flow(&StressParams { chains, depth, blocks });
+    let trace = TraceRecorder::new();
+    let report = FlowSim::new(graph, pools)
+        .expect("valid flow")
+        .with_observer(trace.clone())
+        .run()
+        .expect("flow completes");
+    (report.finished_at, trace.snapshot())
+}
+
+/// The trace the benchmark's `trace-analyze` workload reads: 20 000 spans,
+/// a chain pinned at 5 199 segments.
+#[test]
+fn critical_path_equals_the_quadratic_walk_on_the_stress_trace() {
+    let (finished_at, trace) = stress_trace(4, 25, 200);
+    assert_eq!(assert_same_chain(&trace, finished_at, "stress (4,25,200)"), 5_199);
+    assert_same_chain(&trace, half(finished_at), "stress (4,25,200)");
+}
+
+/// `n` stage ids. Only a graph hands them out.
+fn stage_ids(n: usize) -> Vec<StageId> {
+    let mut g = FlowGraph::new();
+    (0..n).map(|i| g.add_stage(format!("s{i}"), StageKind::Archive)).collect()
+}
+
+/// A trace whose spans are exactly `spans`, as `(stage, start, end)` in
+/// microseconds, in that order: one transfer attempt per span.
+fn trace_of(spans: &[(usize, u64, u64)]) -> TraceSnapshot {
+    let ids = stage_ids(spans.iter().map(|s| s.0 + 1).max().unwrap_or(0));
+    let events = spans
+        .iter()
+        .enumerate()
+        .map(|(i, &(stage, start, end))| {
+            (
+                SimTime::from_micros(start),
+                TraceEvent::TransferAttempt {
+                    stage: ids[stage],
+                    lineage: i as u64,
+                    volume: DataVolume::ZERO,
+                    attempt: i as u32,
+                    duration: SimDuration::from_micros(end - start),
+                },
+            )
+        })
+        .collect();
+    let stages = ids.iter().map(|id| format!("s{}", id.index())).collect();
+    TraceSnapshot { meta: TraceMeta { stages, resources: vec![] }, events }
+}
+
+/// The chain at every makespan from zero to past the last span's end.
+fn assert_same_chain_everywhere(spans: &[(usize, u64, u64)], what: &str) {
+    let trace = trace_of(spans);
+    let last = spans.iter().map(|s| s.2).max().unwrap_or(0);
+    for makespan in 0..=last + 2 {
+        assert_same_chain(&trace, SimTime::from_micros(makespan), what);
+    }
+}
+
+/// The ties the walk's order exists to break, one trace each, with the
+/// winner spelled out where it is not obvious.
+#[test]
+fn critical_path_breaks_ties_the_way_the_quadratic_walk_does() {
+    let seg = |stage: Option<usize>, start: u64, end: u64, ids: &[StageId]| PathSegment {
+        stage: stage.map(|s| ids[s]),
+        start: SimTime::from_micros(start),
+        end: SimTime::from_micros(end),
+    };
+    let ids = stage_ids(3);
+
+    // Equal ends, nothing running at t: the later start wins, and so again
+    // among the two still running where it started.
+    let equal_ends = [(0, 0, 10), (1, 4, 10), (2, 2, 10)];
+    assert_same_chain_everywhere(&equal_ends, "equal ends");
+    assert_eq!(
+        critical_path(&trace_of(&equal_ends), SimTime::from_micros(12)).segments,
+        vec![
+            seg(Some(0), 0, 2, &ids),
+            seg(Some(2), 2, 4, &ids),
+            seg(Some(1), 4, 10, &ids),
+            seg(None, 10, 12, &ids)
+        ]
+    );
+
+    // Equal starts on different stages, both running at t: the lower stage
+    // id wins, whatever their ends and whichever was recorded first.
+    let equal_starts = [(2, 3, 9), (1, 3, 20), (0, 0, 3)];
+    assert_same_chain_everywhere(&equal_starts, "equal starts");
+    assert_eq!(
+        critical_path(&trace_of(&equal_starts), SimTime::from_micros(8)).segments,
+        vec![seg(Some(0), 0, 3, &ids), seg(Some(1), 3, 8, &ids)]
+    );
+
+    // Duplicate spans: the interval is charged once, not once per copy.
+    let duplicates = [(1, 2, 6), (1, 2, 6), (0, 0, 2), (0, 0, 2)];
+    assert_same_chain_everywhere(&duplicates, "duplicate spans");
+    assert_eq!(critical_path(&trace_of(&duplicates), SimTime::from_micros(6)).segments.len(), 2);
+
+    // Zero-length spans: alone, at another span's start, at its end, and at
+    // the makespan itself (where one has not started yet).
+    assert_same_chain_everywhere(
+        &[(0, 5, 5), (1, 5, 9), (2, 9, 9), (0, 0, 0), (1, 12, 12), (2, 12, 12)],
+        "zero-length spans",
+    );
+
+    // A span straddling the makespan is clamped to it, and outlasts a span
+    // that ends exactly there only through the later start.
+    let straddling = [(0, 0, 8), (1, 3, 30), (2, 5, 8)];
+    assert_same_chain_everywhere(&straddling, "straddling span");
+    assert_eq!(
+        critical_path(&trace_of(&straddling), SimTime::from_micros(8)).segments,
+        vec![seg(Some(0), 0, 3, &ids), seg(Some(1), 3, 5, &ids), seg(Some(2), 5, 8, &ids)]
+    );
+}
+
+/// Seeded small traces on a coarse grid, where every kind of tie above
+/// happens by itself and in combination, at every makespan.
+#[test]
+fn critical_path_equals_the_quadratic_walk_on_dense_random_ties() {
+    let mut rng = StdRng::seed_from_u64(matrix_seed(42));
+    for case in 0..400 {
+        let n = rng.gen_range(0..12usize);
+        let spans: Vec<(usize, u64, u64)> = (0..n)
+            .map(|_| {
+                let start = rng.gen_range(0..10u64);
+                (rng.gen_range(0..3usize), start, start + rng.gen_range(0..6u64))
+            })
+            .collect();
+        assert_same_chain_everywhere(&spans, &format!("random case {case}: {spans:?}"));
+    }
+}
+
+/// The half-block stress shape the benchmark's `sim-observed` workload
+/// records under seed 1, `(10, 100, 500)`, 1 875 000 trace events: the
+/// analysis has to be runnable on the run it was written for. Release mode
+/// only (`cargo test --release ... -- --ignored`); the quadratic walk needed
+/// minutes here.
+#[test]
+#[ignore = "release-mode scale check, run by the trace-validate CI job"]
+fn critical_path_of_a_full_observed_stress_run() {
+    let (finished_at, trace) = stress_trace(10, 100, 500);
+    assert_eq!(trace.events.len(), 1_875_000);
+    let cp = critical_path(&trace, finished_at);
+    assert_eq!(cp.segments.first().map(|s| s.start), Some(SimTime::ZERO));
+    assert_eq!(cp.segments.last().map(|s| s.end), Some(finished_at));
+    for pair in cp.segments.windows(2) {
+        assert_eq!(pair[0].end, pair[1].start, "segments must tile the makespan");
+    }
+    let attributed: SimDuration = cp.stages.iter().map(|b| b.attributed).sum();
+    assert_eq!((attributed + cp.unattributed).as_micros(), finished_at.as_micros());
 }
