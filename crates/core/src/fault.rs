@@ -231,22 +231,62 @@ impl Default for FaultProfile {
 /// yields the identical event list every time it is called with the same
 /// arguments, and all queries are pure — two simulations driven by the same
 /// plan (and the same seeded retry jitter) produce byte-identical reports.
+///
+/// Every query costs O(log plan + faults hit): `events` is sorted by time and
+/// searched by `partition_point`, and the two kinds whose windows reach
+/// *back* over a query time (degrades, partitions) are indexed once at
+/// construction. The index is a pure function of `events`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     seed: u64,
     events: Vec<FaultEvent>,
+    /// Every [`FaultKind::RateDegrade`] window, in event order.
+    degrades: Vec<DegradeWindow>,
+    /// The [`FaultKind::Partition`] windows merged into disjoint, ascending
+    /// `[severed, healed)` spans; windows that touch or overlap are one span.
+    partitions: Vec<(SimTime, SimTime)>,
+}
+
+/// One `[start, end)` degrade window plus `ends_by`, the latest `end` among
+/// this and every earlier window: all windows before the first whose
+/// `ends_by` passes `t` are over by `t`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct DegradeWindow {
+    start: SimTime,
+    end: SimTime,
+    ends_by: SimTime,
+    factor: f64,
 }
 
 impl FaultPlan {
     /// The empty plan: a perfect pipe.
     pub fn none() -> Self {
-        FaultPlan { seed: 0, events: Vec::new() }
+        FaultPlan::from_events(0, Vec::new())
     }
 
     /// Build a plan from explicit events (sorted by time internally).
     pub fn from_events(seed: u64, mut events: Vec<FaultEvent>) -> Self {
         events.sort_by_key(|e| e.at);
-        FaultPlan { seed, events }
+        let mut degrades: Vec<DegradeWindow> = Vec::new();
+        let mut partitions: Vec<(SimTime, SimTime)> = Vec::new();
+        for e in &events {
+            match e.kind {
+                FaultKind::RateDegrade { factor, duration } => {
+                    let end = e.at + duration;
+                    let ends_by = degrades.last().map_or(end, |d| d.ends_by.max(end));
+                    degrades.push(DegradeWindow { start: e.at, end, ends_by, factor });
+                }
+                FaultKind::Partition { heal } => {
+                    let end = e.at + heal;
+                    match partitions.last_mut() {
+                        Some(span) if e.at <= span.1 => span.1 = span.1.max(end),
+                        _ => partitions.push((e.at, end)),
+                    }
+                }
+                _ => {}
+            }
+        }
+        FaultPlan { seed, events, degrades, partitions }
     }
 
     /// Generate a plan over `[0, horizon)` by drawing Poisson arrivals for
@@ -343,8 +383,7 @@ impl FaultPlan {
                 SimDuration::from_secs_f64(-u.ln() * profile.mean_partition_heal.as_secs_f64());
             events.push(FaultEvent { at, kind: FaultKind::Partition { heal } });
         }
-        events.sort_by_key(|e| e.at);
-        FaultPlan { seed, events }
+        FaultPlan::from_events(seed, events)
     }
 
     pub fn seed(&self) -> u64 {
@@ -368,86 +407,69 @@ impl FaultPlan {
         self.events.iter().filter(|e| pred(&e.kind)).count()
     }
 
-    /// The compounded rate multiplier of every degrade window active at `t`.
-    pub fn degrade_factor_at(&self, t: SimTime) -> f64 {
-        let mut factor = 1.0;
-        for e in &self.events {
-            if e.at > t {
+    /// The events at or after `start`, by binary search on the sorted
+    /// timeline; a window `[start, end)` is this, walked until `end`.
+    fn since(&self, start: SimTime) -> &[FaultEvent] {
+        &self.events[self.events.partition_point(|e| e.at < start)..]
+    }
+
+    /// The events an activity spanning `[start, start + base)` meets, and how
+    /// long it lasts once every stall among them has extended it. Events are
+    /// met in time order and a stall only ever moves the end later, so one
+    /// forward walk reaches the least fixed point of "window → stalls inside
+    /// it → longer window".
+    fn stalled_window(&self, start: SimTime, base: SimDuration) -> (&[FaultEvent], SimDuration) {
+        let tail = self.since(start);
+        let mut dur = base;
+        let mut met = 0;
+        for e in tail {
+            if e.at >= start + dur {
                 break;
             }
-            if let FaultKind::RateDegrade { factor: f, duration } = e.kind {
-                if e.at + duration > t {
-                    factor *= f;
-                }
+            if let FaultKind::Stall { duration } = e.kind {
+                dur += duration;
             }
+            met += 1;
         }
-        factor
+        (&tail[..met], dur)
+    }
+
+    /// The compounded rate multiplier of every degrade window active at `t`,
+    /// multiplied in event order (float products do not reassociate).
+    pub fn degrade_factor_at(&self, t: SimTime) -> f64 {
+        let started = &self.degrades[..self.degrades.partition_point(|d| d.start <= t)];
+        started[started.partition_point(|d| d.ends_by <= t)..]
+            .iter()
+            .filter(|d| d.end > t)
+            .fold(1.0, |factor, d| factor * d.factor)
+    }
+
+    /// The merged partition span covering `t`, if any.
+    fn partition_at(&self, t: SimTime) -> Option<(SimTime, SimTime)> {
+        let severed = &self.partitions[..self.partitions.partition_point(|p| p.0 <= t)];
+        severed.last().copied().filter(|p| p.1 > t)
     }
 
     /// Whether any [`FaultKind::Partition`] window covers `t`: the link is
     /// severed and every send fails until the partition heals.
     pub fn partitioned_at(&self, t: SimTime) -> bool {
-        self.events.iter().take_while(|e| e.at <= t).any(|e| match e.kind {
-            FaultKind::Partition { heal } => e.at + heal > t,
-            _ => false,
-        })
+        self.partition_at(t).is_some()
     }
 
     /// When the partition covering `t` (if any) heals: the earliest time at
     /// or after `t` at which the link carries messages again, accounting for
     /// overlapping partition windows.
     pub fn partition_heals_at(&self, t: SimTime) -> SimTime {
-        let mut healed = t;
-        loop {
-            let mut advanced = false;
-            for e in &self.events {
-                if e.at > healed {
-                    break;
-                }
-                if let FaultKind::Partition { heal } = e.kind {
-                    if e.at + heal > healed {
-                        healed = e.at + heal;
-                        advanced = true;
-                    }
-                }
-            }
-            if !advanced {
-                return healed;
-            }
-        }
+        self.partition_at(t).map_or(t, |p| p.1)
     }
 
     /// The duration of work spanning `[start, start + base)` once stall
     /// events inside the window are accounted for, plus the number of stalls
-    /// hit. An extension can pull further stalls into the window, so the
-    /// calculation iterates to a fixed point (finitely many events, so it
-    /// terminates).
+    /// hit. An extension can pull further stalls into the window.
     pub fn stalled_duration(&self, start: SimTime, base: SimDuration) -> (SimDuration, u32) {
-        let mut dur = base;
-        let mut stalls_hit;
-        loop {
-            let end = start + dur;
-            let mut extension = SimDuration::ZERO;
-            stalls_hit = 0u32;
-            for e in &self.events {
-                if e.at < start {
-                    continue;
-                }
-                if e.at >= end {
-                    break;
-                }
-                if let FaultKind::Stall { duration } = e.kind {
-                    extension += duration;
-                    stalls_hit += 1;
-                }
-            }
-            let next = base + extension;
-            if next == dur {
-                break;
-            }
-            dur = next;
-        }
-        (dur, stalls_hit)
+        let (met, dur) = self.stalled_window(start, base);
+        let stalls = met.iter().filter(|e| matches!(e.kind, FaultKind::Stall { .. })).count();
+        (dur, stalls as u32)
     }
 
     /// Useful work accomplished over the wall-clock window `[start, now)` by
@@ -463,13 +485,7 @@ impl FaultPlan {
         };
         let mut frozen = 0u64;
         let mut frozen_until = start.as_micros();
-        for e in &self.events {
-            if e.at >= now {
-                break;
-            }
-            if e.at < start {
-                continue;
-            }
+        for e in self.since(start).iter().take_while(|e| e.at < now) {
             if let FaultKind::Stall { duration } = e.kind {
                 let begin = e.at.as_micros().max(frozen_until);
                 let end = begin + duration.as_micros();
@@ -494,21 +510,22 @@ impl FaultPlan {
         base: SimDuration,
         timeout: Option<SimDuration>,
     ) -> AttemptOutcome {
-        let (dur, stalls_hit) = self.stalled_duration(start, base);
+        let (met, dur) = self.stalled_window(start, base);
         let end = start + dur;
 
-        let first_drop = self
-            .events
-            .iter()
-            .find(|e| e.at >= start && e.at < end && e.kind == FaultKind::Drop)
-            .map(|e| e.at);
-        let corrupted =
-            self.events.iter().any(|e| e.at >= start && e.at < end && e.kind == FaultKind::Corrupt);
-        let silent_corrupts = self
-            .events
-            .iter()
-            .filter(|e| e.at >= start && e.at < end && e.kind == FaultKind::SilentCorrupt)
-            .count() as u32;
+        let mut first_drop = None;
+        let mut corrupted = false;
+        let mut stalls_hit = 0u32;
+        let mut silent_corrupts = 0u32;
+        for e in met {
+            match e.kind {
+                FaultKind::Drop => first_drop = first_drop.or(Some(e.at)),
+                FaultKind::Corrupt => corrupted = true,
+                FaultKind::Stall { .. } => stalls_hit += 1,
+                FaultKind::SilentCorrupt => silent_corrupts += 1,
+                _ => {}
+            }
+        }
         let timeout_at = match timeout {
             Some(t) if dur > t => Some(start + t),
             _ => None,

@@ -189,14 +189,18 @@ impl EventStore {
         ]
     }
 
+    fn row_runs(row: &[Value]) -> RunRange {
+        RunRange {
+            first: row[1].as_int().expect("run_first is int") as u32,
+            last: row[2].as_int().expect("run_last is int") as u32,
+        }
+    }
+
     fn row_file(row: &[Value]) -> FileRecord {
         let date_key = row[6].as_date().expect("registered is a date");
         FileRecord {
             id: row[0].as_int().expect("id is int") as u64,
-            runs: RunRange {
-                first: row[1].as_int().expect("run_first is int") as u32,
-                last: row[2].as_int().expect("run_last is int") as u32,
-            },
+            runs: Self::row_runs(row),
             kind: row[3].as_text().expect("kind is text").to_string(),
             version: row[4].as_text().expect("version is text").to_string(),
             site: row[5].as_text().expect("site is text").to_string(),
@@ -417,24 +421,27 @@ impl EventStore {
         let snapshot = history.resolve(timestamp)?.clone();
         // First-time data: files registered after the snapshot whose
         // (run, kind) the snapshot does not cover, and for which no earlier
-        // version of the same (run, kind) exists.
-        let all = self.files()?;
+        // version of the same (run, kind) exists. Both tests read the raw
+        // rows; only the files admitted are decoded into records.
+        let table = self.db.table(FILES)?;
+        let registered = |r: &[Value]| r[6].as_date().expect("registered is a date");
         let mut first_time = Vec::new();
-        for f in &all {
-            if f.registered <= snapshot.date || f.registered > timestamp {
+        for (f_id, f) in table.scan() {
+            if registered(f) <= snapshot.date.as_key() || registered(f) > timestamp.as_key() {
                 continue;
             }
-            if snapshot.covers(f.runs.first, &f.kind) {
+            let (kind, runs) = (f[3].as_text().expect("kind is text"), Self::row_runs(f));
+            if snapshot.covers(runs.first, kind) {
                 continue; // a governed version exists; not first-time data
             }
-            let has_earlier = all.iter().any(|g| {
-                g.id != f.id
-                    && g.kind == f.kind
-                    && g.runs.overlaps(&f.runs)
-                    && g.registered < f.registered
+            let has_earlier = table.scan().any(|(g_id, g)| {
+                g_id != f_id
+                    && g[3].as_text() == Some(kind)
+                    && Self::row_runs(g).overlaps(&runs)
+                    && registered(g) < registered(f)
             });
             if !has_earlier {
-                first_time.push(f.clone());
+                first_time.push(Self::row_file(f));
             }
         }
         Ok(ConsistentView { grade: grade.to_string(), timestamp, snapshot, first_time })
@@ -450,11 +457,13 @@ impl EventStore {
         let Some(version) = view.version_for(run, kind) else {
             return Ok(Vec::new());
         };
-        Ok(self
-            .files()?
-            .into_iter()
-            .filter(|f| f.kind == kind && f.version == version && f.runs.contains(run))
-            .collect())
+        let table = self.db.table(FILES)?;
+        let wanted = |r: &[Value]| {
+            r[3].as_text() == Some(kind)
+                && r[4].as_text() == Some(version)
+                && Self::row_runs(r).contains(run)
+        };
+        Ok(table.scan().filter(|(_, r)| wanted(r)).map(|(_, r)| Self::row_file(r)).collect())
     }
 
     /// Serialize the store (used for disconnected personal stores).
@@ -656,6 +665,82 @@ mod tests {
         // Other grades are independent.
         es.declare_snapshot("raw", d("20040101"), vec![entry(1, 10, "raw", "v0")]).unwrap();
         assert_eq!(es.grade_names().unwrap(), vec!["physics", "raw"]);
+    }
+
+    #[test]
+    fn resolve_and_files_for_equal_the_filter_over_all_records() {
+        // Two kinds, three versions, ranged and single runs, reprocessed and
+        // first-time data on both sides of the snapshot and the timestamp.
+        let ranged = |id, first, last, kind: &str, version: &str, registered| FileRecord {
+            runs: RunRange::new(first, last).unwrap(),
+            ..file(id, first, kind, version, registered)
+        };
+        let mut es = EventStore::new(StoreTier::Group);
+        for f in [
+            ranged(1, 100, 149, "recon", "v1", "20040110"),
+            ranged(2, 150, 199, "recon", "v1", "20040112"),
+            ranged(3, 100, 199, "mc", "v1", "20040115"),
+            ranged(4, 100, 149, "recon", "v2", "20040301"),
+            ranged(5, 200, 249, "recon", "v2", "20040305"), // first-time
+            ranged(6, 240, 260, "recon", "v3", "20040320"), // overlaps 5: reprocessed
+            file(7, 300, "mc", "v2", "20040310"),           // first-time, other kind
+            file(8, 300, "recon", "v2", "20040310"),        // first-time, same run
+            file(9, 400, "recon", "v3", "20040601"),        // after the timestamp
+            file(10, 120, "recon", "v1", "20040120"),       // same version, inside file 1
+        ] {
+            es.register_file(&f).unwrap();
+        }
+        es.declare_snapshot(
+            "physics",
+            d("20040201"),
+            vec![entry(100, 199, "recon", "v1"), entry(100, 199, "mc", "v1")],
+        )
+        .unwrap();
+        es.declare_snapshot("physics", d("20040501"), vec![entry(100, 260, "recon", "v2")])
+            .unwrap();
+
+        let all = es.files().unwrap();
+        for at in ["20040202", "20040306", "20040401", "20040502", "20040701"] {
+            let view = es.resolve("physics", d(at)).unwrap();
+            let first_time: Vec<FileRecord> = all
+                .iter()
+                .filter(|f| f.registered > view.snapshot.date && f.registered <= view.timestamp)
+                .filter(|f| !view.snapshot.covers(f.runs.first, &f.kind))
+                .filter(|f| {
+                    !all.iter().any(|g| {
+                        g.id != f.id
+                            && g.kind == f.kind
+                            && g.runs.overlaps(&f.runs)
+                            && g.registered < f.registered
+                    })
+                })
+                .cloned()
+                .collect();
+            assert_eq!(view.first_time, first_time, "first-time data at {at}");
+            for kind in ["recon", "mc", "raw"] {
+                for run in [99, 100, 120, 149, 150, 199, 200, 245, 260, 300, 400] {
+                    let expected: Vec<FileRecord> = match view.version_for(run, kind) {
+                        None => Vec::new(),
+                        Some(v) => all
+                            .iter()
+                            .filter(|f| f.kind == kind && f.version == v && f.runs.contains(run))
+                            .cloned()
+                            .collect(),
+                    };
+                    assert_eq!(
+                        es.files_for(&view, run, kind).unwrap(),
+                        expected,
+                        "{at} {kind} {run}"
+                    );
+                }
+            }
+        }
+        // The fixture exercises both answers, not just empty ones.
+        let april = es.resolve("physics", d("20040401")).unwrap();
+        assert_eq!(april.first_time.iter().map(|f| f.id).collect::<Vec<_>>(), vec![5, 7, 8]);
+        let ids = |fs: Vec<FileRecord>| fs.iter().map(|f| f.id).collect::<Vec<_>>();
+        assert_eq!(ids(es.files_for(&april, 120, "recon").unwrap()), vec![1, 10]);
+        assert_eq!(ids(es.files_for(&april, 245, "recon").unwrap()), vec![5]);
     }
 
     #[test]
