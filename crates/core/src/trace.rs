@@ -873,6 +873,173 @@ mod tests {
         }
     }
 
+    /// The other ten variants: one JSONL line each, and every Chrome form —
+    /// the track records, `X` for a task, a killed task and an attempt, `C`,
+    /// the quarantine and crash-kill `i` markers — byte for byte as
+    /// `writeln!` with `Display` arguments produced them. Integers run from
+    /// 0 to `u64::MAX`; a variant with no Chrome record exports the tracks
+    /// alone.
+    #[test]
+    fn every_variant_keeps_its_export_bytes() {
+        const TRACKS: &str = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\
+            {\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"sciflow\"}},\
+            {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"stage: src\"}},\
+            {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1,\"args\":{\"name\":\"stage: work\"}},\
+            {\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":2,\"args\":{\"name\":\"resource: pool\"}}";
+        let t = SimTime::from_micros;
+        let us = SimDuration::from_micros;
+        let b = DataVolume::from_bytes;
+        let (src, work) = (StageId(0), StageId(1));
+        let cases: [(Vec<(SimTime, TraceEvent)>, &str, &str); 10] = [
+            (
+                vec![
+                    (
+                        t(10),
+                        TraceEvent::TaskStart {
+                            stage: work,
+                            task: 3,
+                            lineage: 12,
+                            volume: b(1_000_000_000),
+                            units: 4,
+                        },
+                    ),
+                    (
+                        t(1_000_010),
+                        TraceEvent::TaskEnd { stage: work, task: 3, lineage: 12, volume: b(250) },
+                    ),
+                ],
+                "{\"t\":10,\"ev\":\"task_start\",\"stage\":\"work\",\"task\":3,\"lineage\":12,\"volume\":1000000000,\"units\":4}\n\
+                 {\"t\":1000010,\"ev\":\"task_end\",\"stage\":\"work\",\"task\":3,\"lineage\":12,\"volume\":250}\n",
+                ",{\"name\":\"task 3\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":10,\"dur\":1000000,\"pid\":1,\"tid\":1,\"args\":{\"lineage\":12}}",
+            ),
+            (
+                vec![
+                    (
+                        t(0),
+                        TraceEvent::TaskStart {
+                            stage: src,
+                            task: 0,
+                            lineage: 1,
+                            volume: b(0),
+                            units: 1,
+                        },
+                    ),
+                    (
+                        t(20),
+                        TraceEvent::CrashKill { stage: src, task: 0, lineage: 1, lost: us(123_456) },
+                    ),
+                ],
+                "{\"t\":0,\"ev\":\"task_start\",\"stage\":\"src\",\"task\":0,\"lineage\":1,\"volume\":0,\"units\":1}\n\
+                 {\"t\":20,\"ev\":\"crash_kill\",\"stage\":\"src\",\"task\":0,\"lineage\":1,\"lost\":123456}\n",
+                ",{\"name\":\"task 0 (killed)\",\"cat\":\"task\",\"ph\":\"X\",\"ts\":0,\"dur\":20,\"pid\":1,\"tid\":0,\"args\":{\"lineage\":1}}\
+                 ,{\"name\":\"crash kill task 0\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":20,\"pid\":1,\"tid\":0}",
+            ),
+            (
+                vec![(
+                    t(5),
+                    TraceEvent::TransferAttempt {
+                        stage: src,
+                        lineage: u64::MAX,
+                        volume: b(4096),
+                        attempt: 2,
+                        duration: us(7),
+                    },
+                )],
+                "{\"t\":5,\"ev\":\"transfer_attempt\",\"stage\":\"src\",\"lineage\":18446744073709551615,\"volume\":4096,\"attempt\":2,\"duration\":7}\n",
+                ",{\"name\":\"attempt 2\",\"cat\":\"attempt\",\"ph\":\"X\",\"ts\":5,\"dur\":7,\"pid\":1,\"tid\":0,\"args\":{\"lineage\":18446744073709551615}}",
+            ),
+            (
+                vec![(
+                    t(5),
+                    TraceEvent::TransferRetry {
+                        stage: work,
+                        lineage: 9,
+                        volume: b(4096),
+                        attempt: u32::MAX,
+                        backoff: us(30_000_000),
+                    },
+                )],
+                "{\"t\":5,\"ev\":\"transfer_retry\",\"stage\":\"work\",\"lineage\":9,\"volume\":4096,\"attempt\":4294967295,\"backoff\":30000000}\n",
+                "",
+            ),
+            (
+                vec![(
+                    t(u64::MAX),
+                    TraceEvent::TransferAbandon { stage: StageId(9), lineage: 9, volume: b(4096) },
+                )],
+                "{\"t\":18446744073709551615,\"ev\":\"transfer_abandon\",\"stage\":\"?\",\"lineage\":9,\"volume\":4096}\n",
+                "",
+            ),
+            (
+                vec![(
+                    t(9),
+                    TraceEvent::QueueDepthChange { stage: work, blocks: 17, volume: b(69_632) },
+                )],
+                "{\"t\":9,\"ev\":\"queue_depth\",\"stage\":\"work\",\"blocks\":17,\"volume\":69632}\n",
+                ",{\"name\":\"queue: work\",\"ph\":\"C\",\"ts\":9,\"pid\":1,\"args\":{\"blocks\":17}}",
+            ),
+            (
+                vec![(
+                    t(9),
+                    TraceEvent::CheckpointWritten {
+                        stage: work,
+                        task: 3,
+                        count: 2,
+                        cost: us(1_500_000),
+                    },
+                )],
+                "{\"t\":9,\"ev\":\"checkpoint\",\"stage\":\"work\",\"task\":3,\"count\":2,\"cost\":1500000}\n",
+                "",
+            ),
+            (
+                vec![(
+                    t(9),
+                    TraceEvent::VerifyCheck {
+                        stage: src,
+                        lineage: 12,
+                        volume: b(8),
+                        cost: us(40),
+                        tainted: true,
+                    },
+                )],
+                "{\"t\":9,\"ev\":\"verify\",\"stage\":\"src\",\"lineage\":12,\"volume\":8,\"cost\":40,\"tainted\":true}\n",
+                "",
+            ),
+            (
+                vec![(
+                    t(9),
+                    TraceEvent::VerifyCheck {
+                        stage: src,
+                        lineage: 13,
+                        volume: b(8),
+                        cost: us(0),
+                        tainted: false,
+                    },
+                )],
+                "{\"t\":9,\"ev\":\"verify\",\"stage\":\"src\",\"lineage\":13,\"volume\":8,\"cost\":0,\"tainted\":false}\n",
+                "",
+            ),
+            (
+                vec![(
+                    t(9),
+                    TraceEvent::BlockQuarantined {
+                        stage: work,
+                        lineage: 12,
+                        volume: b(8),
+                        taint: 3,
+                    },
+                )],
+                "{\"t\":9,\"ev\":\"quarantine\",\"stage\":\"work\",\"lineage\":12,\"volume\":8,\"taint\":3}\n",
+                ",{\"name\":\"quarantine lineage 12\",\"cat\":\"integrity\",\"ph\":\"i\",\"s\":\"t\",\"ts\":9,\"pid\":1,\"tid\":1}",
+            ),
+        ];
+        for (events, jsonl, chrome) in cases {
+            let snapshot = snap(events);
+            assert_eq!(snapshot.jsonl(), jsonl);
+            assert_eq!(snapshot.chrome_trace(), format!("{TRACKS}{chrome}]}}"));
+        }
+    }
+
     /// Names are escaped once per export; the bytes are those of escaping
     /// them at every use.
     #[test]
