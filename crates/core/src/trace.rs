@@ -17,13 +17,16 @@
 //! the only cost per would-be event is one `Option` check — the event value
 //! itself is never constructed.
 //!
-//! [`TraceRecorder`] is the built-in observer: it collects the stream and
-//! exports a Chrome `trace_event` JSON (loadable in Perfetto, one track per
-//! stage plus one per resource) and a JSONL event log, and derives the
-//! [`Span`]s that [`crate::critical`] walks for bottleneck attribution.
+//! [`TraceRecorder`] is the built-in observer: it keeps the stream as a
+//! compact byte log (about ten bytes an event; the format is described above
+//! `encode`) and decodes it on [`TraceRecorder::snapshot`] into a
+//! [`TraceSnapshot`], which exports a Chrome `trace_event` JSON (loadable in
+//! Perfetto, one track per stage plus one per resource) and a JSONL event
+//! log, and derives the [`Span`]s that [`crate::critical`] walks for
+//! bottleneck attribution.
 
 use std::cell::RefCell;
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 use std::rc::Rc;
 
 use crate::graph::StageId;
@@ -104,9 +107,10 @@ impl FaultKind {
 /// the data descends from, preserved across transfers, chunking, processing
 /// and reprocessing, so a block's whole lifetime can be stitched together.
 ///
-/// A [`TraceRecorder`] keeps one `(SimTime, TraceEvent)` per event, millions
-/// on a stress run, so the size is pinned below: no variant may carry more
-/// than four words.
+/// A [`TraceSnapshot`] holds one `(SimTime, TraceEvent)` per event, millions
+/// on a stress run, and every analysis walks them, so the size of that
+/// decoded view is pinned below: no variant may carry more than four words.
+/// (A [`TraceRecorder`] stores its own, smaller encoding of each event.)
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A compute/filter task started: `units` resource units working on
@@ -383,92 +387,92 @@ impl TraceSnapshot {
     /// across replays of the same seeded flow.
     pub fn jsonl(&self) -> String {
         let mut out = String::new();
-        self.write_jsonl(&mut out).expect("writing to a String cannot fail");
+        self.write_jsonl(&mut out);
         out
     }
 
-    fn write_jsonl(&self, out: &mut String) -> fmt::Result {
+    fn write_jsonl(&self, out: &mut String) {
         let names = EscapedNames::of(&self.meta);
         for (at, ev) in &self.events {
-            let t = at.as_micros();
+            push_int(out, "{\"t\":", at.as_micros());
             match ev {
-                TraceEvent::TaskStart { stage, task, lineage, volume, units } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"task_start\",\"stage\":\"{}\",\"task\":{task},\"lineage\":{lineage},\"volume\":{},\"units\":{units}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                )?,
-                TraceEvent::TaskEnd { stage, task, lineage, volume } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"task_end\",\"stage\":\"{}\",\"task\":{task},\"lineage\":{lineage},\"volume\":{}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                )?,
-                TraceEvent::TransferAttempt { stage, lineage, volume, attempt, duration } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"transfer_attempt\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"attempt\":{attempt},\"duration\":{}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                    duration.as_micros(),
-                )?,
-                TraceEvent::TransferRetry { stage, lineage, volume, attempt, backoff } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"transfer_retry\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"attempt\":{attempt},\"backoff\":{}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                    backoff.as_micros(),
-                )?,
-                TraceEvent::TransferAbandon { stage, lineage, volume } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"transfer_abandon\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                )?,
-                TraceEvent::QueueDepthChange { stage, blocks, volume } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"queue_depth\",\"stage\":\"{}\",\"blocks\":{blocks},\"volume\":{}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                )?,
+                TraceEvent::TaskStart { stage, task, lineage, volume, units } => {
+                    push_ev(out, "task_start", names.stage(*stage));
+                    push_int(out, ",\"task\":", *task);
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                    push_int(out, ",\"units\":", u64::from(*units));
+                }
+                TraceEvent::TaskEnd { stage, task, lineage, volume } => {
+                    push_ev(out, "task_end", names.stage(*stage));
+                    push_int(out, ",\"task\":", *task);
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                }
+                TraceEvent::TransferAttempt { stage, lineage, volume, attempt, duration } => {
+                    push_ev(out, "transfer_attempt", names.stage(*stage));
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                    push_int(out, ",\"attempt\":", u64::from(*attempt));
+                    push_int(out, ",\"duration\":", duration.as_micros());
+                }
+                TraceEvent::TransferRetry { stage, lineage, volume, attempt, backoff } => {
+                    push_ev(out, "transfer_retry", names.stage(*stage));
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                    push_int(out, ",\"attempt\":", u64::from(*attempt));
+                    push_int(out, ",\"backoff\":", backoff.as_micros());
+                }
+                TraceEvent::TransferAbandon { stage, lineage, volume } => {
+                    push_ev(out, "transfer_abandon", names.stage(*stage));
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                }
+                TraceEvent::QueueDepthChange { stage, blocks, volume } => {
+                    push_ev(out, "queue_depth", names.stage(*stage));
+                    push_int(out, ",\"blocks\":", *blocks as u64);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                }
                 TraceEvent::FaultInjected { scope, kind, count } => {
-                    write!(out, "{{\"t\":{t},\"ev\":\"fault\",")?;
+                    out.push_str(",\"ev\":\"fault\",");
                     match scope {
-                        FaultScope::Stage(s) => write!(out, "\"stage\":\"{}\"", names.stage(*s))?,
+                        FaultScope::Stage(s) => push_quoted(out, "\"stage\":\"", names.stage(*s)),
                         FaultScope::Resource(r) => {
-                            write!(out, "\"resource\":\"{}\"", names.resource(*r))?
+                            push_quoted(out, "\"resource\":\"", names.resource(*r))
                         }
                         FaultScope::None => out.push_str("\"stage\":null"),
                     }
-                    writeln!(out, ",\"kind\":\"{}\",\"count\":{count}}}", kind.label())?
+                    push_quoted(out, ",\"kind\":\"", kind.label());
+                    push_int(out, ",\"count\":", *count);
                 }
-                TraceEvent::CheckpointWritten { stage, task, count, cost } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"checkpoint\",\"stage\":\"{}\",\"task\":{task},\"count\":{count},\"cost\":{}}}",
-                    names.stage(*stage),
-                    cost.as_micros(),
-                )?,
-                TraceEvent::VerifyCheck { stage, lineage, volume, cost, tainted } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"verify\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"cost\":{},\"tainted\":{tainted}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                    cost.as_micros(),
-                )?,
-                TraceEvent::BlockQuarantined { stage, lineage, volume, taint } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"quarantine\",\"stage\":\"{}\",\"lineage\":{lineage},\"volume\":{},\"taint\":{taint}}}",
-                    names.stage(*stage),
-                    volume.bytes(),
-                )?,
-                TraceEvent::CrashKill { stage, task, lineage, lost } => writeln!(
-                    out,
-                    "{{\"t\":{t},\"ev\":\"crash_kill\",\"stage\":\"{}\",\"task\":{task},\"lineage\":{lineage},\"lost\":{}}}",
-                    names.stage(*stage),
-                    lost.as_micros(),
-                )?,
+                TraceEvent::CheckpointWritten { stage, task, count, cost } => {
+                    push_ev(out, "checkpoint", names.stage(*stage));
+                    push_int(out, ",\"task\":", *task);
+                    push_int(out, ",\"count\":", u64::from(*count));
+                    push_int(out, ",\"cost\":", cost.as_micros());
+                }
+                TraceEvent::VerifyCheck { stage, lineage, volume, cost, tainted } => {
+                    push_ev(out, "verify", names.stage(*stage));
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                    push_int(out, ",\"cost\":", cost.as_micros());
+                    out.push_str(if *tainted { ",\"tainted\":true" } else { ",\"tainted\":false" });
+                }
+                TraceEvent::BlockQuarantined { stage, lineage, volume, taint } => {
+                    push_ev(out, "quarantine", names.stage(*stage));
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"volume\":", volume.bytes());
+                    push_int(out, ",\"taint\":", u64::from(*taint));
+                }
+                TraceEvent::CrashKill { stage, task, lineage, lost } => {
+                    push_ev(out, "crash_kill", names.stage(*stage));
+                    push_int(out, ",\"task\":", *task);
+                    push_int(out, ",\"lineage\":", *lineage);
+                    push_int(out, ",\"lost\":", lost.as_micros());
+                }
             }
+            out.push_str("}\n");
         }
-        Ok(())
     }
 
     /// Export the trace in Chrome `trace_event` JSON (the format Perfetto
@@ -478,83 +482,121 @@ impl TraceSnapshot {
     /// quarantines and crash kills become instant (`"i"`) markers.
     pub fn chrome_trace(&self) -> String {
         let mut out = String::new();
-        self.write_chrome(&mut out).expect("writing to a String cannot fail");
+        self.write_chrome(&mut out);
         out
     }
 
-    fn write_chrome(&self, out: &mut String) -> fmt::Result {
+    fn write_chrome(&self, out: &mut String) {
         let names = EscapedNames::of(&self.meta);
-        let pid = 1;
         // The process-name record is always first, so every later record
         // opens with the separating comma.
-        write!(
-            out,
-            "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"args\":{{\"name\":\"sciflow\"}}}}"
-        )?;
-        for (i, name) in names.stages.iter().enumerate() {
-            write!(
-                out,
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{i},\"args\":{{\"name\":\"stage: {name}\"}}}}",
-            )?;
-        }
+        out.push_str(
+            "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"sciflow\"}}",
+        );
         let rbase = names.stages.len();
-        for (i, name) in names.resources.iter().enumerate() {
-            write!(
-                out,
-                ",{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"args\":{{\"name\":\"resource: {name}\"}}}}",
-                rbase + i,
-            )?;
+        let tracks = names.stages.iter().map(|n| ("stage: ", n));
+        for (tid, (what, name)) in
+            tracks.chain(names.resources.iter().map(|n| ("resource: ", n))).enumerate()
+        {
+            push_int(out, ",{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":", tid as u64);
+            out.push_str(",\"args\":{\"name\":\"");
+            out.push_str(what);
+            out.push_str(name);
+            out.push_str("\"}}");
         }
         for span in self.spans() {
-            write!(
-                out,
-                ",{{\"name\":\"{} {}{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"lineage\":{}}}}}",
-                span.kind,
-                span.task,
-                if span.killed { " (killed)" } else { "" },
-                span.kind,
-                span.start.as_micros(),
-                span.duration().as_micros(),
-                span.stage.index(),
-                span.lineage,
-            )?;
+            out.push_str(",{\"name\":\"");
+            out.push_str(span.kind);
+            out.push(' ');
+            push_u64(out, span.task);
+            if span.killed {
+                out.push_str(" (killed)");
+            }
+            push_quoted(out, "\",\"cat\":\"", span.kind);
+            push_int(out, ",\"ph\":\"X\",\"ts\":", span.start.as_micros());
+            push_int(out, ",\"dur\":", span.duration().as_micros());
+            push_int(out, ",\"pid\":1,\"tid\":", span.stage.index() as u64);
+            push_int(out, ",\"args\":{\"lineage\":", span.lineage);
+            out.push_str("}}");
         }
         for (at, ev) in &self.events {
             let ts = at.as_micros();
             match ev {
-                TraceEvent::QueueDepthChange { stage, blocks, .. } => write!(
-                    out,
-                    ",{{\"name\":\"queue: {}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":{pid},\"args\":{{\"blocks\":{blocks}}}}}",
-                    names.stage(*stage),
-                )?,
+                TraceEvent::QueueDepthChange { stage, blocks, .. } => {
+                    push_quoted(out, ",{\"name\":\"queue: ", names.stage(*stage));
+                    push_int(out, ",\"ph\":\"C\",\"ts\":", ts);
+                    push_int(out, ",\"pid\":1,\"args\":{\"blocks\":", *blocks as u64);
+                    out.push_str("}}");
+                }
                 TraceEvent::FaultInjected { scope, kind, count } => {
                     let tid = match scope {
                         FaultScope::Stage(s) => s.index(),
                         FaultScope::Resource(r) => rbase + r,
                         FaultScope::None => 0,
                     };
-                    write!(
-                        out,
-                        ",{{\"name\":\"fault: {} x{count}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{tid}}}",
-                        kind.label(),
-                    )?
+                    out.push_str(",{\"name\":\"fault: ");
+                    out.push_str(kind.label());
+                    push_int(out, " x", *count);
+                    push_instant(out, "fault", ts, tid);
                 }
-                TraceEvent::BlockQuarantined { stage, lineage, .. } => write!(
-                    out,
-                    ",{{\"name\":\"quarantine lineage {lineage}\",\"cat\":\"integrity\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{}}}",
-                    stage.index(),
-                )?,
-                TraceEvent::CrashKill { stage, task, .. } => write!(
-                    out,
-                    ",{{\"name\":\"crash kill task {task}\",\"cat\":\"fault\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{ts},\"pid\":{pid},\"tid\":{}}}",
-                    stage.index(),
-                )?,
+                TraceEvent::BlockQuarantined { stage, lineage, .. } => {
+                    push_int(out, ",{\"name\":\"quarantine lineage ", *lineage);
+                    push_instant(out, "integrity", ts, stage.index());
+                }
+                TraceEvent::CrashKill { stage, task, .. } => {
+                    push_int(out, ",{\"name\":\"crash kill task ", *task);
+                    push_instant(out, "fault", ts, stage.index());
+                }
                 _ => {}
             }
         }
         out.push_str("]}");
-        Ok(())
     }
+}
+
+// The exports build their lines from literals and integers only, so they
+// push both straight into the `String`; `fmt` is not involved.
+
+/// Append `v` in decimal.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
+/// Append `lead`, then `v` in decimal.
+fn push_int(out: &mut String, lead: &str, v: u64) {
+    out.push_str(lead);
+    push_u64(out, v);
+}
+
+/// Append `lead`, `text` and the closing quote of the string `lead` opened.
+fn push_quoted(out: &mut String, lead: &str, text: &str) {
+    out.push_str(lead);
+    out.push_str(text);
+    out.push('"');
+}
+
+/// The `ev` and `stage` members every JSONL line but a fault's opens with.
+fn push_ev(out: &mut String, ev: &str, stage: &str) {
+    push_quoted(out, ",\"ev\":\"", ev);
+    push_quoted(out, ",\"stage\":\"", stage);
+}
+
+/// Close a Chrome record's name and finish it as an instant marker.
+fn push_instant(out: &mut String, cat: &str, ts: u64, tid: usize) {
+    push_quoted(out, "\",\"cat\":\"", cat);
+    push_int(out, ",\"ph\":\"i\",\"s\":\"t\",\"ts\":", ts);
+    push_int(out, ",\"pid\":1,\"tid\":", tid as u64);
+    out.push('}');
 }
 
 /// The name tables as they appear inside JSON string literals, escaped once
@@ -581,11 +623,227 @@ impl EscapedNames {
     }
 }
 
+// The recorder's store is an append-only byte log, one record per event:
+//
+//   tag     one byte naming the variant
+//   time    LEB128 of the event's time minus the previous event's, wrapping
+//           (the first event's predecessor is time 0), so a repeated
+//           timestamp is one zero byte and an out-of-order one still decodes
+//   fields  the variant's fields in declaration order, each the LEB128 of
+//           its value as a `u64` — except `bool`, `FaultKind` and the
+//           `FaultScope` arm, one byte each (a scope's id follows its arm)
+//
+// Ids and counts are small and most events of a run share their
+// predecessor's time, so a record averages about ten bytes where the
+// `(SimTime, TraceEvent)` it decodes to is 48. The log never leaves this
+// module and only `encode` writes it, so `decode` returns no `Result`: a
+// malformed log is a bug here, and panics.
+
+/// Room each record is written into. The longest is 61 bytes (tag, time and
+/// five fields at ten LEB128 bytes each); 64 keeps the buffer's capacities
+/// powers of two, since `Vec` doubles from its first reservation, and under
+/// glibc that decides whether a process's second recorder grows by `mremap`
+/// or by copy: the observed stress run peaks at 24 MB, and at 41 MB with 61
+/// here (DESIGN.md §10, EXPERIMENTS.md "TRACE-LOG").
+const MAX_RECORD: usize = 64;
+
+/// A record being written over the `MAX_RECORD` zero bytes `encode` put at
+/// the end of the log: one capacity check per record, not one per byte.
+///
+/// Inlining on this, on [`LogReader`] and on [`Field`]'s impls is forced
+/// because it is not otherwise dependable: left to the inliner, or given
+/// the plain hint, some builds keep a call per field, and an event then
+/// costs 17 ns to log instead of 12 and 22 ns to decode instead of 10.
+struct RecordWriter<'a> {
+    room: &'a mut [u8],
+    len: usize,
+}
+
+impl RecordWriter<'_> {
+    #[inline(always)]
+    fn byte(&mut self, b: u8) {
+        self.room[self.len] = b;
+        self.len += 1;
+    }
+
+    #[inline(always)]
+    fn leb(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.byte(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.byte(v as u8);
+    }
+}
+
+/// A read position in the log.
+struct LogReader<'a> {
+    log: &'a [u8],
+    at: usize,
+}
+
+impl LogReader<'_> {
+    #[inline(always)]
+    fn byte(&mut self) -> u8 {
+        let b = self.log[self.at];
+        self.at += 1;
+        b
+    }
+
+    #[inline(always)]
+    fn leb(&mut self) -> u64 {
+        let mut v = 0;
+        let mut shift = 0;
+        loop {
+            let b = self.byte();
+            v |= u64::from(b & 0x7f) << shift;
+            if b < 0x80 {
+                return v;
+            }
+            shift += 7;
+        }
+    }
+}
+
+/// A field type of [`TraceEvent`] as the log holds it. [`log_format!`] names
+/// fields only; each field's type picks its encoding here, once for both
+/// directions.
+trait Field: Copy {
+    fn put(self, w: &mut RecordWriter<'_>);
+    fn get(r: &mut LogReader<'_>) -> Self;
+}
+
+/// Types logged as the LEB128 of their value widened to `u64`; `get` narrows
+/// back what `put` widened.
+macro_rules! leb_fields {
+    ($($ty:ty: $widen:expr, $narrow:expr;)*) => {$(
+        impl Field for $ty {
+            #[inline(always)]
+            fn put(self, w: &mut RecordWriter<'_>) {
+                w.leb($widen(self))
+            }
+
+            #[inline(always)]
+            fn get(r: &mut LogReader<'_>) -> Self {
+                $narrow(r.leb())
+            }
+        }
+    )*};
+}
+
+leb_fields! {
+    u64: |v| v, |v| v;
+    u32: u64::from, |v| v as u32;
+    usize: |v| v as u64, |v| v as usize;
+    StageId: |s: StageId| s.0 as u64, |v| StageId(v as usize);
+    DataVolume: DataVolume::bytes, DataVolume::from_bytes;
+    SimDuration: SimDuration::as_micros, SimDuration::from_micros;
+    // One byte each, being under 128.
+    bool: u64::from, |v| v != 0;
+    FaultKind: |k| k as u64, |v| FAULT_KINDS[v as usize];
+}
+
+/// `FaultKind`s by their log value, which is the discriminant.
+const FAULT_KINDS: [FaultKind; 5] = [
+    FaultKind::Stall,
+    FaultKind::Link,
+    FaultKind::SilentCorrupt,
+    FaultKind::Crash,
+    FaultKind::Repair,
+];
+
+impl Field for FaultScope {
+    #[inline(always)]
+    fn put(self, w: &mut RecordWriter<'_>) {
+        match self {
+            FaultScope::Stage(stage) => {
+                w.byte(0);
+                stage.put(w)
+            }
+            FaultScope::Resource(resource) => {
+                w.byte(1);
+                resource.put(w)
+            }
+            FaultScope::None => w.byte(2),
+        }
+    }
+
+    #[inline(always)]
+    fn get(r: &mut LogReader<'_>) -> Self {
+        match r.byte() {
+            0 => FaultScope::Stage(Field::get(r)),
+            1 => FaultScope::Resource(Field::get(r)),
+            2 => FaultScope::None,
+            arm => unreachable!("fault scope arm {arm} in the trace log"),
+        }
+    }
+}
+
+/// The record formats, one row per variant: its tag, then its fields in the
+/// order they are written and read, which is declaration order. `encode`
+/// and `decode` are both generated from the rows, so they cannot disagree,
+/// and a variant or a field the rows leave out does not compile.
+macro_rules! log_format {
+    ($($tag:literal $variant:ident { $($field:ident),* })*) => {
+        /// Append `ev`, `dt` after its predecessor, to the log.
+        fn encode(log: &mut Vec<u8>, dt: u64, ev: &TraceEvent) {
+            let start = log.len();
+            log.resize(start + MAX_RECORD, 0);
+            let mut w = RecordWriter { room: &mut log[start..], len: 0 };
+            match *ev {
+                $(TraceEvent::$variant { $($field),* } => {
+                    w.byte($tag);
+                    w.leb(dt);
+                    $($field.put(&mut w);)*
+                })*
+            }
+            let end = start + w.len;
+            log.truncate(end);
+        }
+
+        /// The `events` records of `log`, decoded.
+        fn decode(log: &[u8], events: usize) -> Vec<(SimTime, TraceEvent)> {
+            let mut r = LogReader { log, at: 0 };
+            let mut t = 0u64;
+            let mut out = Vec::with_capacity(events);
+            for _ in 0..events {
+                let tag = r.byte();
+                t = t.wrapping_add(r.leb());
+                let ev = match tag {
+                    $($tag => TraceEvent::$variant { $($field: Field::get(&mut r)),* },)*
+                    tag => unreachable!("tag {tag} in the trace log"),
+                };
+                out.push((SimTime::from_micros(t), ev));
+            }
+            debug_assert_eq!(r.at, log.len());
+            out
+        }
+    };
+}
+
+log_format! {
+    0 TaskStart { stage, task, lineage, volume, units }
+    1 TaskEnd { stage, task, lineage, volume }
+    2 TransferAttempt { stage, lineage, volume, attempt, duration }
+    3 TransferRetry { stage, lineage, volume, attempt, backoff }
+    4 TransferAbandon { stage, lineage, volume }
+    5 QueueDepthChange { stage, blocks, volume }
+    6 FaultInjected { scope, kind, count }
+    7 CheckpointWritten { stage, task, count, cost }
+    8 VerifyCheck { stage, lineage, volume, cost, tainted }
+    9 BlockQuarantined { stage, lineage, volume, taint }
+    10 CrashKill { stage, task, lineage, lost }
+}
+
 /// Shared buffer behind cloned [`TraceRecorder`] handles.
 #[derive(Debug, Default)]
 struct TraceBuf {
     meta: TraceMeta,
-    events: Vec<(SimTime, TraceEvent)>,
+    log: Vec<u8>,
+    /// Records in `log`.
+    events: usize,
+    /// Time of the last record, the base of the next one's delta.
+    last_t: u64,
 }
 
 /// The built-in [`Observer`]: records the full stream into a shared buffer.
@@ -623,30 +881,42 @@ impl TraceRecorder {
 
     /// Number of events recorded so far.
     pub fn len(&self) -> usize {
-        self.buf.borrow().events.len()
+        self.buf.borrow().events
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Copy out the recorded trace (meta plus events, in emission order).
-    pub fn snapshot(&self) -> TraceSnapshot {
-        let buf = self.buf.borrow();
-        TraceSnapshot { meta: buf.meta.clone(), events: buf.events.clone() }
+    /// Bytes of event log held for the events recorded so far — what the
+    /// recording costs in memory, next to the name tables. A pure function
+    /// of the event stream, so the same run reads the same on any machine.
+    pub fn bytes_held(&self) -> usize {
+        self.buf.borrow().log.len()
     }
 
-    /// Shorthand for [`TraceSnapshot::spans`] on the current contents.
+    /// Decode the recorded trace (meta plus events, in emission order). The
+    /// snapshot is 48 bytes per event where the log behind it is about ten.
+    pub fn snapshot(&self) -> TraceSnapshot {
+        let buf = self.buf.borrow();
+        TraceSnapshot { meta: buf.meta.clone(), events: decode(&buf.log, buf.events) }
+    }
+
+    /// Shorthand for [`TraceSnapshot::spans`] on the current contents. Like
+    /// the two below it decodes the whole log: to call more than one, take
+    /// [`TraceRecorder::snapshot`] once and call them on that.
     pub fn spans(&self) -> Vec<Span> {
         self.snapshot().spans()
     }
 
-    /// Shorthand for [`TraceSnapshot::jsonl`] on the current contents.
+    /// Shorthand for [`TraceSnapshot::jsonl`] on the current contents;
+    /// decodes the whole log, see [`TraceRecorder::spans`].
     pub fn jsonl(&self) -> String {
         self.snapshot().jsonl()
     }
 
-    /// Shorthand for [`TraceSnapshot::chrome_trace`] on the current contents.
+    /// Shorthand for [`TraceSnapshot::chrome_trace`] on the current contents;
+    /// decodes the whole log, see [`TraceRecorder::spans`].
     pub fn chrome_trace(&self) -> String {
         self.snapshot().chrome_trace()
     }
@@ -656,11 +926,17 @@ impl Observer for TraceRecorder {
     fn begin(&mut self, meta: &TraceMeta) {
         let mut buf = self.buf.borrow_mut();
         buf.meta = meta.clone();
-        buf.events.clear();
+        buf.log.clear();
+        buf.events = 0;
+        buf.last_t = 0;
     }
 
     fn record(&mut self, at: SimTime, ev: &TraceEvent) {
-        self.buf.borrow_mut().events.push((at, ev.clone()));
+        let buf = &mut *self.buf.borrow_mut();
+        let t = at.as_micros();
+        encode(&mut buf.log, t.wrapping_sub(buf.last_t), ev);
+        buf.last_t = t;
+        buf.events += 1;
     }
 }
 
@@ -890,7 +1166,7 @@ mod tests {
         let us = SimDuration::from_micros;
         let b = DataVolume::from_bytes;
         let (src, work) = (StageId(0), StageId(1));
-        let cases: [(Vec<(SimTime, TraceEvent)>, &str, &str); 10] = [
+        let cases = [
             (
                 vec![
                     (
@@ -1091,6 +1367,179 @@ mod tests {
         );
         assert_eq!(rec.len(), 1);
         assert_eq!(rec.snapshot().meta.stages, vec!["src", "work"]);
+    }
+
+    /// The integer values a LEB128 changes length at, and the ends of every
+    /// field's range.
+    const EDGES: [u64; 8] = [0, 1, 127, 128, 16_383, 16_384, u32::MAX as u64, u64::MAX];
+
+    /// Variant `variant` (declaration order, faults aside) with its integer
+    /// fields, in declaration order, taken from `f`: a value past a narrower
+    /// field's range becomes that field's maximum.
+    fn event_of(variant: usize, f: [u64; 5], tainted: bool) -> TraceEvent {
+        let stage = |v: u64| StageId(usize::try_from(v).unwrap_or(usize::MAX));
+        let narrow = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+        let (vol, dur) = (DataVolume::from_bytes, SimDuration::from_micros);
+        match variant {
+            0 => TraceEvent::TaskStart {
+                stage: stage(f[0]),
+                task: f[1],
+                lineage: f[2],
+                volume: vol(f[3]),
+                units: narrow(f[4]),
+            },
+            1 => TraceEvent::TaskEnd {
+                stage: stage(f[0]),
+                task: f[1],
+                lineage: f[2],
+                volume: vol(f[3]),
+            },
+            2 => TraceEvent::TransferAttempt {
+                stage: stage(f[0]),
+                lineage: f[1],
+                volume: vol(f[2]),
+                attempt: narrow(f[3]),
+                duration: dur(f[4]),
+            },
+            3 => TraceEvent::TransferRetry {
+                stage: stage(f[0]),
+                lineage: f[1],
+                volume: vol(f[2]),
+                attempt: narrow(f[3]),
+                backoff: dur(f[4]),
+            },
+            4 => {
+                TraceEvent::TransferAbandon { stage: stage(f[0]), lineage: f[1], volume: vol(f[2]) }
+            }
+            5 => TraceEvent::QueueDepthChange {
+                stage: stage(f[0]),
+                blocks: usize::try_from(f[1]).unwrap_or(usize::MAX),
+                volume: vol(f[2]),
+            },
+            6 => TraceEvent::CheckpointWritten {
+                stage: stage(f[0]),
+                task: f[1],
+                count: narrow(f[2]),
+                cost: dur(f[3]),
+            },
+            7 => TraceEvent::VerifyCheck {
+                stage: stage(f[0]),
+                lineage: f[1],
+                volume: vol(f[2]),
+                cost: dur(f[3]),
+                tainted,
+            },
+            8 => TraceEvent::BlockQuarantined {
+                stage: stage(f[0]),
+                lineage: f[1],
+                volume: vol(f[2]),
+                taint: narrow(f[3]),
+            },
+            9 => TraceEvent::CrashKill {
+                stage: stage(f[0]),
+                task: f[1],
+                lineage: f[2],
+                lost: dur(f[3]),
+            },
+            _ => unreachable!(),
+        }
+    }
+
+    /// Every variant, each integer field in turn at every edge while its
+    /// neighbours hold distinct values (so a field dropped, narrowed or read
+    /// out of order on either side changes the event); every fault scope arm
+    /// and kind; `tainted` both ways. The times repeat, rise, fall and reach
+    /// `u64::MAX`, as a hand-driven `record` may make them.
+    fn extreme_events() -> Vec<(SimTime, TraceEvent)> {
+        let mut events = Vec::new();
+        for variant in 0..10 {
+            for field in 0..5 {
+                for (i, edge) in EDGES.into_iter().enumerate() {
+                    let mut f = [3, 5, 7, 11, 13];
+                    f[field] = edge;
+                    events.push(event_of(variant, f, i % 2 == 0));
+                }
+            }
+        }
+        for (i, edge) in EDGES.into_iter().enumerate() {
+            let id = usize::try_from(edge).unwrap_or(usize::MAX);
+            for scope in
+                [FaultScope::Stage(StageId(id)), FaultScope::Resource(id), FaultScope::None]
+            {
+                for (k, kind) in FAULT_KINDS.into_iter().enumerate() {
+                    let count = EDGES[(i + k) % EDGES.len()];
+                    events.push(TraceEvent::FaultInjected { scope, kind, count });
+                }
+            }
+        }
+        let times = [0, 0, 5, 5, 1_000_000, 999_999, u64::MAX, u64::MAX, 0, 128, 127, u64::MAX - 1];
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(i, ev)| (SimTime::from_micros(times[i % times.len()]), ev))
+            .collect()
+    }
+
+    fn record_all(rec: &TraceRecorder, meta: &TraceMeta, events: &[(SimTime, TraceEvent)]) {
+        let mut handle = rec.clone();
+        handle.begin(meta);
+        for (at, ev) in events {
+            handle.record(*at, ev);
+        }
+    }
+
+    #[test]
+    fn log_round_trips_every_variant_at_the_extremes() {
+        let events = extreme_events();
+        let rec = TraceRecorder::new();
+        record_all(&rec, &meta(), &events);
+        assert_eq!(rec.len(), events.len());
+        assert_eq!(rec.snapshot(), snap(events));
+    }
+
+    /// The format by example: tag, time delta, fields; a repeated time is
+    /// one zero byte.
+    #[test]
+    fn log_bytes_of_a_repeated_event() {
+        let ev = TraceEvent::QueueDepthChange {
+            stage: StageId(1),
+            blocks: 2,
+            volume: DataVolume::from_bytes(300),
+        };
+        let at = SimTime::from_micros(200);
+        let rec = TraceRecorder::new();
+        record_all(&rec, &meta(), &[(at, ev.clone()), (at, ev)]);
+        let log = rec.buf.borrow().log.clone();
+        assert_eq!(log, [5, 0xc8, 0x01, 1, 2, 0xac, 0x02, 5, 0, 1, 2, 0xac, 0x02]);
+        assert_eq!(rec.bytes_held(), log.len());
+    }
+
+    #[test]
+    fn an_empty_log_decodes_to_no_events() {
+        let rec = TraceRecorder::new();
+        assert_eq!((rec.len(), rec.bytes_held()), (0, 0));
+        assert_eq!(rec.snapshot(), TraceSnapshot::default());
+        record_all(&rec, &meta(), &[]);
+        assert!(rec.is_empty());
+        assert_eq!(rec.snapshot(), snap(vec![]));
+    }
+
+    /// A second run through the same recorder starts from nothing: count,
+    /// bytes and the time base of the first delta are all reset.
+    #[test]
+    fn begin_resets_a_used_recorder() {
+        let events = extreme_events();
+        let (first, second) = events.split_at(events.len() / 2);
+        assert_ne!(first.last().map(|e| e.0), Some(SimTime::ZERO), "a time base to forget");
+        let reused = TraceRecorder::new();
+        record_all(&reused, &TraceMeta::default(), first);
+        record_all(&reused, &meta(), second);
+        let fresh = TraceRecorder::new();
+        record_all(&fresh, &meta(), second);
+        assert_eq!(reused.len(), fresh.len());
+        assert_eq!(reused.bytes_held(), fresh.bytes_held());
+        assert_eq!(reused.snapshot(), fresh.snapshot());
+        assert_eq!(reused.snapshot(), snap(second.to_vec()));
     }
 
     #[test]

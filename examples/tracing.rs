@@ -65,8 +65,9 @@ fn main() {
     assert_eq!(dominant.name, "ship-disks", "expected the shipping channel to dominate");
     println!("\ndominant: {} ({:.1}% of the makespan)", dominant.name, dominant.share * 100.0);
 
-    // Export the full trace for Perfetto / chrome://tracing.
-    let chrome = trace.chrome_trace();
+    // Export the full trace for Perfetto / chrome://tracing, from the
+    // snapshot already decoded for the critical path.
+    let chrome = snapshot.chrome_trace();
     if let Some(dir) = std::path::Path::new(&out_path).parent() {
         std::fs::create_dir_all(dir).expect("create trace output dir");
     }

@@ -13,17 +13,20 @@
 //! The default seed follows `FAULT_MATRIX_SEED`, so CI sweeps these tests
 //! across the fault matrix; one test also pins the sweep seeds explicitly.
 
+use std::cell::RefCell;
 use std::path::PathBuf;
+use std::rc::Rc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, CleoFlowParams, WILSON_POOL};
+use sciflow_core::fault::RetryPolicy;
 use sciflow_core::genflow::{stress_flow, Archetype, StressParams, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageId, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::trace::{
-    NoopObserver, Span, TraceEvent, TraceMeta, TraceRecorder, TraceSnapshot,
+    NoopObserver, Observer, Span, TraceEvent, TraceMeta, TraceRecorder, TraceSnapshot,
 };
 use sciflow_core::units::{DataVolume, SimDuration, SimTime};
 use sciflow_core::{critical_path, PathSegment};
@@ -140,6 +143,100 @@ fn arecibo_critical_path_names_ship_disks_dominant() {
     );
 }
 
+// --- the recorder's byte log against the store it replaced ---
+
+/// The recorder's store as it was first written, kept as the reference: one
+/// cloned `(SimTime, TraceEvent)` per event.
+#[derive(Clone, Default)]
+struct VecObserver {
+    events: Rc<RefCell<Vec<(SimTime, TraceEvent)>>>,
+}
+
+impl Observer for VecObserver {
+    fn begin(&mut self, _meta: &TraceMeta) {
+        self.events.borrow_mut().clear();
+    }
+
+    fn record(&mut self, at: SimTime, ev: &TraceEvent) {
+        self.events.borrow_mut().push((at, ev.clone()));
+    }
+}
+
+/// Hands one run's stream to two observers.
+struct Tee<A, B>(A, B);
+
+impl<A: Observer, B: Observer> Observer for Tee<A, B> {
+    fn begin(&mut self, meta: &TraceMeta) {
+        self.0.begin(meta);
+        self.1.begin(meta);
+    }
+
+    fn record(&mut self, at: SimTime, ev: &TraceEvent) {
+        self.0.record(at, ev);
+        self.1.record(at, ev);
+    }
+}
+
+/// Position of the event's variant in `TraceEvent`'s declaration.
+fn variant_index(ev: &TraceEvent) -> usize {
+    match ev {
+        TraceEvent::TaskStart { .. } => 0,
+        TraceEvent::TaskEnd { .. } => 1,
+        TraceEvent::TransferAttempt { .. } => 2,
+        TraceEvent::TransferRetry { .. } => 3,
+        TraceEvent::TransferAbandon { .. } => 4,
+        TraceEvent::QueueDepthChange { .. } => 5,
+        TraceEvent::FaultInjected { .. } => 6,
+        TraceEvent::CheckpointWritten { .. } => 7,
+        TraceEvent::VerifyCheck { .. } => 8,
+        TraceEvent::BlockQuarantined { .. } => 9,
+        TraceEvent::CrashKill { .. } => 10,
+    }
+}
+
+/// Every zoo archetype, 16 graphs each off the matrix seed, clean and in all
+/// three fault regimes: what a `TraceRecorder` decodes from its log is, event
+/// for event, what the `Vec` store beside it kept — and the sweep saw every
+/// variant, so no arm of the codec is compared vacuously. The default budget
+/// of six retries never runs out on these graphs, so the corrupt regime runs
+/// once more with no retries at all, for its abandoned blocks.
+#[test]
+fn recorder_log_decodes_to_what_a_vec_store_keeps() {
+    let master = matrix_seed(42);
+    let mut seen = [0usize; 11];
+    for archetype in Archetype::ALL {
+        for i in 0..16 {
+            let seed = derive_seed(master, &format!("zoo-codec-{}-{i}", archetype.name()))
+                & SEED_PAYLOAD_MASK;
+            let s = GeneratedScenario::new(archetype, seed);
+            let mut no_retries = s.clone();
+            no_retries.policy = RetryPolicy::no_retries();
+            let sims = [
+                ("clean", Some(s.sim_clean())),
+                ("corrupt", Some(s.sim_corrupt())),
+                ("corrupt, no retries", Some(no_retries.sim_corrupt())),
+                ("corrupt-verified", Some(s.sim_corrupt_verified())),
+                ("crashy", s.sim_crashy()),
+            ];
+            for (mode, sim) in sims {
+                let Some(sim) = sim else { continue };
+                let (recorder, vec) = (TraceRecorder::new(), VecObserver::default());
+                sim.with_observer(Tee(recorder.clone(), vec.clone()))
+                    .run()
+                    .expect("generated flow converges");
+                let kept = vec.events.borrow();
+                let what = format!("{mode} ({}, {seed:#x})", archetype.name());
+                assert_eq!(recorder.len(), kept.len(), "{what}");
+                assert_eq!(recorder.snapshot().events, *kept, "{what}");
+                for (_, ev) in kept.iter() {
+                    seen[variant_index(ev)] += 1;
+                }
+            }
+        }
+    }
+    assert!(seen.iter().all(|&n| n > 0), "events compared, by variant: {seen:?}");
+}
+
 // --- critical path: the one-pass walk against the walk it replaced ---
 
 /// The last-responsible-activity walk as it was first written, kept as the
@@ -227,7 +324,7 @@ fn critical_path_equals_the_quadratic_walk_on_zoo_traces() {
     assert!(segments > 10_000, "the sweep compared only {segments} segments");
 }
 
-fn stress_trace(chains: usize, depth: usize, blocks: u64) -> (SimTime, TraceSnapshot) {
+fn stress_recorder(chains: usize, depth: usize, blocks: u64) -> (SimTime, TraceRecorder) {
     let (graph, pools) = stress_flow(&StressParams { chains, depth, blocks });
     let trace = TraceRecorder::new();
     let report = FlowSim::new(graph, pools)
@@ -235,7 +332,23 @@ fn stress_trace(chains: usize, depth: usize, blocks: u64) -> (SimTime, TraceSnap
         .with_observer(trace.clone())
         .run()
         .expect("flow completes");
-    (report.finished_at, trace.snapshot())
+    (report.finished_at, trace)
+}
+
+fn stress_trace(chains: usize, depth: usize, blocks: u64) -> (SimTime, TraceSnapshot) {
+    let (finished_at, trace) = stress_recorder(chains, depth, blocks);
+    (finished_at, trace.snapshot())
+}
+
+/// What the recorder holds for the trace `trace-analyze` reads, to the byte.
+/// The log is a pure function of the event stream, so this is the same
+/// number on every machine: a field or variant that fattens the log fails
+/// here, before it drifts a benchmark's memory row.
+#[test]
+fn stress_trace_log_size_is_pinned() {
+    let (_, trace) = stress_recorder(4, 25, 200);
+    assert_eq!(trace.len(), 75_200);
+    assert_eq!(trace.bytes_held(), 640_789);
 }
 
 /// The trace the benchmark's `trace-analyze` workload reads: 20 000 spans,
@@ -361,13 +474,17 @@ fn critical_path_equals_the_quadratic_walk_on_dense_random_ties() {
 
 /// The half-block stress shape the benchmark's `sim-observed` workload
 /// records under seed 1, `(10, 100, 500)`, 1 875 000 trace events: the
-/// analysis has to be runnable on the run it was written for. Release mode
-/// only (`cargo test --release ... -- --ignored`); the quadratic walk needed
+/// analysis has to be runnable on the run it was written for, and the
+/// recorder has to hold that run in at most 12 bytes an event (the
+/// `(SimTime, TraceEvent)` it decodes to is 48). Release mode only
+/// (`cargo test --release ... -- --ignored`); the quadratic walk needed
 /// minutes here.
 #[test]
 #[ignore = "release-mode scale check, run by the trace-validate CI job"]
 fn critical_path_of_a_full_observed_stress_run() {
-    let (finished_at, trace) = stress_trace(10, 100, 500);
+    let (finished_at, recorder) = stress_recorder(10, 100, 500);
+    assert!(recorder.bytes_held() <= 12 * 1_875_000, "{} log bytes", recorder.bytes_held());
+    let trace = recorder.snapshot();
     assert_eq!(trace.events.len(), 1_875_000);
     let cp = critical_path(&trace, finished_at);
     assert_eq!(cp.segments.first().map(|s| s.start), Some(SimTime::ZERO));
