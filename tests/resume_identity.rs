@@ -28,15 +28,16 @@ use std::path::PathBuf;
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, wilson_crash_profile, CleoFlowParams, WILSON_POOL};
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
+use sciflow_core::fnv::fnv1a;
 use sciflow_core::genflow::{Archetype, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
-use sciflow_core::trace::TraceRecorder;
+use sciflow_core::trace::{FaultKind, FaultScope, ObserveConfig, TraceEvent, TraceRecorder};
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
-use sciflow_core::{CoreError, SnapshotPolicy};
+use sciflow_core::{CoreError, SloRule, SnapshotPolicy};
 use sciflow_testkit::{
     assert_matches_golden, assert_sealed_roundtrip, check_generated, derive_seed, matrix_seed,
-    TailPolicy,
+    GeneratedScenario, TailPolicy,
 };
 use sciflow_weblab::flow::{weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
 
@@ -262,6 +263,164 @@ fn cleo_crashed_checkpointed_resumes_mid_makespan_to_the_committed_golden() {
 #[test]
 fn weblab_resumes_mid_makespan_to_the_committed_golden() {
     assert_case_study_resumes("weblab", "weblab_faulted", &weblab_faulted_sim);
+}
+
+// --- Snapshot payload bytes -----------------------------------------------
+
+/// The fifth pinned mode: the corrupt run with a ten-minute sampler tick,
+/// two SLO rules (a one-byte backlog ceiling on the first queueing stage,
+/// which fires and resolves as that queue fills and drains, and a zero
+/// ceiling on escaped taint) and a trace recorder.
+fn sim_observed_slo(s: &GeneratedScenario, trace: TraceRecorder) -> FlowSim {
+    let mut g = s.flow.graph.clone();
+    let queueing = g
+        .stage_ids()
+        .map(|id| g.stage(id))
+        .find(|st| !matches!(st.kind, StageKind::Source { .. } | StageKind::Archive))
+        .expect("every zoo graph has a stage between source and archive")
+        .name
+        .clone();
+    g.set_observe(ObserveConfig::every(SimDuration::from_mins(10)));
+    g.set_slos(vec![
+        SloRule::queue_backlog("backlog", &queueing, DataVolume::from_bytes(1)),
+        SloRule::escaped_taint("escapes", 0),
+    ]);
+    let plan = FaultPlan::generate(
+        derive_seed(s.flow.seed, "zoo-corrupt"),
+        s.flow.horizon,
+        &s.flow.corrupt_profile(),
+    );
+    FlowSim::new(g, s.flow.pools.clone())
+        .expect("generated graph is valid")
+        .with_faults(plan, s.policy)
+        .with_observer(trace)
+}
+
+/// What the recorder of a traced mode had seen when a snapshot was taken.
+struct PauseView {
+    /// Time of the last trace event: a lower bound on the paused clock.
+    last_at: SimTime,
+    /// Resource crashes injected so far.
+    crashes: usize,
+    /// Whether some batcher's last queue-depth event shows buffered blocks.
+    /// A batcher buffer below its batch size always has its linger timer
+    /// scheduled, so this is also a live `flush`.
+    batcher_buffering: bool,
+}
+
+fn crashes_in(events: &[(SimTime, TraceEvent)]) -> usize {
+    let crash = |ev: &TraceEvent| {
+        matches!(
+            ev,
+            TraceEvent::FaultInjected {
+                scope: FaultScope::Resource(_),
+                kind: FaultKind::Crash,
+                ..
+            }
+        )
+    };
+    events.iter().filter(|(_, ev)| crash(ev)).count()
+}
+
+/// The snapshot format, byte for byte: `snapshot_to` at 1/8, 3/8, 5/8 and
+/// 7/8 of every zoo archetype's run under five modes, on fixed seeds (not
+/// the matrix seed), folded into three literals computed at the commit
+/// before run state was declared once (`Wire`, `RunState`). If this fails
+/// the on-disk format changed: do not update the literals; fix the code.
+///
+/// The traced modes also prove the sweep is not vacuous, from the public
+/// trace alone: some snapshot holds a crash event still pending in the
+/// engine, some a batcher buffer with its linger flush scheduled, some a
+/// completed alert window, some a sampler with two or more samples.
+#[test]
+fn byte_pin_snapshot_payloads() {
+    const SEEDS: [u64; 5] = [1, 2, 3, 77, 1001];
+    const TICK: SimDuration = SimDuration::from_mins(10);
+    let (mut files, mut bytes, mut fold) = (0u64, 0u64, 0u64);
+    let (mut pending_crash, mut live_flush, mut closed_alert, mut two_samples) =
+        (false, false, false, false);
+    let path = tmp("byte-pin");
+    for archetype in Archetype::ALL {
+        for seed in SEEDS {
+            let s = GeneratedScenario::new(archetype, seed);
+            let batchers: Vec<_> = s
+                .flow
+                .graph
+                .stage_ids()
+                .filter(|&id| matches!(s.flow.graph.stage(id).kind, StageKind::Batcher { .. }))
+                .collect();
+            type Build<'a> = Box<dyn Fn(TraceRecorder) -> Option<FlowSim> + 'a>;
+            let modes: [(&str, Build); 5] = [
+                ("clean", Box::new(|_| Some(s.sim_clean()))),
+                ("corrupt", Box::new(|_| Some(s.sim_corrupt()))),
+                ("corrupt-verified", Box::new(|_| Some(s.sim_corrupt_verified()))),
+                ("crashy", Box::new(|t| Some(s.sim_crashy()?.with_observer(t)))),
+                ("observed-slo", Box::new(|t| Some(sim_observed_slo(&s, t)))),
+            ];
+            for (mode, build) in &modes {
+                let Some(probe) = build(TraceRecorder::new()) else { continue };
+                let total = total_events(probe);
+                let trace = TraceRecorder::new();
+                let mut sim = build(trace.clone()).expect("the probe was built");
+                let mut views = Vec::new();
+                let mut done = 0;
+                for eighths in [1, 3, 5, 7] {
+                    let k = total * eighths / 8;
+                    if k == done {
+                        continue; // too short a run for this pause point
+                    }
+                    let more = sim.run_for(k - done).expect("run advances");
+                    assert!(more, "{archetype} {seed} {mode}: {k}/{total} must be mid-run");
+                    done = k;
+                    sim.snapshot_to(&path).expect("snapshot written");
+                    let file = fs::read(&path).expect("snapshot readable");
+                    files += 1;
+                    bytes += file.len() as u64;
+                    fold = fold.rotate_left(7) ^ fnv1a(&file);
+                    let seen = trace.snapshot().events;
+                    let mut buffered = vec![0usize; batchers.len()];
+                    for (_, ev) in &seen {
+                        if let TraceEvent::QueueDepthChange { stage, blocks, .. } = ev {
+                            if let Some(i) = batchers.iter().position(|b| b == stage) {
+                                buffered[i] = *blocks;
+                            }
+                        }
+                    }
+                    views.push(PauseView {
+                        last_at: seen.last().map_or(SimTime::ZERO, |&(at, _)| at),
+                        crashes: crashes_in(&seen),
+                        batcher_buffering: buffered.iter().any(|&b| b > 0),
+                    });
+                }
+                let report = sim.run().expect("paused run finishes");
+                let crashes_at_end = crashes_in(&trace.snapshot().events);
+                for v in &views {
+                    // Crash events are scheduled once, when the run starts:
+                    // one that fired after the pause was in the snapshot.
+                    pending_crash |= crashes_at_end > v.crashes;
+                    live_flush |= v.batcher_buffering;
+                    // Ticks strictly before an event's time are sampled
+                    // when it fires: past one tick, ticks 0 and 1 are in.
+                    two_samples |= report.timeseries.is_some() && v.last_at > SimTime::ZERO + TICK;
+                    closed_alert |= report
+                        .alerts
+                        .iter()
+                        .flatten()
+                        .any(|a| a.resolved_at.is_some_and(|resolved| resolved < v.last_at));
+                }
+            }
+        }
+    }
+    let _ = fs::remove_file(&path);
+    assert!(pending_crash, "no snapshot held a pending CrashResource event");
+    assert!(live_flush, "no snapshot held a batcher buffer with a live flush");
+    assert!(closed_alert, "no snapshot held a fired-and-resolved alert");
+    assert!(two_samples, "no snapshot held a sampler with two or more samples");
+    assert_eq!(
+        (files, bytes, format!("{fold:016x}").as_str()),
+        (580, 8_946_801, "8a662939ab697eab"),
+        "snapshot files, total bytes, rotate-xor fold of FNV-1a(file)"
+    );
 }
 
 // --- Sealed-format robustness ---------------------------------------------
