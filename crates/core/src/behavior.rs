@@ -25,64 +25,84 @@ use std::collections::VecDeque;
 use rand::rngs::StdRng;
 
 use crate::compiled::CompiledFlow;
-use crate::durable;
 use crate::engine::{EventId, Scheduler};
-use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::frame;
+use crate::frame::{Damage, Reader, Wire};
 use crate::graph::{CheckpointPolicy, StageId};
 use crate::metrics::{RunMetrics, StageMetrics};
 use crate::resource::{ResourceId, ResourceSet, StorageLedger};
 use crate::trace::{FaultKind, FaultScope, TraceCtx, TraceEvent};
 use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
 
-/// The one event type flowing through the engine. Everything the simulator
-/// does is either a block arriving somewhere or some scheduled work
-/// completing there.
-#[derive(Debug)]
-pub enum FlowEvent {
-    /// A block of `volume` arrives at `stage`, carrying `taint` units of
-    /// silent corruption (0 for a clean block). `from` names the stage that
-    /// delivered it — the first hop of the block's lineage, which quarantine
-    /// walks to find a durable ancestor. `lineage` is the trace lineage id of
-    /// the source emission the block descends from.
-    Arrive { stage: StageId, volume: DataVolume, taint: u32, from: Option<StageId>, lineage: u64 },
-    /// A block cleared (or skipped) its arrival integrity check and is
-    /// admitted to the stage proper, `verify`-cost later than its arrival.
-    /// Scheduled only by the orchestrator for stages with a
-    /// [`VerifyPolicy`](crate::graph::VerifyPolicy) other than `None`.
-    Admit { stage: StageId, volume: DataVolume, taint: u32, lineage: u64 },
-    /// Work previously scheduled by `stage` completes.
-    Complete { stage: StageId, done: Completion },
-    /// `units` of `resource` die (`None` takes everything online down).
-    /// Scheduled from the fault plan's crash timeline before the run starts.
-    CrashResource { resource: ResourceId, units: Option<u32>, repair: SimDuration },
-    /// `units` of `resource` come back from repair.
-    RepairResource { resource: ResourceId, units: u32 },
+crate::wire_enum! {
+    /// The one event type flowing through the engine. Everything the simulator
+    /// does is either a block arriving somewhere or some scheduled work
+    /// completing there. Every pending one must survive a snapshot byte-exactly.
+    #[derive(Debug)]
+    pub enum FlowEvent {
+        /// A block of `volume` arrives at `stage`, carrying `taint` units of
+        /// silent corruption (0 for a clean block). `from` names the stage that
+        /// delivered it — the first hop of the block's lineage, which quarantine
+        /// walks to find a durable ancestor. `lineage` is the trace lineage id of
+        /// the source emission the block descends from.
+        1 => Arrive { stage: StageId, volume: DataVolume, taint: u32, from: Option<StageId>, lineage: u64 },
+        /// A block cleared (or skipped) its arrival integrity check and is
+        /// admitted to the stage proper, `verify`-cost later than its arrival.
+        /// Scheduled only by the orchestrator for stages with a
+        /// [`VerifyPolicy`](crate::graph::VerifyPolicy) other than `None`.
+        2 => Admit { stage: StageId, volume: DataVolume, taint: u32, lineage: u64 },
+        /// Work previously scheduled by `stage` completes.
+        3 => Complete { stage: StageId, done: Completion },
+        /// `units` of `resource` die (`None` takes everything online down).
+        /// Scheduled from the fault plan's crash timeline before the run starts.
+        4 => CrashResource { resource: ResourceId, units: CrashUnits, repair: SimDuration },
+        /// `units` of `resource` come back from repair.
+        5 => RepairResource { resource: ResourceId, units: u32 },
+    }
 }
 
-/// What kind of work completed at a stage.
-#[derive(Debug)]
-pub enum Completion {
-    /// A source's next block is due.
-    Produced,
-    /// A processing task finishes: `input` consumed, `held` working space to
-    /// release, `cpus` to return to the pool. `id` ties the completion to the
-    /// stage's in-flight bookkeeping (crash recovery cancels by id).
-    Task { id: u64, input: DataVolume, held: DataVolume, cpus: u32 },
-    /// A transfer delivers `volume` downstream carrying `taint` units of
-    /// silent corruption (incoming taint plus any injected in transit).
-    Delivered { volume: DataVolume, taint: u32, lineage: u64 },
-    /// A retry of a faulted transfer begins (`attempt` is 0-based); `taint`
-    /// is the taint the block arrived with (in-transit taint of failed
-    /// attempts is moot — the payload is retransmitted).
-    Attempt { volume: DataVolume, attempt: u32, taint: u32, lineage: u64 },
-    /// A transfer abandons `volume` after exhausting its retry budget.
-    Abandoned { volume: DataVolume, taint: u32, lineage: u64 },
-    /// A filter finishes inspecting `volume`.
-    Inspected { id: u64, volume: DataVolume },
-    /// A batcher's linger timer fires: flush the partial batch.
-    FlushDue,
+/// How many units a [`FlowEvent::CrashResource`] takes down. The one field
+/// whose format-1 bytes are not its type's: the count is written eight
+/// bytes wide.
+#[derive(Debug, Clone, Copy)]
+pub struct CrashUnits(pub Option<u32>);
+
+impl Wire for CrashUnits {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.map(u64::from).put(out);
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        match Option::<u64>::get(r)?.map(u32::try_from) {
+            Some(Err(_)) => r.bad_value(8),
+            units => Ok(CrashUnits(units.map(|u| u.expect("checked above")))),
+        }
+    }
+}
+
+crate::wire_enum! {
+    /// What kind of work completed at a stage.
+    #[derive(Debug)]
+    pub enum Completion {
+        /// A source's next block is due.
+        1 => Produced,
+        /// A processing task finishes: `input` consumed, `held` working space to
+        /// release, `cpus` to return to the pool. `id` ties the completion to the
+        /// stage's in-flight bookkeeping (crash recovery cancels by id).
+        2 => Task { id: u64, input: DataVolume, held: DataVolume, cpus: u32 },
+        /// A transfer delivers `volume` downstream carrying `taint` units of
+        /// silent corruption (incoming taint plus any injected in transit).
+        3 => Delivered { volume: DataVolume, taint: u32, lineage: u64 },
+        /// A retry of a faulted transfer begins (`attempt` is 0-based); `taint`
+        /// is the taint the block arrived with (in-transit taint of failed
+        /// attempts is moot — the payload is retransmitted).
+        4 => Attempt { volume: DataVolume, attempt: u32, taint: u32, lineage: u64 },
+        /// A transfer abandons `volume` after exhausting its retry budget.
+        5 => Abandoned { volume: DataVolume, taint: u32, lineage: u64 },
+        /// A filter finishes inspecting `volume`.
+        6 => Inspected { id: u64, volume: DataVolume },
+        /// A batcher's linger timer fires: flush the partial batch.
+        7 => FlushDue,
+    }
 }
 
 /// Outcome of a [`StageBehavior::try_dispatch`] call, driving the
@@ -102,7 +122,19 @@ pub enum Dispatch {
 pub(crate) struct FaultCtx {
     pub(crate) plan: FaultPlan,
     pub(crate) policy: RetryPolicy,
+    /// The only part a snapshot holds: the plan and policy are rebuilt by
+    /// the resuming caller and proven identical by the spec hash.
     pub(crate) rng: StdRng,
+}
+
+/// A generator is its four state words: the stream position.
+impl Wire for StdRng {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.state().put(out);
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        Wire::get(r).map(StdRng::from_state)
+    }
 }
 
 /// Deferred effects a hook hands back to the orchestrator: resource drains
@@ -288,40 +320,38 @@ pub trait StageBehavior {
         DataVolume::ZERO
     }
 
-    /// Serialize this stage's mutable state into `out` for a snapshot.
+    /// Write this stage's mutable state for a snapshot: the
+    /// [`Wire`] bytes of whatever the stage declares as its dynamic part.
     /// Configuration (rates, pools, policies) is *not* written — the
     /// resuming simulator rebuilds it from the same compiled flow, and the
     /// journal's spec hash proves it is the same. Stages whose only state
     /// lives in their metrics (sources, archives) write nothing.
     fn save_state(&self, _out: &mut Vec<u8>) {}
 
-    /// Restore the state written by [`StageBehavior::save_state`]. The
-    /// default accepts only an empty blob: handing a stateless stage bytes
-    /// means the snapshot and the flow disagree about stage kinds.
-    fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        if bytes.is_empty() {
-            Ok(())
-        } else {
-            Err(CoreError::CorruptJournal {
-                detail: format!("{} bytes of state for a stateless stage", bytes.len()),
-            })
-        }
+    /// Read back what [`StageBehavior::save_state`] wrote, from a reader
+    /// over this stage's blob alone. The caller requires the blob to be
+    /// consumed exactly, so the default, which reads nothing, still refuses
+    /// bytes handed to a stateless stage.
+    fn load_state(&mut self, _r: &mut Reader) -> Result<(), Damage> {
+        Ok(())
     }
 }
 
-/// A queued unit of compute work, carrying checkpoint state across
-/// crash/requeue cycles.
-struct PendingTask {
-    input: DataVolume,
-    /// Silent-corruption taint the input block carried on arrival.
-    taint: u32,
-    /// Trace lineage id of the source emission the input descends from.
-    lineage: u64,
-    /// Work already banked by checkpoints from earlier (crashed) runs.
-    banked: SimDuration,
-    /// Work the last crash destroyed; counted as replayed when the task next
-    /// dispatches and re-does it.
-    replay: SimDuration,
+crate::wire_struct! {
+    /// A queued unit of compute work, carrying checkpoint state across
+    /// crash/requeue cycles.
+    struct PendingTask {
+        input: DataVolume,
+        /// Silent-corruption taint the input block carried on arrival.
+        taint: u32,
+        /// Trace lineage id of the source emission the input descends from.
+        lineage: u64,
+        /// Work already banked by checkpoints from earlier (crashed) runs.
+        banked: SimDuration,
+        /// Work the last crash destroyed; counted as replayed when the task next
+        /// dispatches and re-does it.
+        replay: SimDuration,
+    }
 }
 
 impl PendingTask {
@@ -330,137 +360,42 @@ impl PendingTask {
     }
 }
 
-/// Bookkeeping for a compute task currently holding resource units.
-struct RunningTask {
-    id: u64,
-    event: EventId,
-    input: DataVolume,
-    /// Taint the input carried; outputs inherit it (processing a corrupted
-    /// block yields a corrupted product).
-    taint: u32,
-    /// Lineage id the input carried; outputs inherit it.
-    lineage: u64,
-    held: DataVolume,
-    units: u32,
-    started_at: SimTime,
-    ends_at: SimTime,
-    /// Work banked before this run started.
-    banked: SimDuration,
-    /// Useful work this run must accomplish (total minus `banked`).
-    payload: SimDuration,
-    /// Checkpoint-write time scheduled on top of `payload`.
-    overhead: SimDuration,
-}
-
-fn put_pending(out: &mut Vec<u8>, t: &PendingTask) {
-    durable::put_vol(out, t.input);
-    frame::put_u32(out, t.taint);
-    frame::put_u64(out, t.lineage);
-    durable::put_dur(out, t.banked);
-    durable::put_dur(out, t.replay);
-}
-
-fn get_pending(r: &mut frame::Reader) -> CoreResult<PendingTask> {
-    Ok(PendingTask {
-        input: durable::get_vol(r)?,
-        taint: r.u32()?,
-        lineage: r.u64()?,
-        banked: durable::get_dur(r)?,
-        replay: durable::get_dur(r)?,
-    })
-}
-
-fn put_running(out: &mut Vec<u8>, t: &RunningTask) {
-    frame::put_u64(out, t.id);
-    durable::put_event_id(out, t.event);
-    durable::put_vol(out, t.input);
-    frame::put_u32(out, t.taint);
-    frame::put_u64(out, t.lineage);
-    durable::put_vol(out, t.held);
-    frame::put_u32(out, t.units);
-    durable::put_time(out, t.started_at);
-    durable::put_time(out, t.ends_at);
-    durable::put_dur(out, t.banked);
-    durable::put_dur(out, t.payload);
-    durable::put_dur(out, t.overhead);
-}
-
-fn get_running(r: &mut frame::Reader) -> CoreResult<RunningTask> {
-    Ok(RunningTask {
-        id: r.u64()?,
-        event: durable::get_event_id(r)?,
-        input: durable::get_vol(r)?,
-        taint: r.u32()?,
-        lineage: r.u64()?,
-        held: durable::get_vol(r)?,
-        units: r.u32()?,
-        started_at: durable::get_time(r)?,
-        ends_at: durable::get_time(r)?,
-        banked: durable::get_dur(r)?,
-        payload: durable::get_dur(r)?,
-        overhead: durable::get_dur(r)?,
-    })
-}
-
-/// The common mutable core of the task-running behaviors (process, filter,
-/// dedup): a pending queue, its volume, the in-flight task table, and the
-/// task-id counter.
-fn put_task_state(
-    out: &mut Vec<u8>,
-    queue: &VecDeque<PendingTask>,
-    queued_volume: DataVolume,
-    running: &[RunningTask],
-    next_task: u64,
-) {
-    frame::put_u64(out, queue.len() as u64);
-    for t in queue {
-        put_pending(out, t);
-    }
-    durable::put_vol(out, queued_volume);
-    frame::put_u64(out, running.len() as u64);
-    for t in running {
-        put_running(out, t);
-    }
-    frame::put_u64(out, next_task);
-}
-
-#[allow(clippy::type_complexity)]
-fn get_task_state(
-    r: &mut frame::Reader,
-) -> CoreResult<(VecDeque<PendingTask>, DataVolume, Vec<RunningTask>, u64)> {
-    let n = r.len()?;
-    let mut queue = VecDeque::with_capacity(n);
-    for _ in 0..n {
-        queue.push_back(get_pending(r)?);
-    }
-    let queued_volume = durable::get_vol(r)?;
-    let n = r.len()?;
-    let mut running = Vec::with_capacity(n);
-    for _ in 0..n {
-        running.push(get_running(r)?);
-    }
-    let next_task = r.u64()?;
-    Ok((queue, queued_volume, running, next_task))
-}
-
-/// Queued `(volume, taint, lineage)` triples (transfer queues, batcher
-/// buffers).
-fn put_triples(out: &mut Vec<u8>, triples: impl ExactSizeIterator<Item = (DataVolume, u32, u64)>) {
-    frame::put_u64(out, triples.len() as u64);
-    for (v, t, l) in triples {
-        durable::put_vol(out, v);
-        frame::put_u32(out, t);
-        frame::put_u64(out, l);
+crate::wire_struct! {
+    /// Bookkeeping for a compute task currently holding resource units.
+    struct RunningTask {
+        id: u64,
+        event: EventId,
+        input: DataVolume,
+        /// Taint the input carried; outputs inherit it (processing a corrupted
+        /// block yields a corrupted product).
+        taint: u32,
+        /// Lineage id the input carried; outputs inherit it.
+        lineage: u64,
+        held: DataVolume,
+        units: u32,
+        started_at: SimTime,
+        ends_at: SimTime,
+        /// Work banked before this run started.
+        banked: SimDuration,
+        /// Useful work this run must accomplish (total minus `banked`).
+        payload: SimDuration,
+        /// Checkpoint-write time scheduled on top of `payload`.
+        overhead: SimDuration,
     }
 }
 
-fn get_triples(r: &mut frame::Reader) -> CoreResult<Vec<(DataVolume, u32, u64)>> {
-    let n = r.len()?;
-    let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push((durable::get_vol(r)?, r.u32()?, r.u64()?));
+crate::wire_struct! {
+    /// The mutable core of the task-running behaviors (process, filter,
+    /// dedup), and the whole of what a snapshot holds of them.
+    #[derive(Default)]
+    struct TaskState {
+        queue: VecDeque<PendingTask>,
+        queued_volume: DataVolume,
+        /// In-flight tasks, oldest first.
+        running: Vec<RunningTask>,
+        /// The id the next dispatched task takes.
+        next_task: u64,
     }
-    Ok(out)
 }
 
 /// How much of a killed run survives: checkpoints completed during `raw`
@@ -555,10 +490,7 @@ pub struct ProcessBehavior {
     retain_input: bool,
     checkpoint: CheckpointPolicy,
     pool: ResourceId,
-    queue: VecDeque<PendingTask>,
-    queued_volume: DataVolume,
-    running: Vec<RunningTask>,
-    next_task: u64,
+    tasks: TaskState,
 }
 
 impl ProcessBehavior {
@@ -582,10 +514,7 @@ impl ProcessBehavior {
             retain_input,
             checkpoint,
             pool,
-            queue: VecDeque::new(),
-            queued_volume: DataVolume::ZERO,
-            running: Vec::new(),
-            next_task: 0,
+            tasks: TaskState::default(),
         }
     }
 }
@@ -602,7 +531,7 @@ impl StageBehavior for ProcessBehavior {
                 let mut first = true;
                 while remaining > DataVolume::ZERO {
                     let piece = remaining.min(c);
-                    self.queue.push_back(PendingTask::fresh(
+                    self.tasks.queue.push_back(PendingTask::fresh(
                         piece,
                         if first { taint } else { 0 },
                         lineage,
@@ -611,10 +540,10 @@ impl StageBehavior for ProcessBehavior {
                     remaining -= piece;
                 }
             }
-            _ => self.queue.push_back(PendingTask::fresh(volume, taint, lineage)),
+            _ => self.tasks.queue.push_back(PendingTask::fresh(volume, taint, lineage)),
         }
-        self.queued_volume += volume;
-        let (blocks, qv) = (self.queue.len(), self.queued_volume);
+        self.tasks.queued_volume += volume;
+        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
         ctx.metrics().note_queue(blocks, qv);
         let stage = ctx.stage();
         ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
@@ -627,11 +556,12 @@ impl StageBehavior for ProcessBehavior {
             unreachable!("process completion must be Task")
         };
         let slot = self
+            .tasks
             .running
             .iter()
             .position(|r| r.id == id)
             .expect("completed task is tracked as running");
-        let run = self.running.swap_remove(slot);
+        let run = self.tasks.running.swap_remove(slot);
         ctx.ledger().free(held);
         if self.retain_input {
             ctx.ledger().retain(input);
@@ -669,7 +599,7 @@ impl StageBehavior for ProcessBehavior {
             ctx.emit(|| TraceEvent::BlockQuarantined { stage, lineage, volume: output, taint });
         }
         ctx.resources().release(self.pool, cpus);
-        if !self.queue.is_empty() {
+        if !self.tasks.queue.is_empty() {
             let stage = ctx.stage();
             ctx.resources().enlist(self.pool, stage);
         }
@@ -680,9 +610,9 @@ impl StageBehavior for ProcessBehavior {
         if ctx.resources().free(self.pool) < self.cpus_per_task {
             return Dispatch::Blocked; // head-of-line blocks until cpus free up
         }
-        let Some(task) = self.queue.pop_front() else { return Dispatch::Idle };
+        let Some(task) = self.tasks.queue.pop_front() else { return Dispatch::Idle };
         let input = task.input;
-        self.queued_volume -= input;
+        self.tasks.queued_volume -= input;
         ctx.resources().acquire(self.pool, self.cpus_per_task);
         let aggregate = self.rate_per_cpu * (self.cpus_per_task as f64);
         let total = input.time_at(aggregate).unwrap_or(SimDuration::ZERO);
@@ -711,8 +641,8 @@ impl StageBehavior for ProcessBehavior {
         m.busy += dur;
         m.faults += stalls as u64;
         m.work_replayed += task.replay;
-        let id = self.next_task;
-        self.next_task += 1;
+        let id = self.tasks.next_task;
+        self.tasks.next_task += 1;
         let (stage, lineage, units) = (ctx.stage(), task.lineage, self.cpus_per_task);
         ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume: input, units });
         if stalls > 0 {
@@ -722,11 +652,11 @@ impl StageBehavior for ProcessBehavior {
                 count: stalls as u64,
             });
         }
-        let (blocks, qv) = (self.queue.len(), self.queued_volume);
+        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
         ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
         let event = ctx
             .complete_at(now + dur, Completion::Task { id, input, held, cpus: self.cpus_per_task });
-        self.running.push(RunningTask {
+        self.tasks.running.push(RunningTask {
             id,
             event,
             input,
@@ -740,7 +670,7 @@ impl StageBehavior for ProcessBehavior {
             payload,
             overhead,
         });
-        Dispatch::Started { more: !self.queue.is_empty() }
+        Dispatch::Started { more: !self.tasks.queue.is_empty() }
     }
 
     fn on_crash(&mut self, ctx: &mut StageCtx, resource: ResourceId, needed: u32) -> u32 {
@@ -751,7 +681,7 @@ impl StageBehavior for ProcessBehavior {
         while reclaimed < needed {
             // Youngest first: the task started last dies first, so the
             // requeue order (front of the queue) replays deterministically.
-            let Some(run) = self.running.pop() else { break };
+            let Some(run) = self.tasks.running.pop() else { break };
             if ctx.cancel(run.event).is_none() {
                 // Completion already fired this instant; nothing to kill.
                 continue;
@@ -790,8 +720,8 @@ impl StageBehavior for ProcessBehavior {
             ctx.ledger().free(run.held);
             ctx.resources().release(self.pool, run.units);
             reclaimed += run.units;
-            self.queued_volume += run.input;
-            self.queue.push_front(PendingTask {
+            self.tasks.queued_volume += run.input;
+            self.tasks.queue.push_front(PendingTask {
                 input: run.input,
                 taint: run.taint,
                 lineage: run.lineage,
@@ -799,31 +729,25 @@ impl StageBehavior for ProcessBehavior {
                 replay: lost,
             });
         }
-        if !self.queue.is_empty() {
+        if !self.tasks.queue.is_empty() {
             let stage = ctx.stage();
             ctx.resources().enlist(self.pool, stage);
-            let (blocks, qv) = (self.queue.len(), self.queued_volume);
+            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
             ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
         }
         reclaimed
     }
 
     fn queued_volume(&self) -> DataVolume {
-        self.queued_volume
+        self.tasks.queued_volume
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        put_task_state(out, &self.queue, self.queued_volume, &self.running, self.next_task);
+        self.tasks.put(out);
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = frame::Reader::new(bytes);
-        let (queue, queued_volume, running, next_task) = get_task_state(&mut r)?;
-        r.done()?;
-        self.queue = queue;
-        self.queued_volume = queued_volume;
-        self.running = running;
-        self.next_task = next_task;
+    fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
+        self.tasks = Wire::get(r)?;
         Ok(())
     }
 }
@@ -1035,17 +959,13 @@ impl StageBehavior for TransferBehavior {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        put_triples(out, self.queue.iter().copied());
-        durable::put_vol(out, self.queued_volume);
+        self.queue.put(out);
+        self.queued_volume.put(out);
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = frame::Reader::new(bytes);
-        let queue = get_triples(&mut r)?;
-        let queued_volume = durable::get_vol(&mut r)?;
-        r.done()?;
-        self.queue = queue.into();
-        self.queued_volume = queued_volume;
+    fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
+        self.queue = Wire::get(r)?;
+        self.queued_volume = Wire::get(r)?;
         Ok(())
     }
 }
@@ -1057,10 +977,7 @@ pub struct FilterBehavior {
     accept_ratio: f64,
     checkpoint: CheckpointPolicy,
     channel: ResourceId,
-    queue: VecDeque<PendingTask>,
-    queued_volume: DataVolume,
-    running: Vec<RunningTask>,
-    next_task: u64,
+    tasks: TaskState,
 }
 
 impl FilterBehavior {
@@ -1070,24 +987,15 @@ impl FilterBehavior {
         checkpoint: CheckpointPolicy,
         channel: ResourceId,
     ) -> Self {
-        FilterBehavior {
-            rate,
-            accept_ratio,
-            checkpoint,
-            channel,
-            queue: VecDeque::new(),
-            queued_volume: DataVolume::ZERO,
-            running: Vec::new(),
-            next_task: 0,
-        }
+        FilterBehavior { rate, accept_ratio, checkpoint, channel, tasks: TaskState::default() }
     }
 }
 
 impl StageBehavior for FilterBehavior {
     fn on_arrive(&mut self, ctx: &mut StageCtx, volume: DataVolume, taint: u32, lineage: u64) {
-        self.queue.push_back(PendingTask::fresh(volume, taint, lineage));
-        self.queued_volume += volume;
-        let (blocks, qv) = (self.queue.len(), self.queued_volume);
+        self.tasks.queue.push_back(PendingTask::fresh(volume, taint, lineage));
+        self.tasks.queued_volume += volume;
+        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
         ctx.metrics().note_queue(blocks, qv);
         let stage = ctx.stage();
         ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
@@ -1099,11 +1007,12 @@ impl StageBehavior for FilterBehavior {
             unreachable!("filter completion must be Inspected")
         };
         let slot = self
+            .tasks
             .running
             .iter()
             .position(|r| r.id == id)
             .expect("completed inspection is tracked as running");
-        let run = self.running.swap_remove(slot);
+        let run = self.tasks.running.swap_remove(slot);
         ctx.resources().release(self.channel, 1);
         let accepted = volume.scale(self.accept_ratio);
         let now = ctx.now();
@@ -1143,9 +1052,9 @@ impl StageBehavior for FilterBehavior {
     fn try_dispatch(&mut self, ctx: &mut StageCtx) -> Dispatch {
         let mut started = false;
         while ctx.resources().free(self.channel) > 0 {
-            let Some(task) = self.queue.pop_front() else { break };
+            let Some(task) = self.tasks.queue.pop_front() else { break };
             let volume = task.input;
-            self.queued_volume -= volume;
+            self.tasks.queued_volume -= volume;
             ctx.resources().acquire(self.channel, 1);
             let total = volume.time_at(self.rate).unwrap_or(SimDuration::ZERO);
             let payload = total.saturating_sub(task.banked);
@@ -1160,12 +1069,12 @@ impl StageBehavior for FilterBehavior {
             let m = ctx.metrics();
             m.busy += dur;
             m.work_replayed += task.replay;
-            let id = self.next_task;
-            self.next_task += 1;
+            let id = self.tasks.next_task;
+            self.tasks.next_task += 1;
             let (stage, lineage) = (ctx.stage(), task.lineage);
             ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume, units: 1 });
             let event = ctx.complete_at(now + dur, Completion::Inspected { id, volume });
-            self.running.push(RunningTask {
+            self.tasks.running.push(RunningTask {
                 id,
                 event,
                 input: volume,
@@ -1183,10 +1092,10 @@ impl StageBehavior for FilterBehavior {
         }
         if started {
             let stage = ctx.stage();
-            let (blocks, qv) = (self.queue.len(), self.queued_volume);
+            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
             ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-            Dispatch::Started { more: !self.queue.is_empty() }
-        } else if self.queue.is_empty() {
+            Dispatch::Started { more: !self.tasks.queue.is_empty() }
+        } else if self.tasks.queue.is_empty() {
             Dispatch::Idle
         } else {
             Dispatch::Blocked
@@ -1199,7 +1108,7 @@ impl StageBehavior for FilterBehavior {
         }
         let mut reclaimed = 0u32;
         while reclaimed < needed {
-            let Some(run) = self.running.pop() else { break };
+            let Some(run) = self.tasks.running.pop() else { break };
             if ctx.cancel(run.event).is_none() {
                 continue;
             }
@@ -1234,8 +1143,8 @@ impl StageBehavior for FilterBehavior {
             }
             ctx.resources().release(self.channel, run.units);
             reclaimed += run.units;
-            self.queued_volume += run.input;
-            self.queue.push_front(PendingTask {
+            self.tasks.queued_volume += run.input;
+            self.tasks.queue.push_front(PendingTask {
                 input: run.input,
                 taint: run.taint,
                 lineage: run.lineage,
@@ -1243,34 +1152,28 @@ impl StageBehavior for FilterBehavior {
                 replay: lost,
             });
         }
-        if !self.queue.is_empty() {
+        if !self.tasks.queue.is_empty() {
             // Filters normally self-dispatch, but with the channel down the
             // requeued work can only restart from the repair-time drain, which
             // serves enlisted waiters.
             let stage = ctx.stage();
             ctx.resources().enlist(self.channel, stage);
-            let (blocks, qv) = (self.queue.len(), self.queued_volume);
+            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
             ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
         }
         reclaimed
     }
 
     fn queued_volume(&self) -> DataVolume {
-        self.queued_volume
+        self.tasks.queued_volume
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        put_task_state(out, &self.queue, self.queued_volume, &self.running, self.next_task);
+        self.tasks.put(out);
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = frame::Reader::new(bytes);
-        let (queue, queued_volume, running, next_task) = get_task_state(&mut r)?;
-        r.done()?;
-        self.queue = queue;
-        self.queued_volume = queued_volume;
-        self.running = running;
-        self.next_task = next_task;
+    fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
+        self.tasks = Wire::get(r)?;
         Ok(())
     }
 }
@@ -1363,34 +1266,15 @@ impl StageBehavior for BatcherBehavior {
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        put_triples(out, self.buffer.iter().copied());
-        durable::put_vol(out, self.buffered_volume);
-        match self.flush {
-            Some(ev) => {
-                frame::put_u8(out, 1);
-                durable::put_event_id(out, ev);
-            }
-            None => frame::put_u8(out, 0),
-        }
+        self.buffer.put(out);
+        self.buffered_volume.put(out);
+        self.flush.put(out);
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = frame::Reader::new(bytes);
-        let buffer = get_triples(&mut r)?;
-        let buffered_volume = durable::get_vol(&mut r)?;
-        let flush = match r.u8()? {
-            0 => None,
-            1 => Some(durable::get_event_id(&mut r)?),
-            other => {
-                return Err(CoreError::CorruptJournal {
-                    detail: format!("bad flush tag {other} in batcher state"),
-                })
-            }
-        };
-        r.done()?;
-        self.buffer = buffer;
-        self.buffered_volume = buffered_volume;
-        self.flush = flush;
+    fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
+        self.buffer = Wire::get(r)?;
+        self.buffered_volume = Wire::get(r)?;
+        self.flush = Wire::get(r)?;
         Ok(())
     }
 }
@@ -1405,10 +1289,7 @@ pub struct DedupBehavior {
     unique_ratio: f64,
     window: u64,
     channel: ResourceId,
-    queue: VecDeque<PendingTask>,
-    queued_volume: DataVolume,
-    running: Vec<RunningTask>,
-    next_task: u64,
+    tasks: TaskState,
     /// Blocks fully inspected so far — the size of the dedup index. Counted
     /// at completion, so a crashed inspection does not warm the index.
     seen: u64,
@@ -1416,25 +1297,15 @@ pub struct DedupBehavior {
 
 impl DedupBehavior {
     pub(crate) fn new(rate: DataRate, unique_ratio: f64, window: u64, channel: ResourceId) -> Self {
-        DedupBehavior {
-            rate,
-            unique_ratio,
-            window,
-            channel,
-            queue: VecDeque::new(),
-            queued_volume: DataVolume::ZERO,
-            running: Vec::new(),
-            next_task: 0,
-            seen: 0,
-        }
+        DedupBehavior { rate, unique_ratio, window, channel, tasks: TaskState::default(), seen: 0 }
     }
 }
 
 impl StageBehavior for DedupBehavior {
     fn on_arrive(&mut self, ctx: &mut StageCtx, volume: DataVolume, taint: u32, lineage: u64) {
-        self.queue.push_back(PendingTask::fresh(volume, taint, lineage));
-        self.queued_volume += volume;
-        let (blocks, qv) = (self.queue.len(), self.queued_volume);
+        self.tasks.queue.push_back(PendingTask::fresh(volume, taint, lineage));
+        self.tasks.queued_volume += volume;
+        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
         ctx.metrics().note_queue(blocks, qv);
         let stage = ctx.stage();
         ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
@@ -1446,11 +1317,12 @@ impl StageBehavior for DedupBehavior {
             unreachable!("dedup completion must be Inspected")
         };
         let slot = self
+            .tasks
             .running
             .iter()
             .position(|r| r.id == id)
             .expect("completed inspection is tracked as running");
-        let run = self.running.swap_remove(slot);
+        let run = self.tasks.running.swap_remove(slot);
         ctx.resources().release(self.channel, 1);
         let forwarded =
             if self.seen < self.window { volume } else { volume.scale(self.unique_ratio) };
@@ -1483,21 +1355,21 @@ impl StageBehavior for DedupBehavior {
     fn try_dispatch(&mut self, ctx: &mut StageCtx) -> Dispatch {
         let mut started = false;
         while ctx.resources().free(self.channel) > 0 {
-            let Some(task) = self.queue.pop_front() else { break };
+            let Some(task) = self.tasks.queue.pop_front() else { break };
             let volume = task.input;
-            self.queued_volume -= volume;
+            self.tasks.queued_volume -= volume;
             ctx.resources().acquire(self.channel, 1);
             let dur = volume.time_at(self.rate).unwrap_or(SimDuration::ZERO);
             let now = ctx.now();
             let m = ctx.metrics();
             m.busy += dur;
             m.work_replayed += task.replay;
-            let id = self.next_task;
-            self.next_task += 1;
+            let id = self.tasks.next_task;
+            self.tasks.next_task += 1;
             let (stage, lineage) = (ctx.stage(), task.lineage);
             ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume, units: 1 });
             let event = ctx.complete_at(now + dur, Completion::Inspected { id, volume });
-            self.running.push(RunningTask {
+            self.tasks.running.push(RunningTask {
                 id,
                 event,
                 input: volume,
@@ -1515,10 +1387,10 @@ impl StageBehavior for DedupBehavior {
         }
         if started {
             let stage = ctx.stage();
-            let (blocks, qv) = (self.queue.len(), self.queued_volume);
+            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
             ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-            Dispatch::Started { more: !self.queue.is_empty() }
-        } else if self.queue.is_empty() {
+            Dispatch::Started { more: !self.tasks.queue.is_empty() }
+        } else if self.tasks.queue.is_empty() {
             Dispatch::Idle
         } else {
             Dispatch::Blocked
@@ -1531,7 +1403,7 @@ impl StageBehavior for DedupBehavior {
         }
         let mut reclaimed = 0u32;
         while reclaimed < needed {
-            let Some(run) = self.running.pop() else { break };
+            let Some(run) = self.tasks.running.pop() else { break };
             if ctx.cancel(run.event).is_none() {
                 continue;
             }
@@ -1550,8 +1422,8 @@ impl StageBehavior for DedupBehavior {
             ctx.emit(|| TraceEvent::CrashKill { stage, task: id, lineage, lost: raw });
             ctx.resources().release(self.channel, run.units);
             reclaimed += run.units;
-            self.queued_volume += run.input;
-            self.queue.push_front(PendingTask {
+            self.tasks.queued_volume += run.input;
+            self.tasks.queue.push_front(PendingTask {
                 input: run.input,
                 taint: run.taint,
                 lineage: run.lineage,
@@ -1559,34 +1431,27 @@ impl StageBehavior for DedupBehavior {
                 replay: raw,
             });
         }
-        if !self.queue.is_empty() {
+        if !self.tasks.queue.is_empty() {
             let stage = ctx.stage();
             ctx.resources().enlist(self.channel, stage);
-            let (blocks, qv) = (self.queue.len(), self.queued_volume);
+            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
             ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
         }
         reclaimed
     }
 
     fn queued_volume(&self) -> DataVolume {
-        self.queued_volume
+        self.tasks.queued_volume
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        put_task_state(out, &self.queue, self.queued_volume, &self.running, self.next_task);
-        frame::put_u64(out, self.seen);
+        self.tasks.put(out);
+        self.seen.put(out);
     }
 
-    fn load_state(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let mut r = frame::Reader::new(bytes);
-        let (queue, queued_volume, running, next_task) = get_task_state(&mut r)?;
-        let seen = r.u64()?;
-        r.done()?;
-        self.queue = queue;
-        self.queued_volume = queued_volume;
-        self.running = running;
-        self.next_task = next_task;
-        self.seen = seen;
+    fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
+        self.tasks = Wire::get(r)?;
+        self.seen = Wire::get(r)?;
         Ok(())
     }
 }

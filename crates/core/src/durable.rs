@@ -4,13 +4,9 @@
 //! preempted) needs to survive being killed at an arbitrary event. This
 //! module provides the storage layer for that:
 //!
-//! * a **versioned, deterministic snapshot layout** (the `put_*`/`get_*`
-//!   codecs here, over [`crate::frame`]'s field codec) for the full mid-run
-//!   engine state — event heap, slab payloads and generations, per-stage
-//!   behavior state, resource occupancy, RNG streams, metrics;
 //! * an **append-only run journal**: the magic `SFJRNL1\n`, then sealed
-//!   [`crate::frame`] frames — one run-header frame followed by periodic
-//!   snapshot frames;
+//!   [`crate::frame`] frames — one run-header frame ([`SNAPSHOT_FORMAT`],
+//!   build, spec hash, fault seed) followed by periodic snapshot frames;
 //! * **recovery** (the crate-internal `recover` routine): [`frame::scan`]
 //!   the journal to its last good frame, truncate a torn tail away, and
 //!   hand back the newest valid snapshot. Damaged state is *never* silently
@@ -21,18 +17,19 @@
 //! to as the run progresses (`FlowSim::with_journal`), and a one-shot sealed
 //! snapshot file written through [`frame::write_atomic`]
 //! (`FlowSim::snapshot_to`).
+//!
+//! What a snapshot frame holds is not decided here: its payload is the
+//! simulator's `RunState`, written field by field through
+//! [`frame::Wire`], and each persisted type declares its own bytes where it
+//! is declared (DESIGN.md §13).
 
 use std::fs::File;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::behavior::{Completion, FlowEvent};
-use crate::engine::EventId;
 use crate::error::{CoreError, CoreResult};
-use crate::frame::{self, put_bytes, put_u32, put_u64, put_u8, Damage, Reader};
-use crate::graph::StageId;
-use crate::resource::ResourceId;
-use crate::units::{DataVolume, SimDuration, SimTime};
+use crate::frame::{self, Damage, Reader, Wire};
+use crate::units::SimDuration;
 
 /// When the simulator commits a snapshot frame to its run journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,56 +54,38 @@ pub(crate) const FRAME_SNAPSHOT: u8 = 2;
 /// garbled decode.
 pub const SNAPSHOT_FORMAT: u32 = 1;
 
-/// The identity frame at the head of every journal: enough to refuse a
-/// resume against the wrong spec, seed, or an incompatible format — before
-/// any snapshot byte is interpreted.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct RunHeader {
-    /// Snapshot layout version ([`SNAPSHOT_FORMAT`]); mismatches refuse.
-    pub(crate) format: u32,
-    /// Producing crate version. Informational: compatibility is governed by
-    /// `format` and `spec_hash`, not the build string.
-    pub(crate) build: String,
-    /// FNV-1a over the deterministic rendering of the compiled flow, pools,
-    /// fault plan and policies. A resume against a sim whose hash differs is
-    /// a different run and is refused.
-    pub(crate) spec_hash: u64,
-    /// The fault plan's seed, when the run injects faults.
-    pub(crate) fault_seed: Option<u64>,
+crate::wire_struct! {
+    /// The identity frame at the head of every journal: enough to refuse a
+    /// resume against the wrong spec, seed, or an incompatible format — before
+    /// any snapshot byte is interpreted.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(crate) struct RunHeader {
+        /// Snapshot layout version ([`SNAPSHOT_FORMAT`]); mismatches refuse.
+        pub(crate) format: u32,
+        /// Producing crate version. Informational: compatibility is governed by
+        /// `format` and `spec_hash`, not the build string.
+        pub(crate) build: String,
+        /// FNV-1a over the deterministic rendering of the compiled flow, pools,
+        /// fault plan and policies. A resume against a sim whose hash differs is
+        /// a different run and is refused.
+        pub(crate) spec_hash: u64,
+        /// The fault plan's seed, when the run injects faults.
+        pub(crate) fault_seed: Option<u64>,
+    }
 }
 
 impl RunHeader {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        put_u32(&mut out, self.format);
-        put_bytes(&mut out, self.build.as_bytes());
-        put_u64(&mut out, self.spec_hash);
-        match self.fault_seed {
-            Some(seed) => {
-                put_u8(&mut out, 1);
-                put_u64(&mut out, seed);
-            }
-            None => put_u8(&mut out, 0),
-        }
+        self.put(&mut out);
         out
     }
 
-    fn decode(payload: &[u8]) -> CoreResult<Self> {
+    fn decode(payload: &[u8]) -> Result<Self, Damage> {
         let mut r = Reader::new(payload);
-        let format = r.u32()?;
-        let build = String::from_utf8_lossy(r.bytes()?).into_owned();
-        let spec_hash = r.u64()?;
-        let fault_seed = match r.u8()? {
-            0 => None,
-            1 => Some(r.u64()?),
-            other => {
-                return Err(CoreError::CorruptJournal {
-                    detail: format!("bad fault-seed tag {other} in header frame"),
-                })
-            }
-        };
+        let header = RunHeader::get(&mut r)?;
         r.done()?;
-        Ok(RunHeader { format, build, spec_hash, fault_seed })
+        Ok(header)
     }
 }
 
@@ -226,207 +205,13 @@ pub(crate) fn recover(path: &Path) -> CoreResult<Recovered> {
     Ok(Recovered { header, snapshot: snapshot.map(<[u8]>::to_vec), truncated: scan.damage })
 }
 
-// ---------------------------------------------------------------------------
-// Event codec: the engine slab holds `FlowEvent` payloads, and every one of
-// them must survive a snapshot byte-exactly (including the event ids that
-// in-flight tasks hold for cancellation).
-// ---------------------------------------------------------------------------
-
-pub(crate) fn put_event_id(out: &mut Vec<u8>, id: EventId) {
-    put_u32(out, id.slot);
-    put_u32(out, id.gen);
-}
-
-pub(crate) fn get_event_id(r: &mut Reader) -> CoreResult<EventId> {
-    Ok(EventId { slot: r.u32()?, gen: r.u32()? })
-}
-
-fn put_opt_u64(out: &mut Vec<u8>, v: Option<u64>) {
-    match v {
-        Some(x) => {
-            put_u8(out, 1);
-            put_u64(out, x);
-        }
-        None => put_u8(out, 0),
-    }
-}
-
-fn get_opt_u64(r: &mut Reader) -> CoreResult<Option<u64>> {
-    match r.u8()? {
-        0 => Ok(None),
-        1 => Ok(Some(r.u64()?)),
-        other => Err(CoreError::CorruptJournal { detail: format!("bad option tag {other}") }),
-    }
-}
-
-pub(crate) fn put_event(out: &mut Vec<u8>, ev: &FlowEvent) {
-    match ev {
-        FlowEvent::Arrive { stage, volume, taint, from, lineage } => {
-            put_u8(out, 1);
-            put_u64(out, stage.index() as u64);
-            put_u64(out, volume.bytes());
-            put_u32(out, *taint);
-            put_opt_u64(out, from.map(|s| s.index() as u64));
-            put_u64(out, *lineage);
-        }
-        FlowEvent::Admit { stage, volume, taint, lineage } => {
-            put_u8(out, 2);
-            put_u64(out, stage.index() as u64);
-            put_u64(out, volume.bytes());
-            put_u32(out, *taint);
-            put_u64(out, *lineage);
-        }
-        FlowEvent::Complete { stage, done } => {
-            put_u8(out, 3);
-            put_u64(out, stage.index() as u64);
-            put_completion(out, done);
-        }
-        FlowEvent::CrashResource { resource, units, repair } => {
-            put_u8(out, 4);
-            put_u64(out, resource.0 as u64);
-            put_opt_u64(out, units.map(u64::from));
-            put_u64(out, repair.as_micros());
-        }
-        FlowEvent::RepairResource { resource, units } => {
-            put_u8(out, 5);
-            put_u64(out, resource.0 as u64);
-            put_u32(out, *units);
-        }
-    }
-}
-
-pub(crate) fn get_event(r: &mut Reader) -> CoreResult<FlowEvent> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        1 => FlowEvent::Arrive {
-            stage: StageId(r.u64()? as usize),
-            volume: DataVolume::from_bytes(r.u64()?),
-            taint: r.u32()?,
-            from: get_opt_u64(r)?.map(|s| StageId(s as usize)),
-            lineage: r.u64()?,
-        },
-        2 => FlowEvent::Admit {
-            stage: StageId(r.u64()? as usize),
-            volume: DataVolume::from_bytes(r.u64()?),
-            taint: r.u32()?,
-            lineage: r.u64()?,
-        },
-        3 => FlowEvent::Complete { stage: StageId(r.u64()? as usize), done: get_completion(r)? },
-        4 => FlowEvent::CrashResource {
-            resource: ResourceId(r.u64()? as usize),
-            units: get_opt_u64(r)?.map(|u| u as u32),
-            repair: SimDuration::from_micros(r.u64()?),
-        },
-        5 => FlowEvent::RepairResource { resource: ResourceId(r.u64()? as usize), units: r.u32()? },
-        other => {
-            return Err(CoreError::CorruptJournal { detail: format!("unknown event tag {other}") })
-        }
-    })
-}
-
-fn put_completion(out: &mut Vec<u8>, done: &Completion) {
-    match done {
-        Completion::Produced => put_u8(out, 1),
-        Completion::Task { id, input, held, cpus } => {
-            put_u8(out, 2);
-            put_u64(out, *id);
-            put_u64(out, input.bytes());
-            put_u64(out, held.bytes());
-            put_u32(out, *cpus);
-        }
-        Completion::Delivered { volume, taint, lineage } => {
-            put_u8(out, 3);
-            put_u64(out, volume.bytes());
-            put_u32(out, *taint);
-            put_u64(out, *lineage);
-        }
-        Completion::Attempt { volume, attempt, taint, lineage } => {
-            put_u8(out, 4);
-            put_u64(out, volume.bytes());
-            put_u32(out, *attempt);
-            put_u32(out, *taint);
-            put_u64(out, *lineage);
-        }
-        Completion::Abandoned { volume, taint, lineage } => {
-            put_u8(out, 5);
-            put_u64(out, volume.bytes());
-            put_u32(out, *taint);
-            put_u64(out, *lineage);
-        }
-        Completion::Inspected { id, volume } => {
-            put_u8(out, 6);
-            put_u64(out, *id);
-            put_u64(out, volume.bytes());
-        }
-        Completion::FlushDue => put_u8(out, 7),
-    }
-}
-
-fn get_completion(r: &mut Reader) -> CoreResult<Completion> {
-    let tag = r.u8()?;
-    Ok(match tag {
-        1 => Completion::Produced,
-        2 => Completion::Task {
-            id: r.u64()?,
-            input: DataVolume::from_bytes(r.u64()?),
-            held: DataVolume::from_bytes(r.u64()?),
-            cpus: r.u32()?,
-        },
-        3 => Completion::Delivered {
-            volume: DataVolume::from_bytes(r.u64()?),
-            taint: r.u32()?,
-            lineage: r.u64()?,
-        },
-        4 => Completion::Attempt {
-            volume: DataVolume::from_bytes(r.u64()?),
-            attempt: r.u32()?,
-            taint: r.u32()?,
-            lineage: r.u64()?,
-        },
-        5 => Completion::Abandoned {
-            volume: DataVolume::from_bytes(r.u64()?),
-            taint: r.u32()?,
-            lineage: r.u64()?,
-        },
-        6 => Completion::Inspected { id: r.u64()?, volume: DataVolume::from_bytes(r.u64()?) },
-        7 => Completion::FlushDue,
-        other => {
-            return Err(CoreError::CorruptJournal {
-                detail: format!("unknown completion tag {other}"),
-            })
-        }
-    })
-}
-
-// Small helpers shared by the snapshot encoders in `sim` and `behavior`.
-
-pub(crate) fn put_time(out: &mut Vec<u8>, t: SimTime) {
-    put_u64(out, t.as_micros());
-}
-
-pub(crate) fn get_time(r: &mut Reader) -> CoreResult<SimTime> {
-    Ok(SimTime::from_micros(r.u64()?))
-}
-
-pub(crate) fn put_dur(out: &mut Vec<u8>, d: SimDuration) {
-    put_u64(out, d.as_micros());
-}
-
-pub(crate) fn get_dur(r: &mut Reader) -> CoreResult<SimDuration> {
-    Ok(SimDuration::from_micros(r.u64()?))
-}
-
-pub(crate) fn put_vol(out: &mut Vec<u8>, v: DataVolume) {
-    put_u64(out, v.bytes());
-}
-
-pub(crate) fn get_vol(r: &mut Reader) -> CoreResult<DataVolume> {
-    Ok(DataVolume::from_bytes(r.u64()?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behavior::{Completion, CrashUnits, FlowEvent};
+    use crate::graph::StageId;
+    use crate::resource::ResourceId;
+    use crate::units::DataVolume;
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -449,6 +234,13 @@ mod tests {
         assert_eq!(RunHeader::decode(&h.encode()).unwrap(), h);
         let h = RunHeader { fault_seed: None, ..h };
         assert_eq!(RunHeader::decode(&h.encode()).unwrap(), h);
+        // The build string is read as strictly as every other string.
+        let mut bytes = header().encode();
+        bytes[12] = 0xFF;
+        assert_eq!(
+            RunHeader::decode(&bytes),
+            Err(Damage { offset: 12, reason: frame::Reason::Utf8 })
+        );
     }
 
     #[test]
@@ -609,25 +401,21 @@ mod tests {
             FlowEvent::Complete { stage: StageId(7), done: Completion::FlushDue },
             FlowEvent::CrashResource {
                 resource: ResourceId(2),
-                units: Some(3),
+                units: CrashUnits(Some(3)),
                 repair: SimDuration::from_secs(60),
             },
             FlowEvent::CrashResource {
                 resource: ResourceId(0),
-                units: None,
+                units: CrashUnits(None),
                 repair: SimDuration::from_mins(5),
             },
             FlowEvent::RepairResource { resource: ResourceId(2), units: 3 },
         ];
         let mut out = Vec::new();
-        for ev in &events {
-            put_event(&mut out, ev);
-        }
+        events.put(&mut out);
         let mut r = Reader::new(&out);
-        for ev in &events {
-            let back = get_event(&mut r).unwrap();
-            assert_eq!(format!("{back:?}"), format!("{ev:?}"));
-        }
+        let back: Vec<FlowEvent> = Wire::get(&mut r).unwrap();
         r.done().unwrap();
+        assert_eq!(format!("{back:?}"), format!("{events:?}"));
     }
 }

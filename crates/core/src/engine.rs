@@ -16,6 +16,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::error::{CoreError, CoreResult};
+use crate::frame::{Damage, Reader, Wire};
 use crate::slab::{Slab, SlabKey};
 use crate::units::SimTime;
 
@@ -26,14 +27,16 @@ pub trait EventHandler {
     fn handle(&mut self, ev: Self::Event, sched: &mut Scheduler<Self::Event>);
 }
 
-/// Handle to a scheduled event, usable to cancel it before it fires. The
-/// handle is generation-tagged: payload slots are recycled after an event
-/// fires, and the generation lets a stale handle to a reused slot cancel
-/// nothing instead of killing the slot's new occupant (no ABA).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct EventId {
-    pub(crate) slot: u32,
-    pub(crate) gen: u32,
+crate::wire_struct! {
+    /// Handle to a scheduled event, usable to cancel it before it fires. The
+    /// handle is generation-tagged: payload slots are recycled after an event
+    /// fires, and the generation lets a stale handle to a reused slot cancel
+    /// nothing instead of killing the slot's new occupant (no ABA).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct EventId {
+        pub(crate) slot: u32,
+        pub(crate) gen: u32,
+    }
 }
 
 /// The clock plus the pending-event heap. Handlers use it to read the
@@ -144,51 +147,9 @@ impl<E> Scheduler<E> {
         }
     }
 
-    /// Pending heap entries as `(time, sequence, slot)` triples in canonical
-    /// ascending order — the serialized form a snapshot commits to. The
-    /// internal heap layout depends on push/pop history, but pop order is a
-    /// pure function of this sorted set, so rebuilding from it replays
-    /// identically.
-    pub(crate) fn heap_entries(&self) -> Vec<(SimTime, u64, u32)> {
-        let unpack = |(at, packed): (SimTime, u64)| (at, packed >> 32, packed as u32);
-        let mut entries: Vec<(SimTime, u64, u32)> =
-            self.heap.iter().map(|Reverse(t)| unpack(*t)).collect();
-        entries.extend(self.due.iter().map(|&t| unpack(t)));
-        entries.sort_unstable();
-        entries
-    }
-
-    /// The next sequence number to assign (total events ever scheduled).
-    pub(crate) fn seq(&self) -> u64 {
-        self.seq
-    }
-
-    /// The payload slab, for snapshot export of slot occupancy.
-    pub(crate) fn slots(&self) -> &Slab<E> {
-        &self.slots
-    }
-
-    /// Rebuild a scheduler from snapshot parts: the sorted heap triples from
-    /// [`Scheduler::heap_entries`], the payload slab, the clock, and the
-    /// sequence counter.
-    pub(crate) fn from_parts(
-        heap: Vec<(SimTime, u64, u32)>,
-        slots: Slab<E>,
-        now: SimTime,
-        seq: u64,
-    ) -> Self {
-        // Everything restores into the heap; the due queue refills as the
-        // resumed run schedules. Pop order is the same sorted set either way.
-        Scheduler {
-            heap: heap
-                .into_iter()
-                .map(|(at, s, slot)| Reverse((at, s << 32 | slot as u64)))
-                .collect(),
-            due: VecDeque::new(),
-            slots,
-            now,
-            seq,
-        }
+    /// Slots the payload slab has ever claimed.
+    pub(crate) fn slab_slots(&self) -> usize {
+        self.slots.slot_count()
     }
 }
 
@@ -244,30 +205,14 @@ impl<E> Engine<E> {
         &mut self.sched
     }
 
-    /// Read-only scheduler access (snapshot export between steps).
+    /// Read-only scheduler access.
     pub(crate) fn sched(&self) -> &Scheduler<E> {
         &self.sched
-    }
-
-    /// Rebuild a mid-run engine from snapshot parts: a restored scheduler
-    /// plus the cumulative run counters at snapshot time.
-    pub(crate) fn from_snapshot(
-        sched: Scheduler<E>,
-        max_events: u64,
-        handled: u64,
-        peak_pending: usize,
-    ) -> Self {
-        Engine { sched, max_events, handled, peak_pending }
     }
 
     /// Cumulative events dispatched so far.
     pub(crate) fn events_handled(&self) -> u64 {
         self.handled
-    }
-
-    /// Cumulative heap high-water mark so far.
-    pub(crate) fn peak_pending(&self) -> usize {
-        self.peak_pending
     }
 
     /// Dispatch the next pending event. Returns `Ok(false)` at quiescence
@@ -323,10 +268,82 @@ impl<E> Default for Engine<E> {
     }
 }
 
+/// A mid-run engine as snapshot bytes: the clock and the run's cumulative
+/// counters, the pending entries as `(time, sequence, slot)` triples in
+/// ascending order, then the payload slab. Heap layout depends on push/pop
+/// history, but pop order is a pure function of the sorted set, so an
+/// engine rebuilt from it replays identically. The event cap is
+/// configuration and is not written.
+impl<E: Wire> Engine<E> {
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
+        let s = &self.sched;
+        s.now.put(out);
+        s.seq.put(out);
+        self.handled.put(out);
+        self.peak_pending.put(out);
+        let mut pending: Vec<(SimTime, u64, u32)> = (s.heap.iter().map(|Reverse(entry)| entry))
+            .chain(&s.due)
+            .map(|&(at, packed)| (at, packed >> 32, packed as u32))
+            .collect();
+        pending.sort_unstable();
+        pending.put(out);
+        s.slots.put(out);
+    }
+
+    pub(crate) fn load(r: &mut Reader, max_events: u64) -> Result<Self, Damage> {
+        let (now, seq) = (SimTime::get(r)?, u64::get(r)?);
+        let (handled, peak_pending) = (u64::get(r)?, usize::get(r)?);
+        // Everything restores into the heap; the due queue refills as the
+        // resumed run schedules.
+        let pending: Vec<(SimTime, u64, u32)> = Wire::get(r)?;
+        let heap =
+            pending.into_iter().map(|(at, seq, slot)| Reverse((at, seq << 32 | slot as u64)));
+        let sched = Scheduler {
+            heap: heap.collect(),
+            due: VecDeque::new(),
+            slots: Slab::get(r)?,
+            now,
+            seq,
+        };
+        Ok(Engine { sched, max_events, handled, peak_pending })
+    }
+
+    /// Whether every slot a pending entry or the free list names exists in
+    /// the slab: true of any engine that ran, not of one decoded from
+    /// bytes, and [`Scheduler::pop`] and [`Scheduler::schedule`] index.
+    pub(crate) fn slots_in_range(&self) -> bool {
+        let s = &self.sched;
+        let slots = s.slots.slot_count();
+        s.slots.free_list_in_range()
+            && (s.heap.iter().map(|Reverse(entry)| entry))
+                .chain(&s.due)
+                .all(|&(_, packed)| (packed as u32 as usize) < slots)
+    }
+
+    /// The payloads still pending, in slot order.
+    pub(crate) fn pending_events(&self) -> impl Iterator<Item = &E> {
+        self.sched.slots.values()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::units::SimDuration;
+
+    /// Forging hooks for the `forged_index_*` tests: no run makes a pending
+    /// entry or a free-list slot point outside the slab, so a test has to.
+    impl<E> Engine<E> {
+        pub(crate) fn forge_pending_slot(&mut self, slot: u32) {
+            let s = &mut self.sched;
+            s.heap.push(Reverse((s.now, s.seq << 32 | slot as u64)));
+            s.seq += 1;
+        }
+
+        pub(crate) fn forge_free_slot(&mut self, slot: u32) {
+            self.sched.slots.forge_free_slot(slot);
+        }
+    }
 
     /// A handler that records firing order and chains follow-up events.
     struct Recorder {
@@ -504,7 +521,7 @@ mod tests {
     }
 
     #[test]
-    fn stepped_run_equals_run_counted_with_a_mid_run_scheduler_roundtrip() {
+    fn stepped_run_equals_run_counted_with_a_mid_run_roundtrip_through_bytes() {
         let build = || {
             let mut engine = Engine::new();
             let t = SimTime::from_micros;
@@ -521,27 +538,14 @@ mod tests {
         let mut steps = 0;
         loop {
             if steps == 2 {
-                // Export the scheduler mid-run and rebuild the engine from
-                // the parts, as a resume would.
-                let entries: Vec<(u32, Option<u32>)> =
-                    engine.sched().slots().entries().map(|(g, v)| (g, v.copied())).collect();
-                let slab = Slab::from_parts(
-                    entries,
-                    engine.sched().slots().free_list().to_vec(),
-                    engine.sched().slots().high_water(),
-                );
-                let sched = Scheduler::from_parts(
-                    engine.sched().heap_entries(),
-                    slab,
-                    engine.sched().now(),
-                    engine.sched().seq(),
-                );
-                engine = Engine::from_snapshot(
-                    sched,
-                    50_000_000,
-                    engine.events_handled(),
-                    engine.peak_pending(),
-                );
+                // Save the engine mid-run and rebuild it from the bytes, as
+                // a resume would.
+                let mut bytes = Vec::new();
+                engine.save(&mut bytes);
+                let mut r = Reader::new(&bytes);
+                engine = Engine::load(&mut r, 50_000_000).unwrap();
+                r.done().unwrap();
+                assert!(engine.slots_in_range());
             }
             if !engine.step(&mut h_step).unwrap() {
                 break;

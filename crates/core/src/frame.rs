@@ -10,8 +10,11 @@
 //!   a `magic‖frame*` file walked to its last good frame ([`scan`]);
 //! * the **sealed trailer** `payload‖[magic]‖len u64 LE‖FNV-1a u64 LE`
 //!   ([`seal_trailer`], [`open_trailer`]);
-//! * the little-endian **field codec**: `put_*` writers and one
-//!   bounds-checked [`Reader`];
+//! * the little-endian **field codec**: `put_*` writers, one bounds-checked
+//!   [`Reader`], and over them [`Wire`] — the bytes of each persisted type,
+//!   with [`wire_struct!`](crate::wire_struct) and
+//!   [`wire_enum!`](crate::wire_enum) declaring a type and its layout from
+//!   one list;
 //! * the **atomic write**: temp sibling, fsync, rename ([`write_atomic`]).
 //!
 //! Every failure is a typed [`Damage`] (offset and [`Reason`]); no input —
@@ -19,6 +22,7 @@
 //! Each crate keeps its own magic, frame kinds, payload layouts and error
 //! enum, and converts [`Damage`] into that enum once.
 
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -49,13 +53,16 @@ pub enum Reason {
     Trailing,
     /// A string field is not UTF-8.
     Utf8,
+    /// A field holds a value its type has no meaning for: a flag byte that
+    /// is neither 0 nor 1, an enum tag no variant carries.
+    BadValue,
 }
 
 impl Reason {
     /// Whether the seal verified and the damage is in the payload's own
     /// layout (a [`Reader`] failure), as opposed to the seal around it.
     pub fn in_payload(self) -> bool {
-        matches!(self, Reason::Overrun | Reason::Trailing | Reason::Utf8)
+        matches!(self, Reason::Overrun | Reason::Trailing | Reason::Utf8 | Reason::BadValue)
     }
 }
 
@@ -88,6 +95,7 @@ impl fmt::Display for Damage {
             Reason::Overrun => "field runs past the end of the payload",
             Reason::Trailing => "trailing bytes after the payload",
             Reason::Utf8 => "string is not utf-8",
+            Reason::BadValue => "field holds a value its type does not have",
         };
         write!(f, "{why} at offset {}", self.offset)
     }
@@ -363,6 +371,13 @@ impl<'a> Reader<'a> {
         String::from_utf8(self.take(n)?.to_vec()).map_err(|_| at)
     }
 
+    /// The damage to report when the last `width` bytes read hold a value
+    /// their type has no meaning for: [`Reason::BadValue`] at the offset of
+    /// the first of them.
+    pub fn bad_value<T>(&self, width: usize) -> Result<T, Damage> {
+        Err(Damage { offset: self.pos - width, reason: Reason::BadValue })
+    }
+
     /// Assert the payload was consumed exactly — trailing bytes mean the
     /// producer and consumer disagree about the format.
     pub fn done(&self) -> Result<(), Damage> {
@@ -371,6 +386,231 @@ impl<'a> Reader<'a> {
         }
         Ok(())
     }
+}
+
+// --- the bytes of each persisted type ---------------------------------------
+
+/// One type's bytes in a run snapshot or journal header (format 1), both
+/// directions. Every layout decision of that format is an impl of this
+/// trait: integers little-endian at their own width and `usize` as a `u64`,
+/// `f64` as its bits, `bool` and the arm of an `Option` one byte that must
+/// be 0 or 1, a sequence a [`Reader::len`]-bounded `u64` count then its
+/// items, a `String` as [`put_bytes`], arrays and tuples their items in
+/// order. Structs and enums get theirs from [`wire_struct!`](crate::wire_struct)
+/// and [`wire_enum!`](crate::wire_enum), so a type's fields are listed once.
+pub trait Wire: Sized {
+    /// Append this value's bytes to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+    /// Read one value; a value the type does not have is
+    /// [`Reason::BadValue`] at the offending byte's own offset.
+    fn get(r: &mut Reader) -> Result<Self, Damage>;
+}
+
+macro_rules! wire_le {
+    ($($ty:ty: $put:ident, $get:ident;)*) => {$(
+        impl Wire for $ty {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $put(out, *self);
+            }
+            #[inline]
+            fn get(r: &mut Reader) -> Result<Self, Damage> {
+                r.$get()
+            }
+        }
+    )*};
+}
+
+wire_le! {
+    u32: put_u32, u32;
+    u64: put_u64, u64;
+    f64: put_f64, f64;
+}
+
+impl Wire for usize {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u64(out, *self as u64);
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        usize::try_from(r.u64()?).or_else(|_| r.bad_value(8))
+    }
+}
+
+impl Wire for bool {
+    #[inline]
+    fn put(&self, out: &mut Vec<u8>) {
+        put_u8(out, *self as u8);
+    }
+    #[inline]
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        match r.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => r.bad_value(1),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(v) = self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        Ok(if bool::get(r)? { Some(T::get(r)?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        // Not `collect`: through a `Result` it loses the size hint.
+        let n = r.len()?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::get(r)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<T: Wire> Wire for VecDeque<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.len().put(out);
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        Vec::get(r).map(VecDeque::from)
+    }
+}
+
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_bytes(out, self.as_bytes());
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        let bytes = r.bytes()?;
+        let at = Damage { offset: r.pos - bytes.len(), reason: Reason::Utf8 };
+        String::from_utf8(bytes.to_vec()).map_err(|_| at)
+    }
+}
+
+impl<T: Wire + Copy + Default, const N: usize> Wire for [T; N] {
+    fn put(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.put(out);
+        }
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        let mut items = [T::default(); N];
+        for v in &mut items {
+            *v = T::get(r)?;
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+    fn get(r: &mut Reader) -> Result<Self, Damage> {
+        Ok((A::get(r)?, B::get(r)?, C::get(r)?))
+    }
+}
+
+/// Declare a struct and its [`Wire`] bytes from one field list: the fields
+/// in declaration order, nothing between them. A one-field tuple struct is
+/// its field's bytes. Attributes, visibilities and one type parameter pass
+/// through to the declaration.
+#[macro_export]
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $name:ident $(<$param:ident>)? {
+            $($(#[$fmeta:meta])* $fvis:vis $field:ident: $ty:ty),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis struct $name $(<$param>)? {
+            $($(#[$fmeta])* $fvis $field: $ty,)*
+        }
+
+        impl $(<$param: $crate::frame::Wire>)? $crate::frame::Wire for $name $(<$param>)? {
+            fn put(&self, out: &mut Vec<u8>) {
+                $($crate::frame::Wire::put(&self.$field, out);)*
+            }
+            fn get(r: &mut $crate::frame::Reader) -> Result<Self, $crate::frame::Damage> {
+                Ok($name { $($field: $crate::frame::Wire::get(r)?,)* })
+            }
+        }
+    };
+    ($(#[$meta:meta])* $vis:vis struct $name:ident($fvis:vis $ty:ty);) => {
+        $(#[$meta])*
+        $vis struct $name($fvis $ty);
+
+        impl $crate::frame::Wire for $name {
+            #[inline]
+            fn put(&self, out: &mut Vec<u8>) {
+                $crate::frame::Wire::put(&self.0, out);
+            }
+            #[inline]
+            fn get(r: &mut $crate::frame::Reader) -> Result<Self, $crate::frame::Damage> {
+                $crate::frame::Wire::get(r).map($name)
+            }
+        }
+    };
+}
+
+/// Declare an enum and its [`Wire`] bytes from one variant list: per
+/// variant a one-byte tag literal, then its fields in order. A tag no
+/// variant carries is [`Reason::BadValue`] at the tag's offset.
+#[macro_export]
+macro_rules! wire_enum {
+    (
+        $(#[$meta:meta])*
+        $vis:vis enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $tag:literal => $variant:ident $({ $($field:ident: $ty:ty),* $(,)? })?
+            ),* $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis enum $name {
+            $($(#[$vmeta])* $variant $({ $($field: $ty,)* })?,)*
+        }
+
+        impl $crate::frame::Wire for $name {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($name::$variant $({ $($field,)* })? => {
+                        $crate::frame::put_u8(out, $tag);
+                        $($($crate::frame::Wire::put($field, out);)*)?
+                    })*
+                }
+            }
+            fn get(r: &mut $crate::frame::Reader) -> Result<Self, $crate::frame::Damage> {
+                Ok(match r.u8()? {
+                    $($tag => $name::$variant $({ $($field: $crate::frame::Wire::get(r)?,)* })?,)*
+                    _ => return r.bad_value(1),
+                })
+            }
+        }
+    };
 }
 
 // --- atomic write ---------------------------------------------------------
@@ -472,5 +712,194 @@ mod tests {
         assert_eq!(Reader::new(&out).bytes().unwrap_err().reason, Reason::Overrun);
         assert_eq!(Reader::new(&out).str().unwrap_err().reason, Reason::Overrun);
         assert_eq!(Reader::new(&out).done().unwrap_err().reason, Reason::Trailing);
+    }
+
+    // --- Wire ---------------------------------------------------------------
+
+    fn bytes_of<T: Wire>(v: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        v.put(&mut out);
+        out
+    }
+
+    /// `get` of exactly the bytes `put` wrote.
+    fn back<T: Wire>(v: &T) -> T {
+        let bytes = bytes_of(v);
+        let mut r = Reader::new(&bytes);
+        let got = T::get(&mut r).expect("what put wrote, get reads");
+        r.done().expect("and reads all of it");
+        got
+    }
+
+    fn damage_of<T: Wire + fmt::Debug>(bytes: &[u8]) -> Damage {
+        T::get(&mut Reader::new(bytes)).expect_err("damaged bytes")
+    }
+
+    crate::wire_struct! {
+        #[derive(Debug, Clone, Copy, PartialEq, Default)]
+        struct Micros(u64);
+    }
+
+    crate::wire_struct! {
+        /// Every kind of field a persisted struct has.
+        #[derive(Debug, PartialEq)]
+        struct Sample<T> {
+            id: u32,
+            at: Micros,
+            live: bool,
+            tail: Option<T>,
+            widths: Vec<u32>,
+            name: String,
+        }
+    }
+
+    crate::wire_enum! {
+        #[derive(Debug, PartialEq)]
+        enum Shape {
+            /// Tags are the format; declaration order is not.
+            7 => Dot,
+            2 => Line { from: u32, to: u32 },
+            3 => Tagged { at: Micros, label: Option<u64> },
+        }
+    }
+
+    #[test]
+    fn wire_scalars_roundtrip_at_zero_one_and_their_maximum() {
+        for v in [0, 1, u32::MAX] {
+            assert_eq!(back(&v), v);
+            assert_eq!(bytes_of(&v), v.to_le_bytes());
+        }
+        for v in [0, 1, u64::MAX] {
+            assert_eq!(back(&v), v);
+            assert_eq!(bytes_of(&v), v.to_le_bytes());
+            assert_eq!(back(&Micros(v)), Micros(v));
+            assert_eq!(bytes_of(&Micros(v)), v.to_le_bytes(), "a newtype is its field");
+        }
+        for v in [0, 1, usize::MAX] {
+            assert_eq!(back(&v), v);
+            assert_eq!(bytes_of(&v), (v as u64).to_le_bytes(), "usize is eight bytes wide");
+        }
+        for v in [0.0, 1.0, f64::MAX, -0.0, f64::INFINITY] {
+            assert_eq!(back(&v).to_bits(), v.to_bits());
+            assert_eq!(bytes_of(&v), v.to_bits().to_le_bytes());
+        }
+        assert_eq!((bytes_of(&false), bytes_of(&true)), (vec![0], vec![1]));
+        assert_eq!((back(&false), back(&true)), (false, true));
+    }
+
+    #[test]
+    fn wire_sequences_roundtrip_empty_one_and_many() {
+        for v in [vec![], vec![9u32], vec![0, 1, u32::MAX]] {
+            assert_eq!(back(&v), v);
+            assert_eq!(bytes_of(&v).len(), 8 + 4 * v.len(), "u64 count, then the items");
+            let deque = VecDeque::from(v.clone());
+            assert_eq!(back(&deque), deque);
+            assert_eq!(bytes_of(&deque), bytes_of(&v), "a deque is front-to-back");
+        }
+        for v in [String::new(), "a".to_string(), "snapshot ∎ 1".to_string()] {
+            assert_eq!(back(&v), v);
+            let mut as_bytes = Vec::new();
+            put_bytes(&mut as_bytes, v.as_bytes());
+            assert_eq!(bytes_of(&v), as_bytes);
+        }
+        for v in [None, Some(0), Some(1), Some(u64::MAX)] {
+            assert_eq!(back(&v), v);
+            assert_eq!(bytes_of(&v).len(), if v.is_some() { 9 } else { 1 });
+        }
+        for v in [[0; 4], [1, 2, 3, u64::MAX]] {
+            assert_eq!(back(&v), v);
+            assert_eq!(bytes_of(&v).len(), 32, "an array has no count");
+        }
+        let triple = (Micros(5), 6u64, 7u32);
+        assert_eq!(back(&triple), triple);
+        assert_eq!(bytes_of(&triple).len(), 20);
+        assert_eq!(back(&vec![Some(vec![triple]), None]), vec![Some(vec![triple]), None]);
+    }
+
+    #[test]
+    fn wire_refuses_values_a_type_does_not_have_at_their_own_offset() {
+        let bad = |offset| Damage { offset, reason: Reason::BadValue };
+        assert_eq!(damage_of::<bool>(&[2]), bad(0));
+        assert_eq!(damage_of::<Option<u32>>(&[2, 0, 0, 0, 0]), bad(0));
+        assert_eq!(damage_of::<(u64, bool, u32)>(&[0, 0, 0, 0, 0, 0, 0, 0, 0xFF]), bad(8));
+        // An enum tag no variant carries; tag 7 then an unknown inner tag.
+        assert_eq!(damage_of::<Shape>(&[1]), bad(0));
+        assert_eq!(damage_of::<Shape>(&[0]), bad(0));
+        assert_eq!(damage_of::<(Shape, Shape, Shape)>(&[7, 7, 9]), bad(2));
+        assert!(Reason::BadValue.in_payload());
+        // Strings are strict, and say where the bytes start.
+        let mut bytes = bytes_of(&"ab".to_string());
+        bytes[9] = 0xFF;
+        assert_eq!(damage_of::<String>(&bytes), Damage { offset: 8, reason: Reason::Utf8 });
+        // A value cut short is an overrun where the missing bytes begin.
+        assert_eq!(damage_of::<u64>(&[1, 2, 3]), Damage { offset: 0, reason: Reason::Overrun });
+        assert_eq!(
+            damage_of::<Option<u32>>(&[1, 2]),
+            Damage { offset: 1, reason: Reason::Overrun }
+        );
+    }
+
+    /// A forged count is refused by [`Reader::len`] against the bytes that
+    /// remain, before `with_capacity` sees it.
+    #[test]
+    fn wire_forged_counts_are_overruns_before_anything_is_allocated() {
+        let items = vec![Micros(1), Micros(2)];
+        for count in [u64::MAX, 17, 3] {
+            let mut bytes = bytes_of(&items);
+            bytes[..8].copy_from_slice(&count.to_le_bytes());
+            // 16 bytes remain after the count: 17 is `remaining + 1`; 3 fits
+            // the bound and overruns on the third item instead.
+            let at = if count == 3 { 24 } else { 8 };
+            let overrun = Damage { offset: at, reason: Reason::Overrun };
+            assert_eq!(damage_of::<Vec<Micros>>(&bytes), overrun, "count {count}");
+            assert_eq!(damage_of::<VecDeque<Micros>>(&bytes), overrun, "count {count}");
+            if count != 3 {
+                assert_eq!(damage_of::<String>(&bytes), overrun, "length {count}");
+            }
+        }
+    }
+
+    /// Format 1 by example: the bytes of one `wire_struct!` and one
+    /// `wire_enum!`. If this fails the layout rules changed: do not update
+    /// the literals; fix the code.
+    #[test]
+    fn byte_pin_wire_struct_and_enum() {
+        let sample = Sample {
+            id: 0x0102_0304,
+            at: Micros(5),
+            live: true,
+            tail: Some(Shape::Line { from: 1, to: 2 }),
+            widths: vec![7, 8],
+            name: "ok".to_string(),
+        };
+        let want = [
+            &[4, 3, 2, 1][..],         // id: u32, little-endian
+            &[5, 0, 0, 0, 0, 0, 0, 0], // at: a newtype over u64
+            &[1],                      // live
+            &[1],                      // tail: Some ...
+            &[2],                      // ... tag of Line
+            &[1, 0, 0, 0, 2, 0, 0, 0], // ... from, to
+            &[2, 0, 0, 0, 0, 0, 0, 0], // widths: u64 count
+            &[7, 0, 0, 0, 8, 0, 0, 0], // ... the items
+            &[2, 0, 0, 0, 0, 0, 0, 0], // name: u64 length
+            b"ok",                     // ... the bytes
+        ]
+        .concat();
+        assert_eq!(bytes_of(&sample), want);
+        assert_eq!(back(&sample), sample);
+        assert_eq!(bytes_of(&Shape::Dot), [7]);
+        let tagged = Shape::Tagged { at: Micros(9), label: None };
+        assert_eq!(bytes_of(&tagged), [3, 9, 0, 0, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(back(&tagged), tagged);
+        let empty: Sample<Shape> = Sample {
+            id: 0,
+            at: Micros(0),
+            live: false,
+            tail: None,
+            widths: vec![],
+            name: String::new(),
+        };
+        assert_eq!(bytes_of(&empty), [0; 4 + 8 + 1 + 1 + 8 + 8]);
+        assert_eq!(back(&empty), empty);
     }
 }

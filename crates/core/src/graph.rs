@@ -13,9 +13,11 @@ use crate::obs::SloRule;
 use crate::trace::ObserveConfig;
 use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
 
-/// Index of a stage within its graph.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct StageId(pub(crate) usize);
+crate::wire_struct! {
+    /// Index of a stage within its graph.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    pub struct StageId(pub(crate) usize);
+}
 
 impl StageId {
     pub fn index(self) -> usize {

@@ -2,64 +2,164 @@
 
 use std::fmt;
 
+use crate::error::{CoreError, CoreResult};
+use crate::frame::{Reader, Wire};
 use crate::graph::StageId;
 use crate::obs::Alert;
 use crate::units::{DataVolume, SimDuration, SimTime};
 
-/// Per-stage counters accumulated during a simulation run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StageMetrics {
-    pub name: String,
-    pub blocks_in: u64,
-    pub volume_in: DataVolume,
-    pub blocks_out: u64,
-    pub volume_out: DataVolume,
-    /// Total time the stage spent actively working (summed over tasks).
-    pub busy: SimDuration,
-    /// High-water marks of the stage's input queue.
-    pub max_queue_blocks: usize,
-    pub max_queue_volume: DataVolume,
-    /// Volume still queued when the simulation ended (should be zero for a
-    /// flow that "keeps up").
-    pub final_queue_volume: DataVolume,
-    /// Simulated time of the stage's last completion.
-    pub completed_at: SimTime,
-    /// Transfer attempts re-issued after an injected fault.
-    pub retries: u64,
-    /// Injected fault events that affected this stage's execution.
-    pub faults: u64,
-    /// Blocks abandoned after the retry budget was exhausted.
-    pub blocks_failed: u64,
-    /// Volume re-sent by retries (each retry retransmits the full block).
-    pub volume_retransmitted: DataVolume,
-    /// Volume of abandoned blocks.
-    pub volume_lost: DataVolume,
-    /// Tasks of this stage killed mid-flight by a node crash or pool outage.
-    pub crashes: u64,
-    /// Useful work destroyed by crashes (progress past the last checkpoint).
-    pub work_lost: SimDuration,
-    /// Work re-done after requeue to make up for `work_lost`.
-    pub work_replayed: SimDuration,
-    /// Extra runtime spent writing checkpoints.
-    pub checkpoint_overhead: SimDuration,
-    /// Taint units injected here by silent corruption (transfers that
-    /// delivered a tainted block).
-    pub corrupt_injected: u64,
-    /// Taint units caught by this stage — by an arrival integrity check, or
-    /// contained when a tainted block was destroyed in transit.
-    pub corrupt_detected: u64,
-    /// Taint units that arrived at this stage unchecked — at a sink this is
-    /// corrupted data served to consumers.
-    pub corrupt_escaped: u64,
-    /// Blocks quarantined at this stage instead of flowing on.
-    pub quarantined: u64,
-    /// Blocks re-enqueued at this stage by lineage-driven reprocessing.
-    pub reprocessed_blocks: u64,
-    /// Compute time spent on arrival integrity checks.
-    pub verify_overhead: SimDuration,
+/// A counter a snapshot stores as one `u64` word.
+trait Word {
+    fn word(&self) -> u64;
+    fn from_word(word: u64) -> Self;
 }
 
+macro_rules! word {
+    ($($ty:ty: $to:expr, $from:expr;)*) => {$(
+        impl Word for $ty {
+            fn word(&self) -> u64 {
+                $to(*self)
+            }
+            fn from_word(word: u64) -> Self {
+                $from(word)
+            }
+        }
+    )*};
+}
+
+word! {
+    u64: |v| v, |w| w;
+    usize: |v| v as u64, |w| w as usize;
+    DataVolume: DataVolume::bytes, DataVolume::from_bytes;
+    SimDuration: SimDuration::as_micros, SimDuration::from_micros;
+    SimTime: SimTime::as_micros, SimTime::from_micros;
+}
+
+/// Declares [`StageMetrics`] and, from the same field list, the two
+/// directions of its snapshot words and their count — so a counter added
+/// to the struct is a counter that survives a resume. `name` is resolved
+/// at report time and is not run state.
+macro_rules! stage_metrics {
+    (
+        $(#[$meta:meta])*
+        pub struct StageMetrics {
+            pub name: String,
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct StageMetrics {
+            pub name: String,
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        impl StageMetrics {
+            /// The counters, in declaration order.
+            const COUNTERS: usize = [$(stringify!($field)),*].len();
+
+            fn words(&self) -> [u64; Self::COUNTERS] {
+                [$(self.$field.word()),*]
+            }
+
+            fn from_words(words: [u64; Self::COUNTERS]) -> Self {
+                let mut words = words.into_iter();
+                StageMetrics {
+                    name: String::new(),
+                    $($field: Word::from_word(words.next().expect("one word per counter")),)*
+                }
+            }
+        }
+    };
+}
+
+stage_metrics! {
+    /// Per-stage counters accumulated during a simulation run.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct StageMetrics {
+        pub name: String,
+        pub blocks_in: u64,
+        pub volume_in: DataVolume,
+        pub blocks_out: u64,
+        pub volume_out: DataVolume,
+        /// Total time the stage spent actively working (summed over tasks).
+        pub busy: SimDuration,
+        /// High-water marks of the stage's input queue.
+        pub max_queue_blocks: usize,
+        pub max_queue_volume: DataVolume,
+        /// Volume still queued when the simulation ended (should be zero for a
+        /// flow that "keeps up").
+        pub final_queue_volume: DataVolume,
+        /// Simulated time of the stage's last completion.
+        pub completed_at: SimTime,
+        /// Transfer attempts re-issued after an injected fault.
+        pub retries: u64,
+        /// Injected fault events that affected this stage's execution.
+        pub faults: u64,
+        /// Blocks abandoned after the retry budget was exhausted.
+        pub blocks_failed: u64,
+        /// Volume re-sent by retries (each retry retransmits the full block).
+        pub volume_retransmitted: DataVolume,
+        /// Volume of abandoned blocks.
+        pub volume_lost: DataVolume,
+        /// Tasks of this stage killed mid-flight by a node crash or pool outage.
+        pub crashes: u64,
+        /// Useful work destroyed by crashes (progress past the last checkpoint).
+        pub work_lost: SimDuration,
+        /// Work re-done after requeue to make up for `work_lost`.
+        pub work_replayed: SimDuration,
+        /// Extra runtime spent writing checkpoints.
+        pub checkpoint_overhead: SimDuration,
+        /// Taint units injected here by silent corruption (transfers that
+        /// delivered a tainted block).
+        pub corrupt_injected: u64,
+        /// Taint units caught by this stage — by an arrival integrity check, or
+        /// contained when a tainted block was destroyed in transit.
+        pub corrupt_detected: u64,
+        /// Taint units that arrived at this stage unchecked — at a sink this is
+        /// corrupted data served to consumers.
+        pub corrupt_escaped: u64,
+        /// Blocks quarantined at this stage instead of flowing on.
+        pub quarantined: u64,
+        /// Blocks re-enqueued at this stage by lineage-driven reprocessing.
+        pub reprocessed_blocks: u64,
+        /// Compute time spent on arrival integrity checks.
+        pub verify_overhead: SimDuration,
+    }
+}
+
+/// The snapshot bytes of one stage's counters: a `u32` bitmap of the
+/// nonzero ones, then only those, as `u64` words in declaration order.
+/// Most counters are zero for most of a run, and snapshot size is what a
+/// journaled run pays per frame. The layout is this type's own, not a
+/// [`Wire`] mode.
+const _: () = assert!(StageMetrics::COUNTERS <= u32::BITS as usize);
+
 impl StageMetrics {
+    fn save(&self, out: &mut Vec<u8>) {
+        let words = self.words();
+        let mask = (0..Self::COUNTERS).filter(|&i| words[i] != 0).fold(0u32, |m, i| m | 1 << i);
+        mask.put(out);
+        for word in words.into_iter().filter(|&w| w != 0) {
+            word.put(out);
+        }
+    }
+
+    fn load(r: &mut Reader) -> CoreResult<Self> {
+        let mask = u32::get(r)?;
+        if mask >> Self::COUNTERS != 0 {
+            return Err(CoreError::CorruptJournal {
+                detail: format!("metrics bitmap {mask:#x} has unknown fields set"),
+            });
+        }
+        let mut words = [0u64; Self::COUNTERS];
+        for (i, word) in words.iter_mut().enumerate() {
+            if mask & (1 << i) != 0 {
+                *word = u64::get(r)?;
+            }
+        }
+        Ok(Self::from_words(words))
+    }
+
     pub(crate) fn note_queue(&mut self, blocks: usize, volume: DataVolume) {
         self.max_queue_blocks = self.max_queue_blocks.max(blocks);
         self.max_queue_volume = self.max_queue_volume.max(volume);
@@ -84,13 +184,22 @@ impl RunMetrics {
         RunMetrics { stages: vec![StageMetrics::default(); stages], escaped: 0 }
     }
 
-    /// Adopt counters decoded from a snapshot. The total is derived, not
+    /// Every stage's counters, for a snapshot. The total is derived, not
     /// persisted: it is a function of the counters, and writing it would
     /// change the snapshot bytes for a value a restore can recompute.
-    pub(crate) fn restored(stages: Vec<StageMetrics>) -> Self {
-        let mut m = RunMetrics { stages, escaped: 0 };
+    pub(crate) fn save(&self, out: &mut Vec<u8>) {
+        for m in &self.stages {
+            m.save(out);
+        }
+    }
+
+    /// The counters of `stages` stages, as [`RunMetrics::save`] wrote them.
+    pub(crate) fn load(r: &mut Reader, stages: usize) -> CoreResult<Self> {
+        let stages: CoreResult<Vec<StageMetrics>> =
+            (0..stages).map(|_| StageMetrics::load(r)).collect();
+        let mut m = RunMetrics { stages: stages?, escaped: 0 };
         m.escaped = m.escaped_sum();
-        m
+        Ok(m)
     }
 
     /// `taint` units reached consumers unchecked at `stage`.
@@ -108,10 +217,6 @@ impl RunMetrics {
     /// restore derives and what the end-of-run consistency check compares.
     pub(crate) fn escaped_sum(&self) -> u64 {
         self.stages.iter().map(|m| m.corrupt_escaped).sum()
-    }
-
-    pub(crate) fn stages(&self) -> &[StageMetrics] {
-        &self.stages
     }
 }
 
@@ -140,19 +245,21 @@ pub struct PoolMetrics {
     pub utilization: f64,
 }
 
-/// One time-series sample of the flow's instantaneous state.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TsSample {
-    /// Sample time. Samples land on tick boundaries, plus one final sample
-    /// at `finished_at`.
-    pub at: SimTime,
-    /// Queued volume per stage, in stage order (parallel to
-    /// [`SimReport::stages`]).
-    pub queued: Vec<DataVolume>,
-    /// Units in use per shared pool, parallel to [`TimeSeries::pools`].
-    pub pool_in_use: Vec<u32>,
-    /// Cumulative volume arrived at sink stages (stages with no downstream).
-    pub sink_volume: DataVolume,
+crate::wire_struct! {
+    /// One time-series sample of the flow's instantaneous state.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct TsSample {
+        /// Sample time. Samples land on tick boundaries, plus one final sample
+        /// at `finished_at`.
+        pub at: SimTime,
+        /// Queued volume per stage, in stage order (parallel to
+        /// [`SimReport::stages`]).
+        pub queued: Vec<DataVolume>,
+        /// Units in use per shared pool, parallel to [`TimeSeries::pools`].
+        pub pool_in_use: Vec<u32>,
+        /// Cumulative volume arrived at sink stages (stages with no downstream).
+        pub sink_volume: DataVolume,
+    }
 }
 
 /// Time-resolved telemetry sampled during the run, recorded when the flow
@@ -582,6 +689,50 @@ mod tests {
         m.note_queue(1, DataVolume::gib(1));
         assert_eq!(m.max_queue_blocks, 3);
         assert_eq!(m.max_queue_volume, DataVolume::gib(3));
+    }
+
+    #[test]
+    fn every_counter_survives_the_nonzero_bitmap() {
+        // One distinct nonzero word per counter, whatever the list holds.
+        let mut words = [0u64; StageMetrics::COUNTERS];
+        for (i, word) in words.iter_mut().enumerate() {
+            *word = 1000 + i as u64;
+        }
+        let all = StageMetrics::from_words(words);
+        assert_eq!(all.words(), words);
+        let mut bytes = Vec::new();
+        all.save(&mut bytes);
+        assert_eq!(bytes.len(), 4 + 8 * StageMetrics::COUNTERS);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(StageMetrics::load(&mut r).unwrap(), all);
+        r.done().unwrap();
+        // Declaration order is bit order, and format 1 has 24 of them.
+        assert_eq!(StageMetrics::COUNTERS, 24);
+        assert_eq!((all.blocks_in, all.volume_in.bytes()), (1000, 1001));
+        assert_eq!((all.max_queue_blocks, all.completed_at.as_micros()), (1005, 1008));
+        assert_eq!(all.verify_overhead.as_micros(), 1023);
+        // Zero counters cost a bit, not a word.
+        let sparse =
+            StageMetrics { blocks_out: 3, busy: SimDuration::from_micros(9), ..Default::default() };
+        let mut bytes = Vec::new();
+        sparse.save(&mut bytes);
+        let want = [&[0b1_0100, 0, 0, 0][..], &3u64.to_le_bytes(), &9u64.to_le_bytes()].concat();
+        assert_eq!(bytes, want);
+        assert_eq!(StageMetrics::load(&mut Reader::new(&bytes)).unwrap(), sparse);
+        let mut bytes = Vec::new();
+        StageMetrics::default().save(&mut bytes);
+        assert_eq!(bytes, [0; 4]);
+    }
+
+    #[test]
+    fn an_unknown_bitmap_bit_is_refused() {
+        let mut bytes = (1u32 << StageMetrics::COUNTERS).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&7u64.to_le_bytes());
+        let err = StageMetrics::load(&mut Reader::new(&bytes)).unwrap_err();
+        assert!(matches!(err, CoreError::CorruptJournal { .. }), "got {err:?}");
+        // A known bit whose word is missing is an overrun, not a zero.
+        let err = StageMetrics::load(&mut Reader::new(&[1, 0, 0, 0])).unwrap_err();
+        assert!(matches!(err, CoreError::CorruptJournal { .. }), "got {err:?}");
     }
 
     fn sample_report() -> SimReport {

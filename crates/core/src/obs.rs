@@ -498,15 +498,17 @@ impl SloRule {
     }
 }
 
-/// One violation window of one [`SloRule`]: fired when the watched value
-/// first crossed its ceiling, resolved when it came back under (or left
-/// unresolved at end of run), with the peak value seen while firing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Alert {
-    pub rule: String,
-    pub fired_at: SimTime,
-    pub resolved_at: Option<SimTime>,
-    pub peak: u64,
+crate::wire_struct! {
+    /// One violation window of one [`SloRule`]: fired when the watched value
+    /// first crossed its ceiling, resolved when it came back under (or left
+    /// unresolved at end of run), with the peak value seen while firing.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct Alert {
+        pub rule: String,
+        pub fired_at: SimTime,
+        pub resolved_at: Option<SimTime>,
+        pub peak: u64,
+    }
 }
 
 impl fmt::Display for Alert {
@@ -519,14 +521,16 @@ impl fmt::Display for Alert {
     }
 }
 
-/// Shared fire/resolve automaton for rule evaluators in `sim` and the
-/// replica fabric: feed it the watched value each evaluation instant and it
-/// yields a completed [`Alert`] per violation window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SloState {
-    pub active: bool,
-    pub fired_at: SimTime,
-    pub peak: u64,
+crate::wire_struct! {
+    /// Shared fire/resolve automaton for rule evaluators in `sim` and the
+    /// replica fabric: feed it the watched value each evaluation instant and it
+    /// yields a completed [`Alert`] per violation window.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct SloState {
+        pub active: bool,
+        pub fired_at: SimTime,
+        pub peak: u64,
+    }
 }
 
 impl Default for SloState {

@@ -13,6 +13,8 @@
 
 use std::collections::VecDeque;
 
+use crate::error::{CoreError, CoreResult};
+use crate::frame::{Reader, Wire};
 use crate::graph::StageId;
 use crate::metrics::PoolMetrics;
 use crate::units::{DataVolume, SimTime};
@@ -31,25 +33,36 @@ pub enum SchedPolicy {
     Fifo,
 }
 
-/// Handle to a resource within its [`ResourceSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ResourceId(pub(crate) usize);
+crate::wire_struct! {
+    /// Handle to a resource within its [`ResourceSet`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub struct ResourceId(pub(crate) usize);
+}
 
 /// A counted pool of interchangeable units plus its contention bookkeeping.
 #[derive(Debug)]
 struct Resource {
     name: String,
-    free: u32,
     total: u32,
-    /// Units taken down by crash/outage faults, pending repair.
-    offline: u32,
-    peak_in_use: u32,
-    /// Accumulated busy unit-seconds (cpu-seconds for pools).
-    busy_unit_secs: f64,
-    /// Stages with queued work waiting for this resource, FIFO.
-    waiters: VecDeque<StageId>,
     /// Shared CPU pools appear in the report; private channels do not.
     pool: bool,
+    state: ResourceDyn,
+}
+
+crate::wire_struct! {
+    /// The part of a [`Resource`] a run changes, and so the part a snapshot
+    /// holds: name, total and pool flag are rebuilt from the compiled flow.
+    #[derive(Debug)]
+    struct ResourceDyn {
+        free: u32,
+        /// Units taken down by crash/outage faults, pending repair.
+        offline: u32,
+        peak_in_use: u32,
+        /// Accumulated busy unit-seconds (cpu-seconds for pools).
+        busy_unit_secs: f64,
+        /// Stages with queued work waiting for this resource, FIFO.
+        waiters: VecDeque<StageId>,
+    }
 }
 
 /// All the resources of one simulation: named CPU pools shared across
@@ -80,13 +93,15 @@ impl ResourceSet {
         let id = ResourceId(self.resources.len());
         self.resources.push(Resource {
             name,
-            free: units,
             total: units,
-            offline: 0,
-            peak_in_use: 0,
-            busy_unit_secs: 0.0,
-            waiters: VecDeque::new(),
             pool,
+            state: ResourceDyn {
+                free: units,
+                offline: 0,
+                peak_in_use: 0,
+                busy_unit_secs: 0.0,
+                waiters: VecDeque::new(),
+            },
         });
         id
     }
@@ -107,7 +122,7 @@ impl ResourceSet {
     }
 
     pub fn free(&self, rid: ResourceId) -> u32 {
-        self.resources[rid.0].free
+        self.resources[rid.0].state.free
     }
 
     pub fn total(&self, rid: ResourceId) -> u32 {
@@ -117,14 +132,14 @@ impl ResourceSet {
     /// Units not currently taken down by a crash (free + in use).
     pub fn online(&self, rid: ResourceId) -> u32 {
         let r = &self.resources[rid.0];
-        r.total - r.offline
+        r.total - r.state.offline
     }
 
     /// Units currently held by running work (total minus free minus
     /// offline). This is what the time-series sampler records per pool.
     pub fn in_use(&self, rid: ResourceId) -> u32 {
         let r = &self.resources[rid.0];
-        r.total - r.free - r.offline
+        r.total - r.state.free - r.state.offline
     }
 
     /// Resource names in registration (id) order — the trace name table.
@@ -145,14 +160,14 @@ impl ResourceSet {
     /// [`ResourceSet::free`] first.
     pub fn acquire(&mut self, rid: ResourceId, units: u32) {
         let r = &mut self.resources[rid.0];
-        r.free = r.free.checked_sub(units).expect("resource over-acquired");
-        r.peak_in_use = r.peak_in_use.max(r.total - r.free - r.offline);
+        r.state.free = r.state.free.checked_sub(units).expect("resource over-acquired");
+        r.state.peak_in_use = r.state.peak_in_use.max(r.total - r.state.free - r.state.offline);
     }
 
     /// Return `units` to the resource.
     pub fn release(&mut self, rid: ResourceId, units: u32) {
         let r = &mut self.resources[rid.0];
-        r.free = (r.free + units).min(r.total - r.offline);
+        r.state.free = (r.state.free + units).min(r.total - r.state.offline);
     }
 
     /// Take up to `units` idle units offline. Returns the shortfall — units
@@ -161,41 +176,41 @@ impl ResourceSet {
     /// freed units).
     pub fn crash(&mut self, rid: ResourceId, units: u32) -> u32 {
         let r = &mut self.resources[rid.0];
-        let taken = r.free.min(units);
-        r.free -= taken;
-        r.offline += taken;
+        let taken = r.state.free.min(units);
+        r.state.free -= taken;
+        r.state.offline += taken;
         units - taken
     }
 
     /// Bring `units` back online after repair (clamped to what is offline).
     pub fn repair(&mut self, rid: ResourceId, units: u32) {
         let r = &mut self.resources[rid.0];
-        let back = r.offline.min(units);
-        r.offline -= back;
-        r.free += back;
+        let back = r.state.offline.min(units);
+        r.state.offline -= back;
+        r.state.free += back;
     }
 
     /// Accumulate busy time (unit-seconds) against the resource.
     pub fn note_busy(&mut self, rid: ResourceId, unit_secs: f64) {
-        self.resources[rid.0].busy_unit_secs += unit_secs;
+        self.resources[rid.0].state.busy_unit_secs += unit_secs;
     }
 
     /// Enqueue `stage` as a waiter unless it is already waiting somewhere.
     pub fn enlist(&mut self, rid: ResourceId, stage: StageId) {
         if !self.waiting[stage.index()] {
             self.waiting[stage.index()] = true;
-            self.resources[rid.0].waiters.push_back(stage);
+            self.resources[rid.0].state.waiters.push_back(stage);
         }
     }
 
     /// The stage currently at the head of the waiter queue, if any.
     pub fn front_waiter(&self, rid: ResourceId) -> Option<StageId> {
-        self.resources[rid.0].waiters.front().copied()
+        self.resources[rid.0].state.waiters.front().copied()
     }
 
     /// Remove the head waiter (its queue is drained or was already empty).
     pub fn drop_front(&mut self, rid: ResourceId) {
-        if let Some(stage) = self.resources[rid.0].waiters.pop_front() {
+        if let Some(stage) = self.resources[rid.0].state.waiters.pop_front() {
             self.waiting[stage.index()] = false;
         }
     }
@@ -210,7 +225,7 @@ impl ResourceSet {
         }
         match self.policy {
             SchedPolicy::FairShare => {
-                let waiters = &mut self.resources[rid.0].waiters;
+                let waiters = &mut self.resources[rid.0].state.waiters;
                 if let Some(stage) = waiters.pop_front() {
                     waiters.push_back(stage);
                 }
@@ -219,40 +234,54 @@ impl ResourceSet {
         }
     }
 
-    /// Export the mutable per-resource state for a snapshot. The static
-    /// shape (names, totals, pool flags, policy) is rebuilt from the
-    /// compiled flow on resume, so only the dynamics travel.
-    pub(crate) fn export_dyn(&self) -> Vec<ResourceDyn> {
-        self.resources
-            .iter()
-            .map(|r| ResourceDyn {
-                free: r.free,
-                offline: r.offline,
-                peak_in_use: r.peak_in_use,
-                busy_unit_secs: r.busy_unit_secs,
-                waiters: r.waiters.iter().copied().collect(),
-            })
-            .collect()
+    /// How many resources the set holds.
+    pub(crate) fn len(&self) -> usize {
+        self.resources.len()
     }
 
-    /// Restore dynamics exported by [`ResourceSet::export_dyn`] onto a
-    /// freshly-built set with the same shape. The `waiting` flags are
-    /// derived from the waiter queues rather than stored.
-    pub(crate) fn restore_dyn(&mut self, dyns: Vec<ResourceDyn>) {
-        assert_eq!(dyns.len(), self.resources.len(), "snapshot resource count mismatch");
-        for flag in &mut self.waiting {
-            *flag = false;
+    /// Write every resource's [`ResourceDyn`] for a snapshot.
+    pub(crate) fn save_dyn(&self, out: &mut Vec<u8>) {
+        self.resources.len().put(out);
+        for r in &self.resources {
+            r.state.put(out);
         }
-        for (r, d) in self.resources.iter_mut().zip(dyns) {
-            r.free = d.free;
-            r.offline = d.offline;
-            r.peak_in_use = d.peak_in_use;
-            r.busy_unit_secs = d.busy_unit_secs;
-            r.waiters = d.waiters.into_iter().collect();
-            for stage in &r.waiters {
-                self.waiting[stage.index()] = true;
+    }
+
+    /// Read the dynamics [`ResourceSet::save_dyn`] wrote onto a freshly
+    /// built set of the same shape. The `waiting` flags are derived from the
+    /// waiter queues rather than stored; a waiter that is no stage of this
+    /// flow sets none, and [`ResourceSet::dyn_in_range`] then refuses it.
+    pub(crate) fn load_dyn(&mut self, r: &mut Reader) -> CoreResult<()> {
+        let dyns: Vec<ResourceDyn> = Wire::get(r)?;
+        if dyns.len() != self.resources.len() {
+            return Err(CoreError::CorruptJournal {
+                detail: format!(
+                    "snapshot has {} resources, simulator has {}",
+                    dyns.len(),
+                    self.resources.len()
+                ),
+            });
+        }
+        self.waiting.fill(false);
+        for (res, state) in self.resources.iter_mut().zip(dyns) {
+            res.state = state;
+            for stage in &res.state.waiters {
+                if let Some(flag) = self.waiting.get_mut(stage.index()) {
+                    *flag = true;
+                }
             }
         }
+        Ok(())
+    }
+
+    /// Whether the dynamics fit the shape: no more units free and offline
+    /// than a resource has, every waiter a stage of this flow. True of any
+    /// set a run produced, not of one decoded from bytes.
+    pub(crate) fn dyn_in_range(&self) -> bool {
+        self.resources.iter().all(|r| {
+            r.state.free as u64 + r.state.offline as u64 <= r.total as u64
+                && r.state.waiters.iter().all(|stage| stage.index() < self.waiting.len())
+        })
     }
 
     /// Report metrics for the shared pools (channels are private capacity and
@@ -267,10 +296,10 @@ impl ResourceSet {
                 PoolMetrics {
                     name: p.name.clone(),
                     cpus: p.total,
-                    peak_in_use: p.peak_in_use,
-                    busy_cpu_secs: p.busy_unit_secs,
+                    peak_in_use: p.state.peak_in_use,
+                    busy_cpu_secs: p.state.busy_unit_secs,
                     utilization: if capacity_secs > 0.0 {
-                        p.busy_unit_secs / capacity_secs
+                        p.state.busy_unit_secs / capacity_secs
                     } else {
                         0.0
                     },
@@ -280,29 +309,20 @@ impl ResourceSet {
     }
 }
 
-/// The mutable slice of one [`Resource`], as captured by a snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct ResourceDyn {
-    pub(crate) free: u32,
-    pub(crate) offline: u32,
-    pub(crate) peak_in_use: u32,
-    pub(crate) busy_unit_secs: f64,
-    /// Waiter queue front-to-back.
-    pub(crate) waiters: Vec<StageId>,
-}
-
-/// Tracks instantaneous allocated storage across the whole flow.
-#[derive(Debug, Default, Clone)]
-pub struct StorageLedger {
-    current: u64,
-    peak: u64,
-    /// Bytes retained permanently (archives, `retain_input` stages).
-    retained: u64,
-    /// Frees that exceeded the current allocation. Always zero for a correct
-    /// simulation; counted (identically in debug and release builds) rather
-    /// than asserted so accounting bugs surface in reports instead of only
-    /// tripping `debug_assert!` in some build profiles.
-    underflow_events: u64,
+crate::wire_struct! {
+    /// Tracks instantaneous allocated storage across the whole flow.
+    #[derive(Debug, Default, Clone)]
+    pub struct StorageLedger {
+        current: u64,
+        peak: u64,
+        /// Bytes retained permanently (archives, `retain_input` stages).
+        retained: u64,
+        /// Frees that exceeded the current allocation. Always zero for a correct
+        /// simulation; counted (identically in debug and release builds) rather
+        /// than asserted so accounting bugs surface in reports instead of only
+        /// tripping `debug_assert!` in some build profiles.
+        underflow_events: u64,
+    }
 }
 
 impl StorageLedger {
@@ -338,27 +358,24 @@ impl StorageLedger {
     pub fn underflow_events(&self) -> u64 {
         self.underflow_events
     }
-
-    /// The raw counters as a snapshot quadruple:
-    /// `(current, peak, retained, underflow_events)`.
-    pub(crate) fn export(&self) -> (u64, u64, u64, u64) {
-        (self.current, self.peak, self.retained, self.underflow_events)
-    }
-
-    /// Rebuild a ledger from [`StorageLedger::export`] output.
-    pub(crate) fn from_parts(
-        current: u64,
-        peak: u64,
-        retained: u64,
-        underflow_events: u64,
-    ) -> Self {
-        StorageLedger { current, peak, retained, underflow_events }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Forging hooks for the `forged_index_*` tests: every mutator above
+    /// keeps occupancy within the total and indexes `waiting` with the
+    /// stage it enlists, so a test has to write the fields itself.
+    impl ResourceSet {
+        pub(crate) fn forge_waiter(&mut self, rid: ResourceId, stage: StageId) {
+            self.resources[rid.0].state.waiters.push_back(stage);
+        }
+
+        pub(crate) fn forge_offline(&mut self, rid: ResourceId, offline: u32) {
+            self.resources[rid.0].state.offline = offline;
+        }
+    }
 
     fn set(policy: SchedPolicy) -> (ResourceSet, ResourceId) {
         let mut rs = ResourceSet::new(4, policy);
@@ -461,17 +478,21 @@ mod tests {
     }
 
     #[test]
-    fn dynamics_roundtrip_onto_a_fresh_set() {
+    fn dynamics_roundtrip_through_bytes_onto_a_fresh_set() {
         let (mut rs, pool) = set(SchedPolicy::FairShare);
         rs.acquire(pool, 6);
         rs.crash(pool, 3);
         rs.note_busy(pool, 12.5);
         rs.enlist(pool, StageId(2));
         rs.enlist(pool, StageId(0));
-        let dynamics = rs.export_dyn();
+        let mut bytes = Vec::new();
+        rs.save_dyn(&mut bytes);
 
         let (mut fresh, fresh_pool) = set(SchedPolicy::FairShare);
-        fresh.restore_dyn(dynamics);
+        let mut r = Reader::new(&bytes);
+        fresh.load_dyn(&mut r).unwrap();
+        r.done().unwrap();
+        assert!(fresh.dyn_in_range());
         assert_eq!(fresh.free(fresh_pool), rs.free(pool));
         assert_eq!(fresh.online(fresh_pool), rs.online(pool));
         assert_eq!(fresh.in_use(fresh_pool), rs.in_use(pool));
@@ -485,17 +506,25 @@ mod tests {
         let report = fresh.pool_report(SimTime::from_micros(2_000_000));
         assert_eq!(report[0].peak_in_use, 6);
         assert!((report[0].busy_cpu_secs - 12.5).abs() < 1e-12);
+        // A set of another shape refuses the bytes instead of zipping short.
+        let mut other = ResourceSet::new(4, SchedPolicy::FairShare);
+        assert!(matches!(
+            other.load_dyn(&mut Reader::new(&bytes)),
+            Err(CoreError::CorruptJournal { .. })
+        ));
     }
 
     #[test]
-    fn ledger_export_roundtrips() {
+    fn ledger_roundtrips_through_bytes() {
         let mut ledger = StorageLedger::default();
         ledger.alloc(DataVolume::gb(3));
         ledger.free(DataVolume::gb(1));
         ledger.retain(DataVolume::gb(2));
         ledger.free(DataVolume::gb(9));
-        let (cur, peak, ret, under) = ledger.export();
-        let copy = StorageLedger::from_parts(cur, peak, ret, under);
+        let mut bytes = Vec::new();
+        ledger.put(&mut bytes);
+        assert_eq!(bytes.len(), 32, "four u64 counters");
+        let copy = StorageLedger::get(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(copy.current(), ledger.current());
         assert_eq!(copy.peak(), ledger.peak());
         assert_eq!(copy.retained(), ledger.retained());

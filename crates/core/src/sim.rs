@@ -24,7 +24,7 @@
 //! time.
 
 use crate::behavior::{
-    ArchiveBehavior, BatcherBehavior, Completion, DedupBehavior, DeferredFx, FaultCtx,
+    ArchiveBehavior, BatcherBehavior, Completion, CrashUnits, DedupBehavior, DeferredFx, FaultCtx,
     FilterBehavior, FlowEvent, ProcessBehavior, SourceBehavior, StageBehavior, StageCtx,
     TransferBehavior,
 };
@@ -33,14 +33,13 @@ use crate::durable::{self, RunJournal, SnapshotPolicy};
 use crate::engine::{Engine, EventHandler, RunStats, Scheduler};
 use crate::error::{CoreError, CoreResult};
 use crate::fault::{FaultKind, FaultPlan, RetryPolicy};
-use crate::frame;
+use crate::frame::{self, Reader, Wire};
 use crate::graph::{FlowGraph, StageId, VerifyPolicy};
-use crate::metrics::{EngineStats, RunMetrics, SimReport, StageMetrics, TimeSeries, TsSample};
+use crate::metrics::{EngineStats, RunMetrics, SimReport, TimeSeries, TsSample};
 #[cfg(test)]
 use crate::obs::SloRule;
 use crate::obs::{Alert, MetricsHub, SloKind, SloState};
-use crate::resource::{ResourceDyn, ResourceId, ResourceSet};
-use crate::slab::Slab;
+use crate::resource::{ResourceId, ResourceSet};
 use crate::trace::{self, FaultScope, Observer, TraceCtx, TraceEvent, TraceMeta};
 use crate::units::{DataVolume, SimDuration, SimTime};
 
@@ -76,14 +75,16 @@ enum Step {
     Complete(Completion),
 }
 
-/// Time-series sampling state: ticks are consumed opportunistically as
-/// events advance the clock (sampling never schedules events of its own, so
-/// an observed run replays exactly like an unobserved one).
-struct TsSampler {
-    tick: SimDuration,
-    /// The next tick still to be sampled.
-    next: SimTime,
-    samples: Vec<TsSample>,
+crate::wire_struct! {
+    /// Time-series sampling state: ticks are consumed opportunistically as
+    /// events advance the clock (sampling never schedules events of its own, so
+    /// an observed run replays exactly like an unobserved one). The tick
+    /// itself is configuration ([`RunConfig::tick`]).
+    struct SamplerState {
+        /// The next tick still to be sampled.
+        next: SimTime,
+        samples: Vec<TsSample>,
+    }
 }
 
 /// What one SLO rule watches, resolved against the compiled flow so the
@@ -99,82 +100,259 @@ enum SloTarget {
     SnapGap { max_gap: SimDuration },
 }
 
-/// One attached SLO rule: its name, its resolved target, and the
-/// fire/resolve automaton accumulating the current violation window.
+/// One attached SLO rule: its name and its resolved target. Its fire/resolve
+/// automaton is run state, at the same index of [`SloRun::monitors`].
 struct SloMonitor {
     name: String,
     target: SloTarget,
-    state: SloState,
 }
 
-/// Discrete-event executor for a compiled flow ([`CompiledFlow`]).
-pub struct FlowSim {
-    /// The compiled IR: id-indexed stage/policy tables plus the name side
-    /// tables resolved only when rendering reports and traces.
-    flow: CompiledFlow,
+crate::wire_struct! {
+    /// What the attached SLO rules have seen so far.
+    struct SloRun {
+        /// When the last snapshot frame was committed (SnapGap anchor).
+        last_snap_at: SimTime,
+        /// One automaton per rule, accumulating the current violation window.
+        monitors: Vec<SloState>,
+        /// Completed alert windows, in resolution order.
+        alerts: Vec<Alert>,
+    }
+}
+
+/// How the run is configured beyond the flow itself. Nothing here changes
+/// while the run executes, and none of it is written to a snapshot: the
+/// resuming caller rebuilds it, and [`FlowSim::spec_hash`] — which renders
+/// `flow`, this, the fault plan and the resource totals — proves the
+/// rebuild identical where that matters to replay.
+struct RunConfig {
+    max_events: u64,
+    /// How many lineage hops [`FlowSim`] walks looking for a durable ancestor
+    /// before giving a quarantined block up as unrecoverable.
+    max_reprocess_depth: usize,
+    /// When journaled runs commit snapshot frames; from the compiled flow,
+    /// overridable with [`FlowSim::with_snapshot_policy`].
+    snapshot_policy: SnapshotPolicy,
+    /// Crash-test hook: abort with [`CoreError::Killed`] once this many
+    /// events have been handled ([`FlowSim::with_kill_after`]).
+    kill_after: Option<u64>,
+    /// Interval between time-series samples; read only when the flow was
+    /// built with [`crate::spec::FlowSpec::observe`].
+    tick: SimDuration,
+    /// Pools sampled by the time series, in [`SimReport::pools`] order.
+    sample_pools: Vec<ResourceId>,
+    /// SLO rules resolved to id-indexed targets.
+    slo: Vec<SloMonitor>,
+}
+
+/// Everything a snapshot contains, and nothing else: [`RunState::save`] and
+/// [`RunState::load`] each destructure this struct without `..`, so a field
+/// added here and not persisted does not compile. Members that mix
+/// configuration with state (behaviors, resources, the fault context, the
+/// trace context) sit here whole and write only their dynamic part.
+struct RunState {
+    /// The live engine once the run has started (via [`FlowSim::run`],
+    /// [`FlowSim::run_for`], or [`FlowSim::resume_from`]); `None` before,
+    /// and while `FlowSim::pump` steps it.
+    engine: Option<Engine<FlowEvent>>,
     /// One behavior per stage; taken out while its hook runs.
     behaviors: Vec<Option<Box<dyn StageBehavior>>>,
     metrics: RunMetrics,
     resources: ResourceSet,
     ledger: StorageLedger,
-    /// Number of source blocks still to be emitted.
-    pending_emits: u64,
-    /// Snapshot of total queued volume when the last source block was emitted.
-    backlog_at_source_end: Option<DataVolume>,
-    source_end: Option<SimTime>,
-    max_events: u64,
     faults: Option<FaultCtx>,
     /// Draws which arrivals a [`VerifyPolicy::Sample`] stage actually checks.
     /// Untouched by runs without sampled stages, so adding the field changes
     /// no existing replay.
     verify_rng: StdRng,
-    /// How many lineage hops [`FlowSim`] walks looking for a durable ancestor
-    /// before giving a quarantined block up as unrecoverable.
-    max_reprocess_depth: usize,
     /// Observer hookup and the lineage-id allocator. The allocator advances
     /// on every delivery whether or not an observer is attached, so attaching
     /// one can never perturb the flow being observed.
     trace: TraceCtx,
     /// Present iff the graph was built with [`crate::spec::FlowSpec::observe`].
-    sampler: Option<TsSampler>,
-    /// Pools sampled by the time series, in [`SimReport::pools`] order.
-    sample_pools: Vec<ResourceId>,
-    /// Recycled [`DeferredFx`] buffers: every hook invocation needs one, and
-    /// reusing them keeps the per-event path allocation-free.
-    fx_pool: Vec<DeferredFx>,
-    /// The live engine once the run has started (via [`FlowSim::run`],
-    /// [`FlowSim::run_for`], or [`FlowSim::resume_from`]); `None` before.
-    engine: Option<Engine<FlowEvent>>,
-    /// When journaled runs commit snapshot frames; from the compiled flow,
-    /// overridable with [`FlowSim::with_snapshot_policy`].
-    snapshot_policy: SnapshotPolicy,
-    /// Events-handled count at which the next `EveryEvents` snapshot is due.
-    next_snap_events: u64,
-    /// Sim time at which the next `EverySimTime` snapshot is due.
-    next_snap_time: SimTime,
+    sampler: Option<SamplerState>,
+    /// Number of source blocks still to be emitted.
+    pending_emits: u64,
+    /// Snapshot of total queued volume when the last source block was emitted.
+    backlog_at_source_end: Option<DataVolume>,
+    source_end: Option<SimTime>,
+    /// Present iff the flow carries SLO rules.
+    slo: Option<SloRun>,
+}
+
+impl RunState {
+    /// The snapshot payload: each member's [`Wire`] bytes, in this order.
+    /// Appends to `out`, so the journaling path can reuse one buffer across
+    /// hundreds of frames.
+    fn save(&self, out: &mut Vec<u8>) {
+        let RunState {
+            engine,
+            behaviors,
+            metrics,
+            resources,
+            ledger,
+            faults,
+            verify_rng,
+            trace,
+            sampler,
+            pending_emits,
+            backlog_at_source_end,
+            source_end,
+            slo,
+        } = self;
+        engine.as_ref().expect("engine in place").save(out);
+        // Per-stage behavior state, as length-prefixed blobs written in
+        // place: a length placeholder, the state bytes, then the length
+        // patched in — the layout `frame::put_bytes` writes, without a
+        // temporary per-stage buffer.
+        for b in behaviors {
+            let at = out.len();
+            0u64.put(out);
+            b.as_ref().expect("behavior in place").save_state(out);
+            let len = (out.len() - at - 8) as u64;
+            out[at..at + 8].copy_from_slice(&len.to_le_bytes());
+        }
+        metrics.save(out);
+        ledger.put(out);
+        resources.save_dyn(out);
+        faults.as_ref().map(|f| f.rng.clone()).put(out);
+        verify_rng.put(out);
+        trace.counters.put(out);
+        sampler.put(out);
+        pending_emits.put(out);
+        backlog_at_source_end.put(out);
+        source_end.put(out);
+        slo.put(out);
+    }
+
+    /// Read what [`RunState::save`] wrote onto this freshly configured
+    /// state. Whether the flow injects faults, samples or carries SLO rules
+    /// is configuration; a snapshot that disagrees is another run's.
+    fn load(&mut self, r: &mut Reader, flow: &CompiledFlow, max_events: u64) -> CoreResult<()> {
+        let RunState {
+            engine,
+            behaviors,
+            metrics,
+            resources,
+            ledger,
+            faults,
+            verify_rng,
+            trace,
+            sampler,
+            pending_emits,
+            backlog_at_source_end,
+            source_end,
+            slo,
+        } = self;
+        let mismatch = |what: &str| CoreError::ResumeMismatch {
+            detail: format!("snapshot and simulator disagree about {what}"),
+        };
+        *engine = Some(Engine::load(r, max_events)?);
+        for (id, b) in flow.stage_ids().zip(behaviors) {
+            let mut blob = Reader::new(r.bytes()?);
+            let b = b.as_mut().expect("behavior in place");
+            b.load_state(&mut blob).and_then(|()| blob.done()).map_err(|damage| {
+                CoreError::CorruptJournal { detail: format!("stage `{}`: {damage}", flow.name(id)) }
+            })?;
+        }
+        *metrics = RunMetrics::load(r, flow.len())?;
+        *ledger = Wire::get(r)?;
+        resources.load_dyn(r)?;
+        match (Option::<StdRng>::get(r)?, faults) {
+            (Some(rng), Some(f)) => f.rng = rng,
+            (None, None) => {}
+            _ => return Err(mismatch("fault injection")),
+        }
+        *verify_rng = Wire::get(r)?;
+        trace.counters = Wire::get(r)?;
+        let was_sampling = sampler.is_some();
+        *sampler = Wire::get(r)?;
+        if sampler.is_some() != was_sampling {
+            return Err(mismatch("observation"));
+        }
+        *pending_emits = Wire::get(r)?;
+        *backlog_at_source_end = Wire::get(r)?;
+        *source_end = Wire::get(r)?;
+        let had_rules = slo.is_some();
+        *slo = Wire::get(r)?;
+        if slo.is_some() != had_rules {
+            return Err(mismatch("SLO rules"));
+        }
+        Ok(())
+    }
+
+    /// Whether every index the loaded state holds fits the flow it was
+    /// loaded onto. The journal's seal is a checksum, not a signature, and
+    /// the spec hash covers configuration, not state: bytes that verify can
+    /// still name a slot, stage or resource that does not exist, and the
+    /// run indexes with all three.
+    fn check(&self, flow: &CompiledFlow, cfg: &RunConfig) -> CoreResult<()> {
+        let engine = self.engine.as_ref().expect("engine in place");
+        let stage_ok = |s: &StageId| s.index() < flow.len();
+        let resource_ok = |r: &ResourceId| r.0 < self.resources.len();
+        let event_ok = |ev: &FlowEvent| match ev {
+            FlowEvent::Arrive { stage, from, .. } => stage_ok(stage) && from.iter().all(stage_ok),
+            FlowEvent::Admit { stage, .. } | FlowEvent::Complete { stage, .. } => stage_ok(stage),
+            FlowEvent::CrashResource { resource, .. }
+            | FlowEvent::RepairResource { resource, .. } => resource_ok(resource),
+        };
+        let sample_ok = |s: &TsSample| {
+            s.queued.len() == flow.len() && s.pool_in_use.len() == cfg.sample_pools.len()
+        };
+        let ensure = |ok: bool, what: &str| match ok {
+            true => Ok(()),
+            false => Err(CoreError::CorruptJournal { detail: format!("snapshot holds {what}") }),
+        };
+        ensure(engine.slots_in_range(), "a pending entry or free slot outside the slab")?;
+        ensure(
+            engine.pending_events().all(event_ok),
+            "an event for a stage or resource outside the flow",
+        )?;
+        ensure(self.resources.dyn_in_range(), "resource occupancy or a waiter outside the flow")?;
+        ensure(
+            self.sampler.iter().flat_map(|s| &s.samples).all(sample_ok),
+            "a time-series sample of another flow's width",
+        )?;
+        ensure(
+            self.slo.iter().all(|s| s.monitors.len() == cfg.slo.len()),
+            "SLO state for another rule count",
+        )
+    }
+}
+
+/// Discrete-event executor for a compiled flow ([`CompiledFlow`]). Every
+/// field sits in exactly one of four groups.
+pub struct FlowSim {
+    // What the run is: everything `spec_hash` renders.
+    /// The compiled IR: id-indexed stage/policy tables plus the name side
+    /// tables resolved only when rendering reports and traces.
+    flow: CompiledFlow,
+    cfg: RunConfig,
+    // What a snapshot contains.
+    state: RunState,
+    // Attachments: where the run reports to, never what it computes. (The
+    // observer is the third; it hangs off `state.trace`.)
     /// Attached run journal, if any ([`FlowSim::with_journal`]).
     journal: Option<RunJournal>,
-    /// Reused snapshot encode buffer: journaled runs seal hundreds of
-    /// frames, and retaining the capacity keeps the snapshot path from
-    /// regrowing a multi-kilobyte buffer per frame.
-    snap_buf: Vec<u8>,
-    /// Crash-test hook: abort with [`CoreError::Killed`] once this many
-    /// events have been handled ([`FlowSim::with_kill_after`]).
-    kill_after: Option<u64>,
     /// Metrics hub, if one was attached ([`FlowSim::with_metrics`]).
     /// Recording is strictly write-only from the simulation's point of
     /// view: nothing in the run loop ever reads a metric back, so the
     /// enabled path cannot perturb the run, and nothing is recorded per
     /// event, so neither path costs anything there.
     obs: Option<MetricsHub>,
+    // Scratch: rebuilt from nothing by any process that picks the run up.
+    /// Recycled [`DeferredFx`] buffers: every hook invocation needs one, and
+    /// reusing them keeps the per-event path allocation-free.
+    fx_pool: Vec<DeferredFx>,
+    /// Reused snapshot encode buffer: journaled runs seal hundreds of
+    /// frames, and retaining the capacity keeps the snapshot path from
+    /// regrowing a multi-kilobyte buffer per frame.
+    snap_buf: Vec<u8>,
+    /// Events-handled count at which the next `EveryEvents` snapshot is due.
+    next_snap_events: u64,
+    /// Sim time at which the next `EverySimTime` snapshot is due.
+    next_snap_time: SimTime,
     /// Engine events already added to the hub's `sim_events_total`.
     events_counted: u64,
-    /// SLO rules resolved to id-indexed targets, with their automata.
-    slo_monitors: Vec<SloMonitor>,
-    /// Completed alert windows, in resolution order.
-    alerts: Vec<Alert>,
-    /// When the last snapshot frame was committed (SnapGap anchor).
-    last_snap_at: SimTime,
 }
 
 impl FlowSim {
@@ -278,24 +456,18 @@ impl FlowSim {
             };
             behaviors.push(Some(behavior));
         }
-        let metrics = RunMetrics::new(flow.len());
-        let (sampler, sample_pools) = match flow.observe_config() {
-            Some(cfg) => {
-                if cfg.tick.is_zero() {
-                    return Err(CoreError::InvalidConfig {
-                        detail: "observation tick must be non-zero".to_string(),
-                    });
-                }
-                (
-                    Some(TsSampler { tick: cfg.tick, next: SimTime::ZERO, samples: Vec::new() }),
-                    resources.pool_ids(),
-                )
+        let (tick, sample_pools) = match flow.observe_config() {
+            Some(cfg) if cfg.tick.is_zero() => {
+                return Err(CoreError::InvalidConfig {
+                    detail: "observation tick must be non-zero".to_string(),
+                });
             }
+            Some(cfg) => (Some(cfg.tick), resources.pool_ids()),
             None => (None, Vec::new()),
         };
         // Resolve SLO rules to id-indexed targets once, so evaluation (which
         // runs per event when rules are attached) never compares strings.
-        let mut slo_monitors = Vec::with_capacity(flow.slo_rules().len());
+        let mut slo = Vec::with_capacity(flow.slo_rules().len());
         for rule in flow.slo_rules() {
             let target = match &rule.kind {
                 SloKind::QueueBacklog { stage, max_volume } => {
@@ -322,56 +494,60 @@ impl FlowSim {
                     })
                 }
             };
-            slo_monitors.push(SloMonitor {
-                name: rule.name.clone(),
-                target,
-                state: SloState::default(),
-            });
+            slo.push(SloMonitor { name: rule.name.clone(), target });
         }
-        let pending_emits = flow.pending_emits();
-        let snapshot_policy = flow.snapshot_policy();
-        Ok(FlowSim {
-            flow,
+        let state = RunState {
+            engine: None,
             behaviors,
-            metrics,
+            metrics: RunMetrics::new(flow.len()),
             resources,
             ledger: StorageLedger::default(),
-            pending_emits,
-            backlog_at_source_end: None,
-            source_end: None,
-            max_events: 50_000_000,
             faults: None,
             verify_rng: StdRng::seed_from_u64(VERIFY_RNG_SALT),
-            max_reprocess_depth: 8,
             trace: TraceCtx::new(),
-            sampler,
+            sampler: tick.map(|_| SamplerState { next: SimTime::ZERO, samples: Vec::new() }),
+            pending_emits: flow.pending_emits(),
+            backlog_at_source_end: None,
+            source_end: None,
+            slo: (!slo.is_empty()).then(|| SloRun {
+                last_snap_at: SimTime::ZERO,
+                monitors: vec![SloState::default(); slo.len()],
+                alerts: Vec::new(),
+            }),
+        };
+        let cfg = RunConfig {
+            max_events: 50_000_000,
+            max_reprocess_depth: 8,
+            snapshot_policy: flow.snapshot_policy(),
+            kill_after: None,
+            tick: tick.unwrap_or(SimDuration::ZERO),
             sample_pools,
+            slo,
+        };
+        Ok(FlowSim {
+            flow,
+            cfg,
+            state,
+            journal: None,
+            obs: None,
             fx_pool: Vec::new(),
-            engine: None,
-            snapshot_policy,
+            snap_buf: Vec::new(),
             next_snap_events: 0,
             next_snap_time: SimTime::ZERO,
-            journal: None,
-            snap_buf: Vec::new(),
-            kill_after: None,
-            obs: None,
             events_counted: 0,
-            slo_monitors,
-            alerts: Vec::new(),
-            last_snap_at: SimTime::ZERO,
         })
     }
 
     /// Override the runaway-event safety cap (default fifty million).
     pub fn with_max_events(mut self, cap: u64) -> Self {
-        self.max_events = cap;
+        self.cfg.max_events = cap;
         self
     }
 
     /// Choose how stages queued on a shared resource are served (default
     /// [`SchedPolicy::FairShare`]).
     pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
-        self.resources.set_policy(policy);
+        self.state.resources.set_policy(policy);
         self
     }
 
@@ -379,15 +555,15 @@ impl FlowSim {
     /// `policy`. Transfer stages ride out drops, stalls, corruption and rate
     /// degradation by retrying with exponential backoff; process stages are
     /// extended by stalls. Blocks whose retry budget runs out are counted as
-    /// failed (see [`StageMetrics::blocks_failed`]) and the flow continues —
-    /// graceful degradation, not a crashed simulation.
+    /// failed (see [`crate::metrics::StageMetrics::blocks_failed`]) and the
+    /// flow continues — graceful degradation, not a crashed simulation.
     ///
     /// The backoff-jitter RNG is seeded from the plan's seed, so running the
     /// same plan and policy twice yields identical [`SimReport`]s.
     pub fn with_faults(mut self, plan: FaultPlan, policy: RetryPolicy) -> Self {
         let rng = StdRng::seed_from_u64(plan.seed() ^ 0xBACC_0FF5_EED0_0002);
-        self.verify_rng = StdRng::seed_from_u64(plan.seed() ^ VERIFY_RNG_SALT);
-        self.faults = Some(FaultCtx { plan, policy, rng });
+        self.state.verify_rng = StdRng::seed_from_u64(plan.seed() ^ VERIFY_RNG_SALT);
+        self.state.faults = Some(FaultCtx { plan, policy, rng });
         self
     }
 
@@ -395,7 +571,7 @@ impl FlowSim {
     /// durable ancestor (default 8 hops). A quarantined block whose nearest
     /// durable ancestor is farther than this is given up as unrecoverable.
     pub fn with_max_reprocess_depth(mut self, depth: usize) -> Self {
-        self.max_reprocess_depth = depth;
+        self.cfg.max_reprocess_depth = depth;
         self
     }
 
@@ -405,14 +581,14 @@ impl FlowSim {
     /// read-only: the same seed and graph produce byte-identical
     /// [`SimReport`]s with or without an observer attached.
     pub fn with_observer(mut self, observer: impl Observer + 'static) -> Self {
-        self.trace.attach(Box::new(observer));
+        self.state.trace.attach(Box::new(observer));
         self
     }
 
     /// Override the snapshot cadence the flow was compiled with. Inert
     /// unless a journal is attached; never perturbs the simulation itself.
     pub fn with_snapshot_policy(mut self, policy: SnapshotPolicy) -> Self {
-        self.snapshot_policy = policy;
+        self.cfg.snapshot_policy = policy;
         self
     }
 
@@ -432,7 +608,7 @@ impl FlowSim {
     /// floor exactly as `kill -9` would drop it, leaving only what the
     /// journal already sealed. The resume-identity tests are built on this.
     pub fn with_kill_after(mut self, events: u64) -> Self {
-        self.kill_after = Some(events);
+        self.cfg.kill_after = Some(events);
         self
     }
 
@@ -450,11 +626,11 @@ impl FlowSim {
 
     /// Run to completion and produce a report.
     pub fn run(mut self) -> CoreResult<SimReport> {
-        if self.engine.is_none() {
+        if self.state.engine.is_none() {
             self.start()?;
         }
         self.pump(None)?;
-        let stats = self.engine.as_ref().expect("engine in place").stats();
+        let stats = self.state.engine.as_ref().expect("engine in place").stats();
         Ok(self.report(stats))
     }
 
@@ -464,7 +640,7 @@ impl FlowSim {
     /// simulator is snapshotted mid-flight with [`FlowSim::snapshot_to`];
     /// calling [`FlowSim::run`] afterwards finishes the run normally.
     pub fn run_for(&mut self, events: u64) -> CoreResult<bool> {
-        if self.engine.is_none() {
+        if self.state.engine.is_none() {
             self.start()?;
         }
         self.pump(Some(events))
@@ -474,7 +650,7 @@ impl FlowSim {
     /// total once [`FlowSim::run_for`] has returned `Ok(false)`. The
     /// resume-identity suites use this to aim kill points mid-run.
     pub fn events_handled(&self) -> u64 {
-        self.engine.as_ref().map_or(0, |e| e.events_handled())
+        self.state.engine.as_ref().map_or(0, |e| e.events_handled())
     }
 
     /// Start the run: create the engine, schedule the fault plan's crash
@@ -482,66 +658,64 @@ impl FlowSim {
     /// seed its initial events. Exactly once per run — a resumed simulator
     /// restores all of this from the snapshot instead.
     fn start(&mut self) -> CoreResult<()> {
-        let mut engine = Engine::new().with_max_events(self.max_events);
+        let mut engine = Engine::new().with_max_events(self.cfg.max_events);
         // Crash timelines are flow-global, not stage-local, so the
         // orchestrator schedules them up front. Crashes aimed at pools this
         // flow doesn't use are silently irrelevant — same contract as link
         // faults on stages that never transfer.
-        if let Some(f) = &self.faults {
-            let crashes: Vec<(SimTime, ResourceId, Option<u32>, SimDuration)> = f
-                .plan
-                .events()
-                .iter()
-                .filter_map(|e| match &e.kind {
-                    FaultKind::NodeCrash { pool, cpus, repair } => self
-                        .resources
-                        .find(pool)
-                        .map(|rid| (e.at, rid, Some((*cpus).max(1)), *repair)),
-                    FaultKind::PoolOutage { pool, repair } => {
-                        self.resources.find(pool).map(|rid| (e.at, rid, None, *repair))
-                    }
-                    _ => None,
-                })
-                .collect();
+        if let Some(f) = &self.state.faults {
+            let resources = &self.state.resources;
+            let crashes = f.plan.events().iter().filter_map(|e| match &e.kind {
+                FaultKind::NodeCrash { pool, cpus, repair } => {
+                    resources.find(pool).map(|rid| (e.at, rid, Some((*cpus).max(1)), *repair))
+                }
+                FaultKind::PoolOutage { pool, repair } => {
+                    resources.find(pool).map(|rid| (e.at, rid, None, *repair))
+                }
+                _ => None,
+            });
             for (at, resource, units, repair) in crashes {
+                let units = CrashUnits(units);
                 engine
                     .scheduler()
                     .schedule(at, FlowEvent::CrashResource { resource, units, repair });
             }
         }
         // Hand the observer its name tables before the first event fires.
-        if self.trace.enabled() {
-            let meta =
-                TraceMeta { stages: self.flow.names().to_vec(), resources: self.resources.names() };
-            self.trace.begin(&meta);
+        if self.state.trace.enabled() {
+            let meta = TraceMeta {
+                stages: self.flow.names().to_vec(),
+                resources: self.state.resources.names(),
+            };
+            self.state.trace.begin(&meta);
         }
         // Let every behavior seed its initial events, in stage order.
         for id in self.flow.stage_ids() {
-            let mut behavior = self.behaviors[id.index()].take().expect("behavior in place");
+            let mut behavior = self.state.behaviors[id.index()].take().expect("behavior in place");
             let mut fx = self.take_fx();
             {
                 let mut ctx = StageCtx::new(
                     id,
                     &self.flow,
                     engine.scheduler(),
-                    &mut self.metrics,
-                    &mut self.ledger,
-                    &mut self.resources,
-                    &mut self.faults,
+                    &mut self.state.metrics,
+                    &mut self.state.ledger,
+                    &mut self.state.resources,
+                    &mut self.state.faults,
                     &mut fx,
-                    &mut self.trace,
+                    &mut self.state.trace,
                 );
                 behavior.seed(&mut ctx);
             }
-            self.behaviors[id.index()] = Some(behavior);
+            self.state.behaviors[id.index()] = Some(behavior);
             self.recycle_fx(fx);
         }
-        match self.snapshot_policy {
+        match self.cfg.snapshot_policy {
             SnapshotPolicy::None => {}
             SnapshotPolicy::EveryEvents(n) => self.next_snap_events = n,
             SnapshotPolicy::EverySimTime(d) => self.next_snap_time = SimTime::ZERO + d,
         }
-        self.engine = Some(engine);
+        self.state.engine = Some(engine);
         Ok(())
     }
 
@@ -558,7 +732,7 @@ impl FlowSim {
     /// (quiescence, an exhausted budget, a kill, an error), so a caller can
     /// never observe it behind `events_handled`.
     fn pump(&mut self, budget: Option<u64>) -> CoreResult<bool> {
-        let mut engine = self.engine.take().expect("engine in place");
+        let mut engine = self.state.engine.take().expect("engine in place");
         let result = self.pump_engine(&mut engine, budget);
         if let Some(h) = &self.obs {
             let handled = engine.events_handled();
@@ -567,7 +741,7 @@ impl FlowSim {
                 self.events_counted = handled;
             }
         }
-        self.engine = Some(engine);
+        self.state.engine = Some(engine);
         result
     }
 
@@ -578,7 +752,7 @@ impl FlowSim {
     ) -> CoreResult<bool> {
         // The common case — no journal, no kill hook, no budget — is the
         // bare dispatch loop, with none of the per-event bookkeeping below.
-        if self.journal.is_none() && self.kill_after.is_none() && budget.is_none() {
+        if self.journal.is_none() && self.cfg.kill_after.is_none() && budget.is_none() {
             while engine.step(self)? {}
             return Ok(false);
         }
@@ -587,7 +761,7 @@ impl FlowSim {
                 return Ok(true);
             }
             self.maybe_snapshot(engine)?;
-            if let Some(k) = self.kill_after {
+            if let Some(k) = self.cfg.kill_after {
                 let handled = engine.events_handled();
                 if handled >= k {
                     return Err(CoreError::Killed { events: handled });
@@ -603,13 +777,13 @@ impl FlowSim {
     }
 
     /// Commit a snapshot frame to the journal if the policy says one is due.
-    fn maybe_snapshot(&mut self, engine: &Engine<FlowEvent>) -> CoreResult<()> {
+    fn maybe_snapshot(&mut self, engine: &mut Engine<FlowEvent>) -> CoreResult<()> {
         if self.journal.is_none() {
             return Ok(());
         }
         let handled = engine.events_handled();
         let now = engine.sched().now();
-        let due = match self.snapshot_policy {
+        let due = match self.cfg.snapshot_policy {
             SnapshotPolicy::None => false,
             SnapshotPolicy::EveryEvents(n) => n > 0 && handled >= self.next_snap_events,
             SnapshotPolicy::EverySimTime(d) => d.as_micros() > 0 && now >= self.next_snap_time,
@@ -620,12 +794,17 @@ impl FlowSim {
         // Anchor the gap *before* encoding so the frame itself carries the
         // post-commit state: a run resumed from this snapshot and the
         // uninterrupted run agree on when the last snapshot happened.
-        self.last_snap_at = now;
+        if let Some(slo) = &mut self.state.slo {
+            slo.last_snap_at = now;
+        }
         // The encode buffer swaps out of its field for the borrow's
-        // duration and keeps its capacity across frames.
+        // duration and keeps its capacity across frames. The engine steps
+        // back into its slot for the encode: the run state is saved whole.
         let mut buf = std::mem::take(&mut self.snap_buf);
         buf.clear();
-        self.encode_snapshot(engine, &mut buf);
+        self.state.engine = Some(std::mem::take(engine));
+        self.state.save(&mut buf);
+        *engine = self.state.engine.take().expect("engine just seated");
         let sealed = self.journal.as_mut().expect("journal attached").append_snapshot(&buf);
         if let Some(h) = &self.obs {
             h.counter_add("snapshot_frames_total", 1);
@@ -635,7 +814,7 @@ impl FlowSim {
         }
         self.snap_buf = buf;
         sealed?;
-        match self.snapshot_policy {
+        match self.cfg.snapshot_policy {
             SnapshotPolicy::None => {}
             SnapshotPolicy::EveryEvents(n) => self.next_snap_events = handled + n,
             SnapshotPolicy::EverySimTime(d) => {
@@ -653,11 +832,14 @@ impl FlowSim {
     /// name. The run must have started (advance it with [`FlowSim::run_for`]
     /// first); finishing it afterwards is unaffected.
     pub fn snapshot_to(&self, path: impl AsRef<Path>) -> CoreResult<()> {
-        let engine = self.engine.as_ref().ok_or_else(|| CoreError::InvalidConfig {
-            detail: "snapshot_to before the run started; advance with run_for first".to_string(),
-        })?;
+        if self.state.engine.is_none() {
+            return Err(CoreError::InvalidConfig {
+                detail: "snapshot_to before the run started; advance with run_for first"
+                    .to_string(),
+            });
+        }
         let mut payload = Vec::with_capacity(4096);
-        self.encode_snapshot(engine, &mut payload);
+        self.state.save(&mut payload);
         durable::write_sealed_journal(path.as_ref(), &self.run_header(), &payload)
     }
 
@@ -670,7 +852,7 @@ impl FlowSim {
     /// snapshot frame cannot be resumed. Running the resumed simulator to
     /// completion yields a report byte-identical to the uninterrupted run's.
     pub fn resume_from(mut self, path: impl AsRef<Path>) -> CoreResult<Self> {
-        if self.engine.is_some() {
+        if self.state.engine.is_some() {
             return Err(CoreError::InvalidConfig {
                 detail: "resume_from on an already-started simulator".to_string(),
             });
@@ -704,10 +886,12 @@ impl FlowSim {
         })?;
         // Hand the observer its name tables, as `start` would have; the
         // trace counters themselves are restored from the snapshot.
-        if self.trace.enabled() {
-            let meta =
-                TraceMeta { stages: self.flow.names().to_vec(), resources: self.resources.names() };
-            self.trace.begin(&meta);
+        if self.state.trace.enabled() {
+            let meta = TraceMeta {
+                stages: self.flow.names().to_vec(),
+                resources: self.state.resources.names(),
+            };
+            self.state.trace.begin(&meta);
         }
         self.apply_snapshot(&snap)?;
         Ok(self)
@@ -740,11 +924,11 @@ impl FlowSim {
         let _ = write!(s, "emits {};", self.flow.pending_emits());
         let _ = write!(s, "observe {:?};", self.flow.observe_config());
         let _ = write!(s, "slos {:?};", self.flow.slo_rules());
-        let _ = write!(s, "policy {:?};", self.resources.policy());
-        for (i, name) in self.resources.names().iter().enumerate() {
-            let _ = write!(s, "res {name} {};", self.resources.total(ResourceId(i)));
+        let _ = write!(s, "policy {:?};", self.state.resources.policy());
+        for (i, name) in self.state.resources.names().iter().enumerate() {
+            let _ = write!(s, "res {name} {};", self.state.resources.total(ResourceId(i)));
         }
-        match &self.faults {
+        match &self.state.faults {
             Some(f) => {
                 let _ = write!(s, "faults {} {:?}", f.plan.seed(), f.policy);
                 for e in f.plan.events() {
@@ -754,7 +938,7 @@ impl FlowSim {
             }
             None => s.push_str("faults none;"),
         }
-        let _ = write!(s, "caps {} {}", self.max_events, self.max_reprocess_depth);
+        let _ = write!(s, "caps {} {}", self.cfg.max_events, self.cfg.max_reprocess_depth);
         crate::fnv::fnv1a(s.as_bytes())
     }
 
@@ -763,351 +947,24 @@ impl FlowSim {
             format: durable::SNAPSHOT_FORMAT,
             build: env!("CARGO_PKG_VERSION").to_string(),
             spec_hash: self.spec_hash(),
-            fault_seed: self.faults.as_ref().map(|f| f.plan.seed()),
+            fault_seed: self.state.faults.as_ref().map(|f| f.plan.seed()),
         }
     }
 
-    /// Serialize the full mid-run state: engine clock, heap and slab (with
-    /// generations and free list), per-stage behavior state and metrics, the
-    /// storage ledger, resource occupancy and waiter queues, every RNG
-    /// stream, the trace lineage allocator, the time-series sampler, and the
-    /// flow-global end-of-input bookkeeping. Static configuration is *not*
-    /// written — the resuming simulator rebuilds it, and the spec hash in
-    /// the journal header proves it rebuilt the same one.
-    ///
-    /// Appends to `out` (cleared by the caller), so the journaling hot
-    /// path can reuse one buffer across hundreds of frames.
-    fn encode_snapshot(&self, engine: &Engine<FlowEvent>, out: &mut Vec<u8>) {
-        let sched = engine.sched();
-        // Engine: clock, counters, then the heap as sorted (time, seq, slot)
-        // triples — pop order is a pure function of the triple set, so heap
-        // layout need not survive.
-        durable::put_time(out, sched.now());
-        frame::put_u64(out, sched.seq());
-        frame::put_u64(out, engine.events_handled());
-        frame::put_u64(out, engine.peak_pending() as u64);
-        let heap = sched.heap_entries();
-        frame::put_u64(out, heap.len() as u64);
-        for (at, seq, slot) in heap {
-            durable::put_time(out, at);
-            frame::put_u64(out, seq);
-            frame::put_u32(out, slot);
-        }
-        // Slab: per-slot generation plus the payload event when occupied,
-        // then the free list (order matters: reuse is LIFO).
-        let slots = sched.slots();
-        frame::put_u64(out, slots.slot_count() as u64);
-        for (gen, ev) in slots.entries() {
-            frame::put_u32(out, gen);
-            match ev {
-                Some(e) => {
-                    frame::put_u8(out, 1);
-                    durable::put_event(out, e);
-                }
-                None => frame::put_u8(out, 0),
-            }
-        }
-        let free = slots.free_list();
-        frame::put_u64(out, free.len() as u64);
-        for &slot in free {
-            frame::put_u32(out, slot);
-        }
-        frame::put_u64(out, sched.slab_high_water() as u64);
-        // Per-stage behavior state, as opaque length-prefixed blobs. Each
-        // blob is written in place: a length placeholder, the state bytes,
-        // then the length patched in — the layout `frame::put_bytes` writes,
-        // without a temporary per-stage buffer.
-        for b in &self.behaviors {
-            let at = out.len();
-            frame::put_u64(out, 0);
-            let start = out.len();
-            b.as_ref().expect("behavior in place").save_state(out);
-            let len = (out.len() - start) as u64;
-            out[at..at + 8].copy_from_slice(&len.to_le_bytes());
-        }
-        // Per-stage metrics, bitmap-compressed (most counters are zero for
-        // most of a run, and snapshots are on the journaling hot path).
-        for m in self.metrics.stages() {
-            put_metrics(out, m);
-        }
-        let (current, peak, retained, underflows) = self.ledger.export();
-        frame::put_u64(out, current);
-        frame::put_u64(out, peak);
-        frame::put_u64(out, retained);
-        frame::put_u64(out, underflows);
-        // Resource dynamics: occupancy, outages, contention counters, and
-        // each waiter queue front-to-back.
-        let dyns = self.resources.export_dyn();
-        frame::put_u64(out, dyns.len() as u64);
-        for d in dyns {
-            frame::put_u32(out, d.free);
-            frame::put_u32(out, d.offline);
-            frame::put_u32(out, d.peak_in_use);
-            frame::put_f64(out, d.busy_unit_secs);
-            frame::put_u64(out, d.waiters.len() as u64);
-            for w in d.waiters {
-                frame::put_u64(out, w.index() as u64);
-            }
-        }
-        // RNG streams. The fault plan itself is rebuilt by the resuming
-        // caller (and proven identical by the spec hash); only the stream
-        // positions are state.
-        match &self.faults {
-            Some(f) => {
-                frame::put_u8(out, 1);
-                for word in f.rng.state() {
-                    frame::put_u64(out, word);
-                }
-            }
-            None => frame::put_u8(out, 0),
-        }
-        for word in self.verify_rng.state() {
-            frame::put_u64(out, word);
-        }
-        // Trace lineage allocator and emission counter.
-        frame::put_u64(out, self.trace.next_lineage());
-        frame::put_u64(out, self.trace.emitted());
-        // Time-series sampler: next due tick plus every sample taken so far.
-        match &self.sampler {
-            Some(s) => {
-                frame::put_u8(out, 1);
-                durable::put_time(out, s.next);
-                frame::put_u64(out, s.samples.len() as u64);
-                for sample in &s.samples {
-                    durable::put_time(out, sample.at);
-                    frame::put_u64(out, sample.queued.len() as u64);
-                    for &v in &sample.queued {
-                        durable::put_vol(out, v);
-                    }
-                    frame::put_u64(out, sample.pool_in_use.len() as u64);
-                    for &u in &sample.pool_in_use {
-                        frame::put_u32(out, u);
-                    }
-                    durable::put_vol(out, sample.sink_volume);
-                }
-            }
-            None => frame::put_u8(out, 0),
-        }
-        // Flow-global end-of-input bookkeeping.
-        frame::put_u64(out, self.pending_emits);
-        match self.backlog_at_source_end {
-            Some(v) => {
-                frame::put_u8(out, 1);
-                durable::put_vol(out, v);
-            }
-            None => frame::put_u8(out, 0),
-        }
-        match self.source_end {
-            Some(t) => {
-                frame::put_u8(out, 1);
-                durable::put_time(out, t);
-            }
-            None => frame::put_u8(out, 0),
-        }
-        // SLO monitor state: the snapshot anchor, each rule's fire/resolve
-        // automaton, and every completed alert window. Tagged so rule-free
-        // flows pay one byte and keep no further layout.
-        if self.slo_monitors.is_empty() {
-            frame::put_u8(out, 0);
-        } else {
-            frame::put_u8(out, 1);
-            durable::put_time(out, self.last_snap_at);
-            frame::put_u64(out, self.slo_monitors.len() as u64);
-            for mon in &self.slo_monitors {
-                frame::put_u8(out, mon.state.active as u8);
-                durable::put_time(out, mon.state.fired_at);
-                frame::put_u64(out, mon.state.peak);
-            }
-            frame::put_u64(out, self.alerts.len() as u64);
-            for a in &self.alerts {
-                frame::put_bytes(out, a.rule.as_bytes());
-                durable::put_time(out, a.fired_at);
-                match a.resolved_at {
-                    Some(t) => {
-                        frame::put_u8(out, 1);
-                        durable::put_time(out, t);
-                    }
-                    None => frame::put_u8(out, 0),
-                }
-                frame::put_u64(out, a.peak);
-            }
-        }
-    }
-
-    /// Restore the state written by [`FlowSim::encode_snapshot`] onto this
-    /// freshly configured simulator and install the rebuilt engine.
+    /// Restore a snapshot payload onto this freshly configured simulator:
+    /// load the run state, require the payload consumed exactly and every
+    /// index in it to fit this flow, then re-anchor the scratch cursors.
     fn apply_snapshot(&mut self, bytes: &[u8]) -> CoreResult<()> {
-        let corrupt = |detail: String| CoreError::CorruptJournal { detail };
-        let mut r = frame::Reader::new(bytes);
-        let now = durable::get_time(&mut r)?;
-        let seq = r.u64()?;
-        let handled = r.u64()?;
-        let peak_pending = r.u64()? as usize;
-        let n = r.len()?;
-        let mut heap = Vec::with_capacity(n);
-        for _ in 0..n {
-            heap.push((durable::get_time(&mut r)?, r.u64()?, r.u32()?));
-        }
-        let n = r.len()?;
-        let mut entries = Vec::with_capacity(n);
-        for _ in 0..n {
-            let gen = r.u32()?;
-            let ev = match r.u8()? {
-                0 => None,
-                1 => Some(durable::get_event(&mut r)?),
-                other => return Err(corrupt(format!("bad slab occupancy tag {other}"))),
-            };
-            entries.push((gen, ev));
-        }
-        let n = r.len()?;
-        let mut free = Vec::with_capacity(n);
-        for _ in 0..n {
-            free.push(r.u32()?);
-        }
-        let high_water = r.u64()? as usize;
-        let slab = Slab::from_parts(entries, free, high_water);
-        let sched = Scheduler::from_parts(heap, slab, now, seq);
-        for id in self.flow.stage_ids() {
-            let blob = r.bytes()?;
-            self.behaviors[id.index()]
-                .as_mut()
-                .expect("behavior in place")
-                .load_state(blob)
-                .map_err(|e| corrupt(format!("stage `{}`: {e}", self.flow.name(id))))?;
-        }
-        let metrics: CoreResult<Vec<StageMetrics>> =
-            (0..self.flow.len()).map(|_| get_metrics(&mut r)).collect();
-        self.metrics = RunMetrics::restored(metrics?);
-        self.ledger = StorageLedger::from_parts(r.u64()?, r.u64()?, r.u64()?, r.u64()?);
-        let n = r.len()?;
-        if n != self.resources.names().len() {
-            return Err(corrupt(format!(
-                "snapshot has {n} resources, simulator has {}",
-                self.resources.names().len()
-            )));
-        }
-        let mut dyns = Vec::with_capacity(n);
-        for _ in 0..n {
-            let free = r.u32()?;
-            let offline = r.u32()?;
-            let peak_in_use = r.u32()?;
-            let busy_unit_secs = r.f64()?;
-            let w = r.len()?;
-            let mut waiters = Vec::with_capacity(w);
-            for _ in 0..w {
-                waiters.push(StageId(r.u64()? as usize));
-            }
-            dyns.push(ResourceDyn { free, offline, peak_in_use, busy_unit_secs, waiters });
-        }
-        self.resources.restore_dyn(dyns);
-        match (r.u8()?, self.faults.as_mut()) {
-            (1, Some(f)) => {
-                let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-                f.rng = StdRng::from_state(state);
-            }
-            (0, None) => {}
-            (0 | 1, _) => {
-                return Err(CoreError::ResumeMismatch {
-                    detail: "snapshot and simulator disagree about fault injection".to_string(),
-                })
-            }
-            (other, _) => return Err(corrupt(format!("bad fault tag {other}"))),
-        }
-        let state = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
-        self.verify_rng = StdRng::from_state(state);
-        let next_lineage = r.u64()?;
-        let emitted = r.u64()?;
-        self.trace.restore(next_lineage, emitted);
-        match (r.u8()?, self.sampler.as_mut()) {
-            (1, Some(s)) => {
-                s.next = durable::get_time(&mut r)?;
-                let n = r.len()?;
-                let mut samples = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let at = durable::get_time(&mut r)?;
-                    let q = r.len()?;
-                    let mut queued = Vec::with_capacity(q);
-                    for _ in 0..q {
-                        queued.push(durable::get_vol(&mut r)?);
-                    }
-                    let p = r.len()?;
-                    let mut pool_in_use = Vec::with_capacity(p);
-                    for _ in 0..p {
-                        pool_in_use.push(r.u32()?);
-                    }
-                    let sink_volume = durable::get_vol(&mut r)?;
-                    samples.push(TsSample { at, queued, pool_in_use, sink_volume });
-                }
-                s.samples = samples;
-            }
-            (0, None) => {}
-            (0 | 1, _) => {
-                return Err(CoreError::ResumeMismatch {
-                    detail: "snapshot and simulator disagree about observation".to_string(),
-                })
-            }
-            (other, _) => return Err(corrupt(format!("bad sampler tag {other}"))),
-        }
-        self.pending_emits = r.u64()?;
-        self.backlog_at_source_end = match r.u8()? {
-            0 => None,
-            1 => Some(durable::get_vol(&mut r)?),
-            other => return Err(corrupt(format!("bad backlog tag {other}"))),
-        };
-        self.source_end = match r.u8()? {
-            0 => None,
-            1 => Some(durable::get_time(&mut r)?),
-            other => return Err(corrupt(format!("bad source-end tag {other}"))),
-        };
-        match (r.u8()?, self.slo_monitors.is_empty()) {
-            (1, false) => {
-                self.last_snap_at = durable::get_time(&mut r)?;
-                let n = r.len()?;
-                if n != self.slo_monitors.len() {
-                    return Err(corrupt(format!(
-                        "snapshot has {n} SLO rules, simulator has {}",
-                        self.slo_monitors.len()
-                    )));
-                }
-                for mon in &mut self.slo_monitors {
-                    mon.state.active = match r.u8()? {
-                        0 => false,
-                        1 => true,
-                        other => return Err(corrupt(format!("bad SLO active tag {other}"))),
-                    };
-                    mon.state.fired_at = durable::get_time(&mut r)?;
-                    mon.state.peak = r.u64()?;
-                }
-                let n = r.len()?;
-                let mut alerts = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let rule = String::from_utf8(r.bytes()?.to_vec())
-                        .map_err(|e| corrupt(format!("bad alert rule name: {e}")))?;
-                    let fired_at = durable::get_time(&mut r)?;
-                    let resolved_at = match r.u8()? {
-                        0 => None,
-                        1 => Some(durable::get_time(&mut r)?),
-                        other => return Err(corrupt(format!("bad alert resolve tag {other}"))),
-                    };
-                    alerts.push(Alert { rule, fired_at, resolved_at, peak: r.u64()? });
-                }
-                self.alerts = alerts;
-            }
-            (0, true) => {}
-            (0 | 1, _) => {
-                return Err(CoreError::ResumeMismatch {
-                    detail: "snapshot and simulator disagree about SLO rules".to_string(),
-                })
-            }
-            (other, _) => return Err(corrupt(format!("bad SLO tag {other}"))),
-        }
+        let mut r = Reader::new(bytes);
+        self.state.load(&mut r, &self.flow, self.cfg.max_events)?;
         r.done()?;
-        self.engine = Some(Engine::from_snapshot(sched, self.max_events, handled, peak_pending));
+        self.state.check(&self.flow, &self.cfg)?;
+        let engine = self.state.engine.as_ref().expect("engine just loaded");
+        let (handled, now) = (engine.events_handled(), engine.sched().now());
         // The hub counts what this process handles, not what the journaled
         // one did before it.
         self.events_counted = handled;
-        // Re-anchor the snapshot cadence at the restored position.
-        match self.snapshot_policy {
+        match self.cfg.snapshot_policy {
             SnapshotPolicy::None => {}
             SnapshotPolicy::EveryEvents(n) => self.next_snap_events = handled + n,
             SnapshotPolicy::EverySimTime(d) => self.next_snap_time = now + d,
@@ -1121,29 +978,30 @@ impl FlowSim {
     /// (fair share) or keeps the head slot (FIFO).
     fn drain(&mut self, rid: ResourceId, sched: &mut Scheduler<FlowEvent>) {
         use crate::behavior::Dispatch;
-        while let Some(head) = self.resources.front_waiter(rid) {
-            let mut behavior = self.behaviors[head.index()].take().expect("behavior in place");
+        while let Some(head) = self.state.resources.front_waiter(rid) {
+            let mut behavior =
+                self.state.behaviors[head.index()].take().expect("behavior in place");
             let mut fx = self.take_fx();
             let dispatched = {
                 let mut ctx = StageCtx::new(
                     head,
                     &self.flow,
                     sched,
-                    &mut self.metrics,
-                    &mut self.ledger,
-                    &mut self.resources,
-                    &mut self.faults,
+                    &mut self.state.metrics,
+                    &mut self.state.ledger,
+                    &mut self.state.resources,
+                    &mut self.state.faults,
                     &mut fx,
-                    &mut self.trace,
+                    &mut self.state.trace,
                 );
                 behavior.try_dispatch(&mut ctx)
             };
-            self.behaviors[head.index()] = Some(behavior);
+            self.state.behaviors[head.index()] = Some(behavior);
             self.recycle_fx(fx);
             match dispatched {
                 Dispatch::Blocked => break,
-                Dispatch::Idle => self.resources.drop_front(rid),
-                Dispatch::Started { more } => self.resources.after_dispatch(rid, more),
+                Dispatch::Idle => self.state.resources.drop_front(rid),
+                Dispatch::Started { more } => self.state.resources.after_dispatch(rid, more),
             }
         }
     }
@@ -1160,40 +1018,41 @@ impl FlowSim {
         repair: SimDuration,
         sched: &mut Scheduler<FlowEvent>,
     ) {
-        let online = self.resources.online(rid);
+        let online = self.state.resources.online(rid);
         let take = units.unwrap_or(online).min(online);
         if take == 0 {
             return;
         }
-        self.trace.emit(sched.now(), || TraceEvent::FaultInjected {
+        self.state.trace.emit(sched.now(), || TraceEvent::FaultInjected {
             scope: FaultScope::Resource(rid.0),
             kind: trace::FaultKind::Crash,
             count: take as u64,
         });
-        let mut shortfall = self.resources.crash(rid, take);
+        let mut shortfall = self.state.resources.crash(rid, take);
         if shortfall > 0 {
             for id in self.flow.stage_ids() {
-                let mut behavior = self.behaviors[id.index()].take().expect("behavior in place");
+                let mut behavior =
+                    self.state.behaviors[id.index()].take().expect("behavior in place");
                 let mut fx = self.take_fx();
                 {
                     let mut ctx = StageCtx::new(
                         id,
                         &self.flow,
                         sched,
-                        &mut self.metrics,
-                        &mut self.ledger,
-                        &mut self.resources,
-                        &mut self.faults,
+                        &mut self.state.metrics,
+                        &mut self.state.ledger,
+                        &mut self.state.resources,
+                        &mut self.state.faults,
                         &mut fx,
-                        &mut self.trace,
+                        &mut self.state.trace,
                     );
                     behavior.on_crash(&mut ctx, rid, shortfall);
                 }
-                self.behaviors[id.index()] = Some(behavior);
+                self.state.behaviors[id.index()] = Some(behavior);
                 self.recycle_fx(fx);
                 // Killed tasks released their units back to the free count;
                 // confiscate again until the crash is fully covered.
-                shortfall = self.resources.crash(rid, shortfall);
+                shortfall = self.state.resources.crash(rid, shortfall);
                 if shortfall == 0 {
                     break;
                 }
@@ -1230,14 +1089,14 @@ impl FlowSim {
         let mut vol = volume;
         let mut cur = stage;
         let mut prev = from;
-        for _ in 0..self.max_reprocess_depth {
+        for _ in 0..self.cfg.max_reprocess_depth {
             let Some(u) = prev else { return };
             if self.flow.durable(u) {
                 // `u` still holds (or can regenerate) a clean copy of what it
                 // delivered to `cur`: replay that delivery. The replacement
                 // keeps the quarantined block's lineage id — it is the same
                 // logical block, re-materialised.
-                self.metrics[cur].reprocessed_blocks += 1;
+                self.state.metrics[cur].reprocessed_blocks += 1;
                 sched.schedule(
                     sched.now(),
                     FlowEvent::Arrive { stage: cur, volume: vol, taint: 0, from: Some(u), lineage },
@@ -1269,25 +1128,30 @@ impl FlowSim {
     }
 
     fn total_queued(&self) -> DataVolume {
-        self.behaviors.iter().map(|b| b.as_ref().expect("behavior in place").queued_volume()).sum()
+        self.state
+            .behaviors
+            .iter()
+            .map(|b| b.as_ref().expect("behavior in place").queued_volume())
+            .sum()
     }
 
     /// One time-series sample of the current state, recorded as of `at`.
     fn take_sample(&mut self, at: SimTime) {
         let queued: Vec<DataVolume> = self
+            .state
             .behaviors
             .iter()
             .map(|b| b.as_ref().expect("behavior in place").queued_volume())
             .collect();
         let pool_in_use: Vec<u32> =
-            self.sample_pools.iter().map(|&r| self.resources.in_use(r)).collect();
+            self.cfg.sample_pools.iter().map(|&r| self.state.resources.in_use(r)).collect();
         let sink_volume = self
             .flow
             .stage_ids()
             .filter(|&id| self.flow.sink(id))
-            .map(|id| self.metrics[id].volume_in)
+            .map(|id| self.state.metrics[id].volume_in)
             .sum();
-        if let Some(s) = self.sampler.as_mut() {
+        if let Some(s) = self.state.sampler.as_mut() {
             s.samples.push(TsSample { at, queued, pool_in_use, sink_volume });
         }
     }
@@ -1299,36 +1163,38 @@ impl FlowSim {
     /// (and therefore `finished_at`) is identical with observation off.
     fn sample_up_to(&mut self, at: SimTime) {
         loop {
-            let Some(next) = self.sampler.as_ref().map(|s| s.next) else { return };
+            let Some(next) = self.state.sampler.as_ref().map(|s| s.next) else { return };
             if next >= at {
                 return;
             }
             self.take_sample(next);
-            let s = self.sampler.as_mut().expect("sampler checked above");
-            s.next = next + s.tick;
+            let s = self.state.sampler.as_mut().expect("sampler checked above");
+            s.next = next + self.cfg.tick;
         }
     }
 
     fn report(mut self, stats: RunStats) -> SimReport {
         let finished_at = stats.finished_at;
         // Close the time series with one final sample at the end of the run.
-        if self.sampler.is_some() {
+        if self.state.sampler.is_some() {
             self.sample_up_to(finished_at);
             self.take_sample(finished_at);
         }
         let mut stages = Vec::with_capacity(self.flow.len());
         for id in self.flow.stage_ids() {
-            let mut m = self.metrics[id].clone();
+            let mut m = self.state.metrics[id].clone();
             m.name = self.flow.name(id).to_string();
-            m.final_queue_volume =
-                self.behaviors[id.index()].as_ref().expect("behavior in place").queued_volume();
+            m.final_queue_volume = self.state.behaviors[id.index()]
+                .as_ref()
+                .expect("behavior in place")
+                .queued_volume();
             stages.push(m);
         }
         // One writer keeps the SLO's escape total in step with the
         // per-stage counters the report prints; a second one would show here.
         assert_eq!(
-            self.metrics.escaped(),
-            self.metrics.escaped_sum(),
+            self.state.metrics.escaped(),
+            self.state.metrics.escaped_sum(),
             "corrupt_escaped was written around RunMetrics::note_escaped"
         );
         // End-of-run engine gauges; the event counter was brought up to date
@@ -1336,32 +1202,27 @@ impl FlowSim {
         if let Some(h) = &self.obs {
             h.gauge_set("engine_events_handled", stats.events_handled);
             h.gauge_set("engine_peak_pending", stats.peak_pending as u64);
-            if let Some(e) = &self.engine {
+            if let Some(e) = &self.state.engine {
                 h.gauge_set("engine_slab_high_water", e.sched().slab_high_water() as u64);
-                h.gauge_set("engine_slab_slots", e.sched().slots().slot_count() as u64);
+                h.gauge_set("engine_slab_slots", e.sched().slab_slots() as u64);
             }
         }
         // Close any still-firing SLO windows as unresolved alerts. Flows
         // without rules report `None`, keeping their pre-SLO bytes.
-        let alerts = if self.slo_monitors.is_empty() {
-            None
-        } else {
-            let mut alerts = std::mem::take(&mut self.alerts);
-            for mon in &self.slo_monitors {
-                if let Some(a) = mon.state.finish(&mon.name) {
-                    alerts.push(a);
-                }
-            }
-            Some(alerts)
-        };
-        let (timeseries, engine) = match self.sampler {
+        let alerts = self.state.slo.map(|slo| {
+            let mut alerts = slo.alerts;
+            let unresolved = self.cfg.slo.iter().zip(&slo.monitors);
+            alerts.extend(unresolved.filter_map(|(mon, state)| state.finish(&mon.name)));
+            alerts
+        });
+        let (timeseries, engine) = match self.state.sampler {
             Some(s) => {
                 // Pool names are resolved only here, at the render edge: the
                 // per-run sampler records ids and counts, never strings.
-                let names = self.resources.names();
-                let pools = self.sample_pools.iter().map(|&r| names[r.0].clone()).collect();
+                let names = self.state.resources.names();
+                let pools = self.cfg.sample_pools.iter().map(|&r| names[r.0].clone()).collect();
                 (
-                    Some(TimeSeries { tick: s.tick, pools, samples: s.samples }),
+                    Some(TimeSeries { tick: self.cfg.tick, pools, samples: s.samples }),
                     Some(EngineStats {
                         events_handled: stats.events_handled,
                         peak_pending: stats.peak_pending,
@@ -1372,13 +1233,13 @@ impl FlowSim {
         };
         SimReport {
             finished_at,
-            source_end: self.source_end,
-            backlog_at_source_end: self.backlog_at_source_end,
+            source_end: self.state.source_end,
+            backlog_at_source_end: self.state.backlog_at_source_end,
             stages,
-            pools: self.resources.pool_report(finished_at),
-            peak_storage: self.ledger.peak(),
-            retained_storage: self.ledger.retained(),
-            ledger_underflows: self.ledger.underflow_events(),
+            pools: self.state.resources.pool_report(finished_at),
+            peak_storage: self.state.ledger.peak(),
+            retained_storage: self.state.ledger.retained(),
+            ledger_underflows: self.state.ledger.underflow_events(),
             timeseries,
             engine,
             alerts,
@@ -1391,127 +1252,29 @@ impl FlowSim {
     /// size. Evaluation reads simulation state but never writes it, so rules
     /// cannot perturb the run they watch.
     fn eval_slos(&mut self, now: SimTime) {
-        for i in 0..self.slo_monitors.len() {
-            let (value, ceiling) = match self.slo_monitors[i].target {
+        let Some(SloRun { last_snap_at, monitors, alerts }) = &mut self.state.slo else { return };
+        for (mon, state) in self.cfg.slo.iter().zip(monitors) {
+            let (value, ceiling) = match mon.target {
                 SloTarget::Queue { stage, ceiling } => {
-                    let queued =
-                        self.behaviors[stage].as_ref().expect("behavior in place").queued_volume();
-                    (queued.bytes(), ceiling)
+                    let behavior = self.state.behaviors[stage].as_ref().expect("behavior in place");
+                    (behavior.queued_volume().bytes(), ceiling)
                 }
-                SloTarget::Escapes { ceiling } => (self.metrics.escaped(), ceiling),
+                SloTarget::Escapes { ceiling } => (self.state.metrics.escaped(), ceiling),
                 SloTarget::SnapGap { max_gap } => {
                     // An unjournaled run commits no snapshot frames; there
                     // is no write cadence to stall, so the rule is inert.
                     if self.journal.is_none() {
                         continue;
                     }
-                    let gap = now.checked_sub(self.last_snap_at).unwrap_or(SimDuration::ZERO);
+                    let gap = now.checked_sub(*last_snap_at).unwrap_or(SimDuration::ZERO);
                     (gap.as_micros(), max_gap.as_micros())
                 }
             };
-            let mon = &mut self.slo_monitors[i];
-            if let Some(alert) = mon.state.observe(&mon.name, now, value, ceiling) {
-                self.alerts.push(alert);
+            if let Some(alert) = state.observe(&mon.name, now, value, ceiling) {
+                alerts.push(alert);
             }
         }
     }
-}
-
-/// The numeric [`StageMetrics`] fields, in declaration order. Snapshots
-/// write a nonzero bitmap plus only the nonzero values — most counters stay
-/// zero for most of a run, and snapshot size is journaling hot-path cost.
-/// (`name` is resolved at report time and is not run state.)
-const METRIC_FIELDS: usize = 24;
-
-fn metric_values(m: &StageMetrics) -> [u64; METRIC_FIELDS] {
-    [
-        m.blocks_in,
-        m.volume_in.bytes(),
-        m.blocks_out,
-        m.volume_out.bytes(),
-        m.busy.as_micros(),
-        m.max_queue_blocks as u64,
-        m.max_queue_volume.bytes(),
-        m.final_queue_volume.bytes(),
-        m.completed_at.as_micros(),
-        m.retries,
-        m.faults,
-        m.blocks_failed,
-        m.volume_retransmitted.bytes(),
-        m.volume_lost.bytes(),
-        m.crashes,
-        m.work_lost.as_micros(),
-        m.work_replayed.as_micros(),
-        m.checkpoint_overhead.as_micros(),
-        m.corrupt_injected,
-        m.corrupt_detected,
-        m.corrupt_escaped,
-        m.quarantined,
-        m.reprocessed_blocks,
-        m.verify_overhead.as_micros(),
-    ]
-}
-
-fn metrics_from_values(v: [u64; METRIC_FIELDS]) -> StageMetrics {
-    StageMetrics {
-        name: String::new(),
-        blocks_in: v[0],
-        volume_in: DataVolume::from_bytes(v[1]),
-        blocks_out: v[2],
-        volume_out: DataVolume::from_bytes(v[3]),
-        busy: SimDuration::from_micros(v[4]),
-        max_queue_blocks: v[5] as usize,
-        max_queue_volume: DataVolume::from_bytes(v[6]),
-        final_queue_volume: DataVolume::from_bytes(v[7]),
-        completed_at: SimTime::from_micros(v[8]),
-        retries: v[9],
-        faults: v[10],
-        blocks_failed: v[11],
-        volume_retransmitted: DataVolume::from_bytes(v[12]),
-        volume_lost: DataVolume::from_bytes(v[13]),
-        crashes: v[14],
-        work_lost: SimDuration::from_micros(v[15]),
-        work_replayed: SimDuration::from_micros(v[16]),
-        checkpoint_overhead: SimDuration::from_micros(v[17]),
-        corrupt_injected: v[18],
-        corrupt_detected: v[19],
-        corrupt_escaped: v[20],
-        quarantined: v[21],
-        reprocessed_blocks: v[22],
-        verify_overhead: SimDuration::from_micros(v[23]),
-    }
-}
-
-fn put_metrics(out: &mut Vec<u8>, m: &StageMetrics) {
-    let vals = metric_values(m);
-    let mut mask = 0u32;
-    for (i, &v) in vals.iter().enumerate() {
-        if v != 0 {
-            mask |= 1 << i;
-        }
-    }
-    frame::put_u32(out, mask);
-    for &v in &vals {
-        if v != 0 {
-            frame::put_u64(out, v);
-        }
-    }
-}
-
-fn get_metrics(r: &mut frame::Reader) -> CoreResult<StageMetrics> {
-    let mask = r.u32()?;
-    if mask >> METRIC_FIELDS != 0 {
-        return Err(CoreError::CorruptJournal {
-            detail: format!("metrics bitmap {mask:#x} has unknown fields set"),
-        });
-    }
-    let mut vals = [0u64; METRIC_FIELDS];
-    for (i, v) in vals.iter_mut().enumerate() {
-        if mask & (1 << i) != 0 {
-            *v = r.u64()?;
-        }
-    }
-    Ok(metrics_from_values(vals))
 }
 
 impl EventHandler for FlowSim {
@@ -1522,15 +1285,15 @@ impl EventHandler for FlowSim {
         // SLO evaluation sees the state as of the previous event (nothing
         // fired in between), which keeps it a pure function of the event
         // sequence.
-        if !self.slo_monitors.is_empty() {
+        if self.state.slo.is_some() {
             self.eval_slos(sched.now());
         }
         let (stage, step) = match ev {
             FlowEvent::Arrive { stage, volume, taint, from, lineage } => {
                 // Arrival bookkeeping is common to every kind: the block now
                 // occupies storage and counts as stage input.
-                self.ledger.alloc(volume);
-                let m = &mut self.metrics[stage];
+                self.state.ledger.alloc(volume);
+                let m = &mut self.state.metrics[stage];
                 m.blocks_in += 1;
                 m.volume_in += volume;
                 // Arrival integrity check, per the stage's verify policy.
@@ -1542,7 +1305,7 @@ impl EventHandler for FlowSim {
                         Some(volume.time_at(rate).unwrap_or(SimDuration::ZERO))
                     }
                     VerifyPolicy::Sample { fraction, rate } => {
-                        if self.verify_rng.gen::<f64>() < fraction {
+                        if self.state.verify_rng.gen::<f64>() < fraction {
                             Some(volume.time_at(rate).unwrap_or(SimDuration::ZERO))
                         } else {
                             None
@@ -1550,11 +1313,11 @@ impl EventHandler for FlowSim {
                     }
                 };
                 if let Some(cost) = cost {
-                    let m = &mut self.metrics[stage];
+                    let m = &mut self.state.metrics[stage];
                     m.verify_overhead += cost;
                     m.busy += cost;
                     let tainted = taint > 0;
-                    self.trace.emit(sched.now(), || TraceEvent::VerifyCheck {
+                    self.state.trace.emit(sched.now(), || TraceEvent::VerifyCheck {
                         stage,
                         lineage,
                         volume,
@@ -1565,16 +1328,16 @@ impl EventHandler for FlowSim {
                         // Caught: quarantine the block (its buffer is
                         // released, it never reaches the stage proper) and
                         // try to replay it from a durable ancestor.
-                        let m = &mut self.metrics[stage];
+                        let m = &mut self.state.metrics[stage];
                         m.corrupt_detected += taint as u64;
                         m.quarantined += 1;
-                        self.trace.emit(sched.now(), || TraceEvent::BlockQuarantined {
+                        self.state.trace.emit(sched.now(), || TraceEvent::BlockQuarantined {
                             stage,
                             lineage,
                             volume,
                             taint,
                         });
-                        self.ledger.free(volume);
+                        self.state.ledger.free(volume);
                         self.reprocess(stage, from, volume, lineage, sched);
                         return;
                     }
@@ -1588,7 +1351,7 @@ impl EventHandler for FlowSim {
                 // consumers; count it once here and hand the behavior a
                 // clean block so it cannot be double-counted downstream.
                 let taint = if taint > 0 && self.flow.sink(stage) {
-                    self.metrics.note_escaped(stage, taint);
+                    self.state.metrics.note_escaped(stage, taint);
                     0
                 } else {
                     taint
@@ -1602,33 +1365,33 @@ impl EventHandler for FlowSim {
             }
             FlowEvent::Complete { stage, done } => (stage, Step::Complete(done)),
             FlowEvent::CrashResource { resource, units, repair } => {
-                self.crash_resource(resource, units, repair, sched);
+                self.crash_resource(resource, units.0, repair, sched);
                 return;
             }
             FlowEvent::RepairResource { resource, units } => {
-                self.trace.emit(sched.now(), || TraceEvent::FaultInjected {
+                self.state.trace.emit(sched.now(), || TraceEvent::FaultInjected {
                     scope: FaultScope::Resource(resource.0),
                     kind: trace::FaultKind::Repair,
                     count: units as u64,
                 });
-                self.resources.repair(resource, units);
+                self.state.resources.repair(resource, units);
                 self.drain(resource, sched);
                 return;
             }
         };
-        let mut behavior = self.behaviors[stage.index()].take().expect("behavior in place");
+        let mut behavior = self.state.behaviors[stage.index()].take().expect("behavior in place");
         let mut fx = self.take_fx();
         {
             let mut ctx = StageCtx::new(
                 stage,
                 &self.flow,
                 sched,
-                &mut self.metrics,
-                &mut self.ledger,
-                &mut self.resources,
-                &mut self.faults,
+                &mut self.state.metrics,
+                &mut self.state.ledger,
+                &mut self.state.resources,
+                &mut self.state.faults,
                 &mut fx,
-                &mut self.trace,
+                &mut self.state.trace,
             );
             match step {
                 Step::Arrive(volume, taint, lineage) => {
@@ -1637,12 +1400,12 @@ impl EventHandler for FlowSim {
                 Step::Complete(done) => behavior.on_complete(&mut ctx, done),
             }
         }
-        self.behaviors[stage.index()] = Some(behavior);
+        self.state.behaviors[stage.index()] = Some(behavior);
         for _ in 0..fx.source_emits {
-            self.pending_emits -= 1;
-            if self.pending_emits == 0 {
-                self.backlog_at_source_end = Some(self.total_queued());
-                self.source_end = Some(sched.now());
+            self.state.pending_emits -= 1;
+            if self.state.pending_emits == 0 {
+                self.state.backlog_at_source_end = Some(self.total_queued());
+                self.state.source_end = Some(sched.now());
             }
         }
         for i in 0..fx.drains.len() {
@@ -2401,16 +2164,16 @@ mod tests {
         let mut stepped = sim();
         let mut restored_after_escape = false;
         while stepped.run_for(1).unwrap() {
-            assert_eq!(stepped.metrics.escaped(), stepped.metrics.escaped_sum());
-            if stepped.metrics.escaped() > 0 && !restored_after_escape {
+            assert_eq!(stepped.state.metrics.escaped(), stepped.state.metrics.escaped_sum());
+            if stepped.state.metrics.escaped() > 0 && !restored_after_escape {
                 stepped.snapshot_to(&path).unwrap();
                 let resumed = sim().resume_from(&path).unwrap();
-                assert_eq!(resumed.metrics.escaped(), stepped.metrics.escaped());
+                assert_eq!(resumed.state.metrics.escaped(), stepped.state.metrics.escaped());
                 restored_after_escape = true;
             }
         }
         assert!(restored_after_escape, "setup must actually leak taint");
-        assert_eq!(stepped.metrics.escaped(), stepped.metrics.escaped_sum());
+        assert_eq!(stepped.state.metrics.escaped(), stepped.state.metrics.escaped_sum());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -2422,7 +2185,7 @@ mod tests {
         let mut sim =
             FlowSim::new(simple_graph(100.0, 0.5), vec![CpuPool::new("pool", 4)]).unwrap();
         sim.run_for(1).unwrap();
-        sim.metrics[StageId(0)].corrupt_escaped += 1;
+        sim.state.metrics[StageId(0)].corrupt_escaped += 1;
         let _ = sim.run();
     }
 
@@ -2547,5 +2310,204 @@ mod tests {
         g.set_slos(vec![SloRule::replication_lag("lag", 4)]);
         let err = FlowSim::new(g, vec![CpuPool::new("pool", 1)]).map(|_| ()).unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig { .. }), "got {err:?}");
+    }
+
+    // --- Snapshots whose seal verifies but whose indices do not -------------
+
+    use crate::genflow::{generate, Archetype};
+
+    /// A pool, a sampler, pending events and a crash timeline: one of
+    /// everything a forged index can point outside of.
+    fn forgeable_sim() -> FlowSim {
+        let mut g = simple_graph(1.0, 0.5);
+        g.set_observe(crate::trace::ObserveConfig::every(SimDuration::from_mins(30)));
+        let crash = FaultEvent {
+            at: SimTime::ZERO + SimDuration::from_days(2),
+            kind: FaultKind::PoolOutage { pool: "pool".into(), repair: SimDuration::from_mins(5) },
+        };
+        FlowSim::new(g, vec![CpuPool::new("pool", 1)])
+            .unwrap()
+            .with_faults(FaultPlan::from_events(5, vec![crash]), RetryPolicy::default())
+    }
+
+    /// Decode a real mid-run payload into a fresh simulator's run state, let
+    /// `forge` edit one value there, save it, seal it under the true header
+    /// and resume from the file: the error a forged index must come back as.
+    fn resume_forged(name: &str, forge: impl FnOnce(&mut RunState)) -> CoreResult<()> {
+        let mut paused = forgeable_sim();
+        assert!(paused.run_for(8).unwrap());
+        let mut payload = Vec::new();
+        paused.state.save(&mut payload);
+        let mut decoded = forgeable_sim();
+        let mut r = Reader::new(&payload);
+        decoded.state.load(&mut r, &decoded.flow, decoded.cfg.max_events).unwrap();
+        r.done().unwrap();
+        forge(&mut decoded.state);
+        let mut forged = Vec::new();
+        decoded.state.save(&mut forged);
+        let path = tmp(name);
+        durable::write_sealed_journal(&path, &paused.run_header(), &forged).unwrap();
+        let resumed = forgeable_sim().resume_from(&path).map(|_| ());
+        std::fs::remove_file(&path).unwrap();
+        resumed
+    }
+
+    fn assert_refused(resumed: CoreResult<()>, what: &str) {
+        match resumed {
+            Err(CoreError::CorruptJournal { detail }) => assert!(detail.contains(what), "{detail}"),
+            other => panic!("expected a corrupt-journal error about {what}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn forged_index_harness_resumes_what_it_did_not_forge() {
+        resume_forged("forge-nothing", |_| {}).unwrap();
+    }
+
+    #[test]
+    fn forged_index_pending_or_free_slot_outside_the_slab() {
+        let slots = |state: &RunState| state.engine.as_ref().unwrap().sched().slab_slots() as u32;
+        let pending = resume_forged("forge-pending", |state| {
+            let outside = slots(state);
+            state.engine.as_mut().unwrap().forge_pending_slot(outside);
+        });
+        assert_refused(pending, "outside the slab");
+        let free = resume_forged("forge-free", |state| {
+            let outside = slots(state);
+            state.engine.as_mut().unwrap().forge_free_slot(outside);
+        });
+        assert_refused(free, "outside the slab");
+    }
+
+    #[test]
+    fn forged_index_event_for_a_stage_or_resource_outside_the_flow() {
+        let (stage, volume) = (StageId(3), DataVolume::gb(1));
+        let resource = ResourceId(1);
+        let events = [
+            FlowEvent::Arrive { stage, volume, taint: 0, from: None, lineage: 1 },
+            FlowEvent::Arrive {
+                stage: StageId(2),
+                volume,
+                taint: 0,
+                from: Some(stage),
+                lineage: 1,
+            },
+            FlowEvent::Admit { stage, volume, taint: 0, lineage: 1 },
+            FlowEvent::Complete { stage, done: Completion::Produced },
+            FlowEvent::CrashResource {
+                resource,
+                units: CrashUnits(None),
+                repair: SimDuration::from_secs(1),
+            },
+            FlowEvent::RepairResource { resource, units: 1 },
+        ];
+        for (i, ev) in events.into_iter().enumerate() {
+            let resumed = resume_forged(&format!("forge-event-{i}"), |state| {
+                let sched = state.engine.as_mut().unwrap().scheduler();
+                sched.schedule(sched.now(), ev);
+            });
+            assert_refused(resumed, "an event for a stage or resource outside the flow");
+        }
+    }
+
+    #[test]
+    fn forged_index_waiter_outside_the_flow_or_occupancy_past_the_total() {
+        let pool = ResourceId(0);
+        let waiter = resume_forged("forge-waiter", |state| {
+            state.resources.forge_waiter(pool, StageId(3));
+        });
+        assert_refused(waiter, "a waiter outside the flow");
+        let offline = resume_forged("forge-offline", |state| {
+            state.resources.forge_offline(pool, 2);
+        });
+        assert_refused(offline, "resource occupancy");
+    }
+
+    #[test]
+    fn forged_index_sample_of_another_width() {
+        let queued = resume_forged("forge-queued", |state| {
+            let samples = &mut state.sampler.as_mut().unwrap().samples;
+            samples.last_mut().expect("sampled by now").queued.push(DataVolume::ZERO);
+        });
+        assert_refused(queued, "time-series sample");
+        let pools = resume_forged("forge-pools", |state| {
+            let samples = &mut state.sampler.as_mut().unwrap().samples;
+            samples.last_mut().expect("sampled by now").pool_in_use.clear();
+        });
+        assert_refused(pools, "time-series sample");
+    }
+
+    /// The sweep the `forged_index_*` cases were drawn from: every nonzero
+    /// byte of the first 6 000 of a half-run snapshot payload, of every
+    /// crashy zoo graph at seed 3, mutated two ways and resealed, then
+    /// resumed and run on for 2 000 events. No mutant may index out of
+    /// bounds. Mutants that panic on *semantic* damage — a completion whose
+    /// task is not running, or of a kind foreign to its stage — are counted
+    /// and printed, not asserted (ROADMAP item 4(c)).
+    #[test]
+    #[ignore = "tens of thousands of resumes: cargo test --release -p sciflow-core --lib forged_snapshot_sweep -- --ignored --nocapture"]
+    fn forged_snapshot_sweep_never_indexes_out_of_bounds() {
+        use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe};
+        let path = tmp("forged-sweep");
+        let hook = take_hook();
+        set_hook(Box::new(|_| {}));
+        let (mut mutants, mut typed, mut ran) = (0u32, 0u32, 0u32);
+        let mut panics = std::collections::BTreeMap::<String, u32>::new();
+        for archetype in Archetype::ALL {
+            let flow = generate(archetype, 3);
+            let Some(profile) = flow.crash_profile() else { continue };
+            let plan = FaultPlan::generate(3, flow.horizon, &profile);
+            let build = || {
+                FlowSim::new(flow.graph.clone(), flow.pools.clone())
+                    .unwrap()
+                    .with_faults(plan.clone(), RetryPolicy::default())
+            };
+            let total = {
+                let mut probe = build();
+                probe.run_for(u64::MAX).unwrap();
+                probe.events_handled()
+            };
+            let mut paused = build();
+            paused.run_for(total / 2).unwrap();
+            paused.snapshot_to(&path).unwrap();
+            let file = std::fs::read(&path).unwrap();
+            let scan = frame::scan(&file, &durable::JOURNAL_MAGIC).unwrap();
+            let (header, payload) = (scan.frames[0].1, scan.frames[1].1);
+            for at in (0..payload.len().min(6000)).filter(|&at| payload[at] != 0) {
+                for forged in [payload[at] ^ 1, payload[at].wrapping_add(37)] {
+                    let mut mutant = payload.to_vec();
+                    mutant[at] = forged;
+                    let mut bytes = durable::JOURNAL_MAGIC.to_vec();
+                    frame::seal_into(&mut bytes, durable::FRAME_HEADER, header);
+                    frame::seal_into(&mut bytes, durable::FRAME_SNAPSHOT, &mutant);
+                    std::fs::write(&path, &bytes).unwrap();
+                    mutants += 1;
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        build().resume_from(&path).map(|mut sim| sim.run_for(2000).map(|_| ()))
+                    }));
+                    match outcome {
+                        Ok(Err(_)) => typed += 1,
+                        Ok(Ok(_)) => ran += 1,
+                        Err(panic) => {
+                            let message = panic
+                                .downcast_ref::<String>()
+                                .map(String::as_str)
+                                .or_else(|| panic.downcast_ref::<&str>().copied())
+                                .unwrap_or("(no message)");
+                            let class =
+                                ["index out of bounds", "tracked as running", "unreachable"]
+                                    .into_iter()
+                                    .find(|class| message.contains(class))
+                                    .unwrap_or(message);
+                            *panics.entry(class.to_string()).or_default() += 1;
+                        }
+                    }
+                }
+            }
+        }
+        set_hook(hook);
+        let _ = std::fs::remove_file(&path);
+        println!("{mutants} mutants: {typed} typed at resume, {ran} ran, panics {panics:?}");
+        assert_eq!(panics.get("index out of bounds"), None, "{panics:?}");
     }
 }

@@ -43,21 +43,29 @@ impl SlabKey {
     }
 }
 
-struct Entry<T> {
-    /// Bumped every time the slot is returned to the free list, so keys
-    /// into a previous occupancy no longer match.
-    gen: u32,
-    value: Option<T>,
+crate::wire_struct! {
+    struct Entry<T> {
+        /// Bumped every time the slot is returned to the free list, so keys
+        /// into a previous occupancy no longer match.
+        gen: u32,
+        /// `None` in a claimed slot is a cancelled event awaiting
+        /// [`Slab::retire`], and is restored as exactly that.
+        value: Option<T>,
+    }
 }
 
-/// The slab proper. See the module docs for the residency / ABA / replay
-/// guarantees.
-pub struct Slab<T> {
-    entries: Vec<Entry<T>>,
-    /// Recycled slot indices, claimed LIFO for cache locality.
-    free: Vec<u32>,
-    /// Most slots ever claimed at once (the backing vector's final length).
-    high_water: usize,
+crate::wire_struct! {
+    /// The slab proper. See the module docs for the residency / ABA / replay
+    /// guarantees. Its [`Wire`](crate::frame::Wire) bytes are its fields:
+    /// every slot in index order, then the free list in stack order — slot
+    /// reuse replays only if that order survives.
+    pub struct Slab<T> {
+        entries: Vec<Entry<T>>,
+        /// Recycled slot indices, claimed LIFO for cache locality.
+        free: Vec<u32>,
+        /// Most slots ever claimed at once (the backing vector's final length).
+        high_water: usize,
+    }
 }
 
 impl<T> Slab<T> {
@@ -112,40 +120,20 @@ impl<T> Slab<T> {
         self.high_water
     }
 
-    /// Number of slots ever claimed — the length of the walk that
-    /// [`Slab::entries`] performs.
+    /// Number of slots ever claimed.
     pub(crate) fn slot_count(&self) -> usize {
         self.entries.len()
     }
 
-    /// Walk every slot in index order as `(generation, value)` pairs —
-    /// the raw occupancy a snapshot must capture. Claimed-but-taken slots
-    /// (a cancelled event awaiting [`Slab::retire`]) show up as `None`
-    /// values, exactly as they must be restored.
-    pub(crate) fn entries(&self) -> impl Iterator<Item = (u32, Option<&T>)> {
-        self.entries.iter().map(|e| (e.gen, e.value.as_ref()))
+    /// The values present, in slot order.
+    pub(crate) fn values(&self) -> impl Iterator<Item = &T> {
+        self.entries.iter().filter_map(|e| e.value.as_ref())
     }
 
-    /// The free list in stack order (last element is claimed next). Slot
-    /// reuse is deterministic only if this order survives a round-trip.
-    pub(crate) fn free_list(&self) -> &[u32] {
-        &self.free
-    }
-
-    /// Rebuild a slab from snapshot parts: per-slot `(generation, value)`
-    /// pairs in index order, the free list in stack order, and the
-    /// high-water mark. The inverse of [`Slab::entries`] /
-    /// [`Slab::free_list`] / [`Slab::high_water`].
-    pub(crate) fn from_parts(
-        entries: Vec<(u32, Option<T>)>,
-        free: Vec<u32>,
-        high_water: usize,
-    ) -> Self {
-        Slab {
-            entries: entries.into_iter().map(|(gen, value)| Entry { gen, value }).collect(),
-            free,
-            high_water,
-        }
+    /// Whether every slot on the free list exists. Decoded bytes can say
+    /// otherwise, and [`Slab::insert`] indexes with what it pops.
+    pub(crate) fn free_list_in_range(&self) -> bool {
+        self.free.iter().all(|&slot| (slot as usize) < self.entries.len())
     }
 }
 
@@ -158,6 +146,14 @@ impl<T> Default for Slab<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Forging hook for the `forged_index_*` tests: no run puts a slot
+    /// that does not exist on the free list, so a test has to.
+    impl<T> Slab<T> {
+        pub(crate) fn forge_free_slot(&mut self, slot: u32) {
+            self.free.push(slot);
+        }
+    }
 
     #[test]
     fn insert_take_retire_roundtrip() {
@@ -202,21 +198,28 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_restores_occupancy_free_order_and_staleness() {
+    fn bytes_restore_occupancy_free_order_and_staleness() {
+        use crate::frame::{Reader, Wire};
         let mut slab = Slab::new();
-        let a = slab.insert(10);
+        let a = slab.insert(10u32);
         let b = slab.insert(20);
         let c = slab.insert(30);
         slab.take(b); // claimed but empty: a cancelled event's slot
         slab.retire(c.slot());
-        let parts: Vec<(u32, Option<i32>)> = slab.entries().map(|(g, v)| (g, v.copied())).collect();
-        let mut copy = Slab::from_parts(parts, slab.free_list().to_vec(), slab.high_water());
+        let mut bytes = Vec::new();
+        slab.put(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let mut copy: Slab<u32> = Slab::get(&mut r).unwrap();
+        r.done().unwrap();
         assert_eq!(copy.take(a), Some(10));
         assert_eq!(copy.take(b), None, "taken slot stays claimed and empty");
         assert_eq!(copy.take(c), None, "retired slot's old key stays stale");
         let d = copy.insert(40);
         assert_eq!(d.slot(), c.slot(), "free list order survives the round-trip");
         assert_eq!(copy.high_water(), 3);
+        assert!(copy.free_list_in_range());
+        copy.forge_free_slot(3);
+        assert!(!copy.free_list_in_range(), "slot 3 of a three-slot slab");
     }
 
     #[test]

@@ -208,16 +208,25 @@ impl Observer for NoopObserver {
 /// anyone records them) so traces never depend on being observed.
 pub(crate) struct TraceCtx {
     observer: Option<Box<dyn Observer>>,
-    next_lineage: u64,
-    /// Events handed to the observer so far. Snapshots record this so a
-    /// resumed run's trace can be spliced onto the killed run's prefix at
-    /// exactly the right event boundary.
-    emitted: u64,
+    /// The part a snapshot holds; the observer is re-attached by the caller.
+    pub(crate) counters: TraceCounters,
+}
+
+crate::wire_struct! {
+    #[derive(Default)]
+    pub(crate) struct TraceCounters {
+        /// The last lineage id handed out.
+        next_lineage: u64,
+        /// Events handed to the observer so far. Snapshots record this so a
+        /// resumed run's trace can be spliced onto the killed run's prefix at
+        /// exactly the right event boundary.
+        emitted: u64,
+    }
 }
 
 impl TraceCtx {
     pub(crate) fn new() -> Self {
-        TraceCtx { observer: None, next_lineage: 0, emitted: 0 }
+        TraceCtx { observer: None, counters: TraceCounters::default() }
     }
 
     pub(crate) fn attach(&mut self, observer: Box<dyn Observer>) {
@@ -229,24 +238,8 @@ impl TraceCtx {
     }
 
     pub(crate) fn alloc_lineage(&mut self) -> u64 {
-        self.next_lineage += 1;
-        self.next_lineage
-    }
-
-    /// The lineage-allocator position, for snapshots.
-    pub(crate) fn next_lineage(&self) -> u64 {
-        self.next_lineage
-    }
-
-    /// Count of events emitted to the observer so far, for snapshots.
-    pub(crate) fn emitted(&self) -> u64 {
-        self.emitted
-    }
-
-    /// Restore allocator + emit-counter state from a snapshot.
-    pub(crate) fn restore(&mut self, next_lineage: u64, emitted: u64) {
-        self.next_lineage = next_lineage;
-        self.emitted = emitted;
+        self.counters.next_lineage += 1;
+        self.counters.next_lineage
     }
 
     pub(crate) fn begin(&mut self, meta: &TraceMeta) {
@@ -263,7 +256,7 @@ impl TraceCtx {
     pub(crate) fn emit(&mut self, at: SimTime, ev: impl FnOnce() -> TraceEvent) {
         if let Some(o) = self.observer.as_mut() {
             o.record(at, &ev());
-            self.emitted += 1;
+            self.counters.emitted += 1;
         }
     }
 }

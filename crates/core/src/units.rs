@@ -11,12 +11,14 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 
-/// A volume of data, stored in bytes.
-///
-/// Uses binary prefixes (1 KiB = 1024 B) internally but offers decimal
-/// constructors too, since the paper mixes both conventions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct DataVolume(u64);
+crate::wire_struct! {
+    /// A volume of data, stored in bytes.
+    ///
+    /// Uses binary prefixes (1 KiB = 1024 B) internally but offers decimal
+    /// constructors too, since the paper mixes both conventions.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    pub struct DataVolume(u64);
+}
 
 impl DataVolume {
     pub const ZERO: DataVolume = DataVolume(0);
@@ -257,12 +259,14 @@ impl fmt::Display for DataRate {
     }
 }
 
-/// A point in simulated time, in whole microseconds since simulation start.
-///
-/// `u64` microseconds cover ~584,000 years, comfortably beyond the "keep the
-/// raw data indefinitely" horizons in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimTime(u64);
+crate::wire_struct! {
+    /// A point in simulated time, in whole microseconds since simulation start.
+    ///
+    /// `u64` microseconds cover ~584,000 years, comfortably beyond the "keep the
+    /// raw data indefinitely" horizons in the paper.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    pub struct SimTime(u64);
+}
 
 impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
@@ -301,9 +305,11 @@ impl fmt::Display for SimTime {
     }
 }
 
-/// A span of simulated time, in whole microseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct SimDuration(u64);
+crate::wire_struct! {
+    /// A span of simulated time, in whole microseconds.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+    pub struct SimDuration(u64);
+}
 
 impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
