@@ -45,7 +45,13 @@ crate::wire_enum! {
         /// delivered it — the first hop of the block's lineage, which quarantine
         /// walks to find a durable ancestor. `lineage` is the trace lineage id of
         /// the source emission the block descends from.
-        1 => Arrive { stage: StageId, volume: DataVolume, taint: u32, from: Option<StageId>, lineage: u64 },
+        1 => Arrive {
+            stage: StageId,
+            volume: DataVolume,
+            taint: u32,
+            from: Option<StageId>,
+            lineage: u64,
+        },
         /// A block cleared (or skipped) its arrival integrity check and is
         /// admitted to the stage proper, `verify`-cost later than its arrival.
         /// Scheduled only by the orchestrator for stages with a
@@ -72,10 +78,8 @@ impl Wire for CrashUnits {
         self.0.map(u64::from).put(out);
     }
     fn get(r: &mut Reader) -> Result<Self, Damage> {
-        match Option::<u64>::get(r)?.map(u32::try_from) {
-            Some(Err(_)) => r.bad_value(8),
-            units => Ok(CrashUnits(units.map(|u| u.expect("checked above")))),
-        }
+        let units = Option::<u64>::get(r)?.map(u32::try_from).transpose();
+        units.map(CrashUnits).or_else(|_| r.bad_value(8))
     }
 }
 
@@ -391,7 +395,6 @@ crate::wire_struct! {
     struct TaskState {
         queue: VecDeque<PendingTask>,
         queued_volume: DataVolume,
-        /// In-flight tasks, oldest first.
         running: Vec<RunningTask>,
         /// The id the next dispatched task takes.
         next_task: u64,

@@ -18,10 +18,8 @@
 //! snapshot file written through [`frame::write_atomic`]
 //! (`FlowSim::snapshot_to`).
 //!
-//! What a snapshot frame holds is not decided here: its payload is the
-//! simulator's `RunState`, written field by field through
-//! [`frame::Wire`], and each persisted type declares its own bytes where it
-//! is declared (DESIGN.md §13).
+//! A snapshot frame's payload is the simulator's `RunState`; each type in
+//! it declares its own bytes, through [`frame::Wire`] (DESIGN.md §13).
 
 use std::fs::File;
 use std::io::Write as _;
@@ -417,5 +415,15 @@ mod tests {
         let back: Vec<FlowEvent> = Wire::get(&mut r).unwrap();
         r.done().unwrap();
         assert_eq!(format!("{back:?}"), format!("{events:?}"));
+        // The one hand-written layout: a crash's unit count is eight bytes
+        // wide, and one that does not fit its `u32` is refused where it sits.
+        let mut units = Vec::new();
+        CrashUnits(Some(3)).put(&mut units);
+        assert_eq!(units, [1, 3, 0, 0, 0, 0, 0, 0, 0]);
+        units[5] = 1;
+        assert_eq!(
+            CrashUnits::get(&mut Reader::new(&units)).unwrap_err(),
+            Damage { offset: 1, reason: frame::Reason::BadValue }
+        );
     }
 }

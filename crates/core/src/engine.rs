@@ -123,6 +123,12 @@ impl<E> Scheduler<E> {
         self.heap.len() + self.due.len()
     }
 
+    /// Those entries as `(time, sequence, slot)`, in no particular order.
+    fn entries(&self) -> impl Iterator<Item = (SimTime, u64, u32)> + '_ {
+        let packed = self.heap.iter().map(|Reverse(entry)| entry).chain(&self.due);
+        packed.map(|&(at, packed)| (at, packed >> 32, packed as u32))
+    }
+
     fn pop(&mut self) -> Option<(SimTime, E)> {
         // Every popped entry retires its slot — fired or cancelled —
         // bumping the generation so stale handles can't touch the reuse.
@@ -281,10 +287,7 @@ impl<E: Wire> Engine<E> {
         s.seq.put(out);
         self.handled.put(out);
         self.peak_pending.put(out);
-        let mut pending: Vec<(SimTime, u64, u32)> = (s.heap.iter().map(|Reverse(entry)| entry))
-            .chain(&s.due)
-            .map(|&(at, packed)| (at, packed >> 32, packed as u32))
-            .collect();
+        let mut pending: Vec<(SimTime, u64, u32)> = s.entries().collect();
         pending.sort_unstable();
         pending.put(out);
         s.slots.put(out);
@@ -314,10 +317,7 @@ impl<E: Wire> Engine<E> {
     pub(crate) fn slots_in_range(&self) -> bool {
         let s = &self.sched;
         let slots = s.slots.slot_count();
-        s.slots.free_list_in_range()
-            && (s.heap.iter().map(|Reverse(entry)| entry))
-                .chain(&s.due)
-                .all(|&(_, packed)| (packed as u32 as usize) < slots)
+        s.slots.free_list_in_range() && s.entries().all(|(_, _, slot)| (slot as usize) < slots)
     }
 
     /// The payloads still pending, in slot order.

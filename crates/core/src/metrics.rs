@@ -127,14 +127,15 @@ stage_metrics! {
     }
 }
 
-/// The snapshot bytes of one stage's counters: a `u32` bitmap of the
-/// nonzero ones, then only those, as `u64` words in declaration order.
-/// Most counters are zero for most of a run, and snapshot size is what a
-/// journaled run pays per frame. The layout is this type's own, not a
-/// [`Wire`] mode.
-const _: () = assert!(StageMetrics::COUNTERS <= u32::BITS as usize);
+// The bitmap is a `u32`, and `load` shifts it by the count.
+const _: () = assert!(StageMetrics::COUNTERS < u32::BITS as usize);
 
 impl StageMetrics {
+    /// The snapshot bytes of one stage's counters: a `u32` bitmap of the
+    /// nonzero ones, then only those, as `u64` words in declaration order.
+    /// Most counters are zero for most of a run, and snapshot size is what
+    /// a journaled run pays per frame. The layout is this type's own, not a
+    /// [`Wire`] mode.
     fn save(&self, out: &mut Vec<u8>) {
         let words = self.words();
         let mask = (0..Self::COUNTERS).filter(|&i| words[i] != 0).fold(0u32, |m, i| m | 1 << i);

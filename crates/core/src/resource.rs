@@ -252,19 +252,18 @@ impl ResourceSet {
     /// waiter queues rather than stored; a waiter that is no stage of this
     /// flow sets none, and [`ResourceSet::dyn_in_range`] then refuses it.
     pub(crate) fn load_dyn(&mut self, r: &mut Reader) -> CoreResult<()> {
-        let dyns: Vec<ResourceDyn> = Wire::get(r)?;
-        if dyns.len() != self.resources.len() {
+        let n = r.len()?;
+        if n != self.resources.len() {
             return Err(CoreError::CorruptJournal {
                 detail: format!(
-                    "snapshot has {} resources, simulator has {}",
-                    dyns.len(),
+                    "snapshot has {n} resources, simulator has {}",
                     self.resources.len()
                 ),
             });
         }
         self.waiting.fill(false);
-        for (res, state) in self.resources.iter_mut().zip(dyns) {
-            res.state = state;
+        for res in &mut self.resources {
+            res.state = Wire::get(r)?;
             for stage in &res.state.waiters {
                 if let Some(flag) = self.waiting.get_mut(stage.index()) {
                     *flag = true;

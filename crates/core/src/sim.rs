@@ -119,11 +119,10 @@ crate::wire_struct! {
     }
 }
 
-/// How the run is configured beyond the flow itself. Nothing here changes
-/// while the run executes, and none of it is written to a snapshot: the
-/// resuming caller rebuilds it, and [`FlowSim::spec_hash`] — which renders
-/// `flow`, this, the fault plan and the resource totals — proves the
-/// rebuild identical where that matters to replay.
+/// How the run is configured beyond the flow itself. None of it changes
+/// during the run or is written to a snapshot: the resuming caller rebuilds
+/// it, and [`FlowSim::spec_hash`] proves the rebuild identical where that
+/// matters to replay.
 struct RunConfig {
     max_events: u64,
     /// How many lineage hops [`FlowSim`] walks looking for a durable ancestor
@@ -180,9 +179,8 @@ struct RunState {
 }
 
 impl RunState {
-    /// The snapshot payload: each member's [`Wire`] bytes, in this order.
-    /// Appends to `out`, so the journaling path can reuse one buffer across
-    /// hundreds of frames.
+    /// The snapshot payload: each member's [`Wire`] bytes, in this order,
+    /// appended to `out` (the journaling path reuses one buffer for all frames).
     fn save(&self, out: &mut Vec<u8>) {
         let RunState {
             engine,
@@ -281,10 +279,9 @@ impl RunState {
     }
 
     /// Whether every index the loaded state holds fits the flow it was
-    /// loaded onto. The journal's seal is a checksum, not a signature, and
-    /// the spec hash covers configuration, not state: bytes that verify can
-    /// still name a slot, stage or resource that does not exist, and the
-    /// run indexes with all three.
+    /// loaded onto. The seal is a checksum, not a signature, and the spec
+    /// hash covers configuration, not state: bytes that verify can still
+    /// name a slot, stage or resource that does not exist.
     fn check(&self, flow: &CompiledFlow, cfg: &RunConfig) -> CoreResult<()> {
         let engine = self.engine.as_ref().expect("engine in place");
         let stage_ok = |s: &StageId| s.index() < flow.len();
@@ -329,8 +326,7 @@ pub struct FlowSim {
     cfg: RunConfig,
     // What a snapshot contains.
     state: RunState,
-    // Attachments: where the run reports to, never what it computes. (The
-    // observer is the third; it hangs off `state.trace`.)
+    // Attachments (the observer, the third, hangs off `state.trace`).
     /// Attached run journal, if any ([`FlowSim::with_journal`]).
     journal: Option<RunJournal>,
     /// Metrics hub, if one was attached ([`FlowSim::with_metrics`]).
@@ -664,21 +660,21 @@ impl FlowSim {
         // flow doesn't use are silently irrelevant — same contract as link
         // faults on stages that never transfer.
         if let Some(f) = &self.state.faults {
-            let resources = &self.state.resources;
-            let crashes = f.plan.events().iter().filter_map(|e| match &e.kind {
-                FaultKind::NodeCrash { pool, cpus, repair } => {
-                    resources.find(pool).map(|rid| (e.at, rid, Some((*cpus).max(1)), *repair))
+            let crash = |pool: &str, units, repair| {
+                let resource = self.state.resources.find(pool)?;
+                Some(FlowEvent::CrashResource { resource, units: CrashUnits(units), repair })
+            };
+            for e in f.plan.events() {
+                let ev = match &e.kind {
+                    FaultKind::NodeCrash { pool, cpus, repair } => {
+                        crash(pool, Some((*cpus).max(1)), *repair)
+                    }
+                    FaultKind::PoolOutage { pool, repair } => crash(pool, None, *repair),
+                    _ => None,
+                };
+                if let Some(ev) = ev {
+                    engine.scheduler().schedule(e.at, ev);
                 }
-                FaultKind::PoolOutage { pool, repair } => {
-                    resources.find(pool).map(|rid| (e.at, rid, None, *repair))
-                }
-                _ => None,
-            });
-            for (at, resource, units, repair) in crashes {
-                let units = CrashUnits(units);
-                engine
-                    .scheduler()
-                    .schedule(at, FlowEvent::CrashResource { resource, units, repair });
             }
         }
         // Hand the observer its name tables before the first event fires.
@@ -832,12 +828,9 @@ impl FlowSim {
     /// name. The run must have started (advance it with [`FlowSim::run_for`]
     /// first); finishing it afterwards is unaffected.
     pub fn snapshot_to(&self, path: impl AsRef<Path>) -> CoreResult<()> {
-        if self.state.engine.is_none() {
-            return Err(CoreError::InvalidConfig {
-                detail: "snapshot_to before the run started; advance with run_for first"
-                    .to_string(),
-            });
-        }
+        self.state.engine.as_ref().ok_or_else(|| CoreError::InvalidConfig {
+            detail: "snapshot_to before the run started; advance with run_for first".to_string(),
+        })?;
         let mut payload = Vec::with_capacity(4096);
         self.state.save(&mut payload);
         durable::write_sealed_journal(path.as_ref(), &self.run_header(), &payload)
@@ -2445,7 +2438,7 @@ mod tests {
     /// task is not running, or of a kind foreign to its stage — are counted
     /// and printed, not asserted (ROADMAP item 4(c)).
     #[test]
-    #[ignore = "tens of thousands of resumes: cargo test --release -p sciflow-core --lib forged_snapshot_sweep -- --ignored --nocapture"]
+    #[ignore = "12 254 resumes; run with --release -- --ignored --nocapture"]
     fn forged_snapshot_sweep_never_indexes_out_of_bounds() {
         use std::panic::{catch_unwind, set_hook, take_hook, AssertUnwindSafe};
         let path = tmp("forged-sweep");
