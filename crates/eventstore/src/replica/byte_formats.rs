@@ -131,6 +131,55 @@ fn byte_pin_apply_journal_wire_frames_and_sealed_content() {
     assert_eq!(rep.sealed_content().unwrap(), want, "sealed_content");
 }
 
+/// The benchmark's `es-sync` exchange in miniature, as literals computed
+/// before sessions stopped shipping whole ranges: a collaboration root and a
+/// personal leaf with 1 000 disjoint records each, a full session, a
+/// confirming one, five deltas of ten new registers on the leaf, then
+/// checkpoint and recovery. Whatever a session puts on the wire, the same
+/// units must reach both journals and both stores. If this fails the
+/// protocol changed what converges: do not update the literals; fix the code.
+#[test]
+fn byte_pin_benchmark_shaped_exchange() {
+    const PER_SIDE: u64 = 1_000;
+    const DELTAS: u64 = 5;
+    const DELTA_FILES: u64 = 10;
+    let total = 2 * PER_SIDE + DELTAS * DELTA_FILES;
+    let make = |id: u64| rec(id, 1 + (id % total) as u32, "recon", "v1");
+    let (root_dir, leaf_dir) = (scratch("pin-root"), scratch("pin-leaf"));
+    let mut root = Replica::durable(1, StoreTier::Collaboration, &root_dir).unwrap();
+    let mut leaf = Replica::durable(2, StoreTier::Personal, &leaf_dir).unwrap();
+    for id in 0..PER_SIDE {
+        root.register(&make(id)).unwrap();
+        leaf.register(&make(PER_SIDE + id)).unwrap();
+    }
+
+    let mut link = SyncLink::clean();
+    let full = sync_once(&mut leaf, &mut root, &mut link).unwrap();
+    assert_eq!(full.units_added as u64, 2 * PER_SIDE);
+    assert!(sync_once(&mut leaf, &mut root, &mut link).unwrap().in_sync);
+    for delta in 0..DELTAS {
+        let first = 2 * PER_SIDE + delta * DELTA_FILES;
+        for id in first..first + DELTA_FILES {
+            leaf.register(&make(id)).unwrap();
+        }
+        let report = sync_once(&mut leaf, &mut root, &mut link).unwrap();
+        assert_eq!(report.units_added as u64, DELTA_FILES);
+    }
+
+    let journal_len = |dir: &Path| std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+    assert_eq!(journal_len(&root_dir), 275_648, "root journal");
+    assert_eq!(journal_len(&leaf_dir), 275_648, "leaf journal");
+
+    root.checkpoint().unwrap();
+    leaf.checkpoint().unwrap();
+    drop(root);
+    let recovered = Replica::recover(&root_dir).unwrap();
+    for (side, rep) in [("recovered root", &recovered), ("leaf", &leaf)] {
+        let content = rep.sealed_content().unwrap();
+        assert_eq!((content.len(), fnv1a(&content)), (240_806, 0xa6d8_a155_9b4e_3f9b), "{side}");
+    }
+}
+
 // --- forged lengths and the torn tail ------------------------------------
 
 /// A journal frame whose length field is forged — to `u64::MAX`, where the
