@@ -2,7 +2,7 @@
 //! the dependency stack where all four are reachable: the replica's own
 //! apply journal (`ESRJNL1`) and wire frames, the run journal (`SFJRNL1`,
 //! through `FlowSim`) and the metastore snapshot (`SFSEAL1`, through
-//! `persist`). One table-driven corruption sweep covers all four; the
+//! `persist`). One table-driven corruption sweep covers all of them; the
 //! byte pins and forged-length cases for the replica's formats sit beside
 //! it (each other crate pins and forges its own format in its own tests).
 
@@ -129,6 +129,39 @@ fn byte_pin_apply_journal_wire_frames_and_sealed_content() {
         [&pinned_unit()[..], &[115, 0, 0, 0, 0, 0, 0, 0], &[223, 173, 216, 58, 253, 198, 216, 234]]
             .concat();
     assert_eq!(rep.sealed_content().unwrap(), want, "sealed_content");
+}
+
+/// The probe frame, byte for byte: one node described by its child
+/// digests, one by its fingerprint list, one wanted id. The checksum was
+/// computed outside this crate.
+#[test]
+fn byte_pin_probe_frame() {
+    let mut probe = wire::Probe::new(3);
+    let digests: [u64; 16] = std::array::from_fn(|c| c as u64 + 1);
+    probe.splits.insert(index::Node::range(3).child(2), digests);
+    // File 1393 lies in range 3 and, four bits further up its hash, in child 5.
+    probe.prints.insert(index::Node::range(3).child(5), vec![(1393, 0x1122_3344_5566_7788)]);
+    probe.wants.insert(RANGE_3_IDS[0]);
+    let want = [
+        &[0x05, 188, 0, 0, 0, 0, 0, 0, 0][..],
+        &[3, 0],                         // range 3
+        &[1, 0, 0, 0],                   // one split:
+        &[1, 0x83, 0, 0, 0, 0, 0, 0, 0], // depth 1, prefix 3 | 2 << 6
+        &digests.map(u64::to_le_bytes).concat(),
+        &[1, 0, 0, 0],                   // one fingerprint list:
+        &[1, 0x43, 1, 0, 0, 0, 0, 0, 0], // depth 1, prefix 3 | 5 << 6
+        &[1, 0, 0, 0],                   // one pair:
+        &[0x71, 5, 0, 0, 0, 0, 0, 0],    // file 1393
+        &[0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11],
+        &[1, 0, 0, 0],             // one wanted id:
+        &[6, 0, 0, 0, 0, 0, 0, 0], // file 6
+        &[138, 20, 153, 239, 136, 80, 37, 131],
+    ]
+    .concat();
+    let sealed = frame::seal(wire::MSG_PROBE, &probe.encode());
+    assert_eq!(sealed, want, "MSG_PROBE");
+    let (kind, payload) = frame::open(&sealed).unwrap();
+    assert_eq!((kind, wire::Probe::decode(payload).unwrap()), (wire::MSG_PROBE, probe));
 }
 
 /// The benchmark's `es-sync` exchange in miniature, as literals computed
@@ -274,6 +307,121 @@ fn forged_unit_order_and_encoding() {
     refused(&payload, "a non-canonical flag byte");
 }
 
+// --- hostile probes --------------------------------------------------------
+
+type RawSplit = (u8, u64, [u64; 16]);
+type RawList<'a> = (u8, u64, &'a [(u64, u64)]);
+
+/// A probe payload spelled field by field, with none of the encoder's
+/// guarantees: nodes as raw `(depth, prefix)`, entries in the order given.
+fn raw_probe(range: u16, splits: &[RawSplit], lists: &[RawList<'_>], wants: &[u64]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    put_u16(&mut buf, range);
+    put_u32(&mut buf, splits.len() as u32);
+    for (depth, prefix, digests) in splits {
+        put_u8(&mut buf, *depth);
+        put_u64(&mut buf, *prefix);
+        digests.iter().for_each(|d| put_u64(&mut buf, *d));
+    }
+    put_u32(&mut buf, lists.len() as u32);
+    for (depth, prefix, pairs) in lists {
+        put_u8(&mut buf, *depth);
+        put_u64(&mut buf, *prefix);
+        put_u32(&mut buf, pairs.len() as u32);
+        for (id, print) in *pairs {
+            put_u64(&mut buf, *id);
+            put_u64(&mut buf, *print);
+        }
+    }
+    put_u32(&mut buf, wants.len() as u32);
+    wants.iter().for_each(|id| put_u64(&mut buf, *id));
+    buf
+}
+
+/// A correctly sealed probe that `Probe::decode` must refuse, typed.
+fn refused_probe(payload: &[u8], why: &str) -> String {
+    let sealed = frame::seal(wire::MSG_PROBE, payload);
+    let (_, payload) = frame::open(&sealed).expect("the seal is intact");
+    match wire::Probe::decode(payload) {
+        Err(ReplicaError::CorruptMessage { detail }) => detail,
+        other => panic!("{why}: {other:?}"),
+    }
+}
+
+/// A probe names nodes of the digest tree; one that names something else —
+/// deeper than the tree goes, a prefix wider than its depth, a node of
+/// another range, a split where there are no children to have digests, the
+/// same node twice — is refused whole, never descended into.
+#[test]
+fn forged_probe_nodes() {
+    let d = [7u64; 16];
+    let honest = raw_probe(3, &[(1, 0x83, d)], &[(1, 0x143, &[(1393, 9)])], &[6]);
+    assert_eq!(wire::Probe::decode(&honest).unwrap().encode(), honest);
+
+    for (depth, prefix, why) in [
+        (index::MAX_DEPTH + 1, 3, "a node deeper than the maximum"),
+        (1, 3 | 1 << 10, "a prefix with a bit above its mask"),
+        (0, 3 | 2 << 6, "a range node with child bits"),
+        (1, 4 | 2 << 6, "a node filed under another range"),
+    ] {
+        refused_probe(&raw_probe(3, &[(depth, prefix, d)], &[], &[]), why);
+        refused_probe(&raw_probe(3, &[], &[(depth, prefix, &[])], &[]), why);
+    }
+    refused_probe(&raw_probe(64, &[], &[(0, 64, &[])], &[]), "a range past the last");
+    refused_probe(
+        &raw_probe(3, &[(index::MAX_DEPTH, 3, d)], &[], &[]),
+        "a split of a node at the maximum depth",
+    );
+    assert!(wire::Probe::decode(&raw_probe(3, &[], &[(index::MAX_DEPTH, 3, &[])], &[])).is_ok());
+    refused_probe(&raw_probe(3, &[(1, 0x83, d), (1, 0x83, d)], &[], &[]), "a split repeated");
+    refused_probe(&raw_probe(3, &[(1, 0x83, d), (1, 0x43, d)], &[], &[]), "splits descending");
+    refused_probe(&raw_probe(3, &[], &[(1, 0x83, &[]), (0, 3, &[])], &[]), "lists descending");
+}
+
+/// Fingerprint lists and wanted ids are held to the same rule as the units
+/// of a range frame: under the node (or range) that carries them, strictly
+/// ascending; and a list is no longer than a leaf where the node could have
+/// been split instead.
+#[test]
+fn forged_probe_lists_and_wants() {
+    let [a, b, c] = RANGE_3_IDS;
+    assert!(wire::Probe::decode(&raw_probe(3, &[], &[(0, 3, &[(a, 1), (b, 2)])], &[a, c])).is_ok());
+    refused_probe(&raw_probe(3, &[], &[(0, 3, &[(b, 1), (a, 2)])], &[]), "ids descending");
+    refused_probe(&raw_probe(3, &[], &[(0, 3, &[(a, 1), (a, 1)])], &[]), "an id repeated");
+    refused_probe(&raw_probe(3, &[], &[(0, 3, &[(1, 1)])], &[]), "an id of another range");
+    // File 6 lies in child 6 of range 3, not child 5.
+    refused_probe(&raw_probe(3, &[], &[(1, 0x143, &[(a, 1)])], &[]), "an id of another node");
+    refused_probe(&raw_probe(3, &[], &[], &[1]), "a wanted id of a foreign range");
+    refused_probe(&raw_probe(3, &[], &[], &[b, a]), "wanted ids descending");
+    refused_probe(&raw_probe(3, &[], &[], &[a, a]), "a wanted id repeated");
+
+    let ids: Vec<(u64, u64)> =
+        (0..).filter(|&id| range_of(id) == 3).map(|id| (id, 1)).take(17).collect();
+    assert!(wire::Probe::decode(&raw_probe(3, &[], &[(0, 3, &ids[..16])], &[])).is_ok());
+    refused_probe(&raw_probe(3, &[], &[(0, 3, &ids)], &[]), "a list where the node splits");
+}
+
+/// Each of the probe's four counts forged to `u32::MAX` and to one more than
+/// the bytes that remain is an overrun, noticed before the count drives a
+/// loop or sizes anything.
+#[test]
+fn forged_probe_counts() {
+    let d = [7u64; 16];
+    let honest = raw_probe(3, &[(1, 0x83, d)], &[(1, 0x143, &[(1393, 9)])], &[6]);
+    // Offsets of the split count, the list count, the pair count and the
+    // wanted count.
+    for at in [2, 6 + 137, 6 + 137 + 4 + 9, honest.len() - 12] {
+        assert_eq!(honest[at..at + 4], [1, 0, 0, 0], "a count sits at {at}");
+        let remaining = (honest.len() - at - 4) as u32;
+        for forged in [u32::MAX, remaining + 1] {
+            let mut payload = honest.clone();
+            payload[at..at + 4].copy_from_slice(&forged.to_le_bytes());
+            let detail = refused_probe(&payload, "a forged count");
+            assert!(detail.contains("runs past the end"), "count {forged} at {at}: {detail}");
+        }
+    }
+}
+
 /// Recovery used to leave the torn tail in `journal.esr` and reopen it for
 /// append, so every frame journaled after that recovery sat behind the
 /// garbage and the *next* recovery silently dropped it.
@@ -411,6 +559,27 @@ fn wire_frame(rep: &Replica) -> Format {
     Format { name: "wire frame", clean, tail: TailPolicy::Reject, load: Box::new(load) }
 }
 
+/// The receive path of `sync_once` for one probe: what `rep` holds in range
+/// 3, by fingerprint.
+fn probe_frame(rep: &Replica) -> Format {
+    let mut probe = wire::Probe::new(3);
+    rep.describe(index::Node::range(3), &mut probe).unwrap();
+    let clean = frame::seal(wire::MSG_PROBE, &probe.encode());
+    let load = |bytes: &[u8]| match frame::open(bytes).map_err(ReplicaError::from) {
+        Ok((wire::MSG_PROBE, payload)) => {
+            let probe = wire::Probe::decode(payload).map_err(|e| e.to_string())?;
+            let listed = probe.prints.values().map(Vec::len).sum::<usize>() as u64;
+            Ok(Loaded { newest: listed, tear_reported: false, len_after: bytes.len() })
+        }
+        Ok((kind, _)) => Err(format!("unexpected kind 0x{kind:02x}")),
+        Err(e) => {
+            assert!(matches!(e, ReplicaError::CorruptMessage { .. }), "{e:?}");
+            Err(e.to_string())
+        }
+    };
+    Format { name: "probe frame", clean, tail: TailPolicy::Reject, load: Box::new(load) }
+}
+
 /// `SFSEAL1`: the sealed metastore snapshot under an EventStore.
 fn sealed_snapshot(rep: &Replica) -> Format {
     let clean = persist::sealed_bytes(rep.store().database());
@@ -444,6 +613,7 @@ fn every_sealed_format_survives_the_corruption_sweep() {
         run_journal(&dir),
         apply_journal(dir.join("replica")),
         wire_frame(&rep),
+        probe_frame(&rep),
         sealed_snapshot(&rep),
     ];
     for Format { name, clean, tail, mut load } in formats {

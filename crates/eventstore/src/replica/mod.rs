@@ -25,17 +25,19 @@
 //!   flags;
 //! * grade snapshots merge as order-insensitive set union per
 //!   `(grade, date)`, renumbered canonically on conflict;
-//! * an anti-entropy session opens with a fixed-size per-range digest
-//!   [`Summary`] (64 FNV-1a range digests), so two in-sync stores
-//!   exchange O(1) bytes regardless of file count and a divergent pair
-//!   transfers only the differing ranges;
+//! * an anti-entropy session opens with a fixed-size [`Summary`] — the 64
+//!   range digests at the top of a digest tree over per-unit fingerprints —
+//!   so two in-sync stores exchange O(1) bytes regardless of file count,
+//!   and a divergent pair descends the tree where digests differ, in at
+//!   most [`MAX_TURNS`] alternating turns, and ships only the units one
+//!   side lacks or holds differently;
 //! * every apply that changes the store — local or received — is journaled
 //!   to a sealed-frame apply journal *before* it touches the store, so a
 //!   replica killed mid-apply recovers by snapshot + replay into the
 //!   identical state, and re-applying any frame is a no-op by construction;
 //! * each replica indexes its file ids by digest range and remembers the
-//!   digests it has computed, so a session's work, like its traffic, is
-//!   proportional to what differs.
+//!   fingerprints and digests it has computed, so a session's work, like
+//!   its traffic, is proportional to what differs.
 //!
 //! The executable form of the convergence argument lives in the
 //! `replica_convergence` integration suite: arbitrary generated operation
@@ -70,8 +72,9 @@ use crate::error::EsError;
 use crate::grade::RunRange;
 use crate::store::{EventStore, FileRecord, StoreTier};
 
+pub use index::range_of;
 pub use link::{LinkStats, SyncLink};
-use wire::{decode_range_msg, encode_range_msg, RANGE_HEAD};
+use wire::{decode_range_msg, encode_range_msg, Probe};
 pub use wire::{GradeRow, Summary};
 
 /// Identity of one replica in a sync fabric.
@@ -387,11 +390,6 @@ pub fn merge_qstate(a: Option<QState>, b: Option<QState>) -> Option<QState> {
     a.max(b)
 }
 
-/// Which digest range a file id belongs to.
-pub fn range_of(id: u64) -> usize {
-    (fnv1a(&id.to_le_bytes()) % NUM_RANGES as u64) as usize
-}
-
 /// What applying a unit did to the local store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ApplyEffect {
@@ -693,26 +691,24 @@ impl Replica {
     }
 
     /// Journal-then-apply one received range frame: `units` as
-    /// [`decode_range_msg`] checked them (all of `range`, ids ascending),
-    /// `digest` the FNV of their encodings. Units that would leave the store
-    /// unchanged are tallied as kept and go nowhere near the journal: `max`
-    /// is idempotent, so recovery replays exactly the history that changed
-    /// state. The rest are journaled — one frame per unit, one write and one
-    /// sync for the lot — before the first of them is applied. A kill hook
-    /// that expires at frame *k* leaves frames 1..=k on disk and units
-    /// 1..k-1 applied.
+    /// [`decode_range_msg`] checked them (all of one range, ids ascending).
+    /// Units that would leave the store unchanged are tallied as kept and go
+    /// nowhere near the journal: `max` is idempotent, so recovery replays
+    /// exactly the history that changed state. The rest are journaled — one
+    /// frame per unit, one write and one sync for the lot — before the first
+    /// of them is applied. A kill hook that expires at frame *k* leaves
+    /// frames 1..=k on disk and units 1..k-1 applied.
+    ///
+    /// An arriving unit that neither a resident revision beats nor a
+    /// resident register outlasts is, once applied, the resident unit byte
+    /// for byte, so the bytes journaled for it give the index its
+    /// fingerprint without reading the store back.
     fn commit_received(
         &mut self,
-        range: usize,
         units: Vec<FileUnit>,
-        digest: u64,
         report: &mut SyncReport,
     ) -> ReplicaResult<()> {
-        let arrived = units.len();
-        // Nothing resident beats or outlasts what arrived: once applied,
-        // the units of the frame are the resident ones, byte for byte.
-        let mut mirrored = true;
-        let mut changing = Vec::with_capacity(arrived);
+        let mut changing = Vec::with_capacity(units.len());
         for unit in units {
             let id = unit.record.id;
             let resident = self.unit(id)?;
@@ -722,30 +718,32 @@ impl Replica {
                 Some(r) => unit.quarantine.cmp(&r.quarantine),
                 None => unit.quarantine.cmp(&self.qstate(id)),
             };
-            mirrored &= revision != Some(Ordering::Less) && register != Ordering::Less;
             if matches!(revision, Some(Ordering::Less | Ordering::Equal))
                 && register != Ordering::Greater
             {
                 report.tally(ApplyEffect::Kept);
             } else {
-                changing.push((unit, revision));
+                let mirrored = revision != Some(Ordering::Less) && register != Ordering::Less;
+                changing.push((unit, revision, mirrored));
             }
         }
         let (journaled, killed) = self.appends_before_kill(changing.len());
+        let payloads: Vec<Vec<u8>> =
+            changing[..journaled].iter().map(|(unit, ..)| encode_unit(unit)).collect();
         if let Some(j) = &mut self.journal {
-            let payloads = changing[..journaled].iter().map(|(unit, _)| encode_unit(unit));
-            j.append_batch(wire::AJ_UNIT, payloads)?;
+            j.append_batch(wire::AJ_UNIT, &payloads)?;
         }
         // Ids within a frame are distinct, so applying one unit leaves the
         // resolution of the others standing.
-        for (unit, revision) in &changing[..journaled - killed as usize] {
+        let applied = journaled - killed as usize;
+        for ((unit, revision, mirrored), bytes) in changing[..applied].iter().zip(&payloads) {
             report.tally(self.apply_resolved(unit, *revision)?);
+            if *mirrored {
+                self.index.unit_reads(unit.record.id, fnv1a(bytes));
+            }
         }
         if killed {
             return Err(ReplicaError::KilledMidApply);
-        }
-        if mirrored {
-            self.index.range_reads(range, arrived, digest);
         }
         Ok(())
     }
@@ -1067,18 +1065,26 @@ pub fn canonical_content(store: &EventStore) -> Result<Vec<u8>, EsError> {
 pub struct SyncReport {
     /// The stores' summaries already matched; nothing was transferred.
     pub in_sync: bool,
-    /// Digest ranges the responder found differing.
+    /// Digest ranges whose summary digests the responder found differing —
+    /// the sub-trees the session descended into, however little of each
+    /// turned out to differ.
     pub ranges_differing: usize,
-    /// Units shipped in either direction.
+    /// Units shipped in either direction: those the sender worked out from
+    /// the peer's fingerprints that the peer lacks or holds differently, and
+    /// those the peer asked for by id. On a clean link each is news to its
+    /// receiver, so this is `units_added + units_replaced` plus the register
+    /// updates and the losing halves of conflicts.
     pub units_sent: usize,
     pub units_added: usize,
     pub units_replaced: usize,
     pub units_kept: usize,
     /// Grade rows shipped in either direction.
     pub grade_rows_sent: usize,
-    /// Frames that arrived with a broken seal and were discarded (their
-    /// ranges retry on the next session).
+    /// Frames that arrived with a broken seal and were discarded (what they
+    /// carried or asked about retries on the next session).
     pub corrupt_frames: usize,
+    /// Turns taken after the summary: at most [`MAX_TURNS`].
+    pub turns: usize,
     pub frames_sent: u64,
     pub bytes_sent: u64,
 }
@@ -1093,79 +1099,133 @@ impl SyncReport {
     }
 }
 
-/// Send `rep`'s units of each of `ranges`, and its grade rows if `grades`.
-fn send_ranges(
-    rep: &Replica,
-    ranges: &[usize],
-    grades: bool,
-    link: &mut SyncLink,
-    report: &mut SyncReport,
-) -> ReplicaResult<()> {
-    for &r in ranges {
-        let (units, payload) = rep.range_msg(r)?;
-        report.units_sent += units;
-        link.send(frame::seal(wire::MSG_RANGE, &payload))?;
-    }
-    if grades {
-        let rows = rep.grade_rows()?;
-        report.grade_rows_sent += rows.len();
-        link.send(frame::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
-    }
-    Ok(())
+/// The most turns a session takes after its summary. A probe of a node is
+/// answered one level down or not at all, so the responder's opening probes
+/// of depth 0 are followed by at most eight more turns that describe nodes
+/// (the digest tree is eight levels deep below a range), then one that can
+/// only list wanted ids and one that can only ship them; unit frames are
+/// never answered.
+pub const MAX_TURNS: usize = index::MAX_DEPTH as usize + 3;
+
+/// What one side says about one digest range in one turn.
+#[derive(Debug)]
+struct Reply {
+    /// Ids of the units it ships.
+    ship: BTreeSet<u64>,
+    probe: Probe,
 }
 
-/// Journal-then-apply every range and grade frame `link` delivers to `rep`.
-/// Returns the ranges that arrived intact, in arrival order, and whether
-/// grade rows did.
-fn receive(
-    rep: &mut Replica,
-    link: &mut SyncLink,
-    report: &mut SyncReport,
-) -> ReplicaResult<(Vec<usize>, bool)> {
-    let mut got_ranges: Vec<usize> = Vec::new();
-    let mut got_grades = false;
+/// What one side says in one turn: a reply per digest range it has
+/// something to say about, and whether it sends its grade rows.
+#[derive(Debug, Default)]
+struct Turn {
+    ranges: BTreeMap<usize, Reply>,
+    grades: bool,
+}
+
+impl Turn {
+    fn is_empty(&self) -> bool {
+        self.ranges.is_empty() && !self.grades
+    }
+
+    fn range(&mut self, r: usize) -> &mut Reply {
+        self.ranges
+            .entry(r)
+            .or_insert_with(|| Reply { ship: BTreeSet::new(), probe: Probe::new(r) })
+    }
+
+    /// Put the turn on `link`: per range at most one unit frame, then at
+    /// most one probe frame, so the units a probe's fingerprints already
+    /// count on arrive ahead of it.
+    fn send(
+        self,
+        rep: &Replica,
+        link: &mut SyncLink,
+        report: &mut SyncReport,
+    ) -> ReplicaResult<()> {
+        for (r, Reply { ship, probe }) in self.ranges {
+            if !ship.is_empty() {
+                let units = rep.units_of(ship)?;
+                report.units_sent += units.len();
+                link.send(frame::seal(wire::MSG_RANGE, &encode_range_msg(r, &units)))?;
+            }
+            if !probe.is_empty() {
+                link.send(frame::seal(wire::MSG_PROBE, &probe.encode()))?;
+            }
+        }
+        if self.grades {
+            let rows = rep.grade_rows()?;
+            report.grade_rows_sent += rows.len();
+            link.send(frame::seal(wire::MSG_GRADES, &wire::encode_grade_rows(&rows)))?;
+        }
+        Ok(())
+    }
+}
+
+/// Take everything `link` delivers to `rep` and work out `rep`'s next turn.
+/// Unit frames are journaled-then-applied and never answered; a probe is
+/// answered from the tree as it stands when the probe arrives; grade rows
+/// are journaled-then-applied and answered with `rep`'s own only if those
+/// still differ from what arrived. A repeated probe adds nothing to the
+/// answer, and a frame with a broken seal is counted and otherwise ignored.
+fn receive(rep: &mut Replica, link: &mut SyncLink, report: &mut SyncReport) -> ReplicaResult<Turn> {
+    let mut turn = Turn::default();
     for msg in link.drain() {
         match frame::open(&msg) {
             Ok((wire::MSG_RANGE, payload)) => {
-                let (range, units) = decode_range_msg(payload)?;
-                rep.commit_received(range, units, fnv1a(&payload[RANGE_HEAD..]), report)?;
-                if !got_ranges.contains(&range) {
-                    got_ranges.push(range);
-                }
+                let (_, units) = decode_range_msg(payload)?;
+                rep.commit_received(units, report)?;
+            }
+            Ok((wire::MSG_PROBE, payload)) => {
+                let probe = Probe::decode(payload)?;
+                let Reply { ship, probe: reply } = turn.range(probe.range);
+                rep.answer(&probe, ship, reply)?;
             }
             Ok((wire::MSG_GRADES, payload)) => {
                 let rows = wire::decode_grade_rows(payload)?;
                 rep.journal_append(wire::AJ_GRADES, &wire::encode_grade_rows(&rows))?;
                 rep.apply_grade_rows(&rows)?;
-                got_grades = true;
+                turn.grades |= wire::grade_digest(&rows) != rep.grades_digest()?;
             }
             Ok(_) => {}
             Err(_) => report.corrupt_frames += 1,
         }
     }
-    Ok((got_ranges, got_grades))
+    turn.ranges.retain(|_, reply| !reply.ship.is_empty() || !reply.probe.is_empty());
+    Ok(turn)
 }
 
 /// Run one anti-entropy session between `initiator` and `responder` over
 /// `link`.
 ///
-/// The protocol is digest-first and per-range:
+/// The protocol is digest-first and ships the difference:
 ///
-/// 1. the initiator sends its [`Summary`];
-/// 2. the responder diffs it against its own and answers with one frame per
-///    differing range (its units in that range) plus its grade rows if the
-///    grade digests differ — or a single in-sync frame;
-/// 3. the initiator journals and applies what arrives intact — of a range
-///    frame, only the units that change its store — then replies with its
-///    own units for exactly the ranges it received;
-/// 4. the responder does the same with the replies.
+/// 1. the initiator sends its [`Summary`]: the digests of the 64 range
+///    nodes of its digest tree, plus its grade digest;
+/// 2. the responder diffs it against its own and answers with a single
+///    in-sync frame, or opens the turns: per differing range a *probe*
+///    saying what it holds there — the digests of the node's 16 children if
+///    that is more than 16 units, their `(id, fingerprint)` list otherwise —
+///    plus its grade rows if the grade digests differ;
+/// 3. the sides then alternate. The receiver of a probe descends into the
+///    children whose digests differ from its own and describes each the
+///    same way, one level down; against a fingerprint list it ships exactly
+///    its units the peer lacks or holds differently and lists the ids it
+///    wants in return; and it ships what it was asked for. Each turn is at
+///    most one unit frame and one probe frame per range;
+/// 4. unit frames are journaled and applied — only the units that change
+///    the store — and never answered, grade rows are answered only while the
+///    receiver's rows still differ from what arrived, and the session ends
+///    when a side has nothing left to say: after at most [`MAX_TURNS`]
+///    turns, because every probe is answered one level further down.
 ///
 /// Lost or corrupted frames shrink the session instead of wedging it: a
 /// dropped summary is [`ReplicaError::SessionDropped`], a dropped or
-/// corrupt range frame leaves that range divergent for the *next* session
-/// (counted in [`SyncReport::corrupt_frames`]), and a partition aborts with
-/// [`ReplicaError::Partitioned`]. Everything already applied stays applied —
-/// re-merging is free by idempotence.
+/// corrupt unit or probe frame leaves its sub-tree divergent for the *next*
+/// session (counted in [`SyncReport::corrupt_frames`]), a duplicated or
+/// reordered one costs at most units the receiver already holds, and a
+/// partition aborts with [`ReplicaError::Partitioned`]. Everything already
+/// applied stays applied — re-merging is free by idempotence.
 pub fn sync_once(
     initiator: &mut Replica,
     responder: &mut Replica,
@@ -1191,29 +1251,28 @@ pub fn sync_once(
         return Err(ReplicaError::SessionDropped);
     };
 
-    // 2. Responder diffs and answers.
+    // 2. Responder diffs, and says what it holds where the digests differ.
     let own_summary = responder.summary()?;
-    let differing: Vec<usize> =
-        (0..NUM_RANGES).filter(|&r| their_summary.ranges[r] != own_summary.ranges[r]).collect();
-    report.ranges_differing = differing.len();
-    let grades_differ = their_summary.grades != own_summary.grades;
-    if differing.is_empty() && !grades_differ {
+    let mut turn = Turn { grades: their_summary.grades != own_summary.grades, ..Turn::default() };
+    for r in (0..NUM_RANGES).filter(|&r| their_summary.ranges[r] != own_summary.ranges[r]) {
+        responder.describe(index::Node::range(r), &mut turn.range(r).probe)?;
+    }
+    report.ranges_differing = turn.ranges.len();
+    report.in_sync = turn.is_empty();
+    if report.in_sync {
         link.send(frame::seal(wire::MSG_IN_SYNC, &[]))?;
         link.drain();
-        report.in_sync = true;
-        let after = link.stats();
-        report.frames_sent = after.frames_sent - stats_before.frames_sent;
-        report.bytes_sent = after.bytes_sent - stats_before.bytes_sent;
-        return Ok(report);
     }
-    send_ranges(responder, &differing, grades_differ, link, &mut report)?;
 
-    // 3. Initiator applies what arrived and replies range-for-range.
-    let (got_ranges, got_grades) = receive(initiator, link, &mut report)?;
-    send_ranges(initiator, &got_ranges, got_grades, link, &mut report)?;
-
-    // 4. Responder applies the replies.
-    receive(responder, link, &mut report)?;
+    // 3. and 4. The sides alternate until one has nothing left to say.
+    let (mut speaker, mut listener) = (responder, initiator);
+    while !turn.is_empty() {
+        report.turns += 1;
+        assert!(report.turns <= MAX_TURNS, "every probe is answered one level further down");
+        turn.send(speaker, link, &mut report)?;
+        turn = receive(listener, link, &mut report)?;
+        std::mem::swap(&mut speaker, &mut listener);
+    }
 
     let after = link.stats();
     report.frames_sent = after.frames_sent - stats_before.frames_sent;

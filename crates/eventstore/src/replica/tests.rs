@@ -258,7 +258,7 @@ fn register_revise_and_resolution_through_a_clean_session() {
 #[test]
 fn sync_cost_is_sublinear_in_file_count() {
     // Two big in-sync stores plus one divergent file: the session must ship
-    // only the differing range, not the store.
+    // only the file, not its range, let alone the store.
     let mut a = Replica::new(1, StoreTier::Group);
     let mut b = Replica::new(2, StoreTier::Group);
     for i in 0..600 {
@@ -272,16 +272,29 @@ fn sync_cost_is_sublinear_in_file_count() {
     sync_once(&mut a, &mut b, &mut link).unwrap();
     assert!(sync_once(&mut a, &mut b, &mut link).unwrap().in_sync);
 
+    // The differing range holds ten units at b, fewer than a leaf: b lists
+    // their fingerprints, a ships the one file the list lacks.
     a.register(&rec(9_000, 999, "recon", "new")).unwrap();
+    assert_eq!(b.units_in_range(range_of(9_000)).unwrap().len(), 10);
     let report = sync_once(&mut a, &mut b, &mut link).unwrap();
-    assert_eq!(report.ranges_differing, 1);
-    let range_population = a.units_in_range(super::range_of(9_000)).unwrap().len();
-    assert_eq!(report.units_sent, 2 * range_population - 1);
-    assert!(
-        report.units_sent < 50,
-        "shipped {} units for a 601-file store; expected one range (~10)",
-        report.units_sent
-    );
+    assert_eq!((report.ranges_differing, report.units_sent, report.units_added), (1, 1, 1));
+    assert_eq!((report.turns, report.frames_sent, report.units_kept), (2, 3, 0));
+    assert_eq!(a.sealed_content().unwrap(), b.sealed_content().unwrap());
+
+    // A range holding more than a leaf splits: b answers with the sixteen
+    // digests of the range's children, a lists the one child that differs,
+    // b asks for the file it lacks there, a ships it.
+    let ids: Vec<u64> = (10_000..).filter(|&id| range_of(id) == 5).take(41).collect();
+    for &id in &ids[..40] {
+        a.register(&rec(id, 100, "recon", "v1")).unwrap();
+    }
+    sync_once(&mut a, &mut b, &mut link).unwrap();
+    assert!(sync_once(&mut a, &mut b, &mut link).unwrap().in_sync);
+    assert!(b.units_in_range(5).unwrap().len() > index::LEAF_UNITS);
+    a.register(&rec(ids[40], 100, "recon", "v1")).unwrap();
+    let report = sync_once(&mut a, &mut b, &mut link).unwrap();
+    assert_eq!((report.ranges_differing, report.units_sent, report.units_added), (1, 1, 1));
+    assert_eq!((report.turns, report.frames_sent, report.units_kept), (4, 5, 0));
     assert_eq!(a.sealed_content().unwrap(), b.sealed_content().unwrap());
 }
 
@@ -423,9 +436,9 @@ fn journal_len(dir: &Path) -> u64 {
     std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len()
 }
 
-/// Only units that change the store reach the journal: the echo of a range
-/// the peer already holds, a duplicated range frame and a confirming
-/// session all append nothing.
+/// Only units that change the store reach the journal, and only units that
+/// are news reach the wire: a duplicated probe and a confirming session ship
+/// and append nothing.
 #[test]
 fn a_confirming_or_duplicated_exchange_appends_nothing() {
     let (dir_a, dir_b) = (scratch("quiet-a"), scratch("quiet-b"));
@@ -438,7 +451,7 @@ fn a_confirming_or_duplicated_exchange_appends_nothing() {
     sync_once(&mut a, &mut b, &mut SyncLink::clean()).unwrap();
 
     // One new file on each side, both in range 3. The link
-    // duplicates the second frame of the session: b's range frame.
+    // duplicates the second frame of the session: b's probe of range 3.
     a.register(&rec(ids[6], 100, "recon", "v1")).unwrap();
     b.register(&rec(ids[7], 100, "recon", "v1")).unwrap();
     let (len_a, len_b) = (journal_len(&dir_a), journal_len(&dir_b));
@@ -452,8 +465,9 @@ fn a_confirming_or_duplicated_exchange_appends_nothing() {
     let report = sync_once(&mut a, &mut b, &mut link).unwrap();
     assert_eq!(link.stats().frames_duplicated, 1);
     assert_eq!((report.ranges_differing, report.units_added), (1, 2));
-    // b's 7 units arrived at a twice, a's 8 at b once; two of them were news.
-    assert_eq!(report.units_kept, 20);
+    // b's seven fingerprints arrived at a twice; a shipped the one file
+    // they lack and asked for the one it lacks, once.
+    assert_eq!((report.units_sent, report.units_kept, report.turns), (2, 0, 3));
     assert_eq!(journal_len(&dir_a), len_a + new_at_a, "a journals the one unit it lacked");
     assert_eq!(journal_len(&dir_b), len_b + new_at_b, "b journals the one unit it lacked");
 
@@ -506,29 +520,54 @@ fn kill_inside_a_batched_frame_recovers_identically() {
     assert_eq!(a.sealed_content().unwrap(), healthy);
 }
 
-/// The range digests as the summary computed them before the range index:
-/// every unit folded, in id order, into its range.
+/// One `(id, fingerprint)` pair of `unit` folded into a node digest.
+fn naive_fold(digest: u64, unit: &FileUnit) -> u64 {
+    let print = fnv1a(&encode_unit(unit));
+    fnv1a_update(fnv1a_update(digest, &unit.record.id.to_le_bytes()), &print.to_le_bytes())
+}
+
+/// The range digests computed the slow way: every unit folded, in id order,
+/// into its range.
 fn naive_range_digests(rep: &Replica) -> [u64; NUM_RANGES] {
     let mut ranges = [FNV_OFFSET; NUM_RANGES];
     for unit in rep.units().unwrap() {
         let r = range_of(unit.record.id);
-        ranges[r] = fnv1a_update(ranges[r], &encode_unit(&unit));
+        ranges[r] = naive_fold(ranges[r], &unit);
     }
     ranges
 }
 
-/// A received frame's own digest becomes the range's only when, once
-/// applied, the range reads exactly as the frame does. Each case below
-/// leaves something resident the frame does not carry; `sync_once` never
-/// produces them on its own (the initiator's reply always covers what the
-/// responder sent), so they are fed to the receive path directly.
+/// Hold the summary, and every node digest two levels below it, to the
+/// naive fold over all units.
+fn assert_tree_matches_the_naive_fold(rep: &Replica) {
+    assert_eq!(rep.summary().unwrap().ranges, naive_range_digests(rep));
+    let mut children = vec![[FNV_OFFSET; 16]; NUM_RANGES];
+    let mut grandchildren = vec![[FNV_OFFSET; 16]; NUM_RANGES * 16];
+    for unit in rep.units().unwrap() {
+        let place = fnv1a(&unit.record.id.to_le_bytes());
+        let (r, c, g) = ((place % 64) as usize, (place >> 6) as usize % 16, (place >> 10) % 16);
+        children[r][c] = naive_fold(children[r][c], &unit);
+        let under = &mut grandchildren[r * 16 + c][g as usize];
+        *under = naive_fold(*under, &unit);
+    }
+    for r in 0..NUM_RANGES {
+        assert_eq!(rep.child_digests(r, &[]).unwrap(), children[r], "children of range {r}");
+        for c in 0..16 {
+            assert_eq!(rep.child_digests(r, &[c]).unwrap(), grandchildren[r * 16 + c], "{r}/{c}");
+        }
+    }
+}
+
+/// An arriving unit lends the index its fingerprint only when, once applied,
+/// it is the resident unit byte for byte. Each case below leaves something
+/// resident the arriving units do not carry, fed to the receive path
+/// directly so the frames are exactly these.
 #[test]
-fn a_frame_lends_its_digest_only_to_a_range_it_mirrors() {
+fn an_arriving_unit_lends_its_fingerprint_only_when_it_ends_up_resident() {
     let ids = ids_in_range(3, 3);
     let receive = |rep: &mut Replica, units: Vec<FileUnit>| {
-        let digest = fnv1a(&encode_range_msg(3, &units)[RANGE_HEAD..]);
-        rep.commit_received(3, units, digest, &mut SyncReport::default()).unwrap();
-        assert_eq!(rep.summary().unwrap().ranges, naive_range_digests(rep));
+        rep.commit_received(units, &mut SyncReport::default()).unwrap();
+        assert_tree_matches_the_naive_fold(rep);
     };
     let peer = |ids: &[u64]| {
         let mut peer = Replica::new(1, StoreTier::Personal);
@@ -538,7 +577,7 @@ fn a_frame_lends_its_digest_only_to_a_range_it_mirrors() {
         peer
     };
 
-    // The frame mirrors the range: new files, then the same units again.
+    // Every arriving unit ends up resident: new files, then the same units again.
     let mut rep = Replica::new(2, StoreTier::Personal);
     receive(&mut rep, peer(&ids).units_in_range(3).unwrap());
     receive(&mut rep, peer(&ids).units_in_range(3).unwrap());
@@ -558,6 +597,81 @@ fn a_frame_lends_its_digest_only_to_a_range_it_mirrors() {
     flagged.release(ids[1]).unwrap();
     receive(&mut rep, flagged.units_in_range(3).unwrap());
     assert!(!rep.store().is_quarantined(ids[1]));
+}
+
+/// A store pair whose whole difference lies deep under one digest range: 600
+/// files of range 3, a third of them only at `a`, a third only at `b`, and
+/// among the shared third concurrent revisions on both sides, a revision on
+/// one side only, and a quarantine.
+fn deep_pair() -> Vec<Replica> {
+    let ids = ids_in_range(3, 600);
+    let file = |id: u64, version: &str| rec(id, 100 + (id % 1_000) as u32, "recon", version);
+    let mut a = Replica::new(1, StoreTier::Group);
+    let mut b = Replica::new(2, StoreTier::Personal);
+    let shared: Vec<u64> = ids.iter().copied().skip(2).step_by(3).collect();
+    for &id in &shared {
+        a.register(&file(id, "v1")).unwrap();
+    }
+    sync_once(&mut a, &mut b, &mut SyncLink::clean()).unwrap();
+    for thirds in ids.chunks(3) {
+        a.register(&file(thirds[0], "v1")).unwrap();
+        b.register(&file(thirds[1], "v1")).unwrap();
+    }
+    for &id in shared.iter().step_by(20) {
+        a.revise(&file(id, "fix-a")).unwrap();
+        b.revise(&file(id, "fix-b")).unwrap();
+    }
+    a.revise(&file(shared[1], "v2")).unwrap();
+    b.quarantine(shared[2], "bad tape").unwrap();
+    vec![a, b]
+}
+
+/// The chaos suites draw ~15 fault events a day against links that charge
+/// 50 ms a frame, so they never touch a frame in flight, and their stores
+/// put ~2 units in a range, so nothing below a range is ever probed. Here
+/// both are forced: 600 files under one range, and a drop, a corruption, a
+/// duplicate about every seventeen frames each and a reorder every four.
+/// Every seed must settle on the bytes a clean link gives within twelve
+/// rounds (one to seven on 160 seeds when this was written; a clean link
+/// takes one).
+#[test]
+fn deep_tree_converges_under_dense_faults() {
+    let settle = |link: SyncLink| {
+        let mut replicas = deep_pair();
+        let mut fabric = SyncFabric::new();
+        fabric.connect(0, 1, link);
+        let rounds = fabric.settle(&mut replicas, 12).unwrap();
+        (replicas[0].sealed_content().unwrap(), rounds, fabric.link_stats()[0])
+    };
+    let (reference, rounds, clean) = settle(SyncLink::clean());
+    // One session of five turns: the summary; b's split of range 3; a's
+    // splits of its 16 children; b's units for the grandchildren a holds
+    // nothing in and its lists for the rest; a's units and wanted ids; and
+    // the units b was asked for.
+    assert_eq!((rounds, clean.frames_sent), (1, 8));
+
+    let base = sciflow_testkit::matrix_seed(42);
+    let mut hit = LinkStats::default();
+    for i in 0..20 {
+        let seed = sciflow_testkit::derive_seed(base, &format!("dense-{i}"));
+        let faults = sciflow_testkit::dense_link_faults();
+        let plan = FaultPlan::generate(seed, SimDuration::from_mins(10), &faults);
+        let (content, rounds, stats) = settle(SyncLink::new(plan));
+        assert!(content == reference, "seed {seed}: settled on different bytes");
+        assert!(rounds >= 1);
+        hit.frames_dropped += stats.frames_dropped;
+        hit.frames_corrupted += stats.frames_corrupted;
+        hit.frames_duplicated += stats.frames_duplicated;
+        hit.reorders += stats.reorders;
+    }
+    for (kind, landed) in [
+        ("drop", hit.frames_dropped),
+        ("corruption", hit.frames_corrupted),
+        ("duplicate", hit.frames_duplicated),
+        ("reorder", hit.reorders),
+    ] {
+        assert!(landed > 0, "no {kind} landed on a frame in twenty seeds");
+    }
 }
 
 #[test]

@@ -4,9 +4,12 @@
 //! bit rot, a torn tail) invalidates the whole frame, never a silently
 //! different payload.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
 use sciflow_core::frame::{put_str, put_u16, put_u32, put_u64, put_u8, Reader};
 
+use super::index::{Node, FANOUT, LEAF_UNITS, MAX_DEPTH};
 use super::{
     decode_unit, encode_unit, range_of, FileUnit, QState, ReplicaError, ReplicaResult, NUM_RANGES,
 };
@@ -16,6 +19,7 @@ pub(crate) const MSG_SUMMARY: u8 = 0x01;
 pub(crate) const MSG_RANGE: u8 = 0x02;
 pub(crate) const MSG_GRADES: u8 = 0x03;
 pub(crate) const MSG_IN_SYNC: u8 = 0x04;
+pub(crate) const MSG_PROBE: u8 = 0x05;
 
 // Apply-journal entry kinds (disjoint from message kinds on purpose: a
 // journal file fed to the message decoder, or vice versa, fails typed).
@@ -47,10 +51,11 @@ pub(crate) fn read_qstate(r: &mut Reader<'_>) -> ReplicaResult<Option<QState>> {
 
 // --- anti-entropy summary ----------------------------------------------
 
-/// The opening message of a session: per-range digests over this replica's
-/// canonical units plus one digest over its grade rows. 64 ranges keep the
-/// summary at a fixed ~0.5 KiB regardless of how many files the store holds,
-/// so the cost of discovering "nothing to do" is O(1) in the file count.
+/// The opening message of a session: the digests of this replica's 64 range
+/// nodes — each FNV-1a over the `(id, fingerprint)` pairs of the range's
+/// units — plus one digest over its grade rows. 64 ranges keep the summary at
+/// a fixed ~0.5 KiB regardless of how many files the store holds, so the cost
+/// of discovering "nothing to do" is O(1) in the file count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Summary {
     pub store: u16,
@@ -84,11 +89,9 @@ impl Summary {
 
 // --- range messages -------------------------------------------------------
 
-/// Bytes of a range message ahead of its units: range `u16`, count `u32`.
-/// What follows is the canonical encoding of the range, whose FNV is the
-/// range's digest.
-pub(crate) const RANGE_HEAD: usize = 6;
-
+/// A range message: range `u16`, count `u32`, then that many units of the
+/// range in ascending id order — whichever of them the sender has worked out
+/// the receiver is missing.
 pub(crate) fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
     let mut buf = Vec::new();
     put_u16(&mut buf, range as u16);
@@ -100,8 +103,9 @@ pub(crate) fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
 }
 
 /// Decode a range message and hold it to what an honest sender produces:
-/// every unit filed under its own range, ids strictly ascending, and bytes
-/// that are exactly the encoding of what they decode to.
+/// every unit filed under its own range, ids strictly ascending (so one
+/// resolution per file id stands for the whole frame), and bytes that are
+/// exactly the encoding of what they decode to.
 pub(crate) fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<FileUnit>)> {
     let corrupt = |detail: String| Err(ReplicaError::CorruptMessage { detail });
     let mut r = Reader::new(payload);
@@ -127,6 +131,138 @@ pub(crate) fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<File
         return corrupt(format!("range {range} is not canonically encoded"));
     }
     Ok((range, units))
+}
+
+// --- probes -----------------------------------------------------------------
+
+/// What one side says about one digest range in one turn of a session, short
+/// of shipping units: the nodes it describes by their child digests, the
+/// nodes it describes by `(id, fingerprint)` list, and the ids it wants.
+///
+/// ```text
+/// range u16
+/// count u32, then per split:  depth u8, prefix u64, 16 × digest u64
+/// count u32, then per list:   depth u8, prefix u64, count u32, (id u64, fingerprint u64)*
+/// count u32, then per wanted: id u64
+/// ```
+///
+/// Entries travel in ascending order (nodes by depth then prefix, ids by
+/// value), which the maps give the encoder and the decoder insists on.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Probe {
+    pub range: usize,
+    pub splits: BTreeMap<Node, [u64; FANOUT]>,
+    pub prints: BTreeMap<Node, Vec<(u64, u64)>>,
+    pub wants: BTreeSet<u64>,
+}
+
+impl Probe {
+    pub(crate) fn new(range: usize) -> Probe {
+        Probe { range, splits: BTreeMap::new(), prints: BTreeMap::new(), wants: BTreeSet::new() }
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.splits.is_empty() && self.prints.is_empty() && self.wants.is_empty()
+    }
+
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let put_node = |buf: &mut Vec<u8>, node: &Node| {
+            put_u8(buf, node.depth());
+            put_u64(buf, node.prefix());
+        };
+        let mut buf = Vec::new();
+        put_u16(&mut buf, self.range as u16);
+        put_u32(&mut buf, self.splits.len() as u32);
+        for (node, digests) in &self.splits {
+            put_node(&mut buf, node);
+            digests.iter().for_each(|d| put_u64(&mut buf, *d));
+        }
+        put_u32(&mut buf, self.prints.len() as u32);
+        for (node, pairs) in &self.prints {
+            put_node(&mut buf, node);
+            put_u32(&mut buf, pairs.len() as u32);
+            for &(id, print) in pairs {
+                put_u64(&mut buf, id);
+                put_u64(&mut buf, print);
+            }
+        }
+        put_u32(&mut buf, self.wants.len() as u32);
+        self.wants.iter().for_each(|id| put_u64(&mut buf, *id));
+        buf
+    }
+
+    /// Decode a probe and hold it to what an honest sender produces: every
+    /// node a node of the tree and of this range, no split where the tree
+    /// ends and no list longer than a leaf above it, every listed id beneath
+    /// its node and every wanted id in the range, everything strictly
+    /// ascending. Counts are bounded by the bytes that remain before they
+    /// drive a loop.
+    pub(crate) fn decode(payload: &[u8]) -> ReplicaResult<Probe> {
+        fn corrupt<T>(detail: String) -> ReplicaResult<T> {
+            Err(ReplicaError::CorruptMessage { detail })
+        }
+        let mut r = Reader::new(payload);
+        let range = r.u16()? as usize;
+        if range >= NUM_RANGES {
+            return corrupt(format!("range {range} out of bounds"));
+        }
+        let read_node = |r: &mut Reader<'_>, last: Option<&Node>| -> ReplicaResult<Node> {
+            let (depth, prefix) = (r.u8()?, r.u64()?);
+            let Some(node) = Node::checked(depth, prefix) else {
+                return corrupt(format!("no node of depth {depth} has prefix {prefix:#x}"));
+            };
+            if node.range_of() != range {
+                return corrupt(format!("node {prefix:#x} does not belong to range {range}"));
+            }
+            if last.is_some_and(|last| *last >= node) {
+                return corrupt(format!("node {prefix:#x} out of order in range {range}"));
+            }
+            Ok(node)
+        };
+        let mut probe = Probe::new(range);
+        for _ in 0..r.len32()? {
+            let node = read_node(&mut r, probe.splits.keys().next_back())?;
+            if node.depth() == MAX_DEPTH {
+                return corrupt(format!("split of a node at the maximum depth {MAX_DEPTH}"));
+            }
+            let mut digests = [FNV_OFFSET; FANOUT];
+            for d in digests.iter_mut() {
+                *d = r.u64()?;
+            }
+            probe.splits.insert(node, digests);
+        }
+        for _ in 0..r.len32()? {
+            let node = read_node(&mut r, probe.prints.keys().next_back())?;
+            let n = r.len32()?;
+            if n > LEAF_UNITS && node.depth() < MAX_DEPTH {
+                return corrupt(format!("a list of {n} units where a node splits"));
+            }
+            let mut pairs: Vec<(u64, u64)> = Vec::new();
+            for _ in 0..n {
+                let (id, print) = (r.u64()?, r.u64()?);
+                if !node.holds(id) {
+                    return corrupt(format!("file {id} does not belong to its node"));
+                }
+                if pairs.last().is_some_and(|&(prev, _)| prev >= id) {
+                    return corrupt(format!("file {id} out of order in its node"));
+                }
+                pairs.push((id, print));
+            }
+            probe.prints.insert(node, pairs);
+        }
+        for _ in 0..r.len32()? {
+            let id = r.u64()?;
+            if range_of(id) != range {
+                return corrupt(format!("wanted file {id} does not belong to range {range}"));
+            }
+            if probe.wants.last().is_some_and(|&prev| prev >= id) {
+                return corrupt(format!("wanted file {id} out of order"));
+            }
+            probe.wants.insert(id);
+        }
+        r.done()?;
+        Ok(probe)
+    }
 }
 
 // --- grade rows ---------------------------------------------------------

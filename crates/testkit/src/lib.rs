@@ -44,7 +44,9 @@ pub use invariants::{
     assert_provenance_stability, assert_trace_conservation, assert_transfer_conservation,
     assert_within_pct,
 };
-pub use replicated::{assert_convergence, registered_ids, History, ReplicatedScenario};
+pub use replicated::{
+    assert_convergence, dense_link_faults, registered_ids, History, ReplicatedScenario,
+};
 pub use rng::{derive_seed, matrix_seed, seeded_rng};
 pub use scenarios::{
     CorruptFlowScenario, CrashFlowScenario, LossyFlowScenario, LossyLinkScenario,

@@ -29,6 +29,23 @@ use sciflow_eventstore::RunRange;
 
 use crate::rng::{derive_seed, seeded_rng};
 
+/// Link faults dense enough to land on frames in flight. A [`SyncLink`]
+/// charges 50 ms a frame, so [`FaultProfile::replica_chaos`]'s ~15 events a
+/// day fall between sessions and leave every frame untouched; at 100 000 a
+/// day each, a drop, a corruption and a duplicate all come round about every
+/// seventeen frames. Reorders come four times as often, because one only
+/// lands when a turn has put two frames in flight. No stalls or partitions:
+/// both move the link clock past the timeline instead of through it.
+pub fn dense_link_faults() -> FaultProfile {
+    FaultProfile {
+        drops_per_day: 100_000.0,
+        corrupts_per_day: 100_000.0,
+        duplicates_per_day: 100_000.0,
+        reorders_per_day: 400_000.0,
+        ..FaultProfile::clean()
+    }
+}
+
 const KINDS: [&str; 3] = ["recon", "postrecon", "mc"];
 const GRADES: [&str; 2] = ["physics", "mc-pass1"];
 
@@ -57,6 +74,16 @@ impl ReplicatedScenario {
             horizon: SimDuration::from_days(3),
             profile: FaultProfile::replica_chaos(),
             max_rounds: 400,
+        }
+    }
+
+    /// The same fleet over [`dense_link_faults`]: ten minutes of link time
+    /// (12 000 frames a link) in which about one frame in four is hit.
+    pub fn dense(seed: u64) -> Self {
+        ReplicatedScenario {
+            horizon: SimDuration::from_mins(10),
+            profile: dense_link_faults(),
+            ..ReplicatedScenario::new(seed)
         }
     }
 

@@ -98,7 +98,31 @@ fn main() {
         replicas[0].store().files().expect("scan").len()
     );
 
-    let rounds = fabric.settle(&mut replicas, 200).expect("fleet must quiesce");
+    // Finish the sync a round at a time, so each session can show what it
+    // put on the wire beside what turned out to be news.
+    let mut rounds = 0;
+    while !SyncFabric::converged(&replicas).expect("content readable") {
+        rounds += 1;
+        assert!(rounds <= 200, "fleet must quiesce");
+        let reports = fabric.round(&mut replicas).expect("no replica dies twice");
+        for (link, report) in reports.iter().enumerate() {
+            match report {
+                Some(r) if r.in_sync => println!("  round {rounds} link {link}: in sync"),
+                Some(r) => println!(
+                    "  round {rounds} link {link}: {} units sent for {} added + {} replaced \
+                     ({} ranges differing, {} turns, {} frames, {} bytes)",
+                    r.units_sent,
+                    r.units_added,
+                    r.units_replaced,
+                    r.ranges_differing,
+                    r.turns,
+                    r.frames_sent,
+                    r.bytes_sent
+                ),
+                None => println!("  round {rounds} link {link}: session dropped or partitioned"),
+            }
+        }
+    }
     println!("fleet quiesced after {rounds} more rounds");
 
     // Convergence: byte-identical sealed content everywhere.

@@ -21,7 +21,7 @@ use std::env;
 use std::fs;
 
 use sciflow_core::fault::{FaultPlan, FaultProfile};
-use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
+use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
 use sciflow_core::md5::md5;
 use sciflow_core::units::SimDuration;
 use sciflow_core::version::CalDate;
@@ -60,6 +60,37 @@ fn arbitrary_histories_converge_under_chaos() {
         let (settled, rounds) = scenario.run().expect("fleet must quiesce");
         assert!(rounds >= 1, "settle reports the rounds it took");
         assert_convergence(&settled, &expected);
+    }
+}
+
+/// The chaos profile's faults fall between sessions, not on frames; the
+/// dense profile's land on about one frame in three. The same generated
+/// histories must converge all the same — and the links must show that every
+/// kind of fault did hit a frame, or this test exercised nothing.
+#[test]
+fn arbitrary_histories_converge_under_dense_faults() {
+    let base = matrix_seed(42);
+    let (mut dropped, mut corrupted, mut duplicated, mut reordered) = (0, 0, 0, 0);
+    for label in ["dense-a", "dense-b", "dense-c"] {
+        let scenario = ReplicatedScenario::dense(derive_seed(base, label));
+        let (mut replicas, mut fabric) = scenario.build().expect("history generation");
+        let expected = registered_ids(&replicas);
+        fabric.settle(&mut replicas, scenario.max_rounds).expect("fleet must quiesce");
+        assert_convergence(&replicas, &expected);
+        for stats in fabric.link_stats() {
+            dropped += stats.frames_dropped;
+            corrupted += stats.frames_corrupted;
+            duplicated += stats.frames_duplicated;
+            reordered += stats.reorders;
+        }
+    }
+    for (kind, landed) in [
+        ("drop", dropped),
+        ("corruption", corrupted),
+        ("duplicate", duplicated),
+        ("reorder", reordered),
+    ] {
+        assert!(landed > 0, "no {kind} landed on a frame in flight");
     }
 }
 
@@ -282,6 +313,35 @@ fn replication_lag_is_conserved_across_the_sweep() {
     }
 }
 
+/// One `(id, fingerprint)` pair folded into a node digest: the id, then the
+/// FNV-1a of the unit's canonical encoding, each as a little-endian `u64`.
+fn naive_fold(digest: u64, unit: &FileUnit) -> u64 {
+    let print = fnv1a(&encode_unit(unit));
+    fnv1a_update(fnv1a_update(digest, &unit.record.id.to_le_bytes()), &print.to_le_bytes())
+}
+
+/// Every node digest two levels below the ranges, against the naive fold of
+/// `units` (all of the replica's, ascending by id): a file's place in the
+/// tree is the FNV-1a of its id, six bits for the range and four per level.
+fn assert_tree_matches_the_naive_fold(replica: &Replica, units: &[FileUnit], at: &str) {
+    let mut children = vec![[FNV_OFFSET; 16]; NUM_RANGES];
+    let mut grandchildren = vec![[FNV_OFFSET; 16]; NUM_RANGES * 16];
+    for u in units {
+        let place = fnv1a(&u.record.id.to_le_bytes());
+        let (r, c, g) = ((place % 64) as usize, (place >> 6) as usize % 16, (place >> 10) % 16);
+        children[r][c] = naive_fold(children[r][c], u);
+        let under = &mut grandchildren[r * 16 + c][g as usize];
+        *under = naive_fold(*under, u);
+    }
+    for r in 0..NUM_RANGES {
+        assert_eq!(replica.child_digests(r, &[]).unwrap(), children[r], "{at}: range {r}");
+        for c in 0..16 {
+            let naive = grandchildren[r * 16 + c];
+            assert_eq!(replica.child_digests(r, &[c]).unwrap(), naive, "{at}: node {r}/{c}");
+        }
+    }
+}
+
 /// The reference the range index replaced, computed the slow way from the
 /// file table: every unit folded, in id order, into its range's digest, and
 /// a range's units found by filtering all of them. The grade digest is
@@ -299,10 +359,11 @@ fn assert_index_matches_the_naive_fold(replica: &Replica, at: &str) {
     let mut ranges = [FNV_OFFSET; NUM_RANGES];
     for u in &units {
         let r = range_of(u.record.id);
-        ranges[r] = fnv1a_update(ranges[r], &encode_unit(u));
+        ranges[r] = naive_fold(ranges[r], u);
     }
     let summary = replica.summary().unwrap();
     assert_eq!(summary.ranges, ranges, "{at}: range digests");
+    assert_tree_matches_the_naive_fold(replica, &units, at);
     for r in 0..NUM_RANGES {
         let naive: Vec<FileUnit> =
             units.iter().filter(|u| range_of(u.record.id) == r).cloned().collect();
