@@ -37,8 +37,9 @@ pub(crate) const FANOUT: usize = 16;
 /// bytes a pair, the longest list (256 bytes) is twice the 128 bytes of
 /// digests that would replace it and saves the turn that descends into
 /// them; a larger leaf lengthens the last probe of every descent, a smaller
-/// one adds a turn to it. Chosen for traffic on large ranges — on the
-/// benchmark's ~32-unit ranges 4, 16 and 64 time alike.
+/// one adds a turn to it. Chosen for traffic on large ranges, not for the
+/// benchmark, whose ~32-unit ranges time alike at 4, 16 and 64 and put the
+/// fewest bytes on the wire at 16 (EXPERIMENTS.md "RECONCILE").
 pub(crate) const LEAF_UNITS: usize = 16;
 /// Levels below a range. A node this deep is always a list: 16⁸ leaves per
 /// range is more than the ids a range will hold.
@@ -109,6 +110,18 @@ impl Node {
     pub(crate) fn child(self, c: usize) -> Node {
         debug_assert!(self.depth < MAX_DEPTH && c < FANOUT);
         Node { depth: self.depth + 1, prefix: self.prefix | (c as u64) << self.bits() }
+    }
+
+    /// Say in `probe` what a replica holding `pairs` beneath this node —
+    /// `(id, fingerprint)`, ascending by id — holds there: the digests of
+    /// the node's children if that is more than [`LEAF_UNITS`] units and
+    /// the node can split, the list itself otherwise.
+    fn describe(self, pairs: Vec<(u64, u64)>, probe: &mut Probe) {
+        if pairs.len() > LEAF_UNITS && self.depth < MAX_DEPTH {
+            probe.splits.insert(self, self.child_digests(&pairs));
+        } else {
+            probe.prints.insert(self, pairs);
+        }
     }
 
     /// The digests of this node's children, given the `(id, fingerprint)`
@@ -259,16 +272,9 @@ impl Replica {
         Ok(node.child_digests(&self.prints_under(node)?))
     }
 
-    /// Say in `probe` what this replica holds beneath `node`: the digests
-    /// of its children if that is more than [`LEAF_UNITS`] units and the
-    /// node can split, the `(id, fingerprint)` list otherwise.
+    /// Say in `probe` what this replica holds beneath `node`.
     pub(super) fn describe(&self, node: Node, probe: &mut Probe) -> ReplicaResult<()> {
-        let pairs = self.prints_under(node)?;
-        if pairs.len() > LEAF_UNITS && node.depth() < MAX_DEPTH {
-            probe.splits.insert(node, node.child_digests(&pairs));
-        } else {
-            probe.prints.insert(node, pairs);
-        }
+        node.describe(self.prints_under(node)?, probe);
         Ok(())
     }
 
@@ -283,13 +289,16 @@ impl Replica {
         reply: &mut Probe,
     ) -> ReplicaResult<()> {
         for (&node, theirs) in &probe.splits {
-            let mine = node.child_digests(&self.prints_under(node)?);
+            let pairs = self.prints_under(node)?;
+            let mine = node.child_digests(&pairs);
             for c in (0..FANOUT).filter(|&c| mine[c] != theirs[c]) {
+                let child = node.child(c);
+                let beneath = pairs.iter().copied().filter(|&(id, _)| child.holds(id));
                 if theirs[c] == FNV_OFFSET {
                     // The peer holds nothing there: all of it is news.
-                    ship.extend(self.index.under(node.child(c)).map(|e| e.id));
+                    ship.extend(beneath.map(|(id, _)| id));
                 } else {
-                    self.describe(node.child(c), reply)?;
+                    child.describe(beneath.collect(), reply);
                 }
             }
         }

@@ -597,6 +597,20 @@ fn an_arriving_unit_lends_its_fingerprint_only_when_it_ends_up_resident() {
     flagged.release(ids[1]).unwrap();
     receive(&mut rep, flagged.units_in_range(3).unwrap());
     assert!(!rep.store().is_quarantined(ids[1]));
+    // The two crossings, where the arriving unit changes the store and
+    // still is not what ends up resident: its register wins while a
+    // resident revision beats it, and its revision wins while a resident
+    // register outlasts it.
+    rep.revise(&rec(ids[0], 100, "recon", "v2")).unwrap();
+    rep.quarantine(ids[2], "bad disk").unwrap();
+    let mut crossing = peer(&ids);
+    crossing.quarantine(ids[0], "bad tape").unwrap();
+    crossing.revise(&rec(ids[2], 100, "recon", "v3")).unwrap();
+    receive(&mut rep, crossing.units_in_range(3).unwrap());
+    assert_eq!(rep.store().file(ids[0]).unwrap().unwrap().version, "v2");
+    assert!(rep.store().is_quarantined(ids[0]));
+    assert_eq!(rep.store().file(ids[2]).unwrap().unwrap().version, "v3");
+    assert!(rep.store().is_quarantined(ids[2]));
 }
 
 /// A store pair whose whole difference lies deep under one digest range: 600
@@ -656,9 +670,8 @@ fn deep_tree_converges_under_dense_faults() {
         let seed = sciflow_testkit::derive_seed(base, &format!("dense-{i}"));
         let faults = sciflow_testkit::dense_link_faults();
         let plan = FaultPlan::generate(seed, SimDuration::from_mins(10), &faults);
-        let (content, rounds, stats) = settle(SyncLink::new(plan));
+        let (content, _, stats) = settle(SyncLink::new(plan));
         assert!(content == reference, "seed {seed}: settled on different bytes");
-        assert!(rounds >= 1);
         hit.frames_dropped += stats.frames_dropped;
         hit.frames_corrupted += stats.frames_corrupted;
         hit.frames_duplicated += stats.frames_duplicated;

@@ -77,8 +77,8 @@ impl ReplicatedScenario {
         }
     }
 
-    /// The same fleet over [`dense_link_faults`]: ten minutes of link time
-    /// (12 000 frames a link) in which about one frame in four is hit.
+    /// The same fleet over [`dense_link_faults`] for ten minutes of link
+    /// time (12 000 frames a link), far longer than it takes to settle.
     pub fn dense(seed: u64) -> Self {
         ReplicatedScenario {
             horizon: SimDuration::from_mins(10),

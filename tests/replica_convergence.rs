@@ -64,7 +64,7 @@ fn arbitrary_histories_converge_under_chaos() {
 }
 
 /// The chaos profile's faults fall between sessions, not on frames; the
-/// dense profile's land on about one frame in three. The same generated
+/// dense profile's come every few frames. The same generated
 /// histories must converge all the same — and the links must show that every
 /// kind of fault did hit a frame, or this test exercised nothing.
 #[test]
