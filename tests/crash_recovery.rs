@@ -145,3 +145,200 @@ fn arecibo_checkpointed_dedispersion_replays_byte_identically() {
     assert!(delivered(&ckpt) >= delivered(&plain));
     assert_eq!(ckpt.stage("acquire").unwrap().volume_out, DataVolume::tb(14));
 }
+
+// --- Crashes of channel resources -------------------------------------------
+
+mod channel_crash_pin {
+    use std::fs;
+
+    use sciflow_core::fault::{FaultEvent, FaultKind, FaultPlan, RetryPolicy};
+    use sciflow_core::fnv::fnv1a;
+    use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind};
+    use sciflow_core::sim::FlowSim;
+    use sciflow_core::trace::{self, FaultScope, TraceEvent, TraceRecorder};
+    use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
+
+    const TRIGGER: &str = "trigger";
+    const DEDUP: &str = "dedup";
+
+    /// Six 10 GB blocks, one every 100 s, through a checkpointed filter
+    /// (50 s of inspection a block, a 1 s checkpoint every 10 s, half of it
+    /// accepted) and a dedup (50 s a block, index warm after three blocks,
+    /// 40% unique afterwards).
+    fn graph() -> FlowGraph {
+        let mut g = FlowGraph::new();
+        let s = g.add_stage(
+            "detector",
+            StageKind::Source {
+                block: DataVolume::gb(10),
+                interval: SimDuration::from_secs(100),
+                blocks: 6,
+                start: SimTime::ZERO,
+            },
+        );
+        let f = g.add_stage(
+            TRIGGER,
+            StageKind::Filter {
+                rate: DataRate::mb_per_sec(200.0),
+                accept_ratio: 0.5,
+                checkpoint: CheckpointPolicy::Interval {
+                    every: SimDuration::from_secs(10),
+                    cost: SimDuration::from_secs(1),
+                },
+            },
+        );
+        let d = g.add_stage(
+            DEDUP,
+            StageKind::Dedup { rate: DataRate::mb_per_sec(100.0), unique_ratio: 0.4, window: 3 },
+        );
+        let a = g.add_stage("tape", StageKind::Archive);
+        g.connect(s, f).unwrap();
+        g.connect(f, d).unwrap();
+        g.connect(d, a).unwrap();
+        g
+    }
+
+    /// The filter's channel dies at 125 s, 25 s into the second block's
+    /// inspection (two checkpoints written, 3 s past the second lost), and
+    /// is back at 185 s; the dedup's dies at 290 s, 19 s into its third
+    /// inspection, and is back at 330 s.
+    fn plan() -> FaultPlan {
+        let crash = |at, stage: &str, repair| FaultEvent {
+            at: SimTime::ZERO + SimDuration::from_secs(at),
+            kind: FaultKind::NodeCrash {
+                pool: format!("{stage}#channel"),
+                cpus: 1,
+                repair: SimDuration::from_secs(repair),
+            },
+        };
+        FaultPlan::from_events(7, vec![crash(125, TRIGGER, 60), crash(290, DEDUP, 40)])
+    }
+
+    fn sim(trace: TraceRecorder) -> FlowSim {
+        FlowSim::new(graph(), vec![])
+            .expect("valid flow")
+            .with_faults(plan(), RetryPolicy::default())
+            .with_observer(trace)
+    }
+
+    fn kills_at(events: &[(SimTime, TraceEvent)], at: StageId) -> usize {
+        let kill =
+            |ev: &TraceEvent| matches!(ev, TraceEvent::CrashKill { stage, .. } if *stage == at);
+        events.iter().filter(|(_, ev)| kill(ev)).count()
+    }
+
+    fn repairs(events: &[(SimTime, TraceEvent)]) -> usize {
+        let repair = |ev: &TraceEvent| {
+            matches!(
+                ev,
+                TraceEvent::FaultInjected {
+                    scope: FaultScope::Resource(_),
+                    kind: trace::FaultKind::Repair,
+                    ..
+                }
+            )
+        };
+        events.iter().filter(|(_, ev)| repair(ev)).count()
+    }
+
+    /// The kill path of the channel-holding stages, byte for byte: literals
+    /// computed at the commit before the task runner replaced the three
+    /// copies of it. If this fails the behaviour of a crashed filter or
+    /// dedup changed: do not update the literals; fix the code.
+    #[test]
+    fn byte_pin_channel_crash_report_and_trace() {
+        let g = graph();
+        let (trigger, dedup) = (g.find(TRIGGER).unwrap(), g.find(DEDUP).unwrap());
+        let recorder = TraceRecorder::new();
+        let report = sim(recorder.clone()).run().expect("flow completes");
+        let snap = recorder.snapshot();
+        let (json, jsonl) = (report.to_json(), snap.jsonl());
+
+        // Not vacuous, from the trace alone: each stage lost a running
+        // inspection, the filter's had banked two checkpoints...
+        let events = &snap.events;
+        assert_eq!((kills_at(events, trigger), kills_at(events, dedup)), (1, 1));
+        assert_eq!(repairs(events), 2);
+        let killed_task = events
+            .iter()
+            .find_map(|(_, ev)| match ev {
+                TraceEvent::CrashKill { stage, task, .. } if *stage == trigger => Some(*task),
+                _ => None,
+            })
+            .unwrap();
+        let banked = events.iter().any(|(_, ev)| {
+            matches!(ev, TraceEvent::CheckpointWritten { stage, task, count, .. }
+                if *stage == trigger && *task == killed_task && *count == 2)
+        });
+        assert!(banked, "the killed filter task must have written its two checkpoints");
+        let (t, d) = (report.stage(TRIGGER).unwrap(), report.stage(DEDUP).unwrap());
+        assert_eq!((t.crashes, d.crashes), (1, 1));
+        assert_eq!((t.work_lost, t.work_replayed), (SimDuration::from_secs(3), t.work_lost));
+        assert_eq!((d.work_lost, d.work_replayed), (SimDuration::from_secs(19), d.work_lost));
+        // ... and the dedup's killed third inspection did not warm the
+        // index: rerun, it is still inside the window and forwards its whole
+        // 5 GB; only the fourth block is reduced to its unique 40%.
+        let forwarded: Vec<DataVolume> = events
+            .iter()
+            .filter_map(|(_, ev)| match ev {
+                TraceEvent::TaskEnd { stage, volume, .. } if *stage == dedup => Some(*volume),
+                _ => None,
+            })
+            .collect();
+        let (whole, unique) = (DataVolume::gb(5), DataVolume::gb(2));
+        assert_eq!(forwarded, [whole, whole, whole, unique, unique, unique]);
+        assert_eq!((t.blocks_out, d.blocks_out), (6, 6));
+        assert_eq!(report.stage("tape").unwrap().volume_in, DataVolume::gb(21));
+
+        assert_eq!(
+            (json.len(), format!("{:016x}", fnv1a(json.as_bytes())).as_str()),
+            (2386, "61dd2af86f894440"),
+            "report JSON: length, FNV-1a"
+        );
+        assert_eq!(
+            (jsonl.len(), format!("{:016x}", fnv1a(jsonl.as_bytes())).as_str()),
+            (5798, "c9568697ef77debf"),
+            "trace JSONL: length, FNV-1a"
+        );
+        assert_eq!(report.finished_at, SimTime::ZERO + SimDuration::from_secs(604));
+    }
+
+    /// A snapshot taken while a channel is down — after each stage's kill,
+    /// before the repair that follows it — resumes to the same report and
+    /// to exactly the rest of the trace.
+    #[test]
+    fn snapshot_between_a_channel_crash_and_its_repair_resumes_identically() {
+        let g = graph();
+        let golden_trace = TraceRecorder::new();
+        let golden = sim(golden_trace.clone()).run().expect("flow completes");
+        let golden_jsonl = golden_trace.snapshot().jsonl();
+        for (stage, repairs_before) in [(TRIGGER, 0), (DEDUP, 1)] {
+            let id = g.find(stage).unwrap();
+            let paused_trace = TraceRecorder::new();
+            let mut paused = sim(paused_trace.clone());
+            while kills_at(&paused_trace.snapshot().events, id) == 0 {
+                assert!(paused.run_for(1).expect("run advances"), "{stage}: never killed");
+            }
+            assert_eq!(repairs(&paused_trace.snapshot().events), repairs_before, "{stage}");
+            let path = std::env::temp_dir()
+                .join(format!("sciflow-channel-crash-{}-{stage}.snap", std::process::id()));
+            paused.snapshot_to(&path).expect("snapshot written");
+            let prefix = paused_trace.snapshot().jsonl();
+            let resumed_trace = TraceRecorder::new();
+            let resumed = sim(resumed_trace.clone())
+                .resume_from(&path)
+                .expect("snapshot accepted for resume")
+                .run()
+                .expect("resumed run finishes");
+            let _ = fs::remove_file(&path);
+            assert_eq!(resumed, golden, "{stage}: resumed report diverged");
+            assert_eq!(resumed.to_json(), golden.to_json(), "{stage}: resumed JSON diverged");
+            assert_eq!(
+                prefix + &resumed_trace.snapshot().jsonl(),
+                golden_jsonl,
+                "{stage}: killed prefix + resumed tail must be the uninterrupted trace"
+            );
+            assert_eq!(paused.run().expect("paused run finishes"), golden, "{stage}");
+        }
+    }
+}
