@@ -14,6 +14,8 @@
 //!
 //! Adding a stage kind is adding one `StageBehavior` impl plus a
 //! constructor arm in the simulator — the run loop never matches on kinds.
+//! A kind that queues blocks and works on them while holding units of a
+//! resource (process, filter, dedup) does it through the one `TaskRunner`.
 //!
 //! Fault injection and retry/backoff live entirely inside the behaviors
 //! that are exposed to faults (`Transfer` rides out drops and stalls with
@@ -358,12 +360,6 @@ crate::wire_struct! {
     }
 }
 
-impl PendingTask {
-    fn fresh(input: DataVolume, taint: u32, lineage: u64) -> Self {
-        PendingTask { input, taint, lineage, banked: SimDuration::ZERO, replay: SimDuration::ZERO }
-    }
-}
-
 crate::wire_struct! {
     /// Bookkeeping for a compute task currently holding resource units.
     struct RunningTask {
@@ -401,31 +397,6 @@ crate::wire_struct! {
     }
 }
 
-/// How much of a killed run survives: checkpoints completed during `raw`
-/// useful work bank `every` of payload each and cost `every + cost` of work
-/// time apiece; everything past the last completed checkpoint is lost.
-/// Returns `(banked, written, lost)`.
-fn salvage(
-    policy: CheckpointPolicy,
-    raw: SimDuration,
-    payload: SimDuration,
-) -> (SimDuration, u32, SimDuration) {
-    match policy {
-        CheckpointPolicy::None => (SimDuration::ZERO, 0, raw),
-        CheckpointPolicy::Interval { every, cost } => {
-            if every.is_zero() {
-                return (SimDuration::ZERO, 0, raw);
-            }
-            let step = every + cost;
-            let scheduled = checkpoints_for(payload, every);
-            let completed = ((raw.as_micros() / step.as_micros()) as u32).min(scheduled);
-            let banked = every * completed as u64;
-            let lost = raw.saturating_sub(step * completed as u64);
-            (banked, completed, lost)
-        }
-    }
-}
-
 /// Checkpoints written for a run of `payload` useful work: one per full
 /// `every`, except that a checkpoint coinciding with task completion is
 /// pointless and skipped.
@@ -434,6 +405,247 @@ fn checkpoints_for(payload: SimDuration, every: SimDuration) -> u32 {
         return 0;
     }
     ((payload.as_micros() - 1) / every.as_micros()) as u32
+}
+
+/// The arrival rule of the stages that dispatch themselves (transfer,
+/// filter, dedup). While their channel is whole they need no waiter entry:
+/// an arrival that finds it busy is started by the completion that frees a
+/// unit. With units offline a repair is pending and may be the only event
+/// left to start the block, and the repair-time drain serves enlisted
+/// waiters only — so then, and only then, a blocked arrival enlists.
+fn enlist_if_offline(ctx: &mut StageCtx, rid: ResourceId, outcome: Dispatch) {
+    if outcome == Dispatch::Blocked && ctx.resources().online(rid) < ctx.resources().total(rid) {
+        let stage = ctx.stage();
+        ctx.resources().enlist(rid, stage);
+    }
+}
+
+/// The task runner: the one implementation of "queue blocks, work on them
+/// while holding units of a contended resource, requeue what a crash kills"
+/// under the process, filter and dedup kinds. Its four steps —
+/// [`enqueue`](Self::enqueue), [`start`](Self::start),
+/// [`finish`](Self::finish), [`kill`](Self::kill) — are the only code that
+/// mutates a [`TaskState`]; what a kind does differently it passes in.
+struct TaskRunner {
+    /// The pool or channel the tasks contend for.
+    resource: ResourceId,
+    /// Units of `resource` one running task holds.
+    units: u32,
+    /// What those units sustain together.
+    rate: DataRate,
+    /// The checkpoint policy: one written per `every` of useful work at
+    /// `cost` apiece, none at all when `every` is zero.
+    every: SimDuration,
+    cost: SimDuration,
+    state: TaskState,
+}
+
+impl TaskRunner {
+    fn new(resource: ResourceId, units: u32, rate: DataRate, checkpoint: CheckpointPolicy) -> Self {
+        let (every, cost) = match checkpoint {
+            CheckpointPolicy::None => (SimDuration::ZERO, SimDuration::ZERO),
+            CheckpointPolicy::Interval { every, cost } => (every, cost),
+        };
+        TaskRunner { resource, units, rate, every, cost, state: TaskState::default() }
+    }
+
+    fn emit_depth(&self, ctx: &mut StageCtx) {
+        let (stage, blocks, volume) =
+            (ctx.stage(), self.state.queue.len(), self.state.queued_volume);
+        ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume });
+    }
+
+    /// Enqueue: an arrived block joins the queue as one task per piece, all
+    /// of its lineage. Its taint rides with the first piece only, keeping
+    /// the flow-wide taint count conserved.
+    fn enqueue(
+        &mut self,
+        ctx: &mut StageCtx,
+        pieces: impl Iterator<Item = DataVolume>,
+        mut taint: u32,
+        lineage: u64,
+    ) {
+        for input in pieces {
+            self.state.queue.push_back(PendingTask {
+                input,
+                taint: std::mem::take(&mut taint),
+                lineage,
+                banked: SimDuration::ZERO,
+                replay: SimDuration::ZERO,
+            });
+            self.state.queued_volume += input;
+        }
+        ctx.metrics().note_queue(self.state.queue.len(), self.state.queued_volume);
+        self.emit_depth(ctx);
+    }
+
+    /// Start the task at the head of the queue, if the resource has the
+    /// units (it blocks head-of-line until they free up). The run lasts the
+    /// work earlier, crashed runs did not bank plus the checkpoints it will
+    /// write; `admit` is the kind's say on a run about to start — given the
+    /// input and that duration it returns the duration to schedule, the
+    /// stalls that stretched it and the working space to hold meanwhile —
+    /// and `done` builds the completion from the task id, input and hold.
+    fn start(
+        &mut self,
+        ctx: &mut StageCtx,
+        admit: impl FnOnce(&mut StageCtx, DataVolume, SimDuration) -> (SimDuration, u32, DataVolume),
+        done: impl FnOnce(u64, DataVolume, DataVolume) -> Completion,
+    ) -> Dispatch {
+        if ctx.resources().free(self.resource) < self.units {
+            return Dispatch::Blocked;
+        }
+        let Some(task) = self.state.queue.pop_front() else { return Dispatch::Idle };
+        let input = task.input;
+        self.state.queued_volume -= input;
+        ctx.resources().acquire(self.resource, self.units);
+        let total = input.time_at(self.rate).unwrap_or(SimDuration::ZERO);
+        let payload = total.saturating_sub(task.banked);
+        let overhead = self.cost * checkpoints_for(payload, self.every) as u64;
+        let (dur, stalls, held) = admit(ctx, input, payload + overhead);
+        ctx.ledger().alloc(held);
+        let now = ctx.now();
+        let m = ctx.metrics();
+        m.busy += dur;
+        m.faults += stalls as u64;
+        m.work_replayed += task.replay;
+        let id = self.state.next_task;
+        self.state.next_task += 1;
+        let (stage, lineage, units) = (ctx.stage(), task.lineage, self.units);
+        ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume: input, units });
+        if stalls > 0 {
+            ctx.emit(|| TraceEvent::FaultInjected {
+                scope: FaultScope::Stage(stage),
+                kind: FaultKind::Stall,
+                count: stalls as u64,
+            });
+        }
+        let event = ctx.complete_at(now + dur, done(id, input, held));
+        self.state.running.push(RunningTask {
+            id,
+            event,
+            input,
+            taint: task.taint,
+            lineage,
+            held,
+            units,
+            started_at: now,
+            ends_at: now + dur,
+            banked: task.banked,
+            payload,
+            overhead,
+        });
+        Dispatch::Started { more: !self.state.queue.is_empty() }
+    }
+
+    /// Finish: the completion of task `id` fired. Its units go back, its
+    /// checkpoints are accounted, and `output` flows on carrying the input's
+    /// taint and lineage (a corrupted block yields a corrupted product).
+    fn finish(&mut self, ctx: &mut StageCtx, id: u64, output: DataVolume) {
+        let slot = self.state.running.iter().position(|r| r.id == id);
+        let run =
+            self.state.running.swap_remove(slot.expect("completed task is tracked as running"));
+        ctx.resources().release(self.resource, run.units);
+        let now = ctx.now();
+        let m = ctx.metrics();
+        m.blocks_out += 1;
+        m.volume_out += output;
+        m.completed_at = now;
+        m.checkpoint_overhead += run.overhead;
+        let (stage, lineage, taint) = (ctx.stage(), run.lineage, run.taint);
+        ctx.emit(|| TraceEvent::TaskEnd { stage, task: id, lineage, volume: output });
+        if !run.overhead.is_zero() {
+            let (count, cost) = (checkpoints_for(run.payload, self.every), run.overhead);
+            ctx.emit(|| TraceEvent::CheckpointWritten { stage, task: id, count, cost });
+        }
+        if !output.is_zero() {
+            ctx.deliver_tainted(output, taint, lineage);
+        } else if taint > 0 {
+            // A tainted block reduced to nothing is contained here: the
+            // corruption dies with the data, quarantined by loss.
+            let m = ctx.metrics();
+            m.corrupt_detected += taint as u64;
+            m.quarantined += 1;
+            ctx.emit(|| TraceEvent::BlockQuarantined { stage, lineage, volume: output, taint });
+        }
+    }
+
+    /// How much of a killed run survives: checkpoints completed during `raw`
+    /// useful work bank `every` of payload each and cost `every + cost` of
+    /// work time apiece; everything past the last completed checkpoint is
+    /// lost. Returns `(banked, written, lost)`.
+    fn salvage(&self, raw: SimDuration, payload: SimDuration) -> (SimDuration, u32, SimDuration) {
+        if self.every.is_zero() {
+            return (SimDuration::ZERO, 0, raw);
+        }
+        let step = self.every + self.cost;
+        let completed = (raw.as_micros() / step.as_micros()) as u32;
+        let completed = completed.min(checkpoints_for(payload, self.every));
+        (self.every * completed as u64, completed, raw.saturating_sub(step * completed as u64))
+    }
+
+    /// Kill: a crash on `resource` still needs `needed` units after the idle
+    /// ones died (see [`StageBehavior::on_crash`]). `progress` says how much
+    /// of the wall clock since a run's start was useful work; `refund` is
+    /// handed the unit-seconds a killed run will never use.
+    fn kill(
+        &mut self,
+        ctx: &mut StageCtx,
+        resource: ResourceId,
+        needed: u32,
+        progress: impl Fn(&mut StageCtx, SimTime, SimDuration) -> SimDuration,
+        refund: impl Fn(&mut StageCtx, f64),
+    ) -> u32 {
+        if resource != self.resource {
+            return 0;
+        }
+        let mut reclaimed = 0u32;
+        while reclaimed < needed {
+            // Youngest first: the task started last dies first, so the
+            // requeue order (front of the queue) replays deterministically.
+            let Some(run) = self.state.running.pop() else { break };
+            if ctx.cancel(run.event).is_none() {
+                // Completion already fired this instant; nothing to kill.
+                continue;
+            }
+            let now = ctx.now();
+            let wall = now.checked_sub(run.started_at).unwrap_or(SimDuration::ZERO);
+            let raw = progress(ctx, run.started_at, wall).min(run.payload + run.overhead);
+            let (banked, count, lost) = self.salvage(raw, run.payload);
+            let cost = self.cost * count as u64;
+            let remaining = run.ends_at.checked_sub(now).unwrap_or(SimDuration::ZERO);
+            refund(ctx, remaining.as_secs_f64() * run.units as f64);
+            let m = ctx.metrics();
+            m.busy = m.busy.saturating_sub(remaining);
+            m.crashes += 1;
+            m.work_lost += lost;
+            m.checkpoint_overhead += cost;
+            let (stage, id, lineage) = (ctx.stage(), run.id, run.lineage);
+            ctx.emit(|| TraceEvent::CrashKill { stage, task: id, lineage, lost });
+            if count > 0 {
+                ctx.emit(|| TraceEvent::CheckpointWritten { stage, task: id, count, cost });
+            }
+            ctx.ledger().free(run.held);
+            ctx.resources().release(self.resource, run.units);
+            reclaimed += run.units;
+            self.state.queued_volume += run.input;
+            self.state.queue.push_front(PendingTask {
+                input: run.input,
+                taint: run.taint,
+                lineage,
+                banked: run.banked + banked,
+                replay: lost,
+            });
+        }
+        if !self.state.queue.is_empty() {
+            // With the resource down the requeued work can only restart from
+            // the repair-time drain, which serves enlisted waiters.
+            let stage = ctx.stage();
+            ctx.resources().enlist(self.resource, stage);
+            self.emit_depth(ctx);
+        }
+        reclaimed
+    }
 }
 
 /// Emits `blocks` blocks of `block` bytes, one every `interval`.
@@ -485,15 +697,12 @@ impl StageBehavior for SourceBehavior {
 
 /// Consumes blocks with CPUs from a shared pool, emitting scaled output.
 pub struct ProcessBehavior {
-    rate_per_cpu: DataRate,
-    cpus_per_task: u32,
     chunk: Option<DataVolume>,
     output_ratio: f64,
     workspace_ratio: f64,
     retain_input: bool,
-    checkpoint: CheckpointPolicy,
-    pool: ResourceId,
-    tasks: TaskState,
+    /// Tasks of `cpus_per_task` cpus of the pool each.
+    tasks: TaskRunner,
 }
 
 impl ProcessBehavior {
@@ -508,249 +717,98 @@ impl ProcessBehavior {
         checkpoint: CheckpointPolicy,
         pool: ResourceId,
     ) -> Self {
-        ProcessBehavior {
-            rate_per_cpu,
-            cpus_per_task,
-            chunk,
-            output_ratio,
-            workspace_ratio,
-            retain_input,
-            checkpoint,
-            pool,
-            tasks: TaskState::default(),
-        }
+        let rate = rate_per_cpu * (cpus_per_task as f64);
+        let tasks = TaskRunner::new(pool, cpus_per_task, rate, checkpoint);
+        ProcessBehavior { chunk, output_ratio, workspace_ratio, retain_input, tasks }
     }
 }
 
 impl StageBehavior for ProcessBehavior {
     fn on_arrive(&mut self, ctx: &mut StageCtx, volume: DataVolume, taint: u32, lineage: u64) {
-        // Data-parallel stages split blocks into independent tasks (all
-        // chunks keep the parent block's lineage). A tainted block's taint
-        // rides with the first chunk only, keeping the flow-wide taint count
-        // conserved.
-        match self.chunk {
-            Some(c) if !c.is_zero() && volume > c => {
-                let mut remaining = volume;
-                let mut first = true;
-                while remaining > DataVolume::ZERO {
-                    let piece = remaining.min(c);
-                    self.tasks.queue.push_back(PendingTask::fresh(
-                        piece,
-                        if first { taint } else { 0 },
-                        lineage,
-                    ));
-                    first = false;
-                    remaining -= piece;
-                }
-            }
-            _ => self.tasks.queue.push_back(PendingTask::fresh(volume, taint, lineage)),
-        }
-        self.tasks.queued_volume += volume;
-        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-        ctx.metrics().note_queue(blocks, qv);
+        // Data-parallel stages split blocks into independent tasks of at
+        // most `chunk` each.
+        let chunk = self.chunk.filter(|c| !c.is_zero()).unwrap_or(volume);
+        let mut left = Some(volume);
+        let pieces = std::iter::from_fn(|| {
+            let rest = left?;
+            let piece = rest.min(chunk);
+            left = (rest > piece).then(|| rest - piece);
+            Some(piece)
+        });
+        self.tasks.enqueue(ctx, pieces, taint, lineage);
+        // Pools are shared: the stage waits its turn in the pool's drain.
         let stage = ctx.stage();
-        ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        ctx.resources().enlist(self.pool, stage);
-        ctx.request_drain(self.pool);
+        ctx.resources().enlist(self.tasks.resource, stage);
+        ctx.request_drain(self.tasks.resource);
     }
 
     fn on_complete(&mut self, ctx: &mut StageCtx, done: Completion) {
-        let Completion::Task { id, input, held, cpus } = done else {
-            unreachable!("process completion must be Task")
+        let Completion::Task { id, input, held, .. } = done else {
+            unreachable!("process completion must be Task, got {done:?}")
         };
-        let slot = self
-            .tasks
-            .running
-            .iter()
-            .position(|r| r.id == id)
-            .expect("completed task is tracked as running");
-        let run = self.tasks.running.swap_remove(slot);
         ctx.ledger().free(held);
         if self.retain_input {
             ctx.ledger().retain(input);
         } else {
             ctx.ledger().free(input);
         }
-        let output = input.scale(self.output_ratio);
-        let taint = run.taint;
-        let lineage = run.lineage;
-        let now = ctx.now();
-        let m = ctx.metrics();
-        m.blocks_out += 1;
-        m.volume_out += output;
-        m.completed_at = now;
-        m.checkpoint_overhead += run.overhead;
-        let stage = ctx.stage();
-        ctx.emit(|| TraceEvent::TaskEnd { stage, task: id, lineage, volume: output });
-        if !run.overhead.is_zero() {
-            let (count, cost) = match self.checkpoint {
-                CheckpointPolicy::Interval { every, .. } => {
-                    (checkpoints_for(run.payload, every), run.overhead)
-                }
-                CheckpointPolicy::None => (0, SimDuration::ZERO),
-            };
-            ctx.emit(|| TraceEvent::CheckpointWritten { stage, task: id, count, cost });
-        }
-        if !output.is_zero() {
-            ctx.deliver_tainted(output, taint, lineage);
-        } else if taint > 0 {
-            // A tainted block reduced to nothing is contained here: the
-            // corruption dies with the data, quarantined by loss.
-            let m = ctx.metrics();
-            m.corrupt_detected += taint as u64;
-            m.quarantined += 1;
-            ctx.emit(|| TraceEvent::BlockQuarantined { stage, lineage, volume: output, taint });
-        }
-        ctx.resources().release(self.pool, cpus);
-        if !self.tasks.queue.is_empty() {
+        self.tasks.finish(ctx, id, input.scale(self.output_ratio));
+        if !self.tasks.state.queue.is_empty() {
             let stage = ctx.stage();
-            ctx.resources().enlist(self.pool, stage);
+            ctx.resources().enlist(self.tasks.resource, stage);
         }
-        ctx.request_drain(self.pool);
+        ctx.request_drain(self.tasks.resource);
     }
 
+    /// One task per call: the pool's drain decides whose turn is next.
     fn try_dispatch(&mut self, ctx: &mut StageCtx) -> Dispatch {
-        if ctx.resources().free(self.pool) < self.cpus_per_task {
-            return Dispatch::Blocked; // head-of-line blocks until cpus free up
+        let (pool, cpus) = (self.tasks.resource, self.tasks.units);
+        let (workspace, output) = (self.workspace_ratio, self.output_ratio);
+        let outcome = self.tasks.start(
+            ctx,
+            |ctx, input, dur| {
+                // Injected stalls freeze the task while its cpus stay held.
+                let now = ctx.now();
+                let (dur, stalls) =
+                    ctx.faults().map_or((dur, 0), |f| f.plan.stalled_duration(now, dur));
+                ctx.resources().note_busy(pool, dur.as_secs_f64() * cpus as f64);
+                // Working space held during the task: scratch plus output
+                // estimate.
+                (dur, stalls, input.scale(workspace) + input.scale(output))
+            },
+            |id, input, held| Completion::Task { id, input, held, cpus },
+        );
+        if let Dispatch::Started { .. } = outcome {
+            self.tasks.emit_depth(ctx);
         }
-        let Some(task) = self.tasks.queue.pop_front() else { return Dispatch::Idle };
-        let input = task.input;
-        self.tasks.queued_volume -= input;
-        ctx.resources().acquire(self.pool, self.cpus_per_task);
-        let aggregate = self.rate_per_cpu * (self.cpus_per_task as f64);
-        let total = input.time_at(aggregate).unwrap_or(SimDuration::ZERO);
-        // Checkpointed work banked by earlier (crashed) runs is not re-done.
-        let payload = total.saturating_sub(task.banked);
-        let overhead = match self.checkpoint {
-            CheckpointPolicy::None => SimDuration::ZERO,
-            CheckpointPolicy::Interval { every, cost } => {
-                cost * checkpoints_for(payload, every) as u64
-            }
-        };
-        let mut dur = payload + overhead;
-        // Injected stalls freeze the task while its cpus stay held.
-        let mut stalls = 0u32;
-        let now = ctx.now();
-        if let Some(f) = ctx.faults() {
-            let (stalled, n) = f.plan.stalled_duration(now, dur);
-            dur = stalled;
-            stalls = n;
-        }
-        ctx.resources().note_busy(self.pool, dur.as_secs_f64() * self.cpus_per_task as f64);
-        // Working space held during the task: scratch plus output estimate.
-        let held = input.scale(self.workspace_ratio) + input.scale(self.output_ratio);
-        ctx.ledger().alloc(held);
-        let m = ctx.metrics();
-        m.busy += dur;
-        m.faults += stalls as u64;
-        m.work_replayed += task.replay;
-        let id = self.tasks.next_task;
-        self.tasks.next_task += 1;
-        let (stage, lineage, units) = (ctx.stage(), task.lineage, self.cpus_per_task);
-        ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume: input, units });
-        if stalls > 0 {
-            ctx.emit(|| TraceEvent::FaultInjected {
-                scope: FaultScope::Stage(stage),
-                kind: FaultKind::Stall,
-                count: stalls as u64,
-            });
-        }
-        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-        ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        let event = ctx
-            .complete_at(now + dur, Completion::Task { id, input, held, cpus: self.cpus_per_task });
-        self.tasks.running.push(RunningTask {
-            id,
-            event,
-            input,
-            taint: task.taint,
-            lineage,
-            held,
-            units: self.cpus_per_task,
-            started_at: now,
-            ends_at: now + dur,
-            banked: task.banked,
-            payload,
-            overhead,
-        });
-        Dispatch::Started { more: !self.tasks.queue.is_empty() }
+        outcome
     }
 
     fn on_crash(&mut self, ctx: &mut StageCtx, resource: ResourceId, needed: u32) -> u32 {
-        if resource != self.pool {
-            return 0;
-        }
-        let mut reclaimed = 0u32;
-        while reclaimed < needed {
-            // Youngest first: the task started last dies first, so the
-            // requeue order (front of the queue) replays deterministically.
-            let Some(run) = self.tasks.running.pop() else { break };
-            if ctx.cancel(run.event).is_none() {
-                // Completion already fired this instant; nothing to kill.
-                continue;
-            }
-            let now = ctx.now();
+        self.tasks.kill(
+            ctx,
+            resource,
+            needed,
             // Useful work accomplished so far: wall time minus stall freezes.
-            let raw = match ctx.faults() {
-                Some(f) => f.plan.progress_between(run.started_at, now),
-                None => now.checked_sub(run.started_at).unwrap_or(SimDuration::ZERO),
-            }
-            .min(run.payload + run.overhead);
-            let (banked, written, lost) = salvage(self.checkpoint, raw, run.payload);
+            |ctx, since, wall| {
+                let now = ctx.now();
+                ctx.faults().map_or(wall, |f| f.plan.progress_between(since, now))
+            },
             // Refund the busy time the killed task will never use.
-            let remaining = run.ends_at.checked_sub(now).unwrap_or(SimDuration::ZERO);
-            ctx.resources().note_busy(self.pool, -(remaining.as_secs_f64() * run.units as f64));
-            let m = ctx.metrics();
-            m.busy = m.busy.saturating_sub(remaining);
-            m.crashes += 1;
-            m.work_lost += lost;
-            let ckpt_cost = match self.checkpoint {
-                CheckpointPolicy::Interval { cost, .. } => cost * written as u64,
-                CheckpointPolicy::None => SimDuration::ZERO,
-            };
-            m.checkpoint_overhead += ckpt_cost;
-            let stage = ctx.stage();
-            let (id, lineage) = (run.id, run.lineage);
-            ctx.emit(|| TraceEvent::CrashKill { stage, task: id, lineage, lost });
-            if written > 0 {
-                ctx.emit(|| TraceEvent::CheckpointWritten {
-                    stage,
-                    task: id,
-                    count: written,
-                    cost: ckpt_cost,
-                });
-            }
-            ctx.ledger().free(run.held);
-            ctx.resources().release(self.pool, run.units);
-            reclaimed += run.units;
-            self.tasks.queued_volume += run.input;
-            self.tasks.queue.push_front(PendingTask {
-                input: run.input,
-                taint: run.taint,
-                lineage: run.lineage,
-                banked: run.banked + banked,
-                replay: lost,
-            });
-        }
-        if !self.tasks.queue.is_empty() {
-            let stage = ctx.stage();
-            ctx.resources().enlist(self.pool, stage);
-            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-            ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        }
-        reclaimed
+            |ctx, unit_secs| ctx.resources().note_busy(resource, -unit_secs),
+        )
     }
 
     fn queued_volume(&self) -> DataVolume {
-        self.tasks.queued_volume
+        self.tasks.state.queued_volume
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.tasks.put(out);
+        self.tasks.state.put(out);
     }
 
     fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
-        self.tasks = Wire::get(r)?;
+        self.tasks.state = Wire::get(r)?;
         Ok(())
     }
 }
@@ -893,7 +951,8 @@ impl StageBehavior for TransferBehavior {
         ctx.metrics().note_queue(blocks, qv);
         let stage = ctx.stage();
         ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        self.try_dispatch(ctx);
+        let outcome = self.try_dispatch(ctx);
+        enlist_if_offline(ctx, self.channel, outcome);
     }
 
     fn on_complete(&mut self, ctx: &mut StageCtx, done: Completion) {
@@ -974,13 +1033,12 @@ impl StageBehavior for TransferBehavior {
 }
 
 /// Inspects blocks in real time and forwards only the accepted fraction
-/// (an online trigger, like the CMS first-level filter).
+/// (an online trigger, like the CMS first-level filter): one inspection per
+/// unit of a private channel, nothing held, never stall-extended, and the
+/// stage dispatches itself rather than waiting for a drain.
 pub struct FilterBehavior {
-    rate: DataRate,
     accept_ratio: f64,
-    checkpoint: CheckpointPolicy,
-    channel: ResourceId,
-    tasks: TaskState,
+    tasks: TaskRunner,
 }
 
 impl FilterBehavior {
@@ -990,115 +1048,48 @@ impl FilterBehavior {
         checkpoint: CheckpointPolicy,
         channel: ResourceId,
     ) -> Self {
-        FilterBehavior { rate, accept_ratio, checkpoint, channel, tasks: TaskState::default() }
+        FilterBehavior { accept_ratio, tasks: TaskRunner::new(channel, 1, rate, checkpoint) }
+    }
+
+    /// An inspection finished, forwarding the accepted fraction — or, with
+    /// `filtering` off (a dedup whose index is still warming up), all of it.
+    fn inspected(&mut self, ctx: &mut StageCtx, done: Completion, filtering: bool) {
+        let Completion::Inspected { id, volume } = done else {
+            unreachable!("an inspecting stage's completion must be Inspected, got {done:?}")
+        };
+        let forwarded = if filtering { volume.scale(self.accept_ratio) } else { volume };
+        self.tasks.finish(ctx, id, forwarded);
+        // The whole block's buffer is released; the forwarded fraction is
+        // re-allocated by whoever receives it, the rest is gone.
+        ctx.ledger().free(volume);
+        self.try_dispatch(ctx);
     }
 }
 
 impl StageBehavior for FilterBehavior {
     fn on_arrive(&mut self, ctx: &mut StageCtx, volume: DataVolume, taint: u32, lineage: u64) {
-        self.tasks.queue.push_back(PendingTask::fresh(volume, taint, lineage));
-        self.tasks.queued_volume += volume;
-        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-        ctx.metrics().note_queue(blocks, qv);
-        let stage = ctx.stage();
-        ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        self.try_dispatch(ctx);
+        self.tasks.enqueue(ctx, std::iter::once(volume), taint, lineage);
+        let outcome = self.try_dispatch(ctx);
+        enlist_if_offline(ctx, self.tasks.resource, outcome);
     }
 
     fn on_complete(&mut self, ctx: &mut StageCtx, done: Completion) {
-        let Completion::Inspected { id, volume } = done else {
-            unreachable!("filter completion must be Inspected")
-        };
-        let slot = self
-            .tasks
-            .running
-            .iter()
-            .position(|r| r.id == id)
-            .expect("completed inspection is tracked as running");
-        let run = self.tasks.running.swap_remove(slot);
-        ctx.resources().release(self.channel, 1);
-        let accepted = volume.scale(self.accept_ratio);
-        let now = ctx.now();
-        let m = ctx.metrics();
-        m.blocks_out += 1;
-        m.volume_out += accepted;
-        m.completed_at = now;
-        m.checkpoint_overhead += run.overhead;
-        // The whole block's buffer is released; the accepted fraction is
-        // re-allocated by whoever receives it, the rejected rest is gone.
-        ctx.ledger().free(volume);
-        let taint = run.taint;
-        let lineage = run.lineage;
-        let stage = ctx.stage();
-        ctx.emit(|| TraceEvent::TaskEnd { stage, task: id, lineage, volume: accepted });
-        if !run.overhead.is_zero() {
-            let (count, cost) = match self.checkpoint {
-                CheckpointPolicy::Interval { every, .. } => {
-                    (checkpoints_for(run.payload, every), run.overhead)
-                }
-                CheckpointPolicy::None => (0, SimDuration::ZERO),
-            };
-            ctx.emit(|| TraceEvent::CheckpointWritten { stage, task: id, count, cost });
-        }
-        if !accepted.is_zero() {
-            ctx.deliver_tainted(accepted, taint, lineage);
-        } else if taint > 0 {
-            // A tainted block the filter rejects wholesale is contained here.
-            let m = ctx.metrics();
-            m.corrupt_detected += taint as u64;
-            m.quarantined += 1;
-            ctx.emit(|| TraceEvent::BlockQuarantined { stage, lineage, volume: accepted, taint });
-        }
-        self.try_dispatch(ctx);
+        self.inspected(ctx, done, true);
     }
 
     fn try_dispatch(&mut self, ctx: &mut StageCtx) -> Dispatch {
         let mut started = false;
-        while ctx.resources().free(self.channel) > 0 {
-            let Some(task) = self.tasks.queue.pop_front() else { break };
-            let volume = task.input;
-            self.tasks.queued_volume -= volume;
-            ctx.resources().acquire(self.channel, 1);
-            let total = volume.time_at(self.rate).unwrap_or(SimDuration::ZERO);
-            let payload = total.saturating_sub(task.banked);
-            let overhead = match self.checkpoint {
-                CheckpointPolicy::None => SimDuration::ZERO,
-                CheckpointPolicy::Interval { every, cost } => {
-                    cost * checkpoints_for(payload, every) as u64
-                }
-            };
-            let dur = payload + overhead;
-            let now = ctx.now();
-            let m = ctx.metrics();
-            m.busy += dur;
-            m.work_replayed += task.replay;
-            let id = self.tasks.next_task;
-            self.tasks.next_task += 1;
-            let (stage, lineage) = (ctx.stage(), task.lineage);
-            ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume, units: 1 });
-            let event = ctx.complete_at(now + dur, Completion::Inspected { id, volume });
-            self.tasks.running.push(RunningTask {
-                id,
-                event,
-                input: volume,
-                taint: task.taint,
-                lineage,
-                held: DataVolume::ZERO,
-                units: 1,
-                started_at: now,
-                ends_at: now + dur,
-                banked: task.banked,
-                payload,
-                overhead,
-            });
+        while let Dispatch::Started { .. } = self.tasks.start(
+            ctx,
+            |_, _, dur| (dur, 0, DataVolume::ZERO),
+            |id, volume, _| Completion::Inspected { id, volume },
+        ) {
             started = true;
         }
         if started {
-            let stage = ctx.stage();
-            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-            ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-            Dispatch::Started { more: !self.tasks.queue.is_empty() }
-        } else if self.tasks.queue.is_empty() {
+            self.tasks.emit_depth(ctx);
+            Dispatch::Started { more: !self.tasks.state.queue.is_empty() }
+        } else if self.tasks.state.queue.is_empty() {
             Dispatch::Idle
         } else {
             Dispatch::Blocked
@@ -1106,77 +1097,21 @@ impl StageBehavior for FilterBehavior {
     }
 
     fn on_crash(&mut self, ctx: &mut StageCtx, resource: ResourceId, needed: u32) -> u32 {
-        if resource != self.channel {
-            return 0;
-        }
-        let mut reclaimed = 0u32;
-        while reclaimed < needed {
-            let Some(run) = self.tasks.running.pop() else { break };
-            if ctx.cancel(run.event).is_none() {
-                continue;
-            }
-            let now = ctx.now();
-            // Filters run in real time and are not stall-extended, so wall
-            // clock is useful work.
-            let raw = now
-                .checked_sub(run.started_at)
-                .unwrap_or(SimDuration::ZERO)
-                .min(run.payload + run.overhead);
-            let (banked, written, lost) = salvage(self.checkpoint, raw, run.payload);
-            let remaining = run.ends_at.checked_sub(now).unwrap_or(SimDuration::ZERO);
-            let m = ctx.metrics();
-            m.busy = m.busy.saturating_sub(remaining);
-            m.crashes += 1;
-            m.work_lost += lost;
-            let ckpt_cost = match self.checkpoint {
-                CheckpointPolicy::Interval { cost, .. } => cost * written as u64,
-                CheckpointPolicy::None => SimDuration::ZERO,
-            };
-            m.checkpoint_overhead += ckpt_cost;
-            let stage = ctx.stage();
-            let (id, lineage) = (run.id, run.lineage);
-            ctx.emit(|| TraceEvent::CrashKill { stage, task: id, lineage, lost });
-            if written > 0 {
-                ctx.emit(|| TraceEvent::CheckpointWritten {
-                    stage,
-                    task: id,
-                    count: written,
-                    cost: ckpt_cost,
-                });
-            }
-            ctx.resources().release(self.channel, run.units);
-            reclaimed += run.units;
-            self.tasks.queued_volume += run.input;
-            self.tasks.queue.push_front(PendingTask {
-                input: run.input,
-                taint: run.taint,
-                lineage: run.lineage,
-                banked: run.banked + banked,
-                replay: lost,
-            });
-        }
-        if !self.tasks.queue.is_empty() {
-            // Filters normally self-dispatch, but with the channel down the
-            // requeued work can only restart from the repair-time drain, which
-            // serves enlisted waiters.
-            let stage = ctx.stage();
-            ctx.resources().enlist(self.channel, stage);
-            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-            ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        }
-        reclaimed
+        // Inspections run in real time, so all of the wall clock is useful
+        // work; a channel keeps no busy account to refund.
+        self.tasks.kill(ctx, resource, needed, |_, _, wall| wall, |_, _| {})
     }
 
     fn queued_volume(&self) -> DataVolume {
-        self.tasks.queued_volume
+        self.tasks.state.queued_volume
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.tasks.put(out);
+        self.tasks.state.put(out);
     }
 
     fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
-        self.tasks = Wire::get(r)?;
+        self.tasks.state = Wire::get(r)?;
         Ok(())
     }
 }
@@ -1283,177 +1218,57 @@ impl StageBehavior for BatcherBehavior {
 }
 
 /// Eliminates duplicate content (see
-/// [`StageKind::Dedup`](crate::graph::StageKind)): inspects blocks serially
-/// at `rate` like a filter, forwarding each block's full volume while the
-/// index is still warming up (the first `window` completed inspections) and
-/// `unique_ratio` of it afterwards.
+/// [`StageKind::Dedup`](crate::graph::StageKind)): a filter, inspecting
+/// blocks serially at `rate`, that forwards each block's full volume while
+/// the index is still warming up (the first `window` completed inspections)
+/// and `unique_ratio` of it afterwards. No checkpoints: a killed inspection
+/// restarts from zero.
 pub struct DedupBehavior {
-    rate: DataRate,
-    unique_ratio: f64,
     window: u64,
-    channel: ResourceId,
-    tasks: TaskState,
     /// Blocks fully inspected so far — the size of the dedup index. Counted
     /// at completion, so a crashed inspection does not warm the index.
     seen: u64,
+    /// Accepts `unique_ratio` once the index is warm.
+    inspector: FilterBehavior,
 }
 
 impl DedupBehavior {
     pub(crate) fn new(rate: DataRate, unique_ratio: f64, window: u64, channel: ResourceId) -> Self {
-        DedupBehavior { rate, unique_ratio, window, channel, tasks: TaskState::default(), seen: 0 }
+        let inspector = FilterBehavior::new(rate, unique_ratio, CheckpointPolicy::None, channel);
+        DedupBehavior { window, seen: 0, inspector }
     }
 }
 
 impl StageBehavior for DedupBehavior {
     fn on_arrive(&mut self, ctx: &mut StageCtx, volume: DataVolume, taint: u32, lineage: u64) {
-        self.tasks.queue.push_back(PendingTask::fresh(volume, taint, lineage));
-        self.tasks.queued_volume += volume;
-        let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-        ctx.metrics().note_queue(blocks, qv);
-        let stage = ctx.stage();
-        ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        self.try_dispatch(ctx);
+        self.inspector.on_arrive(ctx, volume, taint, lineage);
     }
 
     fn on_complete(&mut self, ctx: &mut StageCtx, done: Completion) {
-        let Completion::Inspected { id, volume } = done else {
-            unreachable!("dedup completion must be Inspected")
-        };
-        let slot = self
-            .tasks
-            .running
-            .iter()
-            .position(|r| r.id == id)
-            .expect("completed inspection is tracked as running");
-        let run = self.tasks.running.swap_remove(slot);
-        ctx.resources().release(self.channel, 1);
-        let forwarded =
-            if self.seen < self.window { volume } else { volume.scale(self.unique_ratio) };
+        let warm = self.seen >= self.window;
         self.seen += 1;
-        let now = ctx.now();
-        let m = ctx.metrics();
-        m.blocks_out += 1;
-        m.volume_out += forwarded;
-        m.completed_at = now;
-        // The whole block's buffer is released; the unique fraction is
-        // re-allocated by whoever receives it, the duplicate rest is gone.
-        ctx.ledger().free(volume);
-        let taint = run.taint;
-        let lineage = run.lineage;
-        let stage = ctx.stage();
-        ctx.emit(|| TraceEvent::TaskEnd { stage, task: id, lineage, volume: forwarded });
-        if !forwarded.is_zero() {
-            ctx.deliver_tainted(forwarded, taint, lineage);
-        } else if taint > 0 {
-            // A tainted block that collapses entirely against the index is
-            // contained here, quarantined by loss.
-            let m = ctx.metrics();
-            m.corrupt_detected += taint as u64;
-            m.quarantined += 1;
-            ctx.emit(|| TraceEvent::BlockQuarantined { stage, lineage, volume: forwarded, taint });
-        }
-        self.try_dispatch(ctx);
+        self.inspector.inspected(ctx, done, warm);
     }
 
     fn try_dispatch(&mut self, ctx: &mut StageCtx) -> Dispatch {
-        let mut started = false;
-        while ctx.resources().free(self.channel) > 0 {
-            let Some(task) = self.tasks.queue.pop_front() else { break };
-            let volume = task.input;
-            self.tasks.queued_volume -= volume;
-            ctx.resources().acquire(self.channel, 1);
-            let dur = volume.time_at(self.rate).unwrap_or(SimDuration::ZERO);
-            let now = ctx.now();
-            let m = ctx.metrics();
-            m.busy += dur;
-            m.work_replayed += task.replay;
-            let id = self.tasks.next_task;
-            self.tasks.next_task += 1;
-            let (stage, lineage) = (ctx.stage(), task.lineage);
-            ctx.emit(|| TraceEvent::TaskStart { stage, task: id, lineage, volume, units: 1 });
-            let event = ctx.complete_at(now + dur, Completion::Inspected { id, volume });
-            self.tasks.running.push(RunningTask {
-                id,
-                event,
-                input: volume,
-                taint: task.taint,
-                lineage,
-                held: DataVolume::ZERO,
-                units: 1,
-                started_at: now,
-                ends_at: now + dur,
-                banked: SimDuration::ZERO,
-                payload: dur,
-                overhead: SimDuration::ZERO,
-            });
-            started = true;
-        }
-        if started {
-            let stage = ctx.stage();
-            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-            ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-            Dispatch::Started { more: !self.tasks.queue.is_empty() }
-        } else if self.tasks.queue.is_empty() {
-            Dispatch::Idle
-        } else {
-            Dispatch::Blocked
-        }
+        self.inspector.try_dispatch(ctx)
     }
 
     fn on_crash(&mut self, ctx: &mut StageCtx, resource: ResourceId, needed: u32) -> u32 {
-        if resource != self.channel {
-            return 0;
-        }
-        let mut reclaimed = 0u32;
-        while reclaimed < needed {
-            let Some(run) = self.tasks.running.pop() else { break };
-            if ctx.cancel(run.event).is_none() {
-                continue;
-            }
-            let now = ctx.now();
-            // Like filters, dedup inspections run in real time and are not
-            // stall-extended, so wall clock is useful work. No checkpoints:
-            // a killed inspection restarts from zero.
-            let raw = now.checked_sub(run.started_at).unwrap_or(SimDuration::ZERO).min(run.payload);
-            let remaining = run.ends_at.checked_sub(now).unwrap_or(SimDuration::ZERO);
-            let m = ctx.metrics();
-            m.busy = m.busy.saturating_sub(remaining);
-            m.crashes += 1;
-            m.work_lost += raw;
-            let stage = ctx.stage();
-            let (id, lineage) = (run.id, run.lineage);
-            ctx.emit(|| TraceEvent::CrashKill { stage, task: id, lineage, lost: raw });
-            ctx.resources().release(self.channel, run.units);
-            reclaimed += run.units;
-            self.tasks.queued_volume += run.input;
-            self.tasks.queue.push_front(PendingTask {
-                input: run.input,
-                taint: run.taint,
-                lineage: run.lineage,
-                banked: SimDuration::ZERO,
-                replay: raw,
-            });
-        }
-        if !self.tasks.queue.is_empty() {
-            let stage = ctx.stage();
-            ctx.resources().enlist(self.channel, stage);
-            let (blocks, qv) = (self.tasks.queue.len(), self.tasks.queued_volume);
-            ctx.emit(|| TraceEvent::QueueDepthChange { stage, blocks, volume: qv });
-        }
-        reclaimed
+        self.inspector.on_crash(ctx, resource, needed)
     }
 
     fn queued_volume(&self) -> DataVolume {
-        self.tasks.queued_volume
+        self.inspector.queued_volume()
     }
 
     fn save_state(&self, out: &mut Vec<u8>) {
-        self.tasks.put(out);
+        self.inspector.save_state(out);
         self.seen.put(out);
     }
 
     fn load_state(&mut self, r: &mut Reader) -> Result<(), Damage> {
-        self.tasks = Wire::get(r)?;
+        self.inspector.load_state(r)?;
         self.seen = Wire::get(r)?;
         Ok(())
     }

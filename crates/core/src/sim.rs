@@ -1623,6 +1623,15 @@ mod tests {
     }
 
     fn filter_graph(accept_ratio: f64) -> FlowGraph {
+        inspecting_graph(StageKind::Filter {
+            rate: DataRate::mb_per_sec(200.0),
+            accept_ratio,
+            checkpoint: CheckpointPolicy::None,
+        })
+    }
+
+    /// detector → trigger → tape, four 10 GB blocks 100 s apart.
+    fn inspecting_graph(trigger: StageKind) -> FlowGraph {
         let mut g = FlowGraph::new();
         let s = g.add_stage(
             "detector",
@@ -1633,14 +1642,7 @@ mod tests {
                 start: SimTime::ZERO,
             },
         );
-        let f = g.add_stage(
-            "trigger",
-            StageKind::Filter {
-                rate: DataRate::mb_per_sec(200.0),
-                accept_ratio,
-                checkpoint: CheckpointPolicy::None,
-            },
-        );
+        let f = g.add_stage("trigger", trigger);
         let a = g.add_stage("tape", StageKind::Archive);
         g.connect(s, f).unwrap();
         g.connect(f, a).unwrap();
@@ -1901,6 +1903,99 @@ mod tests {
         let src = g.find("src").unwrap();
         g.set_verify(src, VerifyPolicy::digest(DataRate::mb_per_sec(100.0)));
         assert!(matches!(FlowSim::new(g, vec![]), Err(CoreError::InvalidConfig { .. })));
+    }
+
+    // --- Arrivals while a channel is offline --------------------------------
+
+    /// Run `g` with `units` of `stage`'s channel (`None`: all of them) down
+    /// from `at` s for `repair` s, recording the trace.
+    fn run_with_channel_down(
+        g: FlowGraph,
+        stage: &str,
+        units: Option<u32>,
+        at: u64,
+        repair: u64,
+    ) -> (SimReport, Vec<(SimTime, TraceEvent)>) {
+        let (pool, repair) = (format!("{stage}#channel"), SimDuration::from_secs(repair));
+        let kind = match units {
+            Some(cpus) => FaultKind::NodeCrash { pool, cpus, repair },
+            None => FaultKind::PoolOutage { pool, repair },
+        };
+        let at = SimTime::ZERO + SimDuration::from_secs(at);
+        let plan = FaultPlan::from_events(7, vec![FaultEvent { at, kind }]);
+        let trace = trace::TraceRecorder::new();
+        let report = FlowSim::new(g, vec![])
+            .unwrap()
+            .with_faults(plan, RetryPolicy::default())
+            .with_observer(trace.clone())
+            .run()
+            .unwrap();
+        (report, trace.snapshot().events)
+    }
+
+    /// When each task or transfer attempt of the run started, in seconds.
+    fn start_times(events: &[(SimTime, TraceEvent)]) -> Vec<f64> {
+        let started = |ev: &TraceEvent| {
+            matches!(ev, TraceEvent::TaskStart { .. } | TraceEvent::TransferAttempt { .. })
+        };
+        events.iter().filter(|(_, ev)| started(ev)).map(|(at, _)| at.as_secs_f64()).collect()
+    }
+
+    #[test]
+    fn filter_block_arriving_during_an_outage_is_inspected_at_the_repair() {
+        // Blocks at 0, 100, 200 and 300 s, 50 s of inspection each. The
+        // channel is idle when it goes dark at 260 s, so nothing is killed
+        // and nothing enlists the stage — until the fourth block arrives.
+        let (report, events) =
+            run_with_channel_down(filter_graph(0.05), "trigger", None, 260, 1000);
+        let trigger = report.stage("trigger").unwrap();
+        assert_eq!((trigger.blocks_in, trigger.blocks_out, trigger.crashes), (4, 4, 0));
+        assert_eq!(report.stage("tape").unwrap().volume_in, DataVolume::gb(2));
+        assert_eq!(start_times(&events), [0.0, 100.0, 200.0, 1260.0]);
+        assert_eq!(report.finished_at, SimTime::ZERO + SimDuration::from_secs(1310));
+    }
+
+    #[test]
+    fn dedup_block_arriving_during_an_outage_is_inspected_at_the_repair() {
+        let g = inspecting_graph(StageKind::Dedup {
+            rate: DataRate::mb_per_sec(200.0),
+            unique_ratio: 0.5,
+            window: 3,
+        });
+        let (report, events) = run_with_channel_down(g, "trigger", None, 260, 1000);
+        let dedup = report.stage("trigger").unwrap();
+        assert_eq!((dedup.blocks_in, dedup.blocks_out, dedup.crashes), (4, 4, 0));
+        // Three whole blocks while the index warms up, half of the fourth.
+        assert_eq!(report.stage("tape").unwrap().volume_in, DataVolume::gb(35));
+        assert_eq!(start_times(&events), [0.0, 100.0, 200.0, 1260.0]);
+        assert_eq!(report.finished_at, SimTime::ZERO + SimDuration::from_secs(1310));
+    }
+
+    #[test]
+    fn transfer_blocks_arriving_during_an_outage_ship_after_the_repair() {
+        // The link is down from the start; blocks arrive at 0, 1 and 2 s.
+        let (report, events) = run_with_channel_down(transfer_graph(1), "link", None, 0, 100);
+        assert_eq!(report.stage("link").unwrap().blocks_out, 3);
+        assert_eq!(report.stage("dst").unwrap().volume_in, DataVolume::gb(3));
+        assert_eq!(start_times(&events), [100.0, 112.0, 124.0]);
+        assert_eq!(report.finished_at, SimTime::ZERO + SimDuration::from_secs(136));
+    }
+
+    #[test]
+    fn a_partial_channel_crash_neither_strands_nor_double_dispatches() {
+        // Two of three lanes are down from 0 to 20 s. The first block ships
+        // on the survivor (0–12 s); the second arrives blocked, enlists, and
+        // is started by the first's delivery, not by the repair; the repair
+        // finds the stage still enlisted and starts the third at 20 s.
+        let (report, events) = run_with_channel_down(transfer_graph(3), "link", Some(2), 0, 20);
+        assert_eq!(report.stage("link").unwrap().blocks_out, 3);
+        assert_eq!(report.stage("dst").unwrap().volume_in, DataVolume::gb(3));
+        assert_eq!(start_times(&events), [0.0, 12.0, 20.0]);
+        assert_eq!(report.finished_at, SimTime::ZERO + SimDuration::from_secs(32));
+        // A repair that finds nothing queued drops the stale waiter entry.
+        let (late, events) = run_with_channel_down(transfer_graph(3), "link", Some(2), 0, 100);
+        assert_eq!(late.stage("dst").unwrap().volume_in, DataVolume::gb(3));
+        assert_eq!(start_times(&events), [0.0, 12.0, 24.0]);
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -3,12 +3,13 @@
 //! [`GeneratedScenario`] wraps a [`GenFlow`] from
 //! [`sciflow_core::genflow::generate`] with the same run modes the
 //! hand-built scenarios expose — clean, corrupt, corrupt-with-digests,
-//! crashy, traced — each under a fault plan derived from the graph's own
-//! seed. [`check_generated`] then drives an invariant over a whole batch of
-//! seeds, and when one fails it *shrinks*: the same seed payload is re-run
-//! at higher shrink levels (smaller graphs from the same draw stream) and
-//! the smallest still-failing `(archetype, seed)` pair is reported, ready to
-//! paste back into `generate` to reproduce the failure anywhere.
+//! crashy, channel-crashy, traced — each under a fault plan derived from the
+//! graph's own seed. [`check_generated`] then drives an invariant over a
+//! whole batch of seeds, and when one fails it *shrinks*: the same seed
+//! payload is re-run at higher shrink levels (smaller graphs from the same
+//! draw stream) and the smallest still-failing `(archetype, seed)` pair is
+//! reported, ready to paste back into `generate` to reproduce the failure
+//! anywhere.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -16,10 +17,11 @@ use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::genflow::{
     generate, with_shrink_level, Archetype, GenFlow, MAX_SHRINK_LEVEL, SEED_PAYLOAD_MASK,
 };
-use sciflow_core::graph::FlowGraph;
+use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::metrics::SimReport;
 use sciflow_core::sim::FlowSim;
 use sciflow_core::trace::{TraceRecorder, TraceSnapshot};
+use sciflow_core::units::SimDuration;
 
 use crate::rng::derive_seed;
 
@@ -76,6 +78,42 @@ impl GeneratedScenario {
         )
     }
 
+    /// Crashes and outages aimed at the private `"{stage}#channel"` resource
+    /// of every transfer, filter and dedup stage — per channel about one
+    /// single-unit crash every five minutes, two minutes to repair, and an
+    /// outage every half hour, five minutes to repair, on a timeline seeded
+    /// from the stage's name. Dense, so that across a batch of graphs the
+    /// crashes reliably land on running inspections. `None` when the graph
+    /// has no such stage.
+    pub fn channel_crash_plan(&self) -> Option<FaultPlan> {
+        let g = &self.flow.graph;
+        let events: Vec<_> = g
+            .stage_ids()
+            .map(|id| g.stage(id))
+            .filter(|st| {
+                matches!(
+                    st.kind,
+                    StageKind::Transfer { .. } | StageKind::Filter { .. } | StageKind::Dedup { .. }
+                )
+            })
+            .flat_map(|st| {
+                let channel = format!("{}#channel", st.name);
+                let profile =
+                    FaultProfile::node_crashes(channel, 288.0, 1, SimDuration::from_mins(2))
+                        .with_outages(48.0, SimDuration::from_mins(5));
+                self.plan(&format!("zoo-channel-{}", st.name), &profile).events().to_vec()
+            })
+            .collect();
+        (!events.is_empty())
+            .then(|| FaultPlan::from_events(derive_seed(self.flow.seed, "zoo-channel"), events))
+    }
+
+    /// The simulator behind [`GeneratedScenario::run_channel_crashy`].
+    pub fn sim_channel_crashy(&self) -> Option<FlowSim> {
+        let plan = self.channel_crash_plan()?;
+        Some(self.sim(self.flow.graph.clone()).with_faults(plan, self.policy))
+    }
+
     /// The simulator behind [`GeneratedScenario::run_traced`], reporting to
     /// the caller's recorder so killed / resumed runs can each keep their
     /// own trace.
@@ -107,6 +145,12 @@ impl GeneratedScenario {
     /// `None` when the graph has no process stage (nothing to crash).
     pub fn run_crashy(&self) -> Option<SimReport> {
         Some(self.sim_crashy()?.run().expect("generated flow converges"))
+    }
+
+    /// Run under [`GeneratedScenario::channel_crash_plan`]: inspections are
+    /// killed mid-block and blocks arrive at channels that are down.
+    pub fn run_channel_crashy(&self) -> Option<SimReport> {
+        Some(self.sim_channel_crashy()?.run().expect("generated flow converges"))
     }
 
     /// The corrupt run with a trace recorder attached, for trace/report

@@ -22,8 +22,10 @@
 //! so each CI matrix entry kills a disjoint slice of graph space at
 //! different events.
 
+use std::cell::Cell;
 use std::fs;
 use std::path::PathBuf;
+use std::rc::Rc;
 
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, wilson_crash_profile, CleoFlowParams, WILSON_POOL};
@@ -32,7 +34,9 @@ use sciflow_core::fnv::fnv1a;
 use sciflow_core::genflow::{Archetype, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
-use sciflow_core::trace::{FaultKind, FaultScope, ObserveConfig, TraceEvent, TraceRecorder};
+use sciflow_core::trace::{
+    FaultKind, FaultScope, ObserveConfig, Observer, TraceEvent, TraceRecorder,
+};
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
 use sciflow_core::{CoreError, SloRule, SnapshotPolicy};
 use sciflow_testkit::{
@@ -75,13 +79,24 @@ fn total_events(mut sim: FlowSim) -> u64 {
 /// seed-derived mid-run event, then a resumed run — whose report must equal
 /// the golden's both structurally and as JSON bytes.
 fn assert_resume_identity(label: &str, seed: u64, build: &dyn Fn() -> FlowSim) {
-    let golden = build().run().expect("golden run converges");
     let total = total_events(build());
     if total < 2 {
         return; // nothing mid-run to kill
     }
     let kill = 1 + derive_seed(seed, &format!("kill-{label}")) % (total - 1);
     let cadence = 1 + derive_seed(seed, &format!("cadence-{label}")) % kill.min(16);
+    assert_resume_identity_at(label, seed, build, kill, cadence);
+}
+
+/// [`assert_resume_identity`] with the kill point and snapshot cadence given.
+fn assert_resume_identity_at(
+    label: &str,
+    seed: u64,
+    build: &dyn Fn() -> FlowSim,
+    kill: u64,
+    cadence: u64,
+) {
+    let golden = build().run().expect("golden run converges");
     let path = tmp(&format!("{label}-{seed:x}"));
     let err = build()
         .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
@@ -122,6 +137,42 @@ fn killed_zoo_runs_resume_byte_identically_in_every_mode() {
                     s.sim_crashy().expect("crash profile exists")
                 });
             }
+        });
+    }
+}
+
+/// Counts the resource crashes a run injects (each takes at least one unit
+/// down until its repair).
+struct CrashCounter(Rc<Cell<u64>>);
+
+impl Observer for CrashCounter {
+    fn record(&mut self, _at: SimTime, ev: &TraceEvent) {
+        if crashes_in(&[(SimTime::ZERO, ev.clone())]) == 1 {
+            self.0.set(self.0.get() + 1);
+        }
+    }
+}
+
+/// A run killed while a channel is down — at the event that took it down,
+/// for a crash drawn from the seed, with a snapshot sealed at every event so
+/// the resume starts from exactly that state: an inspection just killed and
+/// requeued, or idle units confiscated with blocks still to arrive, and the
+/// repair pending in the engine.
+#[test]
+fn zoo_runs_killed_in_the_middle_of_a_channel_outage_resume_byte_identically() {
+    for archetype in [Archetype::StreamingIngest, Archetype::TieredDistribution] {
+        check_generated(archetype, zoo_seeds("resume-outage", archetype), |s| {
+            let seed = s.flow.seed;
+            let build = || s.sim_channel_crashy().expect("zoo graphs move data over channels");
+            let crashes = Rc::new(Cell::new(0));
+            build().with_observer(CrashCounter(crashes.clone())).run().expect("probe converges");
+            let target = 1 + derive_seed(seed, "outage") % crashes.get().max(1);
+            crashes.set(0);
+            let mut probe = build().with_observer(CrashCounter(crashes.clone()));
+            while crashes.get() < target {
+                assert!(probe.run_for(1).expect("probe advances"), "crash {target} never fired");
+            }
+            assert_resume_identity_at("channel-outage", seed, &build, probe.events_handled(), 1);
         });
     }
 }
