@@ -10,8 +10,6 @@ pub mod exp_cleo;
 pub mod exp_extensions;
 pub mod exp_summary;
 pub mod exp_weblab;
-pub mod flows;
-pub mod gate;
 pub mod report;
 
 use report::Report;

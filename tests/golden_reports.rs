@@ -162,6 +162,23 @@ fn cleo_default_flow_matches_golden() {
     assert_matches_golden(golden_path("cleo_clean"), &report);
 }
 
+/// When each default-parameter case study finishes on the pools the retired
+/// `BENCH_7`…`BENCH_10` records ran them with — the one thing those records
+/// pinned that no golden does (the CLEO goldens run a 32-processor farm,
+/// the records ran 64).
+#[test]
+fn case_study_finish_times_are_pinned() {
+    let finished_at_us = |r: &SimReport| r.finished_at.as_micros();
+    assert_eq!(finished_at_us(&arecibo_report(None)), 2_841_083_333_333);
+    let cleo = FlowSim::new(
+        cleo_flow_graph(&CleoFlowParams::default()),
+        vec![CpuPool::new(WILSON_POOL, 64)],
+    );
+    let cleo = cleo.expect("valid flow").run().expect("flow completes");
+    assert_eq!(finished_at_us(&cleo), 381_600_000_000);
+    assert_eq!(finished_at_us(&weblab_report(None)), 1_170_849_000_000);
+}
+
 /// The machine-readable export is held to the same standard as the text
 /// rendering: the default CLEO flow's [`SimReport::to_json`] must match a
 /// committed snapshot byte for byte, pinning the JSON schema and key order.

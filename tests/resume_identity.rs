@@ -31,7 +31,7 @@ use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, wilson_crash_profile, CleoFlowParams, WILSON_POOL};
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::fnv::fnv1a;
-use sciflow_core::genflow::{Archetype, SEED_PAYLOAD_MASK};
+use sciflow_core::genflow::{stress_flow, Archetype, StressParams, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::trace::{
@@ -139,6 +139,25 @@ fn killed_zoo_runs_resume_byte_identically_in_every_mode() {
             }
         });
     }
+}
+
+/// Durability is measured, never simulated into the result: an attached
+/// journal sealing a snapshot every 500 events leaves the report of a
+/// (reduced) stress flow exactly what the bare run reports.
+#[test]
+fn a_journaled_run_reports_identically_to_the_bare_run() {
+    let (graph, pools) = stress_flow(&StressParams { chains: 4, depth: 25, blocks: 100 });
+    let build = || FlowSim::new(graph.clone(), pools.clone()).expect("stress flows are valid");
+    let bare = build().run().expect("bare run converges");
+    let path = tmp("journaled-vs-bare");
+    let journaled = build()
+        .with_snapshot_policy(SnapshotPolicy::EveryEvents(500))
+        .with_journal(&path)
+        .expect("journal created")
+        .run()
+        .expect("journaled run converges");
+    let _ = fs::remove_file(&path);
+    assert_eq!(journaled, bare);
 }
 
 /// Counts the resource crashes a run injects (each takes at least one unit
