@@ -543,8 +543,8 @@ impl TaskRunner {
     /// taint and lineage (a corrupted block yields a corrupted product).
     fn finish(&mut self, ctx: &mut StageCtx, id: u64, output: DataVolume) {
         let slot = self.state.running.iter().position(|r| r.id == id);
-        let run =
-            self.state.running.swap_remove(slot.expect("completed task is tracked as running"));
+        let slot = slot.expect("completed task is tracked as running");
+        let run = self.state.running.swap_remove(slot);
         ctx.resources().release(self.resource, run.units);
         let now = ctx.now();
         let m = ctx.metrics();

@@ -166,7 +166,7 @@ struct CrashCounter(Rc<Cell<u64>>);
 
 impl Observer for CrashCounter {
     fn record(&mut self, _at: SimTime, ev: &TraceEvent) {
-        if crashes_in(&[(SimTime::ZERO, ev.clone())]) == 1 {
+        if is_resource_crash(ev) {
             self.0.set(self.0.get() + 1);
         }
     }
@@ -378,18 +378,15 @@ struct PauseView {
     batcher_buffering: bool,
 }
 
+fn is_resource_crash(ev: &TraceEvent) -> bool {
+    matches!(
+        ev,
+        TraceEvent::FaultInjected { scope: FaultScope::Resource(_), kind: FaultKind::Crash, .. }
+    )
+}
+
 fn crashes_in(events: &[(SimTime, TraceEvent)]) -> usize {
-    let crash = |ev: &TraceEvent| {
-        matches!(
-            ev,
-            TraceEvent::FaultInjected {
-                scope: FaultScope::Resource(_),
-                kind: FaultKind::Crash,
-                ..
-            }
-        )
-    };
-    events.iter().filter(|(_, ev)| crash(ev)).count()
+    events.iter().filter(|(_, ev)| is_resource_crash(ev)).count()
 }
 
 /// The snapshot format, byte for byte: `snapshot_to` at 1/8, 3/8, 5/8 and
