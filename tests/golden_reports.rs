@@ -11,12 +11,17 @@
 
 use std::path::PathBuf;
 
-use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
+use sciflow_arecibo::flow::{
+    arecibo_flow_graph, arecibo_observe_preset, AreciboFlowParams, CTC_POOL,
+};
 use sciflow_cleo::flow::{
-    cleo_flow_graph, reprocess_pass_profile, wilson_crash_profile, CleoFlowParams, WILSON_POOL,
+    cleo_flow_graph, cleo_observe_preset, cleo_slo_preset, reprocess_pass_profile,
+    wilson_crash_profile, CleoFlowParams, WILSON_POOL,
 };
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
+use sciflow_core::fnv::fnv1a;
 use sciflow_core::genflow::Archetype;
+use sciflow_core::graph::FlowGraph;
 use sciflow_core::metrics::SimReport;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::units::{DataRate, SimDuration};
@@ -24,7 +29,9 @@ use sciflow_testkit::GeneratedScenario;
 use sciflow_testkit::{
     assert_deterministic, assert_integrity_audit, assert_matches_golden, assert_matches_golden_text,
 };
-use sciflow_weblab::flow::{weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
+use sciflow_weblab::flow::{
+    weblab_flow_graph, weblab_observe_preset, WeblabFlowParams, WEBLAB_POOL,
+};
 
 /// Seed shared by every golden fault plan.
 const GOLDEN_SEED: u64 = 42;
@@ -177,6 +184,43 @@ fn case_study_finish_times_are_pinned() {
     let cleo = cleo.expect("valid flow").run().expect("flow completes");
     assert_eq!(finished_at_us(&cleo), 381_600_000_000);
     assert_eq!(finished_at_us(&weblab_report(None)), 1_170_849_000_000);
+}
+
+/// The whole `to_json()` of four decorated runs, as `(length, FNV-1a)`:
+/// each case study with its observe preset on the pools above, and CLEO
+/// with its SLO preset on one CPU. No golden holds a time series, and
+/// `cleo_slo_alerts.txt` holds only the alert lines.
+#[test]
+fn decorated_case_study_reports_are_pinned() {
+    let pin = |graph: FlowGraph, pools: Vec<CpuPool>| {
+        let report = FlowSim::new(graph, pools).expect("valid flow").run().expect("flow completes");
+        let json = report.to_json();
+        (json.len(), fnv1a(json.as_bytes()))
+    };
+    let mut arecibo = arecibo_flow_graph(&AreciboFlowParams::default());
+    arecibo.set_observe(arecibo_observe_preset());
+    let arecibo_pools = vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)];
+    let mut cleo = cleo_flow_graph(&CleoFlowParams::default());
+    cleo.set_observe(cleo_observe_preset());
+    let mut weblab = weblab_flow_graph(&WeblabFlowParams::default());
+    weblab.set_observe(weblab_observe_preset());
+    let mut cleo_slo = cleo_flow_graph(&CleoFlowParams::default());
+    cleo_slo.set_slos(cleo_slo_preset(&CleoFlowParams::default()));
+    let pins = [
+        pin(arecibo, arecibo_pools),
+        pin(cleo, vec![CpuPool::new(WILSON_POOL, 64)]),
+        pin(weblab, vec![CpuPool::new(WEBLAB_POOL, 16)]),
+        pin(cleo_slo, vec![CpuPool::new(WILSON_POOL, 1)]),
+    ];
+    assert_eq!(
+        pins,
+        [
+            (21_963, 0x2439_f018_b17c_0aed),
+            (28_434, 0x10b4_0694_3f30_fb44),
+            (9_925, 0x4ad2_0dfa_317c_4608),
+            (4_307, 0xc510_87f0_d03a_ebef),
+        ]
+    );
 }
 
 /// The machine-readable export is held to the same standard as the text
