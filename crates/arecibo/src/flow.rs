@@ -11,7 +11,8 @@
 
 use sciflow_core::fault::FaultProfile;
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, VerifyPolicy};
-use sciflow_core::spec::{FlowSpec, ObserveConfig, ProcessSpec, SloRule, SourceSpec, TransferSpec};
+use sciflow_core::spec::{FlowSpec, ProcessSpec, SourceSpec, TransferSpec};
+use sciflow_core::trace::ObserveConfig;
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 
 /// Paper-scale parameters for the Arecibo flow.
@@ -111,42 +112,17 @@ pub const CTC_POOL: &str = "ctc";
 
 /// Telemetry preset for the survey flow: the weekly cadence and multi-day
 /// shipping legs resolve cleanly at one sample every six hours, keeping a
-/// month-long run to a few hundred samples.
+/// month-long run to a few hundred samples. Attach it to the built graph
+/// with [`FlowGraph::set_observe`]: same flow, same replay, plus time-series
+/// and engine sections in the report.
 pub fn arecibo_observe_preset() -> ObserveConfig {
     ObserveConfig::every(SimDuration::from_hours(6))
-}
-
-/// SLO preset for the survey flow, sized from the flow's own parameters:
-/// dedispersion falling a month of raw data behind the shipments, or any
-/// corrupt pointing escaping tape verification. Attach with
-/// [`FlowSpec::slo`]; the default graph builders leave rules off so their
-/// committed reports keep their pre-SLO bytes.
-pub fn arecibo_slo_preset(p: &AreciboFlowParams) -> Vec<SloRule> {
-    vec![
-        SloRule::queue_backlog("dedisperse-backlog", "dedisperse", p.weekly_block * 4),
-        SloRule::escaped_taint("tape-escapes", 0),
-    ]
 }
 
 /// Build the Figure-1 flow: acquisition at the telescope, local quality
 /// monitoring, disk shipping, tape archiving, dedispersion, search,
 /// meta-analysis consolidation, database load, and NVO-facing archive.
 pub fn arecibo_flow_graph(p: &AreciboFlowParams) -> FlowGraph {
-    arecibo_flow_spec(p).build().expect("arecibo flow spec is valid")
-}
-
-/// [`arecibo_flow_graph`] with the [`arecibo_observe_preset`] telemetry
-/// applied: same flow, same replay, plus time-series and engine sections in
-/// the report.
-pub fn arecibo_flow_graph_observed(p: &AreciboFlowParams) -> FlowGraph {
-    arecibo_flow_spec(p)
-        .observe(arecibo_observe_preset())
-        .build()
-        .expect("arecibo flow spec is valid")
-}
-
-/// The shared [`FlowSpec`] behind both graph builders.
-fn arecibo_flow_spec(p: &AreciboFlowParams) -> FlowSpec {
     FlowSpec::new()
         .source("acquire", SourceSpec::new(p.weekly_block, SimDuration::from_days(7), p.weeks))
         // Local quality monitoring passes the data through quickly ("initial
@@ -190,6 +166,8 @@ fn arecibo_flow_spec(p: &AreciboFlowParams) -> FlowSpec {
             &["search"],
         )
         .archive("ctc-database", &["meta-analysis"])
+        .build()
+        .expect("arecibo flow spec is valid")
 }
 
 #[cfg(test)]
@@ -289,13 +267,13 @@ mod tests {
     fn observed_flow_replays_identically_and_carries_telemetry() {
         let params = AreciboFlowParams { weeks: 2, ..AreciboFlowParams::default() };
         let plain = run_params(&params, 150);
-        let observed = FlowSim::new(
-            arecibo_flow_graph_observed(&params),
-            vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)],
-        )
-        .expect("valid flow")
-        .run()
-        .expect("flow completes");
+        let mut graph = arecibo_flow_graph(&params);
+        graph.set_observe(arecibo_observe_preset());
+        let observed =
+            FlowSim::new(graph, vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)])
+                .expect("valid flow")
+                .run()
+                .expect("flow completes");
         // Observation adds sections; it never changes the simulated physics.
         assert_eq!(plain.finished_at, observed.finished_at);
         assert_eq!(plain.stages, observed.stages);

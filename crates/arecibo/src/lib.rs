@@ -44,8 +44,7 @@ pub mod units;
 
 pub use dedisperse::{best_dm, dedisperse, dedisperse_many};
 pub use flow::{
-    arecibo_flow_graph, arecibo_flow_graph_observed, arecibo_observe_preset, ctc_crash_profile,
-    AreciboFlowParams, CTC_POOL,
+    arecibo_flow_graph, arecibo_observe_preset, ctc_crash_profile, AreciboFlowParams, CTC_POOL,
 };
 pub use pipeline::{process_beam, process_pointing, PipelineConfig, PointingOutput};
 pub use search::{search_series, Candidate, SearchConfig};

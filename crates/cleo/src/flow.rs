@@ -11,9 +11,9 @@
 
 use sciflow_core::fault::FaultProfile;
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, VerifyPolicy};
-use sciflow_core::spec::{
-    FilterSpec, FlowSpec, ObserveConfig, ProcessSpec, SloRule, SourceSpec, TransferSpec,
-};
+use sciflow_core::obs::SloRule;
+use sciflow_core::spec::{FilterSpec, FlowSpec, ProcessSpec, SourceSpec, TransferSpec};
+use sciflow_core::trace::ObserveConfig;
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 
 /// Paper-scale parameters for the CLEO flow.
@@ -100,16 +100,19 @@ pub fn reprocess_pass_profile(silent_corrupts_per_day: f64) -> FaultProfile {
 
 /// Telemetry preset for the CLEO flow: runs arrive hourly and reconstruction
 /// tasks span tens of minutes, so half-hour samples resolve the farm's
-/// occupancy over the day-scale run.
+/// occupancy over the day-scale run. Attach it to the built graph with
+/// [`FlowGraph::set_observe`]: same flow, same replay, plus time-series and
+/// engine sections in the report.
 pub fn cleo_observe_preset() -> ObserveConfig {
     ObserveConfig::every(SimDuration::from_mins(30))
 }
 
 /// SLO preset for the CLEO flow, sized from the flow's own parameters: the
 /// reconstruction farm falling a shift (eight runs) behind acquisition, or
-/// any corrupt run escaping EventStore verification. Attach with
-/// [`FlowSpec::slo`]; the default graph builders leave rules off so their
-/// committed reports keep their pre-SLO bytes.
+/// any corrupt run escaping EventStore verification. Attach it to the built
+/// graph with [`FlowGraph::set_slos`]: same flow, same replay, plus an
+/// `alerts` section in the report. [`cleo_flow_graph`] leaves rules off so
+/// the committed goldens keep their pre-SLO bytes.
 pub fn cleo_slo_preset(p: &CleoFlowParams) -> Vec<SloRule> {
     vec![
         SloRule::queue_backlog("recon-backlog", "reconstruction", p.run_volume * 8),
@@ -121,30 +124,6 @@ pub fn cleo_slo_preset(p: &CleoFlowParams) -> Vec<SloRule> {
 /// post-reconstruction → collaboration EventStore; MC produced in parallel
 /// (offsite) and shipped in; analysis reads the store.
 pub fn cleo_flow_graph(p: &CleoFlowParams) -> FlowGraph {
-    cleo_flow_spec(p).build().expect("cleo flow spec is valid")
-}
-
-/// [`cleo_flow_graph`] with the [`cleo_observe_preset`] telemetry applied:
-/// same flow, same replay, plus time-series and engine sections in the
-/// report.
-pub fn cleo_flow_graph_observed(p: &CleoFlowParams) -> FlowGraph {
-    cleo_flow_spec(p).observe(cleo_observe_preset()).build().expect("cleo flow spec is valid")
-}
-
-/// [`cleo_flow_graph`] with the [`cleo_slo_preset`] rules attached: same
-/// flow, same replay, plus an `alerts` section in the report. Kept separate
-/// from the default builder so the committed golden reports keep their
-/// pre-SLO bytes.
-pub fn cleo_flow_graph_slo(p: &CleoFlowParams) -> FlowGraph {
-    let mut spec = cleo_flow_spec(p);
-    for rule in cleo_slo_preset(p) {
-        spec = spec.slo(rule);
-    }
-    spec.build().expect("cleo flow spec is valid")
-}
-
-/// The shared [`FlowSpec`] behind both graph builders.
-fn cleo_flow_spec(p: &CleoFlowParams) -> FlowSpec {
     // Offsite Monte-Carlo production, accumulated into a few batched USB
     // shipments (a courier box per run would be absurd — and, in the model,
     // would serialize the two-day transit per run).
@@ -192,6 +171,8 @@ fn cleo_flow_spec(p: &CleoFlowParams) -> FlowSpec {
         // by name after the fact.
         .feed("mc-merge", "collaboration-eventstore")
         .verify("collaboration-eventstore", p.eventstore_verify)
+        .build()
+        .expect("cleo flow spec is valid")
 }
 
 /// CMS real-time filtering: given the collision-event rate and size and the
@@ -356,11 +337,12 @@ mod tests {
             .expect("valid flow")
             .run()
             .expect("flow completes");
-        let observed =
-            FlowSim::new(cleo_flow_graph_observed(&p), vec![CpuPool::new(WILSON_POOL, 64)])
-                .expect("valid flow")
-                .run()
-                .expect("flow completes");
+        let mut graph = cleo_flow_graph(&p);
+        graph.set_observe(cleo_observe_preset());
+        let observed = FlowSim::new(graph, vec![CpuPool::new(WILSON_POOL, 64)])
+            .expect("valid flow")
+            .run()
+            .expect("flow completes");
         assert_eq!(plain.finished_at, observed.finished_at);
         assert_eq!(plain.stages, observed.stages);
         let ts = observed.timeseries.as_ref().expect("preset enables telemetry");

@@ -28,7 +28,6 @@
 //! handed to [`FlowSim::new`](crate::sim::FlowSim::new), which lowers
 //! through this module itself.
 
-use crate::durable::SnapshotPolicy;
 use crate::error::CoreResult;
 use crate::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind, VerifyPolicy};
 use crate::obs::SloRule;
@@ -127,8 +126,6 @@ pub struct CompiledFlow {
     pending_emits: u64,
     /// Telemetry configuration carried over from the graph.
     observe: Option<ObserveConfig>,
-    /// Snapshot cadence for journaled runs, carried over from the graph.
-    snapshot: SnapshotPolicy,
     /// Declarative SLO rules carried over from the graph.
     slos: Vec<SloRule>,
 }
@@ -238,7 +235,6 @@ pub fn compile(graph: &FlowGraph) -> CoreResult<CompiledFlow> {
         sink,
         pending_emits,
         observe: graph.observe_config(),
-        snapshot: graph.snapshot_policy(),
         slos: graph.slo_rules().to_vec(),
     })
 }
@@ -343,11 +339,6 @@ impl CompiledFlow {
     /// Telemetry configuration, if the graph enabled observation.
     pub fn observe_config(&self) -> Option<ObserveConfig> {
         self.observe
-    }
-
-    /// The snapshot cadence for journaled runs of this flow.
-    pub fn snapshot_policy(&self) -> SnapshotPolicy {
-        self.snapshot
     }
 
     /// The declarative SLO rules carried from the graph (empty when none).

@@ -264,7 +264,7 @@ crate::wire_struct! {
 }
 
 /// Time-resolved telemetry sampled during the run, recorded when the flow
-/// was built with [`crate::spec::FlowSpec::observe`]. Samples reflect the
+/// was observed ([`crate::graph::FlowGraph::set_observe`]). Samples reflect the
 /// state after all events at or before the sample time; sampling schedules
 /// no events of its own, so the run is identical with or without it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -309,14 +309,14 @@ pub struct SimReport {
     /// zero for a correct simulation; a non-zero count flags a storage
     /// accounting bug in whatever produced the report.
     pub ledger_underflows: u64,
-    /// Time-resolved telemetry; `Some` only when the flow was built with
-    /// [`crate::spec::FlowSpec::observe`]. Unobserved flows carry `None`, so
+    /// Time-resolved telemetry; `Some` only when the flow was observed
+    /// ([`crate::graph::FlowGraph::set_observe`]). Unobserved flows carry `None`, so
     /// their reports stay identical to the pre-observability simulator.
     pub timeseries: Option<TimeSeries>,
     /// Event-loop counters; populated together with `timeseries`.
     pub engine: Option<EngineStats>,
-    /// SLO violation windows; `Some` (possibly empty) only when the flow was
-    /// built with [`crate::spec::FlowSpec::slo`] rules. Flows without rules
+    /// SLO violation windows; `Some` (possibly empty) only when the flow
+    /// carries rules ([`crate::graph::FlowGraph::set_slos`]). Flows without rules
     /// carry `None`, so their reports — and every previously committed
     /// golden — render byte-identically to the pre-SLO simulator.
     pub alerts: Option<Vec<Alert>>,

@@ -469,8 +469,9 @@ pub enum SloKind {
     ReplicationLag { max_weight: u64 },
 }
 
-/// A named, declarative SLO rule, attached via `FlowSpec::slo` or
-/// `SyncFabric::with_slo` and evaluated deterministically in simulated time.
+/// A named, declarative SLO rule, attached via
+/// [`crate::graph::FlowGraph::set_slos`] or `SyncFabric::with_slo` and
+/// evaluated deterministically in simulated time.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SloRule {
     pub name: String,

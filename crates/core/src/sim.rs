@@ -128,14 +128,14 @@ struct RunConfig {
     /// How many lineage hops [`FlowSim`] walks looking for a durable ancestor
     /// before giving a quarantined block up as unrecoverable.
     max_reprocess_depth: usize,
-    /// When journaled runs commit snapshot frames; from the compiled flow,
-    /// overridable with [`FlowSim::with_snapshot_policy`].
+    /// When journaled runs commit snapshot frames: never, unless set with
+    /// [`FlowSim::with_snapshot_policy`].
     snapshot_policy: SnapshotPolicy,
     /// Crash-test hook: abort with [`CoreError::Killed`] once this many
     /// events have been handled ([`FlowSim::with_kill_after`]).
     kill_after: Option<u64>,
-    /// Interval between time-series samples; read only when the flow was
-    /// built with [`crate::spec::FlowSpec::observe`].
+    /// Interval between time-series samples; read only when the graph was
+    /// observed ([`FlowGraph::set_observe`]).
     tick: SimDuration,
     /// Pools sampled by the time series, in [`SimReport::pools`] order.
     sample_pools: Vec<ResourceId>,
@@ -167,7 +167,7 @@ struct RunState {
     /// on every delivery whether or not an observer is attached, so attaching
     /// one can never perturb the flow being observed.
     trace: TraceCtx,
-    /// Present iff the graph was built with [`crate::spec::FlowSpec::observe`].
+    /// Present iff the graph was observed ([`FlowGraph::set_observe`]).
     sampler: Option<SamplerState>,
     /// Number of source blocks still to be emitted.
     pending_emits: u64,
@@ -358,8 +358,11 @@ impl FlowSim {
         Self::from_compiled(compile(&graph)?, pools)
     }
 
-    /// Build a simulator from an already-compiled flow. Every pool the flow
-    /// references must be supplied.
+    /// Build a simulator from an already-compiled flow. Every refusal that
+    /// depends on the graph alone was raised by [`FlowGraph::validate`] when
+    /// the flow compiled; what is left depends on `pools`: each supplied
+    /// once with non-zero cpus, every pool the flow references supplied,
+    /// and no task wider than its pool.
     pub fn from_compiled(flow: CompiledFlow, pools: Vec<CpuPool>) -> CoreResult<Self> {
         let mut resources = ResourceSet::new(flow.len(), SchedPolicy::default());
         for p in pools {
@@ -386,10 +389,8 @@ impl FlowSim {
             .iter()
             .map(|name| resources.find(name).expect("pool checked above"))
             .collect();
-        // Stage-local parameter validation (ratios, channels, checkpoint and
-        // verify policies) ran when the flow was compiled. The one check that
-        // needs the pools stays here: a task wider than its whole pool would
-        // wait forever and silently stall the flow.
+        // A task wider than its whole pool would wait forever and silently
+        // stall the flow.
         for id in flow.stage_ids() {
             if let CompiledKind::Process { cpus_per_task, pool, .. } = *flow.kind(id) {
                 let total = resources.total(pool_rids[pool.index()]);
@@ -453,45 +454,31 @@ impl FlowSim {
             behaviors.push(Some(behavior));
         }
         let (tick, sample_pools) = match flow.observe_config() {
-            Some(cfg) if cfg.tick.is_zero() => {
-                return Err(CoreError::InvalidConfig {
-                    detail: "observation tick must be non-zero".to_string(),
-                });
-            }
             Some(cfg) => (Some(cfg.tick), resources.pool_ids()),
             None => (None, Vec::new()),
         };
         // Resolve SLO rules to id-indexed targets once, so evaluation (which
         // runs per event when rules are attached) never compares strings.
-        let mut slo = Vec::with_capacity(flow.slo_rules().len());
-        for rule in flow.slo_rules() {
-            let target = match &rule.kind {
-                SloKind::QueueBacklog { stage, max_volume } => {
-                    let id =
-                        flow.stage_ids().find(|&id| flow.name(id) == stage).ok_or_else(|| {
-                            CoreError::InvalidConfig {
-                                detail: format!(
-                                    "SLO rule `{}` watches unknown stage `{stage}`",
-                                    rule.name
-                                ),
-                            }
-                        })?;
-                    SloTarget::Queue { stage: id.index(), ceiling: max_volume.bytes() }
-                }
-                SloKind::EscapedTaint { max } => SloTarget::Escapes { ceiling: *max },
-                SloKind::SnapshotGap { max_gap } => SloTarget::SnapGap { max_gap: *max_gap },
-                SloKind::ReplicationLag { .. } => {
-                    return Err(CoreError::InvalidConfig {
-                        detail: format!(
-                            "SLO rule `{}`: replication-lag rules attach to a replica \
-                             SyncFabric, not a flow",
-                            rule.name
-                        ),
-                    })
-                }
-            };
-            slo.push(SloMonitor { name: rule.name.clone(), target });
-        }
+        // `compile` validated every rule against the graph.
+        let slo: Vec<SloMonitor> = flow
+            .slo_rules()
+            .iter()
+            .map(|rule| {
+                let target = match &rule.kind {
+                    SloKind::QueueBacklog { stage, max_volume } => {
+                        let id = flow.stage_ids().find(|&id| flow.name(id) == stage);
+                        let id = id.expect("validate refuses rules on undeclared stages");
+                        SloTarget::Queue { stage: id.index(), ceiling: max_volume.bytes() }
+                    }
+                    SloKind::EscapedTaint { max } => SloTarget::Escapes { ceiling: *max },
+                    SloKind::SnapshotGap { max_gap } => SloTarget::SnapGap { max_gap: *max_gap },
+                    SloKind::ReplicationLag { .. } => {
+                        unreachable!("validate refuses replication-lag rules on a flow")
+                    }
+                };
+                SloMonitor { name: rule.name.clone(), target }
+            })
+            .collect();
         let state = RunState {
             engine: None,
             behaviors,
@@ -514,7 +501,7 @@ impl FlowSim {
         let cfg = RunConfig {
             max_events: 50_000_000,
             max_reprocess_depth: 8,
-            snapshot_policy: flow.snapshot_policy(),
+            snapshot_policy: SnapshotPolicy::None,
             kill_after: None,
             tick: tick.unwrap_or(SimDuration::ZERO),
             sample_pools,
@@ -581,8 +568,10 @@ impl FlowSim {
         self
     }
 
-    /// Override the snapshot cadence the flow was compiled with. Inert
-    /// unless a journal is attached; never perturbs the simulation itself.
+    /// Set when journaled runs commit snapshot frames (default: never) —
+    /// the one place a run's cadence is set. Inert unless a journal is
+    /// attached and never perturbs the simulation itself, so the journal's
+    /// spec hash does not cover it.
     pub fn with_snapshot_policy(mut self, policy: SnapshotPolicy) -> Self {
         self.cfg.snapshot_policy = policy;
         self
@@ -687,24 +676,7 @@ impl FlowSim {
         }
         // Let every behavior seed its initial events, in stage order.
         for id in self.flow.stage_ids() {
-            let mut behavior = self.state.behaviors[id.index()].take().expect("behavior in place");
-            let mut fx = self.take_fx();
-            {
-                let mut ctx = StageCtx::new(
-                    id,
-                    &self.flow,
-                    engine.scheduler(),
-                    &mut self.state.metrics,
-                    &mut self.state.ledger,
-                    &mut self.state.resources,
-                    &mut self.state.faults,
-                    &mut fx,
-                    &mut self.state.trace,
-                );
-                behavior.seed(&mut ctx);
-            }
-            self.state.behaviors[id.index()] = Some(behavior);
-            self.recycle_fx(fx);
+            self.run_hook(id, engine.scheduler(), |b, ctx| b.seed(ctx));
         }
         match self.cfg.snapshot_policy {
             SnapshotPolicy::None => {}
@@ -972,26 +944,7 @@ impl FlowSim {
     fn drain(&mut self, rid: ResourceId, sched: &mut Scheduler<FlowEvent>) {
         use crate::behavior::Dispatch;
         while let Some(head) = self.state.resources.front_waiter(rid) {
-            let mut behavior =
-                self.state.behaviors[head.index()].take().expect("behavior in place");
-            let mut fx = self.take_fx();
-            let dispatched = {
-                let mut ctx = StageCtx::new(
-                    head,
-                    &self.flow,
-                    sched,
-                    &mut self.state.metrics,
-                    &mut self.state.ledger,
-                    &mut self.state.resources,
-                    &mut self.state.faults,
-                    &mut fx,
-                    &mut self.state.trace,
-                );
-                behavior.try_dispatch(&mut ctx)
-            };
-            self.state.behaviors[head.index()] = Some(behavior);
-            self.recycle_fx(fx);
-            match dispatched {
+            match self.run_hook(head, sched, |b, ctx| b.try_dispatch(ctx)) {
                 Dispatch::Blocked => break,
                 Dispatch::Idle => self.state.resources.drop_front(rid),
                 Dispatch::Started { more } => self.state.resources.after_dispatch(rid, more),
@@ -1024,25 +977,7 @@ impl FlowSim {
         let mut shortfall = self.state.resources.crash(rid, take);
         if shortfall > 0 {
             for id in self.flow.stage_ids() {
-                let mut behavior =
-                    self.state.behaviors[id.index()].take().expect("behavior in place");
-                let mut fx = self.take_fx();
-                {
-                    let mut ctx = StageCtx::new(
-                        id,
-                        &self.flow,
-                        sched,
-                        &mut self.state.metrics,
-                        &mut self.state.ledger,
-                        &mut self.state.resources,
-                        &mut self.state.faults,
-                        &mut fx,
-                        &mut self.state.trace,
-                    );
-                    behavior.on_crash(&mut ctx, rid, shortfall);
-                }
-                self.state.behaviors[id.index()] = Some(behavior);
-                self.recycle_fx(fx);
+                self.run_hook(id, sched, |b, ctx| b.on_crash(ctx, rid, shortfall));
                 // Killed tasks released their units back to the free count;
                 // confiscate again until the crash is fully covered.
                 shortfall = self.state.resources.crash(rid, shortfall);
@@ -1106,6 +1041,50 @@ impl FlowSim {
         }
     }
 
+    /// Run one behavior hook on stage `id`: take the behavior out of its
+    /// slot, hand `hook` a [`StageCtx`] over the run state, put the behavior
+    /// back, then apply what the hook deferred — source emissions, then
+    /// resource drains — and recycle the buffer. Only `on_arrive` and
+    /// `on_complete` defer anything; after the other hooks that step is
+    /// empty.
+    fn run_hook<R>(
+        &mut self,
+        id: StageId,
+        sched: &mut Scheduler<FlowEvent>,
+        hook: impl FnOnce(&mut dyn StageBehavior, &mut StageCtx) -> R,
+    ) -> R {
+        let mut behavior = self.state.behaviors[id.index()].take().expect("behavior in place");
+        let mut fx = self.take_fx();
+        let out = hook(
+            behavior.as_mut(),
+            &mut StageCtx::new(
+                id,
+                &self.flow,
+                sched,
+                &mut self.state.metrics,
+                &mut self.state.ledger,
+                &mut self.state.resources,
+                &mut self.state.faults,
+                &mut fx,
+                &mut self.state.trace,
+            ),
+        );
+        self.state.behaviors[id.index()] = Some(behavior);
+        for _ in 0..fx.source_emits {
+            self.state.pending_emits -= 1;
+            if self.state.pending_emits == 0 {
+                self.state.backlog_at_source_end = Some(self.total_queued());
+                self.state.source_end = Some(sched.now());
+            }
+        }
+        for i in 0..fx.drains.len() {
+            let rid = fx.drains[i];
+            self.drain(rid, sched);
+        }
+        self.recycle_fx(fx);
+        out
+    }
+
     /// Grab a cleared [`DeferredFx`] buffer, reusing a recycled one when
     /// available so steady-state event handling allocates nothing.
     fn take_fx(&mut self) -> DeferredFx {
@@ -1113,7 +1092,7 @@ impl FlowSim {
     }
 
     /// Return a [`DeferredFx`] buffer to the pool once its effects have been
-    /// applied (or deliberately ignored, as in seeding and crash recovery).
+    /// applied.
     fn recycle_fx(&mut self, mut fx: DeferredFx) {
         fx.drains.clear();
         fx.source_emits = 0;
@@ -1372,40 +1351,10 @@ impl EventHandler for FlowSim {
                 return;
             }
         };
-        let mut behavior = self.state.behaviors[stage.index()].take().expect("behavior in place");
-        let mut fx = self.take_fx();
-        {
-            let mut ctx = StageCtx::new(
-                stage,
-                &self.flow,
-                sched,
-                &mut self.state.metrics,
-                &mut self.state.ledger,
-                &mut self.state.resources,
-                &mut self.state.faults,
-                &mut fx,
-                &mut self.state.trace,
-            );
-            match step {
-                Step::Arrive(volume, taint, lineage) => {
-                    behavior.on_arrive(&mut ctx, volume, taint, lineage)
-                }
-                Step::Complete(done) => behavior.on_complete(&mut ctx, done),
-            }
-        }
-        self.state.behaviors[stage.index()] = Some(behavior);
-        for _ in 0..fx.source_emits {
-            self.state.pending_emits -= 1;
-            if self.state.pending_emits == 0 {
-                self.state.backlog_at_source_end = Some(self.total_queued());
-                self.state.source_end = Some(sched.now());
-            }
-        }
-        for i in 0..fx.drains.len() {
-            let rid = fx.drains[i];
-            self.drain(rid, sched);
-        }
-        self.recycle_fx(fx);
+        self.run_hook(stage, sched, |b, ctx| match step {
+            Step::Arrive(volume, taint, lineage) => b.on_arrive(ctx, volume, taint, lineage),
+            Step::Complete(done) => b.on_complete(ctx, done),
+        });
     }
 }
 

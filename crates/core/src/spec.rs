@@ -39,10 +39,7 @@ use crate::graph::{FlowGraph, StageId, StageKind};
 use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
 use std::collections::HashMap;
 
-pub use crate::durable::SnapshotPolicy;
 pub use crate::graph::{CheckpointPolicy, VerifyPolicy};
-pub use crate::obs::{SloKind, SloRule};
-pub use crate::trace::ObserveConfig;
 
 /// Spec for a [`StageKind::Source`]: emits `blocks` blocks of `block` bytes,
 /// one every `interval`, starting at time zero unless
@@ -273,9 +270,6 @@ pub struct FlowSpec {
     stages: Vec<(String, StageKind, Vec<String>)>,
     feeds: Vec<(String, String)>,
     verifies: Vec<(String, VerifyPolicy)>,
-    observe: Option<ObserveConfig>,
-    snapshot: SnapshotPolicy,
-    slos: Vec<SloRule>,
 }
 
 impl FlowSpec {
@@ -348,36 +342,6 @@ impl FlowSpec {
         self
     }
 
-    /// Turn on run telemetry: the simulator samples queue depths, pool
-    /// occupancy and delivered volume on the configured tick, and the report
-    /// gains [`crate::metrics::SimReport::timeseries`] and
-    /// [`crate::metrics::SimReport::engine`] sections. Flows built without
-    /// this knob produce byte-identical reports to older builds.
-    pub fn observe(mut self, config: ObserveConfig) -> Self {
-        self.observe = Some(config);
-        self
-    }
-
-    /// Set when journaled runs of this flow commit snapshot frames (see
-    /// [`SnapshotPolicy`]). Inert unless the run attaches a journal; the
-    /// cadence never perturbs the simulation itself.
-    pub fn snapshot(mut self, policy: SnapshotPolicy) -> Self {
-        self.snapshot = policy;
-        self
-    }
-
-    /// Attach a declarative SLO rule, evaluated deterministically during
-    /// the run. Rules never perturb the simulation; they add typed
-    /// [`crate::obs::Alert`] records to
-    /// [`crate::metrics::SimReport::alerts`]. A [`SloRule::queue_backlog`]
-    /// rule must name a declared stage — [`FlowSpec::build`] rejects
-    /// unknown names. Flows built without rules produce byte-identical
-    /// reports to older builds.
-    pub fn slo(mut self, rule: SloRule) -> Self {
-        self.slos.push(rule);
-        self
-    }
-
     /// Resolve names, wire edges, and validate the resulting graph.
     pub fn build(self) -> CoreResult<FlowGraph> {
         let mut g = FlowGraph::new();
@@ -416,23 +380,6 @@ impl FlowSpec {
             })?;
             g.set_verify(id, policy);
         }
-        if let Some(cfg) = self.observe {
-            g.set_observe(cfg);
-        }
-        g.set_snapshot_policy(self.snapshot);
-        for rule in &self.slos {
-            if let SloKind::QueueBacklog { stage, .. } = &rule.kind {
-                if !index.contains_key(stage) {
-                    return Err(CoreError::InvalidTopology {
-                        detail: format!(
-                            "SLO rule `{}` watches undeclared stage `{stage}`",
-                            rule.name
-                        ),
-                    });
-                }
-            }
-        }
-        g.set_slos(self.slos);
         g.validate()?;
         Ok(g)
     }

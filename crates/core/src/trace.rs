@@ -35,7 +35,7 @@ use crate::units::{DataVolume, SimDuration, SimTime};
 /// Sampling configuration for the in-report telemetry
 /// ([`crate::metrics::TimeSeries`]): queue depth, pool occupancy and
 /// cumulative sink volume are recorded once per `tick`. Set it on a flow
-/// with [`crate::spec::FlowSpec::observe`]; flows without it produce
+/// with [`crate::graph::FlowGraph::set_observe`]; flows without it produce
 /// byte-identical reports to the pre-observability simulator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ObserveConfig {

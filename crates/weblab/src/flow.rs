@@ -8,7 +8,8 @@
 
 use sciflow_core::fault::FaultProfile;
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, VerifyPolicy};
-use sciflow_core::spec::{FlowSpec, ObserveConfig, ProcessSpec, SloRule, SourceSpec, TransferSpec};
+use sciflow_core::spec::{FlowSpec, ProcessSpec, SourceSpec, TransferSpec};
+use sciflow_core::trace::ObserveConfig;
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 
 /// Paper-scale parameters.
@@ -91,37 +92,15 @@ pub fn crawl_corruption_profile(silent_corrupts_per_day: f64) -> FaultProfile {
 
 /// Telemetry preset for the ingest flow: daily crawl deliveries against
 /// ~1 TB/day loaders resolve at six-hour samples over the multi-week run.
+/// Attach it to the built graph with [`FlowGraph::set_observe`]: same flow,
+/// same replay, plus time-series and engine sections in the report.
 pub fn weblab_observe_preset() -> ObserveConfig {
     ObserveConfig::every(SimDuration::from_hours(6))
-}
-
-/// SLO preset for the ingest flow, sized from the flow's own parameters:
-/// preload falling three crawl deliveries behind the Internet2 link, or any
-/// corrupt ARC file escaping preload verification. Attach with
-/// [`FlowSpec::slo`]; the default graph builders leave rules off so their
-/// committed reports keep their pre-SLO bytes.
-pub fn weblab_slo_preset(p: &WeblabFlowParams) -> Vec<SloRule> {
-    vec![
-        SloRule::queue_backlog("preload-backlog", "preload", p.daily_volume * 3),
-        SloRule::escaped_taint("store-escapes", 0),
-    ]
-}
-
-/// [`weblab_flow_graph`] with the [`weblab_observe_preset`] telemetry
-/// applied: same flow, same replay, plus time-series and engine sections in
-/// the report.
-pub fn weblab_flow_graph_observed(p: &WeblabFlowParams) -> FlowGraph {
-    weblab_flow_spec(p).observe(weblab_observe_preset()).build().expect("weblab flow spec is valid")
 }
 
 /// Build the ingest flow: Internet Archive → Internet2 link → preload →
 /// (database load → relational store, content → page store).
 pub fn weblab_flow_graph(p: &WeblabFlowParams) -> FlowGraph {
-    weblab_flow_spec(p).build().expect("weblab flow spec is valid")
-}
-
-/// The shared [`FlowSpec`] behind both graph builders.
-fn weblab_flow_spec(p: &WeblabFlowParams) -> FlowSpec {
     // The paper's sustained component rates were measured "given sole use of
     // the system" (8 processors each): divide by 8 for the per-CPU rate.
     let preload_per_cpu = DataRate::from_bytes_per_sec(p.preload_rate.bytes_per_sec() / 8.0);
@@ -156,6 +135,8 @@ fn weblab_flow_spec(p: &WeblabFlowParams) -> FlowSpec {
         )
         .archive("relational-store", &["database-load"])
         .archive("page-store", &["preload"])
+        .build()
+        .expect("weblab flow spec is valid")
 }
 
 #[cfg(test)]
@@ -174,11 +155,12 @@ mod tests {
     fn observed_flow_replays_identically_and_carries_telemetry() {
         let p = WeblabFlowParams::default();
         let plain = run(&p, 16);
-        let observed =
-            FlowSim::new(weblab_flow_graph_observed(&p), vec![CpuPool::new(WEBLAB_POOL, 16)])
-                .expect("valid flow")
-                .run()
-                .expect("flow completes");
+        let mut graph = weblab_flow_graph(&p);
+        graph.set_observe(weblab_observe_preset());
+        let observed = FlowSim::new(graph, vec![CpuPool::new(WEBLAB_POOL, 16)])
+            .expect("valid flow")
+            .run()
+            .expect("flow completes");
         // Observation must not perturb the replay.
         assert_eq!(plain.finished_at, observed.finished_at);
         assert_eq!(plain.stages, observed.stages);

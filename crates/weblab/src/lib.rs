@@ -49,8 +49,7 @@ pub use dat::{read_dat, read_dat_compressed, write_dat, write_dat_compressed, Da
 pub use distsim::{compare_sweep, BigMachine, Cluster, Verdict};
 pub use error::{WebError, WebResult};
 pub use flow::{
-    es7000_outage_profile, weblab_flow_graph, weblab_flow_graph_observed, weblab_observe_preset,
-    WeblabFlowParams, WEBLAB_POOL,
+    es7000_outage_profile, weblab_flow_graph, weblab_observe_preset, WeblabFlowParams, WEBLAB_POOL,
 };
 pub use graph::LinkGraph;
 pub use pagestore::PageStore;

@@ -20,7 +20,7 @@
 //! and recording is strictly one-way, so the run itself is byte-identical
 //! to an unmonitored one.
 
-use sciflow_cleo::{cleo_flow_graph_slo, CleoFlowParams, WILSON_POOL};
+use sciflow_cleo::{cleo_flow_graph, cleo_slo_preset, CleoFlowParams, WILSON_POOL};
 use sciflow_core::fault::{FaultPlan, FaultProfile};
 use sciflow_core::md5::md5;
 use sciflow_core::obs::{MetricsHub, SloRule};
@@ -33,8 +33,11 @@ use sciflow_eventstore::{FileRecord, RunRange, StoreTier};
 fn main() {
     // --- flow half: CLEO on a starved farm ---
     let hub = MetricsHub::new();
+    let params = CleoFlowParams::default();
+    let mut graph = cleo_flow_graph(&params);
+    graph.set_slos(cleo_slo_preset(&params)); // backlog + taint rules
     let report = FlowSim::new(
-        cleo_flow_graph_slo(&CleoFlowParams::default()),
+        graph,
         vec![CpuPool::new(WILSON_POOL, 1)], // one CPU: ~3.5 h/run vs hourly arrivals
     )
     .expect("valid flow")

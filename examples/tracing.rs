@@ -15,7 +15,7 @@
 //!   load it in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`
 //!   to see every task and shipment as a slice on its stage's track.
 
-use sciflow_arecibo::{arecibo_flow_graph_observed, AreciboFlowParams, CTC_POOL};
+use sciflow_arecibo::{arecibo_flow_graph, arecibo_observe_preset, AreciboFlowParams, CTC_POOL};
 use sciflow_core::critical_path;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::trace::TraceRecorder;
@@ -25,15 +25,15 @@ fn main() {
         std::env::args().nth(1).unwrap_or_else(|| "target/arecibo-trace.json".to_string());
 
     let params = AreciboFlowParams::default();
+    let mut graph = arecibo_flow_graph(&params);
+    graph.set_observe(arecibo_observe_preset());
     let trace = TraceRecorder::new();
-    let report = FlowSim::new(
-        arecibo_flow_graph_observed(&params),
-        vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)],
-    )
-    .expect("valid flow")
-    .with_observer(trace.clone())
-    .run()
-    .expect("flow completes");
+    let report =
+        FlowSim::new(graph, vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)])
+            .expect("valid flow")
+            .with_observer(trace.clone())
+            .run()
+            .expect("flow completes");
 
     println!(
         "{} weeks of survey data, done at {} ({} trace events)",

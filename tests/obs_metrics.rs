@@ -17,7 +17,7 @@
 use std::path::PathBuf;
 
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
-use sciflow_cleo::flow::{cleo_flow_graph, cleo_flow_graph_slo, CleoFlowParams, WILSON_POOL};
+use sciflow_cleo::flow::{cleo_flow_graph, cleo_slo_preset, CleoFlowParams, WILSON_POOL};
 use sciflow_core::error::CoreError;
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::genflow::{generate, Archetype, SEED_PAYLOAD_MASK};
@@ -147,7 +147,8 @@ fn cleo_exposition_matches_golden() {
 /// alert timing is part of the committed surface.
 #[test]
 fn cleo_slo_alerts_match_golden() {
-    let graph = cleo_flow_graph_slo(&CleoFlowParams::default());
+    let mut graph = cleo_flow_graph(&CleoFlowParams::default());
+    graph.set_slos(cleo_slo_preset(&CleoFlowParams::default()));
     let report = FlowSim::new(graph, vec![CpuPool::new(WILSON_POOL, 1)])
         .expect("valid flow")
         .run()

@@ -114,16 +114,16 @@ fn every_matrix_seed_is_deterministic_and_conserves() {
 /// CPU farm — owns the makespan.
 #[test]
 fn arecibo_critical_path_names_ship_disks_dominant() {
-    use sciflow_arecibo::flow::arecibo_flow_graph_observed;
+    use sciflow_arecibo::flow::arecibo_observe_preset;
+    let mut graph = arecibo_flow_graph(&AreciboFlowParams::default());
+    graph.set_observe(arecibo_observe_preset());
     let trace = TraceRecorder::new();
-    let report = FlowSim::new(
-        arecibo_flow_graph_observed(&AreciboFlowParams::default()),
-        vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)],
-    )
-    .expect("valid flow")
-    .with_observer(trace.clone())
-    .run()
-    .expect("flow completes");
+    let report =
+        FlowSim::new(graph, vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)])
+            .expect("valid flow")
+            .with_observer(trace.clone())
+            .run()
+            .expect("flow completes");
     let snapshot = trace.snapshot();
     assert_trace_conservation(&report, &snapshot);
     let cp = critical_path(&snapshot, report.finished_at);
