@@ -29,7 +29,7 @@ use rand::rngs::StdRng;
 use crate::compiled::CompiledFlow;
 use crate::engine::{EventId, Scheduler};
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::frame::{Damage, Reader, Wire};
+use crate::frame::{put_u64, Damage, Reader, Wire};
 use crate::graph::{CheckpointPolicy, StageId};
 use crate::metrics::{RunMetrics, StageMetrics};
 use crate::resource::{ResourceId, ResourceSet, StorageLedger};
@@ -63,25 +63,9 @@ crate::wire_enum! {
         3 => Complete { stage: StageId, done: Completion },
         /// `units` of `resource` die (`None` takes everything online down).
         /// Scheduled from the fault plan's crash timeline before the run starts.
-        4 => CrashResource { resource: ResourceId, units: CrashUnits, repair: SimDuration },
+        4 => CrashResource { resource: ResourceId, units: Option<u32>, repair: SimDuration },
         /// `units` of `resource` come back from repair.
         5 => RepairResource { resource: ResourceId, units: u32 },
-    }
-}
-
-/// How many units a [`FlowEvent::CrashResource`] takes down. The one field
-/// whose format-1 bytes are not its type's: the count is written eight
-/// bytes wide.
-#[derive(Debug, Clone, Copy)]
-pub struct CrashUnits(pub Option<u32>);
-
-impl Wire for CrashUnits {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.0.map(u64::from).put(out);
-    }
-    fn get(r: &mut Reader) -> Result<Self, Damage> {
-        let units = Option::<u64>::get(r)?.map(u32::try_from).transpose();
-        units.map(CrashUnits).or_else(|_| r.bad_value(8))
     }
 }
 
@@ -133,13 +117,18 @@ pub(crate) struct FaultCtx {
     pub(crate) rng: StdRng,
 }
 
-/// A generator is its four state words: the stream position.
+/// A generator is its four state words, the stream position, each eight
+/// bytes wide: they are uniformly random, so LEB128 would lengthen them.
 impl Wire for StdRng {
     fn put(&self, out: &mut Vec<u8>) {
-        self.state().put(out);
+        self.state().iter().for_each(|&w| put_u64(out, w));
     }
     fn get(r: &mut Reader) -> Result<Self, Damage> {
-        Wire::get(r).map(StdRng::from_state)
+        let mut state = [0; 4];
+        for w in &mut state {
+            *w = r.u64()?;
+        }
+        Ok(StdRng::from_state(state))
     }
 }
 

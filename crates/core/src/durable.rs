@@ -7,9 +7,11 @@
 //! * an **append-only run journal**: the magic `SFJRNL1\n`, then sealed
 //!   [`crate::frame`] frames — one run-header frame ([`SNAPSHOT_FORMAT`],
 //!   build, spec hash, fault seed) followed by periodic snapshot frames;
-//! * **recovery** (the crate-internal `recover` routine): [`frame::scan`]
-//!   the journal to its last good frame, truncate a torn tail away, and
-//!   hand back the newest valid snapshot. Damaged state is *never* silently
+//! * **recovery** (the crate-internal `open` and `recover` routines): read
+//!   the header frame so the caller can accept or refuse the run, then
+//!   [`frame::Walk`] the snapshot frames one at a time to the last good
+//!   one, keeping only the newest, and truncate a torn tail away — only
+//!   once the header was accepted. Damaged state is *never* silently
 //!   replayed — it is either dropped with a typed [`Damage`] or surfaced as
 //!   [`CoreError::CorruptJournal`] / [`CoreError::ResumeMismatch`].
 //!
@@ -22,11 +24,11 @@
 //! it declares its own bytes, through [`frame::Wire`] (DESIGN.md §13).
 
 use std::fs::File;
-use std::io::Write as _;
+use std::io::{BufReader, Write as _};
 use std::path::{Path, PathBuf};
 
 use crate::error::{CoreError, CoreResult};
-use crate::frame::{self, Damage, Reader, Wire};
+use crate::frame::{self, Damage, Reader, Reason, Walk, Wire};
 use crate::units::SimDuration;
 
 /// When the simulator commits a snapshot frame to its run journal.
@@ -49,41 +51,53 @@ pub(crate) const FRAME_HEADER: u8 = 1;
 pub(crate) const FRAME_SNAPSHOT: u8 = 2;
 /// Version stamped into every header frame; bumped on incompatible layout
 /// changes so old journals fail with [`CoreError::ResumeMismatch`], never a
-/// garbled decode.
-pub const SNAPSHOT_FORMAT: u32 = 1;
+/// garbled decode. Format 2 writes the integers of the snapshot payload as
+/// LEB128; format 1 wrote them at their full width.
+pub const SNAPSHOT_FORMAT: u32 = 2;
 
-crate::wire_struct! {
-    /// The identity frame at the head of every journal: enough to refuse a
-    /// resume against the wrong spec, seed, or an incompatible format — before
-    /// any snapshot byte is interpreted.
-    #[derive(Debug, Clone, PartialEq, Eq)]
-    pub(crate) struct RunHeader {
-        /// Snapshot layout version ([`SNAPSHOT_FORMAT`]); mismatches refuse.
-        pub(crate) format: u32,
-        /// Producing crate version. Informational: compatibility is governed by
-        /// `format` and `spec_hash`, not the build string.
-        pub(crate) build: String,
-        /// FNV-1a over the deterministic rendering of the compiled flow, pools,
-        /// fault plan and policies. A resume against a sim whose hash differs is
-        /// a different run and is refused.
-        pub(crate) spec_hash: u64,
-        /// The fault plan's seed, when the run injects faults.
-        pub(crate) fault_seed: Option<u64>,
-    }
+/// The identity frame at the head of every journal: enough to refuse a
+/// resume against the wrong spec, seed, or an incompatible format — before
+/// any snapshot byte is interpreted. Its layout is fixed width and is not
+/// [`Wire`]'s, so the header of a journal of any format decodes and its
+/// `format` can refuse the rest: `format` as a `u32` LE first, `build` as
+/// [`frame::put_bytes`], `spec_hash` as a `u64` LE, then `fault_seed` as a
+/// flag byte and, when set, a `u64` LE.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct RunHeader {
+    /// Snapshot layout version ([`SNAPSHOT_FORMAT`]); mismatches refuse.
+    pub(crate) format: u32,
+    /// Producing crate version. Informational: compatibility is governed by
+    /// `format` and `spec_hash`, not the build string.
+    pub(crate) build: String,
+    /// FNV-1a over the deterministic rendering of the compiled flow, pools,
+    /// fault plan and policies. A resume against a sim whose hash differs is
+    /// a different run and is refused.
+    pub(crate) spec_hash: u64,
+    /// The fault plan's seed, when the run injects faults.
+    pub(crate) fault_seed: Option<u64>,
 }
 
 impl RunHeader {
     fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        self.put(&mut out);
+        frame::put_u32(&mut out, self.format);
+        frame::put_bytes(&mut out, self.build.as_bytes());
+        frame::put_u64(&mut out, self.spec_hash);
+        self.fault_seed.is_some().put(&mut out);
+        self.fault_seed.iter().for_each(|&seed| frame::put_u64(&mut out, seed));
         out
     }
 
     fn decode(payload: &[u8]) -> Result<Self, Damage> {
         let mut r = Reader::new(payload);
-        let header = RunHeader::get(&mut r)?;
+        let format = r.u32()?;
+        // The build string's bytes start after the format and their length.
+        let build = String::from_utf8(r.bytes()?.to_vec())
+            .map_err(|_| Damage { offset: 4 + 8, reason: Reason::Utf8 })?;
+        let spec_hash = r.u64()?;
+        let fault_seed = if bool::get(&mut r)? { Some(r.u64()?) } else { None };
         r.done()?;
-        Ok(header)
+        Ok(RunHeader { format, build, spec_hash, fault_seed })
     }
 }
 
@@ -146,10 +160,19 @@ impl RunJournal {
     }
 }
 
-/// What [`recover`] salvaged from a journal file.
+/// A journal opened for recovery: its magic and header frame verified and
+/// the header decoded, the walk stopped at the first snapshot frame, and
+/// nothing written to the file. The caller accepts or refuses the run from
+/// [`OpenJournal::header`] before [`OpenJournal::recover`] may truncate.
+pub(crate) struct OpenJournal {
+    pub(crate) header: RunHeader,
+    path: PathBuf,
+    walk: Walk<BufReader<File>>,
+}
+
+/// What [`OpenJournal::recover`] salvaged from a journal file.
 #[derive(Debug)]
 pub(crate) struct Recovered {
-    pub(crate) header: RunHeader,
     /// Payload of the newest sealed snapshot frame, if any survived.
     pub(crate) snapshot: Option<Vec<u8>>,
     /// The torn tail that was truncated away, when there was one. `None`
@@ -158,55 +181,62 @@ pub(crate) struct Recovered {
     pub(crate) truncated: Option<Damage>,
 }
 
-/// Walk `path`'s frames, verify every seal, truncate the file back to the
-/// end of the last sealed frame, and return the newest valid snapshot. A
-/// file whose magic or header frame is damaged cannot identify its run and
-/// is rejected outright with [`CoreError::CorruptJournal`].
-pub(crate) fn recover(path: &Path) -> CoreResult<Recovered> {
-    let bytes = std::fs::read(path).map_err(|e| io_err("opening journal", path, e))?;
-    let scan = frame::scan(&bytes, &JOURNAL_MAGIC)?;
-    let mut header: Option<RunHeader> = None;
-    let mut snapshot: Option<&[u8]> = None;
-    for &(kind, payload) in &scan.frames {
-        match (kind, header.is_some()) {
-            (FRAME_HEADER, false) => header = Some(RunHeader::decode(payload)?),
-            (FRAME_SNAPSHOT, true) => snapshot = Some(payload),
-            (FRAME_HEADER, true) => {
-                return Err(CoreError::CorruptJournal {
-                    detail: "second header frame in journal".to_string(),
-                })
-            }
-            (FRAME_SNAPSHOT, false) => {
-                return Err(CoreError::CorruptJournal {
-                    detail: "journal does not start with a header frame".to_string(),
-                })
-            }
-            (other, _) => {
-                return Err(CoreError::CorruptJournal {
-                    detail: format!("unknown frame kind {other}"),
-                })
+fn corrupt(detail: impl Into<String>) -> CoreError {
+    CoreError::CorruptJournal { detail: detail.into() }
+}
+
+/// Open the journal at `path` and read its header frame. A file whose
+/// magic or header frame is damaged cannot identify its run and is
+/// rejected outright with [`CoreError::CorruptJournal`].
+pub(crate) fn open(path: &Path) -> CoreResult<OpenJournal> {
+    let mut walk =
+        Walk::open(path, &JOURNAL_MAGIC).map_err(|e| io_err("opening journal", path, e))??;
+    let header = match walk.next_frame().map_err(|e| io_err("reading journal", path, e))? {
+        Some((FRAME_HEADER, payload)) => RunHeader::decode(payload)?,
+        Some((FRAME_SNAPSHOT, _)) => {
+            return Err(corrupt("journal does not start with a header frame"))
+        }
+        Some((other, _)) => return Err(corrupt(format!("unknown frame kind {other}"))),
+        None => {
+            let why = walk.damage().map(|d| format!(" ({d})")).unwrap_or_default();
+            return Err(corrupt(format!("{}: no sealed header frame{why}", path.display())));
+        }
+    };
+    Ok(OpenJournal { header, path: path.to_path_buf(), walk })
+}
+
+impl OpenJournal {
+    /// Walk the rest of the frames, verifying every seal and keeping only
+    /// the newest snapshot's payload, then truncate the file back to the
+    /// end of the last sealed frame.
+    pub(crate) fn recover(mut self) -> CoreResult<Recovered> {
+        let path = &self.path;
+        let mut snapshot: Option<Vec<u8>> = None;
+        while let Some((kind, payload)) =
+            self.walk.next_frame().map_err(|e| io_err("reading journal", path, e))?
+        {
+            match kind {
+                FRAME_SNAPSHOT => {
+                    let kept = snapshot.get_or_insert_with(Vec::new);
+                    kept.clear();
+                    kept.extend_from_slice(payload);
+                }
+                FRAME_HEADER => return Err(corrupt("second header frame in journal")),
+                other => return Err(corrupt(format!("unknown frame kind {other}"))),
             }
         }
+        let truncated = self.walk.damage();
+        if let Some(damage) = &truncated {
+            damage.truncate(path).map_err(|e| io_err("truncating torn journal", path, e))?;
+        }
+        Ok(Recovered { snapshot, truncated })
     }
-    if let Some(damage) = &scan.damage {
-        damage.truncate(path).map_err(|e| io_err("truncating torn journal", path, e))?;
-    }
-    let Some(header) = header else {
-        return Err(CoreError::CorruptJournal {
-            detail: format!(
-                "{}: no sealed header frame{}",
-                path.display(),
-                scan.damage.map(|d| format!(" ({d})")).unwrap_or_default()
-            ),
-        });
-    };
-    Ok(Recovered { header, snapshot: snapshot.map(<[u8]>::to_vec), truncated: scan.damage })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::behavior::{Completion, CrashUnits, FlowEvent};
+    use crate::behavior::{Completion, FlowEvent};
     use crate::graph::StageId;
     use crate::resource::ResourceId;
     use crate::units::DataVolume;
@@ -215,6 +245,12 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("sciflow-durable-{}-{name}", std::process::id()));
         p
+    }
+
+    /// Open the journal at `path`, accept whatever run its header names,
+    /// and recover it.
+    fn recover(path: &Path) -> CoreResult<Recovered> {
+        open(path)?.recover()
     }
 
     fn header() -> RunHeader {
@@ -248,28 +284,29 @@ mod tests {
         j.append_snapshot(b"first").unwrap();
         j.append_snapshot(b"second").unwrap();
         drop(j);
+        assert_eq!(open(&path).unwrap().header, header());
         let rec = recover(&path).unwrap();
-        assert_eq!(rec.header, header());
         assert_eq!(rec.snapshot.as_deref(), Some(&b"second"[..]));
         assert!(rec.truncated.is_none());
         std::fs::remove_file(&path).unwrap();
     }
 
     /// The format, byte for byte, computed at the commit before the port to
-    /// `core::frame`. If this fails the on-disk format changed: do not
-    /// update the literals; fix the code.
+    /// `core::frame`; since format 2 only the format field and the header's
+    /// seal differ. If this fails the on-disk format changed: do not update
+    /// the literals; fix the code.
     #[test]
     fn byte_pin_run_journal() {
         let want = [
             &b"SFJRNL1\n"[..],
             // Header frame: kind 1, 33 payload bytes.
             &[1, 33, 0, 0, 0, 0, 0, 0, 0],
-            &[1, 0, 0, 0],                         // format 1
+            &[2, 0, 0, 0],                         // format 2
             &[4, 0, 0, 0, 0, 0, 0, 0],             // build: u64 length ...
             b"test",                               // ... and bytes
             &[0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0], // spec hash 0xDEADBEEF
             &[1, 42, 0, 0, 0, 0, 0, 0, 0],         // fault seed Some(42)
-            &[227, 219, 116, 47, 255, 6, 200, 95], // FNV-1a over kind..payload
+            &[170, 110, 95, 42, 99, 32, 126, 186], // FNV-1a over kind..payload
             // Snapshot frame: kind 2, 4 payload bytes.
             &[2, 4, 0, 0, 0, 0, 0, 0, 0],
             b"snap",
@@ -327,12 +364,14 @@ mod tests {
         std::fs::write(&path, b"NOTJRNL\n garbage").unwrap();
         assert!(matches!(recover(&path), Err(CoreError::CorruptJournal { .. })));
         // A sealed file whose header frame is bit-flipped cannot identify
-        // its run: typed error, not a silent resume.
+        // its run: typed error, not a silent resume — and its snapshot
+        // frames are not cut away with the damage.
         write_sealed_journal(&path, &header(), b"snap").unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[JOURNAL_MAGIC.len() + 10] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(recover(&path), Err(CoreError::CorruptJournal { .. })));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "a refused journal is left as it was");
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -399,12 +438,12 @@ mod tests {
             FlowEvent::Complete { stage: StageId(7), done: Completion::FlushDue },
             FlowEvent::CrashResource {
                 resource: ResourceId(2),
-                units: CrashUnits(Some(3)),
+                units: Some(3),
                 repair: SimDuration::from_secs(60),
             },
             FlowEvent::CrashResource {
                 resource: ResourceId(0),
-                units: CrashUnits(None),
+                units: None,
                 repair: SimDuration::from_mins(5),
             },
             FlowEvent::RepairResource { resource: ResourceId(2), units: 3 },
@@ -415,15 +454,20 @@ mod tests {
         let back: Vec<FlowEvent> = Wire::get(&mut r).unwrap();
         r.done().unwrap();
         assert_eq!(format!("{back:?}"), format!("{events:?}"));
-        // The one hand-written layout: a crash's unit count is eight bytes
-        // wide, and one that does not fit its `u32` is refused where it sits.
-        let mut units = Vec::new();
-        CrashUnits(Some(3)).put(&mut units);
-        assert_eq!(units, [1, 3, 0, 0, 0, 0, 0, 0, 0]);
-        units[5] = 1;
+        // A crash's unit count is its `u32`'s bytes, and one that does not
+        // fit a `u32` is refused where it sits: after tag, resource, flag.
+        let mut crash = vec![4, 2, 1];
+        frame::put_uvar(&mut crash, 3);
+        frame::put_uvar(&mut crash, 60_000_000);
+        let mut one = Vec::new();
+        events[10].put(&mut one);
+        assert_eq!(one, crash);
+        crash.truncate(3);
+        frame::put_uvar(&mut crash, 1 << 32);
+        frame::put_uvar(&mut crash, 60_000_000);
         assert_eq!(
-            CrashUnits::get(&mut Reader::new(&units)).unwrap_err(),
-            Damage { offset: 1, reason: frame::Reason::BadValue }
+            FlowEvent::get(&mut Reader::new(&crash)).unwrap_err(),
+            Damage { offset: 3, reason: frame::Reason::BadValue }
         );
     }
 }

@@ -132,10 +132,11 @@ const _: () = assert!(StageMetrics::COUNTERS < u32::BITS as usize);
 
 impl StageMetrics {
     /// The snapshot bytes of one stage's counters: a `u32` bitmap of the
-    /// nonzero ones, then only those, as `u64` words in declaration order.
-    /// Most counters are zero for most of a run, and snapshot size is what
-    /// a journaled run pays per frame. The layout is this type's own, not a
-    /// [`Wire`] mode.
+    /// nonzero ones, then only those, as `u64` words in declaration order,
+    /// each through [`Wire`] and so LEB128. Most counters are zero for most
+    /// of a run and the rest are small, and snapshot size is what a
+    /// journaled run pays per frame. The bitmap is this type's own layout,
+    /// not a [`Wire`] mode.
     fn save(&self, out: &mut Vec<u8>) {
         let words = self.words();
         let mask = (0..Self::COUNTERS).filter(|&i| words[i] != 0).fold(0u32, |m, i| m | 1 << i);
@@ -703,11 +704,12 @@ mod tests {
         assert_eq!(all.words(), words);
         let mut bytes = Vec::new();
         all.save(&mut bytes);
-        assert_eq!(bytes.len(), 4 + 8 * StageMetrics::COUNTERS);
+        // A 24-bit bitmap is four LEB128 bytes; each word below 2^14, two.
+        assert_eq!(bytes.len(), 4 + 2 * StageMetrics::COUNTERS);
         let mut r = Reader::new(&bytes);
         assert_eq!(StageMetrics::load(&mut r).unwrap(), all);
         r.done().unwrap();
-        // Declaration order is bit order, and format 1 has 24 of them.
+        // Declaration order is bit order, and format 2 has 24 of them.
         assert_eq!(StageMetrics::COUNTERS, 24);
         assert_eq!((all.blocks_in, all.volume_in.bytes()), (1000, 1001));
         assert_eq!((all.max_queue_blocks, all.completed_at.as_micros()), (1005, 1008));
@@ -717,22 +719,22 @@ mod tests {
             StageMetrics { blocks_out: 3, busy: SimDuration::from_micros(9), ..Default::default() };
         let mut bytes = Vec::new();
         sparse.save(&mut bytes);
-        let want = [&[0b1_0100, 0, 0, 0][..], &3u64.to_le_bytes(), &9u64.to_le_bytes()].concat();
-        assert_eq!(bytes, want);
+        assert_eq!(bytes, [0b1_0100, 3, 9]);
         assert_eq!(StageMetrics::load(&mut Reader::new(&bytes)).unwrap(), sparse);
         let mut bytes = Vec::new();
         StageMetrics::default().save(&mut bytes);
-        assert_eq!(bytes, [0; 4]);
+        assert_eq!(bytes, [0]);
     }
 
     #[test]
     fn an_unknown_bitmap_bit_is_refused() {
-        let mut bytes = (1u32 << StageMetrics::COUNTERS).to_le_bytes().to_vec();
-        bytes.extend_from_slice(&7u64.to_le_bytes());
+        let mut bytes = Vec::new();
+        (1u32 << StageMetrics::COUNTERS).put(&mut bytes);
+        7u64.put(&mut bytes);
         let err = StageMetrics::load(&mut Reader::new(&bytes)).unwrap_err();
         assert!(matches!(err, CoreError::CorruptJournal { .. }), "got {err:?}");
         // A known bit whose word is missing is an overrun, not a zero.
-        let err = StageMetrics::load(&mut Reader::new(&[1, 0, 0, 0])).unwrap_err();
+        let err = StageMetrics::load(&mut Reader::new(&[1])).unwrap_err();
         assert!(matches!(err, CoreError::CorruptJournal { .. }), "got {err:?}");
     }
 

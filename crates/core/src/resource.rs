@@ -252,7 +252,7 @@ impl ResourceSet {
     /// waiter queues rather than stored; a waiter that is no stage of this
     /// flow sets none, and [`ResourceSet::dyn_in_range`] then refuses it.
     pub(crate) fn load_dyn(&mut self, r: &mut Reader) -> CoreResult<()> {
-        let n = r.len()?;
+        let n = r.count()?;
         if n != self.resources.len() {
             return Err(CoreError::CorruptJournal {
                 detail: format!(
@@ -522,7 +522,9 @@ mod tests {
         ledger.free(DataVolume::gb(9));
         let mut bytes = Vec::new();
         ledger.put(&mut bytes);
-        assert_eq!(bytes.len(), 32, "four u64 counters");
+        // Four LEB128 counters: peak and retained, ~2^31 bytes, take five
+        // bytes each; current (zero) and the underflow count one.
+        assert_eq!(bytes.len(), 5 + 5 + 1 + 1, "four u64 counters");
         let copy = StorageLedger::get(&mut Reader::new(&bytes)).unwrap();
         assert_eq!(copy.current(), ledger.current());
         assert_eq!(copy.peak(), ledger.peak());

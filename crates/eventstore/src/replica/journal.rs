@@ -19,9 +19,6 @@ use sciflow_core::frame::{self, Damage};
 
 use super::{ReplicaError, ReplicaResult};
 
-/// One replayed journal frame: `(kind, payload)`.
-pub(crate) type JournalFrame = (u8, Vec<u8>);
-
 /// First bytes of every replica journal file.
 pub(crate) const JOURNAL_MAGIC: &[u8] = b"ESRJNL1\n";
 
@@ -100,22 +97,32 @@ impl ApplyJournal {
         Ok(())
     }
 
-    /// Read every intact frame from the journal at `path` and truncate the
-    /// file back to the last of them.
+    /// Hand every intact frame of the journal at `path` to `apply`, in
+    /// order, reading one at a time, then truncate the file back to the
+    /// last of them.
     ///
     /// The tail is allowed to be torn — a final frame with a short body or
     /// a broken seal is the signature of a crash mid-append. It is cut off
     /// the file (so later appends land behind sealed frames, not behind
     /// garbage) and reported as the returned [`Damage`]. A bad magic line,
     /// by contrast, means the file is not a journal at all and is a typed
-    /// error.
-    pub(crate) fn replay(path: &Path) -> ReplicaResult<(Vec<JournalFrame>, Option<Damage>)> {
-        let bytes = std::fs::read(path).map_err(|e| io_err("read journal", e))?;
-        let scan = frame::scan(&bytes, JOURNAL_MAGIC)?;
-        if let Some(damage) = &scan.damage {
+    /// error, as is a frame `apply` refuses; either leaves the file as it
+    /// was.
+    pub(crate) fn replay(
+        path: &Path,
+        mut apply: impl FnMut(u8, &[u8]) -> ReplicaResult<()>,
+    ) -> ReplicaResult<Option<Damage>> {
+        let mut walk =
+            frame::Walk::open(path, JOURNAL_MAGIC).map_err(|e| io_err("open journal", e))??;
+        while let Some((kind, payload)) =
+            walk.next_frame().map_err(|e| io_err("read journal", e))?
+        {
+            apply(kind, payload)?;
+        }
+        let damage = walk.damage();
+        if let Some(damage) = &damage {
             damage.truncate(path).map_err(|e| io_err("truncate torn journal", e))?;
         }
-        let frames = scan.frames.iter().map(|&(kind, payload)| (kind, payload.to_vec())).collect();
-        Ok((frames, scan.damage))
+        Ok(damage)
     }
 }

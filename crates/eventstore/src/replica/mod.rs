@@ -502,13 +502,11 @@ impl Replica {
             get_meta(&store, ID_KEY).and_then(|s| s.parse().ok()).ok_or_else(|| {
                 ReplicaError::CorruptJournal { detail: "snapshot has no replica id".into() }
             })?;
-        let (frames, torn_tail) = journal::ApplyJournal::replay(&dir.join(JOURNAL_FILE))?;
         let mut rep = Replica::over(store, id)?;
         rep.dir = Some(dir.to_path_buf());
-        rep.torn_tail = torn_tail;
-        for (kind, payload) in frames {
-            rep.replay_frame(kind, &payload)?;
-        }
+        rep.torn_tail = journal::ApplyJournal::replay(&dir.join(JOURNAL_FILE), |kind, payload| {
+            rep.replay_frame(kind, payload)
+        })?;
         rep.journal = Some(journal::ApplyJournal::open(&dir.join(JOURNAL_FILE))?);
         Ok(rep)
     }
