@@ -1,4 +1,5 @@
 //! Dedispersion kernel bench: the dominant CPU cost of the Arecibo survey.
+//! `benchmark/` never dedisperses (ROADMAP item 9(a) plans `arecibo-search`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -1,4 +1,5 @@
 //! FFT kernel bench: the "Fourier analysis" step of the Arecibo chain.
+//! `benchmark/` never runs an FFT (ROADMAP item 9(a) plans `arecibo-search`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sciflow_arecibo::fft::{fft_in_place, real_power_spectrum, Complex};

@@ -1,4 +1,5 @@
 //! E9 kernels: PageRank and components on the synthetic web graph.
+//! `benchmark/` never builds or ranks a link graph (ROADMAP item 9(a) plans `weblab-preload`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

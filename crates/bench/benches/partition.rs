@@ -1,4 +1,5 @@
 //! E5 kernel: hot-ASU scans on row vs column-partitioned layouts.
+//! `benchmark/` never reads ASUs (ROADMAP item 9(a) plans `cleo-recon`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

@@ -1,4 +1,5 @@
 //! E8 kernel: preload throughput vs worker count.
+//! `benchmark/` never preloads (ROADMAP item 9(a) plans `weblab-preload`).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

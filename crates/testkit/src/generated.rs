@@ -14,15 +14,14 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
-use sciflow_core::genflow::{
-    generate, with_shrink_level, Archetype, GenFlow, MAX_SHRINK_LEVEL, SEED_PAYLOAD_MASK,
-};
+use sciflow_core::genflow::{generate, Archetype, GenFlow, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::metrics::SimReport;
 use sciflow_core::sim::FlowSim;
 use sciflow_core::trace::{TraceRecorder, TraceSnapshot};
 use sciflow_core::units::SimDuration;
 
+use crate::property::shrink;
 use crate::rng::derive_seed;
 
 /// A zoo graph plus everything needed to execute it under each fault
@@ -181,13 +180,7 @@ pub fn check_generated(
         if attempt(archetype, seed, &check) {
             continue;
         }
-        // Smallest graphs first: the deepest shrink level that still fails
-        // is the best counterexample.
-        let culprit = (1..=MAX_SHRINK_LEVEL)
-            .rev()
-            .map(|level| with_shrink_level(seed, level))
-            .find(|&candidate| !attempt(archetype, candidate, &check))
-            .unwrap_or(seed);
+        let culprit = shrink(seed, |candidate| !attempt(archetype, candidate, &check));
         panic!(
             "zoo property failed on archetype `{archetype}`, seed {culprit:#018x} \
              (shrunk from {seed:#018x}); reproduce with \

@@ -11,10 +11,13 @@
 //!   test names its randomness;
 //! * [`scenarios`] — seeded builders for the recurring test fixtures (a
 //!   lossy link, a faulty end-to-end flow), each replayable from one `u64`;
+//! * [`property`] — the property harness: [`property::check`] runs a
+//!   property over seeded cases drawn through a [`property::Gen`] and
+//!   reports a failure as one shrunk, replayable case seed;
 //! * [`generated`] — the workload-zoo harness: run modes over
 //!   [`sciflow_core::genflow`] graphs and [`generated::check_generated`],
-//!   the shrinking property runner that reports failures as a reproducible
-//!   `(archetype, seed)` pair;
+//!   which shrinks with the same loop and reports failures as a
+//!   reproducible `(archetype, seed)` pair;
 //! * [`invariants`] — checkers for the properties that must survive fault
 //!   injection: conservation of bytes across retries, monotone simulated
 //!   time, provenance-hash stability across replays;
@@ -29,6 +32,7 @@ pub mod determinism;
 pub mod generated;
 pub mod golden;
 pub mod invariants;
+pub mod property;
 pub mod replicated;
 pub mod rng;
 pub mod scenarios;
@@ -44,6 +48,7 @@ pub use invariants::{
     assert_provenance_stability, assert_trace_conservation, assert_transfer_conservation,
     assert_within_pct,
 };
+pub use property::{check, Gen};
 pub use replicated::{
     assert_convergence, dense_link_faults, registered_ids, History, ReplicatedScenario,
 };

@@ -1,8 +1,7 @@
 //! Property-based tests for the WebLab data plane: the LZ codec, the
 //! ARC/DAT formats, the page store, and burst-detection sanity.
 
-use proptest::prelude::*;
-
+use sciflow_testkit::check;
 use sciflow_weblab::arc::{read_arc, write_arc, ArcRecord};
 use sciflow_weblab::burst::{detect_bursts, Bin, BurstConfig};
 use sciflow_weblab::codec::{compress, decompress};
@@ -10,74 +9,65 @@ use sciflow_weblab::dat::{read_dat, write_dat, DatRecord};
 use sciflow_weblab::pagestore::PageStore;
 use sciflow_weblab::retro::RetroBrowser;
 
-proptest! {
-    /// The codec round-trips arbitrary byte strings.
-    #[test]
-    fn codec_roundtrip(data in proptest::collection::vec(any::<u8>(), 0..8192)) {
+/// The codec round-trips arbitrary byte strings.
+#[test]
+fn codec_roundtrip() {
+    check("codec_roundtrip", 64, |g| {
+        let data = g.vec(0..8192, |g| g.any::<u8>());
         let packed = compress(&data);
-        prop_assert_eq!(decompress(&packed).expect("clean input"), data);
-    }
+        assert_eq!(decompress(&packed).expect("clean input"), data);
+    });
+}
 
-    /// Repetitive inputs compress; decompression never panics on random
-    /// (usually invalid) buffers.
-    #[test]
-    fn codec_robust_on_garbage(garbage in proptest::collection::vec(any::<u8>(), 0..512)) {
+/// Repetitive inputs compress; decompression never panics on random
+/// (usually invalid) buffers.
+#[test]
+fn codec_robust_on_garbage() {
+    check("codec_robust_on_garbage", 64, |g| {
+        let garbage = g.vec(0..512, |g| g.any::<u8>());
         let _ = decompress(&garbage); // must return Err or Ok, never panic
-    }
+    });
+}
 
-    /// ARC round trip with arbitrary binary bodies and URL-safe headers.
-    #[test]
-    fn arc_roundtrip(
-        records in proptest::collection::vec(
-            ("[a-z0-9./:-]{1,40}", "[0-9.]{1,15}", 0u64..99_999_999_999_999,
-             proptest::collection::vec(any::<u8>(), 0..300)),
-            0..20,
-        )
-    ) {
-        let records: Vec<ArcRecord> = records
-            .into_iter()
-            .map(|(url, ip, date, body)| ArcRecord {
-                url: format!("http://{url}"),
-                ip,
-                date,
-                mime: "application/octet-stream".into(),
-                body,
-            })
-            .collect();
+/// ARC round trip with arbitrary binary bodies and URL-safe headers.
+#[test]
+fn arc_roundtrip() {
+    check("arc_roundtrip", 64, |g| {
+        let records = g.vec(0..20, |g| ArcRecord {
+            url: format!("http://{}", g.string("a-z0-9./:-", 1..=40)),
+            ip: g.string("0-9.", 1..=15),
+            date: g.range(0u64..99_999_999_999_999),
+            mime: "application/octet-stream".into(),
+            body: g.vec(0..300, |g| g.any::<u8>()),
+        });
         let bytes = write_arc(&records).expect("url-safe fields");
-        prop_assert_eq!(read_arc(&bytes).expect("own output parses"), records);
-    }
+        assert_eq!(read_arc(&bytes).expect("own output parses"), records);
+    });
+}
 
-    /// DAT round trip with arbitrary link lists.
-    #[test]
-    fn dat_roundtrip(
-        records in proptest::collection::vec(
-            ("[a-z0-9./-]{1,30}", 0u64..99_999_999_999_999,
-             proptest::collection::vec("[a-z0-9./:-]{1,30}", 0..8)),
-            0..20,
-        )
-    ) {
-        let records: Vec<DatRecord> = records
-            .into_iter()
-            .map(|(url, date, links)| DatRecord {
-                url: format!("http://{url}"),
-                ip: "10.0.0.1".into(),
-                date,
-                links: links.into_iter().map(|l| format!("http://{l}")).collect(),
-            })
-            .collect();
+/// DAT round trip with arbitrary link lists.
+#[test]
+fn dat_roundtrip() {
+    check("dat_roundtrip", 64, |g| {
+        let records = g.vec(0..20, |g| DatRecord {
+            url: format!("http://{}", g.string("a-z0-9./-", 1..=30)),
+            ip: "10.0.0.1".into(),
+            date: g.range(0u64..99_999_999_999_999),
+            links: g.vec(0..8, |g| format!("http://{}", g.string("a-z0-9./:-", 1..=30))),
+        });
         let bytes = write_dat(&records).expect("url-safe fields");
-        prop_assert_eq!(read_dat(&bytes).expect("own output parses"), records);
-    }
+        assert_eq!(read_dat(&bytes).expect("own output parses"), records);
+    });
+}
 
-    /// Page store: everything put is gettable byte-for-byte; totals add up.
-    #[test]
-    fn pagestore_holds_everything(
-        captures in proptest::collection::btree_map(
-            (0u32..30, 0u64..10), proptest::collection::vec(any::<u8>(), 0..200), 0..40,
-        ),
-        segment_cap in 1usize..500,
-    ) {
+/// Page store: everything put is gettable byte-for-byte; totals add up.
+#[test]
+fn pagestore_holds_everything() {
+    check("pagestore_holds_everything", 64, |g| {
+        let captures = g.map(0..40, |g| {
+            ((g.range(0u32..30), g.range(0u64..10)), g.vec(0..200, |g| g.any::<u8>()))
+        });
+        let segment_cap = g.range(1usize..500);
         let mut store = PageStore::new(segment_cap);
         let mut total = 0u64;
         for ((site, date), body) in &captures {
@@ -85,67 +75,67 @@ proptest! {
             store.put(&url, *date, body).expect("unique (url, date)");
             total += body.len() as u64;
         }
-        prop_assert_eq!(store.total_bytes(), total);
-        prop_assert_eq!(store.page_count(), captures.len());
+        assert_eq!(store.total_bytes(), total);
+        assert_eq!(store.page_count(), captures.len());
         for ((site, date), body) in &captures {
             let url = format!("http://s{site}/");
-            prop_assert_eq!(store.get(&url, *date), Some(body.as_slice()));
+            assert_eq!(store.get(&url, *date), Some(body.as_slice()));
         }
-    }
+    });
+}
 
-    /// Retro resolution always returns the greatest capture ≤ the as-of
-    /// date, for arbitrary capture sets.
-    #[test]
-    fn retro_resolution_is_floor(
-        dates in proptest::collection::btree_set(0u64..1000, 1..20),
-        as_of in 0u64..1100,
-    ) {
+/// Retro resolution always returns the greatest capture ≤ the as-of
+/// date, for arbitrary capture sets.
+#[test]
+fn retro_resolution_is_floor() {
+    check("retro_resolution_is_floor", 64, |g| {
+        let dates = g.set(1..20, |g| g.range(0u64..1000));
+        let as_of = g.range(0u64..1100);
         let mut rb = RetroBrowser::new();
         for &d in &dates {
             rb.index_capture("http://u/", d);
         }
         let expected = dates.iter().rev().find(|&&d| d <= as_of).copied();
         match rb.resolve("http://u/", as_of) {
-            Ok(got) => prop_assert_eq!(Some(got), expected),
-            Err(_) => prop_assert!(expected.is_none()),
+            Ok(got) => assert_eq!(Some(got), expected),
+            Err(_) => assert!(expected.is_none()),
         }
-    }
+    });
+}
 
-    /// Burst detection marks supersets of truly elevated bins and nothing
-    /// in flat streams; output intervals are well-formed and disjoint.
-    #[test]
-    fn burst_intervals_are_well_formed(
-        hits in proptest::collection::vec(0u64..50, 1..30),
-    ) {
+/// Burst detection marks supersets of truly elevated bins and nothing
+/// in flat streams; output intervals are well-formed and disjoint.
+#[test]
+fn burst_intervals_are_well_formed() {
+    check("burst_intervals_are_well_formed", 64, |g| {
+        let hits = g.vec(1..30, |g| g.range(0u64..50));
         let bins: Vec<Bin> = hits.iter().map(|&h| Bin { hits: h, total: 1000 }).collect();
         let bursts = detect_bursts(&bins, &BurstConfig::default());
         let mut last_end: Option<usize> = None;
         for b in &bursts {
-            prop_assert!(b.start <= b.end);
-            prop_assert!(b.end < bins.len());
+            assert!(b.start <= b.end);
+            assert!(b.end < bins.len());
             if let Some(le) = last_end {
-                prop_assert!(b.start > le + 1, "intervals must be separated");
+                assert!(b.start > le + 1, "intervals must be separated");
             }
             last_end = Some(b.end);
         }
-    }
+    });
 }
-
-proptest! {
-    /// Text index: postings tally with the tokenizer, lookups are
-    /// case-insensitive, and conjunctive search returns docs containing
-    /// every term.
-    #[test]
-    fn textindex_postings_match_tokenizer(
-        docs in proptest::collection::vec("[a-zA-Z ]{0,60}", 1..12),
-        probe in "[a-z]{1,6}",
-    ) {
+/// Text index: postings tally with the tokenizer, lookups are
+/// case-insensitive, and conjunctive search returns docs containing
+/// every term.
+#[test]
+fn textindex_postings_match_tokenizer() {
+    check("textindex_postings_match_tokenizer", 64, |g| {
+        let docs = g.vec(1..12, |g| g.string("a-zA-Z ", 0..=60));
+        let probe = g.string("a-z", 1..=6);
         use sciflow_weblab::textindex::{tokenize, TextIndex};
         let mut idx = TextIndex::new();
         for (i, d) in docs.iter().enumerate() {
             idx.add_document(i as u64, d);
         }
-        prop_assert_eq!(idx.doc_count(), docs.len());
+        assert_eq!(idx.doc_count(), docs.len());
         // Ground truth for the probe term.
         let expected: Vec<u64> = docs
             .iter()
@@ -154,23 +144,22 @@ proptest! {
             .map(|(i, _)| i as u64)
             .collect();
         let got: Vec<u64> = idx.lookup(&probe).iter().map(|p| p.doc).collect();
-        prop_assert_eq!(got, expected);
+        assert_eq!(got, expected);
         // Search results all contain the term.
         for (doc, score) in idx.search(&probe) {
-            prop_assert!(score > 0.0);
-            prop_assert!(tokenize(&docs[doc as usize]).iter().any(|t| t == &probe));
+            assert!(score > 0.0);
+            assert!(tokenize(&docs[doc as usize]).iter().any(|t| t == &probe));
         }
-    }
+    });
+}
 
-    /// The crawl → files → preload path conserves page counts for arbitrary
-    /// web shapes.
-    #[test]
-    fn preload_conserves_pages_for_any_web_shape(
-        domains in 1usize..6,
-        pages in 1usize..40,
-        per_file in 1usize..50,
-        seed in any::<u64>(),
-    ) {
+/// The crawl → files → preload path conserves page counts for arbitrary
+/// web shapes.
+#[test]
+fn preload_conserves_pages_for_any_web_shape() {
+    check("preload_conserves_pages_for_any_web_shape", 64, |g| {
+        let (domains, pages) = (g.range(1usize..6), g.range(1usize..40));
+        let (per_file, seed) = (g.range(1usize..50), g.any::<u64>());
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         use sciflow_metastore::Database;
@@ -192,10 +181,11 @@ proptest! {
         let mut db = Database::new();
         create_pages_table(&mut db).expect("fresh db");
         let mut store = PageStore::new(1 << 20);
-        let out = preload(&files, &mut db, &mut store, &PreloadConfig { workers: 2, batch_size: 32 })
-            .expect("clean input");
-        prop_assert_eq!(out.stats.pages, domains * pages);
-        prop_assert_eq!(store.page_count(), domains * pages);
-        prop_assert_eq!(db.table("pages").expect("exists").len(), domains * pages);
-    }
+        let out =
+            preload(&files, &mut db, &mut store, &PreloadConfig { workers: 2, batch_size: 32 })
+                .expect("clean input");
+        assert_eq!(out.stats.pages, domains * pages);
+        assert_eq!(store.page_count(), domains * pages);
+        assert_eq!(db.table("pages").expect("exists").len(), domains * pages);
+    });
 }

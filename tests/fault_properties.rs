@@ -3,12 +3,10 @@
 //! [`FaultPlan`] is answered by binary search over its sorted timeline, and
 //! [`naive`] keeps the whole-timeline scans those searches replaced.
 
-use proptest::prelude::*;
-
 use sciflow_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::units::{SimDuration, SimTime};
 use sciflow_testkit::{
-    assert_monotone_attempts, assert_transfer_conservation, matrix_seed, seeded_rng,
+    assert_monotone_attempts, assert_transfer_conservation, check, matrix_seed, seeded_rng, Gen,
     LossyFlowScenario, LossyLinkScenario,
 };
 
@@ -185,40 +183,35 @@ fn assert_queries_match(
     t: SimTime,
     base: SimDuration,
     timeout: Option<SimDuration>,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
+) {
+    assert_eq!(
         plan.degrade_factor_at(t).to_bits(),
         naive::degrade_factor_at(plan, t).to_bits(),
         "degrade_factor_at({})",
         t
     );
-    prop_assert_eq!(
-        plan.partitioned_at(t),
-        naive::partitioned_at(plan, t),
-        "partitioned_at({})",
-        t
-    );
-    prop_assert_eq!(
+    assert_eq!(plan.partitioned_at(t), naive::partitioned_at(plan, t), "partitioned_at({})", t);
+    assert_eq!(
         plan.partition_heals_at(t),
         naive::partition_heals_at(plan, t),
         "partition_heals_at({})",
         t
     );
-    prop_assert_eq!(
+    assert_eq!(
         plan.stalled_duration(t, base),
         naive::stalled_duration(plan, t, base),
         "stalled_duration({}, {})",
         t,
         base
     );
-    prop_assert_eq!(
+    assert_eq!(
         plan.progress_between(t, t + base),
         naive::progress_between(plan, t, t + base),
         "progress_between({}, +{})",
         t,
         base
     );
-    prop_assert_eq!(
+    assert_eq!(
         plan.attempt_outcome(t, base, timeout),
         naive::attempt_outcome(plan, t, base, timeout),
         "attempt_outcome({}, {}, {:?})",
@@ -226,7 +219,6 @@ fn assert_queries_match(
         base,
         timeout
     );
-    Ok(())
 }
 
 /// Every time at which some query's answer can change: each event's start
@@ -273,89 +265,97 @@ fn generated_profile(which: u8) -> FaultProfile {
 /// durations up to 12 s (zero included), so events coincide and windows
 /// nest, touch end to start and overlap in most plans, which generated plans
 /// almost never do.
-fn dense_event() -> impl Strategy<Value = FaultEvent> {
-    (0u8..8, 0u64..24, 0u64..12, 1u32..=10).prop_map(|(kind, at, secs, tenths)| {
-        let duration = SimDuration::from_secs(secs);
-        let kind = match kind {
-            0 => FaultKind::Drop,
-            1 | 2 => FaultKind::Stall { duration },
-            3 => FaultKind::Corrupt,
-            4 => FaultKind::SilentCorrupt,
-            5 => FaultKind::RateDegrade { factor: tenths as f64 / 10.0, duration },
-            6 => FaultKind::Partition { heal: duration },
-            _ => FaultKind::NodeCrash { pool: "farm".into(), cpus: tenths, repair: duration },
-        };
-        FaultEvent { at: SimTime::from_micros(at * 1_000_000), kind }
-    })
+fn dense_event(g: &mut Gen) -> FaultEvent {
+    let (kind, at) = (g.range(0u8..8), g.range(0u64..24));
+    let (secs, tenths) = (g.range(0u64..12), g.range(1u32..=10));
+    let duration = SimDuration::from_secs(secs);
+    let kind = match kind {
+        0 => FaultKind::Drop,
+        1 | 2 => FaultKind::Stall { duration },
+        3 => FaultKind::Corrupt,
+        4 => FaultKind::SilentCorrupt,
+        5 => FaultKind::RateDegrade { factor: tenths as f64 / 10.0, duration },
+        6 => FaultKind::Partition { heal: duration },
+        _ => FaultKind::NodeCrash { pool: "farm".into(), cpus: tenths, repair: duration },
+    };
+    FaultEvent { at: SimTime::from_micros(at * 1_000_000), kind }
 }
 
-fn arbitrary_policy() -> impl Strategy<Value = RetryPolicy> {
-    (1u64..600, 1.0f64..4.0, 60u64..7200, 0.0f64..1.0, 0u32..12).prop_map(
-        |(base, multiplier, cap, jitter, max_retries)| RetryPolicy {
-            max_retries,
-            base_backoff: SimDuration::from_secs(base),
-            multiplier,
-            max_backoff: SimDuration::from_secs(cap.max(base)),
-            jitter,
-            attempt_timeout: None,
-        },
-    )
+fn arbitrary_policy(g: &mut Gen) -> RetryPolicy {
+    let (base, multiplier, cap) = (g.range(1u64..600), g.range(1.0f64..4.0), g.range(60u64..7200));
+    RetryPolicy {
+        max_retries: g.range(0u32..12),
+        base_backoff: SimDuration::from_secs(base),
+        multiplier,
+        max_backoff: SimDuration::from_secs(cap.max(base)),
+        jitter: g.range(0.0f64..1.0),
+        attempt_timeout: None,
+    }
 }
 
-proptest! {
-    fn nominal_backoff_is_monotone_and_bounded(policy in arbitrary_policy()) {
+#[test]
+fn nominal_backoff_is_monotone_and_bounded() {
+    check("nominal_backoff_is_monotone_and_bounded", 64, |g| {
+        let policy = arbitrary_policy(g);
         let mut prev = SimDuration::ZERO;
         for i in 0..64u32 {
             let b = policy.nominal_backoff(i);
-            prop_assert!(b >= prev, "backoff shrank at retry {}: {} < {}", i, b, prev);
-            prop_assert!(
-                b <= policy.max_backoff,
-                "backoff {} exceeds cap {}",
-                b,
-                policy.max_backoff
-            );
+            assert!(b >= prev, "backoff shrank at retry {}: {} < {}", i, b, prev);
+            assert!(b <= policy.max_backoff, "backoff {} exceeds cap {}", b, policy.max_backoff);
             prev = b;
         }
-    }
+    });
+}
 
-    fn jittered_backoff_is_bounded_and_seed_deterministic(
-        policy in arbitrary_policy(),
-        seed in any::<u64>(),
-    ) {
+#[test]
+fn jittered_backoff_is_bounded_and_seed_deterministic() {
+    check("jittered_backoff_is_bounded_and_seed_deterministic", 64, |g| {
+        let (policy, seed) = (arbitrary_policy(g), g.any::<u64>());
         let mut a = seeded_rng(seed);
         let mut b = seeded_rng(seed);
         for i in 0..16u32 {
             let x = policy.backoff(i, &mut a);
             let y = policy.backoff(i, &mut b);
-            prop_assert_eq!(x, y, "same seed must draw the same jitter");
-            prop_assert!(x <= policy.max_backoff);
+            assert_eq!(x, y, "same seed must draw the same jitter");
+            assert!(x <= policy.max_backoff);
         }
-    }
+    });
+}
 
-    fn fault_plans_replay_identically(seed in any::<u64>()) {
+#[test]
+fn fault_plans_replay_identically() {
+    check("fault_plans_replay_identically", 64, |g| {
+        let seed = g.any::<u64>();
         let horizon = SimDuration::from_days(30);
         let a = FaultPlan::generate(seed, horizon, &FaultProfile::flaky());
         let b = FaultPlan::generate(seed, horizon, &FaultProfile::flaky());
-        prop_assert_eq!(a, b);
-    }
+        assert_eq!(a, b);
+    });
+}
 
-    fn attempt_outcome_is_pure(seed in any::<u64>(), start_s in 0u64..86_400, base_s in 1u64..86_400) {
+#[test]
+fn attempt_outcome_is_pure() {
+    check("attempt_outcome_is_pure", 64, |g| {
+        let (seed, start_s, base_s) =
+            (g.any::<u64>(), g.range(0u64..86_400), g.range(1u64..86_400));
         let plan = FaultPlan::generate(seed, SimDuration::from_days(3), &FaultProfile::flaky());
         let start = SimTime::from_micros(start_s * 1_000_000);
         let base = SimDuration::from_secs(base_s);
         let timeout = Some(SimDuration::from_hours(2));
-        prop_assert_eq!(
+        assert_eq!(
             plan.attempt_outcome(start, base, timeout),
             plan.attempt_outcome(start, base, timeout)
         );
-    }
+    });
+}
 
-    fn indexed_queries_match_the_scans_on_generated_plans(
-        seed in any::<u64>(),
-        which in 0u8..3,
-        horizon_days in 1u64..=90,
-        probes in proptest::collection::vec((any::<u64>(), 0u64..3, 0u64..200_000_000_000, 0u8..4), 24),
-    ) {
+#[test]
+fn indexed_queries_match_the_scans_on_generated_plans() {
+    check("indexed_queries_match_the_scans_on_generated_plans", 64, |g| {
+        let (seed, which, horizon_days) = (g.any::<u64>(), g.range(0u8..3), g.range(1u64..=90));
+        let probes = g.vec(24..=24, |g| {
+            (g.any::<u64>(), g.range(0u64..3), g.range(0u64..200_000_000_000), g.range(0u8..4))
+        });
         let horizon = SimDuration::from_days(horizon_days);
         let plan = FaultPlan::generate(seed, horizon, &generated_profile(which));
         let edges = edges(&plan);
@@ -376,49 +376,60 @@ proptest! {
                 _ => SimDuration::from_micros(base_us),
             };
             let timeout = (shape == 3).then_some(SimDuration::from_hours(2));
-            assert_queries_match(&plan, t, base, timeout)?;
+            assert_queries_match(&plan, t, base, timeout);
         }
-    }
+    });
+}
 
-    fn indexed_queries_match_the_scans_on_dense_plans(
-        events in proptest::collection::vec(dense_event(), 0..24),
-        timeout_s in 1u64..90,
-    ) {
+#[test]
+fn indexed_queries_match_the_scans_on_dense_plans() {
+    check("indexed_queries_match_the_scans_on_dense_plans", 64, |g| {
+        let (events, timeout_s) = (g.vec(0..24, dense_event), g.range(1u64..90));
         // `from_events` is handed the events unsorted; ties keep input order.
         let plan = FaultPlan::from_events(7, events.clone());
         let mut sorted = events;
         sorted.sort_by_key(|e| e.at);
-        prop_assert_eq!(plan.events(), &sorted[..]);
-        prop_assert_eq!(plan.count(|k| matches!(k, FaultKind::Stall { .. })), {
+        assert_eq!(plan.events(), &sorted[..]);
+        assert_eq!(plan.count(|k| matches!(k, FaultKind::Stall { .. })), {
             sorted.iter().filter(|e| matches!(e.kind, FaultKind::Stall { .. })).count()
         });
         // Every whole second until past the last window's end, against bases
         // from zero to longer than the whole plan.
         for t in (0..=40).map(|s| SimTime::from_micros(s * 1_000_000)) {
             for base in (0..=30).step_by(2).map(SimDuration::from_secs) {
-                let timeout = (base.as_micros() % 2 == 0).then_some(SimDuration::from_secs(timeout_s));
-                assert_queries_match(&plan, t, base, timeout)?;
+                let timeout =
+                    (base.as_micros() % 2 == 0).then_some(SimDuration::from_secs(timeout_s));
+                assert_queries_match(&plan, t, base, timeout);
             }
         }
-    }
+    });
+}
 
-    fn same_seed_yields_byte_identical_simreports(seed in any::<u64>()) {
+#[test]
+fn same_seed_yields_byte_identical_simreports() {
+    check("same_seed_yields_byte_identical_simreports", 64, |g| {
+        let seed = g.any::<u64>();
         let scenario = LossyFlowScenario::new(seed);
         let first = scenario.run();
         let second = scenario.run();
-        prop_assert_eq!(&first, &second, "replay diverged for seed {}", seed);
+        assert_eq!(&first, &second, "replay diverged for seed {}", seed);
         // The counters participate in the equality; make sure the plan is
         // not trivially empty for most seeds by checking totals are sane.
-        prop_assert!(first.total_volume_lost() <= first.stage(LossyFlowScenario::LINK).unwrap().volume_in);
-    }
+        assert!(
+            first.total_volume_lost() <= first.stage(LossyFlowScenario::LINK).unwrap().volume_in
+        );
+    });
+}
 
-    fn successful_lossy_transfers_conserve_bytes(seed in any::<u64>()) {
-        let scenario = LossyLinkScenario::new(seed);
+#[test]
+fn successful_lossy_transfers_conserve_bytes() {
+    check("successful_lossy_transfers_conserve_bytes", 64, |g| {
+        let scenario = LossyLinkScenario::new(g.any::<u64>());
         if let Ok(report) = scenario.run() {
             assert_transfer_conservation(&report);
             assert_monotone_attempts(&report);
         }
-    }
+    });
 }
 
 /// The empty plan is a perfect pipe at every time, and equals a plan built
@@ -429,7 +440,7 @@ fn the_empty_plan_answers_every_query() {
     assert_eq!(plan, FaultPlan::from_events(0, Vec::new()));
     for t in [SimTime::ZERO, SimTime::from_micros(1), SimTime::from_micros(u64::MAX / 2)] {
         for base in [SimDuration::ZERO, SimDuration::from_days(400)] {
-            assert_queries_match(&plan, t, base, Some(SimDuration::from_hours(1))).unwrap();
+            assert_queries_match(&plan, t, base, Some(SimDuration::from_hours(1)));
         }
         assert_eq!(plan.degrade_factor_at(t), 1.0);
         assert_eq!(plan.partition_heals_at(t), t);

@@ -8,14 +8,14 @@
 //! durable ancestor for a clean replay, and the whole dance replays
 //! byte-identically from its seed.
 //!
-//! The deterministic tests honour `FAULT_MATRIX_SEED` (see
-//! [`sciflow_testkit::matrix_seed`]): CI sweeps them across fixed seeds.
-
-use proptest::prelude::*;
+//! Every test honours `FAULT_MATRIX_SEED` (see
+//! [`sciflow_testkit::matrix_seed`]), the properties through their case
+//! seeds: CI sweeps them across fixed seeds.
 
 use sciflow_core::units::SimDuration;
 use sciflow_testkit::{
-    assert_deterministic, assert_integrity_audit, derive_seed, matrix_seed, CorruptFlowScenario,
+    assert_deterministic, assert_integrity_audit, check, derive_seed, matrix_seed,
+    CorruptFlowScenario,
 };
 
 /// The sink archive never admits taint when every stage behind it digests
@@ -79,28 +79,34 @@ fn zero_escapes_hold_across_a_derived_seed_sweep() {
     }
 }
 
-proptest! {
-    /// Digest verification everywhere downstream of the link ⇒ zero escapes,
-    /// for *any* seed — the property the whole subsystem exists to provide.
-    fn digest_everywhere_never_lets_taint_escape(seed in any::<u64>()) {
+/// Digest verification everywhere downstream of the link ⇒ zero escapes,
+/// for *any* seed — the property the whole subsystem exists to provide.
+#[test]
+fn digest_everywhere_never_lets_taint_escape() {
+    check("digest_everywhere_never_lets_taint_escape", 64, |g| {
+        let seed = g.any::<u64>();
         let report = CorruptFlowScenario::new(seed).verified();
         assert_integrity_audit(&report);
-        prop_assert_eq!(report.total_corrupt_escaped(), 0, "taint escaped for seed {}", seed);
+        assert_eq!(report.total_corrupt_escaped(), 0, "taint escaped for seed {}", seed);
         // Whenever the plan tainted anything, the checks saw it.
         if report.total_corrupt_injected() > 0 {
-            prop_assert!(report.total_corrupt_detected() > 0);
+            assert!(report.total_corrupt_detected() > 0);
         }
-    }
+    });
+}
 
-    /// The taint ledger balances even with no verification anywhere: every
-    /// injected block is accounted for as detected (destroyed in transit)
-    /// or escaped, never double-counted, never dropped.
-    fn integrity_audit_holds_without_verification(seed in any::<u64>()) {
+/// The taint ledger balances even with no verification anywhere: every
+/// injected block is accounted for as detected (destroyed in transit)
+/// or escaped, never double-counted, never dropped.
+#[test]
+fn integrity_audit_holds_without_verification() {
+    check("integrity_audit_holds_without_verification", 64, |g| {
+        let seed = g.any::<u64>();
         let report = CorruptFlowScenario::new(seed).unverified();
         assert_integrity_audit(&report);
-        prop_assert!(report.total_corrupt_escaped() <= report.total_corrupt_injected());
+        assert!(report.total_corrupt_escaped() <= report.total_corrupt_injected());
         // An unverified flow can never quarantine or replay anything.
-        prop_assert_eq!(report.total_quarantined(), 0);
-        prop_assert_eq!(report.total_reprocessed_blocks(), 0);
-    }
+        assert_eq!(report.total_quarantined(), 0);
+        assert_eq!(report.total_reprocessed_blocks(), 0);
+    });
 }
