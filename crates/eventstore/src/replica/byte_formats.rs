@@ -213,6 +213,85 @@ fn byte_pin_benchmark_shaped_exchange() {
     }
 }
 
+/// The benchmark's `es-ingest` pass in miniature, as literals computed
+/// before the metastore row path stopped cloning its keys: 1 000 records
+/// registered in a shuffled order at an in-memory group replica, every 5th
+/// revised, every 64th quarantined, every 128th released, a grade snapshot
+/// after every 100th; then a resolve, twenty `files_for` lookups and a
+/// snapshot round trip. If this fails the row path changed what the store
+/// holds or returns: do not update the literals; fix the code.
+#[test]
+fn byte_pin_ingest_shaped_store() {
+    use crate::grade::GradeEntry;
+    use sciflow_core::md5::md5;
+
+    const FILES: u64 = 1_000;
+    let date = |y, m, d| CalDate::new(y, m, d).unwrap();
+    let record = |id: u64, generation: u32| {
+        let (kind, registered) = if id % 100 == 7 {
+            ("mc", date(2006, 10, 1 + (id % 28) as u8))
+        } else {
+            ("recon", date(2005, 1 + (id % 12) as u8, 1 + (id % 28) as u8))
+        };
+        FileRecord {
+            id,
+            runs: RunRange::single(1 + (id % FILES) as u32),
+            kind: kind.into(),
+            version: format!("v{generation}"),
+            site: "Cornell".into(),
+            registered,
+            location: format!("/bench/{kind}/{id}"),
+            prov_digest: md5(format!("{id}:{generation}").as_bytes()),
+        }
+    };
+    let entries = || {
+        let runs = RunRange::new(1, FILES as u32).unwrap();
+        vec![GradeEntry { runs, kind: "recon".into(), version: "v1".into() }]
+    };
+
+    let mut rep = Replica::new(1, StoreTier::Group);
+    let mut snapshots = 0u16;
+    for i in 0..FILES {
+        let id = i * 7_919 % FILES;
+        rep.register(&record(id, 0)).unwrap();
+        if i % 5 == 0 {
+            assert_eq!(rep.revise(&record(id, 1)).unwrap(), ApplyEffect::Replaced);
+        }
+        if i % 64 == 0 {
+            rep.quarantine(id, "integrity flag").unwrap();
+        }
+        if i % 128 == 0 {
+            rep.release(id).unwrap();
+        }
+        if i % 100 == 99 {
+            let on = date(2005 + snapshots / 12, 1 + (snapshots % 12) as u8, 1);
+            rep.declare_snapshot("physics", on, entries()).unwrap();
+            snapshots += 1;
+        }
+    }
+
+    let store = rep.store();
+    let view = store.resolve("physics", date(2007, 1, 1)).unwrap();
+    let first_time: Vec<u64> = view.first_time.iter().map(|f| f.id).collect();
+    let opened: Vec<u64> = (0..20)
+        .flat_map(|j| store.files_for(&view, 1 + (j * 487 % FILES) as u32, "recon").unwrap())
+        .map(|f| f.id)
+        .collect();
+    assert_eq!(first_time, [707, 607, 507, 407, 307, 207, 107, 7, 907, 807], "resolve");
+    assert_eq!(opened, [0, 435, 870, 305], "files_for");
+
+    let bytes = store.to_bytes();
+    let content = rep.sealed_content().unwrap();
+    let again = EventStore::from_bytes(&bytes).unwrap().to_bytes();
+    assert_eq!((bytes.len(), fnv1a(&bytes)), (150_667, 0x9159_6910_93fe_f912), "to_bytes");
+    assert_eq!(
+        (content.len(), fnv1a(&content)),
+        (118_546, 0x5e13_3e38_9de1_1990),
+        "sealed_content"
+    );
+    assert_eq!((again.len(), fnv1a(&again)), (150_667, 0x9159_6910_93fe_f912), "round trip");
+}
+
 // --- forged lengths and the torn tail ------------------------------------
 
 /// A journal frame whose length field is forged — to `u64::MAX`, where the
