@@ -181,13 +181,14 @@ pub fn from_bytes(data: &[u8]) -> MetaResult<Database> {
             table.create_index(col)?;
         }
         let n_rows = r.len()?;
-        for _ in 0..n_rows {
+        let mut read_row = || {
             let mut row = Vec::with_capacity(arity);
             for _ in 0..arity {
                 row.push(get_value(&mut r)?);
             }
-            table.insert(row)?;
-        }
+            Ok(row)
+        };
+        table.load((0..n_rows).map(|_| read_row()))?;
     }
     r.done()?;
     Ok(db)
@@ -388,6 +389,62 @@ mod tests {
     fn forged_column_count_is_a_typed_error() {
         let bytes = [&b"SFMETA1\n"[..], &[1, 0, 0, 0], &[1, 0, 0, 0], b"t", &[0xFF; 4]].concat();
         assert!(matches!(from_bytes(&bytes), Err(MetaError::Corrupt { .. })));
+    }
+
+    /// The payload of `byte_pin_sealed_snapshot`'s table with `rows` in
+    /// place of its one row, under a row count of `count`.
+    fn forged_rows(count: u8, rows: &[&[u8]]) -> Vec<u8> {
+        let head = [
+            &b"SFMETA1\n"[..],
+            &[1, 0, 0, 0, 1, 0, 0, 0],
+            b"t",
+            &[2, 0, 0, 0, 2, 0, 0, 0],
+            b"id",
+            &[1, 0, 4, 0, 0, 0],
+            b"name",
+            &[3, 1, 1, 0, 0, 0, 0, 1, 0, 0, 0, 1, 0, 0, 0],
+            &[count, 0, 0, 0, 0, 0, 0, 0],
+        ];
+        [&head[..], rows].concat().concat()
+    }
+
+    const ROW_7: &[u8] = &[1, 7, 0, 0, 0, 0, 0, 0, 0, 3, 1, 0, 0, 0, b'x'];
+    const ROW_8: &[u8] = &[1, 8, 0, 0, 0, 0, 0, 0, 0, 0];
+    /// A text id: the wrong type for column `id`.
+    const ROW_TEXT_ID: &[u8] = &[3, 1, 0, 0, 0, b'9', 0];
+
+    /// `from_bytes` on `payload` fails with `want`; sealed, it fails with
+    /// `CorruptSnapshot`.
+    fn assert_refused(payload: &[u8], want: MetaError) {
+        assert_eq!(from_bytes(payload).err(), Some(want));
+        let mut sealed = payload.to_vec();
+        frame::seal_trailer(&mut sealed, SEAL_MAGIC);
+        let got = from_sealed_bytes(&sealed);
+        assert!(matches!(got, Err(MetaError::CorruptSnapshot { .. })), "{got:?}");
+    }
+
+    /// A repeated primary key is `DuplicateKey`, also when a later row is
+    /// mistyped or cut short: the first fault in row order is reported.
+    #[test]
+    fn forged_duplicate_primary_key_is_a_typed_error() {
+        assert_eq!(from_bytes(&forged_rows(2, &[ROW_7, ROW_8])).unwrap().len(), 1);
+        let dup = MetaError::DuplicateKey { key: "7".into() };
+        assert_refused(&forged_rows(3, &[ROW_7, ROW_8, ROW_7]), dup.clone());
+        assert_refused(&forged_rows(3, &[ROW_7, ROW_7, ROW_TEXT_ID]), dup.clone());
+        assert_refused(&forged_rows(3, &[ROW_7, ROW_7, &ROW_8[..4]]), dup);
+    }
+
+    /// A row of the wrong type is `TypeMismatch`, also when a later row
+    /// repeats a key.
+    #[test]
+    fn forged_row_type_is_a_typed_error() {
+        let mismatch = MetaError::TypeMismatch {
+            column: "id".into(),
+            expected: ValueType::Int,
+            got: ValueType::Text,
+        };
+        assert_refused(&forged_rows(1, &[ROW_TEXT_ID]), mismatch.clone());
+        assert_refused(&forged_rows(3, &[ROW_7, ROW_TEXT_ID, ROW_7]), mismatch);
     }
 
     /// The atomic-save contract: a crash that leaves a torn temp file (or

@@ -1,10 +1,11 @@
 //! Row storage with primary-key and secondary B-tree indexes.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use crate::error::{MetaError, MetaResult};
 use crate::schema::Schema;
-use crate::value::{OrdValue, Value};
+use crate::value::{IndexKey, OrdValue, Value};
 
 /// Stable identifier of a row slot within a table. Deleted slots leave
 /// tombstones so ids never move.
@@ -16,16 +17,26 @@ pub(crate) struct SecondaryIndex {
     pub map: BTreeMap<OrdValue, Vec<RowId>>,
 }
 
+/// `key` as a borrowed search key for a map keyed by [`OrdValue`].
+fn borrowed(key: &Value) -> &dyn IndexKey {
+    key
+}
+
 impl SecondaryIndex {
     fn insert(&mut self, key: &Value, id: RowId) {
-        self.map.entry(OrdValue(key.clone())).or_default().push(id);
+        match self.map.get_mut(borrowed(key)) {
+            Some(ids) => ids.push(id),
+            None => {
+                self.map.insert(OrdValue(key.clone()), vec![id]);
+            }
+        }
     }
 
     fn remove(&mut self, key: &Value, id: RowId) {
-        if let Some(ids) = self.map.get_mut(&OrdValue(key.clone())) {
+        if let Some(ids) = self.map.get_mut(borrowed(key)) {
             ids.retain(|&x| x != id);
             if ids.is_empty() {
-                self.map.remove(&OrdValue(key.clone()));
+                self.map.remove(borrowed(key));
             }
         }
     }
@@ -96,7 +107,7 @@ impl Table {
     pub fn insert(&mut self, row: Vec<Value>) -> MetaResult<RowId> {
         self.schema.validate_row(&row)?;
         if let Some(pk) = self.schema.primary_key() {
-            if self.pk_map.contains_key(&OrdValue(row[pk].clone())) {
+            if self.pk_map.contains_key(borrowed(&row[pk])) {
                 return Err(MetaError::DuplicateKey { key: row[pk].to_string() });
             }
         }
@@ -112,6 +123,58 @@ impl Table {
         Ok(id)
     }
 
+    /// Fill an empty table with `rows`, as one [`Table::insert`] each would,
+    /// but build the key map and every index from one sort each instead of
+    /// one search per row. The error is the one those inserts meet first:
+    /// a row that fails to arrive or to validate is reported unless an
+    /// earlier row repeats a primary key.
+    pub(crate) fn load(
+        &mut self,
+        rows: impl Iterator<Item = MetaResult<Vec<Value>>>,
+    ) -> MetaResult<()> {
+        assert!(self.rows.is_empty(), "load fills an empty table");
+        let mut failed = Ok(());
+        for row in rows {
+            match row.and_then(|row| self.schema.validate_row(&row).map(|()| row)) {
+                Ok(row) => self.rows.push(Some(row)),
+                Err(e) => {
+                    failed = Err(e);
+                    break;
+                }
+            }
+        }
+        self.live = self.rows.len();
+        // No tombstones yet, so a row's place in the flattened list is its id.
+        let rows = &self.rows;
+        let sorted_by = |col: usize| {
+            let mut pairs: Vec<(&Value, RowId)> =
+                rows.iter().flatten().enumerate().map(|(id, row)| (&row[col], id)).collect();
+            pairs.sort_by(|a, b| a.0.total_cmp(b.0)); // stable: ids stay ascending
+            pairs
+        };
+        let keys = self.schema.primary_key().map(sorted_by).unwrap_or_default();
+        let repeat = keys
+            .windows(2)
+            .filter(|w| w[0].0.total_cmp(w[1].0) == Ordering::Equal)
+            .min_by_key(|w| w[1].1);
+        if let Some(w) = repeat {
+            return Err(MetaError::DuplicateKey { key: w[1].0.to_string() });
+        }
+        failed?;
+        self.pk_map = keys.into_iter().map(|(key, id)| (OrdValue(key.clone()), id)).collect();
+        for idx in &mut self.indexes {
+            let mut groups: Vec<(OrdValue, Vec<RowId>)> = Vec::new();
+            for (value, id) in sorted_by(idx.column) {
+                match groups.last_mut() {
+                    Some((key, ids)) if key.0.total_cmp(value) == Ordering::Equal => ids.push(id),
+                    _ => groups.push((OrdValue(value.clone()), vec![id])),
+                }
+            }
+            idx.map = groups.into_iter().collect();
+        }
+        Ok(())
+    }
+
     pub fn get(&self, id: RowId) -> Option<&[Value]> {
         self.rows.get(id).and_then(|r| r.as_deref())
     }
@@ -121,11 +184,13 @@ impl Table {
         if self.schema.primary_key().is_none() {
             return Err(MetaError::NoPrimaryKey { table: self.name.clone() });
         }
-        Ok(self.pk_map.get(&OrdValue(key.clone())).and_then(|&id| self.get(id)))
+        Ok(self.pk_map.get(borrowed(key)).and_then(|&id| self.get(id)))
     }
 
     /// Replace the row with primary key `key`. The new row may change the
-    /// key itself (uniqueness re-checked). Returns the old row.
+    /// key itself (uniqueness re-checked). Returns the old row. An index
+    /// whose value the update leaves equal is not touched, so the row keeps
+    /// its place among the ids of that value.
     pub fn update_by_key(&mut self, key: &Value, row: Vec<Value>) -> MetaResult<Vec<Value>> {
         let pk = self
             .schema
@@ -134,20 +199,24 @@ impl Table {
         self.schema.validate_row(&row)?;
         let id = *self
             .pk_map
-            .get(&OrdValue(key.clone()))
+            .get(borrowed(key))
             .ok_or_else(|| MetaError::RowNotFound { key: key.to_string() })?;
         let new_key = &row[pk];
-        if new_key.total_cmp(key) != std::cmp::Ordering::Equal
-            && self.pk_map.contains_key(&OrdValue(new_key.clone()))
-        {
+        let moved = new_key.total_cmp(key) != Ordering::Equal;
+        if moved && self.pk_map.contains_key(borrowed(new_key)) {
             return Err(MetaError::DuplicateKey { key: new_key.to_string() });
         }
         let old = self.rows[id].take().expect("pk map points at live row");
-        self.pk_map.remove(&OrdValue(key.clone()));
-        self.pk_map.insert(OrdValue(row[pk].clone()), id);
+        if moved {
+            self.pk_map.remove(borrowed(key));
+            self.pk_map.insert(OrdValue(new_key.clone()), id);
+        }
         for idx in &mut self.indexes {
-            idx.remove(&old[idx.column], id);
-            idx.insert(&row[idx.column], id);
+            let (was, now) = (&old[idx.column], &row[idx.column]);
+            if was.total_cmp(now) != Ordering::Equal {
+                idx.remove(was, id);
+                idx.insert(now, id);
+            }
         }
         self.rows[id] = Some(row);
         Ok(old)
@@ -160,7 +229,7 @@ impl Table {
         }
         let id = self
             .pk_map
-            .remove(&OrdValue(key.clone()))
+            .remove(borrowed(key))
             .ok_or_else(|| MetaError::RowNotFound { key: key.to_string() })?;
         let old = self.rows[id].take().expect("pk map points at live row");
         for idx in &mut self.indexes {
@@ -179,14 +248,12 @@ impl Table {
     /// key) covers it. `None` means no index available.
     pub(crate) fn index_eq(&self, col: usize, key: &Value) -> Option<Vec<RowId>> {
         if self.schema.primary_key() == Some(col) {
-            return Some(
-                self.pk_map.get(&OrdValue(key.clone())).map(|&id| vec![id]).unwrap_or_default(),
-            );
+            return Some(self.pk_map.get(borrowed(key)).map(|&id| vec![id]).unwrap_or_default());
         }
         self.indexes
             .iter()
             .find(|i| i.column == col)
-            .map(|i| i.map.get(&OrdValue(key.clone())).cloned().unwrap_or_default())
+            .map(|i| i.map.get(borrowed(key)).cloned().unwrap_or_default())
     }
 
     /// Row ids whose indexed `col` lies in `[lo, hi]` (either bound may be
@@ -198,15 +265,19 @@ impl Table {
         hi: Option<&Value>,
     ) -> Option<Vec<RowId>> {
         use std::ops::Bound;
-        let lo_b = lo.map_or(Bound::Unbounded, |v| Bound::Included(OrdValue(v.clone())));
-        let hi_b = hi.map_or(Bound::Unbounded, |v| Bound::Included(OrdValue(v.clone())));
+        let bounds = (
+            lo.map_or(Bound::Unbounded, |v| Bound::Included(borrowed(v))),
+            hi.map_or(Bound::Unbounded, |v| Bound::Included(borrowed(v))),
+        );
         if self.schema.primary_key() == Some(col) {
-            return Some(self.pk_map.range((lo_b, hi_b)).map(|(_, &id)| id).collect());
+            return Some(self.pk_map.range::<dyn IndexKey, _>(bounds).map(|(_, &id)| id).collect());
         }
-        self.indexes
-            .iter()
-            .find(|i| i.column == col)
-            .map(|i| i.map.range((lo_b, hi_b)).flat_map(|(_, ids)| ids.iter().copied()).collect())
+        self.indexes.iter().find(|i| i.column == col).map(|i| {
+            i.map
+                .range::<dyn IndexKey, _>(bounds)
+                .flat_map(|(_, ids)| ids.iter().copied())
+                .collect()
+        })
     }
 }
 
@@ -294,6 +365,60 @@ mod tests {
         t.update_by_key(&Value::Int(3), row(3, 3, "raw")).unwrap();
         assert!(t.index_eq(grade_col, &Value::Text("physics".into())).unwrap().is_empty());
         assert_eq!(t.index_eq(grade_col, &Value::Text("raw".into())).unwrap().len(), 2);
+    }
+
+    #[test]
+    fn an_update_moves_an_index_entry_only_when_its_value_changes() {
+        let mut t = runs_table();
+        t.create_index("grade").unwrap();
+        for run in 1..=4 {
+            t.insert(row(run, run, "raw")).unwrap();
+        }
+        let grade = t.schema().column_index("grade").unwrap();
+        let ids = |t: &Table, g: &str| t.index_eq(grade, &Value::Text(g.into())).unwrap();
+        // Run 2 (row id 1) keeps its grade: every id of "raw" stays in place.
+        t.update_by_key(&Value::Int(2), row(2, 99, "raw")).unwrap();
+        assert_eq!(ids(&t, "raw"), [0, 1, 2, 3]);
+        // Run 2 changes grade: only its id leaves "raw".
+        t.update_by_key(&Value::Int(2), row(2, 99, "physics")).unwrap();
+        assert_eq!(ids(&t, "raw"), [0, 2, 3]);
+        assert_eq!(ids(&t, "physics"), [1]);
+    }
+
+    /// `load` leaves the table, or fails with the error, that one `insert`
+    /// per row up to the first failure gives, wherever repeated keys, a
+    /// mistyped row and a row that fails to arrive fall.
+    #[test]
+    fn load_matches_one_insert_per_row() {
+        sciflow_testkit::check("load_matches_one_insert_per_row", 64, |g| {
+            let rows = g.vec(0..40, |g| {
+                let run = g.range(0i64..60);
+                match g.range(0u8..20) {
+                    0 => Err(MetaError::Corrupt { detail: format!("run {run} cut short") }),
+                    1 => Ok(vec![Value::Int(run), Value::Text("many".into()), Value::Null]),
+                    _ => Ok(row(run, g.range(0i64..4), ["raw", "physics"][g.range(0usize..2)])),
+                }
+            });
+            let fresh = || {
+                let mut t = runs_table();
+                t.create_index("grade").unwrap();
+                t
+            };
+            let mut inserted = fresh();
+            let want = rows.iter().cloned().try_for_each(|r| inserted.insert(r?).map(drop));
+            let mut loaded = fresh();
+            assert_eq!(loaded.load(rows.into_iter()), want);
+            if want.is_err() {
+                return;
+            }
+            assert!(loaded.scan().eq(inserted.scan()));
+            assert_eq!(loaded.len(), inserted.len());
+            let grade = loaded.schema().column_index("grade").unwrap();
+            for key in [Value::Text("raw".into()), Value::Text("physics".into())] {
+                assert_eq!(loaded.index_eq(grade, &key), inserted.index_eq(grade, &key));
+            }
+            assert_eq!(loaded.index_range(0, None, None), inserted.index_range(0, None, None));
+        });
     }
 
     #[test]

@@ -149,6 +149,51 @@ impl Ord for OrdValue {
     }
 }
 
+/// A value seen in index order, so that a map keyed by [`OrdValue`] can be
+/// searched with a borrowed `&Value` (`key as &dyn IndexKey`) instead of a
+/// cloned one.
+pub(crate) trait IndexKey {
+    fn value(&self) -> &Value;
+}
+
+impl IndexKey for Value {
+    fn value(&self) -> &Value {
+        self
+    }
+}
+
+impl IndexKey for OrdValue {
+    fn value(&self) -> &Value {
+        &self.0
+    }
+}
+
+impl<'a> std::borrow::Borrow<dyn IndexKey + 'a> for OrdValue {
+    fn borrow(&self) -> &(dyn IndexKey + 'a) {
+        self
+    }
+}
+
+impl PartialEq for dyn IndexKey + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for dyn IndexKey + '_ {}
+
+impl PartialOrd for dyn IndexKey + '_ {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for dyn IndexKey + '_ {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.value().total_cmp(other.value())
+    }
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
