@@ -544,7 +544,7 @@ impl Replica {
 
     /// Register a brand-new file at this replica.
     pub fn register(&mut self, record: &FileRecord) -> ReplicaResult<()> {
-        if self.store.file(record.id)?.is_some() {
+        if self.store.has_file(record.id)? {
             return Err(EsError::DuplicateFile { id: record.id }.into());
         }
         let unit = FileUnit {
@@ -554,7 +554,7 @@ impl Replica {
             vv: VersionVector::first(self.id),
             quarantine: None,
         };
-        self.commit_unit(&unit)?;
+        self.commit_unit(&unit, None)?;
         Ok(())
     }
 
@@ -576,13 +576,14 @@ impl Replica {
             vv,
             quarantine: None,
         };
-        self.commit_unit(&unit)
+        let revision = cmp_units(&unit, &current);
+        self.commit_unit(&unit, Some(revision))
     }
 
     /// Quarantine a file (new epoch, flag set). Propagates to every replica
     /// on the next sync.
     pub fn quarantine(&mut self, id: u64, reason: &str) -> ReplicaResult<()> {
-        if self.store.file(id)?.is_none() {
+        if !self.store.has_file(id)? {
             return Err(EsError::UnknownFile { id }.into());
         }
         let epoch = self.qstate(id).map(|q| q.epoch + 1).unwrap_or(1);
@@ -593,7 +594,7 @@ impl Replica {
     /// Lift a quarantine (new epoch, flag cleared) — the deliberate release
     /// that outranks every stale copy of the old flag.
     pub fn release(&mut self, id: u64) -> ReplicaResult<()> {
-        if self.store.file(id)?.is_none() {
+        if !self.store.has_file(id)? {
             return Err(EsError::UnknownFile { id }.into());
         }
         let epoch = self.qstate(id).map(|q| q.epoch + 1).unwrap_or(1);
@@ -683,9 +684,17 @@ impl Replica {
         Ok(())
     }
 
-    fn commit_unit(&mut self, unit: &FileUnit) -> ReplicaResult<ApplyEffect> {
-        self.journal_append(wire::AJ_UNIT, &encode_unit(unit))?;
-        self.apply_unit(unit)
+    /// Journal-then-apply a local unit, given its place in the total order
+    /// against the resident revision (`None`: the file is new here).
+    fn commit_unit(
+        &mut self,
+        unit: &FileUnit,
+        revision: Option<Ordering>,
+    ) -> ReplicaResult<ApplyEffect> {
+        // An in-memory replica has no journal to encode the unit for.
+        let payload = if self.journal.is_some() { encode_unit(unit) } else { Vec::new() };
+        self.journal_append(wire::AJ_UNIT, &payload)?;
+        self.apply_resolved(unit, revision)
     }
 
     /// Journal-then-apply one received range frame: `units` as
@@ -845,7 +854,7 @@ impl Replica {
         }
         put_qmeta(&mut self.store, id, &winner)?;
         self.index.unit_changed(id);
-        if self.store.file(id)?.is_some() {
+        if self.store.has_file(id)? {
             if winner.flagged {
                 self.store.quarantine_file(id, &winner.reason)?;
             } else {
@@ -974,15 +983,13 @@ fn get_meta(store: &EventStore, key: &str) -> Option<String> {
 fn put_meta(store: &mut EventStore, key: &str, value: &str) -> Result<(), EsError> {
     let table = store.db_mut().table_mut(META)?;
     let key_v = Value::Text(key.to_string());
-    let row = vec![key_v.clone(), Value::Text(value.to_string())];
-    match table.insert(row.clone()) {
-        Ok(_) => Ok(()),
-        Err(MetaError::DuplicateKey { .. }) => {
-            table.update_by_key(&key_v, row)?;
-            Ok(())
-        }
-        Err(e) => Err(e.into()),
+    let value = Value::Text(value.to_string());
+    if table.get_by_key(&key_v)?.is_some() {
+        table.update_by_key(&key_v, vec![key_v.clone(), value])?;
+    } else {
+        table.insert(vec![key_v, value])?;
     }
+    Ok(())
 }
 
 fn put_qmeta(store: &mut EventStore, id: u64, q: &QState) -> Result<(), EsError> {

@@ -231,6 +231,11 @@ impl EventStore {
         Ok(table.get_by_key(&Value::Int(id as i64))?.map(Self::row_file))
     }
 
+    /// Whether `id` is registered, read from the key map alone.
+    pub(crate) fn has_file(&self, id: u64) -> EsResult<bool> {
+        Ok(self.db.table(FILES)?.get_by_key(&Value::Int(id as i64))?.is_some())
+    }
+
     pub fn file_count(&self) -> usize {
         self.db.table(FILES).map(|t| t.len()).unwrap_or(0)
     }
@@ -252,7 +257,7 @@ impl EventStore {
     /// [`EventStore::release_file`] lifts the flag. Idempotent; a repeated
     /// call updates the recorded reason.
     pub fn quarantine_file(&mut self, id: u64, reason: &str) -> EsResult<()> {
-        if self.file(id)?.is_none() {
+        if !self.has_file(id)? {
             return Err(EsError::UnknownFile { id });
         }
         let table = self.db.table_mut(META)?;
@@ -272,7 +277,7 @@ impl EventStore {
     /// reprocessed and re-verified. Releasing a file that is not quarantined
     /// is harmless; releasing an unregistered id errors.
     pub fn release_file(&mut self, id: u64) -> EsResult<()> {
-        if self.file(id)?.is_none() {
+        if !self.has_file(id)? {
             return Err(EsError::UnknownFile { id });
         }
         let table = self.db.table_mut(META)?;
@@ -458,10 +463,12 @@ impl EventStore {
             return Ok(Vec::new());
         };
         let table = self.db.table(FILES)?;
+        // The run test first: it turns away nearly every row, and with two
+        // integer compares rather than two string ones.
         let wanted = |r: &[Value]| {
-            r[3].as_text() == Some(kind)
+            Self::row_runs(r).contains(run)
+                && r[3].as_text() == Some(kind)
                 && r[4].as_text() == Some(version)
-                && Self::row_runs(r).contains(run)
         };
         Ok(table.scan().filter(|(_, r)| wanted(r)).map(|(_, r)| Self::row_file(r)).collect())
     }
