@@ -251,6 +251,64 @@ fn indexed_and_scanned_selects_agree() {
     });
 }
 
+/// Inserts, updates that keep or change `v`, updates that move the key,
+/// and deletes, applied to an indexed table and a plain one: both keep
+/// selecting the rows of a model.
+#[test]
+fn indexes_follow_churn() {
+    check("indexes_follow_churn", 64, |g| {
+        let ops = g.vec(0..200, |g| {
+            (g.range(0u8..5), g.range(0i64..40), g.range(0i64..40), g.range(-8i64..8))
+        });
+        let mut model = BTreeMap::new();
+        let (mut indexed, mut plain) = (kv_table(&model, true), kv_table(&model, false));
+        for (op, k, to, v) in ops {
+            let v = if op == 2 { model.get(&k).copied().unwrap_or(v) } else { v };
+            let (key, row) =
+                (Value::Int(k), vec![Value::Int(if op == 3 { to } else { k }), Value::Int(v)]);
+            let applied: Vec<bool> = [&mut indexed, &mut plain]
+                .into_iter()
+                .map(|t| match op {
+                    0 => t.insert(row.clone()).is_ok(),
+                    1..=3 => t.update_by_key(&key, row.clone()).is_ok(),
+                    _ => t.delete_by_key(&key).is_ok(),
+                })
+                .collect();
+            let want = match op {
+                0 => !model.contains_key(&k),
+                3 => model.contains_key(&k) && (to == k || !model.contains_key(&to)),
+                _ => model.contains_key(&k),
+            };
+            assert_eq!(applied, [want, want], "op {op} on {k}");
+            if want {
+                model.remove(&k);
+                if op != 4 {
+                    model.insert(if op == 3 { to } else { k }, v);
+                }
+            }
+        }
+        let (a, b) = (g.range(-9i64..9), g.range(-9i64..9));
+        let range = Predicate::Range {
+            col: 1,
+            lo: Some(Value::Int(a.min(b))),
+            hi: Some(Value::Int(a.max(b))),
+        };
+        for p in [Predicate::Eq(1, Value::Int(a)), range] {
+            let want: Vec<i64> = model
+                .iter()
+                .filter(|(&k, &v)| p.matches(&[Value::Int(k), Value::Int(v)]))
+                .map(|(&k, _)| k)
+                .collect();
+            for t in [&indexed, &plain] {
+                assert_eq!(
+                    keys_of(&select(t, &Query::filter(p.clone())).expect("select").rows),
+                    want
+                );
+            }
+        }
+    });
+}
+
 #[test]
 fn ordered_limited_selects_match_a_sorted_model() {
     check("ordered_limited_selects_match_a_sorted_model", 64, |g| {
