@@ -9,10 +9,11 @@
 //!
 //! [`RetryPolicy`] models the standard remedy — bounded retries with
 //! exponential backoff and seeded jitter plus per-attempt timeouts — and
-//! [`FaultPlan::attempt_outcome`] is the shared kernel that both the
-//! flow simulator ([`crate::sim::FlowSim::with_faults`]) and the
-//! `simnet::reliable` transfer executor use to decide how one attempt fares
-//! against the fault timeline.
+//! [`FaultPlan::attempt_outcome`] is the kernel the flow simulator
+//! ([`crate::sim::FlowSim::with_faults`]) uses to decide how one transfer
+//! attempt fares against the fault timeline. `simnet`'s
+//! `compare_with_faults` runs its network leg through that simulator, so
+//! there is one transfer executor.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -547,20 +548,10 @@ impl FaultPlan {
         }
 
         match failure {
-            None => AttemptOutcome {
-                ends_at: end,
-                failure: None,
-                stalls_hit,
-                nominal_end: end,
-                silent_corrupts,
-            },
-            Some((at, cause)) => AttemptOutcome {
-                ends_at: at,
-                failure: Some(cause),
-                stalls_hit,
-                nominal_end: end,
-                silent_corrupts,
-            },
+            None => AttemptOutcome { ends_at: end, failure: None, stalls_hit, silent_corrupts },
+            Some((at, cause)) => {
+                AttemptOutcome { ends_at: at, failure: Some(cause), stalls_hit, silent_corrupts }
+            }
         }
     }
 }
@@ -592,9 +583,6 @@ pub struct AttemptOutcome {
     pub failure: Option<AttemptFailure>,
     /// Stall events that extended the attempt window.
     pub stalls_hit: u32,
-    /// Where the attempt would have completed ignoring the failure (used for
-    /// partial-progress accounting).
-    pub nominal_end: SimTime,
     /// [`FaultKind::SilentCorrupt`] events inside the attempt window. They
     /// never fail the attempt; a delivered attempt carries this many taint
     /// units downstream (failed attempts retransmit, so their taint is moot).
@@ -652,11 +640,6 @@ impl RetryPolicy {
     /// Give up after the first failure.
     pub fn no_retries() -> Self {
         RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-    }
-
-    pub fn with_timeout(mut self, timeout: SimDuration) -> Self {
-        self.attempt_timeout = Some(timeout);
-        self
     }
 
     /// The jitter-free backoff before retry `i` (0-based): monotone

@@ -47,11 +47,6 @@ impl CheckpointPolicy {
     pub fn interval(every: SimDuration) -> Self {
         CheckpointPolicy::Interval { every, cost: SimDuration::ZERO }
     }
-
-    /// Checkpoint every `every` of work, paying `cost` per checkpoint.
-    pub fn interval_with_cost(every: SimDuration, cost: SimDuration) -> Self {
-        CheckpointPolicy::Interval { every, cost }
-    }
 }
 
 /// How a stage checks arriving blocks for silent corruption.

@@ -32,7 +32,8 @@
 //!   channels with a pluggable [`resource::SchedPolicy`]);
 //! * [`fault`] — seeded, replayable fault timelines (drops, stalls,
 //!   corruption, rate degradation) and bounded retry/backoff policies that
-//!   the simulator and `simnet`'s reliable executor share;
+//!   the simulator's `Transfer` stages ride out, `simnet`'s faulted
+//!   transfer-vs-shipping verdict included;
 //! * [`genflow`] — a seeded random flow-graph generator with six named
 //!   archetypes (the "workload zoo"); the property-test suite runs the flow
 //!   invariants against hundreds of generated graphs per seed;

@@ -70,12 +70,6 @@ impl SyncLink {
         }
     }
 
-    /// Override the simulated per-frame latency.
-    pub fn with_latency(mut self, per_frame: SimDuration) -> Self {
-        self.per_frame = per_frame;
-        self
-    }
-
     /// The link's current simulated clock.
     pub fn now(&self) -> SimTime {
         self.now

@@ -98,8 +98,9 @@ impl Value {
     }
 
     /// Total order used by indexes and ORDER BY: nulls first, then by type
-    /// rank (Int/Real interleaved numerically), then by value. `Real` uses
-    /// IEEE total ordering so NaN has a stable position.
+    /// rank (Int/Real interleaved numerically, and exactly: no `Int` is
+    /// rounded to a float), then by value. `Real` uses IEEE total ordering
+    /// so NaN has a stable position and `-0.0` sits just below `Int(0)`.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
         use Value::*;
         fn rank(v: &Value) -> u8 {
@@ -115,14 +116,29 @@ impl Value {
             (Null, Null) => Ordering::Equal,
             (Int(a), Int(b)) => a.cmp(b),
             (Real(a), Real(b)) => a.total_cmp(b),
-            (Int(a), Real(b)) => (*a as f64).total_cmp(b),
-            (Real(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Real(b)) => int_real_cmp(*a, *b),
+            (Real(a), Int(b)) => int_real_cmp(*b, *a).reverse(),
             (Date(a), Date(b)) => a.cmp(b),
             (Text(a), Text(b)) => a.cmp(b),
             (Blob(a), Blob(b)) => a.cmp(b),
             _ => rank(self).cmp(&rank(other)),
         }
     }
+}
+
+/// `a` against `b` exactly, placed as `(a as f64).total_cmp(&b)` would place
+/// them if the cast never rounded: NaN beyond the infinity on its sign's
+/// side, `-0.0` below `0`.
+fn int_real_cmp(a: i64, b: f64) -> Ordering {
+    // 2^63, the first float above every i64; -2^63 is i64::MIN itself.
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if !(-TWO_63..TWO_63).contains(&b) {
+        return if b.is_sign_negative() { Ordering::Greater } else { Ordering::Less };
+    }
+    // `b.trunc()` is an integer in range, so the cast is exact. Where `a`
+    // equals it, `a` is exact as a float too, and IEEE order settles the
+    // fraction and the sign of zero.
+    a.cmp(&(b.trunc() as i64)).then_with(|| (a as f64).total_cmp(&b))
 }
 
 /// Wrapper giving `Value` the `Ord`/`Eq` needed for `BTreeMap` index keys.
@@ -276,6 +292,32 @@ mod tests {
         // total_cmp puts +NaN after all finite values.
         assert_eq!(a.total_cmp(&b), Ordering::Greater);
         assert_eq!(a.total_cmp(&a.clone()), Ordering::Equal);
+    }
+
+    #[test]
+    fn ints_past_two_to_the_53_compare_exactly_with_reals() {
+        // `2^53 + 1 as f64` rounds to 2^53, which once made the two
+        // different `Int`s below both equal to the one `Real`.
+        let two_53 = 1i64 << 53;
+        let (above, real, at) =
+            (Value::Int(two_53 + 1), Value::Real(two_53 as f64), Value::Int(two_53));
+        assert_eq!(above.total_cmp(&real), Ordering::Greater);
+        assert_eq!(real.total_cmp(&at), Ordering::Equal);
+        assert_eq!(above.total_cmp(&at), Ordering::Greater);
+        // The edges of the i64 range, fractions and signed zero.
+        let cmp = |a: i64, b: f64| Value::Int(a).total_cmp(&Value::Real(b));
+        assert_eq!(cmp(i64::MAX, 9_223_372_036_854_775_808.0), Ordering::Less);
+        assert_eq!(cmp(i64::MIN, -9_223_372_036_854_775_808.0), Ordering::Equal);
+        assert_eq!(cmp(i64::MIN, f64::NEG_INFINITY), Ordering::Greater);
+        assert_eq!(cmp(i64::MAX, f64::NAN), Ordering::Less);
+        assert_eq!(cmp(i64::MIN, -f64::NAN), Ordering::Greater);
+        assert_eq!(cmp(two_53 + 1, two_53 as f64 + 2.0), Ordering::Less);
+        assert_eq!(cmp(-3, -2.5), Ordering::Less);
+        assert_eq!(cmp(-2, -2.5), Ordering::Greater);
+        assert_eq!(cmp(2, 2.5), Ordering::Less);
+        assert_eq!(cmp(0, -0.0), Ordering::Greater);
+        assert_eq!(cmp(0, 0.0), Ordering::Equal);
+        assert_eq!(cmp(0, -0.5), Ordering::Greater);
     }
 
     #[test]

@@ -11,16 +11,16 @@
 //! because "a Grid-based approach will only be a viable alternative if it
 //! provides faster data transfer at lower cost". The [`transfer`] module
 //! makes those comparisons quantitative, and [`profiles`] captures the
-//! paper's concrete 2005/2006 infrastructure. The [`reliable`] module
-//! replays transfers against seeded fault timelines (drops, stalls,
-//! corruption, degradation) with bounded retry/backoff, so the comparison
-//! can be made against the network as it is, not as advertised.
+//! paper's concrete 2005/2006 infrastructure.
+//! [`transfer::compare_with_faults`] runs the network leg through
+//! `sciflow_core`'s flow simulator against a seeded fault timeline (drops,
+//! stalls, corruption, degradation) with bounded retry/backoff, so the
+//! comparison can be made against the network as it is, not as advertised.
 
 pub mod federation;
 pub mod integrity;
 pub mod link;
 pub mod profiles;
-pub mod reliable;
 pub mod shipping;
 pub mod transfer;
 
@@ -30,10 +30,6 @@ pub use integrity::{
     VerificationReport,
 };
 pub use link::NetworkLink;
-pub use reliable::{
-    AttemptRecord, AttemptResult, FaultPlan, FaultProfile, ReliableTransfer, RetryPolicy,
-    TransferError, TransferReport,
-};
 pub use shipping::{plan_shipment, MediaSpec, ShipmentPlan, ShippingRoute};
 pub use transfer::{
     compare, compare_with_faults, crossover_bandwidth, ReliableComparison, TransferComparison,

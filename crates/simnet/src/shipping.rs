@@ -48,7 +48,7 @@ pub struct ShippingRoute {
 }
 
 /// A concrete plan to move `volume` by shipping media.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShipmentPlan {
     pub units: usize,
     pub shipments: usize,
@@ -102,30 +102,12 @@ pub fn plan_shipment(volume: DataVolume, media: &MediaSpec, route: &ShippingRout
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ata_disk() -> MediaSpec {
-        MediaSpec::new(
-            "ATA-400GB",
-            DataVolume::gb(400),
-            DataRate::mb_per_sec(50.0),
-            DataRate::mb_per_sec(60.0),
-        )
-    }
-
-    fn pr_to_ithaca() -> ShippingRoute {
-        ShippingRoute {
-            name: "Arecibo→CTC".into(),
-            transit: SimDuration::from_days(3),
-            handling: SimDuration::from_hours(4),
-            personnel_hours_per_shipment: 6.0,
-            units_per_shipment: 20,
-        }
-    }
+    use crate::profiles::{arecibo_to_ctc, ata_disk};
 
     #[test]
     fn arecibo_weekly_block() {
         // One week of ALFA data: 14 TB → 35 disks → 2 shipments.
-        let plan = plan_shipment(DataVolume::tb(14), &ata_disk(), &pr_to_ithaca());
+        let plan = plan_shipment(DataVolume::tb(14), &ata_disk(), &arecibo_to_ctc());
         assert_eq!(plan.units, 35);
         assert_eq!(plan.shipments, 2);
         assert_eq!(plan.personnel_hours, 12.0);
@@ -139,7 +121,7 @@ mod tests {
 
     #[test]
     fn tiny_volume_single_unit() {
-        let plan = plan_shipment(DataVolume::gb(1), &ata_disk(), &pr_to_ithaca());
+        let plan = plan_shipment(DataVolume::gb(1), &ata_disk(), &arecibo_to_ctc());
         assert_eq!(plan.units, 1);
         assert_eq!(plan.shipments, 1);
         // Dominated by transit.
@@ -148,15 +130,15 @@ mod tests {
 
     #[test]
     fn exact_multiple_of_unit_capacity() {
-        let plan = plan_shipment(DataVolume::gb(800), &ata_disk(), &pr_to_ithaca());
+        let plan = plan_shipment(DataVolume::gb(800), &ata_disk(), &arecibo_to_ctc());
         assert_eq!(plan.units, 2);
     }
 
     #[test]
     fn zero_volume_still_one_shipment_if_requested() {
-        let plan = plan_shipment(DataVolume::ZERO, &ata_disk(), &pr_to_ithaca());
+        let plan = plan_shipment(DataVolume::ZERO, &ata_disk(), &arecibo_to_ctc());
         assert_eq!(plan.units, 0);
         assert_eq!(plan.shipments, 1);
-        assert!(plan.total_time >= pr_to_ithaca().transit);
+        assert!(plan.total_time >= arecibo_to_ctc().transit);
     }
 }

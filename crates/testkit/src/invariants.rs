@@ -6,63 +6,10 @@
 //! replay-stable — and panic with a diagnostic when violated.
 
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
-use sciflow_core::metrics::SimReport;
+use sciflow_core::metrics::{SimReport, StageMetrics};
 use sciflow_core::provenance::ProvenanceRecord;
 use sciflow_core::trace::{TraceEvent, TraceSnapshot};
 use sciflow_core::units::{DataVolume, SimDuration};
-use sciflow_simnet::reliable::{AttemptResult, TransferReport};
-
-/// Conservation of bytes across retries for a reliable transfer: exactly the
-/// payload is delivered, exactly one attempt (the last) delivers it, every
-/// failed attempt's wire bytes are billed as retransmission, and no attempt
-/// sends more than the payload.
-pub fn assert_transfer_conservation(report: &TransferReport) {
-    let payload = report.volume.bytes();
-    assert_eq!(report.bytes_delivered(), payload, "delivered bytes must equal the payload exactly");
-    let delivered: Vec<_> =
-        report.attempts.iter().filter(|a| a.result == AttemptResult::Delivered).collect();
-    assert_eq!(delivered.len(), 1, "exactly one attempt delivers");
-    assert_eq!(
-        delivered[0].index as usize,
-        report.attempts.len() - 1,
-        "the delivering attempt is the last"
-    );
-    for a in &report.attempts {
-        assert!(
-            a.bytes_sent <= payload,
-            "attempt {} sent {} > payload {payload}",
-            a.index,
-            a.bytes_sent
-        );
-    }
-    assert_eq!(
-        report.bytes_on_wire(),
-        report.bytes_delivered() + report.bytes_retransmitted(),
-        "wire traffic must decompose into payload plus retransmissions"
-    );
-}
-
-/// Monotone simulated time within a reliable transfer: attempts are ordered,
-/// never run backwards, and never overlap.
-pub fn assert_monotone_attempts(report: &TransferReport) {
-    let mut prev_end = report.started_at;
-    for (i, a) in report.attempts.iter().enumerate() {
-        assert_eq!(a.index as usize, i, "attempt indices are dense");
-        assert!(
-            a.started_at >= prev_end,
-            "attempt {i} started at {} before the previous ended at {prev_end}",
-            a.started_at
-        );
-        assert!(
-            a.ended_at >= a.started_at,
-            "attempt {i} ran backwards: {} -> {}",
-            a.started_at,
-            a.ended_at
-        );
-        prev_end = a.ended_at;
-    }
-    assert_eq!(report.completed_at, prev_end, "completion time must equal the last attempt's end");
-}
 
 /// Monotone simulated time for a flow report: no stage completes after the
 /// simulation ends, and the sources stop before the flow finishes.
@@ -89,8 +36,8 @@ pub fn assert_monotone_sim_time(report: &SimReport) {
 /// everything that arrived was either delivered, abandoned (counted as
 /// lost), or is still queued — retries may inflate wire traffic but never
 /// create or destroy payload.
-pub fn assert_flow_transfer_conservation(report: &SimReport, stage: &str) {
-    let s = report.stage(stage).unwrap_or_else(|| panic!("no stage named `{stage}` in report"));
+pub fn assert_flow_transfer_conservation(s: &StageMetrics) {
+    let stage = &s.name;
     let accounted = s.volume_out + s.volume_lost + s.final_queue_volume;
     assert_eq!(
         s.volume_in, accounted,

@@ -10,7 +10,8 @@
 //! * [`rng`] — seeded RNG construction and stable seed derivation, so every
 //!   test names its randomness;
 //! * [`scenarios`] — seeded builders for the recurring test fixtures (a
-//!   lossy link, a faulty end-to-end flow), each replayable from one `u64`;
+//!   lossy flow, a crashing pool, silent corruption), each replayable from
+//!   one `u64`;
 //! * [`property`] — the property harness: [`property::check`] runs a
 //!   property over seeded cases drawn through a [`property::Gen`] and
 //!   reports a failure as one shrunk, replayable case seed;
@@ -44,9 +45,8 @@ pub use golden::{assert_matches_golden, assert_matches_golden_text, canonical_re
 pub use invariants::{
     assert_checkpoint_bound, assert_close, assert_crash_recovery, assert_duration_close,
     assert_flow_transfer_conservation, assert_generated_conservation, assert_generated_drained,
-    assert_integrity_audit, assert_monotone_attempts, assert_monotone_sim_time,
-    assert_provenance_stability, assert_trace_conservation, assert_transfer_conservation,
-    assert_within_pct,
+    assert_integrity_audit, assert_monotone_sim_time, assert_provenance_stability,
+    assert_trace_conservation, assert_within_pct,
 };
 pub use property::{check, Gen};
 pub use replicated::{
@@ -54,7 +54,7 @@ pub use replicated::{
 };
 pub use rng::{derive_seed, matrix_seed, seeded_rng};
 pub use scenarios::{
-    CorruptFlowScenario, CrashFlowScenario, LossyFlowScenario, LossyLinkScenario,
-    SharedPoolScenario, TracedFlowScenario,
+    CorruptFlowScenario, CrashFlowScenario, LossyFlowScenario, SharedPoolScenario,
+    TracedFlowScenario,
 };
 pub use sealed::{assert_sealed_roundtrip, TailPolicy};

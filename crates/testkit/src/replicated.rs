@@ -93,11 +93,6 @@ impl ReplicatedScenario {
         self
     }
 
-    pub fn with_ops(mut self, ops: usize) -> Self {
-        self.ops = ops;
-        self
-    }
-
     pub fn with_profile(mut self, profile: FaultProfile) -> Self {
         self.profile = profile;
         self

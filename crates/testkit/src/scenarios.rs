@@ -1,81 +1,14 @@
 //! Seeded scenario builders: the recurring fixtures of the fault-injection
 //! suite, each fully determined by a single `u64` seed.
 
-use sciflow_core::fault::{FaultKind, FaultPlan, FaultProfile, RetryPolicy};
+use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
 use sciflow_core::metrics::SimReport;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::trace::{TraceRecorder, TraceSnapshot};
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
-use sciflow_simnet::link::NetworkLink;
-use sciflow_simnet::reliable::{ReliableTransfer, TransferError, TransferReport};
 
 use crate::rng::derive_seed;
-
-/// A single bulk transfer over a drop-heavy link: the canonical "does the
-/// retry layer actually recover" fixture. Drops dominate the fault plan
-/// (well above the 10% the acceptance bar asks for), so any run exercises
-/// retransmission.
-#[derive(Debug, Clone)]
-pub struct LossyLinkScenario {
-    pub seed: u64,
-    pub volume: DataVolume,
-    pub horizon: SimDuration,
-    pub profile: FaultProfile,
-    pub policy: RetryPolicy,
-}
-
-impl LossyLinkScenario {
-    pub fn new(seed: u64) -> Self {
-        LossyLinkScenario {
-            seed,
-            volume: DataVolume::gb(100),
-            horizon: SimDuration::from_days(7),
-            // Drop-dominated: resets every few simulated hours.
-            profile: FaultProfile {
-                drops_per_day: 8.0,
-                stalls_per_day: 1.0,
-                mean_stall: SimDuration::from_mins(5),
-                corrupts_per_day: 0.5,
-                degrades_per_day: 1.0,
-                degrade_factor: 0.5,
-                mean_degrade: SimDuration::from_mins(30),
-                ..FaultProfile::clean()
-            },
-            policy: RetryPolicy::default(),
-        }
-    }
-
-    /// The WebLab-style dedicated link the transfer runs over.
-    pub fn link(&self) -> NetworkLink {
-        NetworkLink::new(
-            "lossy-internet2",
-            DataRate::mbit_per_sec(100.0),
-            SimDuration::from_micros(35_000),
-        )
-    }
-
-    /// The seeded fault timeline (same seed, same plan).
-    pub fn plan(&self) -> FaultPlan {
-        FaultPlan::generate(derive_seed(self.seed, "lossy-link"), self.horizon, &self.profile)
-    }
-
-    /// Fraction of plan events that are connection drops.
-    pub fn drop_fraction(&self) -> f64 {
-        let plan = self.plan();
-        if plan.is_empty() {
-            return 0.0;
-        }
-        plan.count(|k| matches!(k, FaultKind::Drop)) as f64 / plan.len() as f64
-    }
-
-    /// Execute the transfer from simulated time zero.
-    pub fn run(&self) -> Result<TransferReport, TransferError> {
-        let link = self.link();
-        let plan = self.plan();
-        ReliableTransfer::new(&link, &plan, self.policy).execute(self.volume, SimTime::ZERO)
-    }
-}
 
 /// An end-to-end flow (source → transfer → archive) executed under a seeded
 /// fault plan: the fixture for whole-[`SimReport`] determinism and
@@ -571,22 +504,9 @@ mod tests {
     }
 
     #[test]
-    fn lossy_link_scenario_is_drop_heavy() {
-        let s = LossyLinkScenario::new(1);
-        assert!(!s.plan().is_empty());
-        assert!(
-            s.drop_fraction() >= 0.10,
-            "drop fraction {} below the acceptance floor",
-            s.drop_fraction()
-        );
-    }
-
-    #[test]
     fn scenarios_replay_identically() {
         let s = LossyFlowScenario::new(3);
         assert_eq!(s.run(), s.run());
-        let t = LossyLinkScenario::new(3);
-        assert_eq!(t.run(), t.run());
     }
 
     #[test]

@@ -2,54 +2,66 @@
 //!
 //! Exercised end to end: a lossy link recovers via retries with bytes
 //! conserved; a dead link degrades the transfer-vs-shipping verdict to
-//! shipping instead of hanging; persistent stalls surface as a typed
-//! timeout; and replaying a seeded scenario yields byte-identical reports,
+//! shipping instead of hanging; persistent stalls end in a give-up, not a
+//! hang; and replaying a seeded scenario yields byte-identical reports,
 //! retry and fault counters included.
 
-use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
+use sciflow_core::fault::{FaultKind, FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
 use sciflow_simnet::link::NetworkLink;
-use sciflow_simnet::reliable::{ReliableTransfer, TransferError};
-use sciflow_simnet::shipping::{MediaSpec, ShippingRoute};
-use sciflow_simnet::transfer::{compare_with_faults, TransferMode};
+use sciflow_simnet::profiles::{arecibo_to_ctc, ata_disk};
+use sciflow_simnet::transfer::{compare, compare_with_faults, ReliableComparison, TransferMode};
 use sciflow_testkit::{
-    assert_deterministic, assert_flow_transfer_conservation, assert_monotone_attempts,
-    assert_monotone_sim_time, assert_transfer_conservation, LossyFlowScenario, LossyLinkScenario,
+    assert_deterministic, assert_flow_transfer_conservation, assert_monotone_sim_time, derive_seed,
+    LossyFlowScenario,
 };
 
-fn ata_disk() -> MediaSpec {
-    MediaSpec::new(
-        "ATA-400GB",
-        DataVolume::gb(400),
-        DataRate::mb_per_sec(50.0),
-        DataRate::mb_per_sec(60.0),
-    )
-}
-
-fn courier_route() -> ShippingRoute {
-    ShippingRoute {
-        name: "Arecibo→CTC".into(),
-        transit: SimDuration::from_days(3),
-        handling: SimDuration::from_hours(4),
-        personnel_hours_per_shipment: 6.0,
-        units_per_shipment: 20,
-    }
+/// The verdict for `volume` over `link` against couriered Arecibo disks,
+/// the network leg run through `plan` under `policy`.
+fn leg(
+    volume: DataVolume,
+    link: &NetworkLink,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> ReliableComparison {
+    compare_with_faults(volume, link, plan, policy, &ata_disk(), &arecibo_to_ctc())
 }
 
 #[test]
 fn lossy_link_recovers_via_retries_and_conserves_bytes() {
-    let scenario = LossyLinkScenario::new(0xA5EC1B0);
-    // The acceptance bar: the seeded plan is genuinely drop-heavy.
-    assert!(
-        scenario.drop_fraction() >= 0.10,
-        "drop fraction {} below 10%",
-        scenario.drop_fraction()
+    // 100 GB over a WebLab-style 100 Mb/s link through a week of faults
+    // that resets the connection every few simulated hours.
+    let profile = FaultProfile {
+        drops_per_day: 8.0,
+        stalls_per_day: 1.0,
+        mean_stall: SimDuration::from_mins(5),
+        corrupts_per_day: 0.5,
+        degrades_per_day: 1.0,
+        degrade_factor: 0.5,
+        mean_degrade: SimDuration::from_mins(30),
+        ..FaultProfile::clean()
+    };
+    let plan = FaultPlan::generate(
+        derive_seed(0xA5EC1B0, "lossy-link"),
+        SimDuration::from_days(7),
+        &profile,
     );
-    let report = scenario.run().expect("retries ride out the lossy link");
-    assert!(report.retries() > 0, "a drop-heavy plan must force retries");
-    assert!(report.bytes_retransmitted() > 0);
-    assert_transfer_conservation(&report);
-    assert_monotone_attempts(&report);
+    // The acceptance bar: the seeded plan is genuinely drop-heavy.
+    let drops = plan.count(|k| matches!(k, FaultKind::Drop)) as f64 / plan.len() as f64;
+    assert!(drops >= 0.10, "drop fraction {drops} below 10%");
+    let link = NetworkLink::new(
+        "lossy-internet2",
+        DataRate::mbit_per_sec(100.0),
+        SimDuration::from_micros(35_000),
+    );
+    let volume = DataVolume::gb(100);
+    let result = leg(volume, &link, &plan, RetryPolicy::default());
+    let network = result.network.expect("a live link runs the leg");
+    assert!(result.comparison.network_time.is_some(), "retries ride out the lossy link");
+    assert!(network.retries > 0, "a drop-heavy plan must force retries");
+    assert_eq!(network.volume_retransmitted, volume * network.retries);
+    assert_eq!(network.volume_out, volume);
+    assert_flow_transfer_conservation(&network);
 }
 
 #[test]
@@ -57,8 +69,8 @@ fn lossy_flow_completes_with_conservation_and_counters() {
     let scenario = LossyFlowScenario::new(0xF10);
     let report = scenario.run();
     assert_monotone_sim_time(&report);
-    assert_flow_transfer_conservation(&report, LossyFlowScenario::LINK);
     let link = report.stage(LossyFlowScenario::LINK).unwrap();
+    assert_flow_transfer_conservation(link);
     assert!(link.faults > 0, "the seeded plan must actually perturb the flow");
     assert!(link.retries > 0, "drops must force retries");
     // Whatever survived the link landed in the archive, byte for byte.
@@ -84,18 +96,10 @@ fn replaying_a_seed_reproduces_the_simreport_counters_and_all() {
 #[test]
 fn dead_link_tips_the_verdict_to_shipping() {
     let down = NetworkLink::new("hurricane-takedown", DataRate::ZERO, SimDuration::ZERO);
-    let plan = FaultPlan::none();
-    let result = compare_with_faults(
-        DataVolume::tb(2),
-        &down,
-        &plan,
-        RetryPolicy::default(),
-        &ata_disk(),
-        &courier_route(),
-    );
+    let result = leg(DataVolume::tb(2), &down, &FaultPlan::none(), RetryPolicy::default());
     assert_eq!(result.comparison.winner, TransferMode::Shipping);
     assert!(result.comparison.network_time.is_none());
-    assert!(matches!(result.network, Err(TransferError::LinkDown { .. })));
+    assert_eq!(result.network, None, "a dead link is refused before anything runs");
 }
 
 #[test]
@@ -105,7 +109,7 @@ fn relentless_drops_degrade_the_verdict_to_shipping() {
     let events = (0..(30 * 144))
         .map(|i| sciflow_core::fault::FaultEvent {
             at: SimTime::from_micros(i * 600_000_000),
-            kind: sciflow_core::fault::FaultKind::Drop,
+            kind: FaultKind::Drop,
         })
         .collect();
     let plan = FaultPlan::from_events(9, events);
@@ -114,16 +118,11 @@ fn relentless_drops_degrade_the_verdict_to_shipping() {
         DataRate::mbit_per_sec(10.0),
         SimDuration::from_micros(80_000),
     );
-    let result = compare_with_faults(
-        DataVolume::tb(2),
-        &link,
-        &plan,
-        RetryPolicy::default(),
-        &ata_disk(),
-        &courier_route(),
-    );
+    let result = leg(DataVolume::tb(2), &link, &plan, RetryPolicy::default());
     assert_eq!(result.comparison.winner, TransferMode::Shipping);
-    assert!(matches!(result.network, Err(TransferError::RetriesExhausted { .. })));
+    assert!(result.comparison.network_time.is_none());
+    let network = result.network.expect("a live link runs the leg");
+    assert_eq!((network.blocks_failed, network.retries), (1, 6), "seven attempts, then give up");
 }
 
 #[test]
@@ -153,27 +152,26 @@ fn persistent_stalls_are_a_typed_timeout_not_a_hang() {
         attempt_timeout: Some(SimDuration::from_mins(30)),
         ..RetryPolicy::default()
     };
-    match ReliableTransfer::new(&link, &plan, policy).execute(DataVolume::tb(1), SimTime::ZERO) {
-        Err(TransferError::Timeout { attempts, .. }) => assert_eq!(attempts, 4),
-        other => panic!("expected a typed timeout, got {other:?}"),
-    }
+    let result = leg(DataVolume::tb(1), &link, &plan, policy);
+    assert_eq!(result.comparison.winner, TransferMode::Shipping);
+    assert!(result.comparison.network_time.is_none());
+    let network = result.network.expect("a live link runs the leg");
+    assert_eq!((network.blocks_failed, network.retries), (1, 3), "four attempts, then give up");
 }
 
 #[test]
 fn clean_plan_matches_the_faultless_baseline() {
-    // With an empty fault plan the reliable executor must agree exactly
-    // with the link's idealized transfer_time.
+    // With an empty fault plan the executed leg must agree exactly with the
+    // link's idealized transfer_time, and the verdict with `compare`'s.
     let link = NetworkLink::new(
         "internet2",
         DataRate::mbit_per_sec(500.0),
         SimDuration::from_micros(35_000),
     );
-    let plan = FaultPlan::none();
     let volume = DataVolume::tb(1);
-    let report = ReliableTransfer::new(&link, &plan, RetryPolicy::default())
-        .execute(volume, SimTime::ZERO)
-        .expect("clean plan cannot fail");
-    assert_eq!(Some(report.elapsed()), link.transfer_time(volume));
-    assert_eq!(report.retries(), 0);
-    assert_eq!(report.faults, 0);
+    let result = leg(volume, &link, &FaultPlan::none(), RetryPolicy::default());
+    assert_eq!(result.comparison.network_time, link.transfer_time(volume));
+    assert_eq!(result.comparison, compare(volume, &link, &ata_disk(), &arecibo_to_ctc()));
+    let network = result.network.expect("a live link runs the leg");
+    assert_eq!((network.retries, network.faults), (0, 0));
 }

@@ -4,10 +4,12 @@
 //! [`naive`] keeps the whole-timeline scans those searches replaced.
 
 use sciflow_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile, RetryPolicy};
-use sciflow_core::units::{SimDuration, SimTime};
+use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
+use sciflow_simnet::link::NetworkLink;
+use sciflow_simnet::profiles::{arecibo_to_ctc, ata_disk};
+use sciflow_simnet::transfer::compare_with_faults;
 use sciflow_testkit::{
-    assert_monotone_attempts, assert_transfer_conservation, check, matrix_seed, seeded_rng, Gen,
-    LossyFlowScenario, LossyLinkScenario,
+    assert_flow_transfer_conservation, check, matrix_seed, seeded_rng, Gen, LossyFlowScenario,
 };
 
 /// The plan queries as whole-timeline scans over `plan.events()`: the
@@ -158,20 +160,10 @@ mod naive {
         }
 
         match failure {
-            None => AttemptOutcome {
-                ends_at: end,
-                failure: None,
-                stalls_hit,
-                nominal_end: end,
-                silent_corrupts,
-            },
-            Some((at, cause)) => AttemptOutcome {
-                ends_at: at,
-                failure: Some(cause),
-                stalls_hit,
-                nominal_end: end,
-                silent_corrupts,
-            },
+            None => AttemptOutcome { ends_at: end, failure: None, stalls_hit, silent_corrupts },
+            Some((at, cause)) => {
+                AttemptOutcome { ends_at: at, failure: Some(cause), stalls_hit, silent_corrupts }
+            }
         }
     }
 }
@@ -238,7 +230,7 @@ fn edges(plan: &FaultPlan) -> Vec<SimTime> {
     out
 }
 
-/// The three generated shapes the simulator, `simnet::reliable` and the
+/// The three generated shapes flows, `simnet`'s faulted transfer leg and the
 /// replica link run under: a flaky link, the replication gauntlet, and a
 /// flaky link whose plan also carries crashes, outages, silent corruption and
 /// long partitions (so windows nest and overlap).
@@ -421,14 +413,32 @@ fn same_seed_yields_byte_identical_simreports() {
     });
 }
 
+/// The faulted network leg of the transfer-vs-shipping verdict, on generated
+/// plans, links, volumes and policies: it has a time exactly when the link
+/// stage delivered the block, it conserves bytes whether it delivered or gave
+/// up, and it replays identically.
 #[test]
 fn successful_lossy_transfers_conserve_bytes() {
     check("successful_lossy_transfers_conserve_bytes", 64, |g| {
-        let scenario = LossyLinkScenario::new(g.any::<u64>());
-        if let Ok(report) = scenario.run() {
-            assert_transfer_conservation(&report);
-            assert_monotone_attempts(&report);
+        let horizon = SimDuration::from_days(g.range(1u64..30));
+        let plan = FaultPlan::generate(g.any::<u64>(), horizon, &generated_profile(g.any::<u8>()));
+        let mut policy = arbitrary_policy(g);
+        if g.any::<bool>() {
+            policy.attempt_timeout = Some(SimDuration::from_mins(g.range(1u64..600)));
         }
+        let link = NetworkLink::new(
+            "generated",
+            DataRate::mbit_per_sec(g.range(1.0f64..1000.0)),
+            SimDuration::from_micros(g.range(0u64..2_000_000)),
+        );
+        let volume = DataVolume::from_bytes(g.range(1u64..2_000_000_000_000));
+        let (media, route) = (ata_disk(), arecibo_to_ctc());
+        let run = || compare_with_faults(volume, &link, &plan, policy, &media, &route);
+        let first = run();
+        let network = first.network.as_ref().expect("a live link runs the leg");
+        assert_eq!(first.comparison.network_time.is_some(), network.blocks_out == 1);
+        assert_flow_transfer_conservation(network);
+        assert_eq!(first, run(), "replay diverged");
     });
 }
 

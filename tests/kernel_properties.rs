@@ -17,6 +17,7 @@ use sciflow_arecibo::search::harmonically_related;
 use sciflow_arecibo::spectra::{DynamicSpectrum, ObsConfig};
 use sciflow_arecibo::units::{dm_trials, Dm, Period};
 use sciflow_cleo::generator::{generate_event, GeneratorConfig};
+use sciflow_core::fault::{FaultPlan, RetryPolicy};
 use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
 use sciflow_core::frame::{self, Damage, Reader};
 use sciflow_core::slab::Slab;
@@ -26,6 +27,8 @@ use sciflow_eventstore::RunRange;
 use sciflow_metastore::persist::{from_sealed_bytes, sealed_bytes};
 use sciflow_metastore::prelude::*;
 use sciflow_simnet::link::NetworkLink;
+use sciflow_simnet::shipping::{MediaSpec, ShippingRoute};
+use sciflow_simnet::transfer::{compare, compare_with_faults};
 use sciflow_storage::archive::{LongTermArchive, MediaGeneration};
 use sciflow_testkit::{check, Gen};
 use sciflow_weblab::analytics::{in_degree_histogram, pagerank, weakly_connected_components};
@@ -402,8 +405,9 @@ fn sealed_snapshots_round_trip_every_value_type() {
     });
 }
 
-/// A value of any type. Integers stay within ±2^53, where `total_cmp`
-/// compares them with reals exactly; beyond it `i64 as f64` rounds.
+/// A value of any type. Integers span the whole `i64` range, and a quarter
+/// of the numbers sit within a few units of ±2^53, where `i64 as f64` starts
+/// to round, so `Int` and `Real` neighbours there meet.
 fn any_value(g: &mut Gen) -> Value {
     let ty = g.one_of(&[
         |_| ValueType::Int,
@@ -412,8 +416,13 @@ fn any_value(g: &mut Gen) -> Value {
         |_| ValueType::Blob,
         |_| ValueType::Date,
     ]);
+    let near_two_53 = |g: &mut Gen| {
+        let sign = if g.any::<bool>() { 1 } else { -1 };
+        sign * (1i64 << 53) + g.range(-4i64..=4)
+    };
     match nullable_value(g, ty) {
-        Value::Int(i) => Value::Int(i >> 10),
+        Value::Int(_) if g.range(0u8..4) == 0 => Value::Int(near_two_53(g)),
+        Value::Real(_) if g.range(0u8..4) == 0 => Value::Real(near_two_53(g) as f64),
         v => v,
     }
 }
@@ -421,7 +430,19 @@ fn any_value(g: &mut Gen) -> Value {
 #[test]
 fn value_order_is_total() {
     check("value_order_is_total", 64, |g| {
-        let values = g.vec(0..12, any_value);
+        let mut values = g.vec(0..12, any_value);
+        // Each number beside its nearest value of the other type and that
+        // value's own nearest, so an `Int` meets the `Real` it rounds to and
+        // the other `Int` that rounds there too.
+        let neighbours: Vec<Value> = values
+            .iter()
+            .flat_map(|v| match *v {
+                Value::Int(i) => vec![Value::Real(i as f64), Value::Int(i as f64 as i64)],
+                Value::Real(r) => vec![Value::Int(r as i64), Value::Real(r as i64 as f64)],
+                _ => vec![],
+            })
+            .collect();
+        values.extend(neighbours);
         for a in &values {
             for b in &values {
                 assert_eq!(a.total_cmp(b), b.total_cmp(a).reverse(), "{a:?} vs {b:?}");
@@ -754,6 +775,37 @@ fn transfer_time_grows_with_volume_and_shrinks_with_bandwidth() {
         let (lo, hi) = (gb1.min(gb2), gb1.max(gb2));
         assert!(time(&slow, lo) <= time(&slow, hi));
         assert!(time(&fast, hi) <= time(&slow, hi));
+    });
+}
+
+#[test]
+fn an_unfaulted_executed_leg_gives_the_assumed_verdict() {
+    check("an_unfaulted_executed_leg_gives_the_assumed_verdict", 64, |g| {
+        let mbit = if g.range(0u8..8) == 0 { 0.0 } else { g.range(0.5f64..10_000.0) };
+        let link = NetworkLink::new(
+            "generated",
+            DataRate::mbit_per_sec(mbit),
+            SimDuration::from_micros(g.range(0u64..=1_000_000)),
+        )
+        .with_efficiency(g.range(0.33f64..=1.0));
+        let volume = DataVolume::from_bytes(g.range(1u64..=10_000_000_000_000));
+        let media = MediaSpec::new(
+            "disk",
+            DataVolume::gb(g.range(1u64..2000)),
+            DataRate::mb_per_sec(g.range(1.0f64..500.0)),
+            DataRate::mb_per_sec(g.range(1.0f64..500.0)),
+        );
+        let route = ShippingRoute {
+            name: "courier".into(),
+            transit: SimDuration::from_hours(g.range(1u64..200)),
+            handling: SimDuration::from_mins(g.range(0u64..600)),
+            personnel_hours_per_shipment: g.range(0.0f64..10.0),
+            units_per_shipment: g.range(1usize..50),
+        };
+        let policy = RetryPolicy::default();
+        let executed =
+            compare_with_faults(volume, &link, &FaultPlan::none(), policy, &media, &route);
+        assert_eq!(executed.comparison, compare(volume, &link, &media, &route));
     });
 }
 
