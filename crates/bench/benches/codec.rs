@@ -1,6 +1,7 @@
 //! LZ codec throughput — the CPU cost of the preload's "uncompresses them"
 //! step, on ARC-like markup and on incompressible bytes.
-//! `benchmark/` never runs the codec (ROADMAP item 9(a) plans `weblab-preload`).
+//! `benchmark/` never runs the codec: ROADMAP "Put the paper's own kernels
+//! under the benchmark" (a) plans `weblab-preload`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sciflow_weblab::codec::{compress, decompress};

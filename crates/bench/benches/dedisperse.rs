@@ -1,5 +1,6 @@
 //! Dedispersion kernel bench: the dominant CPU cost of the Arecibo survey.
-//! `benchmark/` never dedisperses (ROADMAP item 9(a) plans `arecibo-search`).
+//! `benchmark/` never dedisperses: ROADMAP "Put the paper's own kernels under
+//! the benchmark" (a) plans `arecibo-search`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;

@@ -1,5 +1,6 @@
 //! FFT kernel bench: the "Fourier analysis" step of the Arecibo chain.
-//! `benchmark/` never runs an FFT (ROADMAP item 9(a) plans `arecibo-search`).
+//! `benchmark/` never runs an FFT: ROADMAP "Put the paper's own kernels under
+//! the benchmark" (a) plans `arecibo-search`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use sciflow_arecibo::fft::{fft_in_place, real_power_spectrum, Complex};

@@ -1,5 +1,6 @@
 //! E9 kernels: PageRank and components on the synthetic web graph.
-//! `benchmark/` never builds or ranks a link graph (ROADMAP item 9(a) plans `weblab-preload`).
+//! `benchmark/` never builds or ranks a link graph: ROADMAP "Put the paper's
+//! own kernels under the benchmark" (a) plans `weblab-preload`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

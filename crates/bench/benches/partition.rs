@@ -1,5 +1,6 @@
 //! E5 kernel: hot-ASU scans on row vs column-partitioned layouts.
-//! `benchmark/` never reads ASUs (ROADMAP item 9(a) plans `cleo-recon`).
+//! `benchmark/` never reads ASUs: ROADMAP "Put the paper's own kernels under
+//! the benchmark" (a) plans `cleo-recon`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;

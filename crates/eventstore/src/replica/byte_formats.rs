@@ -13,7 +13,7 @@ use sciflow_core::sim::FlowSim;
 use sciflow_core::units::DataRate;
 use sciflow_core::{CoreError, DataVolume, SnapshotPolicy};
 use sciflow_metastore::persist;
-use sciflow_testkit::{assert_sealed_roundtrip, TailPolicy};
+use sciflow_testkit::{assert_sealed_roundtrip, Gen, TailPolicy};
 
 use super::tests::{rec, scratch};
 use super::*;
@@ -346,7 +346,9 @@ fn forged_unit_in_a_foreign_range() {
     let sealed = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &units));
     let (kind, payload) = frame::open(&sealed).unwrap();
     assert_eq!(kind, wire::MSG_RANGE);
-    assert_eq!(decode_range_msg(payload).unwrap(), (3, units.clone()));
+    let (range, decoded) = decode_range_msg(payload).unwrap();
+    assert_eq!(range, 3);
+    assert_eq!(decoded.into_iter().map(|(unit, _)| unit).collect::<Vec<_>>(), units);
 
     units[1].record.id = 1; // range 36
     let sealed = frame::seal(wire::MSG_RANGE, &encode_range_msg(3, &units));
@@ -384,6 +386,76 @@ fn forged_unit_order_and_encoding() {
     assert_eq!(payload[flag], 1);
     payload[flag] = 2;
     refused(&payload, "a non-canonical flag byte");
+
+    // `Digest::from_hex` reads upper-case hex as well; only lower-case is
+    // what the encoder writes.
+    let mut payload = encode_range_msg(3, &units);
+    let hex = units[0].record.prov_digest.to_hex();
+    assert!(hex.bytes().any(|b| b.is_ascii_alphabetic()), "{hex} has letters to raise");
+    let at = payload.windows(hex.len()).position(|w| w == hex.as_bytes()).unwrap();
+    payload[at..at + hex.len()].make_ascii_uppercase();
+    refused(&payload, "digest in upper-case hex");
+}
+
+/// A unit drawn whole: record strings with non-ASCII characters, one to
+/// four version-vector components, quarantined or not.
+fn any_unit(g: &mut Gen, id: u64) -> FileUnit {
+    let text = |g: &mut Gen| g.string("a-z0-9/ éßø漢字", 0..12);
+    let first = g.range(0u32..100_000);
+    let record = FileRecord {
+        id,
+        runs: RunRange { first, last: first + g.range(0u32..50) },
+        kind: text(g),
+        version: text(g),
+        site: text(g),
+        registered: CalDate::new(g.range(1990u16..2030), g.range(1u8..=12), g.range(1u8..=28))
+            .unwrap(),
+        location: text(g),
+        prov_digest: Digest(std::array::from_fn(|_| g.any::<u8>())),
+    };
+    let vv = VersionVector(g.map(1..=4, |g| (g.any::<u16>(), g.range(1u64..1 << 40))));
+    let quarantine = g.any::<bool>().then(|| QState {
+        epoch: g.range(1u64..1_000),
+        flagged: g.any::<bool>(),
+        reason: text(g),
+    });
+    FileUnit { record, tier_rank: g.range(0u8..3), origin: g.any::<u16>(), vv, quarantine }
+}
+
+/// One unit encoder: `encode_unit_into` appends exactly `encode_unit`'s
+/// bytes to whatever the buffer holds, and the spans `decode_range_msg`
+/// hands the receiver tile the payload after its header, each span the
+/// encoding of its unit — the bytes the receiver journals and fingerprints.
+#[test]
+fn one_encoder_and_spans_that_tile_the_frame() {
+    sciflow_testkit::check("one_encoder_and_spans_that_tile_the_frame", 64, |g| {
+        let range = g.range(0..NUM_RANGES);
+        let n = g.range(1usize..=6);
+        let start = g.range(0u64..1 << 40);
+        let ids: Vec<u64> = (start..).filter(|&id| range_of(id) == range).take(n).collect();
+        let units: Vec<FileUnit> = ids.iter().map(|&id| any_unit(g, id)).collect();
+
+        let mut buf = g.vec(1..32, |g| g.any::<u8>());
+        let held = buf.clone();
+        for unit in &units {
+            let at = buf.len();
+            encode_unit_into(&mut buf, unit);
+            assert_eq!(buf[at..], encode_unit(unit)[..], "{unit:?}");
+        }
+        assert_eq!(buf[..held.len()], held[..], "what the buffer held stays");
+
+        let payload = encode_range_msg(range, &units);
+        let (got, decoded) = decode_range_msg(&payload).unwrap();
+        assert_eq!((got, decoded.len()), (range, units.len()));
+        let mut at = 2 + 4; // range u16, count u32
+        for ((unit, span), sent) in decoded.iter().zip(&units) {
+            assert_eq!(unit, sent);
+            assert_eq!(span.start, at, "spans are contiguous");
+            assert_eq!(payload[span.clone()], encode_unit(sent)[..]);
+            at = span.end;
+        }
+        assert_eq!(at, payload.len(), "the spans reach the end of the payload");
+    });
 }
 
 // --- hostile probes --------------------------------------------------------

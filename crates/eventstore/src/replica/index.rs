@@ -14,7 +14,7 @@
 //! or replaced record), a quarantine register that actually moved, and a
 //! grade snapshot that actually changed. Each forgets one fingerprint and
 //! one range digest; a fingerprint is learnt again on first read, or at once
-//! from the bytes `commit_received` encoded for the journal. Everything that
+//! from the frame bytes `commit_received` journals. Everything that
 //! reads a range — the summary, a probe, the full unit walk — goes through
 //! here, so after one unit changed a range's digest costs one unit encode
 //! and a fold over the range's cached fingerprints, and a summary over
@@ -26,7 +26,7 @@ use std::collections::BTreeSet;
 use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
 
 use super::wire::Probe;
-use super::{encode_unit, wire, FileUnit, Replica, ReplicaResult, Summary, FILES, NUM_RANGES};
+use super::{encode_unit_into, wire, FileUnit, Replica, ReplicaResult, Summary, FILES, NUM_RANGES};
 use crate::error::EsError;
 use crate::store::EventStore;
 
@@ -209,6 +209,13 @@ impl RangeIndex {
         self.entry(id).is_some()
     }
 
+    /// Every file id, ascending.
+    pub(super) fn ids(&self) -> Vec<u64> {
+        let mut ids: Vec<u64> = self.entries.iter().flatten().map(|e| e.id).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     /// The files beneath `node`, ascending by id.
     fn under(&self, node: Node) -> impl Iterator<Item = &Entry> {
         self.entries[node.range_of()].iter().filter(move |e| node.depth == 0 || node.holds(e.id))
@@ -216,15 +223,13 @@ impl RangeIndex {
 }
 
 impl Replica {
-    fn indexed_unit(&self, id: u64) -> ReplicaResult<FileUnit> {
+    pub(super) fn indexed_unit(&self, id: u64) -> ReplicaResult<FileUnit> {
         Ok(self.unit(id)?.expect("an indexed file is registered"))
     }
 
     /// All units, ascending by file id.
     pub fn units(&self) -> ReplicaResult<Vec<FileUnit>> {
-        let mut ids: Vec<u64> = self.index.entries.iter().flatten().map(|e| e.id).collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|id| self.indexed_unit(id)).collect()
+        self.units_of(self.index.ids())
     }
 
     /// Units belonging to digest range `r`, ascending by id.
@@ -242,14 +247,17 @@ impl Replica {
     }
 
     /// The `(id, fingerprint)` pairs beneath `node`, ascending by id,
-    /// encoding only the units whose fingerprint was forgotten.
+    /// encoding only the units whose fingerprint was forgotten, each into
+    /// the same buffer.
     fn prints_under(&self, node: Node) -> ReplicaResult<Vec<(u64, u64)>> {
-        let mut pairs = Vec::new();
+        let (mut pairs, mut bytes) = (Vec::new(), Vec::new());
         for entry in self.index.under(node) {
             let print = match entry.print.get() {
                 Some(print) => print,
                 None => {
-                    let print = fnv1a(&encode_unit(&self.indexed_unit(entry.id)?));
+                    bytes.clear();
+                    encode_unit_into(&mut bytes, &self.indexed_unit(entry.id)?);
+                    let print = fnv1a(&bytes);
                     entry.print.set(Some(print));
                     print
                 }

@@ -57,7 +57,7 @@ mod tests;
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::path::{Path, PathBuf};
 
 use sciflow_core::fnv::fnv1a;
@@ -90,6 +90,8 @@ const META: &str = "es_meta";
 const ID_KEY: &str = "replica.id";
 const VER_PREFIX: &str = "replica.v:";
 const QUAR_PREFIX: &str = "replica.q:";
+// `Replica::unit` turns a version key into a quarantine key in place.
+const _: () = assert!(VER_PREFIX.len() == QUAR_PREFIX.len());
 const STORE_FILE: &str = "store.sfm";
 const JOURNAL_FILE: &str = "journal.esr";
 
@@ -222,9 +224,12 @@ impl VersionVector {
         self.0.iter().map(|(s, c)| (*s, *c))
     }
 
-    fn encode_text(&self) -> String {
-        let parts: Vec<String> = self.0.iter().map(|(s, c)| format!("{s}:{c}")).collect();
-        parts.join(",")
+    /// Append the `store:count` components, comma-separated, to `out`.
+    fn encode_text(&self, out: &mut String) {
+        for (i, (s, c)) in self.0.iter().enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(out, "{sep}{s}:{c}").expect("writing to a String cannot fail");
+        }
     }
 
     fn decode_text(s: &str) -> Option<VersionVector> {
@@ -285,7 +290,16 @@ fn encode_record(buf: &mut Vec<u8>, r: &FileRecord) {
     put_str(buf, &r.site);
     put_u32(buf, r.registered.as_key());
     put_str(buf, &r.location);
-    put_str(buf, &r.prov_digest.to_hex());
+    put_hex(buf, &r.prov_digest);
+}
+
+/// What `put_str` of `digest.to_hex()` appends, without the `String`.
+fn put_hex(buf: &mut Vec<u8>, digest: &Digest) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    put_u32(buf, 2 * digest.0.len() as u32);
+    for b in digest.0 {
+        buf.extend_from_slice(&[HEX[usize::from(b >> 4)], HEX[usize::from(b & 0xf)]]);
+    }
 }
 
 fn decode_record(r: &mut Reader<'_>) -> ReplicaResult<FileRecord> {
@@ -297,14 +311,18 @@ fn decode_record(r: &mut Reader<'_>) -> ReplicaResult<FileRecord> {
     let site = r.str()?;
     let date_key = r.u32()?;
     let location = r.str()?;
-    let hex = r.str()?;
+    // The digest's hex is parsed where it lies, not copied into a `String`.
+    let hex_len = r.len32()?;
+    let hex = r.take(hex_len)?;
     let registered = CalDate::new(
         (date_key / 10_000) as u16,
         (date_key / 100 % 100) as u8,
         (date_key % 100) as u8,
     )
     .ok_or_else(|| ReplicaError::CorruptMessage { detail: format!("bad date key {date_key}") })?;
-    let prov_digest = Digest::from_hex(&hex)
+    let prov_digest = std::str::from_utf8(hex)
+        .ok()
+        .and_then(Digest::from_hex)
         .ok_or_else(|| ReplicaError::CorruptMessage { detail: "bad digest hex".into() })?;
     if first > last {
         return Err(ReplicaError::CorruptMessage {
@@ -326,25 +344,30 @@ fn decode_record(r: &mut Reader<'_>) -> ReplicaResult<FileRecord> {
 /// Encode everything the total order looks at (record, tier, origin, vv) —
 /// the quarantine register is deliberately excluded, because quarantining a
 /// file must not change which revision wins.
-fn encode_unit_core(u: &FileUnit) -> Vec<u8> {
-    let mut buf = Vec::new();
-    encode_record(&mut buf, &u.record);
-    put_u8(&mut buf, u.tier_rank);
-    put_u16(&mut buf, u.origin);
-    let comps: Vec<(StoreId, u64)> = u.vv.components().collect();
-    put_u16(&mut buf, comps.len() as u16);
-    for (s, c) in comps {
-        put_u16(&mut buf, s);
-        put_u64(&mut buf, c);
+fn encode_unit_core(buf: &mut Vec<u8>, u: &FileUnit) {
+    encode_record(buf, &u.record);
+    put_u8(buf, u.tier_rank);
+    put_u16(buf, u.origin);
+    put_u16(buf, u.vv.0.len() as u16);
+    for (s, c) in u.vv.components() {
+        put_u16(buf, s);
+        put_u64(buf, c);
     }
-    buf
 }
 
-/// The canonical bytes of a unit: what travels, what is journaled, and what
-/// the range digests and [`Replica::sealed_content`] are computed over.
+/// Append the canonical bytes of a unit to `buf`: what travels, what is
+/// journaled, and what the range digests and [`Replica::sealed_content`]
+/// are computed over. The one unit encoder; it allocates nothing beyond
+/// the growth of `buf`.
+pub fn encode_unit_into(buf: &mut Vec<u8>, u: &FileUnit) {
+    encode_unit_core(buf, u);
+    wire::put_qstate(buf, &u.quarantine);
+}
+
+/// [`encode_unit_into`] a fresh `Vec`.
 pub fn encode_unit(u: &FileUnit) -> Vec<u8> {
-    let mut buf = encode_unit_core(u);
-    wire::put_qstate(&mut buf, &u.quarantine);
+    let mut buf = Vec::new();
+    encode_unit_into(&mut buf, u);
     buf
 }
 
@@ -380,7 +403,12 @@ pub fn cmp_units(a: &FileUnit, b: &FileUnit) -> Ordering {
         .cmp(&b.tier_rank)
         .then_with(|| a.vv.weight().cmp(&b.vv.weight()))
         .then_with(|| b.origin.cmp(&a.origin))
-        .then_with(|| encode_unit_core(b).cmp(&encode_unit_core(a)))
+        .then_with(|| {
+            let (mut bytes_a, mut bytes_b) = (Vec::new(), Vec::new());
+            encode_unit_core(&mut bytes_a, a);
+            encode_unit_core(&mut bytes_b, b);
+            bytes_b.cmp(&bytes_a)
+        })
 }
 
 /// Merge two quarantine registers: newest epoch wins; at equal epochs a set
@@ -427,7 +455,8 @@ impl Replica {
     /// because there is nothing durable to tear).
     pub fn new(id: StoreId, tier: StoreTier) -> Self {
         let mut store = EventStore::new(tier);
-        put_meta(&mut store, ID_KEY, &id.to_string()).expect("fresh meta table accepts id");
+        put_meta(&mut store, Value::Text(ID_KEY.into()), id.to_string())
+            .expect("fresh meta table accepts id");
         Replica::over(store, id).expect("a fresh store has its file table")
     }
 
@@ -467,19 +496,15 @@ impl Replica {
     /// registers. The bridge from `merge_into`-era stores.
     pub fn adopt(store: EventStore, id: StoreId) -> ReplicaResult<Self> {
         let mut rep = Replica::over(store, id)?;
-        put_meta(&mut rep.store, ID_KEY, &id.to_string())?;
+        put_meta(&mut rep.store, Value::Text(ID_KEY.into()), id.to_string())?;
         let rank = tier_rank(rep.store.tier());
         let files = rep.store.files()?;
         for f in files {
-            let vkey = format!("{VER_PREFIX}{}", f.id);
+            let vkey = meta_key(VER_PREFIX, f.id);
             if get_meta(&rep.store, &vkey).is_none() {
-                put_meta(
-                    &mut rep.store,
-                    &vkey,
-                    &format!("{rank}|{id}|{}", VersionVector::first(id).encode_text()),
-                )?;
+                put_meta(&mut rep.store, vkey, version_text(rank, id, &VersionVector::first(id)))?;
             }
-            let qkey = format!("{QUAR_PREFIX}{}", f.id);
+            let qkey = meta_key(QUAR_PREFIX, f.id);
             if rep.store.is_quarantined(f.id) && get_meta(&rep.store, &qkey).is_none() {
                 let reason = rep.store.quarantine_reason(f.id).unwrap_or_default();
                 put_qmeta(&mut rep.store, f.id, &QState { epoch: 1, flagged: true, reason })?;
@@ -499,9 +524,9 @@ impl Replica {
         let dir = dir.as_ref();
         let store = EventStore::load(&dir.join(STORE_FILE))?;
         let id: StoreId =
-            get_meta(&store, ID_KEY).and_then(|s| s.parse().ok()).ok_or_else(|| {
-                ReplicaError::CorruptJournal { detail: "snapshot has no replica id".into() }
-            })?;
+            get_meta(&store, &Value::Text(ID_KEY.into())).and_then(|s| s.parse().ok()).ok_or_else(
+                || ReplicaError::CorruptJournal { detail: "snapshot has no replica id".into() },
+            )?;
         let mut rep = Replica::over(store, id)?;
         rep.dir = Some(dir.to_path_buf());
         rep.torn_tail = journal::ApplyJournal::replay(&dir.join(JOURNAL_FILE), |kind, payload| {
@@ -554,7 +579,7 @@ impl Replica {
             vv: VersionVector::first(self.id),
             quarantine: None,
         };
-        self.commit_unit(&unit, None)?;
+        self.commit_unit(unit, None)?;
         Ok(())
     }
 
@@ -577,7 +602,7 @@ impl Replica {
             quarantine: None,
         };
         let revision = cmp_units(&unit, &current);
-        self.commit_unit(&unit, Some(revision))
+        self.commit_unit(unit, Some(revision))
     }
 
     /// Quarantine a file (new epoch, flag set). Propagates to every replica
@@ -642,19 +667,26 @@ impl Replica {
     /// The full unit for a file id, if registered here.
     pub fn unit(&self, id: u64) -> ReplicaResult<Option<FileUnit>> {
         let Some(record) = self.store.file(id)? else { return Ok(None) };
-        let (tier, origin, vv) = match get_meta(&self.store, &format!("{VER_PREFIX}{id}")) {
-            Some(text) => parse_version_meta(&text).ok_or_else(|| {
-                ReplicaError::CorruptJournal { detail: format!("bad version meta for file {id}") }
+        let mut key = meta_key(VER_PREFIX, id);
+        let (tier, origin, vv) = match get_meta(&self.store, &key) {
+            Some(text) => parse_version_meta(text).ok_or_else(|| ReplicaError::CorruptJournal {
+                detail: format!("bad version meta for file {id}"),
             })?,
             // A file that predates replication metadata (adopted store
             // mutated behind our back): attribute it to this replica.
             None => (tier_rank(self.store.tier()), self.id, VersionVector::first(self.id)),
         };
-        Ok(Some(FileUnit { record, tier_rank: tier, origin, vv, quarantine: self.qstate(id) }))
+        // The quarantine row's key is the version row's under the other
+        // prefix, which has the same length.
+        if let Value::Text(text) = &mut key {
+            text.replace_range(..QUAR_PREFIX.len(), QUAR_PREFIX);
+        }
+        let quarantine = get_meta(&self.store, &key).and_then(parse_qmeta);
+        Ok(Some(FileUnit { record, tier_rank: tier, origin, vv, quarantine }))
     }
 
     fn qstate(&self, id: u64) -> Option<QState> {
-        get_meta(&self.store, &format!("{QUAR_PREFIX}{id}")).and_then(|t| parse_qmeta(&t))
+        get_meta(&self.store, &meta_key(QUAR_PREFIX, id)).and_then(parse_qmeta)
     }
 
     /// Count `frames` journal appends against the kill hook: how many of
@@ -688,23 +720,25 @@ impl Replica {
     /// against the resident revision (`None`: the file is new here).
     fn commit_unit(
         &mut self,
-        unit: &FileUnit,
+        unit: FileUnit,
         revision: Option<Ordering>,
     ) -> ReplicaResult<ApplyEffect> {
         // An in-memory replica has no journal to encode the unit for.
-        let payload = if self.journal.is_some() { encode_unit(unit) } else { Vec::new() };
+        let payload = if self.journal.is_some() { encode_unit(&unit) } else { Vec::new() };
         self.journal_append(wire::AJ_UNIT, &payload)?;
         self.apply_resolved(unit, revision)
     }
 
     /// Journal-then-apply one received range frame: `units` as
-    /// [`decode_range_msg`] checked them (all of one range, ids ascending).
+    /// [`decode_range_msg`] checked them (all of one range, ids ascending),
+    /// each with the span of `payload` that is its canonical encoding.
     /// Units that would leave the store unchanged are tallied as kept and go
     /// nowhere near the journal: `max` is idempotent, so recovery replays
     /// exactly the history that changed state. The rest are journaled — one
-    /// frame per unit, one write and one sync for the lot — before the first
-    /// of them is applied. A kill hook that expires at frame *k* leaves
-    /// frames 1..=k on disk and units 1..k-1 applied.
+    /// frame per unit, its bytes taken from the frame, one write and one
+    /// sync for the lot — before the first of them is applied. A kill hook
+    /// that expires at frame *k* leaves frames 1..=k on disk and units
+    /// 1..k-1 applied.
     ///
     /// An arriving unit that neither a resident revision beats nor a
     /// resident register outlasts is, once applied, the resident unit byte
@@ -712,11 +746,12 @@ impl Replica {
     /// fingerprint without reading the store back.
     fn commit_received(
         &mut self,
-        units: Vec<FileUnit>,
+        payload: &[u8],
+        units: Vec<wire::SpannedUnit>,
         report: &mut SyncReport,
     ) -> ReplicaResult<()> {
         let mut changing = Vec::with_capacity(units.len());
-        for unit in units {
+        for (unit, span) in units {
             let id = unit.record.id;
             let resident = self.unit(id)?;
             let revision = resident.as_ref().map(|r| cmp_units(&unit, r));
@@ -731,22 +766,24 @@ impl Replica {
                 report.tally(ApplyEffect::Kept);
             } else {
                 let mirrored = revision != Some(Ordering::Less) && register != Ordering::Less;
-                changing.push((unit, revision, mirrored));
+                changing.push((unit, &payload[span], revision, mirrored));
             }
         }
         let (journaled, killed) = self.appends_before_kill(changing.len());
-        let payloads: Vec<Vec<u8>> =
-            changing[..journaled].iter().map(|(unit, ..)| encode_unit(unit)).collect();
         if let Some(j) = &mut self.journal {
-            j.append_batch(wire::AJ_UNIT, &payloads)?;
+            j.append_batch(
+                wire::AJ_UNIT,
+                changing[..journaled].iter().map(|(_, bytes, ..)| bytes),
+            )?;
         }
         // Ids within a frame are distinct, so applying one unit leaves the
         // resolution of the others standing.
         let applied = journaled - killed as usize;
-        for ((unit, revision, mirrored), bytes) in changing[..applied].iter().zip(&payloads) {
-            report.tally(self.apply_resolved(unit, *revision)?);
-            if *mirrored {
-                self.index.unit_reads(unit.record.id, fnv1a(bytes));
+        for (unit, bytes, revision, mirrored) in changing.into_iter().take(applied) {
+            let id = unit.record.id;
+            report.tally(self.apply_resolved(unit, revision)?);
+            if mirrored {
+                self.index.unit_reads(id, fnv1a(bytes));
             }
         }
         if killed {
@@ -770,7 +807,7 @@ impl Replica {
                 let mut r = Reader::new(payload);
                 let unit = decode_unit(&mut r)?;
                 r.done()?;
-                self.apply_unit(&unit)?;
+                self.apply_unit(unit)?;
             }
             wire::AJ_QUAR => {
                 let mut r = Reader::new(payload);
@@ -797,17 +834,18 @@ impl Replica {
     /// Resolve `incoming` against the resident unit for its file id and
     /// keep the winner. Pure function of (resident state, incoming unit) —
     /// no clocks, no randomness.
-    fn apply_unit(&mut self, incoming: &FileUnit) -> ReplicaResult<ApplyEffect> {
-        let revision = self.unit(incoming.record.id)?.map(|r| cmp_units(incoming, &r));
+    fn apply_unit(&mut self, incoming: FileUnit) -> ReplicaResult<ApplyEffect> {
+        let revision = self.unit(incoming.record.id)?.map(|r| cmp_units(&incoming, &r));
         self.apply_resolved(incoming, revision)
     }
 
     /// Keep the winner, given `incoming`'s place in the total order against
     /// the resident revision (`None`: the file is new here). Quarantine
-    /// registers merge independently of which revision won.
+    /// registers merge independently of which revision won. A winning
+    /// record's strings move into its row.
     fn apply_resolved(
         &mut self,
-        incoming: &FileUnit,
+        incoming: FileUnit,
         revision: Option<Ordering>,
     ) -> ReplicaResult<ApplyEffect> {
         let effect = match revision {
@@ -815,30 +853,36 @@ impl Replica {
             Some(Ordering::Greater) => ApplyEffect::Replaced,
             Some(_) => ApplyEffect::Kept,
         };
+        let FileUnit { record, tier_rank, origin, vv, quarantine } = incoming;
+        let id = record.id;
         if effect != ApplyEffect::Kept {
-            self.write_unit(incoming, effect == ApplyEffect::Added)?;
+            let version = version_text(tier_rank, origin, &vv);
+            self.write_unit(record, version, effect == ApplyEffect::Added)?;
         }
-        if let Some(q) = &incoming.quarantine {
-            self.apply_qstate(incoming.record.id, q)?;
+        if let Some(q) = &quarantine {
+            self.apply_qstate(id, q)?;
         }
         Ok(effect)
     }
 
-    fn write_unit(&mut self, unit: &FileUnit, fresh: bool) -> ReplicaResult<()> {
-        let row = crate::store::file_row(&unit.record);
+    /// Store `record` and its version row.
+    fn write_unit(
+        &mut self,
+        record: FileRecord,
+        version: String,
+        fresh: bool,
+    ) -> ReplicaResult<()> {
+        let id = record.id;
+        let row = crate::store::file_row(record);
         let table = self.store.db_mut().table_mut(FILES)?;
         if fresh {
             table.insert(row).map_err(EsError::from)?;
-            self.index.insert(unit.record.id);
+            self.index.insert(id);
         } else {
-            table.update_by_key(&Value::Int(unit.record.id as i64), row).map_err(EsError::from)?;
-            self.index.unit_changed(unit.record.id);
+            table.update_by_key(&Value::Int(id as i64), row).map_err(EsError::from)?;
+            self.index.unit_changed(id);
         }
-        put_meta(
-            &mut self.store,
-            &format!("{VER_PREFIX}{}", unit.record.id),
-            &format!("{}|{}|{}", unit.tier_rank, unit.origin, unit.vv.encode_text()),
-        )?;
+        put_meta(&mut self.store, meta_key(VER_PREFIX, id), version)?;
         Ok(())
     }
 
@@ -846,13 +890,13 @@ impl Replica {
     /// base store's quarantine table (so `merge_into`, `is_quarantined` and
     /// the rest of the non-replicated API see the same truth).
     fn apply_qstate(&mut self, id: u64, incoming: &QState) -> ReplicaResult<bool> {
-        let current = self.qstate(id);
-        let winner = merge_qstate(current.clone(), Some(incoming.clone()))
-            .expect("merge of a present register is present");
-        if current.as_ref() == Some(&winner) {
+        // `merge_qstate` is `max`: unless `incoming` is greater, the
+        // resident register is the winner and nothing moves.
+        if self.qstate(id).as_ref() >= Some(incoming) {
             return Ok(false);
         }
-        put_qmeta(&mut self.store, id, &winner)?;
+        let winner = incoming;
+        put_qmeta(&mut self.store, id, winner)?;
         self.index.unit_changed(id);
         if self.store.has_file(id)? {
             if winner.flagged {
@@ -958,8 +1002,8 @@ impl Replica {
     /// rowids, declaration order) is deliberately excluded.
     pub fn sealed_content(&self) -> ReplicaResult<Vec<u8>> {
         let mut buf = Vec::new();
-        for unit in self.units()? {
-            buf.extend_from_slice(&encode_unit(&unit));
+        for id in self.index.ids() {
+            encode_unit_into(&mut buf, &self.indexed_unit(id)?);
         }
         let mut rows = self.grade_rows()?;
         rows.sort();
@@ -974,30 +1018,57 @@ impl Replica {
 // ---------------------------------------------------------------------------
 // Store-level helpers (shared with the merge-algebra property tests)
 
-fn get_meta(store: &EventStore, key: &str) -> Option<String> {
-    let table = store.database().table(META).ok()?;
-    let row = table.get_by_key(&Value::Text(key.to_string())).ok()??;
-    row[1].as_text().map(str::to_string)
+// The meta rows' keys and texts are written into `String`s of exactly
+// their length: one allocation each, and no slack in the rows that keep
+// them. `format!` guesses no capacity for a pattern that opens with an
+// argument, and grows its `String` as it writes.
+
+/// Decimal digits of `n`.
+fn digits(n: u64) -> usize {
+    n.checked_ilog10().map_or(1, |d| d as usize + 1)
 }
 
-fn put_meta(store: &mut EventStore, key: &str, value: &str) -> Result<(), EsError> {
+/// The `es_meta` key of file `id`'s row under `prefix`.
+fn meta_key(prefix: &str, id: u64) -> Value {
+    let mut key = String::with_capacity(prefix.len() + digits(id));
+    write!(key, "{prefix}{id}").expect("writing to a String cannot fail");
+    Value::Text(key)
+}
+
+/// The text of the `es_meta` row under `key`, read in place.
+fn get_meta<'s>(store: &'s EventStore, key: &Value) -> Option<&'s str> {
+    let table = store.database().table(META).ok()?;
+    table.get_by_key(key).ok()??[1].as_text()
+}
+
+/// Store `value` under `key`; both move into the row.
+fn put_meta(store: &mut EventStore, key: Value, value: String) -> Result<(), EsError> {
     let table = store.db_mut().table_mut(META)?;
-    let key_v = Value::Text(key.to_string());
-    let value = Value::Text(value.to_string());
-    if table.get_by_key(&key_v)?.is_some() {
-        table.update_by_key(&key_v, vec![key_v.clone(), value])?;
+    if table.get_by_key(&key)?.is_some() {
+        table.update_by_key(&key, vec![key.clone(), Value::Text(value)])?;
     } else {
-        table.insert(vec![key_v, value])?;
+        table.insert(vec![key, Value::Text(value)])?;
     }
     Ok(())
 }
 
 fn put_qmeta(store: &mut EventStore, id: u64, q: &QState) -> Result<(), EsError> {
-    put_meta(
-        store,
-        &format!("{QUAR_PREFIX}{id}"),
-        &format!("{}|{}|{}", q.epoch, q.flagged as u8, q.reason),
-    )
+    let mut text = String::with_capacity(digits(q.epoch) + 3 + q.reason.len());
+    write!(text, "{}|{}|{}", q.epoch, q.flagged as u8, q.reason)
+        .expect("writing to a String cannot fail");
+    put_meta(store, meta_key(QUAR_PREFIX, id), text)
+}
+
+/// The version row of a unit: `tier|origin|store:count,...`.
+fn version_text(tier_rank: u8, origin: StoreId, vv: &VersionVector) -> String {
+    let pairs: usize = vv.components().map(|(s, c)| digits(s.into()) + 1 + digits(c)).sum();
+    let commas = vv.0.len().saturating_sub(1);
+    let len = digits(tier_rank.into()) + 1 + digits(origin.into()) + 1 + pairs + commas;
+    let mut text = String::with_capacity(len);
+    write!(text, "{tier_rank}|{origin}|").expect("writing to a String cannot fail");
+    vv.encode_text(&mut text);
+    debug_assert_eq!(text.len(), len);
+    text
 }
 
 fn parse_qmeta(text: &str) -> Option<QState> {
@@ -1179,7 +1250,7 @@ fn receive(rep: &mut Replica, link: &mut SyncLink, report: &mut SyncReport) -> R
         match frame::open(&msg) {
             Ok((wire::MSG_RANGE, payload)) => {
                 let (_, units) = decode_range_msg(payload)?;
-                rep.commit_received(units, report)?;
+                rep.commit_received(payload, units, report)?;
             }
             Ok((wire::MSG_PROBE, payload)) => {
                 let probe = Probe::decode(payload)?;

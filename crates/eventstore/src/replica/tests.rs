@@ -566,7 +566,9 @@ fn assert_tree_matches_the_naive_fold(rep: &Replica) {
 fn an_arriving_unit_lends_its_fingerprint_only_when_it_ends_up_resident() {
     let ids = ids_in_range(3, 3);
     let receive = |rep: &mut Replica, units: Vec<FileUnit>| {
-        rep.commit_received(units, &mut SyncReport::default()).unwrap();
+        let payload = wire::encode_range_msg(3, &units);
+        let (_, units) = wire::decode_range_msg(&payload).unwrap();
+        rep.commit_received(&payload, units, &mut SyncReport::default()).unwrap();
         assert_tree_matches_the_naive_fold(rep);
     };
     let peer = |ids: &[u64]| {

@@ -5,13 +5,15 @@
 //! different payload.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
 use sciflow_core::frame::{put_str, put_u16, put_u32, put_u64, put_u8, Reader};
 
 use super::index::{Node, FANOUT, LEAF_UNITS, MAX_DEPTH};
 use super::{
-    decode_unit, encode_unit, range_of, FileUnit, QState, ReplicaError, ReplicaResult, NUM_RANGES,
+    decode_unit, encode_unit_into, range_of, FileUnit, QState, ReplicaError, ReplicaResult,
+    NUM_RANGES,
 };
 
 // Anti-entropy message kinds.
@@ -89,6 +91,12 @@ impl Summary {
 
 // --- range messages -------------------------------------------------------
 
+/// Bytes of a range message ahead of its first unit.
+const RANGE_HEADER: usize = 2 + 4;
+
+/// A received unit and the span of the range message that encodes it.
+pub(crate) type SpannedUnit = (FileUnit, Range<usize>);
+
 /// A range message: range `u16`, count `u32`, then that many units of the
 /// range in ascending id order — whichever of them the sender has worked out
 /// the receiver is missing.
@@ -97,7 +105,7 @@ pub(crate) fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
     put_u16(&mut buf, range as u16);
     put_u32(&mut buf, units.len() as u32);
     for u in units {
-        buf.extend_from_slice(&encode_unit(u));
+        encode_unit_into(&mut buf, u);
     }
     buf
 }
@@ -105,8 +113,10 @@ pub(crate) fn encode_range_msg(range: usize, units: &[FileUnit]) -> Vec<u8> {
 /// Decode a range message and hold it to what an honest sender produces:
 /// every unit filed under its own range, ids strictly ascending (so one
 /// resolution per file id stands for the whole frame), and bytes that are
-/// exactly the encoding of what they decode to.
-pub(crate) fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<FileUnit>)> {
+/// exactly the encoding of what they decode to. Each unit comes with its
+/// span of `payload`: those bytes are its canonical encoding, so the
+/// receiver can journal and fingerprint them as they are.
+pub(crate) fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<SpannedUnit>)> {
     let corrupt = |detail: String| Err(ReplicaError::CorruptMessage { detail });
     let mut r = Reader::new(payload);
     let range = r.u16()? as usize;
@@ -114,22 +124,30 @@ pub(crate) fn decode_range_msg(payload: &[u8]) -> ReplicaResult<(usize, Vec<File
         return corrupt(format!("range {range} out of bounds"));
     }
     let n = r.u32()? as usize;
-    let mut units: Vec<FileUnit> = Vec::with_capacity(n.min(4096));
+    let mut units: Vec<SpannedUnit> = Vec::with_capacity(n.min(4096));
+    let (mut canonical, mut at) = (Vec::new(), RANGE_HEADER);
     for _ in 0..n {
         let unit = decode_unit(&mut r)?;
         let id = unit.record.id;
         if range_of(id) != range {
             return corrupt(format!("file {id} does not belong to range {range}"));
         }
-        if units.last().is_some_and(|prev| prev.record.id >= id) {
+        if units.last().is_some_and(|(prev, _)| prev.record.id >= id) {
             return corrupt(format!("file {id} out of order in range {range}"));
         }
-        units.push(unit);
+        // The unit was decoded from the bytes at `at`. If its encoding is
+        // what sits there, decoding read exactly those bytes (the decoder
+        // reads an encoding back whole), so the next unit starts after it.
+        canonical.clear();
+        encode_unit_into(&mut canonical, &unit);
+        let span = at..at + canonical.len();
+        if payload.get(span.clone()) != Some(&canonical[..]) {
+            return corrupt(format!("range {range} is not canonically encoded"));
+        }
+        at = span.end;
+        units.push((unit, span));
     }
     r.done()?;
-    if encode_range_msg(range, &units) != payload {
-        return corrupt(format!("range {range} is not canonically encoded"));
-    }
     Ok((range, units))
 }
 

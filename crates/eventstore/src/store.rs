@@ -175,16 +175,17 @@ impl EventStore {
         &self.db
     }
 
-    fn file_row(f: &FileRecord) -> Vec<Value> {
+    /// The `es_files` row of `f`; its strings move into the row.
+    fn file_row(f: FileRecord) -> Vec<Value> {
         vec![
             Value::Int(f.id as i64),
             Value::Int(f.runs.first as i64),
             Value::Int(f.runs.last as i64),
-            Value::Text(f.kind.clone()),
-            Value::Text(f.version.clone()),
-            Value::Text(f.site.clone()),
+            Value::Text(f.kind),
+            Value::Text(f.version),
+            Value::Text(f.site),
             Value::Date(f.registered.as_key()),
-            Value::Text(f.location.clone()),
+            Value::Text(f.location),
             Value::Text(f.prov_digest.to_hex()),
         ]
     }
@@ -219,7 +220,7 @@ impl EventStore {
     /// Register a data file.
     pub fn register_file(&mut self, file: &FileRecord) -> EsResult<()> {
         let table = self.db.table_mut(FILES)?;
-        match table.insert(Self::file_row(file)) {
+        match table.insert(Self::file_row(file.clone())) {
             Ok(_) => Ok(()),
             Err(MetaError::DuplicateKey { .. }) => Err(EsError::DuplicateFile { id: file.id }),
             Err(e) => Err(e.into()),
@@ -533,7 +534,7 @@ impl EventStore {
 
 /// The `es_files` row encoding of a record, shared with the replication
 /// layer's resolved-unit writes.
-pub(crate) fn file_row(f: &FileRecord) -> Vec<Value> {
+pub(crate) fn file_row(f: FileRecord) -> Vec<Value> {
     EventStore::file_row(f)
 }
 

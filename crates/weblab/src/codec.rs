@@ -8,7 +8,7 @@
 //!
 //! Format: `magic | u64 raw_len | u32 checksum | tokens`, where a token is
 //! either a literal run (`0x00, varint len, bytes`) or a back-reference
-//! (`0x01, varint distance, varint length`).
+//! (`0x01, varint distance, varint length`) of at most 64 KiB.
 
 use crate::error::{WebError, WebResult};
 
@@ -117,26 +117,47 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The most bytes `tokens` bytes of tokens can decompress to: a token
+/// takes at least three bytes and yields at most [`MAX_MATCH`] (a literal
+/// run yields fewer bytes than it takes).
+fn most_output(tokens: usize) -> usize {
+    tokens / 3 * MAX_MATCH
+}
+
 /// Decompress a buffer produced by [`compress`], verifying length and
-/// checksum.
+/// checksum. A header that claims more than the tokens can produce, a
+/// back-reference longer than [`compress`] writes and a token that would
+/// run past the claimed length are all refused before they allocate, and
+/// no more is reserved up front than the input's own length: the output
+/// grows only as tokens that passed those checks produce it.
 pub fn decompress(data: &[u8]) -> WebResult<Vec<u8>> {
     if data.len() < 16 || &data[..4] != MAGIC {
         return Err(WebError::Corrupt { detail: "bad codec magic".into() });
     }
-    let raw_len = u64::from_le_bytes(data[4..12].try_into().expect("8 bytes")) as usize;
+    let raw_len = u64::from_le_bytes(data[4..12].try_into().expect("8 bytes"));
     let want_sum = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes"));
-    if raw_len > 1 << 34 {
-        return Err(WebError::Corrupt { detail: "implausible raw length".into() });
-    }
-    let mut out = Vec::with_capacity(raw_len);
+    let raw_len = match usize::try_from(raw_len) {
+        Ok(n) if n <= most_output(data.len() - 16) => n,
+        _ => {
+            return Err(WebError::Corrupt {
+                detail: format!("raw length {raw_len} is more than the input can produce"),
+            })
+        }
+    };
+    let overrun =
+        || WebError::Corrupt { detail: format!("a token runs past the raw length {raw_len}") };
+    let mut out = Vec::with_capacity(raw_len.min(data.len()));
     let mut pos = 16usize;
     while pos < data.len() {
         match data[pos] {
             0x00 => {
                 pos += 1;
                 let len = get_varint(data, &mut pos)? as usize;
-                if pos + len > data.len() {
+                if len > data.len() - pos {
                     return Err(WebError::Corrupt { detail: "literal overruns input".into() });
+                }
+                if len > raw_len - out.len() {
+                    return Err(overrun());
                 }
                 out.extend_from_slice(&data[pos..pos + len]);
                 pos += len;
@@ -145,8 +166,11 @@ pub fn decompress(data: &[u8]) -> WebResult<Vec<u8>> {
                 pos += 1;
                 let distance = get_varint(data, &mut pos)? as usize;
                 let length = get_varint(data, &mut pos)? as usize;
-                if distance == 0 || distance > out.len() {
+                if distance == 0 || distance > out.len() || length > MAX_MATCH {
                     return Err(WebError::Corrupt { detail: "bad back-reference".into() });
+                }
+                if length > raw_len - out.len() {
+                    return Err(overrun());
                 }
                 let start = out.len() - distance;
                 for k in 0..length {
@@ -244,6 +268,47 @@ mod tests {
         let packed = compress(&data);
         assert!(packed.len() < 1000, "run-length case should be tiny: {}", packed.len());
         assert_eq!(decompress(&packed).unwrap(), data);
+    }
+
+    /// A header, then `tokens`, with the checksum left at zero.
+    fn forged(raw_len: u64, tokens: &[u8]) -> Vec<u8> {
+        [&MAGIC[..], &raw_len.to_le_bytes(), &[0; 4], tokens].concat()
+    }
+
+    /// A literal `"a"`, then a back-reference of distance 1 and `length`.
+    fn a_then_repeat(length: u64) -> Vec<u8> {
+        let mut tokens = vec![0x00, 1, b'a', 0x01, 1];
+        put_varint(&mut tokens, length);
+        tokens
+    }
+
+    fn refused(data: &[u8]) -> String {
+        match decompress(data) {
+            Err(WebError::Corrupt { detail }) => detail,
+            other => panic!("forgery not refused as corrupt: {other:?}"),
+        }
+    }
+
+    /// 26 bytes that claim 16 GiB: the raw length is refused before any
+    /// allocation (it used to be reserved whole, and the process aborted).
+    #[test]
+    fn a_26_byte_forgery_claiming_16_gib_is_refused() {
+        let data = forged(1 << 34, &a_then_repeat(1 << 33));
+        assert_eq!(data.len(), 26);
+        assert!(refused(&data).contains("more than the input can produce"));
+        assert!(refused(&forged(u64::MAX, &a_then_repeat(4))).contains("input can produce"));
+    }
+
+    /// A back-reference longer than the raw length, or than any the encoder
+    /// writes, is refused where it stands instead of growing the output
+    /// until the final length check.
+    #[test]
+    fn an_unbounded_back_reference_is_refused() {
+        assert!(refused(&forged(100, &a_then_repeat(1 << 20))).contains("bad back-reference"));
+        assert!(refused(&forged(100, &a_then_repeat(1_000))).contains("past the raw length"));
+        assert!(refused(&forged(100, &a_then_repeat(99))).contains("checksum"));
+        let long_literal = [&[0x00, 3][..], b"abc"].concat();
+        assert!(refused(&forged(2, &long_literal)).contains("past the raw length"));
     }
 
     #[test]
