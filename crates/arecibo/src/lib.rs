@@ -7,8 +7,8 @@
 //! analysis, harmonic summing, threshold tests to identify candidates,
 //! reprocessing of dedispersed time series to signal average at the spin
 //! period of a candidate signal, and investigation of the time series for
-//! transient signals", plus RFI excision, acceleration search for binaries,
-//! and the cross-pointing meta-analysis — maps onto the modules:
+//! transient signals", plus RFI excision and the cross-pointing
+//! meta-analysis — maps onto the modules:
 //!
 //! * [`spectra`] — synthetic 7-beam dynamic spectra with dispersed pulsars,
 //!   transients, and both narrowband and impulsive RFI (ground truth the
@@ -19,7 +19,6 @@
 //! * [`fft`] / [`search`] — from-scratch FFT, power spectra, harmonic
 //!   summing, threshold candidate detection;
 //! * [`fold`] — signal averaging at candidate periods;
-//! * [`accel`] — acceleration search for binary pulsars;
 //! * [`singlepulse`] — boxcar matched filtering for transients;
 //! * [`rfi`] — channel masks, the zero-DM filter, multi-beam coincidence;
 //! * [`meta`] — sky-wide candidate culling and the CTC candidate database;
@@ -27,7 +26,6 @@
 //!   provenance and data-product accounting;
 //! * [`flow`] — Figure 1 as a paper-scale [`sciflow_core::FlowGraph`].
 
-pub mod accel;
 pub mod dedisperse;
 pub mod fft;
 pub mod flow;
@@ -35,7 +33,6 @@ pub mod fold;
 pub mod meta;
 pub mod nvo;
 pub mod pipeline;
-pub mod qa;
 pub mod rfi;
 pub mod search;
 pub mod singlepulse;

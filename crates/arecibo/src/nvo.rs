@@ -99,6 +99,17 @@ fn attr<'a>(tag: &'a str, name: &str) -> Option<&'a str> {
     Some(&tag[start..end])
 }
 
+/// The first `open ... close` element of `s`: its content and the text after
+/// it, or `None` when `s` has no `open`. The close is searched for only
+/// within `s`, so a caller that passes its enclosing element's content
+/// bounds every search by that element's end.
+fn element<'a>(s: &'a str, open: &str, close: &str) -> Result<Option<(&'a str, &'a str)>, String> {
+    let Some(at) = s.find(open) else { return Ok(None) };
+    let rest = &s[at + open.len()..];
+    let end = rest.find(close).ok_or_else(|| format!("unterminated {open}"))?;
+    Ok(Some((&rest[..end], &rest[end + close.len()..])))
+}
+
 /// Parse a document produced by [`export_votable`] (a deliberately small
 /// subset of VOTable).
 pub fn parse_votable(xml: &str) -> Result<VoTable, String> {
@@ -122,24 +133,19 @@ pub fn parse_votable(xml: &str) -> Result<VoTable, String> {
     }
 
     let mut rows = Vec::new();
-    let mut pos = xml.find("<TABLEDATA>").ok_or("missing <TABLEDATA>")?;
-    let end_data = xml.find("</TABLEDATA>").ok_or("missing </TABLEDATA>")?;
-    while let Some(tr) = xml[pos..end_data].find("<TR>") {
-        let row_start = pos + tr + 4;
-        let row_end = xml[row_start..].find("</TR>").ok_or("unterminated <TR>")? + row_start;
+    let (mut data, _) =
+        element(xml, "<TABLEDATA>", "</TABLEDATA>")?.ok_or("missing <TABLEDATA>")?;
+    while let Some((mut row, after_row)) = element(data, "<TR>", "</TR>")? {
         let mut cells = Vec::new();
-        let mut cpos = row_start;
-        while let Some(td) = xml[cpos..row_end].find("<TD>") {
-            let cell_start = cpos + td + 4;
-            let cell_end = xml[cell_start..].find("</TD>").ok_or("unterminated <TD>")? + cell_start;
-            cells.push(unescape(&xml[cell_start..cell_end]));
-            cpos = cell_end + 5;
+        while let Some((cell, after_cell)) = element(row, "<TD>", "</TD>")? {
+            cells.push(unescape(cell));
+            row = after_cell;
         }
         if cells.len() != fields.len() {
             return Err(format!("row has {} cells for {} fields", cells.len(), fields.len()));
         }
         rows.push(cells);
-        pos = row_end + 5;
+        data = after_row;
     }
     Ok(VoTable { table_name, fields, rows })
 }
@@ -217,6 +223,15 @@ mod tests {
         let bad = "<TABLE name=\"t\"><FIELD name=\"a\"/><FIELD name=\"b\"/>\
                    <TABLEDATA><TR><TD>1</TD></TR></TABLEDATA>";
         assert!(parse_votable(bad).is_err());
+        // Closing tags out of order.
+        let head = "<TABLE name=\"t\"><FIELD name=\"a\"/>";
+        for body in [
+            "</TABLEDATA><TABLEDATA><TR><TD>1</TD></TR>",
+            "<TABLEDATA><TR><TD>1</TD></TABLEDATA></TR>",
+            "<TABLEDATA><TR><TD>1</TR></TD></TABLEDATA>",
+        ] {
+            assert!(parse_votable(&format!("{head}{body}")).is_err(), "{body}");
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Property-based tests for the signal-processing kernels: FFT linearity
 //! and energy conservation, dedispersion alignment, folding conservation,
-//! and single-pulse boxcar bounds.
+//! and single-pulse boxcar bounds; and hostile input for the VOTable parser.
 
 use sciflow_arecibo::dedisperse::{dedisperse, series_peak_snr};
 use sciflow_arecibo::fft::{fft_in_place, Complex};
 use sciflow_arecibo::fold::fold;
+use sciflow_arecibo::meta::{create_candidate_table, load_candidates};
+use sciflow_arecibo::nvo::{export_votable, parse_votable};
+use sciflow_arecibo::search::Candidate;
 use sciflow_arecibo::singlepulse::single_pulse_search;
 use sciflow_arecibo::spectra::{DynamicSpectrum, ObsConfig};
 use sciflow_arecibo::units::Dm;
+use sciflow_metastore::Database;
 use sciflow_testkit::check;
 
 fn small_config() -> ObsConfig {
@@ -117,5 +121,62 @@ fn dedispersion_preserves_length() {
         let cfg = small_config();
         let spec = DynamicSpectrum::zeros(cfg);
         assert_eq!(dedisperse(&spec, Dm(dm)).len(), cfg.n_samples);
+    });
+}
+
+/// EX2's VOTable export of `n` candidates.
+fn ex2_votable(n: usize) -> String {
+    let mut db = Database::new();
+    create_candidate_table(&mut db).expect("fresh db");
+    let cands: Vec<Candidate> = (0..n)
+        .map(|i| Candidate {
+            dm: Dm(5.0 * i as f64),
+            freq_hz: 0.5 + i as f64 * 0.37,
+            period_s: 1.0 / (0.5 + i as f64 * 0.37),
+            snr: 6.0 + (i % 10) as f64,
+            harmonics: 1 + (i % 4),
+        })
+        .collect();
+    load_candidates(&mut db, 11, 2, &cands, &mut 0).expect("fresh ids");
+    export_votable(db.table("candidates").expect("created above"), "PALFA pointing 11 candidates")
+}
+
+/// Hostile VOTables: every truncation, single-character substitutions, and
+/// every closing tag swapped with its neighbour or moved before another tag,
+/// of EX2's export. Each parses to a table or an error; none panics.
+#[test]
+fn hostile_votables_are_errors() {
+    check("hostile_votables_are_errors", 64, |g| {
+        let n = g.range(0usize..4);
+        let xml = ex2_votable(n);
+        assert_eq!(parse_votable(&xml).expect("own output parses").rows.len(), n);
+        // The results are ignored: reaching the next line is the property.
+        for cut in (0..xml.len()).filter(|&cut| xml.is_char_boundary(cut)) {
+            let _ = parse_votable(&xml[..cut]);
+        }
+        for _ in 0..32 {
+            let at = g.range(0..xml.len());
+            if xml.is_char_boundary(at) && xml.is_char_boundary(at + 1) {
+                let c = g.string("<>/=\"A-Z0-9 ", 1..=1);
+                let _ = parse_votable(&format!("{}{c}{}", &xml[..at], &xml[at + 1..]));
+            }
+        }
+        let closing: Vec<(usize, usize)> = xml
+            .match_indices("</")
+            .map(|(at, _)| (at, at + xml[at..].find('>').expect("closed") + 1))
+            .collect();
+        for pair in closing.windows(2) {
+            let ((a, a_end), (b, b_end)) = (pair[0], pair[1]);
+            let swapped =
+                [&xml[..a], &xml[b..b_end], &xml[a_end..b], &xml[a..a_end], &xml[b_end..]];
+            let _ = parse_votable(&swapped.concat());
+        }
+        for _ in 0..8 {
+            let (a, a_end) = closing[g.range(0..closing.len())];
+            let rest = [&xml[..a], &xml[a_end..]].concat();
+            let tags: Vec<usize> = rest.match_indices('<').map(|(at, _)| at).collect();
+            let to = tags[g.range(0..tags.len())];
+            let _ = parse_votable(&[&rest[..to], &xml[a..a_end], &rest[to..]].concat());
+        }
     });
 }

@@ -1,8 +1,7 @@
 //! # sciflow-simnet
 //!
 //! Transport simulation for large-scale data flows: network links, physical
-//! media shipping ("sneakernet"), transfer planning, and integrity
-//! verification.
+//! media shipping ("sneakernet") and transfer planning.
 //!
 //! The paper's central transport finding is that no single channel fits all
 //! three projects: Arecibo ships ATA disks because its uplink cannot carry
@@ -17,18 +16,11 @@
 //! stalls, corruption, degradation) with bounded retry/backoff, so the
 //! comparison can be made against the network as it is, not as advertised.
 
-pub mod federation;
-pub mod integrity;
 pub mod link;
 pub mod profiles;
 pub mod shipping;
 pub mod transfer;
 
-pub use federation::{paper_scenario, plan_federated_query, FederationPlan, Site};
-pub use integrity::{
-    build_manifest, simulate_verified_shipping, verify_against_manifest, ManifestEntry,
-    VerificationReport,
-};
 pub use link::NetworkLink;
 pub use shipping::{plan_shipment, MediaSpec, ShipmentPlan, ShippingRoute};
 pub use transfer::{

@@ -1,11 +1,7 @@
 //! Property-based tests for transport planning: monotonicity of shipping
-//! plans, crossover correctness, and integrity-simulation invariants.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! plans, crossover correctness, and link derating.
 
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
-use sciflow_simnet::integrity::simulate_verified_shipping;
 use sciflow_simnet::link::NetworkLink;
 use sciflow_simnet::shipping::{plan_shipment, MediaSpec, ShippingRoute};
 use sciflow_simnet::transfer::{compare, crossover_bandwidth, TransferMode};
@@ -65,25 +61,6 @@ fn crossover_separates_the_regimes() {
         let above = NetworkLink::new("a", cross * 1.1, SimDuration::ZERO);
         assert_eq!(compare(volume, &below, &m, &r).winner, TransferMode::Shipping);
         assert_eq!(compare(volume, &above, &m, &r).winner, TransferMode::Network);
-    });
-}
-
-/// Verified shipping: totals and rounds are consistent; zero corruption
-/// means exactly one round.
-#[test]
-fn verified_shipping_invariants() {
-    check("verified_shipping_invariants", 64, |g| {
-        let (units, p, seed) = (g.range(0usize..500), g.range(0.0f64..0.5), g.any::<u64>());
-        let mut rng = StdRng::seed_from_u64(seed);
-        let report = simulate_verified_shipping(units, p, &mut rng);
-        assert_eq!(report.units, units);
-        assert!(report.total_unit_shipments >= units);
-        assert!(report.corrupted <= units);
-        assert!(report.rounds >= 1);
-        if p == 0.0 && units > 0 {
-            assert_eq!(report.rounds, 1);
-            assert_eq!(report.total_unit_shipments, units);
-        }
     });
 }
 

@@ -35,17 +35,6 @@ impl CostLedger {
     pub fn personnel_hours(&self) -> f64 {
         self.personnel_hours
     }
-
-    /// Combined cost at an hourly personnel rate.
-    pub fn total_at_rate(&self, dollars_per_hour: f64) -> f64 {
-        self.media_cost + self.personnel_hours * dollars_per_hour
-    }
-
-    /// Merge another ledger into this one.
-    pub fn absorb(&mut self, other: &CostLedger) {
-        self.media_cost += other.media_cost;
-        self.personnel_hours += other.personnel_hours;
-    }
 }
 
 #[cfg(test)]
@@ -59,16 +48,5 @@ mod tests {
         l.add_personnel_hours(2.0);
         assert_eq!(l.media_cost(), 100.0);
         assert_eq!(l.personnel_hours(), 2.0);
-        assert_eq!(l.total_at_rate(50.0), 200.0);
-    }
-
-    #[test]
-    fn absorb_merges() {
-        let mut a = CostLedger::new();
-        a.add_media_cost(10.0);
-        let mut b = CostLedger::new();
-        b.add_personnel_hours(1.0);
-        a.absorb(&b);
-        assert_eq!(a.total_at_rate(10.0), 20.0);
     }
 }

@@ -1,47 +1,16 @@
-//! Errors for the storage hierarchy simulator.
+//! Errors for the long-term archive model.
 
 use std::fmt;
 
-use sciflow_core::units::DataVolume;
-
-use crate::media::FileId;
-
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageError {
-    /// Device cannot hold the requested volume.
-    Full {
-        device: String,
-        requested: DataVolume,
-        free: DataVolume,
-    },
-    /// A single object exceeds the media unit size.
-    ObjectTooLarge {
-        requested: DataVolume,
-        limit: DataVolume,
-    },
-    AlreadyArchived {
-        id: FileId,
-    },
-    NotArchived {
-        id: FileId,
-    },
-    /// RAID or archive configuration is invalid.
-    InvalidConfig {
-        detail: String,
-    },
+    /// Archive configuration is invalid.
+    InvalidConfig { detail: String },
 }
 
 impl fmt::Display for StorageError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StorageError::Full { device, requested, free } => {
-                write!(f, "`{device}` full: requested {requested}, free {free}")
-            }
-            StorageError::ObjectTooLarge { requested, limit } => {
-                write!(f, "object of {requested} exceeds media unit {limit}")
-            }
-            StorageError::AlreadyArchived { id } => write!(f, "file {id:?} already archived"),
-            StorageError::NotArchived { id } => write!(f, "file {id:?} not in archive"),
             StorageError::InvalidConfig { detail } => write!(f, "invalid config: {detail}"),
         }
     }
@@ -57,11 +26,7 @@ mod tests {
 
     #[test]
     fn display() {
-        let e = StorageError::Full {
-            device: "silo".into(),
-            requested: DataVolume::gb(10),
-            free: DataVolume::ZERO,
-        };
-        assert!(e.to_string().contains("silo"));
+        let e = StorageError::InvalidConfig { detail: "zero copy rate".into() };
+        assert!(e.to_string().contains("zero copy rate"));
     }
 }

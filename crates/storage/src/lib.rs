@@ -1,33 +1,15 @@
 //! # sciflow-storage
 //!
-//! Storage-hierarchy simulation for the three case studies: direct-attached
-//! disks, robotic tape libraries, hierarchical storage management (tape +
-//! disk cache), RAID arrays, long-term archive migration across media
-//! generations, and cost accounting in both dollars and personnel hours.
-//!
-//! The paper's storage landscape this models:
-//!
-//! * Arecibo: raw disks archived "to a robotic tape system and retrieved for
-//!   processing" at the Cornell Theory Center ([`media::TapeLibrary`]);
-//! * CLEO: "most of the data are stored in a hierarchical storage management
-//!   (HSM) system (which automatically moves data between tape and disk
-//!   cache)" ([`hsm::Hsm`]);
-//! * WebLab: "240 TB of RAID disk storage" on a single large server
-//!   ([`raid::RaidArray`]);
-//! * all three: "reliable low-cost long-term storage solutions for archiving
-//!   the raw data and data products", with media-generation migration
-//!   ([`archive::LongTermArchive`]).
+//! Long-term archiving for the three case studies: "reliable low-cost
+//! long-term storage solutions for archiving the raw data and data
+//! products", with migration across media generations
+//! ([`archive::LongTermArchive`]) and cost accounting in both dollars and
+//! personnel hours ([`cost::CostLedger`]).
 
 pub mod archive;
 pub mod cost;
 pub mod error;
-pub mod hsm;
-pub mod media;
-pub mod raid;
 
 pub use archive::{LongTermArchive, MediaGeneration};
 pub use cost::CostLedger;
 pub use error::{StorageError, StorageResult};
-pub use hsm::{Hsm, HsmStats};
-pub use media::{Disk, FileId, TapeLibrary};
-pub use raid::{RaidArray, RaidLevel};

@@ -89,11 +89,14 @@ pub fn read_arc(data: &[u8]) -> WebResult<Vec<ArcRecord>> {
         let len: usize = fields[4]
             .parse()
             .map_err(|_| WebError::BadRecord { detail: format!("bad length `{}`", fields[4]) })?;
-        if pos + len + 1 > data.len() {
-            return Err(WebError::BadRecord { detail: "body overruns file".into() });
-        }
-        let body = data[pos..pos + len].to_vec();
-        pos += len;
+        // The body and its separator must both fit: `end` indexes the
+        // separator.
+        let end = pos
+            .checked_add(len)
+            .filter(|&end| end < data.len())
+            .ok_or_else(|| WebError::BadRecord { detail: "body overruns file".into() })?;
+        let body = data[pos..end].to_vec();
+        pos = end;
         if data[pos] != b'\n' {
             return Err(WebError::BadRecord { detail: "missing record separator".into() });
         }
@@ -165,6 +168,9 @@ mod tests {
         // Garbage header count.
         let bad = b"filedesc://x 0 0 t 1\n\nonly three fields\n".to_vec();
         assert!(read_arc(&bad).is_err());
+        // A length whose end offset overflows `usize`.
+        let forged = b"filedesc://x 0 0 t 1\n\nu i 1 t 18446744073709551615\nbody\n";
+        assert!(matches!(read_arc(forged), Err(WebError::BadRecord { .. })));
         // Spaces in URL rejected at write time.
         let mut r = sample_records(1);
         r[0].url = "http://bad url".into();

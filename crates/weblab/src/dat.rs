@@ -72,7 +72,9 @@ pub fn read_dat(data: &[u8]) -> WebResult<Vec<DatRecord>> {
         let n_links: usize = fields[3]
             .parse()
             .map_err(|_| WebError::BadRecord { detail: format!("bad count `{}`", fields[3]) })?;
-        let mut links = Vec::with_capacity(n_links);
+        // Every link takes a line, so the input bounds what a count can
+        // justify reserving.
+        let mut links = Vec::with_capacity(n_links.min(data.len()));
         for _ in 0..n_links {
             let link = lines
                 .next()
@@ -139,6 +141,11 @@ mod tests {
         // Non-numeric count.
         let bad = b"http://a.example.org/ 10.0.0.1 20050101120000 x\n";
         assert!(read_dat(bad).is_err());
+        // Counts no input can hold: 2^36 links would reserve 1.6 TB, and
+        // u64::MAX overflows the capacity.
+        for forged in [&b"u i 1 68719476736\n"[..], b"u i 1 18446744073709551615\n"] {
+            assert!(matches!(read_dat(forged), Err(WebError::BadRecord { .. })));
+        }
     }
 
     #[test]

@@ -15,7 +15,6 @@
 //!   date");
 //! * [`graph`] / [`analytics`] — the CSR link graph with PageRank, weakly
 //!   connected components, and degree statistics;
-//! * [`burst`] — two-state Kleinberg burst detection for emerging topics;
 //! * [`sample`] — stratified sampling (indexed store vs flat-layout cost);
 //! * [`distsim`] — the single-large-machine vs commodity-cluster latency
 //!   model behind the ES7000 decision;
@@ -24,7 +23,6 @@
 
 pub mod analytics;
 pub mod arc;
-pub mod burst;
 pub mod codec;
 pub mod crawlsim;
 pub mod dat;
@@ -42,7 +40,6 @@ pub use analytics::{
     graph_stats, in_degree_histogram, pagerank, weakly_connected_components, GraphStats,
 };
 pub use arc::{read_arc, read_arc_compressed, write_arc, write_arc_compressed, ArcRecord};
-pub use burst::{detect_bursts, Bin, Burst, BurstConfig};
 pub use codec::{compress, decompress};
 pub use crawlsim::{CrawlSnapshot, PageTruth, SyntheticWeb, WebConfig};
 pub use dat::{read_dat, read_dat_compressed, write_dat, write_dat_compressed, DatRecord};

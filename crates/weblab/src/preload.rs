@@ -12,9 +12,12 @@
 //! Architecture: a crossbeam worker pool decompresses and parses files (ARC
 //! and DAT files are independent work items, exactly as the paper allows);
 //! a single loader thread batches metadata into the relational store and
-//! appends bodies to the [`PageStore`]. `workers` and `batch_size` are the
-//! tuning knobs experiment E8 sweeps.
+//! appends bodies to the [`PageStore`]. The loader applies parsed files in
+//! input order, whichever worker finishes first, so page ids, link pairs
+//! and the store are the same for every worker count. `workers` and
+//! `batch_size` are the tuning knobs experiment E8 sweeps.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
@@ -148,12 +151,12 @@ pub fn preload(
     let start = Instant::now();
     let mut stats = PreloadStats { files: files.len() * 2, ..Default::default() };
 
-    let (work_tx, work_rx) = channel::unbounded::<WorkItem>();
-    let (done_tx, done_rx) = channel::unbounded::<Parsed>();
-    for (arc_gz, dat_gz) in files {
+    let (work_tx, work_rx) = channel::unbounded::<(usize, WorkItem)>();
+    let (done_tx, done_rx) = channel::unbounded::<(usize, Parsed)>();
+    for (i, (arc_gz, dat_gz)) in files.iter().enumerate() {
         stats.bytes_compressed += (arc_gz.len() + dat_gz.len()) as u64;
-        work_tx.send(WorkItem::Arc { bytes: arc_gz.clone() }).expect("receiver alive");
-        work_tx.send(WorkItem::Dat { bytes: dat_gz.clone() }).expect("receiver alive");
+        work_tx.send((2 * i, WorkItem::Arc { bytes: arc_gz.clone() })).expect("receiver alive");
+        work_tx.send((2 * i + 1, WorkItem::Dat { bytes: dat_gz.clone() })).expect("receiver alive");
     }
     drop(work_tx);
 
@@ -166,7 +169,7 @@ pub fn preload(
             let rx = work_rx.clone();
             let tx = done_tx.clone();
             scope.spawn(move |_| {
-                for item in rx.iter() {
+                for (index, item) in rx.iter() {
                     let parsed = match item {
                         WorkItem::Arc { bytes } => match read_arc_compressed(&bytes) {
                             Ok(records) => Parsed::Pages(
@@ -183,7 +186,7 @@ pub fn preload(
                             Err(e) => Parsed::Failed(e),
                         },
                     };
-                    if tx.send(parsed).is_err() {
+                    if tx.send((index, parsed)).is_err() {
                         return; // loader gave up
                     }
                 }
@@ -191,33 +194,40 @@ pub fn preload(
         }
         drop(done_tx);
 
-        // Loader: single writer into the DB and page store.
-        for parsed in done_rx.iter() {
-            match parsed {
-                Parsed::Failed(e) => return Err(e),
-                Parsed::Pages(pages) => {
-                    for (url, date, body) in pages {
-                        stats.bytes_raw += body.len() as u64;
-                        store.put(&url, date, &body)?;
+        // Loader: single writer into the DB and page store. Results that
+        // arrive ahead of their turn wait in `early`, keyed by input index.
+        let mut early: BTreeMap<usize, Parsed> = BTreeMap::new();
+        let mut next_index = 0;
+        for (index, parsed) in done_rx.iter() {
+            early.insert(index, parsed);
+            while let Some(parsed) = early.remove(&next_index) {
+                next_index += 1;
+                match parsed {
+                    Parsed::Failed(e) => return Err(e),
+                    Parsed::Pages(pages) => {
+                        for (url, date, body) in pages {
+                            stats.bytes_raw += body.len() as u64;
+                            store.put(&url, date, &body)?;
+                        }
                     }
-                }
-                Parsed::Meta { records, raw_bytes } => {
-                    stats.bytes_raw += raw_bytes;
-                    for r in records {
-                        stats.pages += 1;
-                        stats.links += r.links.len();
-                        pending_rows.push(vec![
-                            Value::Int(next_id),
-                            Value::Text(r.url.clone()),
-                            Value::Text(domain_of(&r.url).to_string()),
-                            Value::Date((r.date / 1_000_000) as u32),
-                            Value::Int(0), // size backfilled by content pass if needed
-                            Value::Int(r.links.len() as i64),
-                        ]);
-                        link_pairs.extend(r.links.into_iter().map(|l| (next_id, l)));
-                        next_id += 1;
-                        if pending_rows.len() >= cfg.batch_size {
-                            flush(db, &mut pending_rows, &mut stats)?;
+                    Parsed::Meta { records, raw_bytes } => {
+                        stats.bytes_raw += raw_bytes;
+                        for r in records {
+                            stats.pages += 1;
+                            stats.links += r.links.len();
+                            pending_rows.push(vec![
+                                Value::Int(next_id),
+                                Value::Text(r.url.clone()),
+                                Value::Text(domain_of(&r.url).to_string()),
+                                Value::Date((r.date / 1_000_000) as u32),
+                                Value::Int(0), // size backfilled by content pass if needed
+                                Value::Int(r.links.len() as i64),
+                            ]);
+                            link_pairs.extend(r.links.into_iter().map(|l| (next_id, l)));
+                            next_id += 1;
+                            if pending_rows.len() >= cfg.batch_size {
+                                flush(db, &mut pending_rows, &mut stats)?;
+                            }
                         }
                     }
                 }
@@ -307,20 +317,36 @@ mod tests {
         }
     }
 
+    /// Page ids, link pairs, metadata rows and the store's contents do not
+    /// depend on the worker count or on which worker finishes first.
     #[test]
     fn worker_counts_agree_on_results() {
-        let (_, files) = files();
-        let mut results = Vec::new();
-        for workers in [1usize, 4] {
+        let (web, files) = files();
+        let date = web.crawls[0].date;
+        let run = |workers| {
             let mut db = Database::new();
             create_pages_table(&mut db).unwrap();
-            let mut store = PageStore::new(1 << 22);
+            let mut store = PageStore::new(1 << 12);
             let out =
                 preload(&files, &mut db, &mut store, &PreloadConfig { workers, batch_size: 64 })
                     .unwrap();
-            results.push((out.stats.pages, db.table("pages").unwrap().len(), store.page_count()));
+            let rows: Vec<Vec<Value>> =
+                db.table("pages").unwrap().scan().map(|(_, row)| row.to_vec()).collect();
+            let bodies: Vec<Vec<u8>> = web.crawls[0]
+                .pages
+                .iter()
+                .map(|p| store.get(&p.url, date).unwrap().to_vec())
+                .collect();
+            (out.link_pairs, rows, bodies, store.segment_count(), store.total_bytes())
+        };
+        let serial = run(1);
+        for rep in 0..20 {
+            let parallel = run(4);
+            assert!(parallel.0 == serial.0, "repetition {rep}: link pairs differ");
+            assert!(parallel.1 == serial.1, "repetition {rep}: `pages` rows differ");
+            assert!(parallel.2 == serial.2, "repetition {rep}: stored bodies differ");
+            assert_eq!((parallel.3, parallel.4), (serial.3, serial.4), "repetition {rep}");
         }
-        assert_eq!(results[0], results[1]);
     }
 
     #[test]

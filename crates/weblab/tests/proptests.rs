@@ -1,11 +1,11 @@
 //! Property-based tests for the WebLab data plane: the LZ codec, the
-//! ARC/DAT formats, the page store, and burst-detection sanity.
+//! ARC/DAT formats (round trips and hostile input), the page store and the
+//! Retro Browser.
 
-use sciflow_testkit::check;
-use sciflow_weblab::arc::{read_arc, write_arc, ArcRecord};
-use sciflow_weblab::burst::{detect_bursts, Bin, BurstConfig};
+use sciflow_testkit::{check, Gen};
+use sciflow_weblab::arc::{read_arc, read_arc_compressed, write_arc, ArcRecord};
 use sciflow_weblab::codec::{compress, decompress};
-use sciflow_weblab::dat::{read_dat, write_dat, DatRecord};
+use sciflow_weblab::dat::{read_dat, read_dat_compressed, write_dat, DatRecord};
 use sciflow_weblab::pagestore::PageStore;
 use sciflow_weblab::retro::RetroBrowser;
 
@@ -60,6 +60,89 @@ fn dat_roundtrip() {
     });
 }
 
+/// `bytes` with the last space-separated field of the line that starts at
+/// `start` replaced by `value`.
+fn forge_last_field(bytes: &[u8], start: usize, value: u64) -> Vec<u8> {
+    let end = start + bytes[start..].iter().position(|&b| b == b'\n').expect("header line");
+    let field = start + bytes[start..end].iter().rposition(|&b| b == b' ').expect("fields") + 1;
+    [&bytes[..field], value.to_string().as_bytes(), &bytes[end..]].concat()
+}
+
+/// Hostile ARC and DAT files: every truncation, single-byte substitutions,
+/// and the ARC body length and DAT link count forged, of real writer
+/// output, plain and compressed. Each decodes to records or a typed
+/// `WebError`; none panics or aborts.
+#[test]
+fn hostile_arc_and_dat_are_typed_errors() {
+    check("hostile_arc_and_dat_are_typed_errors", 64, |g| {
+        let arcs = g.vec(1..4, |g| ArcRecord {
+            url: format!("http://{}", g.string("a-z0-9./", 1..=12)),
+            ip: "10.0.0.1".into(),
+            date: g.range(0u64..99_999_999_999_999),
+            mime: "text/html".into(),
+            body: g.vec(0..40, |g| g.any::<u8>()),
+        });
+        let dats = g.vec(1..4, |g| DatRecord {
+            url: format!("http://{}", g.string("a-z0-9./", 1..=12)),
+            ip: "10.0.0.1".into(),
+            date: g.range(0u64..99_999_999_999_999),
+            links: g.vec(0..4, |g| format!("http://{}", g.string("a-z0-9./", 1..=12))),
+        });
+        // The results are ignored: reaching the next line is the property.
+        let arc_survives = |bytes: &[u8]| {
+            let _ = read_arc(bytes);
+            let _ = read_arc_compressed(&compress(bytes));
+        };
+        let dat_survives = |bytes: &[u8]| {
+            let _ = read_dat(bytes);
+            let _ = read_dat_compressed(&compress(bytes));
+        };
+        let arc = write_arc(&arcs).expect("url-safe fields");
+        let dat = write_dat(&dats).expect("url-safe fields");
+        let (arc_packed, dat_packed) = (compress(&arc), compress(&dat));
+
+        // Forged numbers: each record's header is the line its predecessors
+        // end at.
+        let (a, d) = (g.range(0..arcs.len()), g.range(0..dats.len()));
+        let arc_at = write_arc(&arcs[..a]).expect("url-safe fields").len();
+        let dat_at = write_dat(&dats[..d]).expect("url-safe fields").len();
+        let (body, links) = (arcs[a].body.len() as u64, dats[d].links.len() as u64);
+        let drawn = g.any::<u64>();
+        for forged in [body.saturating_sub(1), body + 1, 1 << 36, u64::MAX, drawn] {
+            arc_survives(&forge_last_field(&arc, arc_at, forged));
+        }
+        for forged in [links.saturating_sub(1), links + 1, 1 << 36, u64::MAX, drawn] {
+            dat_survives(&forge_last_field(&dat, dat_at, forged));
+        }
+
+        for cut in 0..arc.len() {
+            let _ = read_arc(&arc[..cut]);
+        }
+        for cut in 0..dat.len() {
+            let _ = read_dat(&dat[..cut]);
+        }
+        for cut in 0..arc_packed.len() {
+            let _ = read_arc_compressed(&arc_packed[..cut]);
+        }
+        for cut in 0..dat_packed.len() {
+            let _ = read_dat_compressed(&dat_packed[..cut]);
+        }
+
+        let substitute = |bytes: &[u8], g: &mut Gen| {
+            let mut bytes = bytes.to_vec();
+            let at = g.range(0..bytes.len());
+            bytes[at] = g.any::<u8>();
+            bytes
+        };
+        for _ in 0..16 {
+            arc_survives(&substitute(&arc, g));
+            dat_survives(&substitute(&dat, g));
+            let _ = read_arc_compressed(&substitute(&arc_packed, g));
+            let _ = read_dat_compressed(&substitute(&dat_packed, g));
+        }
+    });
+}
+
 /// Page store: everything put is gettable byte-for-byte; totals add up.
 #[test]
 fn pagestore_holds_everything() {
@@ -103,25 +186,6 @@ fn retro_resolution_is_floor() {
     });
 }
 
-/// Burst detection marks supersets of truly elevated bins and nothing
-/// in flat streams; output intervals are well-formed and disjoint.
-#[test]
-fn burst_intervals_are_well_formed() {
-    check("burst_intervals_are_well_formed", 64, |g| {
-        let hits = g.vec(1..30, |g| g.range(0u64..50));
-        let bins: Vec<Bin> = hits.iter().map(|&h| Bin { hits: h, total: 1000 }).collect();
-        let bursts = detect_bursts(&bins, &BurstConfig::default());
-        let mut last_end: Option<usize> = None;
-        for b in &bursts {
-            assert!(b.start <= b.end);
-            assert!(b.end < bins.len());
-            if let Some(le) = last_end {
-                assert!(b.start > le + 1, "intervals must be separated");
-            }
-            last_end = Some(b.end);
-        }
-    });
-}
 /// Text index: postings tally with the tokenizer, lookups are
 /// case-insensitive, and conjunctive search returns docs containing
 /// every term.

@@ -1,7 +1,6 @@
 //! The paper's "Summary and Next Steps" (Section 5), demonstrated: NVO
 //! federation of the candidate database, subset views with a scoped
-//! full-text index, federated multi-site analysis, and long-term archive
-//! migration.
+//! full-text index, and long-term archive migration.
 //!
 //! ```text
 //! cargo run -p sciflow-examples --release --bin next_steps
@@ -16,7 +15,6 @@ use sciflow_arecibo::search::Candidate;
 use sciflow_arecibo::units::Dm;
 use sciflow_core::units::DataVolume;
 use sciflow_metastore::prelude::*;
-use sciflow_simnet::federation::{paper_scenario, plan_federated_query};
 use sciflow_storage::{LongTermArchive, MediaGeneration};
 use sciflow_weblab::crawlsim::{SyntheticWeb, WebConfig};
 use sciflow_weblab::pagestore::PageStore;
@@ -83,14 +81,7 @@ fn main() {
         hits.len()
     );
 
-    // --- 3. Federated analysis across Cornell / IA / laptop --------------
-    let plan = plan_federated_query(&paper_scenario()).expect("links live");
-    println!(
-        "federated query: ship-data {} vs ship-query {} ({:.0}× faster), result {}",
-        plan.ship_data, plan.ship_query, plan.speedup, plan.result_volume
-    );
-
-    // --- 4. "Migration of the data to new storage technologies" ----------
+    // --- 3. "Migration of the data to new storage technologies" ----------
     let mut archive = LongTermArchive::new(
         MediaGeneration::new("gen-2005", 300.0, sciflow_core::DataRate::mb_per_sec(80.0), 0.02),
         0.2,

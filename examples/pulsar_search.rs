@@ -14,7 +14,6 @@ use sciflow_arecibo::meta::{
     sky_coincidence_cull, PointingCandidate,
 };
 use sciflow_arecibo::pipeline::{process_pointing, PipelineConfig};
-use sciflow_arecibo::qa::{quality_check, QaConfig};
 use sciflow_arecibo::spectra::{DynamicSpectrum, ObsConfig, PulsarParams};
 use sciflow_arecibo::units::Dm;
 use sciflow_core::version::{CalDate, VersionId};
@@ -53,15 +52,6 @@ fn main() {
         sciflow_core::DataVolume::from_bytes(7 * cfg.volume_bytes()),
     );
     println!("hidden pulsar: P = {} s, DM = {} pc/cm³ (beam 3)\n", truth.period_s, truth.dm.0);
-
-    // --- 1b. Local quality monitoring before the disks ship --------------
-    for (i, b) in beams.iter().enumerate() {
-        let qa = quality_check(b, &QaConfig::default());
-        if !qa.passes() {
-            println!("beam {i}: QA issues {:?} — would hold shipment", qa.issues);
-        }
-    }
-    println!("local QA complete: all beams cleared for disk shipment\n");
 
     // --- 2. Run the pipeline --------------------------------------------
     let pipe = PipelineConfig { n_dm_trials: 16, dm_max: 150.0, ..PipelineConfig::default() };

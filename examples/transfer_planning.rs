@@ -6,16 +6,11 @@
 //!
 //! Reproduces the paper's Section-5 contrast: for each project's transfer
 //! problem, compare physical media shipping against the network links
-//! actually available in 2005/2006, including integrity verification
-//! overhead for the shipping channel.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! actually available in 2005/2006.
 
 use sciflow_core::units::{DataVolume, SimDuration};
-use sciflow_simnet::integrity::simulate_verified_shipping;
 use sciflow_simnet::profiles;
-use sciflow_simnet::transfer::{compare, crossover_bandwidth, TransferMode};
+use sciflow_simnet::transfer::{compare, crossover_bandwidth};
 
 fn main() {
     let scenarios = [
@@ -61,16 +56,6 @@ fn main() {
             println!(
                 "  network would need ≥ {cross} (~{:.0} Mb/s) to match the couriers",
                 cross.bytes_per_sec() * 8.0 / 1e6
-            );
-        }
-        if c.winner == TransferMode::Shipping {
-            // The hidden costs the paper lists: integrity assessment and
-            // re-shipping of corrupted media.
-            let mut rng = StdRng::seed_from_u64(42);
-            let report = simulate_verified_shipping(c.shipping.units, 0.01, &mut rng);
-            println!(
-                "  integrity: {} of {} units corrupted in transit; {} total unit-shipments over {} round(s)",
-                report.corrupted, report.units, report.total_unit_shipments, report.rounds
             );
         }
         println!();

@@ -1,6 +1,6 @@
 //! The WebLab workload end to end: crawl a synthetic web across time
 //! slices, preload it, browse it retroactively, analyze the link graph, and
-//! detect a bursting topic.
+//! draw a stratified sample.
 //!
 //! ```text
 //! cargo run -p sciflow-examples --release --bin web_timeslice
@@ -11,7 +11,6 @@ use rand::SeedableRng;
 
 use sciflow_metastore::Database;
 use sciflow_weblab::analytics::{graph_stats, pagerank};
-use sciflow_weblab::burst::{detect_bursts, Bin, BurstConfig};
 use sciflow_weblab::crawlsim::{SyntheticWeb, WebConfig};
 use sciflow_weblab::graph::LinkGraph;
 use sciflow_weblab::pagestore::PageStore;
@@ -112,30 +111,4 @@ fn main() {
         sample.strata.len(),
         sample.rows_examined
     );
-
-    // --- 5. Burst detection: an emerging topic across crawls -------------
-    // A topic mentioned rarely, then heavily in crawls 2–3 (think: an
-    // emerging weblog meme).
-    let bins: Vec<Bin> = web
-        .crawls
-        .iter()
-        .enumerate()
-        .map(|(i, c)| Bin {
-            hits: match i {
-                2 | 3 => (c.pages.len() / 12) as u64,
-                _ => (c.pages.len() / 100) as u64,
-            },
-            total: c.pages.len() as u64,
-        })
-        .collect();
-    let bursts = detect_bursts(&bins, &BurstConfig::default());
-    for b in &bursts {
-        println!(
-            "burst detected: crawls {}..={} ({} → {})",
-            b.start,
-            b.end,
-            web.crawls[b.start].date / 1_000_000,
-            web.crawls[b.end].date / 1_000_000
-        );
-    }
 }

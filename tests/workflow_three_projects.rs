@@ -7,7 +7,6 @@ use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::units::{DataVolume, SimDuration};
 use sciflow_simnet::profiles;
 use sciflow_simnet::transfer::{compare, TransferMode};
-use sciflow_storage::{Disk, Hsm, TapeLibrary};
 use sciflow_weblab::flow::{weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
 
 #[test]
@@ -76,35 +75,4 @@ fn the_three_flows_reproduce_the_section_five_contrasts() {
     assert!(arecibo.retained_storage > DataVolume::tb(50));
     assert!(cleo.retained_storage > DataVolume::ZERO);
     assert!(weblab.retained_storage > DataVolume::tb(5));
-}
-
-#[test]
-fn arecibo_raw_data_survives_the_hsm_round_trip() {
-    // Weekly blocks archived to the robotic tape system, then recalled for
-    // reprocessing ("retrieved for processing").
-    let cache = Disk::new(
-        "ctc-cache",
-        DataVolume::tb(2),
-        sciflow_core::DataRate::mb_per_sec(200.0),
-        sciflow_core::DataRate::mb_per_sec(150.0),
-    );
-    let tape = TapeLibrary::new(
-        "ctc-silo",
-        DataVolume::tb(1),
-        200,
-        sciflow_core::DataRate::mb_per_sec(30.0),
-        SimDuration::from_secs(90),
-    );
-    let mut hsm = Hsm::new(cache, tape);
-    // Archive 20 observing sessions of 500 GB.
-    for i in 0..20u64 {
-        hsm.store(sciflow_storage::FileId(i), DataVolume::gb(500)).unwrap();
-    }
-    assert_eq!(hsm.tape().stored(), DataVolume::gb(10_000));
-    // Recent sessions are cache hits; old ones pay the tape mount.
-    let recent = hsm.recall(sciflow_storage::FileId(19)).unwrap();
-    let ancient = hsm.recall(sciflow_storage::FileId(0)).unwrap();
-    assert!(recent < ancient, "recent {recent} vs ancient {ancient}");
-    assert!(hsm.stats().hits >= 1);
-    assert!(hsm.stats().misses >= 1);
 }
