@@ -22,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, CleoFlowParams, WILSON_POOL};
 use sciflow_core::fault::RetryPolicy;
+use sciflow_core::fnv::fnv1a;
 use sciflow_core::genflow::{stress_flow, Archetype, StressParams, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageId, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
@@ -349,6 +350,30 @@ fn stress_trace_log_size_is_pinned() {
     let (_, trace) = stress_recorder(4, 25, 200);
     assert_eq!(trace.len(), 75_200);
     assert_eq!(trace.bytes_held(), 640_789);
+}
+
+/// The two exports of that trace, to the byte: length and FNV-1a of each,
+/// and the span count the Chrome export renders a slice per. Pure functions
+/// of the event stream, so a changed byte anywhere fails here on any
+/// machine, not only in the benchmark's `result_digest`.
+#[test]
+fn trace_analyze_exports_are_pinned() {
+    let (_, trace) = stress_recorder(4, 25, 200);
+    let snapshot = trace.snapshot();
+    let fnv = |text: &str| format!("{:016x}", fnv1a(text.as_bytes()));
+    let jsonl = snapshot.jsonl();
+    assert_eq!(
+        (jsonl.len(), fnv(&jsonl).as_str()),
+        (6_895_104, "934c040edbe0a9b1"),
+        "JSONL: length, FNV-1a"
+    );
+    let chrome = snapshot.chrome_trace();
+    assert_eq!(
+        (chrome.len(), fnv(&chrome).as_str()),
+        (5_445_882, "f50b2c0f6c6ee87a"),
+        "Chrome: length, FNV-1a"
+    );
+    assert_eq!(snapshot.spans().len(), 20_000);
 }
 
 /// The trace the benchmark's `trace-analyze` workload reads: 20 000 spans,
