@@ -13,7 +13,8 @@
 //!   channel as the dominant term of the makespan;
 //! * a Chrome `trace_event` JSON (default `target/arecibo-trace.json`) —
 //!   load it in Perfetto (<https://ui.perfetto.dev>) or `chrome://tracing`
-//!   to see every task and shipment as a slice on its stage's track.
+//!   to see every task and shipment as a slice on its stage's track — and
+//!   beside it the JSONL event log, one event a line (same path, `.jsonl`).
 
 use sciflow_arecibo::{arecibo_flow_graph, arecibo_observe_preset, AreciboFlowParams, CTC_POOL};
 use sciflow_core::critical_path;
@@ -65,12 +66,21 @@ fn main() {
     assert_eq!(dominant.name, "ship-disks", "expected the shipping channel to dominate");
     println!("\ndominant: {} ({:.1}% of the makespan)", dominant.name, dominant.share * 100.0);
 
-    // Export the full trace for Perfetto / chrome://tracing, from the
-    // snapshot already decoded for the critical path.
+    // Export the full trace for Perfetto / chrome://tracing, and the event
+    // log beside it, from the snapshot already decoded for the critical path.
     let chrome = snapshot.chrome_trace();
-    if let Some(dir) = std::path::Path::new(&out_path).parent() {
+    let out_path = std::path::Path::new(&out_path);
+    if let Some(dir) = out_path.parent() {
         std::fs::create_dir_all(dir).expect("create trace output dir");
     }
-    std::fs::write(&out_path, &chrome).expect("write trace file");
-    println!("wrote {} ({} bytes) — load it at https://ui.perfetto.dev", out_path, chrome.len());
+    std::fs::write(out_path, &chrome).expect("write trace file");
+    println!(
+        "wrote {} ({} bytes) — load it at https://ui.perfetto.dev",
+        out_path.display(),
+        chrome.len()
+    );
+    let jsonl_path = out_path.with_extension("jsonl");
+    let jsonl = snapshot.jsonl();
+    std::fs::write(&jsonl_path, &jsonl).expect("write event log");
+    println!("wrote {} ({} bytes, one event a line)", jsonl_path.display(), jsonl.len());
 }
