@@ -30,7 +30,7 @@ use std::rc::Rc;
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, wilson_crash_profile, CleoFlowParams, WILSON_POOL};
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
-use sciflow_core::fnv::fnv1a;
+use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
 use sciflow_core::genflow::{stress_flow, Archetype, StressParams, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
@@ -312,6 +312,61 @@ fn traced_zoo_runs_resume_with_byte_identical_trace_suffixes() {
             let _ = fs::remove_file(&path);
         });
     }
+}
+
+/// A journaled run killed at event `kill`: snapshots every `cadence`
+/// events, and the process dies once `kill` events have been handled.
+/// Returns the journal's bytes.
+fn killed_journal(sim: FlowSim, path: &Path, cadence: u64, kill: u64) -> Vec<u8> {
+    let err = sim
+        .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
+        .with_journal(path)
+        .expect("journal created")
+        .with_kill_after(kill)
+        .run()
+        .map(|_| ())
+        .expect_err("the kill hook must fire");
+    assert!(matches!(err, CoreError::Killed { .. }), "{err:?}");
+    fs::read(path).expect("journal readable")
+}
+
+/// What a kill leaves on disk, to the byte: every archetype on fixed seeds
+/// (not the matrix seed), clean and faulted, killed at the first event, at
+/// a snapshot, one event past it, mid-run and at the very end, under two
+/// cadences. All journals fold into one length and one FNV-1a. If this
+/// fails, a killed run seals different frames than before: do not update
+/// the literals; fix the code.
+#[test]
+fn killed_journals_are_pinned() {
+    let (mut journals, mut bytes, mut hash) = (0u64, 0u64, FNV_OFFSET);
+    let path = tmp("killed-pin");
+    for archetype in Archetype::ALL {
+        for seed in [3, 1001] {
+            let s = GeneratedScenario::new(archetype, seed);
+            let modes: [&dyn Fn() -> FlowSim; 2] = [&|| s.sim_clean(), &|| s.sim_corrupt()];
+            for build in modes {
+                let total = total_events(build());
+                for cadence in [5, 64] {
+                    let mut kills = vec![1, cadence, cadence + 1, total / 2, total];
+                    kills.retain(|&k| k <= total);
+                    kills.sort_unstable();
+                    kills.dedup();
+                    for kill in kills {
+                        let journal = killed_journal(build(), &path, cadence, kill);
+                        journals += 1;
+                        bytes += journal.len() as u64;
+                        hash = fnv1a_update(hash, &journal);
+                    }
+                }
+            }
+        }
+    }
+    let _ = fs::remove_file(&path);
+    assert_eq!(
+        (journals, bytes, format!("{hash:016x}").as_str()),
+        (236, 2_034_165, "6a1d13cc7ffe3d14"),
+        "journals, total bytes, FNV-1a of every journal in order"
+    );
 }
 
 // --- Case-study flows vs their committed goldens ---------------------------
