@@ -32,10 +32,6 @@ pub enum CoreError {
     /// resumed: wrong spec hash, unsupported format version, or no snapshot
     /// frame to resume from.
     ResumeMismatch { detail: String },
-    /// The run was deliberately aborted by a kill hook after handling the
-    /// stated number of events — the crash-simulation primitive behind the
-    /// resume-identity tests. Never produced by a normal run.
-    Killed { events: u64 },
 }
 
 impl fmt::Display for CoreError {
@@ -59,9 +55,6 @@ impl fmt::Display for CoreError {
             }
             CoreError::ResumeMismatch { detail } => {
                 write!(f, "cannot resume from journal: {detail}")
-            }
-            CoreError::Killed { events } => {
-                write!(f, "run killed by test hook after {events} events")
             }
         }
     }

@@ -29,7 +29,7 @@
 //!   generation-tagged [`slab::Slab`] whose residency is bounded by peak
 //!   pending events), [`behavior`] (per-kind stage semantics behind the
 //!   [`behavior::StageBehavior`] trait), and [`resource`] (shared pools and
-//!   channels with a pluggable [`resource::SchedPolicy`]);
+//!   channels, served fair share);
 //! * [`fault`] — seeded, replayable fault timelines (drops, stalls,
 //!   corruption, rate degradation) and bounded retry/backoff policies that
 //!   the simulator's `Transfer` stages ride out, `simnet`'s faulted

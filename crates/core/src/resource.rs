@@ -6,8 +6,7 @@
 //! stage. This layer models them uniformly: a resource is a counted set of
 //! interchangeable units — the CPUs of a shared pool, or the channels of
 //! a transfer link — acquired and released by stage behaviors through a
-//! [`ResourceSet`], with a
-//! [`SchedPolicy`] deciding how queued stages share a contended resource.
+//! [`ResourceSet`], whose queued stages take turns on a contended resource.
 //! [`StorageLedger`] tracks the other capacity dimension, instantaneous
 //! allocated bytes across the whole flow.
 
@@ -19,18 +18,17 @@ use crate::graph::StageId;
 use crate::metrics::PoolMetrics;
 use crate::units::{DataVolume, SimTime};
 
-/// How stages queued on a shared resource are served.
+/// How stages queued on a shared resource are served. Fair share is the
+/// only scheduler: after a stage starts a task it rotates to the back of the
+/// waiter queue, so stages sharing the resource interleave.
+///
+/// The type stays only because the benchmark's `sut.rs` names it when it
+/// builds a [`ResourceSet`]; it goes with the `policy` parameter of
+/// [`ResourceSet::new`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedPolicy {
-    /// After a stage starts a task, it rotates to the back of the waiter
-    /// queue so stages sharing the resource interleave fairly. This is the
-    /// historical behavior of the simulator.
     #[default]
     FairShare,
-    /// The stage at the head of the waiter queue keeps dispatching until its
-    /// queue drains or the resource blocks; whole batches are served in
-    /// arrival order.
-    Fifo,
 }
 
 crate::wire_struct! {
@@ -67,26 +65,20 @@ crate::wire_struct! {
 
 /// All the resources of one simulation: named CPU pools shared across
 /// `Process` stages, plus one private channel resource per `Transfer` /
-/// `Filter` stage. One [`SchedPolicy`] governs every shared resource.
+/// `Filter` stage. Every shared resource is served fair share.
 #[derive(Debug)]
 pub struct ResourceSet {
     resources: Vec<Resource>,
     /// `waiting[stage]`: is the stage already enqueued on some resource?
     waiting: Vec<bool>,
-    policy: SchedPolicy,
 }
 
 impl ResourceSet {
-    pub fn new(n_stages: usize, policy: SchedPolicy) -> Self {
-        ResourceSet { resources: Vec::new(), waiting: vec![false; n_stages], policy }
-    }
-
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
-    pub fn set_policy(&mut self, policy: SchedPolicy) {
-        self.policy = policy;
+    /// An empty set for a flow of `n_stages` stages. `policy` has one value
+    /// and is unused; the parameter stays only because the benchmark's
+    /// `sut.rs` passes it.
+    pub fn new(n_stages: usize, _policy: SchedPolicy) -> Self {
+        ResourceSet { resources: Vec::new(), waiting: vec![false; n_stages] }
     }
 
     fn add(&mut self, name: String, units: u32, pool: bool) -> ResourceId {
@@ -215,22 +207,16 @@ impl ResourceSet {
         }
     }
 
-    /// Reposition the head waiter after it dispatched a task. With more work
-    /// still queued the policy decides: fair-share rotates it to the back,
-    /// FIFO keeps it at the front. With nothing left it is removed.
+    /// Reposition the head waiter after it dispatched a task: with more work
+    /// still queued it rotates to the back, with nothing left it is removed.
     pub fn after_dispatch(&mut self, rid: ResourceId, more_queued: bool) {
         if !more_queued {
             self.drop_front(rid);
             return;
         }
-        match self.policy {
-            SchedPolicy::FairShare => {
-                let waiters = &mut self.resources[rid.0].state.waiters;
-                if let Some(stage) = waiters.pop_front() {
-                    waiters.push_back(stage);
-                }
-            }
-            SchedPolicy::Fifo => {}
+        let waiters = &mut self.resources[rid.0].state.waiters;
+        if let Some(stage) = waiters.pop_front() {
+            waiters.push_back(stage);
         }
     }
 
@@ -376,15 +362,15 @@ mod tests {
         }
     }
 
-    fn set(policy: SchedPolicy) -> (ResourceSet, ResourceId) {
-        let mut rs = ResourceSet::new(4, policy);
+    fn set() -> (ResourceSet, ResourceId) {
+        let mut rs = ResourceSet::new(4, SchedPolicy::FairShare);
         let pool = rs.add_pool("pool", 8);
         (rs, pool)
     }
 
     #[test]
     fn acquire_release_track_peak() {
-        let (mut rs, pool) = set(SchedPolicy::FairShare);
+        let (mut rs, pool) = set();
         assert_eq!(rs.free(pool), 8);
         rs.acquire(pool, 5);
         rs.acquire(pool, 2);
@@ -398,7 +384,7 @@ mod tests {
 
     #[test]
     fn enlist_is_idempotent_per_stage() {
-        let (mut rs, pool) = set(SchedPolicy::FairShare);
+        let (mut rs, pool) = set();
         let s = StageId(1);
         rs.enlist(pool, s);
         rs.enlist(pool, s);
@@ -411,26 +397,22 @@ mod tests {
     }
 
     #[test]
-    fn fair_share_rotates_and_fifo_does_not() {
-        let (mut rs, pool) = set(SchedPolicy::FairShare);
+    fn the_head_rotates_to_the_back_and_leaves_when_drained() {
+        let (mut rs, pool) = set();
         let (a, b) = (StageId(0), StageId(1));
         rs.enlist(pool, a);
         rs.enlist(pool, b);
         rs.after_dispatch(pool, true);
         assert_eq!(rs.front_waiter(pool), Some(b), "fair share rotates the head to the back");
-
-        let (mut rs, pool) = set(SchedPolicy::Fifo);
-        rs.enlist(pool, a);
-        rs.enlist(pool, b);
-        rs.after_dispatch(pool, true);
-        assert_eq!(rs.front_waiter(pool), Some(a), "fifo keeps the head in place");
         rs.after_dispatch(pool, false);
-        assert_eq!(rs.front_waiter(pool), Some(b), "drained head is removed");
+        assert_eq!(rs.front_waiter(pool), Some(a), "drained head is removed");
+        rs.after_dispatch(pool, false);
+        assert_eq!(rs.front_waiter(pool), None);
     }
 
     #[test]
     fn crash_takes_idle_units_and_repair_restores_them() {
-        let (mut rs, pool) = set(SchedPolicy::FairShare);
+        let (mut rs, pool) = set();
         rs.acquire(pool, 6); // 2 idle
         let shortfall = rs.crash(pool, 5);
         assert_eq!(shortfall, 3, "only the 2 idle units could die immediately");
@@ -478,7 +460,7 @@ mod tests {
 
     #[test]
     fn dynamics_roundtrip_through_bytes_onto_a_fresh_set() {
-        let (mut rs, pool) = set(SchedPolicy::FairShare);
+        let (mut rs, pool) = set();
         rs.acquire(pool, 6);
         rs.crash(pool, 3);
         rs.note_busy(pool, 12.5);
@@ -487,7 +469,7 @@ mod tests {
         let mut bytes = Vec::new();
         rs.save_dyn(&mut bytes);
 
-        let (mut fresh, fresh_pool) = set(SchedPolicy::FairShare);
+        let (mut fresh, fresh_pool) = set();
         let mut r = Reader::new(&bytes);
         fresh.load_dyn(&mut r).unwrap();
         r.done().unwrap();

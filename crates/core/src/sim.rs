@@ -39,14 +39,14 @@ use crate::metrics::{EngineStats, RunMetrics, SimReport, TimeSeries, TsSample};
 #[cfg(test)]
 use crate::obs::SloRule;
 use crate::obs::{Alert, MetricsHub, SloKind, SloState};
-use crate::resource::{ResourceId, ResourceSet};
+use crate::resource::{ResourceId, ResourceSet, SchedPolicy};
 use crate::trace::{self, FaultScope, Observer, TraceCtx, TraceEvent, TraceMeta};
 use crate::units::{DataVolume, SimDuration, SimTime};
 
 use std::fmt::Write as _;
 use std::path::Path;
 
-pub use crate::resource::{SchedPolicy, StorageLedger};
+pub use crate::resource::StorageLedger;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -55,6 +55,10 @@ use rand::{Rng, SeedableRng};
 /// identically for a given fault seed without correlating with backoff
 /// jitter.
 const VERIFY_RNG_SALT: u64 = 0x5EED_C8EC_D16E_0004;
+
+/// How many lineage hops [`FlowSim`] walks looking for a durable ancestor
+/// before giving a quarantined block up as unrecoverable.
+const MAX_REPROCESS_DEPTH: usize = 8;
 
 /// A named pool of interchangeable processors shared by `Process` stages.
 #[derive(Debug, Clone)]
@@ -125,15 +129,9 @@ crate::wire_struct! {
 /// matters to replay.
 struct RunConfig {
     max_events: u64,
-    /// How many lineage hops [`FlowSim`] walks looking for a durable ancestor
-    /// before giving a quarantined block up as unrecoverable.
-    max_reprocess_depth: usize,
     /// When journaled runs commit snapshot frames: never, unless set with
     /// [`FlowSim::with_snapshot_policy`].
     snapshot_policy: SnapshotPolicy,
-    /// Crash-test hook: abort with [`CoreError::Killed`] once this many
-    /// events have been handled ([`FlowSim::with_kill_after`]).
-    kill_after: Option<u64>,
     /// Interval between time-series samples; read only when the graph was
     /// observed ([`FlowGraph::set_observe`]).
     tick: SimDuration,
@@ -501,9 +499,7 @@ impl FlowSim {
         };
         let cfg = RunConfig {
             max_events: 50_000_000,
-            max_reprocess_depth: 8,
             snapshot_policy: SnapshotPolicy::None,
-            kill_after: None,
             tick: tick.unwrap_or(SimDuration::ZERO),
             sample_pools,
             slo,
@@ -528,13 +524,6 @@ impl FlowSim {
         self
     }
 
-    /// Choose how stages queued on a shared resource are served (default
-    /// [`SchedPolicy::FairShare`]).
-    pub fn with_policy(mut self, policy: SchedPolicy) -> Self {
-        self.state.resources.set_policy(policy);
-        self
-    }
-
     /// Inject a seeded fault timeline, with transfer retries governed by
     /// `policy`. Transfer stages ride out drops, stalls, corruption and rate
     /// degradation by retrying with exponential backoff; process stages are
@@ -548,14 +537,6 @@ impl FlowSim {
         let rng = StdRng::seed_from_u64(plan.seed() ^ 0xBACC_0FF5_EED0_0002);
         self.state.verify_rng = StdRng::seed_from_u64(plan.seed() ^ VERIFY_RNG_SALT);
         self.state.faults = Some(FaultCtx { plan, policy, rng });
-        self
-    }
-
-    /// Bound how far lineage-driven reprocessing walks upstream looking for a
-    /// durable ancestor (default 8 hops). A quarantined block whose nearest
-    /// durable ancestor is farther than this is given up as unrecoverable.
-    pub fn with_max_reprocess_depth(mut self, depth: usize) -> Self {
-        self.cfg.max_reprocess_depth = depth;
         self
     }
 
@@ -589,15 +570,6 @@ impl FlowSim {
         Ok(self)
     }
 
-    /// Crash-test hook: the run aborts with [`CoreError::Killed`] once this
-    /// many events have been handled — mid-flight state is dropped on the
-    /// floor exactly as `kill -9` would drop it, leaving only what the
-    /// journal already sealed. The resume-identity tests are built on this.
-    pub fn with_kill_after(mut self, events: u64) -> Self {
-        self.cfg.kill_after = Some(events);
-        self
-    }
-
     /// Attach a [`MetricsHub`]: the run records event counts, engine
     /// high-water marks, and snapshot/journal sizes into it, and the caller
     /// renders the hub after the run. Recording is strictly one-way — the
@@ -625,6 +597,11 @@ impl FlowSim {
     /// `Ok(false)` at quiescence. Pausing a run this way is how a live
     /// simulator is snapshotted mid-flight with [`FlowSim::snapshot_to`];
     /// calling [`FlowSim::run`] afterwards finishes the run normally.
+    ///
+    /// It is also how a run crashes: `run_for(k + 1)` and then dropping the
+    /// simulator leaves the journal of a process that died once `k` events
+    /// were handled. Every frame due by then is sealed and none after,
+    /// because the loop checks the budget before it seals a frame.
     pub fn run_for(&mut self, events: u64) -> CoreResult<bool> {
         if self.state.engine.is_none() {
             self.start()?;
@@ -688,17 +665,19 @@ impl FlowSim {
         Ok(())
     }
 
-    /// The inner loop: commit any due snapshot, honor the kill hook, then
-    /// dispatch one event — at most `budget` times (`None` = until
-    /// quiescence). Returns `Ok(true)` while events may remain. A stepped
-    /// run is identical to the old single-call run loop, counters included.
+    /// The inner loop: commit any due snapshot, then dispatch one event —
+    /// at most `budget` times (`None` = until quiescence). Returns
+    /// `Ok(true)` while events may remain. A stepped run is identical to
+    /// the old single-call run loop, counters included. The budget is
+    /// checked before the snapshot, which is what makes `run_for` + drop a
+    /// faithful crash (see [`FlowSim::run_for`]).
     ///
     /// The engine steps out of its slot once, for the whole loop —
     /// `Engine::step` needs the simulator as the event handler, and
     /// shuffling the `Option` per event is measurable at stress scale.
     ///
     /// The hub's event counter is brought up to date here, on every way out
-    /// (quiescence, an exhausted budget, a kill, an error), so a caller can
+    /// (quiescence, an exhausted budget, an error), so a caller can
     /// never observe it behind `events_handled`.
     fn pump(&mut self, budget: Option<u64>) -> CoreResult<bool> {
         let mut engine = self.state.engine.take().expect("engine in place");
@@ -719,9 +698,9 @@ impl FlowSim {
         engine: &mut Engine<FlowEvent>,
         mut budget: Option<u64>,
     ) -> CoreResult<bool> {
-        // The common case — no journal, no kill hook, no budget — is the
-        // bare dispatch loop, with none of the per-event bookkeeping below.
-        if self.journal.is_none() && self.cfg.kill_after.is_none() && budget.is_none() {
+        // The common case — no journal, no budget — is the bare dispatch
+        // loop, with none of the per-event bookkeeping below.
+        if self.journal.is_none() && budget.is_none() {
             while engine.step(self)? {}
             return Ok(false);
         }
@@ -730,12 +709,6 @@ impl FlowSim {
                 return Ok(true);
             }
             self.maybe_snapshot(engine)?;
-            if let Some(k) = self.cfg.kill_after {
-                let handled = engine.events_handled();
-                if handled >= k {
-                    return Err(CoreError::Killed { events: handled });
-                }
-            }
             if !engine.step(self)? {
                 return Ok(false);
             }
@@ -892,7 +865,8 @@ impl FlowSim {
         let _ = write!(s, "emits {};", self.flow.pending_emits());
         let _ = write!(s, "observe {:?};", self.flow.observe_config());
         let _ = write!(s, "slos {:?};", self.flow.slo_rules());
-        let _ = write!(s, "policy {:?};", self.state.resources.policy());
+        // Fair share is the only scheduler; the hash names it as it always has.
+        s.push_str("policy FairShare;");
         for (i, name) in self.state.resources.names().iter().enumerate() {
             let _ = write!(s, "res {name} {};", self.state.resources.total(ResourceId(i)));
         }
@@ -906,7 +880,7 @@ impl FlowSim {
             }
             None => s.push_str("faults none;"),
         }
-        let _ = write!(s, "caps {} {}", self.cfg.max_events, self.cfg.max_reprocess_depth);
+        let _ = write!(s, "caps {} {MAX_REPROCESS_DEPTH}", self.cfg.max_events);
         crate::fnv::fnv1a(s.as_bytes())
     }
 
@@ -1008,7 +982,7 @@ impl FlowSim {
     /// each stage's first upstream edge, inverting volume transformations as
     /// it goes. Gives up — leaving the block quarantined with no replacement
     /// — when lineage runs out, a stage's transformation is not invertible
-    /// (zero ratio), or the walk exceeds `max_reprocess_depth` hops.
+    /// (zero ratio), or the walk exceeds [`MAX_REPROCESS_DEPTH`] hops.
     fn reprocess(
         &mut self,
         stage: StageId,
@@ -1020,7 +994,7 @@ impl FlowSim {
         let mut vol = volume;
         let mut cur = stage;
         let mut prev = from;
-        for _ in 0..self.cfg.max_reprocess_depth {
+        for _ in 0..MAX_REPROCESS_DEPTH {
             let Some(u) = prev else { return };
             if self.flow.durable(u) {
                 // `u` still holds (or can regenerate) a clean copy of what it
@@ -1637,17 +1611,6 @@ mod tests {
     }
 
     #[test]
-    fn fifo_policy_also_conserves_volume() {
-        let g = simple_graph(100.0, 0.5);
-        let report = FlowSim::new(g, vec![CpuPool::new("pool", 4)])
-            .unwrap()
-            .with_policy(SchedPolicy::Fifo)
-            .run()
-            .unwrap();
-        assert_eq!(report.stage("archive").unwrap().volume_in, DataVolume::gb(54));
-    }
-
-    #[test]
     fn peak_storage_includes_working_space() {
         let mut g = FlowGraph::new();
         let s = g.add_stage(
@@ -1824,14 +1787,49 @@ mod tests {
     }
 
     #[test]
-    fn zero_reprocess_depth_gives_quarantined_blocks_up() {
-        let (g, plan) = corrupting_setup(VerifyPolicy::digest(DataRate::mb_per_sec(500.0)));
-        let report = FlowSim::new(g, vec![])
-            .unwrap()
-            .with_faults(plan, RetryPolicy::default())
-            .with_max_reprocess_depth(0)
-            .run()
-            .unwrap();
+    fn quarantined_blocks_past_the_reprocess_depth_are_given_up() {
+        // src → link-0 → … → link-{n-1} → dst, the first link corrupting one
+        // block: the source, the only durable stage, is n + 1 hops upstream
+        // of the verifying archive.
+        let run = |links: usize| {
+            let mut g = FlowGraph::new();
+            let mut prev = g.add_stage(
+                "src",
+                StageKind::Source {
+                    block: DataVolume::gb(1),
+                    interval: SimDuration::from_secs(1),
+                    blocks: 3,
+                    start: SimTime::ZERO,
+                },
+            );
+            for i in 0..links {
+                let link = g.add_stage(
+                    format!("link-{i}"),
+                    StageKind::Transfer {
+                        rate: DataRate::mb_per_sec(100.0),
+                        latency: SimDuration::from_secs(2),
+                        channels: 1,
+                    },
+                );
+                g.connect(prev, link).unwrap();
+                prev = link;
+            }
+            let dst = g.add_stage("dst", StageKind::Archive);
+            g.connect(prev, dst).unwrap();
+            g.set_verify(dst, VerifyPolicy::digest(DataRate::mb_per_sec(500.0)));
+            let (_, plan) = corrupting_setup(VerifyPolicy::None);
+            FlowSim::new(g, vec![])
+                .unwrap()
+                .with_faults(plan, RetryPolicy::default())
+                .run()
+                .unwrap()
+        };
+        // Eight hops up, the source is within reach: the block is replayed.
+        let reached = run(MAX_REPROCESS_DEPTH - 1);
+        assert_eq!(reached.stage("dst").unwrap().quarantined, 1);
+        assert_eq!(reached.total_reprocessed_blocks(), 1);
+        // Nine hops up, it is not: the block is given up.
+        let report = run(MAX_REPROCESS_DEPTH);
         let dst = report.stage("dst").unwrap();
         assert_eq!(dst.quarantined, 1);
         assert_eq!(report.total_reprocessed_blocks(), 0);
@@ -1979,6 +1977,15 @@ mod tests {
         FlowSim::new(g.clone(), vec![]).unwrap().with_faults(plan.clone(), RetryPolicy::default())
     }
 
+    /// Journal the durable flow under `policy` at `path` and crash it once
+    /// 13 events are handled: `run_for(14)`, then the simulator is dropped.
+    fn crash_at_13(policy: SnapshotPolicy, path: &std::path::Path) {
+        let (g, plan) = durable_setup();
+        let mut sim =
+            durable_sim(&g, &plan).with_snapshot_policy(policy).with_journal(path).unwrap();
+        assert!(sim.run_for(14).unwrap(), "the crash lands mid-run");
+    }
+
     #[test]
     fn snapshot_resume_reproduces_the_uninterrupted_report() {
         let (g, plan) = durable_setup();
@@ -2024,14 +2031,7 @@ mod tests {
         let (g, plan) = durable_setup();
         let golden = durable_sim(&g, &plan).run().unwrap().to_json();
         let path = tmp("journal");
-        let err = durable_sim(&g, &plan)
-            .with_snapshot_policy(SnapshotPolicy::EveryEvents(5))
-            .with_journal(&path)
-            .unwrap()
-            .with_kill_after(13)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Killed { events: 13 }), "got {err:?}");
+        crash_at_13(SnapshotPolicy::EveryEvents(5), &path);
         let resumed = durable_sim(&g, &plan).resume_from(&path).unwrap().run().unwrap().to_json();
         assert_eq!(resumed, golden);
         std::fs::remove_file(&path).unwrap();
@@ -2042,14 +2042,7 @@ mod tests {
         let (g, plan) = durable_setup();
         let golden = durable_sim(&g, &plan).run().unwrap().to_json();
         let path = tmp("timed");
-        let err = durable_sim(&g, &plan)
-            .with_snapshot_policy(SnapshotPolicy::EverySimTime(SimDuration::from_secs(4)))
-            .with_journal(&path)
-            .unwrap()
-            .with_kill_after(13)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Killed { .. }));
+        crash_at_13(SnapshotPolicy::EverySimTime(SimDuration::from_secs(4)), &path);
         let resumed = durable_sim(&g, &plan).resume_from(&path).unwrap().run().unwrap().to_json();
         assert_eq!(resumed, golden);
         std::fs::remove_file(&path).unwrap();
@@ -2121,16 +2114,8 @@ mod tests {
     /// torn tail is that run's to recover.
     #[test]
     fn a_foreign_journal_with_a_torn_tail_is_refused_untouched() {
-        let (g, plan) = durable_setup();
         let path = tmp("foreign");
-        let err = durable_sim(&g, &plan)
-            .with_snapshot_policy(SnapshotPolicy::EveryEvents(5))
-            .with_journal(&path)
-            .unwrap()
-            .with_kill_after(13)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, CoreError::Killed { .. }), "got {err:?}");
+        crash_at_13(SnapshotPolicy::EveryEvents(5), &path);
         let torn = [std::fs::read(&path).unwrap(), vec![durable::FRAME_SNAPSHOT, 9, 9, 9]].concat();
         std::fs::remove_file(&path).unwrap();
         let other = FlowSim::new(simple_graph(10.0, 0.5), vec![CpuPool::new("pool", 4)]).unwrap();

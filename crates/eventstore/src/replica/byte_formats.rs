@@ -11,7 +11,7 @@ use std::path::{Path, PathBuf};
 use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::sim::FlowSim;
 use sciflow_core::units::DataRate;
-use sciflow_core::{CoreError, DataVolume, SnapshotPolicy};
+use sciflow_core::{DataVolume, SnapshotPolicy};
 use sciflow_metastore::persist;
 use sciflow_testkit::{assert_sealed_roundtrip, Gen, TailPolicy};
 
@@ -653,13 +653,13 @@ fn run_journal(dir: &Path) -> Format {
     while probe.run_for(64).unwrap() {}
     let total = probe.events_handled();
     let path = dir.join("run.journal");
-    let killed = tiny_sim()
+    let mut killed = tiny_sim()
         .with_snapshot_policy(SnapshotPolicy::EveryEvents(total / 3))
         .with_journal(&path)
-        .unwrap()
-        .with_kill_after(total - 1)
-        .run();
-    assert!(matches!(killed, Err(CoreError::Killed { .. })), "{killed:?}");
+        .unwrap();
+    // Killed once `total - 1` events are handled: the budget, then a drop.
+    assert!(killed.run_for(total).unwrap());
+    drop(killed);
     let clean = std::fs::read(&path).unwrap();
     let load = move |bytes: &[u8]| {
         std::fs::write(&path, bytes).unwrap();

@@ -399,9 +399,9 @@ impl TracedFlowScenario {
 
 /// Two identical `Process` stages contending for one shared CPU pool: the
 /// fixture for scheduler-fairness properties. Both sides get the same work
-/// (same volume, rate and chunking), so a fair policy finishes them close
-/// together while a policy that lets the head-of-queue stage monopolise the
-/// pool finishes one side long before the other.
+/// (same volume, rate and chunking), so fair-share rotation finishes them
+/// close together; a scheduler that let the head-of-queue stage monopolise
+/// the pool would finish one side long before the other.
 #[derive(Debug, Clone)]
 pub struct SharedPoolScenario {
     pub seed: u64,
@@ -459,12 +459,11 @@ impl SharedPoolScenario {
         spec.build().expect("shared-pool scenario graph is valid")
     }
 
-    /// Run with a single-CPU pool under the given scheduling policy.
-    pub fn run(&self, policy: sciflow_core::resource::SchedPolicy) -> SimReport {
+    /// Run with a single-CPU pool.
+    pub fn run(&self) -> SimReport {
         use sciflow_core::sim::CpuPool;
         FlowSim::new(self.graph(), vec![CpuPool::new(Self::POOL, 1)])
             .expect("scenario graph is valid")
-            .with_policy(policy)
             .run()
             .expect("scenario flow converges")
     }
@@ -480,26 +479,19 @@ impl SharedPoolScenario {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sciflow_core::resource::SchedPolicy;
 
     #[test]
-    fn rotation_finishes_the_contenders_together_fifo_does_not() {
+    fn rotation_finishes_the_contenders_together() {
         let s = SharedPoolScenario::new(7);
-        let fair = s.run(SchedPolicy::FairShare);
-        let fifo = s.run(SchedPolicy::Fifo);
-        let fair_gap = SharedPoolScenario::completion_gap(&fair);
-        let fifo_gap = SharedPoolScenario::completion_gap(&fifo);
-        // Under rotation the last two tasks belong to different stages;
-        // under FIFO the head stage drains completely first.
-        assert!(fair_gap <= s.task_duration() * 2, "fair gap {fair_gap}");
-        assert!(fifo_gap > fair_gap, "fifo gap {fifo_gap} <= fair gap {fair_gap}");
-        // Either way every byte is processed.
-        for report in [&fair, &fifo] {
-            for stage in [SharedPoolScenario::LEFT, SharedPoolScenario::RIGHT] {
-                let m = report.stage(stage).unwrap();
-                assert_eq!(m.volume_out, m.volume_in);
-                assert!(m.final_queue_volume.is_zero());
-            }
+        let report = s.run();
+        // Under rotation the last two tasks belong to different stages.
+        let gap = SharedPoolScenario::completion_gap(&report);
+        assert!(gap <= s.task_duration() * 2, "fair gap {gap}");
+        // Every byte is processed.
+        for stage in [SharedPoolScenario::LEFT, SharedPoolScenario::RIGHT] {
+            let m = report.stage(stage).unwrap();
+            assert_eq!(m.volume_out, m.volume_in);
+            assert!(m.final_queue_volume.is_zero());
         }
     }
 

@@ -6,9 +6,9 @@
 //!
 //! The README's durable-runs snippet, runnable end to end in one process:
 //! a faulted Arecibo-shaped flow runs with an append-only journal sealing
-//! a snapshot every 50 events, gets killed mid-run (the `with_kill_after`
-//! hook drops in-flight state exactly as `kill -9` would), and a freshly
-//! built simulator resumes from the journal. The resumed report — and its
+//! a snapshot every 50 events, gets killed mid-run (`run_for` stops it
+//! halfway and dropping the simulator throws its in-flight state away, as
+//! `kill -9` would), and a freshly built simulator resumes from the journal. The resumed report — and its
 //! JSON rendering — must equal the run that was never interrupted, byte
 //! for byte.
 //!
@@ -29,7 +29,7 @@ use sciflow_core::graph::FlowGraph;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::spec::{FlowSpec, ProcessSpec, SourceSpec, TransferSpec};
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
-use sciflow_core::{CoreError, SnapshotPolicy};
+use sciflow_core::SnapshotPolicy;
 
 fn graph() -> FlowGraph {
     FlowSpec::new()
@@ -68,18 +68,16 @@ fn crash(journal: &std::path::Path) {
     probe.run_for(u64::MAX).expect("probe completes");
     let total = probe.events_handled();
 
-    let err = build_sim()
+    let mut sim = build_sim()
         .with_snapshot_policy(SnapshotPolicy::EveryEvents(50))
         .with_journal(journal)
-        .expect("journal created")
-        .with_kill_after(total / 2)
-        .run()
-        .map(|_| ())
-        .expect_err("the kill hook fires mid-run");
-    match err {
-        CoreError::Killed { events } => println!("killed after {events} of {total} events"),
-        other => panic!("unexpected error: {other}"),
-    }
+        .expect("journal created");
+    let more = sim.run_for(total / 2).expect("the first half runs");
+    assert!(more, "the kill lands mid-run");
+    println!("killed after {} of {total} events", sim.events_handled());
+    // Dropping the simulator is the crash: only what the journal sealed
+    // survives.
+    drop(sim);
 }
 
 /// Rebuild the same configuration, resume from the journal, and byte-diff

@@ -5,7 +5,6 @@
 
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cms_trigger_flow_graph, CmsTriggerParams};
-use sciflow_core::resource::SchedPolicy;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::units::DataRate;
 use sciflow_testkit::{assert_monotone_sim_time, check, SharedPoolScenario};
@@ -61,15 +60,15 @@ fn multi_channel_shipping_runs_end_to_end_and_beats_serial() {
     );
 }
 
-/// Two Process stages sharing one pool both make progress under the
-/// rotation policy, whatever the seed: with equal work on both sides
+/// Two Process stages sharing one pool both make progress under fair-share
+/// rotation, whatever the seed: with equal work on both sides
 /// neither stage can monopolise the pool, so the two finish within a
 /// couple of task durations of each other and every byte is processed.
 #[test]
 fn rotation_never_starves_a_pool_sharer() {
     check("rotation_never_starves_a_pool_sharer", 64, |g| {
         let s = SharedPoolScenario::new(g.any::<u64>());
-        let report = s.run(SchedPolicy::FairShare);
+        let report = s.run();
         for stage in [SharedPoolScenario::LEFT, SharedPoolScenario::RIGHT] {
             let m = report.stage(stage).unwrap();
             assert!(m.blocks_out > 0, "stage {} never completed a task", stage);

@@ -18,7 +18,6 @@ use std::path::PathBuf;
 
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, cleo_slo_preset, CleoFlowParams, WILSON_POOL};
-use sciflow_core::error::CoreError;
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::genflow::{generate, Archetype, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageKind, VerifyPolicy};
@@ -296,8 +295,9 @@ fn escaped_taint_alerts_are_the_same_however_the_run_is_driven() {
 }
 
 /// `sim_events_total` is added as each pump returns, not per event, so
-/// check it wherever a caller can look: after every step of a stepped run,
-/// after a whole run, and after a kill (where no report is ever built).
+/// check it wherever a caller can look: after every step of a stepped run
+/// (a killed run is one stepped run dropped, with no report ever built)
+/// and after a whole run.
 #[test]
 fn the_event_counter_is_current_wherever_a_caller_can_look() {
     for flow in leaky_population() {
@@ -314,15 +314,5 @@ fn the_event_counter_is_current_wherever_a_caller_can_look() {
         stepped.run().expect("flow completes");
         assert_eq!(hub.value("sim_events_total"), Some(total), "{} stepped", flow.name);
         assert_eq!(hub.value("engine_events_handled"), Some(total));
-
-        let hub = MetricsHub::new();
-        let killed = flow.sim(0).with_metrics(hub.clone()).with_kill_after(total / 2).run();
-        match killed {
-            Err(CoreError::Killed { events }) => {
-                assert_eq!(events, total / 2);
-                assert_eq!(hub.value("sim_events_total"), Some(events), "{} killed", flow.name);
-            }
-            other => panic!("{}: expected a kill, got {other:?}", flow.name),
-        }
     }
 }

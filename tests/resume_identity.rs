@@ -38,7 +38,7 @@ use sciflow_core::trace::{
     FaultKind, FaultScope, ObserveConfig, Observer, TraceEvent, TraceRecorder,
 };
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
-use sciflow_core::{CoreError, SloRule, SnapshotPolicy};
+use sciflow_core::{SloRule, SnapshotPolicy};
 use sciflow_testkit::{
     assert_matches_golden, assert_sealed_roundtrip, check_generated, derive_seed, matrix_seed,
     GeneratedScenario, TailPolicy,
@@ -88,6 +88,18 @@ fn assert_resume_identity(label: &str, seed: u64, build: &dyn Fn() -> FlowSim) {
     assert_resume_identity_at(label, seed, build, kill, cadence);
 }
 
+/// Journal `sim` with a snapshot every `cadence` events and kill it once
+/// `kill` events are handled: `run_for(kill + 1)`, then the simulator is
+/// dropped with its in-flight state, as `kill -9` drops a process. The
+/// journal at `path` holds what was sealed by then.
+fn kill_journaled(sim: FlowSim, path: &Path, cadence: u64, kill: u64) {
+    let mut sim = sim
+        .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
+        .with_journal(path)
+        .expect("journal created");
+    sim.run_for(kill + 1).expect("the run advances to the kill");
+}
+
 /// [`assert_resume_identity`] with the kill point and snapshot cadence given.
 fn assert_resume_identity_at(
     label: &str,
@@ -98,15 +110,7 @@ fn assert_resume_identity_at(
 ) {
     let golden = build().run().expect("golden run converges");
     let path = tmp(&format!("{label}-{seed:x}"));
-    let err = build()
-        .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
-        .with_journal(&path)
-        .expect("journal created")
-        .with_kill_after(kill)
-        .run()
-        .map(|_| ())
-        .expect_err("the kill hook must fire mid-run");
-    assert!(matches!(err, CoreError::Killed { .. }), "{label} seed {seed:#x}: {err:?}");
+    kill_journaled(build(), &path, cadence, kill);
     let resumed = build()
         .resume_from(&path)
         .expect("journal accepted for resume")
@@ -274,16 +278,7 @@ fn traced_zoo_runs_resume_with_byte_identical_trace_suffixes() {
             let cadence = 1 + derive_seed(seed, "cadence-traced") % kill.min(16);
             let path = tmp(&format!("traced-{seed:x}"));
             let killed_trace = TraceRecorder::new();
-            let err = s
-                .sim_traced(killed_trace.clone())
-                .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
-                .with_journal(&path)
-                .expect("journal created")
-                .with_kill_after(kill)
-                .run()
-                .map(|_| ())
-                .expect_err("the kill hook must fire mid-run");
-            assert!(matches!(err, CoreError::Killed { .. }), "seed {seed:#x}: {err:?}");
+            kill_journaled(s.sim_traced(killed_trace.clone()), &path, cadence, kill);
             let killed_jsonl = killed_trace.snapshot().jsonl();
             assert!(
                 golden_jsonl.starts_with(&killed_jsonl),
@@ -314,22 +309,6 @@ fn traced_zoo_runs_resume_with_byte_identical_trace_suffixes() {
     }
 }
 
-/// A journaled run killed at event `kill`: snapshots every `cadence`
-/// events, and the process dies once `kill` events have been handled.
-/// Returns the journal's bytes.
-fn killed_journal(sim: FlowSim, path: &Path, cadence: u64, kill: u64) -> Vec<u8> {
-    let err = sim
-        .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
-        .with_journal(path)
-        .expect("journal created")
-        .with_kill_after(kill)
-        .run()
-        .map(|_| ())
-        .expect_err("the kill hook must fire");
-    assert!(matches!(err, CoreError::Killed { .. }), "{err:?}");
-    fs::read(path).expect("journal readable")
-}
-
 /// What a kill leaves on disk, to the byte: every archetype on fixed seeds
 /// (not the matrix seed), clean and faulted, killed at the first event, at
 /// a snapshot, one event past it, mid-run and at the very end, under two
@@ -352,7 +331,8 @@ fn killed_journals_are_pinned() {
                     kills.sort_unstable();
                     kills.dedup();
                     for kill in kills {
-                        let journal = killed_journal(build(), &path, cadence, kill);
+                        kill_journaled(build(), &path, cadence, kill);
+                        let journal = fs::read(&path).expect("journal readable");
                         journals += 1;
                         bytes += journal.len() as u64;
                         hash = fnv1a_update(hash, &journal);
@@ -753,15 +733,7 @@ fn killed_tiny_journal(name: &str) -> (PathBuf, sciflow_core::metrics::SimReport
     let total = total_events(tiny_sim());
     let cadence = (total / 4).max(1);
     let path = tmp(name);
-    let err = tiny_sim()
-        .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
-        .with_journal(&path)
-        .expect("journal created")
-        .with_kill_after(total - 1)
-        .run()
-        .map(|_| ())
-        .expect_err("the kill hook must fire mid-run");
-    assert!(matches!(err, CoreError::Killed { .. }), "{err:?}");
+    kill_journaled(tiny_sim(), &path, cadence, total - 1);
     (path, golden)
 }
 
