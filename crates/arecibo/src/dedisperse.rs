@@ -61,17 +61,6 @@ pub fn series_peak_snr(series: &[f32]) -> f64 {
     (max - mean) / sigma
 }
 
-/// Find the trial DM that maximises peak SNR — the basic detection statistic
-/// for transients.
-pub fn best_dm(spec: &DynamicSpectrum, trials: &[Dm]) -> (Dm, f64) {
-    assert!(!trials.is_empty(), "need at least one trial DM");
-    trials
-        .iter()
-        .map(|&dm| (dm, series_peak_snr(&dedisperse(spec, dm))))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("non-empty trials")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,7 +88,11 @@ mod tests {
         let true_dm = Dm(120.0);
         spec.inject_transient(true_dm, 1.5, 0.004, 6.0);
         let trials = dm_trials(300.0, 61); // spacing 5 pc/cm³
-        let (found, snr) = best_dm(&spec, &trials);
+        let (found, snr) = trials
+            .iter()
+            .map(|&dm| (dm, series_peak_snr(&dedisperse(&spec, dm))))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
         assert!(
             (found.0 - true_dm.0).abs() <= 10.0,
             "found DM {} (snr {snr}), wanted {}",

@@ -35,17 +35,6 @@ impl FoldedProfile {
         let peak = self.bins.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         (peak - median) / sigma
     }
-
-    /// Phase (0..1) of the profile peak.
-    pub fn peak_phase(&self) -> f64 {
-        let (i, _) = self
-            .bins
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .expect("profiles are non-empty");
-        i as f64 / self.bins.len() as f64
-    }
 }
 
 /// Fold `series` (sampled every `dt` seconds) at `period_s` into `n_bins`
@@ -65,25 +54,6 @@ pub fn fold(series: &[f32], dt: f64, period_s: f64, n_bins: usize) -> FoldedProf
     let bins =
         sums.iter().zip(&counts).map(|(&s, &c)| if c > 0 { s / c as f64 } else { 0.0 }).collect();
     FoldedProfile { bins, counts, period_s }
-}
-
-/// Refine a candidate period by folding at small perturbations and keeping
-/// the period with the sharpest profile (a cheap stand-in for a full
-/// period–period-derivative search).
-pub fn refine_period(series: &[f32], dt: f64, period_s: f64, n_bins: usize) -> (f64, f64) {
-    let span = period_s * 2e-3;
-    let mut best = (period_s, fold(series, dt, period_s, n_bins).snr());
-    for k in -10i32..=10 {
-        let p = period_s + span * k as f64 / 10.0;
-        if p <= dt {
-            continue;
-        }
-        let snr = fold(series, dt, p, n_bins).snr();
-        if snr > best.1 {
-            best = (p, snr);
-        }
-    }
-    best
 }
 
 #[cfg(test)]
@@ -142,28 +112,9 @@ mod tests {
         spec.inject_pulsar(&p);
         let series = dedisperse(&spec, Dm(0.0));
         let prof = fold(&series, cfg.dt, 0.256, 64);
-        assert!((prof.peak_phase() - 0.25).abs() < 0.05, "phase {}", prof.peak_phase());
-    }
-
-    #[test]
-    fn refine_recovers_slightly_wrong_period() {
-        let (series, dt) = pulsar_series(0.2);
-        let offset = 0.2 * (1.0 + 4e-4);
-        let (refined, snr) = refine_period(&series, dt, offset, 32);
-        let initial = fold(&series, dt, offset, 32).snr();
-        assert!(snr >= initial, "refinement must never lose significance");
-        // Under a single noise realization the SNR landscape can peak a
-        // perturbation step away from the exact injected period, so require
-        // invariants rather than strict convergence: the refined period
-        // stays within the search span of the truth, and its profile is at
-        // least as significant as folding at the true period.
-        let span = offset * 2e-3;
-        assert!(
-            (refined - 0.2).abs() <= span,
-            "refined {refined} strayed outside the search span of the true period"
-        );
-        let true_snr = fold(&series, dt, 0.2, 32).snr();
-        assert!(snr >= 0.95 * true_snr, "refined snr {snr} well below true-period snr {true_snr}");
+        let peak = (0..prof.bins.len()).max_by(|&a, &b| prof.bins[a].total_cmp(&prof.bins[b]));
+        let phase = peak.unwrap() as f64 / prof.bins.len() as f64;
+        assert!((phase - 0.25).abs() < 0.05, "phase {phase}");
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod singlepulse;
 pub mod spectra;
 pub mod units;
 
-pub use dedisperse::{best_dm, dedisperse, dedisperse_many};
+pub use dedisperse::{dedisperse, dedisperse_many};
 pub use flow::{
     arecibo_flow_graph, arecibo_observe_preset, ctc_crash_profile, AreciboFlowParams, CTC_POOL,
 };

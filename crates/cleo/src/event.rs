@@ -24,17 +24,6 @@ impl ParticleKind {
     pub fn charged(self) -> bool {
         !matches!(self, ParticleKind::Photon)
     }
-
-    pub fn mass_gev(self) -> f64 {
-        match self {
-            ParticleKind::Electron => 0.000511,
-            ParticleKind::Muon => 0.1057,
-            ParticleKind::Pion => 0.1396,
-            ParticleKind::Kaon => 0.4937,
-            ParticleKind::Proton => 0.9383,
-            ParticleKind::Photon => 0.0,
-        }
-    }
 }
 
 /// A generated (truth-level) particle.
@@ -93,7 +82,6 @@ mod tests {
     fn particle_properties() {
         assert!(ParticleKind::Pion.charged());
         assert!(!ParticleKind::Photon.charged());
-        assert!(ParticleKind::Proton.mass_gev() > ParticleKind::Kaon.mass_gev());
     }
 
     #[test]

@@ -124,17 +124,6 @@ impl FineProvenanceStore {
         Ok(())
     }
 
-    /// The provenance reference of one ASU.
-    pub fn provenance_of(&self, event: u64, kind: AsuKind) -> Option<ProvRef> {
-        self.asu_refs.get(&(event, kind)).map(|(p, _)| *p)
-    }
-
-    /// Exactly which input ASU provenances fed (event, kind) — not "might
-    /// have been used" but *were* used.
-    pub fn inputs_of(&self, event: u64, kind: AsuKind) -> Option<&[ProvRef]> {
-        self.asu_refs.get(&(event, kind)).map(|(_, i)| i.as_slice())
-    }
-
     /// Fine-grained data *selection*: every event whose `kind` ASU was
     /// produced under `prov` — the query CMS wants provenance for.
     pub fn events_with(&self, kind: AsuKind, prov: ProvRef) -> Vec<u64> {
@@ -195,22 +184,6 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(store.record_count(), 2);
-    }
-
-    #[test]
-    fn exact_inputs_are_tracked_per_asu() {
-        let mut store = FineProvenanceStore::new();
-        let raw = store.intern(&prov("Acquire", "run1"));
-        let calib = store.intern(&prov("Calib", "feb"));
-        let recon = store.intern(&prov("Recon", "r1"));
-        store.attach(7, AsuKind::HitBank, raw, vec![]).unwrap();
-        store.attach(7, AsuKind::TrackList, recon, vec![raw, calib]).unwrap();
-        // TrackList used the calibration; HitBank did not. The header
-        // scheme could only say calibration "might have been used".
-        assert_eq!(store.inputs_of(7, AsuKind::TrackList).unwrap(), &[raw, calib]);
-        assert_eq!(store.inputs_of(7, AsuKind::HitBank).unwrap(), &[] as &[ProvRef]);
-        assert_eq!(store.provenance_of(7, AsuKind::TrackList), Some(recon));
-        assert!(store.provenance_of(7, AsuKind::BeamSpot).is_none());
     }
 
     #[test]

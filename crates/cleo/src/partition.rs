@@ -123,15 +123,6 @@ impl PartitionedStore {
         self.stats.events_touched += 1;
         &self.events[idx]
     }
-
-    /// Tiers touched when reading these kinds (an access-latency proxy: a
-    /// query is as slow as its coldest tier).
-    pub fn tiers_touched(&self, kinds: &[AsuKind]) -> Vec<Tier> {
-        let mut tiers: Vec<Tier> = kinds.iter().map(|&k| (self.tiering)(k)).collect();
-        tiers.sort_unstable();
-        tiers.dedup();
-        tiers
-    }
 }
 
 /// The hot kinds most analysis selections touch.
@@ -195,14 +186,6 @@ mod tests {
         let hot = tiers[&Tier::Hot];
         let cold = tiers[&Tier::Cold];
         assert!(hot * 10 < cold, "hot ASUs should be small: hot {hot}, cold {cold}");
-    }
-
-    #[test]
-    fn tiers_touched_reports_coldest_dependency() {
-        let (_, col) = load_both(1);
-        assert_eq!(col.tiers_touched(&hot_kinds()), vec![Tier::Hot]);
-        let mixed = col.tiers_touched(&[AsuKind::TriggerBits, AsuKind::HitBank]);
-        assert_eq!(mixed, vec![Tier::Hot, Tier::Cold]);
     }
 
     #[test]

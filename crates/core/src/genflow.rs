@@ -450,12 +450,6 @@ impl StressParams {
     pub fn stages(&self) -> usize {
         1 + self.chains * self.depth + 1
     }
-
-    /// Block-hops the flow performs: every block visits every stage of
-    /// every chain (the source copy fans out once per chain).
-    pub fn block_hops(&self) -> u64 {
-        self.blocks * self.chains as u64 * self.depth as u64
-    }
 }
 
 /// Build the synthetic stress workload for the standard perf suite: one
@@ -730,7 +724,6 @@ mod tests {
         let p = StressParams { chains: 2, depth: 8, blocks: 4 };
         let (g, pools) = stress_flow(&p);
         assert_eq!(g.len(), p.stages());
-        assert_eq!(p.block_hops(), 64);
         let (g2, pools2) = stress_flow(&p);
         for (a, b) in g.stage_ids().zip(g2.stage_ids()) {
             assert_eq!(g.stage(a).name, g2.stage(b).name);
@@ -747,7 +740,6 @@ mod tests {
     fn default_stress_params_hit_the_bench_scale() {
         let p = StressParams::default();
         assert_eq!(p.stages(), 1002);
-        assert_eq!(p.block_hops(), 1_000_000);
     }
 
     #[test]

@@ -39,7 +39,6 @@
 //!   invariants against hundreds of generated graphs per seed;
 //! * [`version`] and [`provenance`] — CLEO-style version identifiers and
 //!   MD5-hashed provenance records that travel with every derived product;
-//! * [`product`] — versioned, provenance-carrying data products;
 //! * [`md5`] — a from-scratch RFC 1321 implementation used by the provenance
 //!   system.
 //!
@@ -84,7 +83,6 @@ pub mod graph;
 pub mod md5;
 pub mod metrics;
 pub mod obs;
-pub mod product;
 pub mod provenance;
 pub mod resource;
 pub mod sim;
@@ -107,7 +105,6 @@ pub use genflow::{generate, Archetype, GenFlow};
 pub use graph::{FlowGraph, StageId, StageKind, VerifyPolicy};
 pub use metrics::{EngineStats, PoolMetrics, SimReport, StageMetrics, TimeSeries, TsSample};
 pub use obs::{Alert, MetricsHub, MetricsRegistry, SloKind, SloRule};
-pub use product::{DataProduct, ProductKind};
 pub use provenance::{ProvenanceRecord, ProvenanceStep};
 pub use resource::{ResourceId, ResourceSet, SchedPolicy, StorageLedger};
 pub use sim::{CpuPool, FlowSim};

@@ -932,29 +932,12 @@ impl TraceRecorder {
     }
 
     /// Decode the recorded trace (meta plus events, in emission order). The
-    /// snapshot is 48 bytes per event where the log behind it is about ten.
+    /// snapshot is 48 bytes per event where the log behind it is about ten,
+    /// and each call decodes the whole log: take one snapshot and read
+    /// spans and exports from it.
     pub fn snapshot(&self) -> TraceSnapshot {
         let buf = self.buf.borrow();
         TraceSnapshot { meta: buf.meta.clone(), events: decode(&buf.log, buf.events) }
-    }
-
-    /// Shorthand for [`TraceSnapshot::spans`] on the current contents. Like
-    /// the two below it decodes the whole log: to call more than one, take
-    /// [`TraceRecorder::snapshot`] once and call them on that.
-    pub fn spans(&self) -> Vec<Span> {
-        self.snapshot().spans()
-    }
-
-    /// Shorthand for [`TraceSnapshot::jsonl`] on the current contents;
-    /// decodes the whole log, see [`TraceRecorder::spans`].
-    pub fn jsonl(&self) -> String {
-        self.snapshot().jsonl()
-    }
-
-    /// Shorthand for [`TraceSnapshot::chrome_trace`] on the current contents;
-    /// decodes the whole log, see [`TraceRecorder::spans`].
-    pub fn chrome_trace(&self) -> String {
-        self.snapshot().chrome_trace()
     }
 }
 

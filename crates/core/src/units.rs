@@ -66,18 +66,6 @@ impl DataVolume {
         self.0
     }
 
-    pub fn as_tib(self) -> f64 {
-        self.0 as f64 / (1u64 << 40) as f64
-    }
-
-    pub fn as_gib(self) -> f64 {
-        self.0 as f64 / (1u64 << 30) as f64
-    }
-
-    pub fn as_mib(self) -> f64 {
-        self.0 as f64 / (1u64 << 20) as f64
-    }
-
     /// Scale by a dimensionless ratio, rounding to the nearest byte.
     ///
     /// Used for output-volume ratios ("data products are one to a few percent
@@ -220,10 +208,6 @@ impl DataRate {
     /// Volume moved in `d` at this rate.
     pub fn over(self, d: SimDuration) -> DataVolume {
         DataVolume::from_bytes((self.0 * d.as_secs_f64()).round() as u64)
-    }
-
-    pub fn as_gb_per_day(self) -> f64 {
-        self.0 * 86_400.0 / 1e9
     }
 
     pub fn as_tb_per_day(self) -> f64 {

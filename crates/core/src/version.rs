@@ -126,12 +126,6 @@ impl VersionId {
     pub fn label(&self) -> String {
         format!("{} {}", self.step, self.release)
     }
-
-    /// True if this version may affect analyses started on or after `date`
-    /// (i.e. the version became effective no later than that date).
-    pub fn effective_by(&self, date: CalDate) -> bool {
-        self.effective <= date
-    }
 }
 
 impl fmt::Display for VersionId {
@@ -192,7 +186,5 @@ mod tests {
             "Cornell",
         );
         assert_eq!(v.label(), "Recon Feb13_04_P2");
-        assert!(v.effective_by(CalDate::parse_compact("20040601").unwrap()));
-        assert!(!v.effective_by(CalDate::parse_compact("20040101").unwrap()));
     }
 }

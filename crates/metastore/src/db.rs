@@ -90,23 +90,12 @@ impl Database {
         Ok(self.tables.entry(name).or_insert(table))
     }
 
-    pub fn drop_table(&mut self, name: &str) -> MetaResult<()> {
-        self.tables
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| MetaError::UnknownTable { name: name.to_string() })
-    }
-
     pub fn table(&self, name: &str) -> MetaResult<&Table> {
         self.tables.get(name).ok_or_else(|| MetaError::UnknownTable { name: name.to_string() })
     }
 
     pub fn table_mut(&mut self, name: &str) -> MetaResult<&mut Table> {
         self.tables.get_mut(name).ok_or_else(|| MetaError::UnknownTable { name: name.to_string() })
-    }
-
-    pub fn table_names(&self) -> impl Iterator<Item = &str> {
-        self.tables.keys().map(|s| s.as_str())
     }
 
     pub(crate) fn tables(&self) -> impl Iterator<Item = &Table> {
@@ -215,16 +204,14 @@ mod tests {
     }
 
     #[test]
-    fn create_and_drop_tables() {
+    fn create_refuses_a_duplicate_table() {
         let mut db = db_with_runs();
         assert!(db.table("runs").is_ok());
         assert!(matches!(
             db.create_table("runs", db.table("runs").unwrap().schema().clone()),
             Err(MetaError::DuplicateTable { .. })
         ));
-        db.drop_table("runs").unwrap();
-        assert!(db.table("runs").is_err());
-        assert!(db.drop_table("runs").is_err());
+        assert!(db.table("events").is_err());
     }
 
     #[test]

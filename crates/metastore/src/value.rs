@@ -83,13 +83,6 @@ impl Value {
         }
     }
 
-    pub fn as_blob(&self) -> Option<&[u8]> {
-        match self {
-            Value::Blob(b) => Some(b),
-            _ => None,
-        }
-    }
-
     pub fn as_date(&self) -> Option<u32> {
         match self {
             Value::Date(d) => Some(*d),

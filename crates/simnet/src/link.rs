@@ -48,17 +48,6 @@ impl NetworkLink {
     pub fn daily_capacity(&self) -> DataVolume {
         self.sustained_rate().over(SimDuration::from_days(1))
     }
-
-    /// Utilisation needed to sustain `target` (e.g. 250 GB/day on a 100 Mb/s
-    /// link). > 1.0 means the link cannot meet the target.
-    pub fn utilization_for(&self, target: DataRate) -> f64 {
-        let cap = self.sustained_rate().bytes_per_sec();
-        if cap == 0.0 {
-            f64::INFINITY
-        } else {
-            target.bytes_per_sec() / cap
-        }
-    }
 }
 
 #[cfg(test)]
@@ -74,7 +63,7 @@ mod tests {
         );
         // 100 Mb/s = 12.5 MB/s ≈ 1.08 TB/day raw.
         assert!(link.daily_capacity() > DataVolume::gb(1000));
-        let u = link.utilization_for(DataRate::gb_per_day(250.0));
+        let u = DataRate::gb_per_day(250.0).bytes_per_sec() / link.sustained_rate().bytes_per_sec();
         assert!(u > 0.2 && u < 0.3, "250 GB/day should use ~23% of the link, got {u}");
     }
 
@@ -91,7 +80,6 @@ mod tests {
     fn zero_bandwidth_cannot_transfer() {
         let link = NetworkLink::new("down", DataRate::ZERO, SimDuration::ZERO);
         assert!(link.transfer_time(DataVolume::gb(1)).is_none());
-        assert!(link.utilization_for(DataRate::gb_per_day(1.0)).is_infinite());
     }
 
     #[test]

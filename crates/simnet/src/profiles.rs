@@ -29,16 +29,6 @@ pub fn internet2_100() -> NetworkLink {
     .with_efficiency(0.9)
 }
 
-/// The "easily upgraded" 500 Mb/s variant of the same connection.
-pub fn internet2_500() -> NetworkLink {
-    NetworkLink::new(
-        "internet2-500",
-        DataRate::mbit_per_sec(500.0),
-        SimDuration::from_micros(35_000),
-    )
-    .with_efficiency(0.9)
-}
-
 /// TeraGrid backbone access (the Cornell connection "will move to the
 /// TeraGrid early in 2006"): multi-gigabit.
 pub fn teragrid() -> NetworkLink {
@@ -106,16 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn internet2_upgrade_quintuples_capacity() {
-        let base = internet2_100().daily_capacity();
-        let upgraded = internet2_500().daily_capacity();
-        let ratio = upgraded.bytes() as f64 / base.bytes() as f64;
-        assert!((ratio - 5.0).abs() < 0.01);
-    }
-
-    #[test]
     fn profiles_have_positive_rates() {
-        for link in [arecibo_uplink(), internet2_100(), internet2_500(), teragrid()] {
+        for link in [arecibo_uplink(), internet2_100(), teragrid()] {
             assert!(link.sustained_rate().bytes_per_sec() > 0.0, "{}", link.name);
         }
         for media in [ata_disk(), usb_disk()] {

@@ -61,17 +61,7 @@ pub struct ShipmentPlan {
     pub personnel_hours: f64,
 }
 
-impl ShipmentPlan {
-    /// Effective end-to-end rate achieved by the plan.
-    pub fn effective_rate(&self, volume: DataVolume) -> DataRate {
-        let secs = self.total_time.as_secs_f64();
-        if secs == 0.0 {
-            DataRate::ZERO
-        } else {
-            DataRate::from_bytes_per_sec(volume.bytes() as f64 / secs)
-        }
-    }
-}
+impl ShipmentPlan {}
 
 /// Plan shipping `volume` using `media` over `route`.
 ///
@@ -114,9 +104,6 @@ mod tests {
         // Loading 14 TB at 50 MB/s ≈ 3.2 days; total well under two weeks.
         assert!(plan.total_time.as_days_f64() > 3.0);
         assert!(plan.total_time.as_days_f64() < 14.0);
-        // Effective rate beats any sub-10 Mb/s uplink by a wide margin.
-        let rate = plan.effective_rate(DataVolume::tb(14));
-        assert!(rate.as_tb_per_day() > 1.0, "got {rate}");
     }
 
     #[test]

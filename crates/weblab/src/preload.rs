@@ -58,16 +58,6 @@ pub struct PreloadStats {
 }
 
 impl PreloadStats {
-    /// Sustained ingest rate over compressed input, bytes/sec.
-    pub fn compressed_rate(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs == 0.0 {
-            0.0
-        } else {
-            self.bytes_compressed as f64 / secs
-        }
-    }
-
     /// Raw (decompressed) processing rate, bytes/sec.
     pub fn raw_rate(&self) -> f64 {
         let secs = self.elapsed.as_secs_f64();

@@ -1,19 +1,15 @@
-//! Quickstart: model a data flow, simulate it, and track provenance.
+//! Quickstart: model a data flow and simulate it.
 //!
 //! ```text
 //! cargo run -p sciflow-examples --bin quickstart
 //! ```
 //!
 //! Builds a miniature three-stage scientific data flow (acquire → process →
-//! archive), runs it under the discrete-event simulator, and shows the
-//! version/provenance machinery every product carries.
+//! archive) and runs it under the discrete-event simulator.
 
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
-use sciflow_core::product::{DataProduct, ProductKind};
-use sciflow_core::provenance::ProvenanceStep;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
-use sciflow_core::version::{CalDate, VersionId};
 
 fn main() {
     // --- 1. Describe the flow -------------------------------------------
@@ -51,20 +47,4 @@ fn main() {
         .expect("flow completes");
     println!("{report}");
     println!("kept up: {}", report.kept_up(SimDuration::from_hours(6)));
-
-    // --- 3. Provenance travels with the products ------------------------
-    let raw = DataProduct::raw("session-001", DataVolume::gb(36));
-    let version =
-        VersionId::new("Process", "Jul04_06", CalDate::new(2006, 7, 4).expect("valid date"), "CTC");
-    let product = raw.derive(
-        "session-001-products",
-        ProductKind::Candidate,
-        DataVolume::mb(720),
-        ProvenanceStep::new("QuickstartPipeline", version)
-            .with_param("threshold", "6.0")
-            .with_input("session-001"),
-    );
-    println!("product: {} ({})", product.name, product.volume);
-    println!("version chain: {:?}", product.provenance.version_chain());
-    println!("provenance digest: {}", product.provenance.digest());
 }
