@@ -109,12 +109,6 @@ fn create_pages_table_inner(db: &mut Database, indexed: bool) -> MetaResult<()> 
     Ok(())
 }
 
-/// One unit of parsing work: an independent ARC or DAT file.
-enum WorkItem {
-    Arc { bytes: Vec<u8> },
-    Dat { bytes: Vec<u8> },
-}
-
 /// A parsed unit flowing to the loader.
 enum Parsed {
     Pages(Vec<(String, u64, Vec<u8>)>),
@@ -141,12 +135,13 @@ pub fn preload(
     let start = Instant::now();
     let mut stats = PreloadStats { files: files.len() * 2, ..Default::default() };
 
-    let (work_tx, work_rx) = channel::unbounded::<(usize, WorkItem)>();
-    let (done_tx, done_rx) = channel::unbounded::<(usize, Parsed)>();
+    // Work items are input indices: `2 * i` is file pair `i`'s ARC file,
+    // `2 * i + 1` its DAT file. Workers borrow the bytes from `files`.
+    let (work_tx, work_rx) = channel::unbounded::<usize>();
     for (i, (arc_gz, dat_gz)) in files.iter().enumerate() {
         stats.bytes_compressed += (arc_gz.len() + dat_gz.len()) as u64;
-        work_tx.send((2 * i, WorkItem::Arc { bytes: arc_gz.clone() })).expect("receiver alive");
-        work_tx.send((2 * i + 1, WorkItem::Dat { bytes: dat_gz.clone() })).expect("receiver alive");
+        work_tx.send(2 * i).expect("receiver alive");
+        work_tx.send(2 * i + 1).expect("receiver alive");
     }
     drop(work_tx);
 
@@ -155,26 +150,32 @@ pub fn preload(
     let mut pending_rows: Vec<Vec<Value>> = Vec::new();
 
     crossbeam::scope(|scope| -> WebResult<()> {
+        // The receiver lives in this closure, so a loader that returns
+        // early drops it: each worker's next send fails and it stops
+        // instead of parsing the rest of the input.
+        let (done_tx, done_rx) = channel::unbounded::<(usize, Parsed)>();
         for _ in 0..cfg.workers {
             let rx = work_rx.clone();
             let tx = done_tx.clone();
             scope.spawn(move |_| {
-                for (index, item) in rx.iter() {
-                    let parsed = match item {
-                        WorkItem::Arc { bytes } => match read_arc_compressed(&bytes) {
+                for index in rx.iter() {
+                    let (arc_gz, dat_gz) = &files[index / 2];
+                    let parsed = if index % 2 == 0 {
+                        match read_arc_compressed(arc_gz) {
                             Ok(records) => Parsed::Pages(
                                 records.into_iter().map(|r| (r.url, r.date, r.body)).collect(),
                             ),
                             Err(e) => Parsed::Failed(e),
-                        },
-                        WorkItem::Dat { bytes } => match read_dat_compressed(&bytes) {
+                        }
+                    } else {
+                        match read_dat_compressed(dat_gz) {
                             Ok(records) => {
                                 let raw: u64 =
                                     records.iter().map(|r| 64 + r.links.len() as u64 * 48).sum();
                                 Parsed::Meta { records, raw_bytes: raw }
                             }
                             Err(e) => Parsed::Failed(e),
-                        },
+                        }
                     };
                     if tx.send((index, parsed)).is_err() {
                         return; // loader gave up
@@ -348,6 +349,9 @@ mod tests {
         let mut store = PageStore::new(1 << 22);
         let err = preload(&files, &mut db, &mut store, &PreloadConfig::default());
         assert!(err.is_err());
+        // The corrupt ARC file is the first input, so nothing was applied.
+        assert_eq!(db.table("pages").unwrap().len(), 0);
+        assert_eq!(store.page_count(), 0);
     }
 
     #[test]
