@@ -42,31 +42,28 @@ use std::collections::HashMap;
 pub use crate::graph::{CheckpointPolicy, VerifyPolicy};
 
 /// Spec for a [`StageKind::Source`]: emits `blocks` blocks of `block` bytes,
-/// one every `interval`, starting at time zero unless
-/// [`SourceSpec::starting_at`] says otherwise.
+/// one every `interval`, starting at time zero.
 #[derive(Debug, Clone)]
 pub struct SourceSpec {
     block: DataVolume,
     interval: SimDuration,
     blocks: u64,
-    start: SimTime,
 }
 
 impl SourceSpec {
     pub fn new(block: DataVolume, interval: SimDuration, blocks: u64) -> Self {
-        SourceSpec { block, interval, blocks, start: SimTime::ZERO }
-    }
-
-    /// Delay the first block until `start`.
-    pub fn starting_at(mut self, start: SimTime) -> Self {
-        self.start = start;
-        self
+        SourceSpec { block, interval, blocks }
     }
 }
 
 impl From<SourceSpec> for StageKind {
     fn from(s: SourceSpec) -> StageKind {
-        StageKind::Source { block: s.block, interval: s.interval, blocks: s.blocks, start: s.start }
+        StageKind::Source {
+            block: s.block,
+            interval: s.interval,
+            blocks: s.blocks,
+            start: SimTime::ZERO,
+        }
     }
 }
 

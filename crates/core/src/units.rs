@@ -39,14 +39,6 @@ impl DataVolume {
         DataVolume(n * 1024 * 1024 * 1024)
     }
 
-    pub const fn tib(n: u64) -> Self {
-        DataVolume(n * 1024 * 1024 * 1024 * 1024)
-    }
-
-    pub const fn pib(n: u64) -> Self {
-        DataVolume(n * 1024 * 1024 * 1024 * 1024 * 1024)
-    }
-
     /// Decimal megabytes (10^6), as used for link and tape rates in the paper.
     pub const fn mb(n: u64) -> Self {
         DataVolume(n * 1_000_000)
@@ -208,10 +200,6 @@ impl DataRate {
     /// Volume moved in `d` at this rate.
     pub fn over(self, d: SimDuration) -> DataVolume {
         DataVolume::from_bytes((self.0 * d.as_secs_f64()).round() as u64)
-    }
-
-    pub fn as_tb_per_day(self) -> f64 {
-        self.0 * 86_400.0 / 1e12
     }
 }
 
@@ -406,7 +394,6 @@ mod tests {
         assert_eq!(DataVolume::kib(1).bytes(), 1024);
         assert_eq!(DataVolume::mib(1).bytes(), 1 << 20);
         assert_eq!(DataVolume::gib(1).bytes(), 1 << 30);
-        assert_eq!(DataVolume::tib(1).bytes(), 1u64 << 40);
         assert_eq!(DataVolume::tb(1).bytes(), 1_000_000_000_000);
     }
 
@@ -434,7 +421,8 @@ mod tests {
         let link = DataRate::mbit_per_sec(100.0);
         assert!((link.bytes_per_sec() - 12_500_000.0).abs() < 1e-6);
         // 100 Mb/s moves ~1.08 TB/day.
-        assert!((link.as_tb_per_day() - 1.08).abs() < 0.01);
+        let per_day = link.over(SimDuration::from_days(1));
+        assert!((per_day.bytes() as f64 / 1e12 - 1.08).abs() < 0.01);
     }
 
     #[test]
@@ -459,7 +447,7 @@ mod tests {
 
     #[test]
     fn display_formats() {
-        assert_eq!(format!("{}", DataVolume::tib(14)), "14.00 TiB");
+        assert_eq!(format!("{}", DataVolume::from_bytes(14 << 40)), "14.00 TiB");
         assert_eq!(format!("{}", DataVolume::from_bytes(512)), "512 B");
         assert_eq!(format!("{}", SimDuration::from_mins(90)), "1.50h");
         assert_eq!(format!("{}", DataRate::mb_per_sec(200.0)), "200.00 MB/s");

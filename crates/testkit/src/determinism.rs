@@ -7,8 +7,6 @@
 
 use std::fmt::Debug;
 
-use sciflow_core::md5::md5_strings;
-use sciflow_core::metrics::SimReport;
 use sciflow_core::obs::validate_exposition;
 
 /// Run `scenario(seed)` twice and require identical results; returns the
@@ -35,16 +33,6 @@ pub fn assert_exposition_deterministic(seed: u64, render: impl Fn(u64) -> String
     let text = assert_deterministic(seed, render);
     validate_exposition(&text)
         .unwrap_or_else(|e| panic!("seed {seed}: exposition fails to parse: {e}"))
-}
-
-/// A stable hex fingerprint of a [`SimReport`], for compact cross-run
-/// comparison (e.g. recording a golden fingerprint in a test).
-///
-/// Hashes the `Debug` rendering of the sorted report; `Debug` for the
-/// report's integers and `f64` counters is exact, so equal fingerprints mean
-/// equal reports.
-pub fn report_fingerprint(report: &SimReport) -> String {
-    md5_strings(&[format!("{report:?}")]).to_hex()
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
 use sciflow_core::metrics::{SimReport, StageMetrics};
-use sciflow_core::provenance::ProvenanceRecord;
 use sciflow_core::trace::{TraceEvent, TraceSnapshot};
 use sciflow_core::units::{DataVolume, SimDuration};
 
@@ -273,75 +272,5 @@ pub fn assert_generated_drained(report: &SimReport) {
             s.name,
             s.final_queue_volume
         );
-    }
-}
-
-/// Provenance-hash stability across replays: building the same record twice
-/// must yield the same MD5 digest (the CLEO reproducibility contract).
-pub fn assert_provenance_stability(build: impl Fn() -> ProvenanceRecord) {
-    let a = build();
-    let b = build();
-    assert_eq!(
-        a.digest().to_hex(),
-        b.digest().to_hex(),
-        "provenance digest changed across replays: {:?}",
-        a.explain_discrepancy(&b)
-    );
-}
-
-/// Relative-tolerance comparison for physical quantities.
-pub fn assert_close(actual: f64, expected: f64, rel_tol: f64) {
-    let scale = expected.abs().max(f64::MIN_POSITIVE);
-    let rel = (actual - expected).abs() / scale;
-    assert!(
-        rel <= rel_tol,
-        "{actual} differs from {expected} by {:.4}% (tolerance {:.4}%)",
-        rel * 100.0,
-        rel_tol * 100.0
-    );
-}
-
-/// `assert_close` in percentage form, for readability at call sites.
-pub fn assert_within_pct(actual: f64, expected: f64, pct: f64) {
-    assert_close(actual, expected, pct / 100.0);
-}
-
-/// Relative-tolerance comparison for durations.
-pub fn assert_duration_close(actual: SimDuration, expected: SimDuration, rel_tol: f64) {
-    assert_close(actual.as_secs_f64(), expected.as_secs_f64(), rel_tol);
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use sciflow_core::provenance::ProvenanceStep;
-    use sciflow_core::version::{CalDate, VersionId};
-
-    #[test]
-    fn tolerance_helpers() {
-        assert_close(100.5, 100.0, 0.01);
-        assert_within_pct(98.0, 100.0, 5.0);
-        assert_duration_close(SimDuration::from_secs(101), SimDuration::from_secs(100), 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "differs from")]
-    fn tolerance_violation_panics() {
-        assert_close(110.0, 100.0, 0.01);
-    }
-
-    #[test]
-    fn provenance_stability_holds_for_pure_builders() {
-        assert_provenance_stability(|| {
-            let mut r = ProvenanceRecord::new();
-            let version =
-                VersionId::new("Dedisp", "Nov01_05_P1", CalDate::new(2005, 11, 1).unwrap(), "CTC");
-            r.push(
-                ProvenanceStep::new("Dedisperse", version)
-                    .with_param("dm", "42.0")
-                    .with_input("raw-block-7"),
-            );
-            r
-        });
     }
 }

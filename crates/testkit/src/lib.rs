@@ -39,14 +39,13 @@ pub mod rng;
 pub mod scenarios;
 pub mod sealed;
 
-pub use determinism::{assert_deterministic, assert_exposition_deterministic, report_fingerprint};
+pub use determinism::{assert_deterministic, assert_exposition_deterministic};
 pub use generated::{check_generated, GeneratedScenario};
 pub use golden::{assert_matches_golden, assert_matches_golden_text, canonical_report};
 pub use invariants::{
-    assert_checkpoint_bound, assert_close, assert_crash_recovery, assert_duration_close,
-    assert_flow_transfer_conservation, assert_generated_conservation, assert_generated_drained,
-    assert_integrity_audit, assert_monotone_sim_time, assert_provenance_stability,
-    assert_trace_conservation, assert_within_pct,
+    assert_checkpoint_bound, assert_crash_recovery, assert_flow_transfer_conservation,
+    assert_generated_conservation, assert_generated_drained, assert_integrity_audit,
+    assert_monotone_sim_time, assert_trace_conservation,
 };
 pub use property::{check, Gen};
 pub use replicated::{
