@@ -13,7 +13,7 @@
 //! without an observer attached. Emission never draws randomness, never
 //! schedules events, and never touches metrics; the event stream is a pure
 //! function of the run, so the same seed and flow yield byte-identical
-//! traces ([`TraceRecorder::jsonl`]) across runs. With no observer attached
+//! traces ([`TraceSnapshot::jsonl`]) across runs. With no observer attached
 //! the only cost per would-be event is one `Option` check — the event value
 //! itself is never constructed.
 //!
