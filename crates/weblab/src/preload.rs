@@ -18,6 +18,7 @@
 //! `batch_size` are the tuning knobs experiment E8 sweeps.
 
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel;
@@ -149,6 +150,11 @@ pub fn preload(
     let mut next_id: i64 = db.table("pages")?.len() as i64;
     let mut pending_rows: Vec<Vec<Value>> = Vec::new();
 
+    // The lowest input index that failed to parse. The loader stops there,
+    // so no worker parses an input past it. Only a hint to skip work: the
+    // loader learns of the failure from the channel, not from this value.
+    let failed = AtomicUsize::new(usize::MAX);
+
     crossbeam::scope(|scope| -> WebResult<()> {
         // The receiver lives in this closure, so a loader that returns
         // early drops it: each worker's next send fails and it stops
@@ -157,8 +163,12 @@ pub fn preload(
         for _ in 0..cfg.workers {
             let rx = work_rx.clone();
             let tx = done_tx.clone();
+            let failed = &failed;
             scope.spawn(move |_| {
                 for index in rx.iter() {
+                    if index > failed.load(Ordering::Relaxed) {
+                        continue;
+                    }
                     let (arc_gz, dat_gz) = &files[index / 2];
                     let parsed = if index % 2 == 0 {
                         match read_arc_compressed(arc_gz) {
@@ -177,6 +187,9 @@ pub fn preload(
                             Err(e) => Parsed::Failed(e),
                         }
                     };
+                    if let Parsed::Failed(_) = parsed {
+                        failed.fetch_min(index, Ordering::Relaxed);
+                    }
                     if tx.send((index, parsed)).is_err() {
                         return; // loader gave up
                     }
@@ -187,6 +200,7 @@ pub fn preload(
 
         // Loader: single writer into the DB and page store. Results that
         // arrive ahead of their turn wait in `early`, keyed by input index.
+        // A failed input ends the load with every input before it applied.
         let mut early: BTreeMap<usize, Parsed> = BTreeMap::new();
         let mut next_index = 0;
         for (index, parsed) in done_rx.iter() {
@@ -194,7 +208,10 @@ pub fn preload(
             while let Some(parsed) = early.remove(&next_index) {
                 next_index += 1;
                 match parsed {
-                    Parsed::Failed(e) => return Err(e),
+                    Parsed::Failed(e) => {
+                        flush(db, &mut pending_rows, &mut stats)?;
+                        return Err(e);
+                    }
                     Parsed::Pages(pages) => {
                         for (url, date, body) in pages {
                             stats.bytes_raw += body.len() as u64;
@@ -352,6 +369,32 @@ mod tests {
         // The corrupt ARC file is the first input, so nothing was applied.
         assert_eq!(db.table("pages").unwrap().len(), 0);
         assert_eq!(store.page_count(), 0);
+    }
+
+    /// A corrupt file in the middle of the input: the load fails, and what
+    /// it leaves is every file before the corrupt one and nothing after.
+    #[test]
+    fn a_corrupt_middle_file_leaves_exactly_the_files_before_it() {
+        let (web, mut files) = files();
+        let bad = files.len() / 2;
+        files[bad].0[20] ^= 0xff;
+        let pages = &web.crawls[0].pages;
+        let (before, after) = pages.split_at(32 * bad);
+        let date = web.crawls[0].date;
+        for workers in [1, 4] {
+            let mut db = Database::new();
+            create_pages_table(&mut db).unwrap();
+            let mut store = PageStore::new(1 << 22);
+            let cfg = PreloadConfig { workers, batch_size: 1000 };
+            assert!(preload(&files, &mut db, &mut store, &cfg).is_err());
+            assert!(before.iter().all(|p| store.get(&p.url, date).is_some()));
+            assert!(after.iter().all(|p| store.get(&p.url, date).is_none()));
+            assert_eq!(store.page_count(), before.len());
+            let urls: Vec<Value> =
+                db.table("pages").unwrap().scan().map(|(_, row)| row[1].clone()).collect();
+            let expected: Vec<Value> = before.iter().map(|p| Value::Text(p.url.clone())).collect();
+            assert_eq!(urls, expected, "{workers} workers");
+        }
     }
 
     #[test]
