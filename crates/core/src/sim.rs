@@ -46,7 +46,7 @@ use crate::units::{DataVolume, SimDuration, SimTime};
 use std::fmt::Write as _;
 use std::path::Path;
 
-pub use crate::resource::StorageLedger;
+use crate::resource::StorageLedger;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

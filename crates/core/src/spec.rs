@@ -39,7 +39,7 @@ use crate::graph::{FlowGraph, StageId, StageKind};
 use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
 use std::collections::HashMap;
 
-pub use crate::graph::{CheckpointPolicy, VerifyPolicy};
+use crate::graph::{CheckpointPolicy, VerifyPolicy};
 
 /// Spec for a [`StageKind::Source`]: emits `blocks` blocks of `block` bytes,
 /// one every `interval`, starting at time zero.
