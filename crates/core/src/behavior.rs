@@ -33,6 +33,7 @@ use crate::frame::{put_u64, Damage, Reader, Wire};
 use crate::graph::{CheckpointPolicy, StageId};
 use crate::metrics::{RunMetrics, StageMetrics};
 use crate::resource::{ResourceId, ResourceSet, StorageLedger};
+use crate::spec::{BatcherSpec, DedupSpec, FilterSpec, ProcessSpec, SourceSpec, TransferSpec};
 use crate::trace::{FaultKind, FaultScope, TraceCtx, TraceEvent};
 use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
 
@@ -642,24 +643,18 @@ pub struct SourceBehavior {
     block: DataVolume,
     interval: SimDuration,
     blocks: u64,
-    start: SimTime,
 }
 
 impl SourceBehavior {
-    pub(crate) fn new(
-        block: DataVolume,
-        interval: SimDuration,
-        blocks: u64,
-        start: SimTime,
-    ) -> Self {
-        SourceBehavior { block, interval, blocks, start }
+    pub(crate) fn new(spec: &SourceSpec) -> Self {
+        SourceBehavior { block: spec.block, interval: spec.interval, blocks: spec.blocks }
     }
 }
 
 impl StageBehavior for SourceBehavior {
     fn seed(&mut self, ctx: &mut StageCtx) {
         if self.blocks > 0 {
-            ctx.complete_at(self.start, Completion::Produced);
+            ctx.complete_at(SimTime::ZERO, Completion::Produced);
         }
     }
 
@@ -679,7 +674,7 @@ impl StageBehavior for SourceBehavior {
         ctx.deliver(self.block);
         ctx.note_source_emit();
         if emitted < self.blocks {
-            ctx.complete_at(self.start + self.interval * emitted, Completion::Produced);
+            ctx.complete_at(SimTime::ZERO + self.interval * emitted, Completion::Produced);
         }
     }
 }
@@ -695,20 +690,15 @@ pub struct ProcessBehavior {
 }
 
 impl ProcessBehavior {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        rate_per_cpu: DataRate,
-        cpus_per_task: u32,
-        chunk: Option<DataVolume>,
-        output_ratio: f64,
-        workspace_ratio: f64,
-        retain_input: bool,
-        checkpoint: CheckpointPolicy,
-        pool: ResourceId,
-    ) -> Self {
-        let rate = rate_per_cpu * (cpus_per_task as f64);
-        let tasks = TaskRunner::new(pool, cpus_per_task, rate, checkpoint);
-        ProcessBehavior { chunk, output_ratio, workspace_ratio, retain_input, tasks }
+    pub(crate) fn new(spec: &ProcessSpec, pool: ResourceId) -> Self {
+        let rate = spec.rate_per_cpu * (spec.cpus_per_task as f64);
+        ProcessBehavior {
+            chunk: spec.chunk,
+            output_ratio: spec.output_ratio,
+            workspace_ratio: spec.workspace_ratio,
+            retain_input: spec.retain_input,
+            tasks: TaskRunner::new(pool, spec.cpus_per_task, rate, spec.checkpoint),
+        }
     }
 }
 
@@ -814,10 +804,10 @@ pub struct TransferBehavior {
 }
 
 impl TransferBehavior {
-    pub(crate) fn new(rate: DataRate, latency: SimDuration, channel: ResourceId) -> Self {
+    pub(crate) fn new(spec: &TransferSpec, channel: ResourceId) -> Self {
         TransferBehavior {
-            rate,
-            latency,
+            rate: spec.rate,
+            latency: spec.latency,
             channel,
             queue: VecDeque::new(),
             queued_volume: DataVolume::ZERO,
@@ -1031,13 +1021,9 @@ pub struct FilterBehavior {
 }
 
 impl FilterBehavior {
-    pub(crate) fn new(
-        rate: DataRate,
-        accept_ratio: f64,
-        checkpoint: CheckpointPolicy,
-        channel: ResourceId,
-    ) -> Self {
-        FilterBehavior { accept_ratio, tasks: TaskRunner::new(channel, 1, rate, checkpoint) }
+    pub(crate) fn new(spec: &FilterSpec, channel: ResourceId) -> Self {
+        let tasks = TaskRunner::new(channel, 1, spec.rate, spec.checkpoint);
+        FilterBehavior { accept_ratio: spec.accept_ratio, tasks }
     }
 
     /// An inspection finished, forwarding the accepted fraction — or, with
@@ -1122,10 +1108,10 @@ pub struct BatcherBehavior {
 }
 
 impl BatcherBehavior {
-    pub(crate) fn new(batch: u64, linger: SimDuration) -> Self {
+    pub(crate) fn new(spec: &BatcherSpec) -> Self {
         BatcherBehavior {
-            batch,
-            linger,
+            batch: spec.batch,
+            linger: spec.linger,
             buffer: Vec::new(),
             buffered_volume: DataVolume::ZERO,
             flush: None,
@@ -1222,9 +1208,10 @@ pub struct DedupBehavior {
 }
 
 impl DedupBehavior {
-    pub(crate) fn new(rate: DataRate, unique_ratio: f64, window: u64, channel: ResourceId) -> Self {
-        let inspector = FilterBehavior::new(rate, unique_ratio, CheckpointPolicy::None, channel);
-        DedupBehavior { window, seen: 0, inspector }
+    pub(crate) fn new(spec: &DedupSpec, channel: ResourceId) -> Self {
+        let inspector =
+            FilterBehavior::new(&FilterSpec::new(spec.rate, spec.unique_ratio), channel);
+        DedupBehavior { window: spec.window, seen: 0, inspector }
     }
 }
 

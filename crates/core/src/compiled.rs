@@ -1,21 +1,20 @@
 //! The compiled flow IR: what the simulator actually executes.
 //!
-//! A [`FlowGraph`] is the *authoring* form — stages
-//! carry their names, `Process` stages reference their pool by `String`, and
-//! adjacency is a `Vec<Vec<StageId>>` of heap-allocated edge lists. None of
-//! that belongs on the simulator's hot path: every name survives only to be
-//! cloned into reports and traces, and every pool string survives only to be
-//! resolved once at build time.
+//! A [`FlowGraph`] is the *authoring* form — stages carry their names and
+//! adjacency is a `Vec<Vec<StageId>>` of heap-allocated edge lists. Neither
+//! belongs on the simulator's hot path: every name survives only to be
+//! cloned into reports and traces.
 //!
 //! [`compile`] lowers a validated graph into a [`CompiledFlow`]:
 //!
 //! * every stage **name** is interned into a dense side table, indexed by
 //!   [`StageId`] — execution never touches a `String`, and report/trace
 //!   rendering resolves ids back to names at the very edge;
-//! * every referenced **pool name** is interned into a second table; a
-//!   `Process` stage's pool becomes a [`PoolIdx`] into it;
-//! * the per-stage [`StageKind`] is lowered to a
-//!   [`CompiledKind`] — a `Copy` mirror with ids in place of strings;
+//! * every stage's [`StageKind`] is kept as the graph declared it, spec and
+//!   all. Kinds are read only when
+//!   [`FlowSim::from_compiled`](crate::sim::FlowSim::from_compiled) builds
+//!   each stage's behavior (resolving a `Process` stage's pool by name,
+//!   once) and by the run's spec hash; the run loop never reads one;
 //! * adjacency is flattened into two id arrays with per-stage ranges
 //!   (CSR form), so a stage's successors are one contiguous slice;
 //! * the policy tables the orchestrator consults per event — verify policy,
@@ -32,65 +31,6 @@ use crate::error::CoreResult;
 use crate::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind, VerifyPolicy};
 use crate::obs::SloRule;
 use crate::trace::ObserveConfig;
-use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
-
-/// Index of an interned pool name within its [`CompiledFlow`]'s pool table.
-///
-/// Distinct from [`crate::resource::ResourceId`]: a `PoolIdx` identifies a
-/// *name* the flow references, before any capacity is supplied; the resource
-/// layer assigns `ResourceId`s when the simulator registers actual pools.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct PoolIdx(pub(crate) u32);
-
-impl PoolIdx {
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// A [`StageKind`] lowered to ids: the one
-/// difference is `Process`, whose pool is a [`PoolIdx`] instead of a
-/// `String`. Everything is `Copy`, so the simulator's build loop reads
-/// parameters without cloning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CompiledKind {
-    Source {
-        block: DataVolume,
-        interval: SimDuration,
-        blocks: u64,
-        start: SimTime,
-    },
-    Process {
-        rate_per_cpu: DataRate,
-        cpus_per_task: u32,
-        chunk: Option<DataVolume>,
-        output_ratio: f64,
-        pool: PoolIdx,
-        workspace_ratio: f64,
-        retain_input: bool,
-        checkpoint: CheckpointPolicy,
-    },
-    Transfer {
-        rate: DataRate,
-        latency: SimDuration,
-        channels: u32,
-    },
-    Filter {
-        rate: DataRate,
-        accept_ratio: f64,
-        checkpoint: CheckpointPolicy,
-    },
-    Batcher {
-        batch: u64,
-        linger: SimDuration,
-    },
-    Dedup {
-        rate: DataRate,
-        unique_ratio: f64,
-        window: u64,
-    },
-    Archive,
-}
 
 /// A validated flow lowered for execution: dense id-indexed tables, flat
 /// adjacency, and name side tables consulted only when rendering output.
@@ -99,10 +39,9 @@ pub enum CompiledKind {
 pub struct CompiledFlow {
     /// Stage names, indexed by [`StageId`]. Render-edge only.
     names: Vec<String>,
-    /// Referenced pool names (sorted, deduplicated), indexed by [`PoolIdx`].
-    pools: Vec<String>,
-    /// Lowered stage kinds, indexed by [`StageId`].
-    kinds: Vec<CompiledKind>,
+    /// The graph's stage kinds, indexed by [`StageId`]. Read when the
+    /// simulator builds its behaviors and by its spec hash, never per event.
+    kinds: Vec<StageKind>,
     /// Arrival integrity policy per stage, consulted on every `Arrive`.
     verify: Vec<VerifyPolicy>,
     /// Flat downstream adjacency; stage `i`'s successors are
@@ -136,13 +75,6 @@ pub struct CompiledFlow {
 pub fn compile(graph: &FlowGraph) -> CoreResult<CompiledFlow> {
     graph.validate()?;
     let n = graph.len();
-    // Pool table: the sorted, deduplicated referenced names — the same order
-    // the simulator checks supplied pools against, so "unknown pool" errors
-    // are reported identically from either form.
-    let pools: Vec<String> = graph.referenced_pools().into_iter().map(String::from).collect();
-    let pool_idx = |name: &str| {
-        PoolIdx(pools.iter().position(|p| p == name).expect("referenced pool interned") as u32)
-    };
     let mut names = Vec::with_capacity(n);
     let mut kinds = Vec::with_capacity(n);
     let mut verify = Vec::with_capacity(n);
@@ -154,67 +86,22 @@ pub fn compile(graph: &FlowGraph) -> CoreResult<CompiledFlow> {
         let stage = graph.stage(id);
         names.push(stage.name.clone());
         verify.push(stage.verify);
-        let kind = match &stage.kind {
-            StageKind::Source { block, interval, blocks, start } => {
-                pending_emits += blocks;
-                CompiledKind::Source {
-                    block: *block,
-                    interval: *interval,
-                    blocks: *blocks,
-                    start: *start,
-                }
-            }
-            StageKind::Process {
-                rate_per_cpu,
-                cpus_per_task,
-                chunk,
-                output_ratio,
-                pool,
-                workspace_ratio,
-                retain_input,
-                checkpoint,
-            } => CompiledKind::Process {
-                rate_per_cpu: *rate_per_cpu,
-                cpus_per_task: *cpus_per_task,
-                chunk: *chunk,
-                output_ratio: *output_ratio,
-                pool: pool_idx(pool),
-                workspace_ratio: *workspace_ratio,
-                retain_input: *retain_input,
-                checkpoint: *checkpoint,
-            },
-            StageKind::Transfer { rate, latency, channels } => {
-                CompiledKind::Transfer { rate: *rate, latency: *latency, channels: *channels }
-            }
-            StageKind::Filter { rate, accept_ratio, checkpoint } => CompiledKind::Filter {
-                rate: *rate,
-                accept_ratio: *accept_ratio,
-                checkpoint: *checkpoint,
-            },
-            StageKind::Batcher { batch, linger } => {
-                CompiledKind::Batcher { batch: *batch, linger: *linger }
-            }
-            StageKind::Dedup { rate, unique_ratio, window } => {
-                CompiledKind::Dedup { rate: *rate, unique_ratio: *unique_ratio, window: *window }
-            }
-            StageKind::Archive => CompiledKind::Archive,
-        };
-        // Lineage tables (mirrors of the policy the simulator used to derive
-        // inline): where reprocessing can restart, how to invert each stage's
-        // volume transformation, and which stages are sinks.
+        // Lineage tables: where reprocessing can restart, how to invert
+        // each stage's volume transformation, and which stages are sinks.
         let (d, r) = match &stage.kind {
-            StageKind::Source { .. } | StageKind::Archive => (true, 1.0),
-            StageKind::Process { retain_input, checkpoint, output_ratio, .. } => {
-                (*retain_input || *checkpoint != CheckpointPolicy::None, *output_ratio)
+            StageKind::Source(s) => {
+                pending_emits += s.blocks;
+                (true, 1.0)
             }
-            StageKind::Filter { accept_ratio, checkpoint, .. } => {
-                (*checkpoint != CheckpointPolicy::None, *accept_ratio)
+            StageKind::Archive => (true, 1.0),
+            StageKind::Process(p) => {
+                (p.retain_input || p.checkpoint != CheckpointPolicy::None, p.output_ratio)
             }
-            StageKind::Transfer { .. } => (false, 1.0),
-            StageKind::Batcher { .. } => (false, 1.0),
-            StageKind::Dedup { unique_ratio, .. } => (false, *unique_ratio),
+            StageKind::Filter(f) => (f.checkpoint != CheckpointPolicy::None, f.accept_ratio),
+            StageKind::Transfer(_) | StageKind::Batcher(_) => (false, 1.0),
+            StageKind::Dedup(d) => (false, d.unique_ratio),
         };
-        kinds.push(kind);
+        kinds.push(stage.kind.clone());
         durable.push(d);
         ratio.push(r);
         sink.push(graph.downstream(id).is_empty());
@@ -223,7 +110,6 @@ pub fn compile(graph: &FlowGraph) -> CoreResult<CompiledFlow> {
     let (pred, pred_ranges) = flatten(n, |id| graph.upstream(id));
     Ok(CompiledFlow {
         names,
-        pools,
         kinds,
         verify,
         succ,
@@ -278,18 +164,8 @@ impl CompiledFlow {
         &self.names
     }
 
-    /// The interned pool-name table (sorted, deduplicated).
-    pub fn pool_names(&self) -> &[String] {
-        &self.pools
-    }
-
-    /// Resolve an interned pool index back to its name.
-    pub fn pool_name(&self, idx: PoolIdx) -> &str {
-        &self.pools[idx.index()]
-    }
-
-    /// The lowered kind of a stage.
-    pub fn kind(&self, id: StageId) -> &CompiledKind {
+    /// The kind of a stage, with its parameters.
+    pub fn kind(&self, id: StageId) -> &StageKind {
         &self.kinds[id.index()]
     }
 
@@ -352,6 +228,7 @@ mod tests {
     use super::*;
     use crate::error::CoreError;
     use crate::spec::{FlowSpec, ProcessSpec, SourceSpec, TransferSpec};
+    use crate::units::{DataRate, DataVolume, SimDuration};
 
     fn demo_graph() -> FlowGraph {
         FlowSpec::new()
@@ -374,20 +251,17 @@ mod tests {
     }
 
     #[test]
-    fn interns_names_pools_and_adjacency() {
+    fn interns_names_and_flattens_adjacency() {
         let g = demo_graph();
         let c = compile(&g).unwrap();
         assert_eq!(c.len(), 5);
         assert_eq!(c.names(), &["acquire", "reduce", "search", "link", "store"]);
-        // Pool table is sorted and deduplicated, independent of use order.
-        assert_eq!(c.pool_names(), &["alpha", "zebra"]);
-        let reduce = StageId(1);
-        match *c.kind(reduce) {
-            CompiledKind::Process { pool, output_ratio, .. } => {
-                assert_eq!(c.pool_name(pool), "zebra");
-                assert_eq!(output_ratio, 0.5);
+        match c.kind(StageId(1)) {
+            StageKind::Process(p) => {
+                assert_eq!(p.pool, "zebra");
+                assert_eq!(p.output_ratio, 0.5);
             }
-            ref other => panic!("expected Process, got {other:?}"),
+            other => panic!("expected Process, got {other:?}"),
         }
         // CSR adjacency agrees with the graph, including the late feed edge.
         for id in g.stage_ids() {

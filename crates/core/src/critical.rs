@@ -325,6 +325,7 @@ fn subtract(a: &[(SimTime, SimTime)], b: &[(SimTime, SimTime)]) -> Vec<(SimTime,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spec::{SourceSpec, TransferSpec};
     use crate::trace::TraceMeta;
     use crate::units::DataVolume;
 
@@ -485,12 +486,11 @@ mod tests {
         let mut g = FlowGraph::new();
         g.add_stage(
             "pulse",
-            StageKind::Source {
+            StageKind::Source(SourceSpec {
                 block: DataVolume::gib(1),
                 interval: SimDuration::from_secs(10),
                 blocks: 3,
-                start: SimTime::ZERO,
-            },
+            }),
         );
         let trace = TraceRecorder::new();
         let pools: Vec<CpuPool> = vec![];
@@ -520,20 +520,19 @@ mod tests {
         let mut g = FlowGraph::new();
         let s = g.add_stage(
             "empty-src",
-            StageKind::Source {
+            StageKind::Source(SourceSpec {
                 block: DataVolume::ZERO,
                 interval: SimDuration::from_secs(10),
                 blocks: 3,
-                start: SimTime::ZERO,
-            },
+            }),
         );
         let x = g.add_stage(
             "wire",
-            StageKind::Transfer {
+            StageKind::Transfer(TransferSpec {
                 rate: DataRate::mb_per_sec(100.0),
                 latency: SimDuration::ZERO,
                 channels: 1,
-            },
+            }),
         );
         let a = g.add_stage("sink", StageKind::Archive);
         g.connect(s, x).unwrap();

@@ -36,7 +36,8 @@ use crate::fault::FaultProfile;
 use crate::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind, VerifyPolicy};
 use crate::md5::md5_strings;
 use crate::sim::CpuPool;
-use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
+use crate::spec::{BatcherSpec, DedupSpec, FilterSpec, ProcessSpec, SourceSpec, TransferSpec};
+use crate::units::{DataRate, DataVolume, SimDuration};
 
 /// Named graph families, each biasing the generator toward one of the
 /// large-scale data-flow shapes the literature describes.
@@ -275,7 +276,7 @@ impl GenFlow {
         let mut g = self.graph.clone();
         let rate = DataRate::mb_per_sec(400.0);
         for id in g.stage_ids() {
-            if !matches!(g.stage(id).kind, StageKind::Source { .. }) {
+            if !matches!(g.stage(id).kind, StageKind::Source(_)) {
                 g.set_verify(id, VerifyPolicy::digest(rate));
             }
         }
@@ -326,7 +327,7 @@ pub fn generate(archetype: Archetype, seed: u64) -> GenFlow {
         span = span.max(interval * blocks);
         let id = g.add_stage(
             format!("src{i}"),
-            StageKind::Source { block, interval, blocks, start: SimTime::ZERO },
+            StageKind::Source(SourceSpec { block, interval, blocks }),
         );
         sources.push(id);
     }
@@ -387,7 +388,7 @@ pub fn generate(archetype: Archetype, seed: u64) -> GenFlow {
 
     // Seeded verify decoration on non-source stages.
     for id in g.stage_ids() {
-        if matches!(g.stage(id).kind, StageKind::Source { .. }) {
+        if matches!(g.stage(id).kind, StageKind::Source(_)) {
             continue;
         }
         if rng.gen_bool(p.verify_prob) {
@@ -408,10 +409,14 @@ pub fn generate(archetype: Archetype, seed: u64) -> GenFlow {
         .filter_map(|id| {
             let stage = g.stage(id);
             match stage.kind {
-                StageKind::Process { checkpoint: CheckpointPolicy::Interval { .. }, .. }
-                | StageKind::Filter { checkpoint: CheckpointPolicy::Interval { .. }, .. } => {
-                    Some(stage.name.clone())
-                }
+                StageKind::Process(ProcessSpec {
+                    checkpoint: CheckpointPolicy::Interval { .. },
+                    ..
+                })
+                | StageKind::Filter(FilterSpec {
+                    checkpoint: CheckpointPolicy::Interval { .. },
+                    ..
+                }) => Some(stage.name.clone()),
                 _ => None,
             }
         })
@@ -467,12 +472,11 @@ pub fn stress_flow(p: &StressParams) -> (FlowGraph, Vec<CpuPool>) {
     let mut g = FlowGraph::new();
     let src = g.add_stage(
         "src",
-        StageKind::Source {
-            block: DataVolume::mib(64),
-            interval: SimDuration::from_secs(30),
-            blocks: p.blocks,
-            start: SimTime::ZERO,
-        },
+        StageKind::Source(SourceSpec::new(
+            DataVolume::mib(64),
+            SimDuration::from_secs(30),
+            p.blocks,
+        )),
     );
     let sink = g.add_stage("sink", StageKind::Archive);
     for c in 0..p.chains {
@@ -483,40 +487,22 @@ pub fn stress_flow(p: &StressParams) -> (FlowGraph, Vec<CpuPool>) {
             let (tag, kind) = match d % 4 {
                 0 => (
                     "proc",
-                    StageKind::Process {
-                        rate_per_cpu: DataRate::mb_per_sec(800.0),
-                        cpus_per_task: 1,
-                        chunk: None,
-                        output_ratio: 1.0,
-                        pool: pool_name.to_string(),
-                        workspace_ratio: 0.0,
-                        retain_input: false,
-                        checkpoint: CheckpointPolicy::None,
-                    },
+                    StageKind::Process(ProcessSpec::new(DataRate::mb_per_sec(800.0), pool_name)),
                 ),
                 1 => (
                     "link",
-                    StageKind::Transfer {
-                        rate: DataRate::mb_per_sec(1200.0),
-                        latency: SimDuration::from_secs(1),
-                        channels: 4,
-                    },
+                    StageKind::Transfer(
+                        TransferSpec::new(DataRate::mb_per_sec(1200.0))
+                            .latency(SimDuration::from_secs(1))
+                            .channels(4),
+                    ),
                 ),
-                2 => (
-                    "trig",
-                    StageKind::Filter {
-                        rate: DataRate::mb_per_sec(1500.0),
-                        accept_ratio: 0.97,
-                        checkpoint: CheckpointPolicy::None,
-                    },
-                ),
+                2 => {
+                    ("trig", StageKind::Filter(FilterSpec::new(DataRate::mb_per_sec(1500.0), 0.97)))
+                }
                 _ => (
                     "dedup",
-                    StageKind::Dedup {
-                        rate: DataRate::mb_per_sec(1500.0),
-                        unique_ratio: 0.95,
-                        window: 2,
-                    },
+                    StageKind::Dedup(DedupSpec::new(DataRate::mb_per_sec(1500.0), 0.95).window(2)),
                 ),
             };
             let id = g.add_stage(format!("c{c}-{tag}{d}"), kind);
@@ -596,50 +582,50 @@ fn middle_kind(rng: &mut StdRng, p: &GenParams, pools: &[CpuPool]) -> (&'static 
             let checkpoint = gen_checkpoint(rng, p.checkpoint_prob);
             (
                 "proc",
-                StageKind::Process {
+                StageKind::Process(ProcessSpec {
                     rate_per_cpu,
+                    pool,
                     cpus_per_task,
                     chunk,
                     output_ratio,
-                    pool,
                     workspace_ratio,
                     retain_input,
                     checkpoint,
-                },
+                }),
             )
         }
         1 => (
             // Slow enough that blocks spend real time on the wire — the
             // window silent corruption and link faults need to land in.
             "link",
-            StageKind::Transfer {
+            StageKind::Transfer(TransferSpec {
                 rate: DataRate::mb_per_sec(rng.gen_range(5.0..50.0)),
                 latency: SimDuration::from_secs(rng.gen_range(1..=30)),
                 channels: rng.gen_range(1..=3),
-            },
+            }),
         ),
         2 => (
             "trig",
-            StageKind::Filter {
+            StageKind::Filter(FilterSpec {
                 rate: DataRate::mb_per_sec(rng.gen_range(50.0..300.0)),
                 accept_ratio: rng.gen_range(0.1..0.9),
                 checkpoint: gen_checkpoint(rng, p.checkpoint_prob),
-            },
+            }),
         ),
         3 => (
             "batch",
-            StageKind::Batcher {
+            StageKind::Batcher(BatcherSpec {
                 batch: rng.gen_range(2..=4),
                 linger: SimDuration::from_mins(rng.gen_range(5..=60)),
-            },
+            }),
         ),
         _ => (
             "dedup",
-            StageKind::Dedup {
+            StageKind::Dedup(DedupSpec {
                 rate: DataRate::mb_per_sec(rng.gen_range(50.0..300.0)),
                 unique_ratio: rng.gen_range(0.2..0.9),
                 window: rng.gen_range(0..=3),
-            },
+            }),
         ),
     }
 }
@@ -720,6 +706,7 @@ mod tests {
     #[test]
     fn stress_flow_is_deterministic_valid_and_runs() {
         use crate::sim::FlowSim;
+        use crate::units::SimTime;
 
         let p = StressParams { chains: 2, depth: 8, blocks: 4 };
         let (g, pools) = stress_flow(&p);
@@ -748,7 +735,7 @@ mod tests {
         let g = flow.digest_everywhere();
         for id in g.stage_ids() {
             let stage = g.stage(id);
-            if matches!(stage.kind, StageKind::Source { .. }) {
+            if matches!(stage.kind, StageKind::Source(_)) {
                 assert!(stage.verify.is_none());
             } else {
                 assert!(!stage.verify.is_none(), "stage {} unverified", stage.name);

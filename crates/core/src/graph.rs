@@ -9,8 +9,9 @@ use std::collections::{HashSet, VecDeque};
 
 use crate::error::{CoreError, CoreResult};
 use crate::obs::{SloKind, SloRule};
+use crate::spec::{BatcherSpec, DedupSpec, FilterSpec, ProcessSpec, SourceSpec, TransferSpec};
 use crate::trace::ObserveConfig;
-use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
+use crate::units::{DataRate, SimDuration};
 
 crate::wire_struct! {
     /// Index of a stage within its graph.
@@ -87,63 +88,16 @@ impl VerifyPolicy {
     }
 }
 
-/// What a stage does with the blocks that reach it.
+/// What a stage does with the blocks that reach it. Each variant carries
+/// its kind's parameters, declared once in [`crate::spec`].
 #[derive(Debug, Clone)]
 pub enum StageKind {
-    /// Emits `blocks` blocks of `block` bytes, one every `interval`,
-    /// beginning at `start`. Models data acquisition (observing sessions,
-    /// runs, crawl deliveries).
-    Source { block: DataVolume, interval: SimDuration, blocks: u64, start: SimTime },
-    /// Consumes a block using `cpus_per_task` processors from the named pool
-    /// at `rate_per_cpu` each, then emits `output_ratio` × input volume.
-    ///
-    /// `chunk` splits arriving blocks into independently schedulable tasks
-    /// of at most that size — the data parallelism of stages like
-    /// dedispersion, where each telescope pointing of a 14 TB weekly block
-    /// is processed independently. `None` processes each arriving block as
-    /// one task.
-    ///
-    /// `workspace_ratio` is extra scratch space held while the task runs (the
-    /// Arecibo dedispersion step is "iterative, requiring operations on both
-    /// the dedispersed time series and the raw data").
-    ///
-    /// `retain_input` keeps the input allocated after completion (archival
-    /// retention rather than scratch).
-    Process {
-        rate_per_cpu: DataRate,
-        cpus_per_task: u32,
-        chunk: Option<DataVolume>,
-        output_ratio: f64,
-        pool: String,
-        workspace_ratio: f64,
-        retain_input: bool,
-        /// How much work a node crash can destroy (see [`CheckpointPolicy`]).
-        checkpoint: CheckpointPolicy,
-    },
-    /// A transport channel (network link or physical shipment lane):
-    /// `latency + volume / rate` per block, with up to `channels` blocks in
-    /// flight at once. `channels: 1` is a strictly serial link; a disk
-    /// shipping lane with several crates in transit uses `channels > 1`.
-    Transfer { rate: DataRate, latency: SimDuration, channels: u32 },
-    /// An online trigger/filter: inspects each block at `rate` (one block at
-    /// a time, in real time) and forwards only `accept_ratio` of its volume;
-    /// the rest is discarded immediately. Models selection stages like the
-    /// CMS first-level trigger, where data streams to tape at 200 MB/s only
-    /// after substantial real-time filtering.
-    Filter { rate: DataRate, accept_ratio: f64, checkpoint: CheckpointPolicy },
-    /// An accumulation point: buffers arriving blocks and emits one merged
-    /// block of their combined volume once `batch` blocks have gathered, or
-    /// `linger` after the first buffered block — whichever comes first.
-    /// Models aggregation ahead of an expensive hop (tar-before-tape, small
-    /// crawl deliveries coalesced before a WAN transfer). The merge itself
-    /// is instantaneous: a batcher holds storage, not compute.
-    Batcher { batch: u64, linger: SimDuration },
-    /// Duplicate elimination: inspects each block serially at `rate` (like a
-    /// filter) and forwards `unique_ratio` of its volume — except that the
-    /// first `window` blocks pass in full, since an empty dedup index has
-    /// nothing to match against. Models crawl ingest, where re-fetched pages
-    /// collapse against the page store only once the store is warm.
-    Dedup { rate: DataRate, unique_ratio: f64, window: u64 },
+    Source(SourceSpec),
+    Process(ProcessSpec),
+    Transfer(TransferSpec),
+    Filter(FilterSpec),
+    Batcher(BatcherSpec),
+    Dedup(DedupSpec),
     /// Terminal stage that accumulates everything it receives (tape archive,
     /// database load, dissemination store).
     Archive,
@@ -285,12 +239,12 @@ impl FlowGraph {
             let stage = self.stage(id);
             let inputs = self.upstream(id).len();
             match stage.kind {
-                StageKind::Source { .. } if inputs > 0 => {
+                StageKind::Source(_) if inputs > 0 => {
                     return Err(CoreError::InvalidTopology {
                         detail: format!("source `{}` has {} incoming edge(s)", stage.name, inputs),
                     });
                 }
-                StageKind::Source { .. } => {}
+                StageKind::Source(_) => {}
                 _ if inputs == 0 => {
                     return Err(CoreError::InvalidTopology {
                         detail: format!("non-source `{}` has no incoming edges", stage.name),
@@ -315,7 +269,7 @@ impl FlowGraph {
         // construction.
         for id in self.stage_ids() {
             let stage = self.stage(id);
-            if matches!(stage.kind, StageKind::Source { .. })
+            if matches!(stage.kind, StageKind::Source(_))
                 && self.downstream(id).is_empty()
                 && self.stages.len() > 1
             {
@@ -357,7 +311,7 @@ impl FlowGraph {
             .stages
             .iter()
             .filter_map(|s| match &s.kind {
-                StageKind::Process { pool, .. } => Some(pool.as_str()),
+                StageKind::Process(p) => Some(p.pool.as_str()),
                 _ => None,
             })
             .collect();
@@ -369,7 +323,7 @@ impl FlowGraph {
 
 /// Per-kind parameter validation. Every check here guards a failure mode
 /// that used to surface only at simulation time (or worse, as a hang or a
-/// panic inside [`DataVolume::scale`]): zero transfer channels stall
+/// panic inside [`DataVolume::scale`](crate::units::DataVolume::scale)): zero transfer channels stall
 /// forever, a negative output ratio panics mid-run, a zero batch can never
 /// fill.
 fn validate_stage_params(stage: &Stage) -> CoreResult<()> {
@@ -383,10 +337,10 @@ fn validate_stage_params(stage: &Stage) -> CoreResult<()> {
         Ok(())
     };
     match &stage.kind {
-        StageKind::Source { .. } | StageKind::Archive => {}
-        StageKind::Process { output_ratio, workspace_ratio, checkpoint, .. } => {
+        StageKind::Source(_) | StageKind::Archive => {}
+        StageKind::Process(p) => {
             for (what, r) in
-                [("output_ratio", *output_ratio), ("workspace_ratio", *workspace_ratio)]
+                [("output_ratio", p.output_ratio), ("workspace_ratio", p.workspace_ratio)]
             {
                 if !r.is_finite() || r < 0.0 {
                     return Err(CoreError::InvalidConfig {
@@ -394,28 +348,28 @@ fn validate_stage_params(stage: &Stage) -> CoreResult<()> {
                     });
                 }
             }
-            validate_checkpoint(name, checkpoint)?;
+            validate_checkpoint(name, &p.checkpoint)?;
         }
-        StageKind::Transfer { channels, .. } => {
-            if *channels == 0 {
+        StageKind::Transfer(t) => {
+            if t.channels == 0 {
                 return Err(CoreError::InvalidConfig {
                     detail: format!("stage `{name}` has zero transfer channels"),
                 });
             }
         }
-        StageKind::Filter { accept_ratio, checkpoint, .. } => {
-            ratio_in_unit("accept_ratio", *accept_ratio)?;
-            validate_checkpoint(name, checkpoint)?;
+        StageKind::Filter(f) => {
+            ratio_in_unit("accept_ratio", f.accept_ratio)?;
+            validate_checkpoint(name, &f.checkpoint)?;
         }
-        StageKind::Batcher { batch, .. } => {
-            if *batch == 0 {
+        StageKind::Batcher(b) => {
+            if b.batch == 0 {
                 return Err(CoreError::InvalidConfig {
                     detail: format!("stage `{name}` has a zero batch size; it could never fill"),
                 });
             }
         }
-        StageKind::Dedup { unique_ratio, .. } => {
-            ratio_in_unit("unique_ratio", *unique_ratio)?;
+        StageKind::Dedup(d) => {
+            ratio_in_unit("unique_ratio", d.unique_ratio)?;
         }
     }
     Ok(())
@@ -426,7 +380,7 @@ fn validate_stage_params(stage: &Stage) -> CoreResult<()> {
 /// fraction outside [0, 1] is meaningless, and a policy on a source can
 /// never run (sources receive no arrivals).
 fn validate_verify(stage: &str, kind: &StageKind, policy: &VerifyPolicy) -> CoreResult<()> {
-    if matches!(kind, StageKind::Source { .. }) && !policy.is_none() {
+    if matches!(kind, StageKind::Source(_)) && !policy.is_none() {
         return Err(CoreError::InvalidConfig {
             detail: format!("stage `{stage}` is a source; a verify policy there can never run"),
         });
@@ -505,27 +459,14 @@ fn validate_checkpoint(stage: &str, policy: &CheckpointPolicy) -> CoreResult<()>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::DataVolume;
 
     fn source() -> StageKind {
-        StageKind::Source {
-            block: DataVolume::gib(1),
-            interval: SimDuration::from_hours(1),
-            blocks: 4,
-            start: SimTime::ZERO,
-        }
+        StageKind::Source(SourceSpec::new(DataVolume::gib(1), SimDuration::from_hours(1), 4))
     }
 
     fn process(pool: &str) -> StageKind {
-        StageKind::Process {
-            rate_per_cpu: DataRate::mb_per_sec(10.0),
-            cpus_per_task: 1,
-            chunk: None,
-            output_ratio: 0.5,
-            pool: pool.to_string(),
-            workspace_ratio: 0.0,
-            retain_input: false,
-            checkpoint: CheckpointPolicy::None,
-        }
+        StageKind::Process(ProcessSpec::new(DataRate::mb_per_sec(10.0), pool).output_ratio(0.5))
     }
 
     #[test]
@@ -635,10 +576,9 @@ mod tests {
     fn degenerate_stage_parameters_are_rejected_at_build_time() {
         // Negative output ratio used to panic inside DataVolume::scale at
         // the first task completion; now it is a typed build-time error.
-        let mut bad = process("x");
-        if let StageKind::Process { output_ratio, .. } = &mut bad {
-            *output_ratio = -0.5;
-        }
+        let bad = StageKind::Process(
+            ProcessSpec::new(DataRate::mb_per_sec(10.0), "x").output_ratio(-0.5),
+        );
         let mut g = FlowGraph::new();
         let s = g.add_stage("s", source());
         let p = g.add_stage("p", bad);
@@ -648,7 +588,7 @@ mod tests {
         let mut g = FlowGraph::new();
         let s = g.add_stage("s", source());
         let b =
-            g.add_stage("b", StageKind::Batcher { batch: 0, linger: SimDuration::from_secs(60) });
+            g.add_stage("b", StageKind::Batcher(BatcherSpec::new(0, SimDuration::from_secs(60))));
         g.connect(s, b).unwrap();
         assert!(matches!(g.validate(), Err(CoreError::InvalidConfig { .. })));
 
@@ -656,7 +596,7 @@ mod tests {
         let s = g.add_stage("s", source());
         let d = g.add_stage(
             "d",
-            StageKind::Dedup { rate: DataRate::mb_per_sec(100.0), unique_ratio: 1.5, window: 2 },
+            StageKind::Dedup(DedupSpec::new(DataRate::mb_per_sec(100.0), 1.5).window(2)),
         );
         g.connect(s, d).unwrap();
         assert!(matches!(g.validate(), Err(CoreError::InvalidConfig { .. })));
@@ -690,10 +630,10 @@ mod tests {
         let mut g = FlowGraph::new();
         let s = g.add_stage("s", source());
         let b =
-            g.add_stage("b", StageKind::Batcher { batch: 3, linger: SimDuration::from_mins(10) });
+            g.add_stage("b", StageKind::Batcher(BatcherSpec::new(3, SimDuration::from_mins(10))));
         let d = g.add_stage(
             "d",
-            StageKind::Dedup { rate: DataRate::mb_per_sec(100.0), unique_ratio: 0.4, window: 1 },
+            StageKind::Dedup(DedupSpec::new(DataRate::mb_per_sec(100.0), 0.4).window(1)),
         );
         let a = g.add_stage("a", StageKind::Archive);
         g.connect(s, b).unwrap();

@@ -93,7 +93,7 @@ pub mod units;
 pub mod version;
 
 pub use behavior::{Completion, Dispatch, FlowEvent, StageBehavior, StageCtx};
-pub use compiled::{compile, CompiledFlow, CompiledKind, PoolIdx};
+pub use compiled::{compile, CompiledFlow};
 pub use critical::{critical_path, CriticalPathReport, PathSegment, StageBreakdown};
 pub use durable::{RunJournal, SnapshotPolicy, SNAPSHOT_FORMAT};
 pub use engine::{Engine, EventHandler, RunStats, Scheduler};

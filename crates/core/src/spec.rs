@@ -33,21 +33,26 @@
 //! added with [`FlowSpec::feed`] come last) — replays of a spec-built flow
 //! are deterministic, and a spec rewrite of a hand-wired graph can be made
 //! wire-for-wire identical.
+//!
+//! Each `*Spec` struct is the one declaration of its stage kind's
+//! parameters: a [`StageKind`] variant carries it, the compiled flow keeps
+//! it, and the simulator builds the stage's behavior from a reference to
+//! it. `new` and the builder methods give the defaults; the fields are
+//! public for code that reads a kind or writes one out in full.
 
 use crate::error::{CoreError, CoreResult};
-use crate::graph::{FlowGraph, StageId, StageKind};
-use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
+use crate::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind, VerifyPolicy};
+use crate::units::{DataRate, DataVolume, SimDuration};
 use std::collections::HashMap;
 
-use crate::graph::{CheckpointPolicy, VerifyPolicy};
-
-/// Spec for a [`StageKind::Source`]: emits `blocks` blocks of `block` bytes,
-/// one every `interval`, starting at time zero.
+/// A [`StageKind::Source`]: emits `blocks` blocks of `block` bytes, one
+/// every `interval`, starting at time zero. Models data acquisition
+/// (observing sessions, runs, crawl deliveries).
 #[derive(Debug, Clone)]
 pub struct SourceSpec {
-    block: DataVolume,
-    interval: SimDuration,
-    blocks: u64,
+    pub block: DataVolume,
+    pub interval: SimDuration,
+    pub blocks: u64,
 }
 
 impl SourceSpec {
@@ -56,30 +61,33 @@ impl SourceSpec {
     }
 }
 
-impl From<SourceSpec> for StageKind {
-    fn from(s: SourceSpec) -> StageKind {
-        StageKind::Source {
-            block: s.block,
-            interval: s.interval,
-            blocks: s.blocks,
-            start: SimTime::ZERO,
-        }
-    }
-}
-
-/// Spec for a [`StageKind::Process`]: one CPU per task, unchunked,
-/// pass-through output, no scratch space and no input retention unless the
-/// builder methods say otherwise.
+/// A [`StageKind::Process`]: consumes a block using `cpus_per_task`
+/// processors from the named pool at `rate_per_cpu` each, then emits
+/// `output_ratio` × input volume. One CPU per task, unchunked, pass-through
+/// output, no scratch space and no input retention unless the builder
+/// methods say otherwise.
 #[derive(Debug, Clone)]
 pub struct ProcessSpec {
-    rate_per_cpu: DataRate,
-    pool: String,
-    cpus_per_task: u32,
-    chunk: Option<DataVolume>,
-    output_ratio: f64,
-    workspace_ratio: f64,
-    retain_input: bool,
-    checkpoint: CheckpointPolicy,
+    pub rate_per_cpu: DataRate,
+    /// The shared CPU pool the stage's tasks run on, supplied by name to
+    /// the simulator.
+    pub pool: String,
+    pub cpus_per_task: u32,
+    /// Splits arriving blocks into independently schedulable tasks of at
+    /// most that size — the data parallelism of stages like dedispersion,
+    /// where each telescope pointing of a 14 TB weekly block is processed
+    /// independently. `None` processes each arriving block as one task.
+    pub chunk: Option<DataVolume>,
+    pub output_ratio: f64,
+    /// Extra scratch space held while the task runs, as a fraction of its
+    /// input (the Arecibo dedispersion step is "iterative, requiring
+    /// operations on both the dedispersed time series and the raw data").
+    pub workspace_ratio: f64,
+    /// Keeps the input allocated after completion (archival retention
+    /// rather than scratch).
+    pub retain_input: bool,
+    /// How much work a node crash can destroy (see [`CheckpointPolicy`]).
+    pub checkpoint: CheckpointPolicy,
 }
 
 impl ProcessSpec {
@@ -134,28 +142,17 @@ impl ProcessSpec {
     }
 }
 
-impl From<ProcessSpec> for StageKind {
-    fn from(s: ProcessSpec) -> StageKind {
-        StageKind::Process {
-            rate_per_cpu: s.rate_per_cpu,
-            cpus_per_task: s.cpus_per_task,
-            chunk: s.chunk,
-            output_ratio: s.output_ratio,
-            pool: s.pool,
-            workspace_ratio: s.workspace_ratio,
-            retain_input: s.retain_input,
-            checkpoint: s.checkpoint,
-        }
-    }
-}
-
-/// Spec for a [`StageKind::Transfer`]: zero latency and a single channel
-/// unless the builder methods say otherwise.
+/// A [`StageKind::Transfer`], a transport channel (network link or physical
+/// shipment lane): `latency + volume / rate` per block, with up to
+/// `channels` blocks in flight at once. `channels: 1` is a strictly serial
+/// link; a disk shipping lane with several crates in transit uses
+/// `channels > 1`. Zero latency and a single channel unless the builder
+/// methods say otherwise.
 #[derive(Debug, Clone)]
 pub struct TransferSpec {
-    rate: DataRate,
-    latency: SimDuration,
-    channels: u32,
+    pub rate: DataRate,
+    pub latency: SimDuration,
+    pub channels: u32,
 }
 
 impl TransferSpec {
@@ -176,19 +173,17 @@ impl TransferSpec {
     }
 }
 
-impl From<TransferSpec> for StageKind {
-    fn from(s: TransferSpec) -> StageKind {
-        StageKind::Transfer { rate: s.rate, latency: s.latency, channels: s.channels }
-    }
-}
-
-/// Spec for a [`StageKind::Filter`]: inspects at `rate`, forwards
-/// `accept_ratio` of the volume.
+/// A [`StageKind::Filter`], an online trigger: inspects each block at `rate`
+/// (one block at a time, in real time) and forwards only `accept_ratio` of
+/// its volume; the rest is discarded immediately. Models selection stages
+/// like the CMS first-level trigger, where data streams to tape at
+/// 200 MB/s only after substantial real-time filtering.
 #[derive(Debug, Clone)]
 pub struct FilterSpec {
-    rate: DataRate,
-    accept_ratio: f64,
-    checkpoint: CheckpointPolicy,
+    pub rate: DataRate,
+    pub accept_ratio: f64,
+    /// How much work a node crash can destroy (see [`CheckpointPolicy`]).
+    pub checkpoint: CheckpointPolicy,
 }
 
 impl FilterSpec {
@@ -203,19 +198,17 @@ impl FilterSpec {
     }
 }
 
-impl From<FilterSpec> for StageKind {
-    fn from(s: FilterSpec) -> StageKind {
-        StageKind::Filter { rate: s.rate, accept_ratio: s.accept_ratio, checkpoint: s.checkpoint }
-    }
-}
-
-/// Spec for a [`StageKind::Batcher`]: buffers arriving blocks and emits one
-/// merged block when `batch` blocks have gathered, or `linger` after the
-/// first buffered block — whichever comes first.
+/// A [`StageKind::Batcher`], an accumulation point: buffers arriving blocks
+/// and emits one merged block of their combined volume once `batch` blocks
+/// have gathered, or `linger` after the first buffered block — whichever
+/// comes first. Models aggregation ahead of an expensive hop
+/// (tar-before-tape, small crawl deliveries coalesced before a WAN
+/// transfer). The merge itself is instantaneous: a batcher holds storage,
+/// not compute.
 #[derive(Debug, Clone)]
 pub struct BatcherSpec {
-    batch: u64,
-    linger: SimDuration,
+    pub batch: u64,
+    pub linger: SimDuration,
 }
 
 impl BatcherSpec {
@@ -224,20 +217,19 @@ impl BatcherSpec {
     }
 }
 
-impl From<BatcherSpec> for StageKind {
-    fn from(s: BatcherSpec) -> StageKind {
-        StageKind::Batcher { batch: s.batch, linger: s.linger }
-    }
-}
-
-/// Spec for a [`StageKind::Dedup`]: inspects at `rate` and forwards
-/// `unique_ratio` of each block's volume once the index has warmed up (see
-/// [`DedupSpec::window`]; blocks inspected before then pass in full).
+/// A [`StageKind::Dedup`], duplicate elimination: inspects each block
+/// serially at `rate` (like a filter) and forwards `unique_ratio` of its
+/// volume once the index has warmed up (see [`DedupSpec::window`]; blocks
+/// inspected before then pass in full). Models crawl ingest, where
+/// re-fetched pages collapse against the page store only once the store is
+/// warm.
 #[derive(Debug, Clone)]
 pub struct DedupSpec {
-    rate: DataRate,
-    unique_ratio: f64,
-    window: u64,
+    pub rate: DataRate,
+    pub unique_ratio: f64,
+    /// The first `window` inspected blocks pass in full, since an empty
+    /// dedup index has nothing to match against.
+    pub window: u64,
 }
 
 impl DedupSpec {
@@ -251,12 +243,6 @@ impl DedupSpec {
     pub fn window(mut self, window: u64) -> Self {
         self.window = window;
         self
-    }
-}
-
-impl From<DedupSpec> for StageKind {
-    fn from(s: DedupSpec) -> StageKind {
-        StageKind::Dedup { rate: s.rate, unique_ratio: s.unique_ratio, window: s.window }
     }
 }
 
@@ -274,48 +260,39 @@ impl FlowSpec {
         Self::default()
     }
 
-    fn stage(
-        mut self,
-        name: impl Into<String>,
-        kind: impl Into<StageKind>,
-        upstream: &[&str],
-    ) -> Self {
-        self.stages.push((
-            name.into(),
-            kind.into(),
-            upstream.iter().map(|s| s.to_string()).collect(),
-        ));
+    fn stage(mut self, name: impl Into<String>, kind: StageKind, upstream: &[&str]) -> Self {
+        self.stages.push((name.into(), kind, upstream.iter().map(|s| s.to_string()).collect()));
         self
     }
 
     /// Declare a source stage (sources have no upstreams).
     pub fn source(self, name: impl Into<String>, spec: SourceSpec) -> Self {
-        self.stage(name, spec, &[])
+        self.stage(name, StageKind::Source(spec), &[])
     }
 
     /// Declare a processing stage fed by the named upstream stages.
     pub fn process(self, name: impl Into<String>, spec: ProcessSpec, upstream: &[&str]) -> Self {
-        self.stage(name, spec, upstream)
+        self.stage(name, StageKind::Process(spec), upstream)
     }
 
     /// Declare a transfer stage fed by the named upstream stages.
     pub fn transfer(self, name: impl Into<String>, spec: TransferSpec, upstream: &[&str]) -> Self {
-        self.stage(name, spec, upstream)
+        self.stage(name, StageKind::Transfer(spec), upstream)
     }
 
     /// Declare a filter stage fed by the named upstream stages.
     pub fn filter(self, name: impl Into<String>, spec: FilterSpec, upstream: &[&str]) -> Self {
-        self.stage(name, spec, upstream)
+        self.stage(name, StageKind::Filter(spec), upstream)
     }
 
     /// Declare a batcher stage fed by the named upstream stages.
     pub fn batcher(self, name: impl Into<String>, spec: BatcherSpec, upstream: &[&str]) -> Self {
-        self.stage(name, spec, upstream)
+        self.stage(name, StageKind::Batcher(spec), upstream)
     }
 
     /// Declare a dedup stage fed by the named upstream stages.
     pub fn dedup(self, name: impl Into<String>, spec: DedupSpec, upstream: &[&str]) -> Self {
-        self.stage(name, spec, upstream)
+        self.stage(name, StageKind::Dedup(spec), upstream)
     }
 
     /// Declare an archive stage fed by the named upstream stages.
@@ -499,9 +476,9 @@ mod tests {
             .build()
             .unwrap();
         let bundle = g.find("bundle").unwrap();
-        assert!(matches!(g.stage(bundle).kind, StageKind::Batcher { batch: 4, .. }));
+        assert!(matches!(g.stage(bundle).kind, StageKind::Batcher(BatcherSpec { batch: 4, .. })));
         let collapse = g.find("collapse").unwrap();
-        assert!(matches!(g.stage(collapse).kind, StageKind::Dedup { window: 2, .. }));
+        assert!(matches!(g.stage(collapse).kind, StageKind::Dedup(DedupSpec { window: 2, .. })));
     }
 
     #[test]

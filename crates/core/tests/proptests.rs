@@ -10,6 +10,7 @@ use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind};
 use sciflow_core::md5::{md5, md5_strings, Md5};
 use sciflow_core::provenance::{ProvenanceRecord, ProvenanceStep};
 use sciflow_core::sim::{CpuPool, FlowSim};
+use sciflow_core::spec::{ProcessSpec, SourceSpec};
 use sciflow_core::trace::{FaultKind, FaultScope, TraceEvent, TraceMeta, TraceSnapshot};
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
 use sciflow_core::version::{CalDate, VersionId};
@@ -133,18 +134,17 @@ fn random_linear_flows_conserve_volume() {
         let mut graph = FlowGraph::new();
         let src = graph.add_stage(
             "src",
-            StageKind::Source {
+            StageKind::Source(SourceSpec {
                 block: DataVolume::gb(block_gb),
                 interval: SimDuration::from_hours(1),
                 blocks,
-                start: SimTime::ZERO,
-            },
+            }),
         );
         let mut prev = src;
         for i in 0..stages {
             let p = graph.add_stage(
                 format!("p{i}"),
-                StageKind::Process {
+                StageKind::Process(ProcessSpec {
                     rate_per_cpu: DataRate::mb_per_sec(50.0),
                     cpus_per_task: 1,
                     chunk: None,
@@ -153,7 +153,7 @@ fn random_linear_flows_conserve_volume() {
                     workspace_ratio: 0.0,
                     retain_input: false,
                     checkpoint: CheckpointPolicy::None,
-                },
+                }),
             );
             graph.connect(prev, p).expect("stages exist");
             prev = p;

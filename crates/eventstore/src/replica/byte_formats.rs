@@ -10,6 +10,7 @@ use std::path::{Path, PathBuf};
 
 use sciflow_core::graph::{FlowGraph, StageKind};
 use sciflow_core::sim::FlowSim;
+use sciflow_core::spec::{SourceSpec, TransferSpec};
 use sciflow_core::units::DataRate;
 use sciflow_core::{DataVolume, SnapshotPolicy};
 use sciflow_metastore::persist;
@@ -626,20 +627,19 @@ fn tiny_sim() -> FlowSim {
     let mut g = FlowGraph::new();
     let src = g.add_stage(
         "acquire",
-        StageKind::Source {
+        StageKind::Source(SourceSpec {
             block: DataVolume::gb(2),
             interval: SimDuration::from_hours(1),
             blocks: 4,
-            start: SimTime::ZERO,
-        },
+        }),
     );
     let link = g.add_stage(
         "link",
-        StageKind::Transfer {
+        StageKind::Transfer(TransferSpec {
             rate: DataRate::mb_per_sec(50.0),
             latency: SimDuration::from_secs(1),
             channels: 1,
-        },
+        }),
     );
     let sink = g.add_stage("archive", StageKind::Archive);
     g.connect(src, link).unwrap();

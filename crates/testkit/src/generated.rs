@@ -92,7 +92,7 @@ impl GeneratedScenario {
             .filter(|st| {
                 matches!(
                     st.kind,
-                    StageKind::Transfer { .. } | StageKind::Filter { .. } | StageKind::Dedup { .. }
+                    StageKind::Transfer(_) | StageKind::Filter(_) | StageKind::Dedup(_)
                 )
             })
             .flat_map(|st| {

@@ -7,6 +7,7 @@
 
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
 use sciflow_core::metrics::{SimReport, StageMetrics};
+use sciflow_core::spec::{DedupSpec, FilterSpec, ProcessSpec};
 use sciflow_core::trace::{TraceEvent, TraceSnapshot};
 use sciflow_core::units::{DataVolume, SimDuration};
 
@@ -192,7 +193,7 @@ pub fn assert_generated_conservation(graph: &FlowGraph, report: &SimReport) {
         let m = report
             .stage(&stage.name)
             .unwrap_or_else(|| panic!("graph stage `{}` missing from report", stage.name));
-        if edge_sums_apply && !matches!(stage.kind, StageKind::Source { .. }) {
+        if edge_sums_apply && !matches!(stage.kind, StageKind::Source(_)) {
             let fed: DataVolume = graph
                 .upstream(id)
                 .iter()
@@ -223,20 +224,20 @@ pub fn assert_generated_conservation(graph: &FlowGraph, report: &SimReport) {
         let tol = m.blocks_in + m.blocks_out + 1;
         let out = m.volume_out.bytes();
         match stage.kind {
-            StageKind::Transfer { .. } | StageKind::Batcher { .. } => {
+            StageKind::Transfer(_) | StageKind::Batcher(_) => {
                 assert_eq!(
                     out, settled,
                     "stage `{}`: emitted {} of the {} settled bytes (must conserve exactly)",
                     stage.name, m.volume_out, settled
                 );
             }
-            StageKind::Process { output_ratio, .. } => {
+            StageKind::Process(ProcessSpec { output_ratio, .. }) => {
                 assert_ratio_law(&stage.name, out, settled, output_ratio, tol);
             }
-            StageKind::Filter { accept_ratio, .. } => {
+            StageKind::Filter(FilterSpec { accept_ratio, .. }) => {
                 assert_ratio_law(&stage.name, out, settled, accept_ratio, tol);
             }
-            StageKind::Dedup { unique_ratio, .. } => {
+            StageKind::Dedup(DedupSpec { unique_ratio, .. }) => {
                 let floor = DataVolume::from_bytes(settled).scale(unique_ratio).bytes();
                 assert!(
                     out + tol >= floor && out <= settled + tol,
@@ -247,7 +248,7 @@ pub fn assert_generated_conservation(graph: &FlowGraph, report: &SimReport) {
                     settled
                 );
             }
-            StageKind::Source { .. } | StageKind::Archive => {}
+            StageKind::Source(_) | StageKind::Archive => {}
         }
     }
 }

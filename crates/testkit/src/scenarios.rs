@@ -5,8 +5,9 @@ use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
 use sciflow_core::metrics::SimReport;
 use sciflow_core::sim::{CpuPool, FlowSim};
+use sciflow_core::spec::{ProcessSpec, SourceSpec, TransferSpec};
 use sciflow_core::trace::{TraceRecorder, TraceSnapshot};
-use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
+use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 
 use crate::rng::derive_seed;
 
@@ -64,16 +65,19 @@ impl LossyFlowScenario {
         let mut g = FlowGraph::new();
         let s = g.add_stage(
             Self::SOURCE,
-            StageKind::Source {
+            StageKind::Source(SourceSpec {
                 block: self.block,
                 interval: self.interval,
                 blocks: self.blocks,
-                start: SimTime::ZERO,
-            },
+            }),
         );
         let t = g.add_stage(
             Self::LINK,
-            StageKind::Transfer { rate: self.rate, latency: self.latency, channels: 1 },
+            StageKind::Transfer(TransferSpec {
+                rate: self.rate,
+                latency: self.latency,
+                channels: 1,
+            }),
         );
         let a = g.add_stage(Self::ARCHIVE, StageKind::Archive);
         g.connect(s, t).expect("fresh graph");
@@ -155,16 +159,15 @@ impl CrashFlowScenario {
         let mut g = FlowGraph::new();
         let s = g.add_stage(
             Self::SOURCE,
-            StageKind::Source {
+            StageKind::Source(SourceSpec {
                 block: self.block,
                 interval: self.interval,
                 blocks: self.blocks,
-                start: SimTime::ZERO,
-            },
+            }),
         );
         let p = g.add_stage(
             Self::PROCESS,
-            StageKind::Process {
+            StageKind::Process(ProcessSpec {
                 rate_per_cpu: self.rate,
                 cpus_per_task: 1,
                 chunk: None,
@@ -173,7 +176,7 @@ impl CrashFlowScenario {
                 workspace_ratio: 0.0,
                 retain_input: false,
                 checkpoint: self.checkpoint,
-            },
+            }),
         );
         let a = g.add_stage(Self::ARCHIVE, StageKind::Archive);
         g.connect(s, p).expect("fresh graph");
@@ -248,24 +251,23 @@ impl CorruptFlowScenario {
         let mut g = FlowGraph::new();
         let s = g.add_stage(
             Self::SOURCE,
-            StageKind::Source {
+            StageKind::Source(SourceSpec {
                 block: self.block,
                 interval: self.interval,
                 blocks: self.blocks,
-                start: SimTime::ZERO,
-            },
+            }),
         );
         let t = g.add_stage(
             Self::LINK,
-            StageKind::Transfer {
+            StageKind::Transfer(TransferSpec {
                 rate: self.rate,
                 latency: SimDuration::from_secs(5),
                 channels: 1,
-            },
+            }),
         );
         let p = g.add_stage(
             Self::PROCESS,
-            StageKind::Process {
+            StageKind::Process(ProcessSpec {
                 rate_per_cpu: DataRate::mb_per_sec(50.0),
                 cpus_per_task: 1,
                 chunk: None,
@@ -274,7 +276,7 @@ impl CorruptFlowScenario {
                 workspace_ratio: 0.0,
                 retain_input: false,
                 checkpoint: CheckpointPolicy::None,
-            },
+            }),
         );
         let a = g.add_stage(Self::ARCHIVE, StageKind::Archive);
         g.connect(s, t).expect("fresh graph");

@@ -9,23 +9,23 @@
 
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
 use sciflow_core::sim::{CpuPool, FlowSim};
-use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
+use sciflow_core::spec::{ProcessSpec, SourceSpec};
+use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 
 fn main() {
     // --- 1. Describe the flow -------------------------------------------
     let mut g = FlowGraph::new();
     let acquire = g.add_stage(
         "acquire",
-        StageKind::Source {
+        StageKind::Source(SourceSpec {
             block: DataVolume::gb(36), // a 3-hour observing session
             interval: SimDuration::from_hours(12),
             blocks: 6,
-            start: SimTime::ZERO,
-        },
+        }),
     );
     let process = g.add_stage(
         "process",
-        StageKind::Process {
+        StageKind::Process(ProcessSpec {
             rate_per_cpu: DataRate::mb_per_sec(25.0),
             cpus_per_task: 1,
             chunk: Some(DataVolume::gb(4)),
@@ -34,7 +34,7 @@ fn main() {
             workspace_ratio: 0.1,
             retain_input: true,
             checkpoint: CheckpointPolicy::None,
-        },
+        }),
     );
     let archive = g.add_stage("archive", StageKind::Archive);
     g.connect(acquire, process).expect("stages exist");

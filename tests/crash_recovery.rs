@@ -155,6 +155,7 @@ mod channel_crash_pin {
     use sciflow_core::fnv::fnv1a;
     use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind};
     use sciflow_core::sim::FlowSim;
+    use sciflow_core::spec::{DedupSpec, FilterSpec, SourceSpec};
     use sciflow_core::trace::{self, FaultScope, TraceEvent, TraceRecorder};
     use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
 
@@ -169,27 +170,30 @@ mod channel_crash_pin {
         let mut g = FlowGraph::new();
         let s = g.add_stage(
             "detector",
-            StageKind::Source {
+            StageKind::Source(SourceSpec {
                 block: DataVolume::gb(10),
                 interval: SimDuration::from_secs(100),
                 blocks: 6,
-                start: SimTime::ZERO,
-            },
+            }),
         );
         let f = g.add_stage(
             TRIGGER,
-            StageKind::Filter {
+            StageKind::Filter(FilterSpec {
                 rate: DataRate::mb_per_sec(200.0),
                 accept_ratio: 0.5,
                 checkpoint: CheckpointPolicy::Interval {
                     every: SimDuration::from_secs(10),
                     cost: SimDuration::from_secs(1),
                 },
-            },
+            }),
         );
         let d = g.add_stage(
             DEDUP,
-            StageKind::Dedup { rate: DataRate::mb_per_sec(100.0), unique_ratio: 0.4, window: 3 },
+            StageKind::Dedup(DedupSpec {
+                rate: DataRate::mb_per_sec(100.0),
+                unique_ratio: 0.4,
+                window: 3,
+            }),
         );
         let a = g.add_stage("tape", StageKind::Archive);
         g.connect(s, f).unwrap();
