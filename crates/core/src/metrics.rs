@@ -36,9 +36,10 @@ word! {
 }
 
 /// Declares [`StageMetrics`] and, from the same field list, the two
-/// directions of its snapshot words and their count — so a counter added
-/// to the struct is a counter that survives a resume. `name` is resolved
-/// at report time and is not run state.
+/// directions of its snapshot words, their count and their names — so a
+/// counter added to the struct is a counter that survives a resume and
+/// appears in the JSON report. `name` is resolved at report time and is not
+/// run state.
 macro_rules! stage_metrics {
     (
         $(#[$meta:meta])*
@@ -54,8 +55,10 @@ macro_rules! stage_metrics {
         }
 
         impl StageMetrics {
-            /// The counters, in declaration order.
-            const COUNTERS: usize = [$(stringify!($field)),*].len();
+            /// The counters' field names, in declaration order: the keys
+            /// of a stage row in [`SimReport::to_json`].
+            const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
+            const COUNTERS: usize = Self::FIELDS.len();
 
             fn words(&self) -> [u64; Self::COUNTERS] {
                 [$(self.$field.word()),*]
@@ -469,43 +472,12 @@ impl SimReport {
         writeln!(w, "  \"stages\": [").unwrap();
         for (i, s) in self.stages.iter().enumerate() {
             let comma = if i + 1 < self.stages.len() { "," } else { "" };
-            writeln!(
-                w,
-                "    {{\"name\": \"{}\", \"blocks_in\": {}, \"volume_in\": {}, \"blocks_out\": {}, \
-                 \"volume_out\": {}, \"busy\": {}, \"max_queue_blocks\": {}, \"max_queue_volume\": {}, \
-                 \"final_queue_volume\": {}, \"completed_at\": {}, \"retries\": {}, \"faults\": {}, \
-                 \"blocks_failed\": {}, \"volume_retransmitted\": {}, \"volume_lost\": {}, \
-                 \"crashes\": {}, \"work_lost\": {}, \"work_replayed\": {}, \
-                 \"checkpoint_overhead\": {}, \"corrupt_injected\": {}, \"corrupt_detected\": {}, \
-                 \"corrupt_escaped\": {}, \"quarantined\": {}, \"reprocessed_blocks\": {}, \
-                 \"verify_overhead\": {}}}{comma}",
-                esc(&s.name),
-                s.blocks_in,
-                s.volume_in.bytes(),
-                s.blocks_out,
-                s.volume_out.bytes(),
-                s.busy.as_micros(),
-                s.max_queue_blocks,
-                s.max_queue_volume.bytes(),
-                s.final_queue_volume.bytes(),
-                s.completed_at.as_micros(),
-                s.retries,
-                s.faults,
-                s.blocks_failed,
-                s.volume_retransmitted.bytes(),
-                s.volume_lost.bytes(),
-                s.crashes,
-                s.work_lost.as_micros(),
-                s.work_replayed.as_micros(),
-                s.checkpoint_overhead.as_micros(),
-                s.corrupt_injected,
-                s.corrupt_detected,
-                s.corrupt_escaped,
-                s.quarantined,
-                s.reprocessed_blocks,
-                s.verify_overhead.as_micros(),
-            )
-            .unwrap();
+            // Every counter renders as its snapshot word, under its field name.
+            write!(w, "    {{\"name\": \"{}\"", esc(&s.name)).unwrap();
+            for (field, word) in StageMetrics::FIELDS.iter().zip(s.words()) {
+                write!(w, ", \"{field}\": {word}").unwrap();
+            }
+            writeln!(w, "}}{comma}").unwrap();
         }
         writeln!(w, "  ],").unwrap();
         writeln!(w, "  \"pools\": [").unwrap();
