@@ -29,7 +29,6 @@ use std::path::{Path, PathBuf};
 
 use crate::error::{CoreError, CoreResult};
 use crate::frame::{self, Damage, Reader, Reason, Walk, Wire};
-use crate::units::SimDuration;
 
 /// When the simulator commits a snapshot frame to its run journal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -39,8 +38,6 @@ pub enum SnapshotPolicy {
     None,
     /// Snapshot every `n` handled events.
     EveryEvents(u64),
-    /// Snapshot every `d` of simulated time.
-    EverySimTime(SimDuration),
 }
 
 /// First eight bytes of every journal and snapshot file.
@@ -239,7 +236,7 @@ mod tests {
     use crate::behavior::{Completion, FlowEvent};
     use crate::graph::StageId;
     use crate::resource::ResourceId;
-    use crate::units::DataVolume;
+    use crate::units::{DataVolume, SimDuration};
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
