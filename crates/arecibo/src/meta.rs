@@ -212,7 +212,7 @@ mod tests {
         let rows = candidates_for_pointing(&db, 17, 7.0).unwrap();
         assert_eq!(rows.len(), 2);
         // Sorted by SNR descending.
-        assert!(rows[0][6].as_real().unwrap() >= rows[1][6].as_real().unwrap());
+        assert!(rows[0][6].total_cmp(&rows[1][6]).is_ge());
 
         classify_candidate(&mut db, 1, "interference").unwrap();
         let table = db.table("candidates").unwrap();

@@ -284,7 +284,7 @@ mod tests {
         let source_end = report.source_end.unwrap();
         let post_done = report.stage("post-reconstruction").unwrap().completed_at;
         let lag = post_done.checked_sub(source_end).unwrap_or_default();
-        assert!(lag.as_hours_f64() < 24.0, "processing lag {lag}");
+        assert!(lag < SimDuration::from_hours(24), "processing lag {lag}");
         let drain = report.drain_duration().unwrap();
         assert!(drain.as_days_f64() < 6.0, "drain {drain}");
     }

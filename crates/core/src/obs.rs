@@ -149,14 +149,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Raise a gauge to `v` if `v` is larger (high-water marks).
-    pub fn gauge_max(&mut self, name: &str, v: u64) {
-        match self.metric_mut(name, || Metric::Gauge(0)) {
-            Metric::Gauge(g) => *g = (*g).max(v),
-            other => panic!("metric {name:?} is not a gauge: {other:?}"),
-        }
-    }
-
     pub fn observe(&mut self, name: &str, v: u64) {
         match self.metric_mut(name, || Metric::Hist(Histogram::new())) {
             Metric::Hist(h) => h.observe(v),
@@ -418,10 +410,6 @@ impl MetricsHub {
         self.inner.borrow_mut().gauge_set(name, v);
     }
 
-    pub fn gauge_max(&self, name: &str, v: u64) {
-        self.inner.borrow_mut().gauge_max(name, v);
-    }
-
     pub fn observe(&self, name: &str, v: u64) {
         self.inner.borrow_mut().observe(name, v);
     }
@@ -488,10 +476,6 @@ impl SloRule {
 
     pub fn escaped_taint(name: &str, max: u64) -> Self {
         SloRule { name: name.to_string(), kind: SloKind::EscapedTaint { max } }
-    }
-
-    pub fn snapshot_gap(name: &str, max_gap: SimDuration) -> Self {
-        SloRule { name: name.to_string(), kind: SloKind::SnapshotGap { max_gap } }
     }
 
     pub fn replication_lag(name: &str, max_weight: u64) -> Self {
@@ -612,13 +596,10 @@ mod tests {
         hub.counter_add("events_total", 3);
         hub.counter_add("events_total", 2);
         hub.gauge_set("backlog", 7);
-        hub.gauge_max("backlog_peak", 4);
-        hub.gauge_max("backlog_peak", 2);
         hub.observe("frame_bytes", 9);
         hub.observe("frame_bytes", 1500);
         assert_eq!(hub.value("events_total"), Some(5));
         assert_eq!(hub.value("backlog"), Some(7));
-        assert_eq!(hub.value("backlog_peak"), Some(4));
         assert_eq!(hub.value("frame_bytes"), Some(2));
         assert_eq!(hub.histogram_sum("frame_bytes"), Some(1509));
         assert_eq!(hub.value("missing"), None);
@@ -731,9 +712,5 @@ mod tests {
             SloKind::ReplicationLag { max_weight: 10 }
         ));
         assert!(matches!(SloRule::escaped_taint("esc", 0).kind, SloKind::EscapedTaint { max: 0 }));
-        assert!(matches!(
-            SloRule::snapshot_gap("gap", SimDuration::from_hours(1)).kind,
-            SloKind::SnapshotGap { .. }
-        ));
     }
 }

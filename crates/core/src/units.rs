@@ -189,10 +189,6 @@ impl DataRate {
         Self::from_bytes_per_sec(mb * 1_000_000.0)
     }
 
-    pub fn gb_per_day(gb: f64) -> Self {
-        Self::from_bytes_per_sec(gb * 1_000_000_000.0 / 86_400.0)
-    }
-
     pub fn tb_per_day(tb: f64) -> Self {
         Self::from_bytes_per_sec(tb * 1_000_000_000_000.0 / 86_400.0)
     }
@@ -319,10 +315,6 @@ impl SimDuration {
         self.0 as f64 / 1e6
     }
 
-    pub fn as_hours_f64(self) -> f64 {
-        self.as_secs_f64() / 3_600.0
-    }
-
     pub fn as_days_f64(self) -> f64 {
         self.as_secs_f64() / 86_400.0
     }
@@ -428,7 +420,7 @@ mod tests {
     #[test]
     fn volume_over_rate_roundtrips() {
         let v = DataVolume::gb(250);
-        let r = DataRate::gb_per_day(250.0);
+        let r = DataRate::tb_per_day(0.25);
         let t = v.time_at(r).unwrap();
         assert!((t.as_days_f64() - 1.0).abs() < 1e-9);
         assert!(v.time_at(DataRate::ZERO).is_none());

@@ -410,7 +410,9 @@ mod tests {
         p2.declare_snapshot("g2", d("20050601"), vec![entry(2, "v2")]).unwrap();
         merge_into(&mut collab, &p1).unwrap();
         merge_into(&mut collab, &p2).unwrap();
-        assert_eq!(collab.grade_names().unwrap(), vec!["g1", "g2"]);
+        for grade in ["g1", "g2"] {
+            assert_eq!(collab.grade_history(grade).unwrap().snapshots().len(), 1, "{grade}");
+        }
         // And the collaboration store can still declare its own snapshots.
         collab.declare_snapshot("g1", d("20050701"), vec![entry(1, "v3")]).unwrap();
     }

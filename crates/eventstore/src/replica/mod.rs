@@ -215,11 +215,6 @@ impl VersionVector {
         self.0.values().sum()
     }
 
-    /// Componentwise ≥ with at least one strict >.
-    pub fn dominates(&self, other: &VersionVector) -> bool {
-        self != other && other.0.iter().all(|(s, c)| self.get(*s) >= *c)
-    }
-
     pub fn components(&self) -> impl Iterator<Item = (StoreId, u64)> + '_ {
         self.0.iter().map(|(s, c)| (*s, *c))
     }
@@ -409,13 +404,6 @@ pub fn cmp_units(a: &FileUnit, b: &FileUnit) -> Ordering {
             encode_unit_core(&mut bytes_b, b);
             bytes_b.cmp(&bytes_a)
         })
-}
-
-/// Merge two quarantine registers: newest epoch wins; at equal epochs a set
-/// flag beats a lifted one (safety first), and the lexicographically
-/// greater reason breaks exact ties.
-pub fn merge_qstate(a: Option<QState>, b: Option<QState>) -> Option<QState> {
-    a.max(b)
 }
 
 /// What applying a unit did to the local store.
@@ -755,7 +743,7 @@ impl Replica {
             let id = unit.record.id;
             let resident = self.unit(id)?;
             let revision = resident.as_ref().map(|r| cmp_units(&unit, r));
-            // `merge_qstate` is `max` under this same order.
+            // Registers merge by `max` under this same order.
             let register = match resident {
                 Some(r) => unit.quarantine.cmp(&r.quarantine),
                 None => unit.quarantine.cmp(&self.qstate(id)),
@@ -890,7 +878,7 @@ impl Replica {
     /// base store's quarantine table (so `merge_into`, `is_quarantined` and
     /// the rest of the non-replicated API see the same truth).
     fn apply_qstate(&mut self, id: u64, incoming: &QState) -> ReplicaResult<bool> {
-        // `merge_qstate` is `max`: unless `incoming` is greater, the
+        // Registers merge by `max`: unless `incoming` is greater, the
         // resident register is the winner and nothing moves.
         if self.qstate(id).as_ref() >= Some(incoming) {
             return Ok(false);

@@ -289,7 +289,7 @@ mod tests {
         assert_eq!(r.path, AccessPath::IndexEq);
         for row in &r.rows {
             assert_eq!(row[2], Value::Int(0));
-            assert!(row[1].as_real().unwrap() >= 50.0);
+            assert!(row[1].total_cmp(&Value::Real(50.0)).is_ge());
         }
     }
 

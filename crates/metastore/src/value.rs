@@ -68,14 +68,6 @@ impl Value {
         }
     }
 
-    pub fn as_real(&self) -> Option<f64> {
-        match self {
-            Value::Real(v) => Some(*v),
-            Value::Int(v) => Some(*v as f64),
-            _ => None,
-        }
-    }
-
     pub fn as_text(&self) -> Option<&str> {
         match self {
             Value::Text(s) => Some(s),
@@ -316,7 +308,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::Int(3).as_int(), Some(3));
-        assert_eq!(Value::Int(3).as_real(), Some(3.0));
         assert_eq!(Value::Text("x".into()).as_text(), Some("x"));
         assert_eq!(Value::Date(20050101).as_date(), Some(20050101));
         assert!(Value::Null.is_null());

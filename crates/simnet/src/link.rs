@@ -63,7 +63,7 @@ mod tests {
         );
         // 100 Mb/s = 12.5 MB/s ≈ 1.08 TB/day raw.
         assert!(link.daily_capacity() > DataVolume::gb(1000));
-        let u = DataRate::gb_per_day(250.0).bytes_per_sec() / link.sustained_rate().bytes_per_sec();
+        let u = DataRate::tb_per_day(0.25).bytes_per_sec() / link.sustained_rate().bytes_per_sec();
         assert!(u > 0.2 && u < 0.3, "250 GB/day should use ~23% of the link, got {u}");
     }
 
