@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Item-level reference check: every public fn, type or const declared in
-# `crates/*/src` must be reached by something other than tests.
+# `crates/*/src` must be reached by something other than tests, and every
+# variant of a `pub enum` there must be constructed by something other than
+# tests.
 #
 # An item is flagged when
 #   * no other .rs file in the repository names it outside `#[cfg(test)]`
@@ -11,8 +13,18 @@
 # so a common name used anywhere (`new`, `len`) is never flagged: the
 # check can miss dead items, but what it flags is dead.
 #
+# A variant `E::V` of a `pub enum E` in `crates/*/src` (crates/testkit,
+# test support, is exempt) is flagged when no line outside `#[cfg(test)]`
+# code constructs it: names it as `E::V`, or as `Self::V` inside an
+# `impl … E`, other than as a pattern. A pattern is a path left of `=>`,
+# one inside `matches!(`, one between `let` and its `=` (`if let`,
+# `let … else`) or on a line that continues an or-pattern (`| E::V`). A
+# `#[default]` variant counts as constructed; a `wire_enum!` row (`1 => V`)
+# declares a variant and does not.
+#
 # A flagged item fails the check unless `ci/reference_allowlist.txt` lists
-# it as `<file> <name> <why it stays>`; an allowlist line that no longer
+# it as `<file> <name> <why it stays>`, a variant's name written `E::V`;
+# an allowlist line that no longer
 # matches a flagged item fails it too, so the list only shrinks.
 #
 # Usage: ci/reference_check.sh   (from anywhere; needs bash, find, awk, sort)
@@ -51,7 +63,7 @@ FNR == 1 {
     if (file ~ /^crates\/[^\/]+\//) { split(file, p, "/"); crate = p[2] }
     is_lib = (file ~ /^crates\/[^\/]+\/src\/lib\.rs$/)
     is_src = (file ~ /^crates\/[^\/]+\/src\//)
-    pending = 0; region_end = ""; in_reexport = 0
+    pending = 0; region_end = ""; in_reexport = 0; enum_close = ""; self_type = ""
 }
 {
     line = $0
@@ -84,8 +96,44 @@ FNR == 1 {
         declline[file, FNR] = name
     }
 
+    # Variants: the lines one level inside the braces of a `pub enum` that
+    # start with a name, after the `tag =>` of a `wire_enum!` row.
+    if (enum_close != "" && line == enum_close) {
+        enum_close = ""
+    } else if (enum_close != "" && indent_of(line) == variant_indent) {
+        row = stripped; sub(/^[0-9]+ => /, "", row)
+        if (row ~ /^#\[default\]/) {
+            is_default = 1
+        } else if (match(row, /^[A-Z][A-Za-z0-9_]*/)) {
+            v = enum_name "::" substr(row, 1, RLENGTH)
+            variant[v] = file SUBSEP FNR
+            if (is_default) built[v] = 1
+            is_default = 0
+        }
+    } else if (is_src && crate != "testkit" && !test && !whole_test && match(stripped, /^pub enum [A-Za-z_][A-Za-z0-9_]*/)) {
+        enum_name = substr(stripped, 10, RLENGTH - 9); is_default = 0
+        enum_close = sprintf("%" indent_of(line) "s}", ""); variant_indent = indent_of(line) + 4
+    }
+    if (match(stripped, /^impl(<[^>]*>)? /)) {
+        self_type = stripped; sub(/ (where .*|\{)$/, "", self_type); sub(/.* for /, "", self_type)
+        sub(/^impl(<[^>]*>)? /, "", self_type); sub(/[^A-Za-z0-9_].*/, "", self_type)
+    }
+
     # Uses: every identifier token on the line, outside test code.
     if (test || whole_test) next
+
+    # Constructions: each `E::V` path on the line that is not a pattern.
+    rest = line; before = ""
+    while (match(rest, /[A-Z][A-Za-z0-9_]*::[A-Z][A-Za-z0-9_]*/)) {
+        path = substr(rest, RSTART, RLENGTH)
+        before = before substr(rest, 1, RSTART - 1); rest = substr(rest, RSTART + RLENGTH)
+        if (path ~ /^Self::/) sub(/^Self/, self_type, path)
+        pattern = !index(before, "=>") && (index(rest, "=>") || stripped ~ /^\| /)
+        pattern = pattern || index(before, "matches!(")
+        if (match(before, /(^|[^A-Za-z0-9_])let /)) pattern = pattern || substr(before, RSTART) !~ / = /
+        if (!pattern) built[path] = 1
+        before = before path
+    }
     toks = line; gsub(/[^A-Za-z0-9_]+/, " ", toks)
     nt = split(toks, t, " ")
     for (i = 1; i <= nt; i++) {
@@ -101,6 +149,7 @@ END {
         other = nfiles[name] - ((name, file) in seen) - ((name, "reexport:" crate) in seen)
         if (other == 0 && owncount[name, file] == 0) print file, name, ln
     }
+    for (v in variant) if (!(v in built)) { split(variant[v], f, SUBSEP); print f[1], v, f[2] }
 }' $files | sort)
 
 status=0
@@ -115,7 +164,11 @@ while read -r file name ln; do
     [[ -z "$file" ]] && continue
     hit["$file $name"]=1
     if [[ -z "${allowed["$file $name"]:-}" ]]; then
-        echo "$file:$ln: pub item \`$name\` is reached by nothing but tests"
+        if [[ "$name" == *::* ]]; then
+            echo "$file:$ln: variant \`$name\` is constructed by nothing but tests"
+        else
+            echo "$file:$ln: pub item \`$name\` is reached by nothing but tests"
+        fi
         status=1
     fi
 done <<< "$flagged"

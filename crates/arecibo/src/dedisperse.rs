@@ -66,8 +66,7 @@ mod tests {
     use super::*;
     use crate::spectra::{ObsConfig, PulsarParams};
     use crate::units::dm_trials;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     #[test]
     fn output_volume_matches_paper_identity() {
@@ -82,7 +81,7 @@ mod tests {
 
     #[test]
     fn transient_snr_peaks_at_true_dm() {
-        let mut rng = StdRng::seed_from_u64(42);
+        let mut rng = Rng::seed_from_u64(42);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         let true_dm = Dm(120.0);
@@ -125,7 +124,7 @@ mod tests {
 
     #[test]
     fn periodic_signal_survives_dedispersion() {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         let p = PulsarParams {

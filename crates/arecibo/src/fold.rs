@@ -62,11 +62,10 @@ mod tests {
     use crate::dedisperse::dedisperse;
     use crate::spectra::{DynamicSpectrum, ObsConfig, PulsarParams};
     use crate::units::Dm;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     fn pulsar_series(period: f64) -> (Vec<f32>, f64) {
-        let mut rng = StdRng::seed_from_u64(21);
+        let mut rng = Rng::seed_from_u64(21);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         let p = PulsarParams {

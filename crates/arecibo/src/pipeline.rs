@@ -214,8 +214,7 @@ mod tests {
     use super::*;
     use crate::spectra::{ObsConfig, PulsarParams};
     use crate::units::Dm;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
     use sciflow_core::version::CalDate;
 
     fn version() -> VersionId {
@@ -226,7 +225,7 @@ mod tests {
     /// beam; narrowband RFI in one channel of beam 0.
     fn pointing_data(seed: u64) -> Vec<DynamicSpectrum> {
         let cfg = ObsConfig::test_scale();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut beams: Vec<DynamicSpectrum> =
             (0..7).map(|_| DynamicSpectrum::noise(cfg, &mut rng)).collect();
         beams[2].inject_pulsar(&PulsarParams {

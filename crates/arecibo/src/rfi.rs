@@ -124,12 +124,11 @@ mod tests {
     use crate::dedisperse::{dedisperse, series_peak_snr};
     use crate::spectra::{ObsConfig, PulsarParams};
     use crate::units::Dm;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     #[test]
     fn narrowband_rfi_is_masked() {
-        let mut rng = StdRng::seed_from_u64(31);
+        let mut rng = Rng::seed_from_u64(31);
         let mut spec = DynamicSpectrum::noise(ObsConfig::test_scale(), &mut rng);
         spec.inject_narrowband_rfi(7, 3.0);
         spec.inject_narrowband_rfi(40, 5.0);
@@ -140,7 +139,7 @@ mod tests {
 
     #[test]
     fn excision_removes_false_periodicity() {
-        let mut rng = StdRng::seed_from_u64(32);
+        let mut rng = Rng::seed_from_u64(32);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         spec.inject_narrowband_rfi(12, 6.0);
@@ -152,7 +151,7 @@ mod tests {
     #[test]
     fn zero_dm_filter_kills_impulses_keeps_dispersed_pulses() {
         let cfg = ObsConfig::test_scale();
-        let mut rng = StdRng::seed_from_u64(33);
+        let mut rng = Rng::seed_from_u64(33);
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         let dm = Dm(150.0);
         spec.inject_transient(dm, 2.0, 0.004, 6.0);
@@ -226,7 +225,7 @@ mod tests {
     fn pulsar_survives_channel_masking() {
         // A dispersed pulsar spreads over all channels; masking must not
         // flag clean channels.
-        let mut rng = StdRng::seed_from_u64(34);
+        let mut rng = Rng::seed_from_u64(34);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         spec.inject_pulsar(&PulsarParams {

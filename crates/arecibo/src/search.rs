@@ -133,11 +133,10 @@ mod tests {
     use super::*;
     use crate::dedisperse::dedisperse;
     use crate::spectra::{DynamicSpectrum, ObsConfig, PulsarParams};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     fn pulsar_series(period: f64, amplitude: f32, seed: u64) -> (Vec<f32>, f64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         let p = PulsarParams {
@@ -171,7 +170,7 @@ mod tests {
     fn narrow_pulses_need_harmonic_summing() {
         // A very narrow pulse spreads power over many harmonics.
         let period = 0.256;
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         spec.inject_pulsar(&PulsarParams {
@@ -212,7 +211,7 @@ mod tests {
 
     #[test]
     fn pure_noise_has_few_false_positives() {
-        let mut rng = StdRng::seed_from_u64(99);
+        let mut rng = Rng::seed_from_u64(99);
         let cfg = ObsConfig::test_scale();
         let spec = DynamicSpectrum::noise(cfg, &mut rng);
         let series = dedisperse(&spec, Dm(0.0));

@@ -103,12 +103,11 @@ mod tests {
     use super::*;
     use crate::dedisperse::dedisperse;
     use crate::spectra::{DynamicSpectrum, ObsConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     #[test]
     fn finds_injected_transient_at_right_time() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         let dm = Dm(90.0);
@@ -126,7 +125,7 @@ mod tests {
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::zeros(cfg);
         // Make the off-pulse noisy enough for a MAD baseline.
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let mut noisy = DynamicSpectrum::noise(cfg, &mut rng);
         spec.inject_transient(Dm(0.0), 1.0, 0.030, 2.0); // wide, weak
         let series: Vec<f32> = dedisperse(&spec, Dm(0.0))
@@ -142,7 +141,7 @@ mod tests {
 
     #[test]
     fn pure_noise_is_mostly_quiet() {
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::seed_from_u64(6);
         let cfg = ObsConfig::test_scale();
         let spec = DynamicSpectrum::noise(cfg, &mut rng);
         let series = dedisperse(&spec, Dm(0.0));
@@ -152,7 +151,7 @@ mod tests {
 
     #[test]
     fn two_separated_pulses_both_found() {
-        let mut rng = StdRng::seed_from_u64(8);
+        let mut rng = Rng::seed_from_u64(8);
         let cfg = ObsConfig::test_scale();
         let mut spec = DynamicSpectrum::noise(cfg, &mut rng);
         spec.inject_transient(Dm(50.0), 1.0, 0.005, 6.0);

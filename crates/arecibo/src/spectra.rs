@@ -9,13 +9,12 @@
 //! what lets the pipeline's recovery be *tested*, which the real data never
 //! allowed.
 
-use rand::Rng;
+use sciflow_core::rng::Rng;
 
 use crate::units::Dm;
 
-/// Standard-normal deviate via the Box–Muller transform (keeps the crate on
-/// the plain `rand` dependency).
-pub(crate) fn gauss<R: Rng>(rng: &mut R) -> f32 {
+/// Standard-normal deviate via the Box–Muller transform.
+pub(crate) fn gauss(rng: &mut Rng) -> f32 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
@@ -80,7 +79,7 @@ pub struct DynamicSpectrum {
 
 impl DynamicSpectrum {
     /// Pure radiometer noise: unit-variance Gaussian per sample.
-    pub fn noise<R: Rng>(config: ObsConfig, rng: &mut R) -> Self {
+    pub fn noise(config: ObsConfig, rng: &mut Rng) -> Self {
         let data = (0..config.n_channels * config.n_samples).map(|_| gauss(rng)).collect();
         DynamicSpectrum { config, data }
     }
@@ -209,8 +208,6 @@ impl DynamicSpectrum {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn channel_frequencies_descend_within_band() {
@@ -223,7 +220,7 @@ mod tests {
 
     #[test]
     fn noise_statistics_are_unit_gaussian() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let spec = DynamicSpectrum::noise(ObsConfig::test_scale(), &mut rng);
         let means = spec.channel_means();
         let vars = spec.channel_variances();
@@ -261,7 +258,7 @@ mod tests {
 
     #[test]
     fn narrowband_rfi_raises_one_channel_mean() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let mut spec = DynamicSpectrum::noise(ObsConfig::test_scale(), &mut rng);
         spec.inject_narrowband_rfi(10, 5.0);
         let means = spec.channel_means();
@@ -282,7 +279,7 @@ mod tests {
 
     #[test]
     fn zap_channel_clears_it() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut spec = DynamicSpectrum::noise(ObsConfig::test_scale(), &mut rng);
         spec.zap_channel(5);
         assert!(spec.channel(5).iter().all(|&x| x == 0.0));

@@ -3,14 +3,13 @@
 //! the benchmark" (a) plans `arecibo-search`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sciflow_arecibo::dedisperse::{dedisperse, dedisperse_many};
 use sciflow_arecibo::spectra::{DynamicSpectrum, ObsConfig};
 use sciflow_arecibo::units::{dm_trials, Dm};
+use sciflow_core::rng::Rng;
 
 fn bench_dedisperse(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(1);
+    let mut rng = Rng::seed_from_u64(1);
     let cfg = ObsConfig::test_scale();
     let spec = DynamicSpectrum::noise(cfg, &mut rng);
     let mut group = c.benchmark_group("dedisperse");

@@ -3,14 +3,13 @@
 //! own kernels under the benchmark" (a) plans `weblab-preload`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 use sciflow_weblab::analytics::{pagerank, weakly_connected_components};
 use sciflow_weblab::crawlsim::{SyntheticWeb, WebConfig};
 use sciflow_weblab::graph::LinkGraph;
 
 fn web_graph() -> LinkGraph {
-    let mut rng = StdRng::seed_from_u64(9);
+    let mut rng = Rng::seed_from_u64(9);
     let web = SyntheticWeb::generate(
         WebConfig { n_domains: 20, pages_per_domain: 200, mean_links: 8, ..WebConfig::default() },
         1,

@@ -3,17 +3,16 @@
 //! the benchmark" (a) plans `cleo-recon`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sciflow_cleo::asu::decompose;
 use sciflow_cleo::detector::{simulate_event, DetectorConfig};
 use sciflow_cleo::generator::{generate_run, GeneratorConfig};
 use sciflow_cleo::partition::{default_tiering, hot_kinds, PartitionedStore, RowStore};
 use sciflow_cleo::postrecon::compute_post_recon;
 use sciflow_cleo::reconstruction::{reconstruct, ReconConfig};
+use sciflow_core::rng::Rng;
 
 fn events() -> Vec<sciflow_cleo::asu::EventAsus> {
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = Rng::seed_from_u64(5);
     let det = DetectorConfig::default();
     let run = generate_run(1, 200, &GeneratorConfig::default(), &mut rng);
     let mut recon = Vec::new();

@@ -3,8 +3,7 @@
 //! benchmark" (a) plans `weblab-preload`.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 use sciflow_metastore::Database;
 use sciflow_weblab::crawlsim::{SyntheticWeb, WebConfig};
 use sciflow_weblab::pagestore::PageStore;
@@ -13,7 +12,7 @@ use sciflow_weblab::preload::{
 };
 
 fn bench_preload(c: &mut Criterion) {
-    let mut rng = StdRng::seed_from_u64(8);
+    let mut rng = Rng::seed_from_u64(8);
     let web = SyntheticWeb::generate(
         WebConfig { n_domains: 8, pages_per_domain: 60, ..WebConfig::default() },
         1,

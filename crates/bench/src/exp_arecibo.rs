@@ -159,10 +159,9 @@ pub fn e13() -> Report {
         "Pulsar recovery and interference excision on synthetic spectra",
         "§2.1 processing chain",
     );
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
     let cfg = ObsConfig::test_scale();
-    let mut rng = StdRng::seed_from_u64(20060704);
+    let mut rng = Rng::seed_from_u64(20060704);
     let mut beams: Vec<DynamicSpectrum> =
         (0..7).map(|_| DynamicSpectrum::noise(cfg, &mut rng)).collect();
     let truth_period = 0.128;

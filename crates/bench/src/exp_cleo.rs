@@ -2,8 +2,7 @@
 
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_cleo::analysis::{run_analysis, AnalysisJob};
 use sciflow_cleo::asu::{decompose, AsuKind};
@@ -32,7 +31,7 @@ fn d(s: &str) -> CalDate {
 pub fn e4() -> Report {
     let mut r = Report::new("e4", "CLEO workflow: runs, reconstruction, MC", "Fig. 2 + §3.1");
     // Real pipeline at miniature scale for the run envelope...
-    let mut rng = StdRng::seed_from_u64(90);
+    let mut rng = Rng::seed_from_u64(90);
     let run = generate_run(201_388, 200, &GeneratorConfig::default(), &mut rng);
     r.row(
         "run duration",
@@ -102,7 +101,7 @@ pub fn e4() -> Report {
 /// E5: hot/warm/cold ASU partitioning vs a row layout.
 pub fn e5() -> Report {
     let mut r = Report::new("e5", "Hot/warm/cold ASU partitioning", "§3.1");
-    let mut rng = StdRng::seed_from_u64(55);
+    let mut rng = Rng::seed_from_u64(55);
     let det = DetectorConfig::default();
     let run = generate_run(7, 300, &GeneratorConfig::default(), &mut rng);
     let mut recon = Vec::new();

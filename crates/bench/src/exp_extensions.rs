@@ -1,8 +1,7 @@
 //! Extension experiments EX1–EX3: the paper's explicitly deferred or
 //! "next steps" functionality, implemented and measured.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_arecibo::meta::{create_candidate_table, load_candidates};
 use sciflow_arecibo::nvo::{export_votable, parse_votable};
@@ -142,7 +141,7 @@ pub fn ex3() -> Report {
         "Subset views and scoped full-text indexing",
         "§4.2 (researcher workflows) — extension",
     );
-    let mut rng = StdRng::seed_from_u64(3);
+    let mut rng = Rng::seed_from_u64(3);
     let web = SyntheticWeb::generate(
         WebConfig { n_domains: 8, pages_per_domain: 80, ..WebConfig::default() },
         1,

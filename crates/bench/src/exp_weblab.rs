@@ -1,7 +1,6 @@
 //! Experiments E8–E11: WebLab.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::units::{DataRate, DataVolume};
@@ -20,7 +19,7 @@ use crate::report::{Report, Verdict};
 type FilePairs = Vec<(Vec<u8>, Vec<u8>)>;
 
 fn synthetic_files(seed: u64, crawls: usize) -> (SyntheticWeb, FilePairs) {
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let cfg = WebConfig {
         n_domains: 10,
         pages_per_domain: 120,
@@ -199,7 +198,7 @@ pub fn e11() -> Report {
     preload(&files, &mut db, &mut store, &PreloadConfig::default()).expect("clean input");
     let table = db.table("pages").expect("created above");
     let domain_col = table.schema().column_index("domain").expect("column exists");
-    let mut rng = StdRng::seed_from_u64(11);
+    let mut rng = Rng::seed_from_u64(11);
     let indexed = stratified_sample(table, domain_col, 5, &mut rng).expect("sane parameters");
     let flat = stratified_sample_flat(table, domain_col, 5, &mut rng).expect("sane parameters");
     r.row("strata (domains)", "-", format!("{}", indexed.strata.len()), Verdict::Info);

@@ -102,8 +102,7 @@ mod tests {
     use crate::partition::{default_tiering, RowStore};
     use crate::postrecon::compute_post_recon;
     use crate::reconstruction::{reconstruct, ReconConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
     use sciflow_core::version::CalDate;
 
     struct Fixture {
@@ -114,7 +113,7 @@ mod tests {
     }
 
     fn fixture(n_events: usize) -> Fixture {
-        let mut rng = StdRng::seed_from_u64(11);
+        let mut rng = Rng::seed_from_u64(11);
         let det = DetectorConfig::default();
         let run = generate_run(1, n_events, &GeneratorConfig::default(), &mut rng);
         let mut recon = Vec::new();

@@ -148,11 +148,10 @@ mod tests {
     use crate::generator::{generate_event, GeneratorConfig};
     use crate::postrecon::compute_post_recon;
     use crate::reconstruction::{reconstruct, ReconConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     fn sample() -> EventAsus {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let ev = generate_event(5, &GeneratorConfig::default(), &mut rng);
         let det = DetectorConfig::default();
         let raw = simulate_event(&ev, &det, &mut rng);

@@ -7,7 +7,7 @@
 //! and noise hits are sprinkled in. Reconstruction (the inverse problem)
 //! lives in [`crate::reconstruction`].
 
-use rand::Rng;
+use sciflow_core::rng::Rng;
 
 use crate::event::CollisionEvent;
 
@@ -74,10 +74,10 @@ pub(crate) fn track_phi_at_layer(
 }
 
 /// Simulate the detector response to one event.
-pub fn simulate_event<R: Rng>(
+pub fn simulate_event(
     event: &CollisionEvent,
     cfg: &DetectorConfig,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> DetectorResponse {
     let wire_pitch = std::f64::consts::TAU / cfg.wires_per_layer as f64;
     let mut hits = Vec::new();
@@ -115,8 +115,6 @@ mod tests {
     use super::*;
     use crate::event::{Particle, ParticleKind};
     use crate::generator::{generate_event, GeneratorConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn one_track_event(pt: f64, phi: f64, charge: i8) -> CollisionEvent {
         CollisionEvent {
@@ -128,7 +126,7 @@ mod tests {
     #[test]
     fn charged_track_hits_every_layer() {
         let cfg = DetectorConfig { noise_hits: 0.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let resp = simulate_event(&one_track_event(1.0, 0.5, 1), &cfg, &mut rng);
         assert_eq!(resp.hits.len(), cfg.n_layers);
         let mut layers: Vec<u16> = resp.hits.iter().map(|h| h.layer).collect();
@@ -149,7 +147,7 @@ mod tests {
                 charge: 0,
             }],
         };
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         assert!(simulate_event(&ev, &cfg, &mut rng).hits.is_empty());
     }
 
@@ -167,14 +165,14 @@ mod tests {
     #[test]
     fn soft_tracks_range_out() {
         let cfg = DetectorConfig { noise_hits: 0.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let resp = simulate_event(&one_track_event(0.08, 0.5, 1), &cfg, &mut rng);
         assert!(resp.hits.len() <= cfg.n_layers / 2 + 1);
     }
 
     #[test]
     fn raw_bytes_scale_with_hits() {
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let ev = generate_event(0, &GeneratorConfig::default(), &mut rng);
         let resp = simulate_event(&ev, &DetectorConfig::default(), &mut rng);
         assert_eq!(resp.raw_bytes(), 32 + 8 * resp.hits.len() as u64);
@@ -185,7 +183,7 @@ mod tests {
     fn noise_level_is_respected() {
         let cfg = DetectorConfig { noise_hits: 50.0, ..DetectorConfig::default() };
         let ev = CollisionEvent { id: 0, particles: vec![] };
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let mean: f64 =
             (0..50).map(|_| simulate_event(&ev, &cfg, &mut rng).hits.len() as f64).sum::<f64>()
                 / 50.0;

@@ -5,7 +5,7 @@
 //! all of which are parametric here, with ground truth retained for
 //! reconstruction-efficiency tests.
 
-use rand::Rng;
+use sciflow_core::rng::Rng;
 
 use crate::event::{CollisionEvent, Particle, ParticleKind, Run};
 
@@ -27,7 +27,7 @@ impl Default for GeneratorConfig {
 }
 
 /// Small Poisson sampler (Knuth) — fine for the means used here.
-fn poisson<R: Rng>(rng: &mut R, mean: f64) -> usize {
+fn poisson(rng: &mut Rng, mean: f64) -> usize {
     let l = (-mean).exp();
     let mut k = 0usize;
     let mut p = 1.0;
@@ -43,7 +43,7 @@ fn poisson<R: Rng>(rng: &mut R, mean: f64) -> usize {
     }
 }
 
-fn species<R: Rng>(rng: &mut R) -> ParticleKind {
+fn species(rng: &mut Rng) -> ParticleKind {
     // Rough hadronic mix: mostly pions, some kaons, few leptons/protons.
     match rng.gen_range(0..100u32) {
         0..=64 => ParticleKind::Pion,
@@ -55,7 +55,7 @@ fn species<R: Rng>(rng: &mut R) -> ParticleKind {
 }
 
 /// Generate one collision event.
-pub fn generate_event<R: Rng>(id: u64, cfg: &GeneratorConfig, rng: &mut R) -> CollisionEvent {
+pub fn generate_event(id: u64, cfg: &GeneratorConfig, rng: &mut Rng) -> CollisionEvent {
     let n_charged = poisson(rng, cfg.mean_charged).max(1);
     let n_neutral = poisson(rng, cfg.mean_neutral);
     let mut particles = Vec::with_capacity(n_charged + n_neutral);
@@ -81,12 +81,7 @@ pub fn generate_event<R: Rng>(id: u64, cfg: &GeneratorConfig, rng: &mut R) -> Co
 
 /// Generate a run of `n_events` with a duration drawn from the paper's
 /// 45–60 minute window.
-pub fn generate_run<R: Rng>(
-    number: u32,
-    n_events: usize,
-    cfg: &GeneratorConfig,
-    rng: &mut R,
-) -> Run {
+pub fn generate_run(number: u32, n_events: usize, cfg: &GeneratorConfig, rng: &mut Rng) -> Run {
     let duration = rng.gen_range(45..=60);
     let events =
         (0..n_events).map(|i| generate_event((number as u64) << 32 | i as u64, cfg, rng)).collect();
@@ -96,12 +91,10 @@ pub fn generate_run<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn multiplicity_matches_configuration() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let cfg = GeneratorConfig::default();
         let events: Vec<CollisionEvent> =
             (0..500).map(|i| generate_event(i, &cfg, &mut rng)).collect();
@@ -112,7 +105,7 @@ mod tests {
 
     #[test]
     fn pt_spectrum_is_positive_and_roughly_exponential() {
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let cfg = GeneratorConfig::default();
         let ev = generate_event(0, &cfg, &mut rng);
         assert!(ev.particles.iter().all(|p| p.pt_gev > 0.0));
@@ -126,7 +119,7 @@ mod tests {
 
     #[test]
     fn runs_have_paper_durations_and_unique_ids() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let run = generate_run(201_388, 200, &GeneratorConfig::default(), &mut rng);
         assert!((45..=60).contains(&run.duration_mins));
         assert_eq!(run.event_count(), 200);
@@ -139,15 +132,15 @@ mod tests {
     #[test]
     fn generation_is_deterministic_per_seed() {
         let cfg = GeneratorConfig::default();
-        let a = generate_run(1, 50, &cfg, &mut StdRng::seed_from_u64(9));
-        let b = generate_run(1, 50, &cfg, &mut StdRng::seed_from_u64(9));
+        let a = generate_run(1, 50, &cfg, &mut Rng::seed_from_u64(9));
+        let b = generate_run(1, 50, &cfg, &mut Rng::seed_from_u64(9));
         assert_eq!(a.events, b.events);
     }
 
     #[test]
     fn every_event_has_a_charged_track() {
         // The detector trigger requires at least one charged track.
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         for i in 0..100 {
             let ev = generate_event(i, &GeneratorConfig::default(), &mut rng);
             assert!(ev.charged_multiplicity() >= 1);

@@ -52,8 +52,8 @@ pub use partition::{default_tiering, hot_kinds, PartitionedStore, ReadStats, Row
 pub use postrecon::{compute_post_recon, PostReconRun, PostReconValues, RunCalibration};
 pub use reconstruction::{reconstruct, RecTrack, ReconConfig, ReconstructedEvent};
 
-/// Standard-normal deviate via Box–Muller (plain `rand` dependency only).
-pub(crate) fn gauss<R: rand::Rng>(rng: &mut R) -> f32 {
+/// Standard-normal deviate via Box–Muller.
+pub(crate) fn gauss(rng: &mut sciflow_core::rng::Rng) -> f32 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
     ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32

@@ -8,8 +8,7 @@
 //! disconnected personal store whose bytes can be shipped and merged with
 //! [`sciflow_eventstore::merge_into`].
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_core::md5::md5;
 use sciflow_core::version::CalDate;
@@ -47,7 +46,7 @@ pub fn produce_mc_run(
     version: &str,
     site: &str,
 ) -> McSample {
-    let mut rng = StdRng::seed_from_u64(0xC1E0_0000_0000 + run_number as u64);
+    let mut rng = Rng::seed_from_u64(0xC1E0_0000_0000 + run_number as u64);
     let run = generate_run(run_number, n_events, gen_cfg, &mut rng);
     let responses = run.events.iter().map(|ev| simulate_event(ev, det_cfg, &mut rng)).collect();
     McSample {

@@ -198,8 +198,7 @@ mod tests {
     use crate::detector::{simulate_event, DetectorConfig};
     use crate::event::{CollisionEvent, Particle, ParticleKind};
     use crate::generator::{generate_event, GeneratorConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     fn event_with_tracks(tracks: &[(f64, f64, i8)]) -> CollisionEvent {
         CollisionEvent {
@@ -219,7 +218,7 @@ mod tests {
     #[test]
     fn finds_a_single_clean_track() {
         let det = DetectorConfig { noise_hits: 0.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let resp = simulate_event(&event_with_tracks(&[(1.0, 1.2, 1)]), &det, &mut rng);
         let rec = reconstruct(&resp, &det, &ReconConfig::default());
         assert_eq!(rec.tracks.len(), 1);
@@ -233,7 +232,7 @@ mod tests {
     #[test]
     fn separates_multiple_tracks() {
         let det = DetectorConfig { noise_hits: 0.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let truth = [(1.5, 0.3, 1), (0.8, 2.0, -1), (2.5, 4.5, 1)];
         let resp = simulate_event(&event_with_tracks(&truth), &det, &mut rng);
         let rec = reconstruct(&resp, &det, &ReconConfig::default());
@@ -253,7 +252,7 @@ mod tests {
         let det = DetectorConfig::default();
         let gen_cfg = GeneratorConfig::default();
         let rec_cfg = ReconConfig::default();
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let mut found = 0usize;
         let mut findable = 0usize;
         for i in 0..30 {
@@ -274,7 +273,7 @@ mod tests {
     #[test]
     fn noise_only_events_produce_no_tracks() {
         let det = DetectorConfig { noise_hits: 12.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = Rng::seed_from_u64(4);
         let resp = simulate_event(&CollisionEvent { id: 0, particles: vec![] }, &det, &mut rng);
         let rec = reconstruct(&resp, &det, &ReconConfig::default());
         assert!(rec.tracks.is_empty(), "ghost tracks from noise: {:?}", rec.tracks);
@@ -292,7 +291,7 @@ mod tests {
     #[test]
     fn tracks_near_phi_wraparound_are_found() {
         let det = DetectorConfig { noise_hits: 0.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let resp = simulate_event(&event_with_tracks(&[(1.0, 6.27, -1)]), &det, &mut rng);
         let rec = reconstruct(&resp, &det, &ReconConfig::default());
         assert_eq!(rec.tracks.len(), 1);

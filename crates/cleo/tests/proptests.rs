@@ -2,8 +2,7 @@
 //! reconstruction consistency, ASU accounting, partition-read identities,
 //! and post-reconstruction scale invariants.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_cleo::asu::{decompose, AsuKind};
 use sciflow_cleo::detector::{simulate_event, DetectorConfig};
@@ -21,7 +20,7 @@ fn hit_counts_bounded() {
     check("hit_counts_bounded", 64, |g| {
         let (seed, n_charged, n_photons) = (g.any::<u64>(), g.range(0usize..8), g.range(0usize..5));
         let det = DetectorConfig { noise_hits: 0.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let mut particles = Vec::new();
         for i in 0..n_charged {
             particles.push(Particle {
@@ -61,7 +60,7 @@ fn reconstruction_does_not_over_count() {
     check("reconstruction_does_not_over_count", 64, |g| {
         let seed = g.any::<u64>();
         let det = DetectorConfig { noise_hits: 0.0, ..DetectorConfig::default() };
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let ev = generate_event(seed, &GeneratorConfig::default(), &mut rng);
         let resp = simulate_event(&ev, &det, &mut rng);
         let rec = reconstruct(&resp, &det, &ReconConfig::default());
@@ -84,7 +83,7 @@ fn asu_accounting_is_consistent() {
     check("asu_accounting_is_consistent", 64, |g| {
         let seed = g.any::<u64>();
         let det = DetectorConfig::default();
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let ev = generate_event(seed, &GeneratorConfig::default(), &mut rng);
         let raw = simulate_event(&ev, &det, &mut rng);
         let rec = reconstruct(&raw, &det, &ReconConfig::default());
@@ -120,7 +119,7 @@ fn momentum_scales_center_on_unity() {
         let gen = GeneratorConfig::default();
         let mut recon = Vec::new();
         for (i, &seed) in seeds.iter().enumerate() {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let ev = generate_event(i as u64, &gen, &mut rng);
             let raw = simulate_event(&ev, &det, &mut rng);
             recon.push(reconstruct(&raw, &det, &ReconConfig::default()));

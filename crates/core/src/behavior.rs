@@ -24,15 +24,14 @@
 
 use std::collections::VecDeque;
 
-use rand::rngs::StdRng;
-
 use crate::compiled::CompiledFlow;
 use crate::engine::{EventId, Scheduler};
 use crate::fault::{FaultPlan, RetryPolicy};
-use crate::frame::{put_u64, Damage, Reader, Wire};
+use crate::frame::{Damage, Reader, Wire};
 use crate::graph::{CheckpointPolicy, StageId};
 use crate::metrics::{RunMetrics, StageMetrics};
 use crate::resource::{ResourceId, ResourceSet, StorageLedger};
+use crate::rng::Rng;
 use crate::spec::{BatcherSpec, DedupSpec, FilterSpec, ProcessSpec, SourceSpec, TransferSpec};
 use crate::trace::{FaultKind, FaultScope, TraceCtx, TraceEvent};
 use crate::units::{DataRate, DataVolume, SimDuration, SimTime};
@@ -115,22 +114,7 @@ pub(crate) struct FaultCtx {
     pub(crate) policy: RetryPolicy,
     /// The only part a snapshot holds: the plan and policy are rebuilt by
     /// the resuming caller and proven identical by the spec hash.
-    pub(crate) rng: StdRng,
-}
-
-/// A generator is its four state words, the stream position, each eight
-/// bytes wide: they are uniformly random, so LEB128 would lengthen them.
-impl Wire for StdRng {
-    fn put(&self, out: &mut Vec<u8>) {
-        self.state().iter().for_each(|&w| put_u64(out, w));
-    }
-    fn get(r: &mut Reader) -> Result<Self, Damage> {
-        let mut state = [0; 4];
-        for w in &mut state {
-            *w = r.u64()?;
-        }
-        Ok(StdRng::from_state(state))
-    }
+    pub(crate) rng: Rng,
 }
 
 /// Deferred effects a hook hands back to the orchestrator: resource drains

@@ -15,9 +15,7 @@
 //! `compare_with_faults` runs its network leg through that simulator, so
 //! there is one transfer executor.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
+use crate::rng::Rng;
 use crate::units::{SimDuration, SimTime};
 
 /// One kind of injected fault.
@@ -297,11 +295,11 @@ impl FaultPlan {
             profile.degrade_factor > 0.0 && profile.degrade_factor <= 1.0,
             "degrade factor must be in (0, 1]"
         );
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x5EED_FA17_1337_0001);
+        let mut rng = Rng::seed_from_u64(seed ^ 0x5EED_FA17_1337_0001);
         let mut events = Vec::new();
         let horizon_days = horizon.as_days_f64();
 
-        let arrivals = |rate_per_day: f64, rng: &mut StdRng| -> Vec<SimTime> {
+        let arrivals = |rate_per_day: f64, rng: &mut Rng| -> Vec<SimTime> {
             let mut out = Vec::new();
             if rate_per_day <= 0.0 {
                 return out;
@@ -667,7 +665,7 @@ impl RetryPolicy {
 
     /// The jittered backoff before retry `i`, drawn from `rng`; bounded by
     /// `max_backoff` regardless of the draw.
-    pub fn backoff<R: Rng + ?Sized>(&self, retry_index: u32, rng: &mut R) -> SimDuration {
+    pub fn backoff(&self, retry_index: u32, rng: &mut Rng) -> SimDuration {
         let nominal = self.nominal_backoff(retry_index).as_secs_f64();
         let jitter = self.jitter.clamp(0.0, 1.0);
         let scale = 1.0 - jitter + 2.0 * jitter * rng.gen::<f64>();
@@ -1031,15 +1029,15 @@ mod tests {
         let zero_base = RetryPolicy { base_backoff: SimDuration::ZERO, ..policy };
         assert_eq!(zero_base.nominal_backoff(0), SimDuration::ZERO);
         assert_eq!(zero_base.nominal_backoff(1000), SimDuration::ZERO);
-        let mut rng = StdRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         assert_eq!(zero_base.backoff(1000, &mut rng), SimDuration::ZERO);
     }
 
     #[test]
     fn jittered_backoff_is_deterministic_and_bounded() {
         let policy = RetryPolicy { jitter: 0.5, ..RetryPolicy::default() };
-        let mut a = StdRng::seed_from_u64(4);
-        let mut b = StdRng::seed_from_u64(4);
+        let mut a = Rng::seed_from_u64(4);
+        let mut b = Rng::seed_from_u64(4);
         for i in 0..20 {
             let x = policy.backoff(i, &mut a);
             let y = policy.backoff(i, &mut b);

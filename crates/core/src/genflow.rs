@@ -29,12 +29,10 @@
 
 use std::fmt;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
 use crate::fault::FaultProfile;
 use crate::graph::{CheckpointPolicy, FlowGraph, StageId, StageKind, VerifyPolicy};
 use crate::md5::md5_strings;
+use crate::rng::Rng;
 use crate::sim::CpuPool;
 use crate::spec::{BatcherSpec, DedupSpec, FilterSpec, ProcessSpec, SourceSpec, TransferSpec};
 use crate::units::{DataRate, DataVolume, SimDuration};
@@ -518,18 +516,18 @@ pub fn stress_flow(p: &StressParams) -> (FlowGraph, Vec<CpuPool>) {
 /// Seed the generator RNG from the archetype name and the seed's payload
 /// bits (the shrink byte scales ranges but keeps the draw stream, so a
 /// shrunk graph resembles its parent).
-fn rng_for(archetype: Archetype, seed: u64) -> StdRng {
+fn rng_for(archetype: Archetype, seed: u64) -> Rng {
     let digest = md5_strings(&[
         "genflow".to_string(),
         archetype.name().to_string(),
         format!("{:016x}", seed & SEED_PAYLOAD_MASK),
     ]);
     let mixed = u64::from_str_radix(&digest.to_hex()[..16], 16).expect("md5 hex is valid");
-    StdRng::seed_from_u64(mixed)
+    Rng::seed_from_u64(mixed)
 }
 
 /// `n` distinct elements of `from`, by partial Fisher–Yates over indices.
-fn pick_distinct(rng: &mut StdRng, from: &[StageId], n: usize) -> Vec<StageId> {
+fn pick_distinct(rng: &mut Rng, from: &[StageId], n: usize) -> Vec<StageId> {
     let n = n.min(from.len());
     let mut idx: Vec<usize> = (0..from.len()).collect();
     for i in 0..n {
@@ -539,7 +537,7 @@ fn pick_distinct(rng: &mut StdRng, from: &[StageId], n: usize) -> Vec<StageId> {
     idx[..n].iter().map(|&i| from[i]).collect()
 }
 
-fn gen_checkpoint(rng: &mut StdRng, prob: f64) -> CheckpointPolicy {
+fn gen_checkpoint(rng: &mut Rng, prob: f64) -> CheckpointPolicy {
     if rng.gen_bool(prob) {
         CheckpointPolicy::Interval {
             every: SimDuration::from_mins(rng.gen_range(5..=30)),
@@ -552,7 +550,7 @@ fn gen_checkpoint(rng: &mut StdRng, prob: f64) -> CheckpointPolicy {
 
 /// Draw one middle-tier stage kind per the archetype's weights, returning a
 /// short tag for the stage name alongside the kind.
-fn middle_kind(rng: &mut StdRng, p: &GenParams, pools: &[CpuPool]) -> (&'static str, StageKind) {
+fn middle_kind(rng: &mut Rng, p: &GenParams, pools: &[CpuPool]) -> (&'static str, StageKind) {
     let total: u32 = p.weights.iter().sum();
     let mut roll = rng.gen_range(0..total);
     let mut pick = p.weights.len() - 1;

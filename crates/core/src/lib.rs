@@ -85,6 +85,7 @@ pub mod metrics;
 pub mod obs;
 pub mod provenance;
 pub mod resource;
+pub mod rng;
 pub mod sim;
 pub mod slab;
 pub mod spec;

@@ -39,17 +39,13 @@ use crate::metrics::{EngineStats, RunMetrics, SimReport, TimeSeries, TsSample};
 #[cfg(test)]
 use crate::obs::SloRule;
 use crate::obs::{Alert, MetricsHub, SloKind, SloState};
-use crate::resource::{ResourceId, ResourceSet, SchedPolicy};
+use crate::resource::{ResourceId, ResourceSet, SchedPolicy, StorageLedger};
+use crate::rng::Rng;
 use crate::trace::{self, FaultScope, Observer, TraceCtx, TraceEvent, TraceMeta};
 use crate::units::{DataVolume, SimDuration, SimTime};
 
 use std::fmt::Write as _;
 use std::path::Path;
-
-use crate::resource::StorageLedger;
-
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Seed mixed into the verification-sampling RNG so sampled checks replay
 /// identically for a given fault seed without correlating with backoff
@@ -160,7 +156,7 @@ struct RunState {
     /// Draws which arrivals a [`VerifyPolicy::Sample`] stage actually checks.
     /// Untouched by runs without sampled stages, so adding the field changes
     /// no existing replay.
-    verify_rng: StdRng,
+    verify_rng: Rng,
     /// Observer hookup and the lineage-id allocator. The allocator advances
     /// on every delivery whether or not an observer is attached, so attaching
     /// one can never perturb the flow being observed.
@@ -254,7 +250,7 @@ impl RunState {
         *metrics = RunMetrics::load(r, flow.len())?;
         *ledger = Wire::get(r)?;
         resources.load_dyn(r)?;
-        match (Option::<StdRng>::get(r)?, faults) {
+        match (Option::<Rng>::get(r)?, faults) {
             (Some(rng), Some(f)) => f.rng = rng,
             (None, None) => {}
             _ => return Err(mismatch("fault injection")),
@@ -461,7 +457,7 @@ impl FlowSim {
             resources,
             ledger: StorageLedger::default(),
             faults: None,
-            verify_rng: StdRng::seed_from_u64(VERIFY_RNG_SALT),
+            verify_rng: Rng::seed_from_u64(VERIFY_RNG_SALT),
             trace: TraceCtx::new(),
             sampler: tick.map(|_| SamplerState { next: SimTime::ZERO, samples: Vec::new() }),
             pending_emits: flow.pending_emits(),
@@ -509,8 +505,8 @@ impl FlowSim {
     /// The backoff-jitter RNG is seeded from the plan's seed, so running the
     /// same plan and policy twice yields identical [`SimReport`]s.
     pub fn with_faults(mut self, plan: FaultPlan, policy: RetryPolicy) -> Self {
-        let rng = StdRng::seed_from_u64(plan.seed() ^ 0xBACC_0FF5_EED0_0002);
-        self.state.verify_rng = StdRng::seed_from_u64(plan.seed() ^ VERIFY_RNG_SALT);
+        let rng = Rng::seed_from_u64(plan.seed() ^ 0xBACC_0FF5_EED0_0002);
+        self.state.verify_rng = Rng::seed_from_u64(plan.seed() ^ VERIFY_RNG_SALT);
         self.state.faults = Some(FaultCtx { plan, policy, rng });
         self
     }

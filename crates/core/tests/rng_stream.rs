@@ -5,8 +5,7 @@
 //! each draw below is a literal: a change to the generator, or to how a
 //! type is drawn from it, fails here before any golden moves.
 
-use rand::rngs::StdRng as Rng;
-use rand::{Rng as _, SeedableRng as _};
+use sciflow_core::rng::Rng;
 
 fn words(rng: &mut Rng, n: usize) -> Vec<u64> {
     (0..n).map(|_| rng.gen::<u64>()).collect()

@@ -26,8 +26,6 @@ pub enum Predicate {
         lo: Option<Value>,
         hi: Option<Value>,
     },
-    /// `row[col] IS NULL`.
-    IsNull(usize),
     And(Vec<Predicate>),
     Or(Vec<Predicate>),
     Not(Box<Predicate>),
@@ -59,7 +57,6 @@ impl Predicate {
                 }
                 true
             }
-            Predicate::IsNull(col) => row[*col].is_null(),
             Predicate::And(ps) => ps.iter().all(|p| p.matches(row)),
             Predicate::Or(ps) => ps.iter().any(|p| p.matches(row)),
             Predicate::Not(p) => !p.matches(row),
@@ -306,15 +303,9 @@ mod tests {
     #[test]
     fn null_semantics() {
         let t = candidates_table();
-        let nulls = select(&t, &Query::filter(Predicate::IsNull(3))).unwrap();
-        assert_eq!(nulls.rows.len(), 10);
         // Eq never matches null.
         let eq_null = select(&t, &Query::filter(Predicate::Eq(3, Value::Null))).unwrap();
         assert!(eq_null.rows.is_empty());
-        // Not(IsNull) gives the complement.
-        let not_null =
-            select(&t, &Query::filter(Predicate::Not(Box::new(Predicate::IsNull(3))))).unwrap();
-        assert_eq!(not_null.rows.len(), 90);
     }
 
     #[test]

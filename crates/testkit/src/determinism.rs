@@ -38,13 +38,12 @@ pub fn assert_exposition_deterministic(seed: u64, render: impl Fn(u64) -> String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use sciflow_core::rng::Rng;
 
     #[test]
     fn deterministic_scenarios_pass_and_return() {
         let v = assert_deterministic(9, |seed| {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             (0..10).map(|_| rng.gen::<u64>()).collect::<Vec<_>>()
         });
         assert_eq!(v.len(), 10);

@@ -7,8 +7,8 @@
 //! seeded xoshiro RNG streams, tie-broken event heaps, sorted reports — and
 //! this crate is where that contract is enforced:
 //!
-//! * [`rng`] — seeded RNG construction and stable seed derivation, so every
-//!   test names its randomness;
+//! * [`rng`] — stable seed derivation and the CI matrix seed, so every test
+//!   names its randomness;
 //! * [`scenarios`] — seeded builders for the recurring test fixtures (a
 //!   lossy flow, a crashing pool, silent corruption), each replayable from
 //!   one `u64`;
@@ -51,7 +51,7 @@ pub use property::{check, Gen};
 pub use replicated::{
     assert_convergence, dense_link_faults, registered_ids, History, ReplicatedScenario,
 };
-pub use rng::{derive_seed, matrix_seed, seeded_rng};
+pub use rng::{derive_seed, matrix_seed};
 pub use scenarios::{
     CorruptFlowScenario, CrashFlowScenario, LossyFlowScenario, SharedPoolScenario,
     TracedFlowScenario,

@@ -18,11 +18,10 @@ use std::fmt::Debug;
 use std::ops::{Bound, RangeBounds};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use rand::rngs::StdRng;
-use rand::{Rng, SampleRange, StandardSample};
 use sciflow_core::genflow::{shrink_level, with_shrink_level, MAX_SHRINK_LEVEL, SEED_PAYLOAD_MASK};
+use sciflow_core::rng::{Rng, Standard, Uniform};
 
-use crate::rng::{derive_seed, matrix_seed, seeded_rng};
+use crate::rng::{derive_seed, matrix_seed};
 
 /// The matrix seed when `FAULT_MATRIX_SEED` is unset: the CI matrix's first
 /// entry, the default of the fault suites too.
@@ -158,7 +157,7 @@ fn panic_message(payload: &(dyn Any + Send)) -> String {
 ///
 /// Each top-level draw is recorded, so a failing case reports its inputs.
 pub struct Gen {
-    rng: StdRng,
+    rng: Rng,
     level: u32,
     depth: u32,
     inputs: Vec<String>,
@@ -179,7 +178,7 @@ impl Gen {
     /// ```
     pub fn new(seed: u64) -> Gen {
         Gen {
-            rng: seeded_rng(seed & SEED_PAYLOAD_MASK),
+            rng: Rng::seed_from_u64(seed & SEED_PAYLOAD_MASK),
             level: shrink_level(seed),
             depth: 0,
             inputs: Vec::new(),
@@ -187,12 +186,12 @@ impl Gen {
     }
 
     /// A value over the type's whole range (`[0, 1)` for floats).
-    pub fn any<T: StandardSample + Debug>(&mut self) -> T {
+    pub fn any<T: Standard + Debug>(&mut self) -> T {
         self.draw(|g| g.rng.gen())
     }
 
     /// A value uniform in `range`, such as `0..32` or `1.0..4.0`.
-    pub fn range<T: Debug>(&mut self, range: impl SampleRange<T>) -> T {
+    pub fn range<T: Uniform + Debug>(&mut self, range: impl RangeBounds<T>) -> T {
         self.draw(|g| g.rng.gen_range(range))
     }
 

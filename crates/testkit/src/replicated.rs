@@ -16,10 +16,9 @@
 
 use std::collections::BTreeSet;
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use sciflow_core::fault::{FaultPlan, FaultProfile};
 use sciflow_core::md5::md5;
+use sciflow_core::rng::Rng;
 use sciflow_core::units::SimDuration;
 use sciflow_core::version::CalDate;
 use sciflow_eventstore::grade::GradeEntry;
@@ -27,7 +26,7 @@ use sciflow_eventstore::replica::{Replica, ReplicaResult, SyncFabric, SyncLink};
 use sciflow_eventstore::store::{FileRecord, StoreTier};
 use sciflow_eventstore::RunRange;
 
-use crate::rng::{derive_seed, seeded_rng};
+use crate::rng::derive_seed;
 
 /// Link faults dense enough to land on frames in flight. A [`SyncLink`]
 /// charges 50 ms a frame, so [`FaultProfile::replica_chaos`]'s ~15 events a
@@ -150,7 +149,7 @@ impl ReplicatedScenario {
     /// concurrent revision arriving via sync.
     pub fn history(&self, index: usize) -> History {
         History {
-            rng: seeded_rng(derive_seed(self.seed, &format!("replica-ops-{index}"))),
+            rng: Rng::seed_from_u64(derive_seed(self.seed, &format!("replica-ops-{index}"))),
             index,
             own_ids: Vec::new(),
             next_id: (index as u64 + 1) * 100_000,
@@ -167,7 +166,7 @@ impl ReplicatedScenario {
 /// One replica's seeded operation stream ([`ReplicatedScenario::history`]).
 #[derive(Debug)]
 pub struct History {
-    rng: StdRng,
+    rng: Rng,
     index: usize,
     own_ids: Vec<u64>,
     next_id: u64,
@@ -228,7 +227,7 @@ impl History {
     }
 }
 
-fn generated_record(rng: &mut impl Rng, id: u64, index: usize) -> FileRecord {
+fn generated_record(rng: &mut Rng, id: u64, index: usize) -> FileRecord {
     let kind = KINDS[rng.gen_range(0..KINDS.len())];
     let version = format!("{kind}-r{}-{}", index + 1, rng.gen_range(0..1_000u32));
     let first = rng.gen_range(1..50_000u32);

@@ -1,17 +1,10 @@
-//! Seeded RNG construction and seed derivation.
+//! Seed derivation.
 //!
-//! Every random choice in a test must be traceable to one named `u64` seed;
-//! these helpers make that cheap enough that no test reaches for ambient
-//! entropy.
+//! Every random choice in a test must be traceable to one named `u64` seed,
+//! the seed of a [`sciflow_core::rng::Rng`]; these helpers make that cheap
+//! enough that no test reaches for ambient entropy.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sciflow_core::md5::md5_strings;
-
-/// A deterministic RNG for `seed`. Same seed, same stream, forever.
-pub fn seeded_rng(seed: u64) -> StdRng {
-    StdRng::seed_from_u64(seed)
-}
 
 /// Derive a sub-seed from a master seed and a label, so independent parts of
 /// a scenario (fault plan, workload, jitter) get decorrelated but replayable
@@ -43,16 +36,6 @@ pub fn matrix_seed(default: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
-
-    #[test]
-    fn seeded_streams_replay() {
-        let mut a = seeded_rng(11);
-        let mut b = seeded_rng(11);
-        for _ in 0..100 {
-            assert_eq!(a.gen::<u64>(), b.gen::<u64>());
-        }
-    }
 
     #[test]
     fn derive_seed_is_stable_and_label_sensitive() {

@@ -4,6 +4,7 @@
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, StageKind};
 use sciflow_core::metrics::SimReport;
+use sciflow_core::rng::Rng;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::spec::{ProcessSpec, SourceSpec, TransferSpec};
 use sciflow_core::trace::{TraceRecorder, TraceSnapshot};
@@ -424,8 +425,7 @@ impl SharedPoolScenario {
     const CHUNKS_PER_BLOCK: u64 = 8;
 
     pub fn new(seed: u64) -> Self {
-        use rand::Rng;
-        let mut rng = crate::rng::seeded_rng(derive_seed(seed, "shared-pool"));
+        let mut rng = Rng::seed_from_u64(derive_seed(seed, "shared-pool"));
         SharedPoolScenario {
             seed,
             blocks: rng.gen_range(2..=4),

@@ -130,8 +130,7 @@ mod tests {
     use super::*;
     use crate::crawlsim::{SyntheticWeb, WebConfig};
     use crate::graph::LinkGraph;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     fn chain_graph() -> LinkGraph {
         // 0 → 1 → 2, and isolated 3.
@@ -163,7 +162,7 @@ mod tests {
 
     #[test]
     fn stats_on_synthetic_web() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let web = SyntheticWeb::generate(WebConfig::default(), 1, &mut rng);
         let crawl = &web.crawls[0];
         let urls: Vec<String> = crawl.pages.iter().map(|p| p.url.clone()).collect();

@@ -7,7 +7,7 @@
 //! things change over time"), and serialize each crawl in the real ARC/DAT
 //! layouts.
 
-use rand::Rng;
+use sciflow_core::rng::Rng;
 
 use crate::arc::ArcRecord;
 use crate::dat::DatRecord;
@@ -86,12 +86,12 @@ fn two_months_later(date: u64) -> u64 {
 
 /// Zipf-flavoured target choice: squaring the uniform deviate concentrates
 /// links on low-index (old, popular) pages.
-fn pick_target<R: Rng>(rng: &mut R, n: usize) -> usize {
+fn pick_target(rng: &mut Rng, n: usize) -> usize {
     let u: f64 = rng.gen();
     ((u * u) * n as f64) as usize % n.max(1)
 }
 
-fn make_links<R: Rng>(rng: &mut R, urls: &[String], mean_links: usize) -> Vec<String> {
+fn make_links(rng: &mut Rng, urls: &[String], mean_links: usize) -> Vec<String> {
     let n = rng.gen_range(0..=mean_links * 2);
     (0..n).map(|_| urls[pick_target(rng, urls.len())].clone()).collect()
 }
@@ -119,7 +119,7 @@ pub struct SyntheticWeb {
 impl SyntheticWeb {
     /// Generate `n_crawls` two-monthly crawls starting August 1996 (the
     /// Archive's epoch in the paper).
-    pub fn generate<R: Rng>(config: WebConfig, n_crawls: usize, rng: &mut R) -> Self {
+    pub fn generate(config: WebConfig, n_crawls: usize, rng: &mut Rng) -> Self {
         assert!(n_crawls >= 1, "need at least one crawl");
         let mut crawls = Vec::with_capacity(n_crawls);
         // Crawl 0.
@@ -218,11 +218,9 @@ impl SyntheticWeb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn web(crawls: usize) -> SyntheticWeb {
-        let mut rng = StdRng::seed_from_u64(1996);
+        let mut rng = Rng::seed_from_u64(1996);
         SyntheticWeb::generate(WebConfig::default(), crawls, &mut rng)
     }
 

@@ -9,19 +9,20 @@
 //! tune many parameters, such as batch size, file size, degree of
 //! parallelism, and the index management."
 //!
-//! Architecture: a crossbeam worker pool decompresses and parses files (ARC
-//! and DAT files are independent work items, exactly as the paper allows);
-//! a single loader thread batches metadata into the relational store and
-//! appends bodies to the [`PageStore`]. The loader applies parsed files in
-//! input order, whichever worker finishes first, so page ids, link pairs
-//! and the store are the same for every worker count. `workers` and
-//! `batch_size` are the tuning knobs experiment E8 sweeps.
+//! Architecture: a pool of scoped worker threads decompresses and parses
+//! files (ARC and DAT files are independent work items, exactly as the
+//! paper allows). Each worker claims the next input index from one atomic
+//! cursor and sends what it parsed down one channel to the loader: the
+//! calling thread, the single writer that batches metadata into the
+//! relational store and appends bodies to the [`PageStore`]. The loader
+//! applies parsed files in input order, whichever worker finishes first, so
+//! page ids, link pairs and the store are the same for every worker count.
+//! `workers` and `batch_size` are the tuning knobs experiment E8 sweeps.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel;
 
 use sciflow_metastore::prelude::*;
 
@@ -134,17 +135,16 @@ pub fn preload(
         });
     }
     let start = Instant::now();
-    let mut stats = PreloadStats { files: files.len() * 2, ..Default::default() };
+    let items = files.len() * 2;
+    let bytes_compressed = files.iter().map(|(arc, dat)| (arc.len() + dat.len()) as u64).sum();
+    let mut stats = PreloadStats { files: items, bytes_compressed, ..Default::default() };
 
     // Work items are input indices: `2 * i` is file pair `i`'s ARC file,
-    // `2 * i + 1` its DAT file. Workers borrow the bytes from `files`.
-    let (work_tx, work_rx) = channel::unbounded::<usize>();
-    for (i, (arc_gz, dat_gz)) in files.iter().enumerate() {
-        stats.bytes_compressed += (arc_gz.len() + dat_gz.len()) as u64;
-        work_tx.send(2 * i).expect("receiver alive");
-        work_tx.send(2 * i + 1).expect("receiver alive");
-    }
-    drop(work_tx);
+    // `2 * i + 1` its DAT file. Workers claim them in order from `cursor`
+    // and borrow the bytes from `files`. `Relaxed` suffices: the
+    // `fetch_add` alone makes each index claimed once, and the index
+    // publishes no other data.
+    let cursor = AtomicUsize::new(0);
 
     let mut link_pairs: Vec<(i64, String)> = Vec::new();
     let mut next_id: i64 = db.table("pages")?.len() as i64;
@@ -155,17 +155,17 @@ pub fn preload(
     // loader learns of the failure from the channel, not from this value.
     let failed = AtomicUsize::new(usize::MAX);
 
-    crossbeam::scope(|scope| -> WebResult<()> {
+    std::thread::scope(|scope| -> WebResult<()> {
         // The receiver lives in this closure, so a loader that returns
         // early drops it: each worker's next send fails and it stops
         // instead of parsing the rest of the input.
-        let (done_tx, done_rx) = channel::unbounded::<(usize, Parsed)>();
+        let (done_tx, done_rx) = mpsc::channel::<(usize, Parsed)>();
         for _ in 0..cfg.workers {
-            let rx = work_rx.clone();
             let tx = done_tx.clone();
-            let failed = &failed;
-            scope.spawn(move |_| {
-                for index in rx.iter() {
+            let (cursor, failed) = (&cursor, &failed);
+            scope.spawn(move || {
+                let claim = || Some(cursor.fetch_add(1, Ordering::Relaxed)).filter(|&i| i < items);
+                for index in std::iter::from_fn(claim) {
                     if index > failed.load(Ordering::Relaxed) {
                         continue;
                     }
@@ -243,8 +243,7 @@ pub fn preload(
         }
         flush(db, &mut pending_rows, &mut stats)?;
         Ok(())
-    })
-    .expect("worker threads do not panic")?;
+    })?;
 
     stats.elapsed = start.elapsed();
     Ok(PreloadOutput { stats, link_pairs })
@@ -267,13 +266,12 @@ fn flush(db: &mut Database, rows: &mut Vec<Vec<Value>>, stats: &mut PreloadStats
 mod tests {
     use super::*;
     use crate::crawlsim::{SyntheticWeb, WebConfig};
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use sciflow_core::rng::Rng;
 
     type FilePairs = Vec<(Vec<u8>, Vec<u8>)>;
 
     fn files() -> (SyntheticWeb, FilePairs) {
-        let mut rng = StdRng::seed_from_u64(7);
+        let mut rng = Rng::seed_from_u64(7);
         let web = SyntheticWeb::generate(WebConfig::default(), 1, &mut rng);
         let files = web.crawl_files(0, 32).unwrap();
         (web, files)

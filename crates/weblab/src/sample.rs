@@ -6,7 +6,7 @@
 //! index, it is a group-by plus per-stratum reservoir sampling. The cost
 //! asymmetry is what experiment E11 quantifies.
 
-use rand::Rng;
+use sciflow_core::rng::Rng;
 
 use sciflow_metastore::prelude::*;
 
@@ -29,11 +29,11 @@ impl StratifiedSample {
 
 /// Draw up to `per_stratum` rows from each distinct value of `stratum_col`,
 /// using the column's index for per-stratum access.
-pub fn stratified_sample<R: Rng>(
+pub fn stratified_sample(
     table: &Table,
     stratum_col: usize,
     per_stratum: usize,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> WebResult<StratifiedSample> {
     if per_stratum == 0 {
         return Err(WebError::InvalidConfig { detail: "per_stratum must be positive".into() });
@@ -64,11 +64,11 @@ pub fn stratified_sample<R: Rng>(
 /// The flat-layout baseline: no index, no grouping — one full scan per
 /// stratum discovered on the fly. Returns the same sample shape but reports
 /// the (much larger) rows-examined cost a cluster of flat files would pay.
-pub fn stratified_sample_flat<R: Rng>(
+pub fn stratified_sample_flat(
     table: &Table,
     stratum_col: usize,
     per_stratum: usize,
-    rng: &mut R,
+    rng: &mut Rng,
 ) -> WebResult<StratifiedSample> {
     if per_stratum == 0 {
         return Err(WebError::InvalidConfig { detail: "per_stratum must be positive".into() });
@@ -111,8 +111,6 @@ pub fn stratified_sample_flat<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn pages_table(n: usize, domains: usize) -> Table {
         let schema = Schema::new(vec![
@@ -137,7 +135,7 @@ mod tests {
     #[test]
     fn sample_covers_every_stratum() {
         let t = pages_table(200, 8);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let s = stratified_sample(&t, 1, 5, &mut rng).unwrap();
         assert_eq!(s.strata.len(), 8);
         for (_, rows) in &s.strata {
@@ -149,7 +147,7 @@ mod tests {
     #[test]
     fn small_strata_return_all_their_rows() {
         let t = pages_table(10, 8); // strata of 1–2 rows
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let s = stratified_sample(&t, 1, 5, &mut rng).unwrap();
         assert!(s.strata.iter().all(|(_, rows)| rows.len() <= 2));
         assert_eq!(s.total_sampled(), 10);
@@ -158,7 +156,7 @@ mod tests {
     #[test]
     fn indexed_sampling_examines_far_fewer_rows_than_flat() {
         let t = pages_table(400, 10);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let indexed = stratified_sample(&t, 1, 3, &mut rng).unwrap();
         let flat = stratified_sample_flat(&t, 1, 3, &mut rng).unwrap();
         assert_eq!(indexed.total_sampled(), flat.total_sampled());
@@ -170,8 +168,8 @@ mod tests {
     #[test]
     fn samples_are_random_but_valid() {
         let t = pages_table(100, 2);
-        let mut a_rng = StdRng::seed_from_u64(4);
-        let mut b_rng = StdRng::seed_from_u64(5);
+        let mut a_rng = Rng::seed_from_u64(4);
+        let mut b_rng = Rng::seed_from_u64(5);
         let a = stratified_sample(&t, 1, 10, &mut a_rng).unwrap();
         let b = stratified_sample(&t, 1, 10, &mut b_rng).unwrap();
         // Different seeds, (almost surely) different samples.
@@ -193,7 +191,7 @@ mod tests {
     #[test]
     fn zero_per_stratum_rejected() {
         let t = pages_table(10, 2);
-        let mut rng = StdRng::seed_from_u64(6);
+        let mut rng = Rng::seed_from_u64(6);
         assert!(stratified_sample(&t, 1, 0, &mut rng).is_err());
         assert!(stratified_sample_flat(&t, 1, 0, &mut rng).is_err());
     }

@@ -224,13 +224,12 @@ fn preload_conserves_pages_for_any_web_shape() {
     check("preload_conserves_pages_for_any_web_shape", 64, |g| {
         let (domains, pages) = (g.range(1usize..6), g.range(1usize..40));
         let (per_file, seed) = (g.range(1usize..50), g.any::<u64>());
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
+        use sciflow_core::rng::Rng;
         use sciflow_metastore::Database;
         use sciflow_weblab::crawlsim::{SyntheticWeb, WebConfig};
         use sciflow_weblab::pagestore::PageStore;
         use sciflow_weblab::preload::{create_pages_table, preload, PreloadConfig};
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let web = SyntheticWeb::generate(
             WebConfig {
                 n_domains: domains,

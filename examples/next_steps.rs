@@ -6,8 +6,7 @@
 //! cargo run -p sciflow-examples --release --bin next_steps
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_arecibo::meta::{create_candidate_table, load_candidates};
 use sciflow_arecibo::nvo::{export_votable, parse_votable};
@@ -47,7 +46,7 @@ fn main() {
     );
 
     // --- 2. WebLab subset views + scoped text index ----------------------
-    let mut rng = StdRng::seed_from_u64(2006);
+    let mut rng = Rng::seed_from_u64(2006);
     let web = SyntheticWeb::generate(WebConfig::default(), 1, &mut rng);
     let files = web.crawl_files(0, 64).expect("serializes");
     let mut pages_db = Database::new();

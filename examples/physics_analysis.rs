@@ -6,8 +6,7 @@
 //! cargo run -p sciflow-examples --release --bin physics_analysis
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_cleo::analysis::{run_analysis, AnalysisJob};
 use sciflow_cleo::asu::decompose;
@@ -27,7 +26,7 @@ fn d(s: &str) -> CalDate {
 }
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(1979); // CESR first collisions
+    let mut rng = Rng::seed_from_u64(1979); // CESR first collisions
     let det = DetectorConfig::default();
     let gen = GeneratorConfig::default();
 

@@ -6,8 +6,7 @@
 //! cargo run -p sciflow-examples --release --bin pulsar_search
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_arecibo::meta::{
     candidates_for_pointing, classify_candidate, create_candidate_table, load_candidates,
@@ -21,7 +20,7 @@ use sciflow_metastore::Database;
 
 fn main() {
     let cfg = ObsConfig::test_scale();
-    let mut rng = StdRng::seed_from_u64(1974); // Hulse–Taylor year
+    let mut rng = Rng::seed_from_u64(1974); // Hulse–Taylor year
 
     // --- 1. A pointing: 7 ALFA beams, one hiding a pulsar ---------------
     let mut beams: Vec<DynamicSpectrum> =

@@ -6,8 +6,7 @@
 //! cargo run -p sciflow-examples --release --bin web_timeslice
 //! ```
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_metastore::Database;
 use sciflow_weblab::analytics::{graph_stats, pagerank};
@@ -19,7 +18,7 @@ use sciflow_weblab::retro::RetroBrowser;
 use sciflow_weblab::sample::stratified_sample;
 
 fn main() {
-    let mut rng = StdRng::seed_from_u64(1996); // the Archive's first crawl
+    let mut rng = Rng::seed_from_u64(1996); // the Archive's first crawl
     let web = SyntheticWeb::generate(
         WebConfig { n_domains: 10, pages_per_domain: 80, ..WebConfig::default() },
         5,

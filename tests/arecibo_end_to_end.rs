@@ -2,8 +2,7 @@
 //! pipeline → candidate database → EventStore registration of the data
 //! products, with provenance digests carried in the file headers.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_arecibo::meta::{create_candidate_table, load_candidates};
 use sciflow_arecibo::pipeline::{process_pointing, PipelineConfig};
@@ -22,7 +21,7 @@ fn d(s: &str) -> CalDate {
 fn pointing_products_flow_into_database_and_eventstore() {
     // --- Observe -----------------------------------------------------------
     let cfg = ObsConfig::test_scale();
-    let mut rng = StdRng::seed_from_u64(424242);
+    let mut rng = Rng::seed_from_u64(424242);
     let mut beams: Vec<DynamicSpectrum> =
         (0..7).map(|_| DynamicSpectrum::noise(cfg, &mut rng)).collect();
     let truth_period = 0.128;
@@ -90,7 +89,7 @@ fn pointing_products_flow_into_database_and_eventstore() {
 #[test]
 fn reprocessing_with_new_parameters_changes_the_digest() {
     let cfg = ObsConfig::test_scale();
-    let mut rng = StdRng::seed_from_u64(5);
+    let mut rng = Rng::seed_from_u64(5);
     let beams: Vec<DynamicSpectrum> =
         (0..2).map(|_| DynamicSpectrum::noise(cfg, &mut rng)).collect();
     let version = VersionId::new("Dedisp", "IT_06", d("20060704"), "CTC");

@@ -2,8 +2,7 @@
 //! post-recon → ASUs → partitioned analysis under an EventStore consistent
 //! view, plus the offsite-MC merge path.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_cleo::analysis::{run_analysis, AnalysisJob};
 use sciflow_cleo::asu::decompose;
@@ -24,7 +23,7 @@ fn d(s: &str) -> CalDate {
 
 #[test]
 fn run_processing_analysis_and_eventstore_agree() {
-    let mut rng = StdRng::seed_from_u64(2_001_388);
+    let mut rng = Rng::seed_from_u64(2_001_388);
     let det = DetectorConfig::default();
     let run = generate_run(201_388, 150, &GeneratorConfig::default(), &mut rng);
 

@@ -11,9 +11,8 @@
 //! `FAULT_MATRIX_SEED` matrix entry) proving that showers of stale,
 //! double, and already-fired cancels leave the event sequence untouched.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sciflow_core::engine::{Engine, EventHandler, EventId, Scheduler};
+use sciflow_core::rng::Rng;
 use sciflow_core::units::{SimDuration, SimTime};
 use sciflow_testkit::{derive_seed, matrix_seed};
 
@@ -65,7 +64,7 @@ fn slab_residency_stays_at_peak_pending_on_a_long_chained_run() {
 /// through a key whose slot has been recycled must return `None` and leave
 /// the run unperturbed.
 struct Chaos {
-    rng: StdRng,
+    rng: Rng,
     /// Payloads in the order they fired.
     fired: Vec<u64>,
     /// Ids of events that already fired: stale by definition, and — given
@@ -87,7 +86,7 @@ struct Chaos {
 impl Chaos {
     fn new(seed: u64, stale_cancels: bool) -> Self {
         Chaos {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seed_from_u64(seed),
             fired: Vec::new(),
             spent: Vec::new(),
             live: Vec::new(),

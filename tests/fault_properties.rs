@@ -4,12 +4,13 @@
 //! [`naive`] keeps the whole-timeline scans those searches replaced.
 
 use sciflow_core::fault::{FaultEvent, FaultKind, FaultPlan, FaultProfile, RetryPolicy};
+use sciflow_core::rng::Rng;
 use sciflow_core::units::{DataRate, DataVolume, SimDuration, SimTime};
 use sciflow_simnet::link::NetworkLink;
 use sciflow_simnet::profiles::{arecibo_to_ctc, ata_disk};
 use sciflow_simnet::transfer::compare_with_faults;
 use sciflow_testkit::{
-    assert_flow_transfer_conservation, check, matrix_seed, seeded_rng, Gen, LossyFlowScenario,
+    assert_flow_transfer_conservation, check, matrix_seed, Gen, LossyFlowScenario,
 };
 
 /// The plan queries as whole-timeline scans over `plan.events()`: the
@@ -303,8 +304,8 @@ fn nominal_backoff_is_monotone_and_bounded() {
 fn jittered_backoff_is_bounded_and_seed_deterministic() {
     check("jittered_backoff_is_bounded_and_seed_deterministic", 64, |g| {
         let (policy, seed) = (arbitrary_policy(g), g.any::<u64>());
-        let mut a = seeded_rng(seed);
-        let mut b = seeded_rng(seed);
+        let mut a = Rng::seed_from_u64(seed);
+        let mut b = Rng::seed_from_u64(seed);
         for i in 0..16u32 {
             let x = policy.backoff(i, &mut a);
             let y = policy.backoff(i, &mut b);

@@ -8,8 +8,6 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sciflow_arecibo::fft::{fft_in_place, real_power_spectrum, Complex};
 use sciflow_arecibo::nvo::{export_votable, parse_votable};
 use sciflow_arecibo::rfi::zero_dm_filter;
@@ -20,6 +18,7 @@ use sciflow_cleo::generator::{generate_event, GeneratorConfig};
 use sciflow_core::fault::{FaultPlan, RetryPolicy};
 use sciflow_core::fnv::{fnv1a, fnv1a_update, FNV_OFFSET};
 use sciflow_core::frame::{self, Damage, Reader};
+use sciflow_core::rng::Rng;
 use sciflow_core::slab::Slab;
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 use sciflow_core::version::CalDate;
@@ -688,7 +687,7 @@ fn stratified_samples_fill_each_stratum_up_to_the_quota() {
         let (quota, seed) = (g.range(1usize..10), g.any::<u64>());
         let table = kv_table(&rows, true);
         let sizes = counts_of(&rows);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let indexed = stratified_sample(&table, 1, quota, &mut rng).expect("quota > 0");
         let flat = stratified_sample_flat(&table, 1, quota, &mut rng).expect("quota > 0");
         assert_eq!(indexed.rows_examined, rows.len());
@@ -735,12 +734,12 @@ fn synthetic_webs_and_events_replay_from_their_seed() {
             ..WebConfig::default()
         };
         let crawl = || {
-            let web = SyntheticWeb::generate(config, 2, &mut StdRng::seed_from_u64(seed));
+            let web = SyntheticWeb::generate(config, 2, &mut Rng::seed_from_u64(seed));
             web.crawl_files(1, per_file).expect("serializes")
         };
         assert_eq!(crawl(), crawl());
         let event =
-            || generate_event(7, &GeneratorConfig::default(), &mut StdRng::seed_from_u64(seed));
+            || generate_event(7, &GeneratorConfig::default(), &mut Rng::seed_from_u64(seed));
         assert_eq!(event(), event());
     });
 }

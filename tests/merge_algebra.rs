@@ -10,14 +10,13 @@
 //! path), per-store snapshot dates (exercising grade folding), and a sprinkle
 //! of quarantined files (exercising the held-back path).
 
-use rand::rngs::StdRng;
-use rand::Rng;
 use sciflow_core::md5::md5;
+use sciflow_core::rng::Rng;
 use sciflow_core::version::CalDate;
 use sciflow_eventstore::{
     canonical_content, merge_into, EventStore, FileRecord, GradeEntry, RunRange, StoreTier,
 };
-use sciflow_testkit::{derive_seed, matrix_seed, seeded_rng};
+use sciflow_testkit::{derive_seed, matrix_seed};
 
 /// Shared-pool records are a pure function of their id, so two stores that
 /// both hold shared file `k` hold byte-identical rows — a skip, never a
@@ -35,7 +34,7 @@ fn shared_record(id: u64) -> FileRecord {
     }
 }
 
-fn private_record(rng: &mut StdRng, store_index: usize, n: u64) -> FileRecord {
+fn private_record(rng: &mut Rng, store_index: usize, n: u64) -> FileRecord {
     let id = (store_index as u64 + 1) * 10_000 + n;
     let version = format!("v{}-{}", store_index, rng.gen_range(0..100u32));
     let first = rng.gen_range(1..40_000u32);
@@ -56,7 +55,7 @@ fn private_record(rng: &mut StdRng, store_index: usize, n: u64) -> FileRecord {
 /// index so independently generated stores never declare the same
 /// `(grade, date)` — the compatibility precondition of `merge_into`.
 fn generated_store(seed: u64, store_index: usize) -> EventStore {
-    let mut rng = seeded_rng(derive_seed(seed, &format!("store-{store_index}")));
+    let mut rng = Rng::seed_from_u64(derive_seed(seed, &format!("store-{store_index}")));
     let mut store = EventStore::new(StoreTier::Personal);
     let mut own = Vec::new();
     for n in 0..rng.gen_range(3..15u64) {

@@ -17,14 +17,13 @@ use std::cell::RefCell;
 use std::path::PathBuf;
 use std::rc::Rc;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sciflow_arecibo::flow::{arecibo_flow_graph, AreciboFlowParams, CTC_POOL};
 use sciflow_cleo::flow::{cleo_flow_graph, CleoFlowParams, WILSON_POOL};
 use sciflow_core::fault::RetryPolicy;
 use sciflow_core::fnv::fnv1a;
 use sciflow_core::genflow::{stress_flow, Archetype, StressParams, SEED_PAYLOAD_MASK};
 use sciflow_core::graph::{FlowGraph, StageId, StageKind};
+use sciflow_core::rng::Rng;
 use sciflow_core::sim::{CpuPool, FlowSim};
 use sciflow_core::trace::{
     NoopObserver, Observer, Span, TraceEvent, TraceMeta, TraceRecorder, TraceSnapshot,
@@ -495,7 +494,7 @@ fn critical_path_breaks_ties_the_way_the_quadratic_walk_does() {
 /// happens by itself and in combination, at every makespan.
 #[test]
 fn critical_path_equals_the_quadratic_walk_on_dense_random_ties() {
-    let mut rng = StdRng::seed_from_u64(matrix_seed(42));
+    let mut rng = Rng::seed_from_u64(matrix_seed(42));
     for case in 0..400 {
         let n = rng.gen_range(0..12usize);
         let spans: Vec<(usize, u64, u64)> = (0..n)

@@ -2,8 +2,7 @@
 //! parallel preload → relational metadata + page store → retro browsing,
 //! graph analytics, and stratified sampling.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use sciflow_core::rng::Rng;
 
 use sciflow_metastore::prelude::*;
 use sciflow_weblab::analytics::{graph_stats, pagerank};
@@ -16,7 +15,7 @@ use sciflow_weblab::sample::stratified_sample;
 
 #[test]
 fn multi_crawl_ingest_supports_all_research_patterns() {
-    let mut rng = StdRng::seed_from_u64(1996);
+    let mut rng = Rng::seed_from_u64(1996);
     let web = SyntheticWeb::generate(
         WebConfig { n_domains: 6, pages_per_domain: 60, ..WebConfig::default() },
         3,
@@ -87,7 +86,7 @@ fn multi_crawl_ingest_supports_all_research_patterns() {
 
 #[test]
 fn preload_is_deterministic_in_content_across_worker_counts() {
-    let mut rng = StdRng::seed_from_u64(44);
+    let mut rng = Rng::seed_from_u64(44);
     let web = SyntheticWeb::generate(WebConfig::default(), 1, &mut rng);
     let files = web.crawl_files(0, 32).unwrap();
 
