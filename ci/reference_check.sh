@@ -23,9 +23,9 @@
 # declares a variant and does not.
 #
 # A flagged item fails the check unless `ci/reference_allowlist.txt` lists
-# it as `<file> <name> <why it stays>`, a variant's name written `E::V`;
-# an allowlist line that no longer
-# matches a flagged item fails it too, so the list only shrinks.
+# it as `<file> <name> <why it stays>`, a variant's name written `E::V`; an
+# allowlist line that no longer matches a flagged item fails it too, so the
+# list only shrinks.
 #
 # Usage: ci/reference_check.sh   (from anywhere; needs bash, find, awk, sort)
 set -euo pipefail
