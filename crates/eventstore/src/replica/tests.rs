@@ -320,6 +320,28 @@ fn quarantine_propagates_and_release_wins() {
     assert_eq!(a.sealed_content().unwrap(), b.sealed_content().unwrap());
 }
 
+/// A quarantine reason crosses the wire, a checkpoint and a journal replay
+/// byte for byte, delimiters included: the register is a typed row, not
+/// delimited text.
+#[test]
+fn quarantine_reasons_are_kept_verbatim() {
+    let reason = "md5 a|b differs || tape 7|";
+    let (dir_a, dir_b) = (scratch("verbatim-a"), scratch("verbatim-b"));
+    let mut a = Replica::durable(1, StoreTier::Group, &dir_a).unwrap();
+    let mut b = Replica::durable(2, StoreTier::Personal, &dir_b).unwrap();
+    a.register(&rec(1, 100, "recon", "v1")).unwrap();
+    a.quarantine(1, reason).unwrap();
+    sync_once(&mut a, &mut b, &mut SyncLink::clean()).unwrap();
+    // `a` recovers from its snapshot, `b` by replaying its journal.
+    a.checkpoint().unwrap();
+    drop((a, b));
+    for dir in [&dir_a, &dir_b] {
+        let rep = Replica::recover(dir).unwrap();
+        assert_eq!(rep.unit(1).unwrap().unwrap().quarantine.unwrap().reason, reason);
+        assert_eq!(rep.store().quarantine_reason(1).as_deref(), Some(reason));
+    }
+}
+
 #[test]
 fn concurrent_grade_declarations_union() {
     let mut a = Replica::new(1, StoreTier::Group);
