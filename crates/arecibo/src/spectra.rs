@@ -13,13 +13,6 @@ use sciflow_core::rng::Rng;
 
 use crate::units::Dm;
 
-/// Standard-normal deviate via the Box–Muller transform.
-pub(crate) fn gauss(rng: &mut Rng) -> f32 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-}
-
 /// Observing configuration for one pointing of one beam.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObsConfig {
@@ -80,7 +73,7 @@ pub struct DynamicSpectrum {
 impl DynamicSpectrum {
     /// Pure radiometer noise: unit-variance Gaussian per sample.
     pub fn noise(config: ObsConfig, rng: &mut Rng) -> Self {
-        let data = (0..config.n_channels * config.n_samples).map(|_| gauss(rng)).collect();
+        let data = (0..config.n_channels * config.n_samples).map(|_| rng.gauss()).collect();
         DynamicSpectrum { config, data }
     }
 

@@ -90,7 +90,7 @@ pub fn simulate_event(
             if p.pt_gev < 0.1 && layer > cfg.n_layers / 2 {
                 break;
             }
-            let smear = crate::gauss(rng) as f64 * cfg.phi_smear;
+            let smear = rng.gauss() as f64 * cfg.phi_smear;
             let phi = (track_phi_at_layer(p.phi, p.pt_gev, p.charge, layer, cfg) + smear)
                 .rem_euclid(std::f64::consts::TAU);
             let wire = (phi / wire_pitch) as usize % cfg.wires_per_layer;

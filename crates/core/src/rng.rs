@@ -89,6 +89,14 @@ impl Rng {
         assert!((0.0..=1.0).contains(&p), "probability must be in [0, 1]");
         self.gen::<f64>() < p
     }
+
+    /// A standard-normal deviate by the Box–Muller transform: an
+    /// open-interval uniform, then a half-open one.
+    pub fn gauss(&mut self) -> f32 {
+        let u1: f64 = self.gen_range(f64::MIN_POSITIVE..1.0);
+        let u2: f64 = self.gen();
+        ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
+    }
 }
 
 /// A generator is its four state words, the stream position, each eight
