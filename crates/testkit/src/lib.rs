@@ -25,9 +25,11 @@
 //! * [`determinism`] — [`determinism::assert_deterministic`], which replays
 //!   a seeded scenario and requires byte-identical results;
 //! * [`replicated`] — seeded multi-replica EventStore fleets with generated
-//!   operation histories over faulty links, and
+//!   operation histories over faulty links,
 //!   [`replicated::assert_convergence`], the byte-identical-after-quiescence
-//!   acceptance bar of the replication layer.
+//!   acceptance bar of the replication layer, and
+//!   [`replicated::cut_journal`], which leaves a durable replica as a kill
+//!   after its k-th journal append leaves it.
 
 pub mod determinism;
 pub mod generated;
@@ -49,7 +51,7 @@ pub use invariants::{
 };
 pub use property::{check, Gen};
 pub use replicated::{
-    assert_convergence, dense_link_faults, registered_ids, History, ReplicatedScenario,
+    assert_convergence, cut_journal, dense_link_faults, registered_ids, History, ReplicatedScenario,
 };
 pub use rng::{derive_seed, matrix_seed};
 pub use scenarios::{

@@ -15,8 +15,11 @@
 //! supersede records, never lose them).
 
 use std::collections::BTreeSet;
+use std::fs::OpenOptions;
+use std::path::Path;
 
 use sciflow_core::fault::{FaultPlan, FaultProfile};
+use sciflow_core::frame;
 use sciflow_core::md5::md5;
 use sciflow_core::rng::Rng;
 use sciflow_core::units::SimDuration;
@@ -314,9 +317,74 @@ pub fn registered_ids(replicas: &[Replica]) -> BTreeSet<u64> {
     ids
 }
 
+/// A durable replica's apply journal, as `Replica::durable` names it, and
+/// the magic it opens with (DESIGN §14).
+const JOURNAL_FILE: &str = "journal.esr";
+const JOURNAL_MAGIC: &[u8] = b"ESRJNL1\n";
+
+/// Leave the durable replica at `dir` as a process killed right after its
+/// `frames`-th journal append leaves it: the store snapshot untouched and
+/// the first `frames` sealed frames of its journal. Appends are
+/// deterministic and each is synced before it is applied, so a run that
+/// went on to finish wrote those same frames first; drop the finished
+/// replica, cut its journal here, and [`Replica::recover`] sees what the
+/// kill left.
+///
+/// Panics when the journal holds fewer than `frames` frames: the run never
+/// reached the kill point.
+pub fn cut_journal(dir: &Path, frames: usize) {
+    let path = dir.join(JOURNAL_FILE);
+    let mut walk = frame::Walk::open(&path, JOURNAL_MAGIC)
+        .expect("journal readable")
+        .expect("a replica journal starts with its magic");
+    let mut len = JOURNAL_MAGIC.len();
+    for walked in 0..frames {
+        let Some((_, payload)) = walk.next_frame().expect("journal readable") else {
+            panic!("{} holds {walked} frames, not {frames}", path.display());
+        };
+        len += frame::OVERHEAD + payload.len();
+    }
+    let journal = OpenOptions::new().write(true).open(&path).expect("journal writable");
+    journal.set_len(len as u64).expect("journal truncated");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A durable replica at a fresh `dir` that registered `files` files and
+    /// was dropped: a journal of `files` frames.
+    fn journal_of(name: &str, files: u64) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("sciflow-testkit-cut-{}-{name}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let mut replica = Replica::durable(1, StoreTier::Group, &dir).unwrap();
+        for id in 0..files {
+            replica.register(&generated_record(&mut Rng::seed_from_u64(id), id, 0)).unwrap();
+        }
+        dir
+    }
+
+    #[test]
+    fn cut_journal_keeps_the_first_frames() {
+        let dir = journal_of("keep", 3);
+        cut_journal(&dir, 2);
+        let recovered = Replica::recover(&dir).unwrap();
+        let ids: Vec<u64> = recovered.store().files().unwrap().iter().map(|f| f.id).collect();
+        assert_eq!((ids, recovered.torn_tail()), (vec![0, 1], None));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn cut_journal_refuses_a_cut_past_the_last_frame() {
+        let dir = journal_of("past", 3);
+        let len = std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len();
+        let refused = std::panic::catch_unwind(|| cut_journal(&dir, 4)).unwrap_err();
+        let message = refused.downcast_ref::<String>().unwrap();
+        assert!(message.ends_with("holds 3 frames, not 4"), "{message}");
+        assert_eq!(std::fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(), len);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 
     #[test]
     fn scenario_is_deterministic_from_its_seed() {

@@ -8,10 +8,13 @@
 //! group and a collaboration store diverge (registrations, a concurrent
 //! revision, a quarantine), then anti-entropy sessions over seeded faulty
 //! links — drops, stalls, corruption, duplicates, reorders, partitions —
-//! bring the fleet to byte-identical sealed content. Halfway through, the
-//! durable collaboration root is killed `kill -9`-style between journaling
-//! a frame and applying it, recovers from its snapshot + journal, and still
-//! lands on the same bytes.
+//! bring the fleet to byte-identical sealed content. Then the durable
+//! collaboration root is killed `kill -9`-style between journaling a frame
+//! and applying it: it is dropped, and its journal is cut after that frame
+//! (`sciflow_testkit::cut_journal`), which leaves on disk exactly what a
+//! process killed there leaves — the snapshot and the frames it had synced.
+//! It recovers from its snapshot + journal, and the fleet lands on the same
+//! bytes again.
 //!
 //! Pass a seed as the first argument (or set `FAULT_MATRIX_SEED`, as CI
 //! does) to sweep different fault timelines and kill points.
@@ -22,8 +25,9 @@ use sciflow_core::fault::{FaultPlan, FaultProfile};
 use sciflow_core::md5::md5;
 use sciflow_core::units::SimDuration;
 use sciflow_core::version::CalDate;
-use sciflow_eventstore::replica::{Replica, ReplicaError, SyncFabric, SyncLink};
+use sciflow_eventstore::replica::{Replica, SyncFabric, SyncLink};
 use sciflow_eventstore::{FileRecord, RunRange, StoreTier};
+use sciflow_testkit::cut_journal;
 
 fn record(id: u64, run: u32, version: &str) -> FileRecord {
     FileRecord {
@@ -77,20 +81,21 @@ fn main() {
     let mut replicas = vec![root, group, leaf];
     replicas[0].register(&record(3, 14_003, "blessed-recon")).expect("register");
 
-    // First pass: sync to quiescence over chaotic links, killing the root
-    // partway through its first apply.
-    replicas[0].kill_after_appends = Some(1 + seed % 23);
+    // First pass: sync to quiescence over chaotic links.
     let mut fabric = SyncFabric::new();
     fabric.connect(0, 1, chaos_link(seed, 1));
     fabric.connect(1, 2, chaos_link(seed, 2));
-    match fabric.settle(&mut replicas, 200) {
-        Err(ReplicaError::KilledMidApply) => println!("root killed mid-apply, as scheduled"),
-        other => panic!("expected the seeded kill to fire, got {other:?}"),
-    }
+    let rounds = fabric.settle(&mut replicas, 200).expect("fleet must quiesce");
+    println!("fleet quiesced after {rounds} rounds");
 
-    // Crash recovery: drop the dead root, replay its snapshot + journal in
-    // a fresh replica, and finish the sync.
+    // Kill the root after its journal frame `kill` (its own registration
+    // was the first): the process dies, and the journal keeps the frames
+    // it had synced. Recovery replays its snapshot + journal in a fresh
+    // replica, and the sync finishes what the dead root lost.
+    let kill = 2 + (seed % 23) as usize;
     drop(replicas.remove(0));
+    cut_journal(&dir, kill);
+    println!("root killed after journal frame {kill}");
     let recovered = Replica::recover(&dir).expect("snapshot + journal replay");
     replicas.insert(0, recovered);
     println!(
@@ -104,7 +109,8 @@ fn main() {
     while !SyncFabric::converged(&replicas).expect("content readable") {
         rounds += 1;
         assert!(rounds <= 200, "fleet must quiesce");
-        let reports = fabric.round(&mut replicas).expect("no replica dies twice");
+        let reports =
+            fabric.round(&mut replicas).expect("only partitions and drops fail a session");
         for (link, report) in reports.iter().enumerate() {
             match report {
                 Some(r) if r.in_sync => println!("  round {rounds} link {link}: in sync"),
