@@ -8,8 +8,9 @@
 
 use std::path::{Path, PathBuf};
 
-use sciflow_core::frame::{put_u16, put_u8};
+use sciflow_core::frame::{put_u16, put_u32, put_u8};
 use sciflow_core::graph::{FlowGraph, StageKind};
+use sciflow_core::md5::Digest;
 use sciflow_core::sim::FlowSim;
 use sciflow_core::spec::{SourceSpec, TransferSpec};
 use sciflow_core::units::DataRate;
@@ -19,6 +20,7 @@ use sciflow_testkit::{assert_sealed_roundtrip, Gen, TailPolicy};
 
 use super::tests::{rec, scratch};
 use super::*;
+use crate::grade::RunRange;
 
 /// A durable replica holding files 1 and 2, dropped so only its directory
 /// remains: the journal carries two `AJ_UNIT` frames, the second starting

@@ -1,8 +1,8 @@
 //! Message and journal-entry kinds and payload layouts for the replication
-//! layer. Every message and journal entry travels as one sealed
-//! [`sciflow_core::frame`] frame: one flipped bit anywhere (fault injection,
-//! bit rot, a torn tail) invalidates the whole frame, never a silently
-//! different payload.
+//! layer, the unit codec among them. Every message and journal entry
+//! travels as one sealed [`sciflow_core::frame`] frame: one flipped bit
+//! anywhere (fault injection, bit rot, a torn tail) invalidates the whole
+//! frame, never a silently different payload.
 
 #![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -12,13 +12,15 @@ use std::ops::Range;
 
 use sciflow_core::fnv::{fnv1a_update, FNV_OFFSET};
 use sciflow_core::frame::{put_str, put_u16, put_u32, put_u64, put_u8, Reader};
+use sciflow_core::md5::Digest;
 
 use super::index::{Node, FANOUT, LEAF_UNITS, MAX_DEPTH};
 use super::{
-    decode_unit, encode_unit_into, range_of, tier_rank, FileUnit, QState, ReplicaError,
-    ReplicaResult, StoreId, VersionVector, NUM_RANGES,
+    range_of, tier_rank, FileUnit, QState, ReplicaError, ReplicaResult, StoreId, VersionVector,
+    NUM_RANGES,
 };
-use crate::store::StoreTier;
+use crate::grade::RunRange;
+use crate::store::{date_of_key, FileRecord, StoreTier};
 
 // Anti-entropy message kinds.
 pub(crate) const MSG_SUMMARY: u8 = 0x01;
@@ -96,6 +98,102 @@ pub(crate) fn read_qstate(r: &mut Reader<'_>) -> ReplicaResult<Option<QState>> {
         1 => Ok(Some(QState { epoch: r.u64()?, flagged: r.u8()? != 0, reason: r.str()? })),
         k => Err(ReplicaError::CorruptMessage { detail: format!("bad qstate tag {k}") }),
     }
+}
+
+// --- units ------------------------------------------------------------------
+
+pub(crate) fn encode_record(buf: &mut Vec<u8>, r: &FileRecord) {
+    put_u64(buf, r.id);
+    put_u32(buf, r.runs.first);
+    put_u32(buf, r.runs.last);
+    put_str(buf, &r.kind);
+    put_str(buf, &r.version);
+    put_str(buf, &r.site);
+    put_u32(buf, r.registered.as_key());
+    put_str(buf, &r.location);
+    put_hex(buf, &r.prov_digest);
+}
+
+/// What `put_str` of `digest.to_hex()` appends, without the `String`.
+fn put_hex(buf: &mut Vec<u8>, digest: &Digest) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    // Two digits a byte.
+    const HEX_LEN: u32 = 2 * std::mem::size_of::<Digest>() as u32;
+    put_u32(buf, HEX_LEN);
+    for b in digest.0 {
+        // A nibble is below 16, so both `get`s find their digit.
+        let (hi, lo) = (HEX.get(usize::from(b / 16)), HEX.get(usize::from(b % 16)));
+        if let (Some(&hi), Some(&lo)) = (hi, lo) {
+            buf.extend_from_slice(&[hi, lo]);
+        }
+    }
+}
+
+fn decode_record(r: &mut Reader<'_>) -> ReplicaResult<FileRecord> {
+    let id = r.u64()?;
+    let first = r.u32()?;
+    let last = r.u32()?;
+    let kind = r.str()?;
+    let version = r.str()?;
+    let site = r.str()?;
+    let date_key = r.u32()?;
+    let location = r.str()?;
+    // The digest's hex is parsed where it lies, not copied into a `String`.
+    let hex_len = r.len32()?;
+    let hex = r.take(hex_len)?;
+    let registered = date_of_key(date_key).ok_or_else(|| ReplicaError::CorruptMessage {
+        detail: format!("bad date key {date_key}"),
+    })?;
+    let prov_digest = std::str::from_utf8(hex)
+        .ok()
+        .and_then(Digest::from_hex)
+        .ok_or_else(|| ReplicaError::CorruptMessage { detail: "bad digest hex".into() })?;
+    if first > last {
+        return Err(ReplicaError::CorruptMessage {
+            detail: format!("inverted run range [{first}, {last}]"),
+        });
+    }
+    Ok(FileRecord {
+        id,
+        runs: RunRange { first, last },
+        kind,
+        version,
+        site,
+        registered,
+        location,
+        prov_digest,
+    })
+}
+
+/// Encode everything the total order looks at (record, tier, origin, vv) —
+/// the quarantine register is deliberately excluded, because quarantining a
+/// file must not change which revision wins.
+pub(crate) fn encode_unit_core(buf: &mut Vec<u8>, u: &FileUnit) {
+    encode_record(buf, &u.record);
+    put_version(buf, u.tier_rank, u.origin, &u.vv);
+}
+
+/// Append the canonical bytes of a unit to `buf`: what travels, what is
+/// journaled, and what the range digests and
+/// [`super::Replica::sealed_content`] are computed over. The one unit encoder; it allocates nothing beyond
+/// the growth of `buf`.
+pub fn encode_unit_into(buf: &mut Vec<u8>, u: &FileUnit) {
+    encode_unit_core(buf, u);
+    put_qstate(buf, &u.quarantine);
+}
+
+/// [`encode_unit_into`] a fresh `Vec`.
+pub fn encode_unit(u: &FileUnit) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_unit_into(&mut buf, u);
+    buf
+}
+
+pub(crate) fn decode_unit(r: &mut Reader<'_>) -> ReplicaResult<FileUnit> {
+    let record = decode_record(r)?;
+    let (tier_rank, origin, vv) = read_version(r)?;
+    let quarantine = read_qstate(r)?;
+    Ok(FileUnit { record, tier_rank, origin, vv, quarantine })
 }
 
 // --- anti-entropy summary ----------------------------------------------
