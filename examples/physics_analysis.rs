@@ -1,6 +1,8 @@
 //! The CLEO workload end to end: generate a run, reconstruct it, register
 //! everything in an EventStore, and run a timestamp-pinned analysis over the
-//! hot/warm/cold partitioned data.
+//! hot/warm/cold partitioned data. Offsite Monte-Carlo arrives on a USB disk
+//! with a file whose provenance header is stale: it is quarantined, held
+//! back by the merge, shipped again, re-verified, released and merged.
 //!
 //! ```text
 //! cargo run -p sciflow-examples --release --bin physics_analysis
@@ -17,9 +19,11 @@ use sciflow_cleo::partition::{default_tiering, PartitionedStore};
 use sciflow_cleo::postrecon::compute_post_recon;
 use sciflow_cleo::reconstruction::{reconstruct, ReconConfig};
 use sciflow_core::md5::md5;
-use sciflow_core::provenance::ProvenanceRecord;
+use sciflow_core::provenance::{ProvenanceRecord, ProvenanceStep};
 use sciflow_core::version::{CalDate, VersionId};
-use sciflow_eventstore::{merge_into, EventStore, FileRecord, GradeEntry, RunRange, StoreTier};
+use sciflow_eventstore::{
+    merge_into, read_file, write_file, EventStore, FileRecord, GradeEntry, RunRange, StoreTier,
+};
 
 fn d(s: &str) -> CalDate {
     CalDate::parse_compact(s).expect("valid date literal")
@@ -105,12 +109,44 @@ fn main() {
     );
     println!("analysis provenance digest: {}", result.provenance.digest());
 
-    // --- 5. Offsite Monte Carlo → USB disk → merge -----------------------
+    // --- 5. Offsite Monte Carlo → USB disk → verify → merge --------------
     let mc = produce_mc_run(run.number, 100, &gen, &det, "MC Jul05", "offsite-farm");
     let personal = stage_into_personal_store(&mc, d("20050715"), 9_000).expect("staging works");
     let usb_disk = personal.to_bytes(); // what actually travels
-    let received = EventStore::from_bytes(&usb_disk).expect("clean bytes");
+    let mut received = EventStore::from_bytes(&usb_disk).expect("clean bytes");
+
+    // The MC file travels with its provenance header, checked against the
+    // provenance the farm declared for the run. The copy on the disk was
+    // written by a job that was restarted partway, and its header still
+    // names the events the first attempt produced: the check names the
+    // stale line, the file is quarantined, and the merge holds it back.
+    let mc_id = received.files().expect("scan")[0].id;
+    let produced = |events: usize| {
+        let version = VersionId::new("MC", "Jul05", d("20050715"), "offsite-farm");
+        ProvenanceRecord::new().derive(
+            ProvenanceStep::new("McProd", version)
+                .with_param("run", mc.run_number.to_string())
+                .with_param("events", events.to_string()),
+        )
+    };
+    let declared = produced(mc.truth.len());
+    let check = |file: &[u8]| read_file(file).and_then(|(h, _)| h.verify_detailed(&declared));
+    let payload = format!("mc run {}", mc.run_number);
+    let stale = write_file(&produced(mc.truth.len() / 2), payload.as_bytes());
+    let mismatch = check(&stale).expect_err("a stale header fails the check");
+    println!("MC file {mc_id} failed its provenance check: {mismatch}");
+    received.quarantine_file(mc_id, &mismatch.to_string()).expect("registered file");
+    let held = merge_into(&mut es, &received).expect("no conflicts");
+    assert_eq!((held.files_added, held.files_quarantined), (0, 1));
+    println!("first merge: {held}");
+
+    // The farm ships the file again from the finished job. Only once that
+    // copy verifies is the file released, and the merge takes it.
+    check(&write_file(&declared, payload.as_bytes())).expect("the re-shipped copy verifies");
+    received.release_file(mc_id).expect("registered file");
     let report = merge_into(&mut es, &received).expect("no conflicts");
+    assert_eq!((report.files_added, report.files_quarantined), (1, 0));
+    println!("after release: {report}");
     println!(
         "MC for run {}: {} simulated ({}), merged {} file record(s) into {}",
         mc.run_number,
