@@ -75,13 +75,6 @@ impl Value {
         }
     }
 
-    pub fn as_date(&self) -> Option<u32> {
-        match self {
-            Value::Date(d) => Some(*d),
-            _ => None,
-        }
-    }
-
     /// Total order used by indexes and ORDER BY: nulls first, then by type
     /// rank (Int/Real interleaved numerically, and exactly: no `Int` is
     /// rounded to a float), then by value. `Real` uses IEEE total ordering
@@ -309,7 +302,6 @@ mod tests {
     fn accessors() {
         assert_eq!(Value::Int(3).as_int(), Some(3));
         assert_eq!(Value::Text("x".into()).as_text(), Some("x"));
-        assert_eq!(Value::Date(20050101).as_date(), Some(20050101));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Text("x".into()).as_int(), None);
     }
