@@ -51,9 +51,11 @@ pub(crate) const FRAME_HEADER: u8 = 1;
 pub(crate) const FRAME_SNAPSHOT: u8 = 2;
 /// Version stamped into every header frame; bumped on incompatible layout
 /// changes so old journals fail with [`CoreError::ResumeMismatch`], never a
-/// garbled decode. Format 2 writes the integers of the snapshot payload as
-/// LEB128; format 1 wrote them at their full width.
-pub const SNAPSHOT_FORMAT: u32 = 2;
+/// garbled decode. Format 3 holds only what a resume reads: format 2 also
+/// wrote a trace-event count, the sampler's next tick and the last snapshot
+/// time, which no resume needs. Format 2 writes the integers of the
+/// snapshot payload as LEB128; format 1 wrote them at their full width.
+pub const SNAPSHOT_FORMAT: u32 = 3;
 
 /// The identity frame at the head of every journal: enough to refuse a
 /// resume against the wrong spec, seed, or an incompatible format — before
@@ -292,8 +294,8 @@ mod tests {
     }
 
     /// The format, byte for byte, computed at the commit before the port to
-    /// `core::frame`; since format 2 only the format field and the header's
-    /// seal differ. If this fails the on-disk format changed: do not update
+    /// `core::frame`; since then formats 2 and 3 each changed only the
+    /// format field and the header's seal. If this fails the on-disk format changed: do not update
     /// the literals; fix the code.
     #[test]
     fn byte_pin_run_journal() {
@@ -301,12 +303,12 @@ mod tests {
             &b"SFJRNL1\n"[..],
             // Header frame: kind 1, 33 payload bytes.
             &[1, 33, 0, 0, 0, 0, 0, 0, 0],
-            &[2, 0, 0, 0],                         // format 2
+            &[3, 0, 0, 0],                         // format 3
             &[4, 0, 0, 0, 0, 0, 0, 0],             // build: u64 length ...
             b"test",                               // ... and bytes
             &[0xEF, 0xBE, 0xAD, 0xDE, 0, 0, 0, 0], // spec hash 0xDEADBEEF
             &[1, 42, 0, 0, 0, 0, 0, 0, 0],         // fault seed Some(42)
-            &[170, 110, 95, 42, 99, 32, 126, 186], // FNV-1a over kind..payload
+            &[253, 110, 52, 53, 185, 133, 81, 12], // FNV-1a over kind..payload
             // Snapshot frame: kind 2, 4 payload bytes.
             &[2, 4, 0, 0, 0, 0, 0, 0, 0],
             b"snap",

@@ -49,7 +49,7 @@ use std::rc::Rc;
 use std::sync::OnceLock;
 
 use crate::trace::esc;
-use crate::units::{DataVolume, SimDuration, SimTime};
+use crate::units::{DataVolume, SimTime};
 
 // ---------------------------------------------------------------------------
 // Bucket table
@@ -449,9 +449,6 @@ pub enum SloKind {
     QueueBacklog { stage: String, max_volume: DataVolume },
     /// More than `max` corrupt items have escaped past every verifier.
     EscapedTaint { max: u64 },
-    /// A journaled run has gone longer than `max_gap` of simulated time
-    /// without writing a snapshot frame (journal-write stall).
-    SnapshotGap { max_gap: SimDuration },
     /// Fleet replication lag — the summed version-vector delta across
     /// replicas — exceeds `max_weight`.
     ReplicationLag { max_weight: u64 },

@@ -210,25 +210,14 @@ impl Observer for NoopObserver {
 /// anyone records them) so traces never depend on being observed.
 pub(crate) struct TraceCtx {
     observer: Option<Box<dyn Observer>>,
-    /// The part a snapshot holds; the observer is re-attached by the caller.
-    pub(crate) counters: TraceCounters,
-}
-
-crate::wire_struct! {
-    #[derive(Default)]
-    pub(crate) struct TraceCounters {
-        /// The last lineage id handed out.
-        next_lineage: u64,
-        /// Events handed to the observer so far. Snapshots record this so a
-        /// resumed run's trace can be spliced onto the killed run's prefix at
-        /// exactly the right event boundary.
-        emitted: u64,
-    }
+    /// The last lineage id handed out: the part a snapshot holds, since the
+    /// observer is re-attached by the caller.
+    pub(crate) next_lineage: u64,
 }
 
 impl TraceCtx {
     pub(crate) fn new() -> Self {
-        TraceCtx { observer: None, counters: TraceCounters::default() }
+        TraceCtx { observer: None, next_lineage: 0 }
     }
 
     pub(crate) fn attach(&mut self, observer: Box<dyn Observer>) {
@@ -240,8 +229,8 @@ impl TraceCtx {
     }
 
     pub(crate) fn alloc_lineage(&mut self) -> u64 {
-        self.counters.next_lineage += 1;
-        self.counters.next_lineage
+        self.next_lineage += 1;
+        self.next_lineage
     }
 
     pub(crate) fn begin(&mut self, meta: &TraceMeta) {
@@ -252,13 +241,10 @@ impl TraceCtx {
 
     /// Emit an event if an observer is attached. The closure runs only when
     /// someone listens, so disabled tracing never constructs event values.
-    /// The emit counter advances only on observed runs — it measures the
-    /// observer's stream, which is empty when no one listens.
     #[inline]
     pub(crate) fn emit(&mut self, at: SimTime, ev: impl FnOnce() -> TraceEvent) {
         if let Some(o) = self.observer.as_mut() {
             o.record(at, &ev());
-            self.counters.emitted += 1;
         }
     }
 }

@@ -149,21 +149,55 @@ fn killed_zoo_runs_resume_byte_identically_in_every_mode() {
 
 /// Durability is measured, never simulated into the result: an attached
 /// journal sealing a snapshot every 500 events leaves the report of a
-/// (reduced) stress flow exactly what the bare run reports.
+/// (reduced) stress flow exactly what the bare run reports, and one sealing
+/// every 16 does the same for the observed-slo mode of every archetype,
+/// whose sampler, SLO rules and trace recorder are all in the snapshot.
 #[test]
 fn a_journaled_run_reports_identically_to_the_bare_run() {
     let (graph, pools) = stress_flow(&StressParams { chains: 4, depth: 25, blocks: 100 });
-    let build = || FlowSim::new(graph.clone(), pools.clone()).expect("stress flows are valid");
-    let bare = build().run().expect("bare run converges");
+    let stress = || FlowSim::new(graph.clone(), pools.clone()).expect("stress flows are valid");
     let path = tmp("journaled-vs-bare");
-    let journaled = build()
-        .with_snapshot_policy(SnapshotPolicy::EveryEvents(500))
-        .with_journal(&path)
-        .expect("journal created")
-        .run()
-        .expect("journaled run converges");
+    let assert_journal_inert = |label: &str, build: &dyn Fn() -> FlowSim, cadence: u64| {
+        let bare = build().run().expect("bare run converges");
+        let journaled = build()
+            .with_snapshot_policy(SnapshotPolicy::EveryEvents(cadence))
+            .with_journal(&path)
+            .expect("journal created")
+            .run()
+            .expect("journaled run converges");
+        assert_eq!(journaled, bare, "{label}");
+    };
+    assert_journal_inert("stress", &stress, 500);
+    for archetype in Archetype::ALL {
+        let s = GeneratedScenario::new(archetype, 3);
+        let observed = || sim_observed_slo(&s).with_observer(TraceRecorder::new());
+        assert_journal_inert(&format!("{archetype} observed-slo"), &observed, 16);
+    }
     let _ = fs::remove_file(&path);
-    assert_eq!(journaled, bare);
+}
+
+/// Attaching an observer leaves the journal as it was, to the byte: the
+/// observed-slo mode of every archetype, sealing a snapshot every 7 events,
+/// writes the same file with a trace recorder attached as without one.
+#[test]
+fn a_journaled_run_writes_the_same_journal_with_an_observer_attached() {
+    let path = tmp("observer-journal");
+    let journal = |sim: FlowSim| {
+        sim.with_snapshot_policy(SnapshotPolicy::EveryEvents(7))
+            .with_journal(&path)
+            .expect("journal created")
+            .run()
+            .expect("journaled run converges");
+        fs::read(&path).expect("journal readable")
+    };
+    for archetype in Archetype::ALL {
+        let s = GeneratedScenario::new(archetype, 3);
+        let bare = journal(sim_observed_slo(&s));
+        let traced = journal(sim_observed_slo(&s).with_observer(TraceRecorder::new()));
+        assert!(journal_frames(&bare).len() > 2, "{archetype}: the run seals snapshots");
+        assert!(bare == traced, "{archetype}: the recorder changed the journal bytes");
+    }
+    let _ = fs::remove_file(&path);
 }
 
 /// Snapshot frames in the journal at `path`: its frames less the header.
@@ -189,7 +223,7 @@ fn stress_journal_size_is_pinned() {
     let events = sim.events_handled();
     let (frames, bytes) = snapshot_frames(&path);
     let _ = fs::remove_file(&path);
-    assert_eq!((events, frames, bytes), (41_000, 41, 184_614), "events, snapshots, bytes");
+    assert_eq!((events, frames, bytes), (41_000, 41, 184_573), "events, snapshots, bytes");
 }
 
 /// The journal `sim-durable` writes, at its full shape: 1.5 M events of the
@@ -357,7 +391,7 @@ fn killed_journals_are_pinned() {
     let _ = fs::remove_file(&path);
     assert_eq!(
         (journals, bytes, format!("{hash:016x}").as_str(), format!("{body:016x}").as_str()),
-        (236, 2_034_165, "d80d43c1d00bcb80", "5127ceb414049614"),
+        (236, 2_031_906, "0af696ab1f751df9", "d3756fa8188afc83"),
         "journals, total bytes, FNV-1a of every journal in order and of every header-free tail"
     );
 }
@@ -444,11 +478,11 @@ fn weblab_resumes_mid_makespan_to_the_committed_golden() {
 
 // --- Snapshot payload bytes -----------------------------------------------
 
-/// The fifth pinned mode: the corrupt run with a ten-minute sampler tick,
-/// two SLO rules (a one-byte backlog ceiling on the first queueing stage,
-/// which fires and resolves as that queue fills and drains, and a zero
-/// ceiling on escaped taint) and a trace recorder.
-fn sim_observed_slo(s: &GeneratedScenario, trace: TraceRecorder) -> FlowSim {
+/// The fifth pinned mode, less its trace recorder: the corrupt run with a
+/// ten-minute sampler tick and two SLO rules (a one-byte backlog ceiling on
+/// the first queueing stage, which fires and resolves as that queue fills
+/// and drains, and a zero ceiling on escaped taint).
+fn sim_observed_slo(s: &GeneratedScenario) -> FlowSim {
     let mut g = s.flow.graph.clone();
     let queueing = g
         .stage_ids()
@@ -470,7 +504,6 @@ fn sim_observed_slo(s: &GeneratedScenario, trace: TraceRecorder) -> FlowSim {
     FlowSim::new(g, s.flow.pools.clone())
         .expect("generated graph is valid")
         .with_faults(plan, s.policy)
-        .with_observer(trace)
 }
 
 /// What the recorder of a traced mode had seen when a snapshot was taken.
@@ -510,7 +543,7 @@ fn pinned_modes(s: &GeneratedScenario) -> [(&'static str, bool, Build<'_>); 5] {
         ("corrupt", false, Box::new(|_| Some(s.sim_corrupt()))),
         ("corrupt-verified", false, Box::new(|_| Some(s.sim_corrupt_verified()))),
         ("crashy", true, Box::new(|t| Some(s.sim_crashy()?.with_observer(t)))),
-        ("observed-slo", true, Box::new(|t| Some(sim_observed_slo(s, t)))),
+        ("observed-slo", true, Box::new(|t| Some(sim_observed_slo(s).with_observer(t)))),
     ]
 }
 
@@ -540,8 +573,9 @@ fn pause_points(
 
 /// The snapshot format, byte for byte: `snapshot_to` at 1/8, 3/8, 5/8 and
 /// 7/8 of every zoo archetype's run under five modes, on fixed seeds (not
-/// the matrix seed), folded into four literals. The first three are those
-/// of snapshot format 2, re-pinned when its integers became LEB128, while
+/// the matrix seed), folded into four literals. They are those of snapshot
+/// format 3, re-pinned when the payload dropped the values no resume reads
+/// (as they were for format 2, when its integers became LEB128), while
 /// [`snapshot_points_resume_to_pinned_reports`] held every resume from
 /// these files to what format 1 resumed to. The fourth folds each file's
 /// bytes after its header frame, which holds when only the header's spec
@@ -622,7 +656,7 @@ fn byte_pin_snapshot_payloads() {
     assert!(two_samples, "no snapshot held a sampler with two or more samples");
     assert_eq!(
         (files, bytes, format!("{fold:016x}").as_str(), format!("{body:016x}").as_str()),
-        (580, 2_207_203, "ca49d22e659db678", "e94bb97c5f3eee84"),
+        (580, 2_205_795, "174c525542da1fce", "a84517c08f1ef0f2"),
         "snapshot files, total bytes, rotate-xor fold of FNV-1a(file) and of FNV-1a(tail after the header)"
     );
 }
