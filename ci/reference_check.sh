@@ -4,19 +4,22 @@
 # variant of a `pub enum` there must be constructed by something other than
 # tests.
 #
+# Test code is `#[cfg(test)]` code, a file declared through
+# `#[cfg(test)] mod x;`, and every file under `tests/`, `crates/*/tests/`,
+# `benchmark/tests/` and `crates/testkit` (test support: its own items are
+# not checked either). Examples, benches and `benchmark/src` are readers.
+#
 # An item is flagged when
-#   * no other .rs file in the repository names it outside `#[cfg(test)]`
-#     code (a `pub use` re-export in its own crate's lib.rs does not count,
-#     and neither does a file declared through `#[cfg(test)] mod x;`), and
-#   * its own file names it only inside `#[cfg(test)]` code.
+#   * no other .rs file in the repository names it outside test code (a
+#     `pub use` re-export in its own crate's lib.rs does not count), and
+#   * its own file names it only inside test code.
 # Comment lines never count as a use. Names are matched as whole words,
 # so a common name used anywhere (`new`, `len`) is never flagged: the
 # check can miss dead items, but what it flags is dead.
 #
-# A variant `E::V` of a `pub enum E` in `crates/*/src` (crates/testkit,
-# test support, is exempt) is flagged when no line outside `#[cfg(test)]`
-# code constructs it: names it as `E::V`, or as `Self::V` inside an
-# `impl … E`, other than as a pattern. A pattern is a path left of `=>`,
+# A variant `E::V` of a `pub enum E` in `crates/*/src` is flagged when no
+# line outside test code constructs it: names it as `E::V`, or as
+# `Self::V` inside an `impl … E`, other than as a pattern. A pattern is a path left of `=>`,
 # one inside `matches!(`, one between `let` and its `=` (`if let`,
 # `let … else`) or on a line that continues an or-pattern (`| E::V`). A
 # `#[default]` variant counts as constructed; a `wire_enum!` row (`1 => V`)
@@ -59,7 +62,7 @@ function indent_of(s) { match(s, /^ */); return RLENGTH }
 BEGIN { n = split(test_files, tf, "\n"); for (i = 1; i <= n; i++) test_file[tf[i]] = 1 }
 FNR == 1 {
     file = FILENAME; crate = ""
-    whole_test = (file in test_file)
+    whole_test = (file in test_file) || file ~ /^(tests|crates\/[^\/]+\/tests|benchmark\/tests|crates\/testkit)\//
     if (file ~ /^crates\/[^\/]+\//) { split(file, p, "/"); crate = p[2] }
     is_lib = (file ~ /^crates\/[^\/]+\/src\/lib\.rs$/)
     is_src = (file ~ /^crates\/[^\/]+\/src\//)
@@ -110,7 +113,7 @@ FNR == 1 {
             if (is_default) built[v] = 1
             is_default = 0
         }
-    } else if (is_src && crate != "testkit" && !test && !whole_test && match(stripped, /^pub enum [A-Za-z_][A-Za-z0-9_]*/)) {
+    } else if (is_src && !test && !whole_test && match(stripped, /^pub enum [A-Za-z_][A-Za-z0-9_]*/)) {
         enum_name = substr(stripped, 10, RLENGTH - 9); is_default = 0
         enum_close = sprintf("%" indent_of(line) "s}", ""); variant_indent = indent_of(line) + 4
     }

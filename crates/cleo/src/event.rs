@@ -18,14 +18,6 @@ pub enum ParticleKind {
     Photon,
 }
 
-impl ParticleKind {
-    /// Electric charge magnitude sign convention: we only need whether the
-    /// detector sees a curved track at all.
-    pub fn charged(self) -> bool {
-        !matches!(self, ParticleKind::Photon)
-    }
-}
-
 /// A generated (truth-level) particle.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Particle {
@@ -43,12 +35,6 @@ pub struct Particle {
 pub struct CollisionEvent {
     pub id: u64,
     pub particles: Vec<Particle>,
-}
-
-impl CollisionEvent {
-    pub fn charged_multiplicity(&self) -> usize {
-        self.particles.iter().filter(|p| p.charge != 0).count()
-    }
 }
 
 /// A run: contiguous data taking under constant conditions.
@@ -80,21 +66,15 @@ mod tests {
 
     #[test]
     fn particle_properties() {
-        assert!(ParticleKind::Pion.charged());
-        assert!(!ParticleKind::Photon.charged());
-    }
-
-    #[test]
-    fn multiplicity_counts_charges() {
-        let ev = CollisionEvent {
-            id: 1,
-            particles: vec![
-                Particle { kind: ParticleKind::Pion, pt_gev: 0.5, phi: 0.1, charge: 1 },
-                Particle { kind: ParticleKind::Photon, pt_gev: 1.0, phi: 0.2, charge: 0 },
-                Particle { kind: ParticleKind::Kaon, pt_gev: 0.8, phi: 0.3, charge: -1 },
-            ],
-        };
-        assert_eq!(ev.charged_multiplicity(), 2);
+        // Photons are the one neutral species: the detector sees a curved
+        // track for every other kind.
+        let mut rng = sciflow_core::rng::Rng::seed_from_u64(5);
+        let cfg = crate::generator::GeneratorConfig::default();
+        for i in 0..50 {
+            for p in crate::generator::generate_event(i, &cfg, &mut rng).particles {
+                assert_eq!(p.charge == 0, p.kind == ParticleKind::Photon, "{p:?}");
+            }
+        }
     }
 
     #[test]

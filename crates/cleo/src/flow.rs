@@ -13,7 +13,6 @@ use sciflow_core::fault::FaultProfile;
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, VerifyPolicy};
 use sciflow_core::obs::SloRule;
 use sciflow_core::spec::{FilterSpec, FlowSpec, ProcessSpec, SourceSpec, TransferSpec};
-use sciflow_core::trace::ObserveConfig;
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 
 /// Paper-scale parameters for the CLEO flow.
@@ -96,15 +95,6 @@ pub fn wilson_crash_profile(crashes_per_day: f64, mean_repair: SimDuration) -> F
 /// shipment and triggers a reprocessing pass from the retained MC masters.
 pub fn reprocess_pass_profile(silent_corrupts_per_day: f64) -> FaultProfile {
     FaultProfile::silent_corruption(silent_corrupts_per_day)
-}
-
-/// Telemetry preset for the CLEO flow: runs arrive hourly and reconstruction
-/// tasks span tens of minutes, so half-hour samples resolve the farm's
-/// occupancy over the day-scale run. Attach it to the built graph with
-/// [`FlowGraph::set_observe`]: same flow, same replay, plus time-series and
-/// engine sections in the report.
-pub fn cleo_observe_preset() -> ObserveConfig {
-    ObserveConfig::every(SimDuration::from_mins(30))
 }
 
 /// SLO preset for the CLEO flow, sized from the flow's own parameters: the
@@ -242,6 +232,7 @@ pub fn cms_trigger_flow_graph(p: &CmsTriggerParams) -> FlowGraph {
 mod tests {
     use super::*;
     use sciflow_core::sim::{CpuPool, FlowSim};
+    use sciflow_core::trace::ObserveConfig;
 
     fn run_flow(runs: u64, cpus: u32) -> sciflow_core::SimReport {
         let p = CleoFlowParams { runs, ..CleoFlowParams::default() };
@@ -338,7 +329,10 @@ mod tests {
             .run()
             .expect("flow completes");
         let mut graph = cleo_flow_graph(&p);
-        graph.set_observe(cleo_observe_preset());
+        // Runs arrive hourly and reconstruction tasks span tens of minutes,
+        // so half-hour samples resolve the farm's occupancy.
+        let tick = SimDuration::from_mins(30);
+        graph.set_observe(ObserveConfig::every(tick));
         let observed = FlowSim::new(graph, vec![CpuPool::new(WILSON_POOL, 64)])
             .expect("valid flow")
             .run()
@@ -346,7 +340,7 @@ mod tests {
         assert_eq!(plain.finished_at, observed.finished_at);
         assert_eq!(plain.stages, observed.stages);
         let ts = observed.timeseries.as_ref().expect("preset enables telemetry");
-        assert_eq!(ts.tick, cleo_observe_preset().tick);
+        assert_eq!(ts.tick, tick);
         assert_eq!(ts.pools, vec![WILSON_POOL.to_string()]);
         assert!(ts.samples.iter().any(|s| s.pool_in_use[0] > 0), "farm occupancy is sampled");
     }

@@ -43,8 +43,8 @@ pub use detector::{simulate_event, DetectorConfig, DetectorResponse, Hit};
 pub use event::{CollisionEvent, Particle, ParticleKind, Run};
 pub use fineprov::{header_scheme_bytes, FineProvenanceStore, ProvRef};
 pub use flow::{
-    cleo_flow_graph, cleo_observe_preset, cleo_slo_preset, cms_filter_required,
-    wilson_crash_profile, CleoFlowParams, WILSON_POOL,
+    cleo_flow_graph, cleo_slo_preset, cms_filter_required, wilson_crash_profile, CleoFlowParams,
+    WILSON_POOL,
 };
 pub use generator::{generate_event, generate_run, GeneratorConfig};
 pub use montecarlo::{produce_mc_run, stage_into_personal_store, McSample};

@@ -64,11 +64,11 @@ fn reconstruction_does_not_over_count() {
         let ev = generate_event(seed, &GeneratorConfig::default(), &mut rng);
         let resp = simulate_event(&ev, &det, &mut rng);
         let rec = reconstruct(&resp, &det, &ReconConfig::default());
+        let charged = ev.particles.iter().filter(|p| p.charge != 0).count();
         assert!(
-            rec.tracks.len() <= ev.charged_multiplicity() + 1,
-            "found {} tracks for {} charged",
-            rec.tracks.len(),
-            ev.charged_multiplicity()
+            rec.tracks.len() <= charged + 1,
+            "found {} tracks for {charged} charged",
+            rec.tracks.len()
         );
         // Conservation of hits: assigned + unassigned = total.
         let assigned: usize = rec.tracks.iter().map(|t| t.n_hits).sum();

@@ -616,6 +616,7 @@ impl TaskRunner {
             // the repair-time drain, which serves enlisted waiters.
             let stage = ctx.stage();
             ctx.resources().enlist(self.resource, stage);
+            ctx.metrics().note_queue(self.state.queue.len(), self.state.queued_volume);
             self.emit_depth(ctx);
         }
         reclaimed

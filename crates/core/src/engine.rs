@@ -20,7 +20,7 @@ use crate::frame::{Damage, Reader, Wire};
 use crate::slab::{Slab, SlabKey};
 use crate::units::SimTime;
 
-/// Handles events popped by [`Engine::run`]. The handler schedules follow-on
+/// Handles events popped by [`Engine::run_counted`]. The handler schedules follow-on
 /// events through the [`Scheduler`] it is handed.
 pub trait EventHandler {
     type Event;
@@ -206,7 +206,7 @@ impl<E> Engine<E> {
         self
     }
 
-    /// Scheduler access for seeding initial events before [`Engine::run`].
+    /// Scheduler access for seeding initial events before [`Engine::run_counted`].
     pub fn scheduler(&mut self) -> &mut Scheduler<E> {
         &mut self.sched
     }
@@ -251,14 +251,8 @@ impl<E> Engine<E> {
         }
     }
 
-    /// Run to quiescence; returns the time of the last event handled.
-    pub fn run<H: EventHandler<Event = E>>(self, handler: &mut H) -> CoreResult<SimTime> {
-        Ok(self.run_counted(handler)?.finished_at)
-    }
-
-    /// Run to quiescence, also counting events handled and the peak size of
-    /// the pending heap. Identical execution to [`Engine::run`] — the
-    /// counters are pure bookkeeping.
+    /// Run to quiescence, counting events handled and the peak size of the
+    /// pending heap (see [`RunStats`]).
     pub fn run_counted<H: EventHandler<Event = E>>(
         mut self,
         handler: &mut H,
@@ -370,7 +364,7 @@ mod tests {
         engine.scheduler().schedule(t(1), 1);
         engine.scheduler().schedule(t(5), 3); // same time as `2`, scheduled later
         let mut h = Recorder { fired: Vec::new() };
-        let end = engine.run(&mut h).unwrap();
+        let end = engine.run_counted(&mut h).unwrap().finished_at;
         // `1` fires first, chains `10` (same instant) and `11` (at 1 s).
         assert_eq!(h.fired, vec![(1, 1), (1, 10), (5, 2), (5, 3), (1_000_001, 11)]);
         assert_eq!(end, t(1_000_001));
@@ -386,7 +380,7 @@ mod tests {
         assert_eq!(engine.scheduler().cancel(doomed), Some(2));
         assert_eq!(engine.scheduler().cancel(doomed), None, "double cancel yields nothing");
         let mut h = Recorder { fired: Vec::new() };
-        let end = engine.run(&mut h).unwrap();
+        let end = engine.run_counted(&mut h).unwrap().finished_at;
         assert_eq!(h.fired, vec![(1, 1), (1, 10), (3, 3), (1_000_001, 11)]);
         assert_eq!(end, t(1_000_001), "clock never reached the cancelled event's time");
     }
@@ -402,7 +396,7 @@ mod tests {
         }
         let mut engine = Engine::new().with_max_events(100);
         engine.scheduler().schedule(SimTime::ZERO, ());
-        assert!(matches!(engine.run(&mut Loops), Err(CoreError::InvalidConfig { .. })));
+        assert!(matches!(engine.run_counted(&mut Loops), Err(CoreError::InvalidConfig { .. })));
     }
 
     #[test]
@@ -493,7 +487,7 @@ mod tests {
         let mut engine = Engine::new();
         engine.scheduler().schedule(SimTime::ZERO, 1);
         let mut h = Reuse { stale: None, fired: Vec::new() };
-        engine.run(&mut h).unwrap();
+        engine.run_counted(&mut h).unwrap();
         assert_eq!(h.fired, vec![1, 2, 3], "the reused slot's occupant must survive");
     }
 
@@ -517,7 +511,7 @@ mod tests {
         let t = SimTime::from_micros;
         let first = engine.scheduler().schedule(t(1), 5);
         engine.scheduler().schedule(t(2), 9);
-        engine.run(&mut Tail { first: Some(first) }).unwrap();
+        engine.run_counted(&mut Tail { first: Some(first) }).unwrap();
     }
 
     #[test]
@@ -566,6 +560,6 @@ mod tests {
                 unreachable!("no events were scheduled")
             }
         }
-        assert_eq!(engine.run(&mut Never).unwrap(), SimTime::ZERO);
+        assert_eq!(engine.run_counted(&mut Never).unwrap().finished_at, SimTime::ZERO);
     }
 }

@@ -148,11 +148,6 @@ impl FaultProfile {
         }
     }
 
-    /// Only connection drops, at the given daily rate.
-    pub fn drops(per_day: f64) -> Self {
-        FaultProfile { drops_per_day: per_day, ..FaultProfile::clean() }
-    }
-
     /// Only node crashes against `pool`: `per_day` crashes, each killing
     /// `cpus_per_crash` processors for an exponential repair time with mean
     /// `mean_repair`. The shape of a shared farm losing nodes to preemption
@@ -189,14 +184,6 @@ impl FaultProfile {
     /// Add silent corruption to this profile.
     pub fn with_silent_corruption(mut self, per_day: f64) -> Self {
         self.silent_corrupts_per_day = per_day;
-        self
-    }
-
-    /// Add link partitions to this profile: `per_day` severances, each
-    /// healing after an exponential time with mean `mean_heal`.
-    pub fn with_partitions(mut self, per_day: f64, mean_heal: SimDuration) -> Self {
-        self.partitions_per_day = per_day;
-        self.mean_partition_heal = mean_heal;
         self
     }
 
@@ -588,10 +575,6 @@ pub struct AttemptOutcome {
 }
 
 impl AttemptOutcome {
-    pub fn succeeded(&self) -> bool {
-        self.failure.is_none()
-    }
-
     /// Fault events that influenced this attempt (stalls, silent corruption,
     /// plus the failure).
     pub fn faults_hit(&self) -> u64 {
@@ -635,11 +618,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// Give up after the first failure.
-    pub fn no_retries() -> Self {
-        RetryPolicy { max_retries: 0, ..RetryPolicy::default() }
-    }
-
     /// The jitter-free backoff before retry `i` (0-based): monotone
     /// non-decreasing in `i` and bounded by `max_backoff`.
     pub fn nominal_backoff(&self, retry_index: u32) -> SimDuration {
@@ -692,7 +670,11 @@ mod tests {
     #[test]
     fn event_rates_track_profile() {
         let horizon = SimDuration::from_days(100);
-        let plan = FaultPlan::generate(7, horizon, &FaultProfile::drops(5.0));
+        let plan = FaultPlan::generate(
+            7,
+            horizon,
+            &FaultProfile { drops_per_day: 5.0, ..FaultProfile::clean() },
+        );
         // Poisson(500): far more than 300, fewer than 700.
         let drops = plan.count(|k| matches!(k, FaultKind::Drop));
         assert!((300..700).contains(&drops), "drops {drops}");
@@ -704,7 +686,7 @@ mod tests {
         let plan = FaultPlan::generate(1, SimDuration::from_days(365), &FaultProfile::clean());
         assert!(plan.is_empty());
         let out = plan.attempt_outcome(SimTime::ZERO, SimDuration::from_hours(5), None);
-        assert!(out.succeeded());
+        assert_eq!(out.failure, None);
         assert_eq!(out.ends_at, SimTime::ZERO + SimDuration::from_hours(5));
     }
 
@@ -720,7 +702,7 @@ mod tests {
         // An attempt starting after the drop is unaffected.
         let later =
             plan.attempt_outcome(SimTime::from_micros(2_000_000), SimDuration::from_secs(10), None);
-        assert!(later.succeeded());
+        assert_eq!(later.failure, None);
     }
 
     #[test]
@@ -741,7 +723,7 @@ mod tests {
             ],
         );
         let out = plan.attempt_outcome(SimTime::ZERO, SimDuration::from_secs(10), None);
-        assert!(out.succeeded());
+        assert_eq!(out.failure, None);
         assert_eq!(out.stalls_hit, 2);
         assert_eq!(out.ends_at, s(30));
     }
@@ -844,7 +826,7 @@ mod tests {
             ],
         );
         let out = plan.attempt_outcome(SimTime::ZERO, SimDuration::from_secs(10), None);
-        assert!(out.succeeded(), "silent corruption must not fail the attempt");
+        assert_eq!(out.failure, None, "silent corruption must not fail the attempt");
         assert_eq!(out.ends_at, SimTime::ZERO + SimDuration::from_secs(10));
         assert_eq!(out.silent_corrupts, 2);
         assert_eq!(out.faults_hit(), 2);

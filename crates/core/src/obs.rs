@@ -312,76 +312,6 @@ fn merge_le(labels: &str, le: &str) -> String {
     }
 }
 
-/// Validate a Prometheus text exposition line by line; returns the number
-/// of sample lines on success, or the first offending line on failure.
-///
-/// Checks: every non-comment line is `name[{labels}] <integer>`, metric
-/// names are legal, every sample is preceded by a `# TYPE` for its base
-/// family, and histogram bucket series are cumulative (non-decreasing).
-pub fn validate_exposition(text: &str) -> Result<usize, String> {
-    let mut typed: Vec<String> = Vec::new();
-    let mut samples = 0usize;
-    let mut last_bucket: Option<(String, u64)> = None;
-    for line in text.lines() {
-        if line.is_empty() {
-            continue;
-        }
-        if let Some(rest) = line.strip_prefix("# TYPE ") {
-            let mut it = rest.split(' ');
-            let (Some(base), Some(kind), None) = (it.next(), it.next(), it.next()) else {
-                return Err(format!("malformed TYPE line: {line:?}"));
-            };
-            if !matches!(kind, "counter" | "gauge" | "histogram") {
-                return Err(format!("unknown metric kind in: {line:?}"));
-            }
-            typed.push(base.to_string());
-            continue;
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        let Some((series, value)) = line.rsplit_once(' ') else {
-            return Err(format!("sample without value: {line:?}"));
-        };
-        let Ok(v) = value.parse::<u64>() else {
-            return Err(format!("non-integer sample value in: {line:?}"));
-        };
-        let (full, labels) = split_labels(series);
-        if labels.len() == 1 || (!labels.is_empty() && !labels.ends_with('}')) {
-            return Err(format!("unbalanced labels in: {line:?}"));
-        }
-        if full.is_empty()
-            || !full.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
-        {
-            return Err(format!("illegal metric name in: {line:?}"));
-        }
-        let family = full
-            .strip_suffix("_bucket")
-            .or_else(|| full.strip_suffix("_sum"))
-            .or_else(|| full.strip_suffix("_count"))
-            .filter(|f| typed.iter().any(|t| t == f))
-            .unwrap_or(full);
-        if !typed.iter().any(|t| t == family) {
-            return Err(format!("sample before its TYPE line: {line:?}"));
-        }
-        if full.ends_with("_bucket") {
-            let inner = labels.get(1..labels.len().saturating_sub(1)).unwrap_or("");
-            let non_le: Vec<&str> = inner.split(',').filter(|p| !p.starts_with("le=")).collect();
-            let key_wo_le = format!("{family}{{{}}}", non_le.join(","));
-            if let Some((prev_key, prev)) = &last_bucket {
-                if *prev_key == key_wo_le && v < *prev {
-                    return Err(format!("non-cumulative bucket series at: {line:?}"));
-                }
-            }
-            last_bucket = Some((key_wo_le, v));
-        } else {
-            last_bucket = None;
-        }
-        samples += 1;
-    }
-    Ok(samples)
-}
-
 // ---------------------------------------------------------------------------
 // Hub
 
@@ -561,6 +491,7 @@ impl SloState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sciflow_testkit::determinism::validate_exposition;
 
     #[test]
     fn bucket_bounds_are_strictly_increasing_and_log_linear() {

@@ -290,7 +290,7 @@ impl TraceSnapshot {
     /// Derive activity spans by pairing `TaskStart` with `TaskEnd` /
     /// `CrashKill` (by stage and task id) and materialising each
     /// `TransferAttempt` over its known duration. Unmatched starts (a trace
-    /// cut short) are dropped; [`TraceSnapshot::open_tasks`] counts them.
+    /// cut short) are dropped.
     pub fn spans(&self) -> Vec<Span> {
         let mut open: Vec<(StageId, u64, u64, SimTime, DataVolume)> = Vec::new();
         let mut spans = Vec::new();
@@ -342,25 +342,6 @@ impl TraceSnapshot {
             }
         }
         spans
-    }
-
-    /// `TaskStart`s with no matching `TaskEnd`/`CrashKill` — always zero for
-    /// a run that went to quiescence.
-    pub fn open_tasks(&self) -> usize {
-        let mut open: Vec<(StageId, u64)> = Vec::new();
-        for (_, ev) in &self.events {
-            match ev {
-                TraceEvent::TaskStart { stage, task, .. } => open.push((*stage, *task)),
-                TraceEvent::TaskEnd { stage, task, .. }
-                | TraceEvent::CrashKill { stage, task, .. } => {
-                    if let Some(i) = open.iter().position(|o| *o == (*stage, *task)) {
-                        open.swap_remove(i);
-                    }
-                }
-                _ => {}
-            }
-        }
-        open.len()
     }
 
     /// Render the trace as a JSONL event log: one JSON object per line, in
@@ -1126,7 +1107,6 @@ mod tests {
         assert_eq!(spans[0].duration(), SimDuration::from_micros(10));
         assert!(!spans[0].killed);
         assert!(spans[1].killed);
-        assert_eq!(snapshot.open_tasks(), 0);
     }
 
     #[test]
@@ -1146,23 +1126,6 @@ mod tests {
         assert_eq!(spans.len(), 1);
         assert_eq!(spans[0].end, SimTime::from_micros(12));
         assert_eq!(spans[0].kind, "attempt");
-    }
-
-    #[test]
-    fn unmatched_starts_are_counted_open() {
-        let s = StageId(0);
-        let snapshot = snap(vec![(
-            SimTime::from_micros(1),
-            TraceEvent::TaskStart {
-                stage: s,
-                task: 7,
-                lineage: 1,
-                volume: DataVolume::ZERO,
-                units: 1,
-            },
-        )]);
-        assert_eq!(snapshot.spans().len(), 0);
-        assert_eq!(snapshot.open_tasks(), 1);
     }
 
     #[test]

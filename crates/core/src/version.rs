@@ -72,11 +72,6 @@ impl CalDate {
         let doe = yoe * 365 + yoe / 4 - yoe / 100 + doy;
         era * 146_097 + doe
     }
-
-    /// Whole days from `self` to `other` (positive if `other` is later).
-    pub fn days_until(self, other: CalDate) -> i64 {
-        other.day_number() - self.day_number()
-    }
 }
 
 impl PartialOrd for CalDate {
@@ -163,8 +158,7 @@ mod tests {
         let a = CalDate::parse_compact("20040213").unwrap();
         let b = CalDate::parse_compact("20040312").unwrap();
         assert!(a < b);
-        assert_eq!(a.days_until(b), 28);
-        assert_eq!(b.days_until(a), -28);
+        assert_eq!(b.day_number() - a.day_number(), 28);
     }
 
     #[test]
@@ -173,8 +167,8 @@ mod tests {
         let feb28 = CalDate::new(2004, 2, 28).unwrap();
         let feb29 = CalDate::new(2004, 2, 29).unwrap();
         let mar1 = CalDate::new(2004, 3, 1).unwrap();
-        assert_eq!(feb28.days_until(feb29), 1);
-        assert_eq!(feb29.days_until(mar1), 1);
+        assert_eq!(feb29.day_number() - feb28.day_number(), 1);
+        assert_eq!(mar1.day_number() - feb29.day_number(), 1);
     }
 
     #[test]

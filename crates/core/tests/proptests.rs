@@ -101,7 +101,6 @@ fn dates_roundtrip_and_order() {
         let compact = format!("{:04}{:02}{:02}", y1, m1, d1);
         assert_eq!(CalDate::parse_compact(&compact), Some(a));
         assert_eq!(a.cmp(&b), a.day_number().cmp(&b.day_number()));
-        assert_eq!(a.days_until(b), -b.days_until(a));
     });
 }
 

@@ -27,8 +27,6 @@ pub enum Predicate {
         hi: Option<Value>,
     },
     And(Vec<Predicate>),
-    Or(Vec<Predicate>),
-    Not(Box<Predicate>),
 }
 
 impl Predicate {
@@ -58,8 +56,6 @@ impl Predicate {
                 true
             }
             Predicate::And(ps) => ps.iter().all(|p| p.matches(row)),
-            Predicate::Or(ps) => ps.iter().any(|p| p.matches(row)),
-            Predicate::Not(p) => !p.matches(row),
         }
     }
 
@@ -306,17 +302,6 @@ mod tests {
         // Eq never matches null.
         let eq_null = select(&t, &Query::filter(Predicate::Eq(3, Value::Null))).unwrap();
         assert!(eq_null.rows.is_empty());
-    }
-
-    #[test]
-    fn or_predicate() {
-        let t = candidates_table();
-        let q = Query::filter(Predicate::Or(vec![
-            Predicate::Eq(0, Value::Int(1)),
-            Predicate::Eq(0, Value::Int(2)),
-        ]));
-        let r = select(&t, &q).unwrap();
-        assert_eq!(r.rows.len(), 2);
     }
 
     #[test]

@@ -68,13 +68,6 @@ impl Value {
         }
     }
 
-    pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Total order used by indexes and ORDER BY: nulls first, then by type
     /// rank (Int/Real interleaved numerically, and exactly: no `Int` is
     /// rounded to a float), then by value. `Real` uses IEEE total ordering
@@ -301,7 +294,6 @@ mod tests {
     #[test]
     fn accessors() {
         assert_eq!(Value::Int(3).as_int(), Some(3));
-        assert_eq!(Value::Text("x".into()).as_text(), Some("x"));
         assert!(Value::Null.is_null());
         assert_eq!(Value::Text("x".into()).as_int(), None);
     }

@@ -43,11 +43,6 @@ impl NetworkLink {
     pub fn transfer_time(&self, volume: DataVolume) -> Option<SimDuration> {
         volume.time_at(self.sustained_rate()).map(|t| t + self.latency)
     }
-
-    /// Volume deliverable per day at the sustained rate.
-    pub fn daily_capacity(&self) -> DataVolume {
-        self.sustained_rate().over(SimDuration::from_days(1))
-    }
 }
 
 #[cfg(test)]
@@ -62,7 +57,7 @@ mod tests {
             SimDuration::from_micros(35_000),
         );
         // 100 Mb/s = 12.5 MB/s ≈ 1.08 TB/day raw.
-        assert!(link.daily_capacity() > DataVolume::gb(1000));
+        assert!(link.sustained_rate().over(SimDuration::from_days(1)) > DataVolume::gb(1000));
         let u = DataRate::tb_per_day(0.25).bytes_per_sec() / link.sustained_rate().bytes_per_sec();
         assert!(u > 0.2 && u < 0.3, "250 GB/day should use ~23% of the link, got {u}");
     }

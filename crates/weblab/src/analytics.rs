@@ -79,16 +79,6 @@ pub fn weakly_connected_components(graph: &LinkGraph) -> (Vec<usize>, usize) {
     (labels, count)
 }
 
-/// Histogram of in-degrees: `hist[d]` = nodes with in-degree `d` (capped at
-/// `max_degree`, with overflow in the last bucket).
-pub fn in_degree_histogram(graph: &LinkGraph, max_degree: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; max_degree + 1];
-    for d in graph.in_degrees() {
-        hist[d.min(max_degree)] += 1;
-    }
-    hist
-}
-
 /// Summary statistics of a graph.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GraphStats {
@@ -189,14 +179,6 @@ mod tests {
             d[d.len() / 2]
         };
         assert!(indeg[top_pr] > med_in, "top PageRank node should be above median in-degree");
-    }
-
-    #[test]
-    fn histogram_buckets_and_overflow() {
-        let g = chain_graph();
-        let hist = in_degree_histogram(&g, 1);
-        // in-degrees: [0,1,1,0] → two zeros, two ones (cap 1).
-        assert_eq!(hist, vec![2, 2]);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 use sciflow_core::fault::FaultProfile;
 use sciflow_core::graph::{CheckpointPolicy, FlowGraph, VerifyPolicy};
 use sciflow_core::spec::{FlowSpec, ProcessSpec, SourceSpec, TransferSpec};
-use sciflow_core::trace::ObserveConfig;
 use sciflow_core::units::{DataRate, DataVolume, SimDuration};
 
 /// Paper-scale parameters.
@@ -90,14 +89,6 @@ pub fn crawl_corruption_profile(silent_corrupts_per_day: f64) -> FaultProfile {
     FaultProfile::silent_corruption(silent_corrupts_per_day)
 }
 
-/// Telemetry preset for the ingest flow: daily crawl deliveries against
-/// ~1 TB/day loaders resolve at six-hour samples over the multi-week run.
-/// Attach it to the built graph with [`FlowGraph::set_observe`]: same flow,
-/// same replay, plus time-series and engine sections in the report.
-pub fn weblab_observe_preset() -> ObserveConfig {
-    ObserveConfig::every(SimDuration::from_hours(6))
-}
-
 /// Build the ingest flow: Internet Archive → Internet2 link → preload →
 /// (database load → relational store, content → page store).
 pub fn weblab_flow_graph(p: &WeblabFlowParams) -> FlowGraph {
@@ -143,6 +134,7 @@ pub fn weblab_flow_graph(p: &WeblabFlowParams) -> FlowGraph {
 mod tests {
     use super::*;
     use sciflow_core::sim::{CpuPool, FlowSim};
+    use sciflow_core::trace::ObserveConfig;
 
     fn run(p: &WeblabFlowParams, cpus: u32) -> sciflow_core::SimReport {
         FlowSim::new(weblab_flow_graph(p), vec![CpuPool::new(WEBLAB_POOL, cpus)])
@@ -156,7 +148,10 @@ mod tests {
         let p = WeblabFlowParams::default();
         let plain = run(&p, 16);
         let mut graph = weblab_flow_graph(&p);
-        graph.set_observe(weblab_observe_preset());
+        // Daily crawl deliveries against ~1 TB/day loaders resolve at
+        // six-hour samples over the multi-week run.
+        let tick = SimDuration::from_hours(6);
+        graph.set_observe(ObserveConfig::every(tick));
         let observed = FlowSim::new(graph, vec![CpuPool::new(WEBLAB_POOL, 16)])
             .expect("valid flow")
             .run()
@@ -166,7 +161,7 @@ mod tests {
         assert_eq!(plain.stages, observed.stages);
         // ... but the observed report carries the telemetry sections.
         let ts = observed.timeseries.as_ref().expect("timeseries present");
-        assert_eq!(ts.tick, weblab_observe_preset().tick);
+        assert_eq!(ts.tick, tick);
         assert_eq!(ts.pools, vec![WEBLAB_POOL.to_string()]);
         assert!(ts.samples.len() > 10, "expected many samples, got {}", ts.samples.len());
         assert_eq!(ts.samples.last().unwrap().at, observed.finished_at);

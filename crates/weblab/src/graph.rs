@@ -71,10 +71,6 @@ impl LinkGraph {
         &self.urls[node]
     }
 
-    pub fn node_of(&self, url: &str) -> Option<usize> {
-        self.urls.iter().position(|u| u == url)
-    }
-
     /// In-degree of every node.
     pub fn in_degrees(&self) -> Vec<usize> {
         let mut deg = vec![0usize; self.node_count()];
@@ -116,7 +112,6 @@ mod tests {
         assert_eq!(g.out_neighbors(0), &[1, 2]);
         assert_eq!(g.out_degree(3), 0);
         assert_eq!(g.in_degrees(), vec![1, 1, 2, 0]);
-        assert_eq!(g.node_of("http://p2/"), Some(2));
         assert_eq!(g.url(1), "http://p1/");
     }
 

@@ -36,18 +36,14 @@ pub mod retro;
 pub mod sample;
 pub mod textindex;
 
-pub use analytics::{
-    graph_stats, in_degree_histogram, pagerank, weakly_connected_components, GraphStats,
-};
+pub use analytics::{graph_stats, pagerank, weakly_connected_components, GraphStats};
 pub use arc::{read_arc, read_arc_compressed, write_arc, write_arc_compressed, ArcRecord};
 pub use codec::{compress, decompress};
 pub use crawlsim::{CrawlSnapshot, PageTruth, SyntheticWeb, WebConfig};
 pub use dat::{read_dat, read_dat_compressed, write_dat, write_dat_compressed, DatRecord};
 pub use distsim::{compare_sweep, BigMachine, Cluster, Verdict};
 pub use error::{WebError, WebResult};
-pub use flow::{
-    es7000_outage_profile, weblab_flow_graph, weblab_observe_preset, WeblabFlowParams, WEBLAB_POOL,
-};
+pub use flow::{es7000_outage_profile, weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
 pub use graph::LinkGraph;
 pub use pagestore::PageStore;
 pub use preload::{

@@ -95,7 +95,7 @@ fn a_physicists_analysis_is_reproducible_end_to_end() {
     assert_eq!(jan_header.digest, jan.digest());
     let jun_file = write_file(&jun, b"june recon payload");
     let (jun_header, _) = read_file(&jun_file).unwrap();
-    assert!(!jan_header.consistent_with(&jun_header));
+    assert_ne!(jan_header.digest, jun_header.digest);
     // And the physicist can see why.
     let why = jan.explain_discrepancy(&jun).unwrap();
     assert!(why.contains("Jan04") || why.contains("calibration"), "{why}");

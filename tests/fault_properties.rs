@@ -246,11 +246,12 @@ fn generated_profile(which: u8) -> FaultProfile {
             crash_pool: Some("farm".into()),
             degrades_per_day: 12.0,
             mean_degrade: SimDuration::from_hours(6),
+            partitions_per_day: 6.0,
+            mean_partition_heal: SimDuration::from_hours(9),
             ..FaultProfile::flaky()
         }
         .with_outages(0.2, SimDuration::from_hours(8))
-        .with_silent_corruption(3.0)
-        .with_partitions(6.0, SimDuration::from_hours(9)),
+        .with_silent_corruption(3.0),
     }
 }
 
@@ -484,7 +485,7 @@ fn a_year_long_plan_serves_a_run_of_attempts() {
             assert_eq!(factor.to_bits(), naive::degrade_factor_at(&plan, now).to_bits());
             assert_eq!(outcome, naive::attempt_outcome(&plan, now, base, timeout));
         }
-        failed += u32::from(!outcome.succeeded());
+        failed += u32::from(outcome.failure.is_some());
         stalls += outcome.stalls_hit as u64;
         degraded += u32::from(factor < 1.0);
         now = outcome.ends_at.max(now + SimDuration::from_micros(1));

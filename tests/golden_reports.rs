@@ -15,8 +15,8 @@ use sciflow_arecibo::flow::{
     arecibo_flow_graph, arecibo_observe_preset, AreciboFlowParams, CTC_POOL,
 };
 use sciflow_cleo::flow::{
-    cleo_flow_graph, cleo_observe_preset, cleo_slo_preset, reprocess_pass_profile,
-    wilson_crash_profile, CleoFlowParams, WILSON_POOL,
+    cleo_flow_graph, cleo_slo_preset, reprocess_pass_profile, wilson_crash_profile, CleoFlowParams,
+    WILSON_POOL,
 };
 use sciflow_core::fault::{FaultPlan, FaultProfile, RetryPolicy};
 use sciflow_core::fnv::fnv1a;
@@ -24,14 +24,13 @@ use sciflow_core::genflow::Archetype;
 use sciflow_core::graph::FlowGraph;
 use sciflow_core::metrics::SimReport;
 use sciflow_core::sim::{CpuPool, FlowSim};
+use sciflow_core::trace::ObserveConfig;
 use sciflow_core::units::{DataRate, SimDuration};
 use sciflow_testkit::GeneratedScenario;
 use sciflow_testkit::{
     assert_deterministic, assert_integrity_audit, assert_matches_golden, assert_matches_golden_text,
 };
-use sciflow_weblab::flow::{
-    weblab_flow_graph, weblab_observe_preset, WeblabFlowParams, WEBLAB_POOL,
-};
+use sciflow_weblab::flow::{weblab_flow_graph, WeblabFlowParams, WEBLAB_POOL};
 
 /// Seed shared by every golden fault plan.
 const GOLDEN_SEED: u64 = 42;
@@ -187,7 +186,8 @@ fn case_study_finish_times_are_pinned() {
 }
 
 /// The whole `to_json()` of four decorated runs, as `(length, FNV-1a)`:
-/// each case study with its observe preset on the pools above, and CLEO
+/// each case study observed (Arecibo with its preset, CLEO every half hour,
+/// WebLab every six hours) on the pools above, and CLEO
 /// with its SLO preset on one CPU. No golden holds a time series, and
 /// `cleo_slo_alerts.txt` holds only the alert lines.
 #[test]
@@ -201,9 +201,9 @@ fn decorated_case_study_reports_are_pinned() {
     arecibo.set_observe(arecibo_observe_preset());
     let arecibo_pools = vec![CpuPool::new("observatory", 8), CpuPool::new(CTC_POOL, 150)];
     let mut cleo = cleo_flow_graph(&CleoFlowParams::default());
-    cleo.set_observe(cleo_observe_preset());
+    cleo.set_observe(ObserveConfig::every(SimDuration::from_mins(30)));
     let mut weblab = weblab_flow_graph(&WeblabFlowParams::default());
-    weblab.set_observe(weblab_observe_preset());
+    weblab.set_observe(ObserveConfig::every(SimDuration::from_hours(6)));
     let mut cleo_slo = cleo_flow_graph(&CleoFlowParams::default());
     cleo_slo.set_slos(cleo_slo_preset(&CleoFlowParams::default()));
     let pins = [

@@ -30,7 +30,7 @@ use sciflow_simnet::shipping::{MediaSpec, ShippingRoute};
 use sciflow_simnet::transfer::{compare, compare_with_faults};
 use sciflow_storage::archive::{LongTermArchive, MediaGeneration};
 use sciflow_testkit::{check, Gen};
-use sciflow_weblab::analytics::{in_degree_histogram, pagerank, weakly_connected_components};
+use sciflow_weblab::analytics::{pagerank, weakly_connected_components};
 use sciflow_weblab::crawlsim::{SyntheticWeb, WebConfig};
 use sciflow_weblab::graph::LinkGraph;
 use sciflow_weblab::sample::{stratified_sample, stratified_sample_flat};
@@ -333,24 +333,6 @@ fn ordered_limited_selects_match_a_sorted_model() {
 }
 
 #[test]
-fn a_predicate_and_its_negation_partition_the_table() {
-    check("a_predicate_and_its_negation_partition_the_table", 64, |g| {
-        let rows = kv_rows(g);
-        let table = kv_table(&rows, g.any::<bool>());
-        let p = Predicate::Or(vec![
-            Predicate::Eq(1, Value::Int(g.range(-20i64..20))),
-            Predicate::Range { col: 0, lo: None, hi: Some(Value::Int(g.range(0i64..1000))) },
-        ]);
-        let yes = select(&table, &Query::filter(p.clone())).expect("select works");
-        let no = select(&table, &Query::filter(Predicate::Not(Box::new(p)))).expect("select works");
-        let mut all = keys_of(&yes.rows);
-        all.extend(keys_of(&no.rows));
-        all.sort_unstable();
-        assert_eq!(all, rows.keys().copied().collect::<Vec<_>>());
-    });
-}
-
-#[test]
 fn group_counts_partition_the_table() {
     check("group_counts_partition_the_table", 64, |g| {
         let rows = kv_rows(g);
@@ -573,7 +555,7 @@ fn dispersion_delays_scale_with_dm_and_favour_high_frequencies() {
         let (one, scaled) = (Dm(dm).delay_secs(lo), Dm(dm * k).delay_secs(lo));
         assert!((scaled - k * one).abs() <= 1e-12 * scaled);
         let f = g.range(0.01f64..1000.0);
-        assert!((Period::from_freq_hz(f).freq_hz() - f).abs() <= 1e-12 * f);
+        assert!((Period(1.0 / f).freq_hz() - f).abs() <= 1e-12 * f);
     });
 }
 
@@ -625,7 +607,7 @@ fn link_graphs_keep_every_in_universe_edge() {
         }
         for v in 0..graph.node_count() {
             assert_eq!(graph.out_neighbors(v), want.get(&v).map_or(&[][..], Vec::as_slice));
-            assert_eq!(graph.node_of(graph.url(v)), Some(v));
+            assert_eq!(graph.url(v), format!("u{v}"));
         }
         assert_eq!(graph.in_degrees().iter().sum::<usize>(), edges.len());
     });
@@ -704,21 +686,6 @@ fn stratified_samples_fill_each_stratum_up_to_the_quota() {
             let want: BTreeMap<i64, usize> =
                 sizes.iter().map(|(&v, &n)| (v, n.min(quota))).collect();
             assert_eq!(got, want);
-        }
-    });
-}
-
-#[test]
-fn in_degree_histograms_count_every_node() {
-    check("in_degree_histograms_count_every_node", 64, |g| {
-        let (graph, _) = link_graph(g);
-        let cap = g.range(0usize..8);
-        let hist = in_degree_histogram(&graph, cap);
-        assert_eq!(hist.len(), cap + 1);
-        let degrees = graph.in_degrees();
-        for (d, &count) in hist.iter().enumerate() {
-            let want = degrees.iter().filter(|&&x| x.min(cap) == d).count();
-            assert_eq!(count, want, "bucket {d}");
         }
     });
 }

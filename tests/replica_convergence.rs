@@ -103,7 +103,11 @@ fn arbitrary_histories_converge_under_dense_faults() {
 #[test]
 fn partition_heal_schedules_converge() {
     let seed = matrix_seed(42);
-    let profile = FaultProfile::replica_chaos().with_partitions(6.0, SimDuration::from_hours(6));
+    let profile = FaultProfile {
+        partitions_per_day: 6.0,
+        mean_partition_heal: SimDuration::from_hours(6),
+        ..FaultProfile::replica_chaos()
+    };
     let scenario = ReplicatedScenario::new(derive_seed(seed, "partitions"))
         .with_replicas(5)
         .with_profile(profile);

@@ -224,7 +224,7 @@ fn recorder_log_decodes_to_what_a_vec_store_keeps() {
                 & SEED_PAYLOAD_MASK;
             let s = GeneratedScenario::new(archetype, seed);
             let mut no_retries = s.clone();
-            no_retries.policy = RetryPolicy::no_retries();
+            no_retries.policy = RetryPolicy { max_retries: 0, ..RetryPolicy::default() };
             let sims = [
                 ("clean", Some(s.sim_clean())),
                 ("corrupt", Some(s.sim_corrupt())),

@@ -98,10 +98,8 @@ fn preload_is_deterministic_in_content_across_worker_counts() {
         preload(&files, &mut db, &mut store, &PreloadConfig { workers, batch_size: 64 }).unwrap();
         // Canonical view: sorted (url, size) pairs.
         let table = db.table("pages").unwrap();
-        let mut rows: Vec<(String, i64)> = table
-            .scan()
-            .map(|(_, r)| (r[1].as_text().unwrap().to_string(), r[5].as_int().unwrap()))
-            .collect();
+        let mut rows: Vec<(String, i64)> =
+            table.scan().map(|(_, r)| (r[1].to_string(), r[5].as_int().unwrap())).collect();
         rows.sort();
         results.push((rows, store.total_bytes()));
     }

@@ -67,7 +67,7 @@ fn the_three_flows_reproduce_the_section_five_contrasts() {
     assert_eq!(shipping.winner, TransferMode::Shipping, "Arecibo ships disks");
     let weblab_link = profiles::internet2_100();
     assert!(
-        weblab_link.daily_capacity() > DataVolume::gb(250),
+        weblab_link.sustained_rate().over(SimDuration::from_days(1)) > DataVolume::gb(250),
         "the dedicated link carries the 250 GB/day target"
     );
 
